@@ -1,0 +1,118 @@
+"""Record the golden corpus: the stdout and exit code of `qpencil` on every
+case below, run in-process through `cli.main`.
+
+    PYTHONPATH=src python tests/golden/record.py
+
+rewrites tests/golden/corpus.json from the current code; tests/test_golden.py
+replays it.  An argument "@name" stands for tests/golden/docs/name.json.
+Re-record only when a change of output is intended, and say which entries
+changed and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+DOCS = HERE / "docs"
+CORPUS = HERE / "corpus.json"
+INLINE_LIMIT = 4000  # stdout up to this many bytes is stored verbatim
+
+ALL = ("halfdisc", "regular", "normalform", "rinv", "autos", "reflections",
+       "generators", "canonical-plane", "arf", "lattice", "autx")
+CHEAP = ("halfdisc", "regular", "normalform", "rinv", "autos",
+         "canonical-plane", "arf")
+# generators and lattice at m = 3 take about 0.1 s and 0.25 s a call, so
+# they run on a few documents only (g4_n7_1123 would need GF(2^24))
+GEOMETRY_M3 = {("generators", "g2_n7_34_r0"), ("generators", "g8_n7_11122"),
+               ("lattice", "g2_n7_124")}
+# autx is run where its field stays within GF(2^4) and m <= 2 (the
+# multiplication table has |Aut(X)|^2 entries)
+AUTX = {"g2_n3_all_roots", "g2_n3_an0", "g2_n3_autx_bug", "g2_n3_irreducible",
+        "g2_n3_m1", "g2_n3_split2_r0", "g2_n5_113_r0", "g2_n5_del_pezzo",
+        "g4_n3_split_r0", "g8_n3_split_r0", "iso_g2_n5_other_coset",
+        "g2_n5_not_regular", "g4_n3_not_regular", "g8_n7_not_regular"}
+
+ISO_PAIRS = [
+    ("iso_g2_n5_a", "iso_g2_n5_b"),
+    ("iso_g2_n5_a", "iso_g2_n5_other_coset"),
+    ("iso_g2_n5_a", "g2_n5_del_pezzo"),
+    ("iso_g4_n7_an0_a", "iso_g4_n7_an0_b"),
+    ("g2_n5_113", "g2_n5_113_r0"),
+    ("g8_n5_113", "g8_n5_113"),
+    ("g2_n3_m1", "g4_n3_12"),
+    ("g2_n3_m1", "g2_n3_split2_r0"),
+    ("g2_n3_all_roots", "iso_g2_n3_all_roots_b"),
+    ("g2_n5_roots_p1_gf4", "g2_n5_roots_p1_gf4"),
+    ("g2_n5_not_regular", "g2_n5_113"),
+    ("bad_index", "g2_n3_m1"),
+]
+
+EXT_DEGREE = [
+    ("reflections", "2", "g2_n3_m1"),
+    ("reflections", "1", "g2_n3_m1"),
+    ("reflections", "4", "g2_n5_del_pezzo"),
+    ("generators", "4", "g2_n3_autx_bug"),
+    ("generators", "2", "g2_n3_autx_bug"),
+    ("generators", "3", "g2_n5_113_r0"),
+    ("lattice", "4", "g2_n3_autx_bug"),
+    ("lattice", "2", "g4_n3_split_r0"),
+    ("autx", "4", "g2_n3_autx_bug"),
+    ("autx", "2", "g2_n3_autx_bug"),
+    ("autx", "2", "g2_n3_m1"),
+]
+
+
+def cases() -> list:
+    out = []
+    for path in sorted(DOCS.glob("*.json")):
+        name = path.stem
+        if name.startswith("bad_"):
+            cmds = ("halfdisc", "rinv", "autx")
+        elif name.startswith("iso_"):
+            cmds = CHEAP + (("autx",) if name in AUTX else ())
+        else:
+            cmds = [c for c in ALL
+                    if not (c in ("generators", "lattice") and "_n7_" in name
+                            and (c, name) not in GEOMETRY_M3)
+                    and not (c == "autx" and name not in AUTX)]
+        out += [[c, "--in", "@" + name] for c in cmds]
+    out += [["isiso", "@" + a, "@" + b] for a, b in ISO_PAIRS]
+    out += [[c, "--ext-degree", d, "--in", "@" + name] for c, d, name in EXT_DEGREE]
+    return out
+
+
+def run(argv: list) -> tuple[int, str]:
+    """Exit code and stdout of one in-process `qpencil` call."""
+    from qpencil import cli
+
+    real = [str(DOCS / (a[1:] + ".json")) if a.startswith("@") else a for a in argv]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(real)
+    return code, buf.getvalue()
+
+
+def entry(argv: list) -> dict:
+    code, text = run(argv)
+    e = {"argv": argv, "exit": code,
+         "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    if len(text) <= INLINE_LIMIT:
+        e["stdout"] = text
+    return e
+
+
+def main() -> int:
+    entries = [entry(argv) for argv in cases()]
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"recorded {len(entries)} cases in {CORPUS}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
