@@ -5,7 +5,7 @@ with brute-force oracles for every structural claim."""
 
 from .algebra import EtaleAlgebra
 from .errors import InputError, NotRegularError, PreconditionError, QPencilError
-from .field import GF, Embedding, Field, FieldElement, field_from_modulus, find_embedding
+from .field import GF, Embedding, Field, field_from_modulus, find_embedding
 from .invariants import ArfData, RInvariant, arf_invariant, is_isomorphic, r_invariant
 from .normalform import KroneckerBasis, NormalForm, extract_normal_form, realize
 from .pencil import Pencil
@@ -18,7 +18,6 @@ __all__ = [
     "Embedding",
     "EtaleAlgebra",
     "Field",
-    "FieldElement",
     "InputError",
     "KroneckerBasis",
     "NormalForm",

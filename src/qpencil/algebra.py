@@ -105,19 +105,16 @@ class EtaleAlgebra:
 
     @cached_property
     def _power_traces(self) -> tuple:
-        """Tr(t^i) for i = 0..2n-2 via powers of the companion matrix."""
-        gf, n = self.gf, self.n
-        mf = list(self.monic_f)
-        comp = [[0] * n for _ in range(n)]
-        for i in range(1, n):
-            comp[i][i - 1] = 1
-        for i in range(n):
-            comp[i][n - 1] = mf[i]  # char 2: -a = a
-        traces = []
-        m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for _ in range(2 * n - 1):
-            traces.append(_trace_of(gf, m))
-            m = _matmul(gf, m, comp)
+        """Tr(t^i) for i = 0..2n-2: the power sums of the roots of f, by
+        Newton's identities (characteristic 2, so without signs)."""
+        gf, n, c = self.gf, self.n, self.monic_f
+        traces = [n & 1]
+        for i in range(1, 2 * n - 1):
+            acc = c[n - i] if i <= n and i & 1 else 0
+            for j in range(1, min(i, n) + 1):
+                if j != i:
+                    acc ^= gf.mul(c[n - j], traces[i - j])
+            traces.append(acc)
         return tuple(traces)
 
     def trace(self, x: tuple) -> int:
@@ -303,29 +300,6 @@ class EtaleAlgebra:
 
     def map_field(self, emb) -> "EtaleAlgebra":
         return EtaleAlgebra(emb.dst, tuple(emb.map(c) for c in self.f))
-
-
-def _trace_of(gf: Field, m: list) -> int:
-    acc = 0
-    for i in range(len(m)):
-        acc ^= m[i][i]
-    return acc
-
-
-def _matmul(gf: Field, a: list, b: list) -> list:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k in range(n):
-            x = arow[k]
-            if x:
-                brow = b[k]
-                for j in range(n):
-                    if brow[j]:
-                        orow[j] ^= gf.mul(x, brow[j])
-    return out
 
 
 def _invert_mod(gf: Field, a: list, m: list) -> list:

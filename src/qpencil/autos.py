@@ -13,13 +13,14 @@ of the root divisor of the half-discriminant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import poly
 from .algebra import EtaleAlgebra
 from .errors import PreconditionError
 from .field import Field, find_embedding
 from .linalg import inverse, mat_mul, mat_vec, normalize_subspace
-from .normalform import NormalForm, extract_normal_form
+from .normalform import NormalForm, extract_normal_form, model_to_pencil
 from .pencil import Pencil
 
 
@@ -53,12 +54,11 @@ def phi_model_matrix(m: int, s: list) -> list:
 
 def phi(algebra: EtaleAlgebra, nf: NormalForm, s: tuple) -> AutomorphismRep:
     """phi(s) conjugated into the original coordinates of nf's pencil."""
-    gf = nf.basis.gf
     m = nf.m
     s_coords = list(algebra.d_coords(s))[: algebra.n - 1]
-    model = phi_model_matrix(m, s_coords)
-    b = nf.basis.matrix()
-    mat = mat_mul(gf, mat_mul(gf, b, model), inverse(gf, b))
+    mat = model_to_pencil(
+        nf.basis.gf, nf.basis.matrix(), phi_model_matrix(m, s_coords)
+    )
     return AutomorphismRep(
         tuple(s_coords),
         tuple(tuple(r) for r in mat),
@@ -66,35 +66,65 @@ def phi(algebra: EtaleAlgebra, nf: NormalForm, s: tuple) -> AutomorphismRep:
     )
 
 
-def pair_algebra(p: Pencil) -> tuple[EtaleAlgebra, NormalForm]:
-    """The algebra k[T]/(Delta(1,T)) and normal form; requires a_n != 0."""
-    p.require_regular()
-    a = p.half_discriminant()
-    if a[p.n] == 0:
-        raise PreconditionError(
-            "a_n = 0: apply ensure_an_nonzero before building the algebra"
+@dataclass(frozen=True)
+class PairAnalysis:
+    """The normal form (a; r) of a regular pencil in a frame with a_n != 0,
+    with the algebra it lives in.  The Artin-Schreier witness of the r-coset
+    and the r = 0 frame are computed on first use."""
+
+    pencil: Pencil  # the moved pencil: a_n != 0
+    gl2: tuple  # the GL(2) move onto `pencil` from the pencil first analysed
+    algebra: EtaleAlgebra  # k[T]/(Delta(1, T))
+    nf: NormalForm  # of `pencil`
+
+    @cached_property
+    def witness(self):
+        """s with wp(s) + c = sum r_i d_i for a constant c, or None when the
+        r-coset survives over this field (X is not quasi-split)."""
+        return self.algebra.solve_artin_schreier(
+            self.algebra.from_d_coords(list(self.nf.r) + [0])
         )
-    nf = extract_normal_form(p)
-    return EtaleAlgebra(p.gf, tuple(a)), nf
+
+    @cached_property
+    def r0_frame(self):
+        """Basis matrix (columns w_0..w_m, v_0..v_{m-1}) in which the pair
+        reads as the normal form with r = 0, or None without a witness."""
+        if self.witness is None:
+            return None
+        gf = self.nf.basis.gf
+        s_coords = list(self.algebra.d_coords(self.witness))[: self.algebra.n - 1]
+        ms = phi_model_matrix(self.nf.m, s_coords)
+        return mat_mul(gf, self.nf.basis.matrix(), inverse(gf, ms))
+
+
+def pair_algebra(p: Pencil) -> PairAnalysis:
+    """The analysis of a regular pencil, built on the first call and kept on
+    p and on the moved pencil.  When a_n = 0 it runs on the pencil moved by
+    ensure_an_nonzero: a GL(2) change of pair basis changes neither the
+    automorphisms nor the r-class."""
+    if p._analysis is None:
+        work, g = p.ensure_an_nonzero()
+        an = PairAnalysis(
+            work,
+            tuple(tuple(row) for row in g),
+            EtaleAlgebra(work.gf, tuple(work.half_discriminant())),
+            extract_normal_form(work),
+        )
+        p._analysis = work._analysis = an
+    return p._analysis
 
 
 def automorphism_group(p: Pencil) -> list[AutomorphismRep]:
     """All automorphisms of the pair (q0, q1): phi of the idempotents of A,
-    modulo the identification e ~ e + 1; the group has order 2^(l-1).
-
-    A GL(2) change of pair basis leaves this group unchanged, so when
-    a_n = 0 the computation silently runs on the moved pair.
-    """
-    p.require_regular()
-    work, _ = p.ensure_an_nonzero()
-    algebra, nf = pair_algebra(work)
-    eps = algebra.idempotents
+    modulo the identification e ~ e + 1; the group has order 2^(l-1)."""
+    an = pair_algebra(p)
+    algebra = an.algebra
     reps = [algebra.zero()]
-    for e in eps[1:]:  # dropping eps[0] fixes the e ~ e+1 ambiguity
+    for e in algebra.idempotents[1:]:  # dropping eps[0] fixes e ~ e+1
         reps += [algebra.add(x, e) for x in reps]
     out = []
     for e in reps:
-        rep = phi(algebra, nf, e)
+        rep = phi(algebra, an.nf, e)
         g = [list(r) for r in rep.matrix]
         if p.q0.transform(g) != p.q0 or p.q1.transform(g) != p.q1:
             raise AssertionError("phi(idempotent) fails to preserve the pair")
@@ -123,14 +153,12 @@ def reflections(p: Pencil, ext: Field) -> list[Reflection]:
     identity, and each equals phi of the idempotent of its linear factor.
     """
     p.require_regular()
-    a = p.half_discriminant()
-    pts = poly.bf_projective_roots(a, p.gf, ext)
+    pe = p.map_field(find_embedding(p.gf, ext))
+    pts = pe.projective_roots()
     if len(pts) != p.n:
         raise PreconditionError(
             f"{ext!r} does not split Delta ({len(pts)} of {p.n} roots)"
         )
-    emb = find_embedding(p.gf, ext)
-    pe = p.map_field(emb)
     out = []
     for (l, u) in pts:
         z = pe.omega_at(l, u)
@@ -169,23 +197,20 @@ def _proportional(gf: Field, x: tuple, y: tuple) -> bool:
     return gf.mul(x[0], y[1]) == gf.mul(x[1], y[0])
 
 
-def reflections_match_idempotents(p: Pencil, ext: Field) -> bool:
-    """phi(eps_i) = rho_i for the idempotent of each split linear factor."""
-    emb = find_embedding(p.gf, ext)
-    pe = p.map_field(emb)
-    algebra, nf = pair_algebra(pe)
-    refl = reflections(p, ext)
+def reflections_match_idempotents(p: Pencil, ext: Field, refl: list) -> bool:
+    """phi(eps_i) = rho_i for the idempotent of each split linear factor,
+    given the reflections(p, ext)."""
     by_root = {}
     for r in refl:
         if r.root[0] == 0:
             return False  # a_n = 0: no idempotent matches the infinite root
         by_root[ext.div(r.root[1], r.root[0])] = r
-    for fi, e in zip(algebra.factors, algebra.idempotents):
+    an = pair_algebra(p.map_field(find_embedding(p.gf, ext)))
+    for fi, e in zip(an.algebra.factors, an.algebra.idempotents):
         if len(fi) != 2:
             return False  # ext does not split Delta after all
         alpha = ext.div(fi[0], fi[1])
-        rep = phi(algebra, nf, e)
-        if rep.matrix != by_root[alpha].matrix:
+        if phi(an.algebra, an.nf, e).matrix != by_root[alpha].matrix:
             return False
     return True
 
@@ -227,8 +252,8 @@ def pgl2_elements(gf: Field):
 
 def delta_stabilizer(p: Pencil, ext: Field) -> list:
     """Elements of PGL2(ext) permuting the projective roots of Delta."""
-    a = p.half_discriminant()
-    pts = set(_normalize_pt(ext, pt) for pt in poly.bf_projective_roots(a, p.gf, ext))
+    roots = p.map_field(find_embedding(p.gf, ext)).projective_roots()
+    pts = set(_normalize_pt(ext, pt) for pt in roots)
     if len(pts) != p.n:
         raise PreconditionError(f"{ext!r} does not split Delta")
     out = []
@@ -296,29 +321,18 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
     ext); a_n = 0 is healed internally by a GL(2) move, which changes
     neither X nor Aut(X).
     """
-    emb = find_embedding(p.gf, ext)
-    pe = p.map_field(emb)
-    pe.require_regular()
-    work, _ = pe.ensure_an_nonzero()
-    algebra, nf = pair_algebra(work)
-    gf = ext
-    n, m = work.n, work.m
-
-    rbar = algebra.from_d_coords(list(nf.r) + [0])
-    s0 = algebra.solve_artin_schreier(rbar)
-    if s0 is None:
+    pe = p.map_field(find_embedding(p.gf, ext))
+    an = pair_algebra(pe)
+    if an.r0_frame is None:
         raise PreconditionError(
             "X is not quasi-split over this field; extend until the r-coset "
             "dies (see quasi_split_over)"
         )
-    # frame with q o B0 in normal form with r = 0
-    ms = phi_model_matrix(m, list(algebra.d_coords(s0))[: n - 1])
-    b0 = mat_mul(gf, nf.basis.matrix(), inverse(gf, ms))
-    b0_inv = inverse(gf, b0)
+    gf = ext
+    work = an.pencil
     a_form = list(work.half_discriminant())
 
-    autos = automorphism_group(work)
-    r_mats = [[list(row) for row in rep.matrix] for rep in autos]
+    r_mats = [[list(row) for row in rep.matrix] for rep in automorphism_group(pe)]
 
     g_elements = delta_stabilizer(work, ext)
     lifts = []
@@ -329,9 +343,7 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
                 "no scalar over this field makes the stabilizer element "
                 "preserve Delta on the nose; extend the field"
             )
-        sm = [[gf.mul(mu, x) for x in row] for row in m2]
-        lift = _lift_one(gf, work, a_form, sm, b0, b0_inv, m, algebra)
-        lifts.append(lift)
+        lifts.append(_lift_one(an, [[gf.mul(mu, x) for x in row] for row in m2]))
 
     # assemble all products r * lift and the multiplication table
     classes = []
@@ -363,9 +375,11 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
     )
 
 
-def _lift_one(gf, work, a_form, sm, b0, b0_inv, m, algebra):
+def _lift_one(an: PairAnalysis, sm: list) -> list:
     """Lift one scaled stabilizer element to GL(E), exactly pair-compatible:
-    q_{g(u_j)} o lift = q_{u_j}."""
+    q_{g(u_j)} o lift = q_{u_j}; built in the r = 0 frame of an."""
+    work = an.pencil
+    gf, m = work.gf, work.m
     det = gf.mul(sm[0][0], sm[1][1]) ^ gf.mul(sm[0][1], sm[1][0])
     pw = _symmetric_power_matrix(gf, sm, m)
     h_w = [list(col) for col in zip(*pw)]  # dual action: transpose
@@ -384,28 +398,21 @@ def _lift_one(gf, work, a_form, sm, b0, b0_inv, m, algebra):
     for i in range(m):
         for j in range(m):
             block[m + 1 + i][m + 1 + j] = gf.mul(dinv, q_l[i][j])
-    lift = mat_mul(gf, mat_mul(gf, b0, block), b0_inv)
+    lift = model_to_pencil(gf, an.r0_frame, block)
 
     moved = work.change_basis_gl2(sm)
     if moved.q0.transform(lift) == work.q0 and moved.q1.transform(lift) == work.q1:
         return lift
     # residual r-shift: correct by a unipotent of the shared Kronecker frame
-    residual = Pencil(moved.q0.transform(lift), moved.q1.transform(lift))
-    nf_res = extract_normal_form(residual)
-    if list(nf_res.a) != a_form:
+    nf_res = extract_normal_form(moved.conjugate(lift))
+    if nf_res.a != an.nf.a:
         raise AssertionError("lift changed the half-discriminant")
-    nf_work = extract_normal_form(work)
-    shift = [x ^ y for x, y in zip(nf_res.r, nf_work.r)]
+    shift = [x ^ y for x, y in zip(nf_res.r, an.nf.r)]
+    algebra = an.algebra
     s = algebra.solve_artin_schreier(algebra.from_d_coords(shift + [0]))
     if s is None:
         raise AssertionError("residual r-coset of a lift is nontrivial")
-    bmat = nf_res.basis.matrix()
-    corr = mat_mul(
-        gf,
-        mat_mul(gf, bmat, phi_model_matrix(m, list(algebra.d_coords(s))[: n - 1])),
-        inverse(gf, bmat),
-    )
-    lift = mat_mul(gf, lift, corr)
+    lift = mat_mul(gf, lift, phi(algebra, nf_res, s).matrix)
     if moved.q0.transform(lift) != work.q0 or moved.q1.transform(lift) != work.q1:
         raise AssertionError("lift verification failed after correction")
     return lift

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .autos import (
@@ -35,7 +36,12 @@ from .autos import (
 )
 from .errors import InputError, NotRegularError, PreconditionError
 from .field import GF, Field, field_from_modulus
-from .geometry import canonical_plane, enumerate_generators, quasi_split_over
+from .geometry import (
+    canonical_plane,
+    enumerate_generators,
+    quasi_split_over,
+    splitting_degree,
+)
 from .invariants import arf_invariant, is_isomorphic, r_invariant
 from .lattice import cartan_d, lattice_for
 from .normalform import extract_normal_form
@@ -149,10 +155,9 @@ def cmd_rinv(p: Pencil, args) -> dict:
 
 def cmd_autos(p: Pencil, args) -> dict:
     group = automorphism_group(p)
-    algebra, _ = pair_algebra(p.ensure_an_nonzero()[0])
     return {
         "order": len(group),
-        "components": algebra.num_components,
+        "components": pair_algebra(p).algebra.num_components,
         "elements": [
             {"s_coords": list(g.s_coeffs), "matrix": _matrix(g.matrix)}
             for g in group
@@ -160,16 +165,18 @@ def cmd_autos(p: Pencil, args) -> dict:
     }
 
 
-def _splitting_field(p: Pencil, args) -> Field:
-    if getattr(args, "ext_degree", None):
+def _extension(p: Pencil, args, quasi_split: bool = True) -> Field:
+    """GF(2^(k*e)) for e = --ext-degree when given; otherwise e is the
+    splitting degree of Delta, joined (lcm) when quasi_split with the
+    smallest degree over which the r-coset dies."""
+    if args.ext_degree:
         return GF(p.gf.degree * args.ext_degree)
-    from .geometry import splitting_degree
-
-    return GF(p.gf.degree * splitting_degree(p))
+    j = quasi_split_over(p)[0] if quasi_split else 1
+    return GF(p.gf.degree * math.lcm(splitting_degree(p), j))
 
 
 def cmd_reflections(p: Pencil, args) -> dict:
-    ext = _splitting_field(p, args)
+    ext = _extension(p, args, quasi_split=False)
     refl = reflections(p, ext)
     return {
         "ext": field_info(ext),
@@ -182,7 +189,7 @@ def cmd_reflections(p: Pencil, args) -> dict:
             for r in refl
         ],
         "match_idempotents": (
-            reflections_match_idempotents(p, ext)
+            reflections_match_idempotents(p, ext, refl)
             if p.half_discriminant()[p.n] != 0
             else None
         ),
@@ -190,27 +197,13 @@ def cmd_reflections(p: Pencil, args) -> dict:
 
 
 def cmd_generators(p: Pencil, args) -> dict:
-    if getattr(args, "ext_degree", None):
-        ext = GF(p.gf.degree * args.ext_degree)
-    else:
-        j, _, qs_ext = quasi_split_over(p)
-        from .geometry import splitting_degree
-
-        d = splitting_degree(p)
-        lcm = d * j // _gcd(d, j)
-        ext = GF(p.gf.degree * lcm)
+    ext = _extension(p, args)
     gens = enumerate_generators(p, ext)
     return {
         "ext": field_info(ext),
         "count": len(gens),
         "generators": [_matrix(g.basis) for g in gens],
     }
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cmd_canonical_plane(p: Pencil, args) -> dict:
@@ -235,14 +228,7 @@ def cmd_arf(p: Pencil, args) -> dict:
 
 
 def cmd_lattice(p: Pencil, args) -> dict:
-    if getattr(args, "ext_degree", None):
-        ext = GF(p.gf.degree * args.ext_degree)
-    else:
-        j, _, _ = quasi_split_over(p)
-        from .geometry import splitting_degree
-
-        d = splitting_degree(p)
-        ext = GF(p.gf.degree * (d * j // _gcd(d, j)))
+    ext = _extension(p, args)
     refl = reflections(p, ext)
     lat = lattice_for(p, ext, refl)
     sign = (-1) ** (p.m - 1)
@@ -262,7 +248,7 @@ def cmd_lattice(p: Pencil, args) -> dict:
 
 
 def cmd_autx(p: Pencil, args) -> dict:
-    ext = _splitting_field(p, args)
+    ext = _extension(p, args)
     ax = aut_x(p, ext)
     return {
         "ext": field_info(ax.ext),

@@ -232,18 +232,13 @@ class Field:
             acc ^= x
         return acc
 
-    # -- element iteration / wrappers ---------------------------------------
+    # -- element iteration ---------------------------------------------------
 
     def elements(self) -> range:
         return range(self.order)
 
     def nonzero_elements(self) -> range:
         return range(1, self.order)
-
-    def element(self, bits: int) -> "FieldElement":
-        if not 0 <= bits < self.order:
-            raise ValueError(f"{bits} is not an element of {self!r}")
-        return FieldElement(self, bits)
 
     # -- extensions ----------------------------------------------------------
 
@@ -334,78 +329,3 @@ def _min_modulus_root(dst: Field, modulus: int) -> int:
         if _p2_eval_in(dst, modulus, x) == 0:
             return x
     raise AssertionError("source modulus has no root in the target field")
-
-
-# ---------------------------------------------------------------------------
-# optional wrapped elements (context-checked convenience layer)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element together with its context; guards against mixing fields."""
-
-    ctx: Field
-    bits: int
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ValueError("elements live in different field contexts")
-            return other.bits
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        return FieldElement(self.ctx, self.bits ^ b)
-
-    __radd__ = __add__
-    __sub__ = __add__
-    __rsub__ = __add__
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        return FieldElement(self.ctx, self.ctx.mul(self.bits, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        return FieldElement(self.ctx, self.ctx.div(self.bits, b))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow(self.bits, e))
-
-    def sqrt(self):
-        return FieldElement(self.ctx, self.ctx.sqrt(self.bits))
-
-    def trace(self) -> int:
-        return self.ctx.trace(self.bits)
-
-    def __int__(self):
-        return self.bits
-
-    def __repr__(self):
-        return f"{self.bits}:{self.ctx!r}"
-
-
-def arith(a: FieldElement, b: FieldElement, kind: str) -> FieldElement:
-    """Dispatch add/mul/div on wrapped elements (explicit errors on misuse)."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def embed(a: FieldElement, target: Field) -> FieldElement:
-    """Wrapped-element embedding into an extension context."""
-    e = find_embedding(a.ctx, target)
-    return FieldElement(target, e.map(a.bits))
-
-
-def absolute_trace(a: FieldElement) -> int:
-    return a.ctx.trace(a.bits)

@@ -13,20 +13,14 @@ is b(x, .), so no symbolic differentiation is needed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import poly
-from .autos import automorphism_group, pair_algebra, phi_model_matrix
+from .autos import apply_to_subspace, automorphism_group, pair_algebra
 from .errors import PreconditionError
 from .field import GF, Field, find_embedding
-from .linalg import (
-    inverse,
-    mat_mul,
-    mat_vec,
-    normalize_subspace,
-    nullspace,
-    rank,
-)
+from .linalg import mat_vec, normalize_subspace, nullspace, rank
 from .pencil import Pencil
 
 _SCAN_LIMIT = 10**8
@@ -188,17 +182,7 @@ def splitting_degree(p: Pencil) -> int:
     """Degree over the base field of the splitting field of Delta."""
     a = p.half_discriminant()
     f = poly.trim(list(a))
-    degs = [len(g) - 1 for g, _ in poly.factor(p.gf, f)]
-    out = 1
-    for d in degs:
-        out = out * d // _gcd(out, d)
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return math.lcm(*(len(g) - 1 for g, _ in poly.factor(p.gf, f)))
 
 
 def quasi_split_over(p: Pencil) -> tuple[int, tuple, Field]:
@@ -210,18 +194,12 @@ def quasi_split_over(p: Pencil) -> tuple[int, tuple, Field]:
     bound = 2 * splitting_degree(p)
     for j in range(1, bound + 1):
         ext = GF(p.gf.degree * j)
-        emb = find_embedding(p.gf, ext)
-        pe = p.map_field(emb)
         try:
-            work, _ = pe.ensure_an_nonzero()
+            an = pair_algebra(p.map_field(find_embedding(p.gf, ext)))
         except PreconditionError:
-            continue
-        algebra, nf = pair_algebra(work)
-        s = algebra.solve_artin_schreier(
-            algebra.from_d_coords(list(nf.r) + [0])
-        )
-        if s is not None:
-            return j, s, ext
+            continue  # every point of P^1(ext) is a root of Delta
+        if an.witness is not None:
+            return j, an.witness, ext
     raise AssertionError("no quasi-splitting extension within twice the "
                          "splitting degree")
 
@@ -249,36 +227,29 @@ def enumerate_generators(p: Pencil, ext: Field) -> list[Generator]:
 
     Needs ext to split Delta (so the orbit has full size) and to kill the
     r-coset (so one generator exists to start from)."""
-    emb = find_embedding(p.gf, ext)
-    pe = p.map_field(emb)
+    pe = p.map_field(find_embedding(p.gf, ext))
     pe.require_regular()
-    if len(poly.bf_projective_roots(p.half_discriminant(), p.gf, ext)) != p.n:
+    if len(pe.projective_roots()) != p.n:
         raise PreconditionError(
             f"{ext!r} does not split Delta; generators would be missing"
         )
-    work, _ = pe.ensure_an_nonzero()
-    algebra, nf = pair_algebra(work)
-    s = algebra.solve_artin_schreier(algebra.from_d_coords(list(nf.r) + [0]))
-    if s is None:
+    b0 = pair_algebra(pe).r0_frame
+    if b0 is None:
         j, _, needed = quasi_split_over(p)
         raise PreconditionError(
             f"X is not quasi-split over {ext!r}; degree {j} over the base "
             f"field ({needed!r}) suffices"
         )
     gf = ext
-    m, n = work.m, work.n
-    ms = phi_model_matrix(m, list(algebra.d_coords(s))[: n - 1])
-    b0 = mat_mul(gf, nf.basis.matrix(), inverse(gf, ms))
+    m, n = pe.m, pe.n
     lam = [
         [b0[r][m + 1 + j] for r in range(n)] for j in range(m)
     ]  # columns v_0..v_{m-1} of the r = 0 frame
     _assert_isotropic(pe, lam)
     first = normalize_subspace(gf, lam)
-    autos = automorphism_group(work)
     seen = {}
-    for rep in autos:
-        g = [list(r) for r in rep.matrix]
-        img = normalize_subspace(gf, [mat_vec(gf, g, list(v)) for v in first])
+    for rep in automorphism_group(pe):
+        img = apply_to_subspace(gf, rep.matrix, first)
         if img in seen:
             raise AssertionError("automorphism orbit of the generator collides")
         seen[img] = rep

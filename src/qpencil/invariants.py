@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import EtaleAlgebra
-from .autos import pair_algebra, phi_model_matrix
+from .autos import pair_algebra, phi, phi_model_matrix
 from .errors import PreconditionError
 from .linalg import inverse, mat_mul
 from .normalform import NormalForm, extract_normal_form
@@ -56,30 +56,22 @@ def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
         return False, None
     if p1.half_discriminant() != p2.half_discriminant():
         return False, None
-    if p1.half_discriminant()[p1.n] == 0:
-        moved1, m2 = p1.ensure_an_nonzero()
-        moved2 = p2.change_basis_gl2(m2)
-        return _iso_with_an(moved1, moved2, p1, p2)
-    return _iso_with_an(p1, p2, p1, p2)
-
-
-def _iso_with_an(w1: Pencil, w2: Pencil, orig1: Pencil, orig2: Pencil):
-    gf = w1.gf
-    algebra, nf1 = pair_algebra(w1)
-    nf2 = extract_normal_form(w2)
-    diff = [x ^ y for x, y in zip(nf1.r, nf2.r)]
+    # equal Delta: both normal forms are taken after the same GL(2) move
+    an1, an2 = pair_algebra(p1), pair_algebra(p2)
+    algebra = an1.algebra
+    diff = [x ^ y for x, y in zip(an1.nf.r, an2.nf.r)]
     s = algebra.solve_artin_schreier(algebra.from_d_coords(diff + [0]))
     if s is None:
         return False, None
+    gf = p1.gf
     scoords = list(algebra.d_coords(s))[: algebra.n - 1]
-    ms = phi_model_matrix(w1.m, scoords)
+    ms = phi_model_matrix(p1.m, scoords)
     witness = mat_mul(
-        gf, mat_mul(gf, nf2.basis.matrix(), ms), inverse(gf, nf1.basis.matrix())
+        gf,
+        mat_mul(gf, an2.nf.basis.matrix(), ms),
+        inverse(gf, an1.nf.basis.matrix()),
     )
-    if (
-        orig2.q0.transform(witness) != orig1.q0
-        or orig2.q1.transform(witness) != orig1.q1
-    ):
+    if p2.q0.transform(witness) != p1.q0 or p2.q1.transform(witness) != p1.q1:
         raise AssertionError("isomorphism witness failed verification")
     return True, witness
 
@@ -87,14 +79,9 @@ def _iso_with_an(w1: Pencil, w2: Pencil, orig1: Pencil, orig2: Pencil):
 def transformation_law_check(p: Pencil, s: tuple) -> bool:
     """Conjugating by phi(s) shifts the extracted r by wp(s) modulo the
     constants, with exact coefficient equality in positions 0..n-2."""
-    work, _ = p.ensure_an_nonzero()
-    algebra, nf = pair_algebra(work)
-    scoords = list(algebra.d_coords(algebra.element(s)))[: algebra.n - 1]
-    ms = phi_model_matrix(work.m, scoords)
-    gf = work.gf
-    b = nf.basis.matrix()
-    g = mat_mul(gf, mat_mul(gf, b, ms), inverse(gf, b))
-    conj = Pencil(work.q0.transform(g), work.q1.transform(g))
+    an = pair_algebra(p)
+    algebra, nf = an.algebra, an.nf
+    conj = an.pencil.conjugate(phi(algebra, nf, algebra.element(s)).matrix)
     nf2 = extract_normal_form(conj)
     if nf2.a != nf.a:
         return False

@@ -38,6 +38,9 @@ class Pencil:
         self.m = (q0.n - 1) // 2
         self._radical_map = None
         self._half_disc = None
+        self._roots = None
+        self._analysis = None  # set by autos.pair_algebra
+        self._mapped = {}  # embedding -> the pencil over its target field
 
     def __eq__(self, other):
         return (
@@ -122,6 +125,14 @@ class Pencil:
             self._half_disc = acc
         return self._half_disc
 
+    def projective_roots(self) -> list:
+        """Normalized projective roots of Delta over the pencil's own field."""
+        if self._roots is None:
+            self._roots = poly.bf_projective_roots(
+                self.half_discriminant(), self.gf, self.gf
+            )
+        return self._roots
+
     def is_regular(self) -> bool:
         """Delta nonzero and separable as a binary form: n distinct projective
         roots over the closure, the point at infinity included."""
@@ -153,7 +164,16 @@ class Pencil:
         return Pencil(self.q0.transform(g), self.q1.transform(g))
 
     def map_field(self, emb) -> "Pencil":
-        return Pencil(self.q0.map_field(emb), self.q1.map_field(emb))
+        """The pencil over emb.dst: self when emb fixes every coefficient,
+        otherwise one new pencil per embedding, so that what is cached on
+        it is computed once."""
+        if emb.dst == self.gf and all(
+            emb.map(c) == c for _, c in self.q0.coeffs + self.q1.coeffs
+        ):
+            return self
+        if emb not in self._mapped:
+            self._mapped[emb] = Pencil(self.q0.map_field(emb), self.q1.map_field(emb))
+        return self._mapped[emb]
 
     def extend(self, j: int) -> tuple["Pencil", "Field"]:
         ext, emb = self.gf.extension(j)

@@ -33,7 +33,8 @@ def test_catalecticant_shape():
 
 def test_phi_is_homomorphism_with_kernel_k(g2):
     p = realize(g2, [0, 1, 1, 1], [0, 0])
-    algebra, nf = pair_algebra(p)
+    an = pair_algebra(p)
+    algebra, nf = an.algebra, an.nf
     assert phi(algebra, nf, algebra.zero()).matrix == tuple(
         tuple(r) for r in identity(3)
     )
@@ -64,7 +65,8 @@ def test_phi_is_homomorphism_with_kernel_k(g2):
 
 def test_phi_moves_v_by_w(g2):
     p = realize(g2, [0, 1, 1, 1], [0, 0])
-    algebra, nf = pair_algebra(p)
+    an = pair_algebra(p)
+    algebra, nf = an.algebra, an.nf
     s = algebra.from_d_coords([1, 0, 0])
     rep = phi(algebra, nf, s)
     # g(v_0) = v_0 + s_0 w_0 + s_1 w_1 with (s_0, s_1) = (1, 0)
@@ -117,7 +119,7 @@ def test_reflections_m1(g2, g4):
         pe = p.map_field(find_embedding(g2, g4))
         assert pe.q0.transform(m) == pe.q0 and pe.q1.transform(m) == pe.q1
     assert prod == identity(3)
-    assert reflections_match_idempotents(p, g4)
+    assert reflections_match_idempotents(p, g4, refl)
     with pytest.raises(PreconditionError):
         reflections(p, g2)  # GF(2) does not split Delta
 

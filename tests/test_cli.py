@@ -170,3 +170,26 @@ def test_main_entry_returns_int(tmp_path):
     assert rc == 0
     data = json.loads((tmp_path / "out.json").read_text())
     assert data["a"] == [0, 1, 1, 1]
+
+
+def test_autx_picks_a_quasi_split_field(tmp_path):
+    # r = (0, 1): Delta splits over GF(4) but the r-coset dies only over
+    # GF(16), the field generators and lattice pick for this document too
+    doc = {
+        "field": {"degree": 1},
+        "n": 3,
+        "q0": [[2, 2, 1], [2, 3, 1], [3, 3, 1]],
+        "q1": [[1, 1, 1], [2, 2, 1], [1, 3, 1]],
+    }
+    path = write_doc(tmp_path, "doc.json", doc)
+    outputs = {}
+    for argv in (["autx"], ["autx", "--ext-degree", "4"], ["generators"]):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--in", path, "--out", str(out)]) == 0
+        outputs[" ".join(argv)] = json.loads(out.read_text())
+    assert outputs["autx"]["ext"] == {"degree": 4, "modulus": 19}
+    assert outputs["generators"]["ext"] == outputs["autx"]["ext"]
+    assert outputs["autx"] == outputs["autx --ext-degree 4"]
+    out = tmp_path / "out.json"
+    assert main(["autx", "--ext-degree", "2", "--in", path, "--out", str(out)]) == 1
+    assert "not quasi-split" in json.loads(out.read_text())["error"]["message"]

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 from qpencil.field import (
     GF,
     Field,
-    arith,
     default_modulus,
-    embed,
     field_from_modulus,
     find_embedding,
     p2_is_irreducible,
@@ -153,22 +151,6 @@ def test_default_modulus_table():
 def test_field_factories_are_cached():
     assert GF(3) is GF(3)
     assert field_from_modulus(7) is field_from_modulus(7)
-
-
-def test_wrapped_elements(g2, g4):
-    one = g2.element(1)
-    assert int(arith(one, one, "add")) == 0
-    u = g4.element(2)
-    assert int(arith(u, u, "mul")) == 3
-    assert int(arith(one, one, "div")) == 1
-    with pytest.raises(ValueError):
-        _ = one + u  # mixed contexts
-    with pytest.raises(ZeroDivisionError):
-        _ = u / g4.element(0)
-    assert int(embed(one, g4)) == 1
-    assert int(embed(g2.element(0), g4)) == 0
-    assert u.sqrt() * u.sqrt() == u
-    assert u.trace() == 1
 
 
 def test_large_field_without_tables():

@@ -135,7 +135,8 @@ def test_transformation_law_shifts_coset(g2):
     from qpencil.autos import pair_algebra, phi_model_matrix
     from qpencil.linalg import inverse, mat_mul
 
-    algebra, nf = pair_algebra(p)
+    an = pair_algebra(p)
+    algebra, nf = an.algebra, an.nf
     s = A.t_power(1)
     scoords = list(algebra.d_coords(s))[:2]
     ms = phi_model_matrix(1, scoords)
