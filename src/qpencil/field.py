@@ -298,11 +298,6 @@ class Embedding:
     def map_poly(self, coeffs) -> list:
         return [self.map(a) for a in coeffs]
 
-    def then(self, other: "Embedding") -> "Embedding":
-        if other.src != self.dst:
-            raise ValueError("embeddings do not compose")
-        return Embedding(self.src, other.dst, other.map(self.root))
-
 
 def _p2_eval_in(field: Field, poly: int, x: int) -> int:
     """Evaluate a GF(2)[T] polynomial (packed int) at a field element."""

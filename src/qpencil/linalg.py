@@ -144,29 +144,6 @@ def inverse(gf: Field, a: list) -> list:
     return [row[n:] for row in m]
 
 
-def det(gf: Field, a: list) -> int:
-    """Determinant by elimination (row swaps are sign-free in char 2)."""
-    n = len(a)
-    m = [row[:] for row in a]
-    d = 1
-    for c in range(n):
-        sel = None
-        for i in range(c, n):
-            if m[i][c]:
-                sel = i
-                break
-        if sel is None:
-            return 0
-        m[c], m[sel] = m[sel], m[c]
-        d = gf.mul(d, m[c][c])
-        inv = gf.inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = gf.mul(m[i][c], inv)
-                m[i] = [x ^ gf.mul(f, y) for x, y in zip(m[i], m[c])]
-    return d
-
-
 def normalize_subspace(gf: Field, vectors: list) -> tuple:
     """Canonical (rref, zero rows dropped) representation of a span."""
     m, pivots = rref(gf, vectors)

@@ -5,18 +5,17 @@ n = 2m+1.  The radical map Omega(l, u) collects the principal Pfaffians of
 l*b0 + u*b1 as binary forms of degree m; evaluating the member at its own
 radical vector gives the half-discriminant, a binary form of degree n whose
 separability is exactly regularity of the pencil (the base locus is then
-smooth of codimension 2).
+smooth of codimension 2).  Omega is interpolated from the Pfaffian vectors
+of m+1 members, each one O(n^3) elimination (`quadform.pfaffian_vector`).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import poly
 from .errors import NotRegularError, PreconditionError
-from .field import Field, find_embedding
-from .linalg import rank
-from .quadform import AlternatingForm, QuadraticForm, half_disc
+from .field import Field
+from .linalg import inverse, mat_mul, rank
+from .quadform import AlternatingForm, QuadraticForm, pfaffian_vector
 
 
 class Pencil:
@@ -72,23 +71,31 @@ class Pencil:
 
         Entry k of Omega is the Pfaffian of the principal submatrix of
         l*Gram(b0) + u*Gram(b1) deleting row/column k, a binary form of
-        degree m computed by first-row expansion over the form ring.
+        degree m.  It is interpolated from the Pfaffian vectors of
+        x*Gram(b0) + Gram(b1) at the m+1 field elements x = 0, 1, ..., m,
+        over the smallest extension with more than m elements, and the
+        coefficients are pulled back to the pencil's field.
         """
         if self._radical_map is None:
-            g0 = self.gram0().gram
-            g1 = self.gram1().gram
-            n, m, gf = self.n, self.m, self.gf
-            entries = {}
-            for i in range(n):
-                for j in range(n):
-                    entries[(i, j)] = [g0[i][j], g1[i][j]]  # degree-1 form
-            omega = []
-            for k in range(n):
-                keep = tuple(j for j in range(n) if j != k)
-                omega.append(_form_pfaffian(gf, entries, keep, m))
-            ws = []
-            for i in range(m + 1):
-                ws.append([omega_k[i] for omega_k in omega])
+            gf, m = self.gf, self.m
+            grams = (self.gram0().gram, self.gram1().gram)
+            j = -(-m.bit_length() // gf.degree)  # smallest j with 2^(k*j) > m
+            ext = gf
+            if j > 1:  # then gf has at most m elements
+                ext, emb = gf.extension(j)
+                grams = [[emb.map_vec(row) for row in g] for g in grams]
+            mul = ext.mul
+            values = [
+                pfaffian_vector(
+                    ext, [[mul(x, a) ^ b for a, b in zip(*rs)] for rs in zip(*grams)]
+                )
+                for x in range(m + 1)
+            ]
+            vander = [[ext.pow(x, m - i) for i in range(m + 1)] for x in range(m + 1)]
+            ws = mat_mul(ext, inverse(ext, vander), values)
+            if j > 1:
+                lift = {emb.map(a): a for a in gf.elements()}
+                ws = [[lift[c] for c in w] for w in ws]
             self._radical_map = ws
         return self._radical_map
 
@@ -205,53 +212,6 @@ class Pencil:
             extension_degree=j,
         )
 
-    def corank_profile(self, ext: Field) -> list:
-        """Pairs (root of Delta over ext, corank of that member) checking the
-        corank-1 property of regular pencils."""
-        self.require_regular()
-        a = self.half_discriminant()
-        pts = poly.bf_projective_roots(a, self.gf, ext)
-        if len(pts) != self.n:
-            raise PreconditionError(
-                f"extension {ext!r} does not split Delta "
-                f"({len(pts)} of {self.n} roots)"
-            )
-        emb = find_embedding(self.gf, ext)
-        pe = self.map_field(emb)
-        out = []
-        for (l, u) in pts:
-            member = pe.member(l, u)
-            out.append(((l, u), member.polar().corank()))
-        return out
-
-
-def _form_pfaffian(gf: Field, entries: dict, keep: tuple, m: int) -> list:
-    """Pfaffian of an alternating matrix of degree-1 binary forms, returned
-    as a degree-m binary form (first-row expansion, memoized)."""
-
-    @lru_cache(maxsize=None)
-    def rec(idx: tuple) -> tuple:
-        if not idx:
-            return (1,)
-        i0 = idx[0]
-        rest = idx[1:]
-        deg = len(idx) // 2
-        acc = [0] * (deg + 1)
-        for pos, j in enumerate(rest):
-            e = entries[(i0, j)]
-            if e[0] or e[1]:
-                sub = rec(rest[:pos] + rest[pos + 1 :])
-                term = poly.bf_mul(gf, e, list(sub))
-                for k, v in enumerate(term):
-                    acc[k] ^= v
-        return tuple(acc)
-
-    out = list(rec(keep))
-    rec.cache_clear()
-    if len(out) != m + 1:
-        raise AssertionError("symbolic Pfaffian has the wrong degree")
-    return out
-
 
 def random_pencil(gf: Field, n: int, rng, regular: bool = True, max_tries: int = 5000):
     """Deterministic-by-seed random pencil sampler (rejection)."""
@@ -271,13 +231,3 @@ def random_pencil(gf: Field, n: int, rng, regular: bool = True, max_tries: int =
         if not regular or p.is_regular():
             return p
     raise RuntimeError("no pencil found within the retry budget")
-
-
-def half_disc_check(p: Pencil, l: int, u: int) -> bool:
-    """Delta(l, u) evaluated from coefficients equals the half-discriminant
-    of the member at (l, u)."""
-    lhs = poly.bf_eval(p.gf, p.half_discriminant(), l, u)
-    member = p.member(l, u)
-    if member.is_zero():
-        return lhs == 0
-    return lhs == half_disc(member)

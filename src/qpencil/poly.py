@@ -285,12 +285,6 @@ def roots(gf: Field, p: list) -> list[int]:
     return [x for x in gf.elements() if evaluate(gf, p, x) == 0]
 
 
-def roots_in(p: list, src: Field, ext: Field) -> list[int]:
-    """All roots of p (coefficients in src) inside the extension ext."""
-    emb = find_embedding(src, ext)
-    return roots(ext, emb.map_poly(p))
-
-
 # ---------------------------------------------------------------------------
 # binary forms: homogeneous in (t0, t1), index i <-> t0^(d-i) t1^i
 
@@ -339,11 +333,6 @@ def bf_eval(gf: Field, c: list, t0: int, t1: int) -> int:
 def bf_dehomogenize_t0(c: list) -> list:
     """f(T) = form(1, T): the coefficient list reads off directly."""
     return trim(c[:])
-
-
-def bf_dehomogenize_t1(c: list) -> list:
-    """form(T, 1): the reversed coefficient list."""
-    return trim(c[::-1])
 
 
 def bf_substitute(gf: Field, c: list, m2: list) -> list:

@@ -88,11 +88,27 @@ def all_pencils_n3_gf2():
 
 
 def gl_elements(gf: Field, n: int) -> list:
+    """All invertible n x n matrices, in the lexicographic order of their
+    row-major entries: each next row is any vector outside the span of the
+    rows before it."""
+    vectors = list(itertools.product(gf.elements(), repeat=n))
     out = []
-    for entries in itertools.product(gf.elements(), repeat=n * n):
-        m = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
-        if rank(gf, m) == n:
-            out.append(m)
+
+    def extend(rows: list, span: set):
+        for v in vectors:
+            if v in span:
+                continue
+            if len(rows) + 1 == n:
+                out.append([list(r) for r in rows] + [list(v)])
+            else:
+                grown = {
+                    tuple(a ^ gf.mul(c, b) for a, b in zip(w, v))
+                    for w in span
+                    for c in gf.elements()
+                }
+                extend(rows + [v], grown)
+
+    extend([], {(0,) * n})
     return out
 
 
@@ -654,29 +670,13 @@ def _pgl_point_stabilizer_order(gf: Field, pts: list) -> int:
         raise ValueError
 
     target = set(norm(list(p)) for p in pts)
-    n = len(pts[0])
     count = 0
-    seen = set()
-    for entries in itertools.product(gf.elements(), repeat=n * n):
-        m = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
-        if rank(gf, m) != n:
-            continue
-        key = _proj_key(gf, m)
-        if key in seen:
-            continue
-        seen.add(key)
+    for m in gl_elements(gf, len(pts[0])):
+        if next(x for x in m[0] if x) != 1:
+            continue  # one matrix per projective class
         if set(norm(mat_vec(gf, m, list(pt))) for pt in target) == target:
             count += 1
     return count
-
-
-def _proj_key(gf: Field, m: list) -> tuple:
-    for row in m:
-        for x in row:
-            if x:
-                inv = gf.inv(x)
-                return tuple(tuple(gf.mul(inv, y) for y in r) for r in m)
-    raise ValueError
 
 
 CHECKS = [

@@ -2,10 +2,16 @@
 
 Everything here recomputes results by definition-level enumeration
 (perfect matchings, exhaustive subsets, full subgroup enumeration) and
-never calls the production code paths it is checking.
+never calls the production code paths it is checking.  The helpers at the
+bottom are small compositions of the package's API that only tests use.
 """
 
 import itertools
+
+from qpencil import poly
+from qpencil.errors import PreconditionError
+from qpencil.field import Embedding, find_embedding
+from qpencil.quadform import half_disc
 
 
 def pfaffian_by_matchings(gf, gram):
@@ -63,12 +69,69 @@ def all_subspaces(gf, n, dim):
     return seen
 
 
-def gl_matrices(gf, n):
-    from qpencil.linalg import rank
+def det(gf, a):
+    """Determinant by elimination (row swaps are sign-free in char 2)."""
+    n = len(a)
+    m = [row[:] for row in a]
+    d = 1
+    for c in range(n):
+        sel = None
+        for i in range(c, n):
+            if m[i][c]:
+                sel = i
+                break
+        if sel is None:
+            return 0
+        m[c], m[sel] = m[sel], m[c]
+        d = gf.mul(d, m[c][c])
+        inv = gf.inv(m[c][c])
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = gf.mul(m[i][c], inv)
+                m[i] = [x ^ gf.mul(f, y) for x, y in zip(m[i], m[c])]
+    return d
 
-    out = []
-    for entries in itertools.product(gf.elements(), repeat=n * n):
-        m = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
-        if rank(gf, m) == n:
-            out.append(m)
-    return out
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+
+
+def compose_embeddings(first, second):
+    """The embedding first.src -> second.dst through first.dst."""
+    if second.src != first.dst:
+        raise ValueError("embeddings do not compose")
+    return Embedding(first.src, second.dst, second.map(first.root))
+
+
+def roots_in(p, src, ext):
+    """All roots of p (coefficients in src) inside the extension ext."""
+    return poly.roots(ext, find_embedding(src, ext).map_poly(p))
+
+
+def bf_dehomogenize_t1(c):
+    """form(T, 1): the reversed coefficient list."""
+    return poly.trim(c[::-1])
+
+
+def half_disc_check(p, l, u):
+    """Delta(l, u) evaluated from coefficients equals the half-discriminant
+    of the member at (l, u)."""
+    lhs = poly.bf_eval(p.gf, p.half_discriminant(), l, u)
+    member = p.member(l, u)
+    if member.is_zero():
+        return lhs == 0
+    return lhs == half_disc(member)
+
+
+def corank_profile(p, ext):
+    """Pairs (root of Delta over ext, corank of that member) checking the
+    corank-1 property of regular pencils."""
+    p.require_regular()
+    pts = poly.bf_projective_roots(p.half_discriminant(), p.gf, ext)
+    if len(pts) != p.n:
+        raise PreconditionError(
+            f"extension {ext!r} does not split Delta "
+            f"({len(pts)} of {p.n} roots)"
+        )
+    pe = p.map_field(find_embedding(p.gf, ext))
+    return [((l, u), pe.member(l, u).polar().corank()) for (l, u) in pts]

@@ -230,7 +230,7 @@ def test_trace_form_nondegenerate(g4):
             if poly.is_separable(g4, f):
                 break
         A = EtaleAlgebra(g4, tuple(f))
-        from qpencil.linalg import det
+        from oracles import det
 
         gram = [
             [A.trace_pair(A.t_power(i), A.t_power(j)) for j in range(deg)]

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from oracles import gl_matrices
 from qpencil.autos import (
     automorphism_group,
     aut_x,
@@ -18,6 +17,7 @@ from qpencil.errors import PreconditionError
 from qpencil.field import GF, find_embedding
 from qpencil.linalg import identity, mat_mul
 from qpencil.normalform import realize
+from qpencil.verify import gl_elements
 
 
 def test_catalecticant_shape():
@@ -84,7 +84,7 @@ def test_automorphism_group_orders(g2, g4):
 
 
 def test_automorphism_group_matches_stabilizer(g2):
-    gl3 = gl_matrices(g2, 3)
+    gl3 = gl_elements(g2, 3)
     for a, r in [((0, 1, 1, 1), (0, 0)), ((1, 0, 0, 1), (1, 0)),
                  ((1, 1, 0, 1), (0, 1))]:
         p = realize(g2, list(a), list(r))

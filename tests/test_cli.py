@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +194,13 @@ def test_autx_picks_a_quasi_split_field(tmp_path):
     out = tmp_path / "out.json"
     assert main(["autx", "--ext-degree", "2", "--in", path, "--out", str(out)]) == 1
     assert "not quasi-split" in json.loads(out.read_text())["error"]["message"]
+
+
+@pytest.mark.parametrize("degree", ["-1", "0"])
+def test_ext_degree_below_one_is_an_input_error(degree):
+    doc = Path(__file__).parent / "golden" / "docs" / "g2_n3_all_roots.json"
+    proc = run_cli(["reflections", "--ext-degree", degree, "--in", str(doc)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "input" and "--ext-degree" in error["message"]

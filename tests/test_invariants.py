@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from oracles import gl_matrices
 from qpencil.algebra import EtaleAlgebra
 from qpencil.errors import PreconditionError
 from qpencil.invariants import (
@@ -14,6 +13,7 @@ from qpencil.invariants import (
 )
 from qpencil.normalform import extract_normal_form, realize
 from qpencil.pencil import Pencil
+from qpencil.verify import gl_elements
 
 
 def test_r_invariant_examples(g2):
@@ -51,7 +51,7 @@ def test_isomorphism_examples(g2):
 
 def test_isomorphism_matches_exhaustive_orbit(g2):
     # brute force over all 168 elements of GL3(F2)
-    gl3 = gl_matrices(g2, 3)
+    gl3 = gl_elements(g2, 3)
     p00 = realize(g2, [0, 1, 1, 1], [0, 0])
     p10 = realize(g2, [0, 1, 1, 1], [1, 0])
     p01 = realize(g2, [0, 1, 1, 1], [0, 1])
@@ -82,7 +82,7 @@ def test_isomorphism_with_an_zero(g2, g4):
 
 def test_isomorphism_is_equivalence(g2):
     rng = random.Random(13)
-    gl3 = gl_matrices(g2, 3)
+    gl3 = gl_elements(g2, 3)
     base = realize(g2, [0, 1, 1, 1], [1, 1], check=False)
     assert base.is_regular()
     samples = [base.conjugate(g) for g in rng.sample(gl3, 5)]

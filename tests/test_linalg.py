@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from oracles import det
 from qpencil.field import GF
 from qpencil.linalg import (
-    det,
     gf2_echelon,
     gf2_reduce,
     gf2_solve,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import all_subspaces, gl_matrices
+from oracles import all_subspaces
 from qpencil.errors import NotRegularError
 from qpencil.linalg import normalize_subspace, rank
 from qpencil.normalform import (
@@ -14,6 +14,7 @@ from qpencil.normalform import (
 )
 from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm, is_totally_isotropic
+from qpencil.verify import gl_elements
 
 
 def test_realize_m1_tables(g2):
@@ -68,7 +69,7 @@ def test_canonical_w_brute_force_m1(g2):
 
 def test_extract_on_conjugates(g2, g4):
     rng = random.Random(17)
-    gl3 = gl_matrices(g2, 3)
+    gl3 = gl_elements(g2, 3)
     p = realize(g2, [0, 1, 1, 1], [0, 1])
     for g in rng.sample(gl3, 40):
         pc = p.conjugate(g)
@@ -80,7 +81,7 @@ def test_extract_on_conjugates(g2, g4):
 def test_canonical_w_equivariance(g2):
     # w-span of a conjugate is the inverse image of the w-span
     rng = random.Random(23)
-    gl3 = gl_matrices(g2, 3)
+    gl3 = gl_elements(g2, 3)
     p = realize(g2, [0, 1, 1, 1], [1, 1], check=False)
     ws = canonical_w(p)
     span = normalize_subspace(g2, ws)
@@ -99,7 +100,8 @@ def test_canonical_w_equivariance(g2):
 def test_canonical_w_transformation_law(g4):
     # for the conjugate pair (q0 o g, q1 o g) the Pfaffian vectors transform
     # exactly by det(g) g^{-1}, coefficientwise in (lambda, mu)
-    from qpencil.linalg import det, inverse, mat_vec
+    from oracles import det
+    from qpencil.linalg import inverse, mat_vec
 
     rng = random.Random(37)
     p = realize(g4, [0, 1, 1, 1, 2, 3], [1, 0, 2, 0], check=False)

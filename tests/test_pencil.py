@@ -3,11 +3,13 @@ import random
 import pytest
 
 import qpencil.poly as poly
+from oracles import corank_profile, det, half_disc_check
 from qpencil.errors import NotRegularError, PreconditionError
-from qpencil.field import GF
+from qpencil.field import GF, Field, default_modulus, field_from_modulus
 from qpencil.normalform import realize
-from qpencil.pencil import Pencil, half_disc_check, random_pencil
+from qpencil.pencil import Pencil, random_pencil
 from qpencil.quadform import QuadraticForm, half_disc
+from qpencil.verify import gl_elements
 
 
 def qf(gf, n, table):
@@ -51,6 +53,86 @@ def test_radical_map_specializes_to_pfaffian_vector(g4):
         assert w10 == pfaffian_vector(g4, [list(r) for r in p.gram0().gram])
         w01 = p.omega_at(0, 1)
         assert w01 == pfaffian_vector(g4, [list(r) for r in p.gram1().gram])
+
+
+def _sparse_pencil(gf, n, rng, density, support):
+    """q0 lives on the first `support` coordinates, so when support <= n - 3
+    the member (1, 0) has corank >= 3 and its radical vector is zero."""
+    def form(size, dens):
+        return QuadraticForm.from_table(gf, n, {
+            (i, j): rng.randrange(gf.order)
+            for i in range(size) for j in range(i, size) if rng.random() < dens
+        })
+
+    return Pencil(form(support, 1.0), form(n, density))
+
+
+@pytest.mark.parametrize("modulus,n,density,support", [
+    (0b11, 5, 1.0, 5),  # GF(2), computed over GF(4)
+    (0b11, 7, 1.0, 7),  # GF(4)
+    (0b11, 9, 1.0, 9),  # GF(8)
+    (0b11, 15, 1.0, 15),  # GF(16)
+    (default_modulus(17), 5, 1.0, 5),  # no log tables
+    (default_modulus(17), 7, 1.0, 7),
+    (0b1101, 17, 1.0, 17),  # GF(8) mod 13, pulled back from GF(64)
+    (0b11, 7, 0.5, 4),  # members of corank >= 3
+    (0b111, 9, 0.5, 6),
+    (0b1011, 11, 0.3, 8),
+])
+def test_radical_map_squares_to_principal_minors(modulus, n, density, support):
+    # omega_k(l, u)^2 = det of the principal submatrix k of l*G0 + u*G1, at
+    # points of the field the map is computed in (squaring is injective)
+    gf = field_from_modulus(modulus)
+    rng = random.Random(n * 31 + modulus)
+    p = _sparse_pencil(gf, n, rng, density, support)
+    m = p.m
+    j = 1
+    while gf.order ** j <= m:
+        j += 1
+    ext, emb = gf.extension(j) if j > 1 else (gf, None)
+    lift = emb.map if emb else (lambda c: c)
+    ws = [[lift(c) for c in w] for w in p.radical_map()]
+    g0 = [[lift(c) for c in r] for r in p.gram0().gram]
+    g1 = [[lift(c) for c in r] for r in p.gram1().gram]
+    points = [(1, 0), (0, 1)] + [(1, t) for t in range(1, ext.order)]
+    if len(points) > 2 * (m + 1):
+        points = points[:2] + [(1, rng.randrange(1, ext.order)) for _ in range(m)]
+    mul = ext.mul
+    vanishing = 0
+    for l, u in points:
+        member = [[mul(l, a) ^ mul(u, b) for a, b in zip(r0, r1)]
+                  for r0, r1 in zip(g0, g1)]
+        omega = [0] * n
+        for i, w in enumerate(ws):
+            c = mul(ext.pow(l, m - i), ext.pow(u, i))
+            omega = [x ^ mul(c, y) for x, y in zip(omega, w)]
+        for k in range(n):
+            minor = [[x for c, x in enumerate(row) if c != k]
+                     for r, row in enumerate(member) if r != k]
+            assert mul(omega[k], omega[k]) == det(ext, minor)
+        vanishing += not any(omega)
+    if support < n:
+        assert vanishing
+    assert any(any(w) for w in ws)
+
+
+def test_radical_map_multiplications_stay_polynomial(monkeypatch):
+    # a deterministic guard against exponential growth: first-row expansion
+    # over index subsets needs about 370,000 multiplications already at
+    # n = 15 over GF(2^8), and about 4x more for each +2 in n
+    rng = random.Random(31)
+    p = random_pencil(GF(8), 31, rng, regular=False)
+    calls = 0
+    mul = Field.mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Field, "mul", counted)
+    p.radical_map()
+    assert 0 < calls < 10**6
 
 
 def test_half_discriminant_matches_members(g2, g4, g8):
@@ -110,10 +192,8 @@ def test_change_basis_shear(g4):
 
 
 def test_gl2_preserves_regularity(g4):
-    from oracles import gl_matrices
-
     rng = random.Random(6)
-    gl2 = gl_matrices(g4, 2)
+    gl2 = gl_elements(g4, 2)
     for _ in range(5):
         p = random_pencil(g4, 3, rng, regular=False)
         reg = p.is_regular()
@@ -122,10 +202,8 @@ def test_gl2_preserves_regularity(g4):
 
 
 def test_conjugation_preserves_regularity(g2):
-    from oracles import gl_matrices
-
     rng = random.Random(9)
-    gl3 = gl_matrices(g2, 3)
+    gl3 = gl_elements(g2, 3)
     for _ in range(5):
         p = random_pencil(g2, 3, rng, regular=False)
         reg = p.is_regular()
@@ -157,11 +235,11 @@ def test_ensure_an_nonzero_impossible_over_gf2(g2):
 
 def test_corank_profile(g2, g4):
     p = realize(g2, [0, 1, 1, 1], [0, 0])
-    prof = p.corank_profile(g4)
+    prof = corank_profile(p, g4)
     assert len(prof) == 3
     assert all(c == 1 for _, c in prof)
     with pytest.raises(PreconditionError):
-        p.corank_profile(g2)  # GF(2) does not split Delta
+        corank_profile(p, g2)  # GF(2) does not split Delta
     # every root's member is degenerate, and non-roots are not
     from qpencil.field import find_embedding
     from qpencil.quadform import half_disc as hd

@@ -87,7 +87,7 @@ def test_pfaffian_4x4_matching_formula(g4):
 
 
 def test_pfaffian_squares_to_det():
-    from qpencil.linalg import det
+    from oracles import det
 
     rng = random.Random(11)
     for gf in FIELDS:
@@ -123,19 +123,34 @@ def test_pfaffian_vector_n3(g4):
 
 
 def test_pfaffian_vector_kills_gram():
+    # dense and sparse matrices, the sparse ones often of corank >= 3, where
+    # every principal Pfaffian vanishes; each entry against the matchings
     from qpencil.linalg import mat_vec
 
     rng = random.Random(9)
+    coranks = set()
     for gf in FIELDS:
-        for n in (3, 5, 7):
-            for _ in range(8):
-                gram = [[0] * n for _ in range(n)]
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        c = rng.randrange(gf.order)
-                        gram[i][j] = gram[j][i] = c
-                omega = pfaffian_vector(gf, gram)
-                assert mat_vec(gf, gram, omega) == [0] * n
+        for n in (3, 5, 7, 9):
+            for density in (1.0, 0.3, 0.1):
+                for _ in range(8):
+                    gram = [[0] * n for _ in range(n)]
+                    for i in range(n):
+                        for j in range(i + 1, n):
+                            if rng.random() < density:
+                                c = rng.randrange(gf.order)
+                                gram[i][j] = gram[j][i] = c
+                    omega = pfaffian_vector(gf, gram)
+                    assert mat_vec(gf, gram, omega) == [0] * n
+                    for k in range(n):
+                        minor = [
+                            [x for c, x in enumerate(row) if c != k]
+                            for r, row in enumerate(gram)
+                            if r != k
+                        ]
+                        assert omega[k] == pfaffian_by_matchings(gf, minor)
+                    form = AlternatingForm(gf, n, tuple(map(tuple, gram)))
+                    coranks.add(form.corank())
+    assert {1, 3, 5} <= coranks
 
 
 def test_basic_singular_pair_radicals(g2):
@@ -245,10 +260,10 @@ def test_normal_form_w_span_is_isotropic(g2):
 
 def test_transform_composition(g4):
     rng = random.Random(8)
-    from oracles import gl_matrices
     from qpencil.linalg import mat_mul, mat_vec
+    from qpencil.verify import gl_elements
 
-    gls = gl_matrices(g4, 2)
+    gls = gl_elements(g4, 2)
     q2 = random_form(g4, 2, rng)
     for a in gls[:8]:
         for b in gls[:8]:
