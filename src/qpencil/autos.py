@@ -165,8 +165,7 @@ def reflections(p: Pencil, ext: Field) -> list[Reflection]:
         candidates = [(1, 0), (0, 1), (1, 1)]
         mats = []
         for (lu, uu) in candidates:
-            # skip members proportional to the root
-            if (lu, uu) == (l, u) or _proportional(ext, (lu, uu), (l, u)):
+            if (lu, uu) == (l, u):  # both normalized: equal iff proportional
                 continue
             member = pe.member(lu, uu)
             qz = member(z)
@@ -191,10 +190,6 @@ def reflections(p: Pencil, ext: Field) -> list[Reflection]:
             Reflection((l, u), tuple(z), tuple(tuple(r) for r in mats[0]))
         )
     return out
-
-
-def _proportional(gf: Field, x: tuple, y: tuple) -> bool:
-    return gf.mul(x[0], y[1]) == gf.mul(x[1], y[0])
 
 
 def reflections_match_idempotents(p: Pencil, ext: Field, refl: list) -> bool:
@@ -252,8 +247,7 @@ def pgl2_elements(gf: Field):
 
 def delta_stabilizer(p: Pencil, ext: Field) -> list:
     """Elements of PGL2(ext) permuting the projective roots of Delta."""
-    roots = p.map_field(find_embedding(p.gf, ext)).projective_roots()
-    pts = set(_normalize_pt(ext, pt) for pt in roots)
+    pts = set(p.map_field(find_embedding(p.gf, ext)).projective_roots())
     if len(pts) != p.n:
         raise PreconditionError(f"{ext!r} does not split Delta")
     out = []
@@ -262,17 +256,10 @@ def delta_stabilizer(p: Pencil, ext: Field) -> list:
         for (l, u) in pts:
             il = ext.mul(m2[0][0], l) ^ ext.mul(m2[0][1], u)
             iu = ext.mul(m2[1][0], l) ^ ext.mul(m2[1][1], u)
-            image.add(_normalize_pt(ext, (il, iu)))
+            image.add(_projective_key(ext, [(il, iu)])[0])
         if image == pts:
             out.append(m2)
     return out
-
-
-def _normalize_pt(gf: Field, pt: tuple) -> tuple:
-    l, u = pt
-    if l:
-        return (1, gf.div(u, l))
-    return (0, 1)
 
 
 def _symmetric_power_matrix(gf: Field, m2: list, d: int) -> list:
@@ -292,7 +279,8 @@ def _symmetric_power_matrix(gf: Field, m2: list, d: int) -> list:
 
 
 def _scale_to_delta_invariant(gf: Field, a_form: list, m2: list):
-    """mu with Delta(mu*M (t0,t1)) = Delta, or None with the scale defect."""
+    """The smallest mu with Delta(mu*M (t0,t1)) = Delta, or None when the
+    scale defect c (Delta o M = c*Delta) has no n-th root in gf."""
     n = len(a_form) - 1
     sub = poly.bf_substitute(gf, a_form, m2)
     c = None
@@ -303,11 +291,7 @@ def _scale_to_delta_invariant(gf: Field, a_form: list, m2: list):
     for x, y in zip(sub, a_form):
         if x != gf.mul(c, y):
             raise AssertionError("stabilizer element does not scale Delta")
-    target = gf.inv(c)
-    for mu in gf.nonzero_elements():
-        if gf.pow(mu, n) == target:
-            return mu
-    return None
+    return min(poly.roots(gf, [gf.inv(c)] + [0] * (n - 1) + [1]), default=None)
 
 
 def aut_x(p: Pencil, ext: Field) -> AutXGroup:

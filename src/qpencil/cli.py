@@ -50,15 +50,25 @@ from .quadform import QuadraticForm
 from .verify import run_suite
 
 
+def _json_int(x, what: str) -> int:
+    """x itself when it is a JSON integer; bools, floats and strings are
+    refused rather than coerced."""
+    if type(x) is not int:
+        raise InputError(f"{what} must be a JSON integer, got {json.dumps(x)}")
+    return x
+
+
 def parse_field(doc: dict) -> Field:
     try:
         fd = doc["field"]
-        degree = int(fd["degree"])
-    except (KeyError, TypeError, ValueError) as e:
+        degree = _json_int(fd["degree"], "field degree")
+    except (KeyError, TypeError) as e:
         raise InputError(f"bad field description: {e}")
+    if degree < 1:
+        raise InputError(f"field degree must be >= 1, got {degree}")
     if "modulus" in fd:
         try:
-            gf = field_from_modulus(int(fd["modulus"]))
+            gf = field_from_modulus(_json_int(fd["modulus"], "field modulus"))
         except ValueError as e:
             raise InputError(str(e))
         if gf.degree != degree:
@@ -68,12 +78,14 @@ def parse_field(doc: dict) -> Field:
 
 
 def parse_form(gf: Field, n: int, triples, name: str) -> QuadraticForm:
+    if not isinstance(triples, list):
+        raise InputError(f"{name}: expected a list of coefficient triples")
     table = {}
     for item in triples:
-        try:
-            i, j, c = (int(x) for x in item)
-        except (TypeError, ValueError):
+        if not (isinstance(item, list) and len(item) == 3
+                and all(type(x) is int for x in item)):
             raise InputError(f"{name}: coefficient triple {item!r} is malformed")
+        i, j, c = item
         if not (1 <= i <= j <= n):
             raise InputError(f"{name}: indices {(i, j)} violate 1 <= i <= j <= n")
         if not (0 <= c < gf.order):
@@ -88,7 +100,7 @@ def parse_pencil(doc: dict) -> Pencil:
         raise InputError("document must be a JSON object")
     gf = parse_field(doc)
     try:
-        n = int(doc["n"])
+        n = _json_int(doc["n"], "n")
         q0 = parse_form(gf, n, doc["q0"], "q0")
         q1 = parse_form(gf, n, doc["q1"], "q1")
     except KeyError as e:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import poly
+
 _TABLE_LIMIT = 1 << 16  # build exp/log tables up to this field order
 
 
@@ -116,6 +118,8 @@ class Field:
             if degree is None:
                 raise ValueError("need a degree or a modulus")
             modulus = default_modulus(degree)
+        if modulus < 0:
+            raise ValueError(f"modulus {modulus} is not a polynomial over GF(2)")
         if degree is None:
             degree = p2_degree(modulus)
         if p2_degree(modulus) != degree:
@@ -299,16 +303,6 @@ class Embedding:
         return [self.map(a) for a in coeffs]
 
 
-def _p2_eval_in(field: Field, poly: int, x: int) -> int:
-    """Evaluate a GF(2)[T] polynomial (packed int) at a field element."""
-    r = 0
-    for i in range(p2_degree(poly), -1, -1):
-        r = field.mul(r, x)
-        if (poly >> i) & 1:
-            r ^= 1
-    return r
-
-
 @lru_cache(maxsize=None)
 def find_embedding(src: Field, dst: Field) -> Embedding:
     """Deterministic embedding: the smallest root of src.modulus in dst."""
@@ -316,11 +310,5 @@ def find_embedding(src: Field, dst: Field) -> Embedding:
         return Embedding(src, dst, p2_mod(2, src.modulus))  # identity: t -> t
     if dst.degree % src.degree != 0:
         raise ValueError(f"no embedding {src!r} -> {dst!r}: degree does not divide")
-    return Embedding(src, dst, _min_modulus_root(dst, src.modulus))
-
-
-def _min_modulus_root(dst: Field, modulus: int) -> int:
-    for x in dst.elements():
-        if _p2_eval_in(dst, modulus, x) == 0:
-            return x
-    raise AssertionError("source modulus has no root in the target field")
+    bits = [(src.modulus >> i) & 1 for i in range(src.degree + 1)]
+    return Embedding(src, dst, poly.roots(dst, bits)[0])

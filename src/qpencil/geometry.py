@@ -84,7 +84,7 @@ def smoothness_oracle(p: Pencil, max_ext_degree: int) -> bool:
         return True
     for d in range(1, max_ext_degree + 1):
         ext = GF(base.degree * d)
-        roots = poly.bf_projective_roots(a, base, ext)
+        roots = poly.bf_projective_roots(ext, find_embedding(base, ext).map_poly(a))
         if roots and _singular_among(p, ext, roots):
             return False
     return True

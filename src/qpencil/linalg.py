@@ -60,10 +60,6 @@ def vec_dot(gf: Field, u: list, v: list) -> int:
     return acc
 
 
-def vec_add(u: list, v: list) -> list:
-    return [x ^ y for x, y in zip(u, v)]
-
-
 def vec_scale(gf: Field, v: list, c: int) -> list:
     mul = gf.mul
     return [mul(c, x) for x in v]

@@ -135,9 +135,7 @@ class Pencil:
     def projective_roots(self) -> list:
         """Normalized projective roots of Delta over the pencil's own field."""
         if self._roots is None:
-            self._roots = poly.bf_projective_roots(
-                self.half_discriminant(), self.gf, self.gf
-            )
+            self._roots = poly.bf_projective_roots(self.gf, self.half_discriminant())
         return self._roots
 
     def is_regular(self) -> bool:

@@ -10,13 +10,16 @@ derivative means the polynomial is a square), then distinct-degree, then
 equal-degree splitting by Artin-Schreier trace maps; the usual odd
 characteristic power trick fails at p = 2.  Equal-degree splitting draws
 candidates from a generator seeded by the input, so runs are reproducible.
+Roots are the constant terms of the linear factors; no field is scanned.
 """
 
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-from .field import Field, find_embedding
+if TYPE_CHECKING:
+    from .field import Field
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +135,6 @@ def extended_gcd(gf: Field, a: list, b: list) -> tuple[list, list, list]:
 def derivative(gf: Field, a: list) -> list:
     """Formal derivative; in char 2 only odd-degree terms survive."""
     return trim([a[i] if i % 2 == 1 else 0 for i in range(1, len(a))])
-
-
-def evaluate(gf: Field, a: list, x: int) -> int:
-    r = 0
-    mul_ = gf.mul
-    for c in reversed(a):
-        r = mul_(r, x) ^ c
-    return r
 
 
 def modpow(gf: Field, a: list, e: int, m: list) -> list:
@@ -279,10 +274,13 @@ def factor(gf: Field, p: list) -> list[tuple[list, int]]:
 
 
 def roots(gf: Field, p: list) -> list[int]:
-    """All roots in gf itself, by exhaustive scan."""
+    """The distinct roots of p in gf itself, sorted: the constant terms of
+    the monic linear factors (in characteristic 2, -a = a)."""
     if not p:
         raise ValueError("every element is a root of the zero polynomial")
-    return [x for x in gf.elements() if evaluate(gf, p, x) == 0]
+    if degree(p) == 0:
+        return []
+    return sorted(f[0] for f, _ in factor(gf, p) if len(f) == 2)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +364,13 @@ def bf_is_separable(gf: Field, c: list) -> bool:
     return is_separable(gf, f)
 
 
-def bf_projective_roots(c: list, src: Field, ext: Field) -> list[tuple[int, int]]:
-    """Normalized projective roots (t0, t1) of a nonzero form inside ext."""
+def bf_projective_roots(gf: Field, c: list) -> list[tuple[int, int]]:
+    """Normalized projective roots (t0, t1) of a nonzero form over gf: the
+    affine roots (1, x) in increasing order, then (0, 1) if t0 divides."""
     if all(x == 0 for x in c):
         raise ValueError("the zero form vanishes everywhere")
-    emb = find_embedding(src, ext)
-    ce = emb.map_poly(c)
-    f = trim(ce[:])
-    out = [(1, x) for x in roots(ext, f)]
+    f = trim(c[:])
+    out = [(1, x) for x in roots(gf, f)]
     if bf_degree(c) - degree(f) >= 1:
         out.append((0, 1))
     return out

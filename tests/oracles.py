@@ -37,6 +37,20 @@ def pfaffian_by_matchings(gf, gram):
     return rec(idx)
 
 
+def evaluate(gf, coeffs, x):
+    """coeffs[0] + coeffs[1] x + ... by Horner's rule."""
+    r = 0
+    for c in reversed(coeffs):
+        r = gf.mul(r, x) ^ c
+    return r
+
+
+def roots_by_scan(gf, coeffs):
+    """The roots of a nonzero polynomial in gf, by evaluating at every
+    element of the field, in increasing order."""
+    return [x for x in gf.elements() if evaluate(gf, coeffs, x) == 0]
+
+
 def polar_by_definition(q, v, w):
     """b(v, w) = q(v+w) + q(v) + q(w)."""
     s = [x ^ y for x, y in zip(v, w)]
@@ -127,11 +141,12 @@ def corank_profile(p, ext):
     """Pairs (root of Delta over ext, corank of that member) checking the
     corank-1 property of regular pencils."""
     p.require_regular()
-    pts = poly.bf_projective_roots(p.half_discriminant(), p.gf, ext)
+    emb = find_embedding(p.gf, ext)
+    pts = poly.bf_projective_roots(ext, emb.map_poly(p.half_discriminant()))
     if len(pts) != p.n:
         raise PreconditionError(
             f"extension {ext!r} does not split Delta "
             f"({len(pts)} of {p.n} roots)"
         )
-    pe = p.map_field(find_embedding(p.gf, ext))
+    pe = p.map_field(emb)
     return [((l, u), pe.member(l, u).polar().corank()) for (l, u) in pts]

@@ -1,6 +1,6 @@
 """Within one `cli.main` call every pencil is analysed once: no Pencil
 object extracts its normal form or computes its radical map twice, and
-Delta's roots are scanned at most once per field."""
+Delta's roots are found at most once per field."""
 
 import contextlib
 import io
@@ -59,15 +59,17 @@ def test_one_analysis_per_pencil(monkeypatch, command, doc):
             radical_maps[id(p)] += 1
         return radical_map(p)
 
-    roots = poly.roots
+    # Delta is the only polynomial whose roots go through bf_projective_roots;
+    # poly.roots also serves embeddings and n-th roots
+    projective_roots = poly.bf_projective_roots
 
-    def counted_roots(gf, f):
+    def counted_roots(gf, c):
         root_scans[gf] += 1
-        return roots(gf, f)
+        return projective_roots(gf, c)
 
     _replace_everywhere(monkeypatch, extract, counted_extract)
     monkeypatch.setattr(Pencil, "radical_map", counted_radical_map)
-    monkeypatch.setattr(poly, "roots", counted_roots)
+    monkeypatch.setattr(poly, "bf_projective_roots", counted_roots)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([command, "--in", str(DOCS / f"{doc}.json")])
     assert code == 0

@@ -204,3 +204,39 @@ def test_ext_degree_below_one_is_an_input_error(degree):
     assert "Traceback" not in proc.stderr
     error = json.loads(proc.stdout)["error"]
     assert error["type"] == "input" and "--ext-degree" in error["message"]
+
+
+def _with(doc, path, value):
+    """A copy of doc with the entry at path (a tuple of keys) replaced."""
+    out = json.loads(json.dumps(doc))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("q0", 0, 2), 1.7),
+        (("q0", 0, 2), True),
+        (("q0", 0, 2), "1"),
+        (("q1", 1), [2, 2]),
+        (("q1",), 5),
+        (("n",), 3.2),
+        (("n",), "3"),
+        (("field", "degree"), 1.9),
+        (("field", "degree"), True),
+        (("field", "degree"), 0),
+        (("field", "degree"), -2),
+        (("field", "modulus"), 3.0),
+        (("field", "modulus"), -7),
+    ],
+)
+def test_only_json_integers_are_accepted(tmp_path, capsys, path, value):
+    # each of these exited 0 with a truncated value, or with a traceback
+    doc = write_doc(tmp_path, "doc.json", _with(M1_DOC, path, value))
+    assert main(["halfdisc", "--in", doc]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "input"

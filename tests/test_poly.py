@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpencil.poly as poly
-from oracles import bf_dehomogenize_t1, roots_in
-from qpencil.field import GF
+from oracles import bf_dehomogenize_t1, evaluate, roots_by_scan, roots_in
+from qpencil.field import GF, Field, field_from_modulus, find_embedding
 
 FIELDS = [GF(1), GF(2), GF(3)]
 
@@ -92,7 +92,7 @@ def test_roots_examples(g2, g4, g8):
     rs = roots_in([1, 1, 0, 1], g2, g8)
     assert len(rs) == 3 and len(set(rs)) == 3
     for x in rs:
-        assert poly.evaluate(g8, [1, 1, 0, 1], x) == 0
+        assert evaluate(g8, [1, 1, 0, 1], x) == 0
 
 
 def test_roots_count_separable(g2, g16):
@@ -126,12 +126,79 @@ def test_binary_form_substitution(g2):
     assert shear[3] == delta[3]  # a_n fixed by lower-triangular moves
 
 
-def test_projective_roots(g2, g4):
-    pts = poly.bf_projective_roots([0, 1, 1, 1], g2, g4)
-    assert len(pts) == 3
-    assert (1, 0) in pts  # a_0 = 0 makes (1, 0) a root
-    # a_n = 0 puts the point (0, 1) on the zero scheme
-    pts2 = poly.bf_projective_roots([1, 1, 1, 0], g2, g4)
-    assert (0, 1) in pts2 and len(pts2) == 3
+def _random_polys(gf, rng, count):
+    """Constants, random polynomials, and products of linear factors with
+    repeated roots and the root 0."""
+    out = [[rng.randrange(1, gf.order)]]
+    for i in range(count):
+        f = [rng.randrange(gf.order) for _ in range(rng.randrange(1, 7))]
+        f.append(rng.randrange(1, gf.order))
+        if i % 2:
+            for _ in range(rng.randrange(1, 4)):
+                a = rng.choice([0, 1, rng.randrange(gf.order)])
+                f = poly.mul(gf, f, poly.mul(gf, [a, 1], [a, 1]) if i % 4 == 1
+                             else [a, 1])
+        out.append(f)
+    return out
+
+
+def test_roots_match_scan():
+    rng = random.Random(2024)
+    for gf in [GF(k) for k in range(1, 13)] + [field_from_modulus(13)]:
+        for f in _random_polys(gf, rng, 12):
+            assert poly.roots(gf, f) == roots_by_scan(gf, f), (gf, f)
+    # no log tables: the scan costs about a second per polynomial
+    big = GF(17)
+    for f in ([0, 0, 5, 1], poly.mul(big, [rng.randrange(big.order), 1],
+                                    [0, 7, 0, 1])):
+        assert poly.roots(big, f) == roots_by_scan(big, f)
     with pytest.raises(ValueError):
-        poly.bf_projective_roots([0, 0], g2, g2)
+        poly.roots(GF(2), [])
+
+
+def test_embedding_takes_smallest_scanned_root():
+    def smallest_root(src, dst):
+        bits = [(src.modulus >> i) & 1 for i in range(src.degree + 1)]
+        return roots_by_scan(dst, bits)[0]
+
+    pairs = [(GF(k), GF(big)) for big in range(2, 13)
+             for k in range(1, big) if big % k == 0]
+    f8 = field_from_modulus(13)
+    pairs += [(f8, GF(3)), (GF(3), f8)] + [(f8, GF(j)) for j in (6, 9, 12)]
+    for src, dst in pairs:
+        assert find_embedding(src, dst).root == smallest_root(src, dst)
+    assert len(pairs) == 28
+
+
+def test_root_finding_multiplications_stay_polynomial(monkeypatch):
+    # a deterministic guard against scanning the field: evaluating at every
+    # element of GF(2^24) needs more than 5 * 10^7 multiplications
+    big = GF(24)
+    a, b, c = 0xABCDEF, 0x123456, 0x0F0F0F
+    f = poly.mul(big, poly.mul(big, [a, 1], [b, 1]), [c, 1])
+    calls = 0
+    mul = Field.mul
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(Field, "mul", counted)
+    assert poly.roots(big, f) == sorted([a, b, c])
+    assert 0 < calls < 10**6
+    calls = 0
+    emb = find_embedding.__wrapped__(GF(8), big)  # bypass the cache
+    assert 0 < calls < 10**6
+    assert evaluate(big, [(GF(8).modulus >> i) & 1 for i in range(9)], emb.root) == 0
+
+
+def test_projective_roots(g2, g4):
+    pts = poly.bf_projective_roots(g4, [0, 1, 1, 1])
+    assert pts == [(1, 0), (1, 2), (1, 3)]  # a_0 = 0 makes (1, 0) a root
+    # a_n = 0 puts the point (0, 1) on the zero scheme, after the affine roots
+    pts2 = poly.bf_projective_roots(g4, [1, 1, 1, 0])
+    assert pts2 == [(1, 2), (1, 3), (0, 1)]
+    assert poly.bf_projective_roots(g2, [1, 1, 1, 0]) == [(0, 1)]
+    with pytest.raises(ValueError):
+        poly.bf_projective_roots(g2, [0, 0])
