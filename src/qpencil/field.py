@@ -218,9 +218,6 @@ class Field:
             e >>= 1
         return r
 
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
-
     def sqrt(self, a: int) -> int:
         """The unique square root, a^(2^(k-1)); GF(2^k) is perfect."""
         for _ in range(self.degree - 1):

@@ -22,6 +22,7 @@ from .errors import PreconditionError
 from .field import GF, Field, find_embedding
 from .linalg import mat_vec, normalize_subspace, nullspace, rank
 from .pencil import Pencil
+from .quadform import is_totally_isotropic
 
 _SCAN_LIMIT = 10**8
 
@@ -163,14 +164,8 @@ def canonical_plane(p: Pencil) -> CanonicalPlane:
         basis.append(vec)
     if len(basis) != m - 1:
         raise AssertionError("canonical plane has the wrong dimension")
-    for v in basis:
-        if p.q0(v) or p.q1(v):
-            raise AssertionError("canonical plane point off X")
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = [x ^ y for x, y in zip(basis[i], basis[j])]
-            if p.q0(s) or p.q1(s):
-                raise AssertionError("canonical plane not contained in X")
+    if not (is_totally_isotropic(p.q0, basis) and is_totally_isotropic(p.q1, basis)):
+        raise AssertionError("canonical plane not contained in X")
     return CanonicalPlane(tuple(l0), tuple(l1), tuple(tuple(v) for v in basis))
 
 
@@ -216,10 +211,6 @@ class Generator:
     gf: Field
     basis: tuple  # rref rows
 
-    @property
-    def projective_dim(self) -> int:
-        return len(self.basis) - 1
-
 
 def enumerate_generators(p: Pencil, ext: Field) -> list[Generator]:
     """All 2^(2m) generators of X over ext, as the simply transitive orbit
@@ -245,7 +236,10 @@ def enumerate_generators(p: Pencil, ext: Field) -> list[Generator]:
     lam = [
         [b0[r][m + 1 + j] for r in range(n)] for j in range(m)
     ]  # columns v_0..v_{m-1} of the r = 0 frame
-    _assert_isotropic(pe, lam)
+    # only the first generator is checked: the others are its images under
+    # automorphisms that automorphism_group verified by substitution
+    if not (is_totally_isotropic(pe.q0, lam) and is_totally_isotropic(pe.q1, lam)):
+        raise AssertionError("generator span leaves X")
     first = normalize_subspace(gf, lam)
     seen = {}
     for rep in automorphism_group(pe):
@@ -253,23 +247,9 @@ def enumerate_generators(p: Pencil, ext: Field) -> list[Generator]:
         if img in seen:
             raise AssertionError("automorphism orbit of the generator collides")
         seen[img] = rep
-    gens = [Generator(gf, span) for span in seen]
-    for gen in gens:
-        _assert_isotropic(pe, [list(v) for v in gen.basis])
-    if len(gens) != 1 << (2 * m):
+    if len(seen) != 1 << (2 * m):
         raise AssertionError("generator count differs from 2^(2m)")
-    return gens
-
-
-def _assert_isotropic(pe: Pencil, vectors: list):
-    for v in vectors:
-        if pe.q0(v) or pe.q1(v):
-            raise AssertionError("generator basis vector not on X")
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            s = [x ^ y for x, y in zip(vectors[i], vectors[j])]
-            if pe.q0(s) or pe.q1(s):
-                raise AssertionError("generator span leaves X")
+    return [Generator(gf, span) for span in seen]
 
 
 def brute_force_lines(p: Pencil, ext: Field) -> list[tuple]:

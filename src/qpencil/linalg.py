@@ -11,10 +11,6 @@ from __future__ import annotations
 from .field import Field
 
 
-def zeros(r: int, c: int) -> list:
-    return [[0] * c for _ in range(r)]
-
-
 def identity(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

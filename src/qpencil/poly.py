@@ -36,10 +36,6 @@ def degree(c: list) -> int:
     return len(c) - 1
 
 
-def is_zero(c: list) -> bool:
-    return not c
-
-
 def add(a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
@@ -289,12 +285,6 @@ def roots(gf: Field, p: list) -> list[int]:
 
 def bf_degree(c: list) -> int:
     return len(c) - 1
-
-
-def bf_add(a: list, b: list) -> list:
-    if len(a) != len(b):
-        raise ValueError("binary forms of different degrees")
-    return [x ^ y for x, y in zip(a, b)]
 
 
 def bf_scale(gf: Field, a: list, c: int) -> list:

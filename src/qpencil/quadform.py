@@ -134,20 +134,6 @@ class AlternatingForm:
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("Gram matrix is not symmetric")
 
-    def __call__(self, v: list, w: list) -> int:
-        mul = self.gf.mul
-        acc = 0
-        for i, vi in enumerate(v):
-            if vi:
-                row = self.gram[i]
-                s = 0
-                for j, wj in enumerate(w):
-                    if wj and row[j]:
-                        s ^= mul(row[j], wj)
-                if s:
-                    acc ^= mul(vi, s)
-        return acc
-
     def corank(self) -> int:
         return self.n - rank(self.gf, [list(r) for r in self.gram])
 
@@ -157,17 +143,6 @@ class AlternatingForm:
 
 # ---------------------------------------------------------------------------
 # Pfaffians
-
-
-def pfaffian(gf: Field, gram) -> int:
-    """Pfaffian of an even-size alternating matrix: the last principal
-    Pfaffian of the matrix bordered by a zero row and column.  The empty
-    Pfaffian is 1."""
-    n = len(gram)
-    if n % 2 != 0:
-        raise ValueError("Pfaffian needs even size")
-    bordered = [list(row) + [0] for row in gram] + [[0] * (n + 1)]
-    return pfaffian_vector(gf, bordered)[n]
 
 
 def pfaffian_vector(gf: Field, gram) -> list:
@@ -222,28 +197,14 @@ def half_disc(q: QuadraticForm) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subspace predicates
-
-
-def _check_independent(gf: Field, vectors: list):
-    if rank(gf, [list(v) for v in vectors]) != len(vectors):
-        raise ValueError("spanning set is linearly dependent")
-
-
-def is_totally_singular(q: QuadraticForm, vectors: list) -> bool:
-    """The polar form vanishes on the span (q restricted is diagonal)."""
-    _check_independent(q.gf, vectors)
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            if q.polar_pair(vectors[a], vectors[b]):
-                return False
-    return True
+# the isotropy predicate
 
 
 def is_totally_isotropic(q: QuadraticForm, vectors: list) -> bool:
     """q vanishes identically on the span: zero on basis vectors and on
     pairwise sums (which is exactly q(v_i) = 0 and b(v_i, v_j) = 0)."""
-    _check_independent(q.gf, vectors)
+    if rank(q.gf, [list(v) for v in vectors]) != len(vectors):
+        raise ValueError("spanning set is linearly dependent")
     for v in vectors:
         if q(v):
             return False

@@ -58,8 +58,28 @@ class VerifyResult:
         return f" -- {self.detail}" if self.detail else ""
 
 
-def _result(tag, desc, passed, checked, t0, detail=""):
-    return VerifyResult(tag, desc, bool(passed), checked, time.time() - t0, detail)
+# one description per tag, reported whether the check passes or fails
+DESCRIPTIONS = {
+    "HD": "half-discriminant formula (n=3 explicit polynomial)",
+    "REG": "regularity criterion vs singular-point scan",
+    "T1.1": "Kronecker normal form and round trip",
+    "T5.3": "trace dual basis identities",
+    "T5.4": "d-basis squaring rule",
+    "T5.6": "Artin-Schreier transformation law",
+    "T1.5": "orbit partition = r-coset partition (exhaustive)",
+    "T7.1": "|Aut| = 2^(l-1) = exhaustive GL stabilizer",
+    "T7.3": "reflection generators over splitting fields",
+    "C7.4": "2^(2m) generators, simply transitive orbit",
+    "CP": "canonical (m-2)-plane on X",
+    "T6.1": "Arf invariant reproduces the r-coset",
+    "L8": "D_{2m+1} root basis in the cycle lattice",
+    "AX": "Aut(X) = R x| G vs PGL3 point stabilizer",
+}
+
+
+def _result(tag, passed, checked, t0, detail=""):
+    return VerifyResult(tag, DESCRIPTIONS[tag], bool(passed), checked,
+                        time.time() - t0, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +201,14 @@ def check_half_disc(scale: str) -> VerifyResult:
                 ^ mul(a12, mul(a23, a13))
             )
             if half_disc(q) != explicit:
-                return _result("HD", "half-discriminant formula", False,
-                               checked, t0, f"mismatch at {q.coeffs}")
+                return _result("HD", False, checked, t0,
+                               f"mismatch at {q.coeffs}")
             omega = pfaffian_vector(gf, q.polar().gram)
             if q(omega) != explicit:
-                return _result("HD", "half-discriminant formula", False,
-                               checked, t0, "q(omega) route disagrees")
+                return _result("HD", False, checked, t0,
+                               "q(omega) route disagrees")
             checked += 1
-    return _result("HD", "half-discriminant formula (n=3 explicit polynomial)",
-                   True, checked, t0)
+    return _result("HD", True, checked, t0)
 
 
 def check_regularity_oracle(scale: str) -> VerifyResult:
@@ -204,8 +223,8 @@ def check_regularity_oracle(scale: str) -> VerifyResult:
         pencils = [random_pencil(GF(1), 3, rng0, regular=False) for _ in range(150)]
     for p in pencils:
         if p.is_regular() != smoothness_oracle(p, 4):
-            return _result("REG", "regularity vs smoothness oracle", False,
-                           checked, t0, f"disagree at {p.q0.coeffs}|{p.q1.coeffs}")
+            return _result("REG", False, checked, t0,
+                           f"disagree at {p.q0.coeffs}|{p.q1.coeffs}")
         checked += 1
     rng = random.Random(1105)
     per_field = 250 if scale == "full" else 20
@@ -214,11 +233,9 @@ def check_regularity_oracle(scale: str) -> VerifyResult:
         for _ in range(per_field):
             p = random_pencil(gf, 5, rng, regular=False)
             if p.is_regular() != smoothness_oracle(p, 4):
-                return _result("REG", "regularity vs smoothness oracle", False,
-                               checked, t0, "n=5 disagreement")
+                return _result("REG", False, checked, t0, "n=5 disagreement")
             checked += 1
-    return _result("REG", "regularity criterion vs singular-point scan",
-                   True, checked, t0)
+    return _result("REG", True, checked, t0)
 
 
 def check_normal_form(scale: str) -> VerifyResult:
@@ -236,7 +253,7 @@ def check_normal_form(scale: str) -> VerifyResult:
         p = random_regular_nf_pencil(gf, m, rng)
         nf = extract_normal_form(p)  # raises if Kronecker equations fail
         if list(nf.a) != p.half_discriminant():
-            return _result("T1.1", "normal form", False, checked, t0,
+            return _result("T1.1", False, checked, t0,
                            "a differs from half-discriminant")
         model = nf.realized()
         try:
@@ -247,12 +264,11 @@ def check_normal_form(scale: str) -> VerifyResult:
             j = err.info["extension_degree"]
             iso, _ = is_isomorphic(p.extend(j)[0], model.extend(j)[0])
         if not iso:
-            return _result("T1.1", "normal form", False, checked, t0,
+            return _result("T1.1", False, checked, t0,
                            "the realized normal form is not isomorphic to "
                            "the pencil")
         checked += 1
-    return _result("T1.1", "Kronecker normal form and round trip", True,
-                   checked, t0)
+    return _result("T1.1", True, checked, t0)
 
 
 def check_dual_basis(scale: str) -> VerifyResult:
@@ -268,16 +284,15 @@ def check_dual_basis(scale: str) -> VerifyResult:
         f = random_separable_poly(gf, deg, rng)
         A = EtaleAlgebra(gf, tuple(f))
         if not A.dual_basis_check():
-            return _result("T5.3", "dual basis", False, checked, t0,
-                           f"failed for f={f}")
+            return _result("T5.3", False, checked, t0, f"failed for f={f}")
         # falsification control: a perturbed d-element must not pass
         bad = list(A.d_basis[0])
         bad[0] ^= 1
         if A.d_coords(tuple(bad)) == A.d_coords(A.d_basis[0]):
-            return _result("T5.3", "dual basis", False, checked, t0,
+            return _result("T5.3", False, checked, t0,
                            "projection failed to separate elements")
         checked += 1
-    return _result("T5.3", "trace dual basis identities", True, checked, t0)
+    return _result("T5.3", True, checked, t0)
 
 
 def check_squaring(scale: str) -> VerifyResult:
@@ -298,10 +313,9 @@ def check_squaring(scale: str) -> VerifyResult:
         direct = A.d_coords(A.square(elem))
         formula = A.square_in_d_basis(s)
         if list(direct) != list(formula):
-            return _result("T5.4", "squaring rule", False, checked, t0,
-                           f"f={f} s={s}")
+            return _result("T5.4", False, checked, t0, f"f={f} s={s}")
         checked += 1
-    return _result("T5.4", "d-basis squaring rule", True, checked, t0)
+    return _result("T5.4", True, checked, t0)
 
 
 def check_transformation_law(scale: str) -> VerifyResult:
@@ -318,11 +332,10 @@ def check_transformation_law(scale: str) -> VerifyResult:
         p = random_comparable_pencil(gf, m, rng)
         s = tuple(rng.randrange(gf.order) for _ in range(n))
         if not transformation_law_check(p, s):
-            return _result("T5.6", "transformation law", False, checked, t0,
+            return _result("T5.6", False, checked, t0,
                            f"failed at m={m} over {gf!r}")
         checked += 1
-    return _result("T5.6", "Artin-Schreier transformation law", True,
-                   checked, t0)
+    return _result("T5.6", True, checked, t0)
 
 
 def check_classification(scale: str) -> VerifyResult:
@@ -363,16 +376,15 @@ def check_classification(scale: str) -> VerifyResult:
                 orbit.add((seed.q0.transform(g).coeffs,
                            seed.q1.transform(g).coeffs))
             if not orbit <= set(index):
-                return _result("T1.5", "classification", False, checked, t0,
+                return _result("T1.5", False, checked, t0,
                                "orbit left its Delta class")
             unvisited -= orbit
             orbits.append(frozenset(orbit))
         if set(frozenset(s) for s in coset_parts.values()) != set(orbits):
-            return _result("T1.5", "classification", False, checked, t0,
+            return _result("T1.5", False, checked, t0,
                            f"partitions differ for Delta={a}")
         checked += len(pencils)
-    return _result("T1.5", "orbit partition = r-coset partition (exhaustive)",
-                   True, checked, t0)
+    return _result("T1.5", True, checked, t0)
 
 
 def check_automorphism_count(scale: str) -> VerifyResult:
@@ -391,7 +403,7 @@ def check_automorphism_count(scale: str) -> VerifyResult:
         p = realize(gf, list(a), list(r))
         aut = automorphism_group(p)
         if len(aut) != 1 << (pair_algebra(p).algebra.num_components - 1):
-            return _result("T7.1", "automorphism count", False, checked, t0,
+            return _result("T7.1", False, checked, t0,
                            f"|Aut| != 2^(l-1) at a={a}")
         stab = sum(
             1
@@ -399,7 +411,7 @@ def check_automorphism_count(scale: str) -> VerifyResult:
             if p.q0.transform(g) == p.q0 and p.q1.transform(g) == p.q1
         )
         if stab != len(aut):
-            return _result("T7.1", "automorphism count", False, checked, t0,
+            return _result("T7.1", False, checked, t0,
                            f"GL3(F2) stabilizer {stab} != {len(aut)}")
         checked += 1
     if scale == "full":
@@ -412,19 +424,18 @@ def check_automorphism_count(scale: str) -> VerifyResult:
             p = realize(g4, list(f) + [0] * (4 - len(f)), [0, 0])
             aut = automorphism_group(p)
             if len(aut) != 1 << (pair_algebra(p).algebra.num_components - 1):
-                return _result("T7.1", "automorphism count", False, checked,
-                               t0, f"|Aut| != 2^(l-1) over GF(4), f={f}")
+                return _result("T7.1", False, checked, t0,
+                               f"|Aut| != 2^(l-1) over GF(4), f={f}")
             stab = sum(
                 1
                 for g in gl34
                 if p.q0.transform(g) == p.q0 and p.q1.transform(g) == p.q1
             )
             if stab != len(aut):
-                return _result("T7.1", "automorphism count", False, checked,
-                               t0, f"GL3(F4) stabilizer mismatch, f={f}")
+                return _result("T7.1", False, checked, t0,
+                               f"GL3(F4) stabilizer mismatch, f={f}")
             checked += 1
-    return _result("T7.1", "|Aut| = 2^(l-1) = exhaustive GL stabilizer",
-                   True, checked, t0)
+    return _result("T7.1", True, checked, t0)
 
 
 def check_reflections(scale: str) -> VerifyResult:
@@ -440,33 +451,29 @@ def check_reflections(scale: str) -> VerifyResult:
         p = realize(gf, a, r)
         refl = reflections(p, ext)
         if len(refl) != p.n:
-            return _result("T7.3", "reflections", False, checked, t0,
-                           "wrong count")
+            return _result("T7.3", False, checked, t0, "wrong count")
         n = p.n
         ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         prod = ident
         mats = [[list(row) for row in rf.matrix] for rf in refl]
         for mat in mats:
             if mat_mul(ext, mat, mat) != ident:
-                return _result("T7.3", "reflections", False, checked, t0,
-                               "not an involution")
+                return _result("T7.3", False, checked, t0, "not an involution")
             prod = mat_mul(ext, prod, mat)
         if prod != ident:
-            return _result("T7.3", "reflections", False, checked, t0,
+            return _result("T7.3", False, checked, t0,
                            "product is not the identity")
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 if mat_mul(ext, mats[i], mats[j]) != mat_mul(
                     ext, mats[j], mats[i]
                 ):
-                    return _result("T7.3", "reflections", False, checked, t0,
+                    return _result("T7.3", False, checked, t0,
                                    "reflections do not commute")
         if not reflections_match_idempotents(p, ext, refl):
-            return _result("T7.3", "reflections", False, checked, t0,
-                           "phi(eps_i) != rho_i")
+            return _result("T7.3", False, checked, t0, "phi(eps_i) != rho_i")
         checked += 1
-    return _result("T7.3", "reflection generators over splitting fields",
-                   True, checked, t0)
+    return _result("T7.3", True, checked, t0)
 
 
 def check_generators(scale: str) -> VerifyResult:
@@ -480,23 +487,21 @@ def check_generators(scale: str) -> VerifyResult:
     gens = enumerate_generators(p1, ext1)
     pts = set(g.basis[0] for g in gens)
     if len(gens) != 4 or pts != set(points_on_X(p1, ext1)):
-        return _result("C7.4", "generators", False, checked, t0,
+        return _result("C7.4", False, checked, t0,
                        "m=1 generators differ from the points of X")
     checked += 1
     dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     ext2 = GF(4)
     gens2 = enumerate_generators(dp, ext2)
     if len(gens2) != 16:
-        return _result("C7.4", "generators", False, checked, t0,
-                       "m=2 count != 16")
+        return _result("C7.4", False, checked, t0, "m=2 count != 16")
     if scale == "full":
         lines = brute_force_lines(dp, ext2)
         if len(lines) != 16 or set(lines) != set(g.basis for g in gens2):
-            return _result("C7.4", "generators", False, checked, t0,
+            return _result("C7.4", False, checked, t0,
                            "line scan disagrees with the orbit")
     checked += 1
-    return _result("C7.4", "2^(2m) generators, simply transitive orbit",
-                   True, checked, t0)
+    return _result("C7.4", True, checked, t0)
 
 
 def check_canonical_plane(scale: str) -> VerifyResult:
@@ -507,7 +512,7 @@ def check_canonical_plane(scale: str) -> VerifyResult:
     dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     cp = canonical_plane(dp)
     if cp.point_basis != ((0, 1, 1, 0, 0),):
-        return _result("CP", "canonical plane", False, checked, t0,
+        return _result("CP", False, checked, t0,
                        f"expected [0:1:1:0:0], got {cp.point_basis}")
     checked += 1
     g4 = GF(2)
@@ -516,7 +521,7 @@ def check_canonical_plane(scale: str) -> VerifyResult:
         p = random_regular_nf_pencil(g4, 2, rng)
         cp4 = canonical_plane(p)  # internal containment asserts
         if len(cp4.point_basis) != 1:
-            return _result("CP", "canonical plane", False, checked, t0,
+            return _result("CP", False, checked, t0,
                            "wrong dimension at m=2 over GF(4)")
         checked += 1
     g8 = GF(3)
@@ -526,10 +531,9 @@ def check_canonical_plane(scale: str) -> VerifyResult:
     p3 = realize(g8, f, [0] * 6)
     cp3 = canonical_plane(p3)
     if len(cp3.point_basis) != 2:
-        return _result("CP", "canonical plane", False, checked, t0,
-                       "wrong dimension at m=3")
+        return _result("CP", False, checked, t0, "wrong dimension at m=3")
     checked += 1
-    return _result("CP", "canonical (m-2)-plane on X", True, checked, t0)
+    return _result("CP", True, checked, t0)
 
 
 def check_arf(scale: str) -> VerifyResult:
@@ -544,11 +548,10 @@ def check_arf(scale: str) -> VerifyResult:
         an = pair_algebra(random_comparable_pencil(gf, m, rng))
         data = arf_invariant(an.nf, an.algebra)
         if not data.matches_r:
-            return _result("T6.1", "Arf cross-check", False, checked, t0,
+            return _result("T6.1", False, checked, t0,
                            f"mismatch at m={m} over {gf!r}")
         checked += 1
-    return _result("T6.1", "Arf invariant reproduces the r-coset", True,
-                   checked, t0)
+    return _result("T6.1", True, checked, t0)
 
 
 def check_lattice(scale: str) -> VerifyResult:
@@ -562,17 +565,17 @@ def check_lattice(scale: str) -> VerifyResult:
     lat2 = lattice_for(dp, ext, reflections(dp, ext))
     neg = [[-x for x in row] for row in cartan_d(2)]
     if [list(r) for r in lat2.gram_alpha] != neg:
-        return _result("L8", "cycle lattice", False, checked, t0,
+        return _result("L8", False, checked, t0,
                        "m=2 alpha Gram is not -Cartan(D5)")
     if any(lat2.line_gram[i][i] != -1 for i in range(16)):
-        return _result("L8", "cycle lattice", False, checked, t0,
+        return _result("L8", False, checked, t0,
                        "a line class does not square to -1")
     if any(
         sorted(lat2.line_gram[i][j] for j in range(16) if j != i)
         != [0] * 10 + [1] * 5
         for i in range(16)
     ):
-        return _result("L8", "cycle lattice", False, checked, t0,
+        return _result("L8", False, checked, t0,
                        "line intersection graph is not 5-regular")
     k_class = [-3, 1, 1, 1, 1, 1]
     k2 = sum(
@@ -581,10 +584,9 @@ def check_lattice(scale: str) -> VerifyResult:
         for j in range(6)
     )
     if k2 != 4:
-        return _result("L8", "cycle lattice", False, checked, t0,
-                       f"K^2 = {k2} != 4")
+        return _result("L8", False, checked, t0, f"K^2 = {k2} != 4")
     if lat2.lam_empty_in_e != (2, -1, -1, -1, -1, -1):
-        return _result("L8", "cycle lattice", False, checked, t0,
+        return _result("L8", False, checked, t0,
                        "conic class has wrong coordinates")
     checked += 1
     if scale == "full":
@@ -595,16 +597,15 @@ def check_lattice(scale: str) -> VerifyResult:
         p3 = realize(g8, f, [0] * 6)
         lat3 = lattice_for(p3, g8, reflections(p3, g8))
         if [list(r) for r in lat3.gram_alpha] != cartan_d(3):
-            return _result("L8", "cycle lattice", False, checked, t0,
+            return _result("L8", False, checked, t0,
                            "m=3 alpha Gram is not +Cartan(D7)")
         # Aut-permutation invariance of the full line Gram
         perm_ok = _aut_preserves_line_gram(dp, ext)
         if not perm_ok:
-            return _result("L8", "cycle lattice", False, checked, t0,
+            return _result("L8", False, checked, t0,
                            "automorphisms break the intersection matrix")
         checked += 1
-    return _result("L8", "D_{2m+1} root basis in the cycle lattice", True,
-                   checked, t0)
+    return _result("L8", True, checked, t0)
 
 
 def _aut_preserves_line_gram(p: Pencil, ext: Field) -> bool:
@@ -642,23 +643,21 @@ def check_aut_x(scale: str) -> VerifyResult:
     ax = aut_x(p, ext)
     checked = 1
     if len(ax.pair_autos) != 4:
-        return _result("AX", "Aut(X)", False, checked, t0, "R has wrong order")
+        return _result("AX", False, checked, t0, "R has wrong order")
     if ax.order != len(ax.pair_autos) * len(ax.g_elements):
-        return _result("AX", "Aut(X)", False, checked, t0,
-                       "|Aut| != |R| * |G|")
+        return _result("AX", False, checked, t0, "|Aut| != |R| * |G|")
     # closure sanity: the multiplication table only references group elements
     size = ax.order
     if any(x >= size for row in ax.mult_table for x in row):
-        return _result("AX", "Aut(X)", False, checked, t0, "table escapes")
+        return _result("AX", False, checked, t0, "table escapes")
     if scale == "full":
         pts = points_on_X(p, ext)
         stab = _pgl_point_stabilizer_order(ext, pts)
         if stab != ax.order:
-            return _result("AX", "Aut(X)", False, checked, t0,
+            return _result("AX", False, checked, t0,
                            f"PGL3 stabilizer {stab} != {ax.order}")
         checked += 1
-    return _result("AX", "Aut(X) = R x| G vs PGL3 point stabilizer", True,
-                   checked, t0)
+    return _result("AX", True, checked, t0)
 
 
 def _pgl_point_stabilizer_order(gf: Field, pts: list) -> int:

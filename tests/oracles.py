@@ -57,6 +57,22 @@ def polar_by_definition(q, v, w):
     return q(s) ^ q(v) ^ q(w)
 
 
+def kronecker_equations_hold(p, ws, vs):
+    """Every Kronecker equation, each pairing evaluated as
+    q(x+y) + q(x) + q(y):  w-w and v-v pairings vanish under both forms,
+    b0(w_i, v_j) = delta_{i(j+1)} and b1(w_i, v_j) = delta_{ij}."""
+    def pair(x, y):
+        return polar_by_definition(p.q0, x, y), polar_by_definition(p.q1, x, y)
+
+    return all(
+        pair(x, y) == (0, 0) for xs in (ws, vs) for x in xs for y in xs
+    ) and all(
+        pair(w, v) == (int(i == j + 1), int(i == j))
+        for i, w in enumerate(ws)
+        for j, v in enumerate(vs)
+    )
+
+
 def wp_plus_constants(algebra):
     """The set k + wp(A) by full enumeration (desk scale only)."""
     out = set()

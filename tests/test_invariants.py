@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from qpencil import poly
 from qpencil.algebra import EtaleAlgebra
 from qpencil.errors import PreconditionError
+from qpencil.field import GF
 from qpencil.invariants import (
     arf_invariant,
     is_isomorphic,
@@ -169,3 +171,45 @@ def test_arf_qa_values(g2):
     data = arf_invariant(nf, A)
     assert data.qa_w == (A.d_basis[1], A.d_basis[3])
     assert data.matches_r
+
+
+def test_arf_pairing_table_is_delta():
+    # b_A(v'_i, w'_j) = delta_{(i+1)j} whatever (a, r): arf_invariant relies
+    # on it without evaluating it; b_A is computed from q_A by definition
+    rng = random.Random(53)
+    for gf in (GF(1), GF(2), GF(8), GF(17)):
+        for m in range(1, 6):
+            n = 2 * m + 1
+            a = [0]
+            while not poly.bf_is_separable(gf, a):
+                a = [rng.randrange(gf.order) for _ in range(n)]
+                a.append(rng.randrange(1, gf.order))  # a_n != 0
+            r = [rng.randrange(gf.order) for _ in range(n - 1)]
+            model = realize(gf, a, r)
+            A = EtaleAlgebra(gf, tuple(a))
+            t = A.t_power(1)
+
+            def qa(vec):
+                acc = A.zero()
+                for form, coef in ((model.q0, A.one()), (model.q1, t)):
+                    for (i, j), c in form.coeffs:
+                        term = A.mul(coef, A.mul(vec[i], vec[j]))
+                        acc = A.add(acc, tuple(gf.mul(c, x) for x in term))
+                return acc
+
+            def ba(x, y):
+                s = qa([A.add(u, v) for u, v in zip(x, y)])
+                return A.add(s, A.add(qa(x), qa(y)))
+
+            wprime = [
+                [A.t_power(k - i) if i <= k <= m else A.zero() for k in range(n)]
+                for i in range(m + 1)
+            ]
+            vprime = [
+                [A.one() if k == m + 1 + i else A.zero() for k in range(n)]
+                for i in range(m)
+            ]
+            for i in range(m):
+                for j in range(m + 1):
+                    want = A.one() if j == i + 1 else A.zero()
+                    assert ba(vprime[i], wprime[j]) == want

@@ -3,10 +3,13 @@ import random
 
 import pytest
 
-from oracles import all_subspaces
+from oracles import all_subspaces, kronecker_equations_hold
+from qpencil import normalform
 from qpencil.errors import NotRegularError
-from qpencil.linalg import normalize_subspace, rank
+from qpencil.field import GF
+from qpencil.linalg import normalize_subspace, rank, transpose
 from qpencil.normalform import (
+    KroneckerBasis,
     canonical_w,
     complete_kronecker,
     extract_normal_form,
@@ -14,7 +17,7 @@ from qpencil.normalform import (
 )
 from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm, is_totally_isotropic
-from qpencil.verify import gl_elements
+from qpencil.verify import gl_elements, random_regular_nf_pencil
 
 
 def test_realize_m1_tables(g2):
@@ -73,7 +76,7 @@ def test_extract_on_conjugates(g2, g4):
     p = realize(g2, [0, 1, 1, 1], [0, 1])
     for g in rng.sample(gl3, 40):
         pc = p.conjugate(g)
-        nf = extract_normal_form(pc)  # internal Kronecker + roundtrip asserts
+        nf = extract_normal_form(pc)  # the internal round trip asserts
         assert list(nf.a) == pc.half_discriminant()
         assert nf.a == (0, 1, 1, 1)
 
@@ -141,13 +144,53 @@ def test_complete_kronecker_satisfies_equations(g4):
                 g = cand
         pc = p.conjugate(g)
         ws = canonical_w(pc)
-        kb = complete_kronecker(pc, ws)  # raises if the equations fail
+        kb = complete_kronecker(pc, ws)
         assert len(kb.v) == m
+        assert kronecker_equations_hold(pc, kb.w, kb.v)
+
+
+def test_round_trip_rejects_exactly_the_broken_kronecker_bases(monkeypatch):
+    # one entry of one w or v vector changed: extraction must fail exactly
+    # when the independent oracle says the Kronecker equations fail (a few
+    # changes of v_0 along w_0, or of v_{m-1} along w_m, keep them)
+    rng = random.Random(41)
+    build = normalform.complete_kronecker
+    corrupted = []
+
+    def corrupt(p, ws):
+        kb = build(p, ws)
+        vecs = [list(x) for x in kb.w + kb.v]
+        k, t = rng.randrange(len(vecs)), rng.randrange(kb.n)
+        vecs[k][t] ^= rng.randrange(1, p.gf.order)
+        w, v = vecs[: kb.m + 1], vecs[kb.m + 1 :]
+        corrupted.append((w, v))
+        return KroneckerBasis(
+            kb.gf, kb.n, tuple(map(tuple, w)), tuple(map(tuple, v)),
+            tuple(map(tuple, transpose(vecs))),
+        )
+
+    monkeypatch.setattr(normalform, "complete_kronecker", corrupt)
+    verdicts = set()
+    for degree in (1, 2, 3, 8, 17):
+        gf = GF(degree)
+        for m in (1, 2, 3, 4):
+            for _ in range(10):
+                p = random_regular_nf_pencil(gf, m, rng)
+                try:
+                    extract_normal_form(p)
+                    accepted = True
+                except AssertionError:
+                    accepted = False
+                assert accepted == kronecker_equations_hold(p, *corrupted[-1])
+                verdicts.add(accepted)
+    assert len(corrupted) == 200
+    assert verdicts == {True, False}
 
 
 def test_exhaustive_extraction_n3_gf2(g2):
-    # every regular pair on GF(2)^3: the Kronecker equations, the realize
-    # pullback, and a = half-discriminant are all verified inside extract
+    # every regular pair on GF(2)^3: the realize pullback (which holds
+    # exactly when the Kronecker equations do) and a = half-discriminant
+    # are both verified inside extract
     keys = [(i, j) for i in range(3) for j in range(i, 3)]
     forms = [
         QuadraticForm.from_table(g2, 3, dict(zip(keys, bits)))

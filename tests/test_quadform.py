@@ -11,8 +11,6 @@ from qpencil.quadform import (
     QuadraticForm,
     half_disc,
     is_totally_isotropic,
-    is_totally_singular,
-    pfaffian,
     pfaffian_vector,
 )
 
@@ -49,22 +47,20 @@ def test_polar_examples(g2):
 def test_polar_matches_definition(gf, n, seed):
     rng = random.Random(seed)
     q = random_form(gf, n, rng)
-    b = q.polar()
     for _ in range(6):
         v = [rng.randrange(gf.order) for _ in range(n)]
         w = [rng.randrange(gf.order) for _ in range(n)]
-        assert b(v, w) == polar_by_definition(q, v, w)
-        assert b(v, w) == q.polar_pair(v, w)
-        assert b(v, v) == 0
+        assert q.polar_pair(v, w) == polar_by_definition(q, v, w)
+        assert q.polar_pair(v, v) == 0
         c = rng.randrange(gf.order)
         assert q([gf.mul(c, x) for x in v]) == gf.mul(gf.mul(c, c), q(v))
 
 
-def test_pfaffian_examples(g4):
-    assert pfaffian(g4, []) == 1
-    assert pfaffian(g4, [[0, 3], [3, 0]]) == 3
-    with pytest.raises(ValueError):
-        pfaffian(g4, [[0]])
+def bordered(gram):
+    """The alternating matrix with a zero last row and column appended: its
+    principal Pfaffian at the new index is the Pfaffian of gram."""
+    n = len(gram)
+    return [list(row) + [0] for row in gram] + [[0] * (n + 1)]
 
 
 def test_pfaffian_4x4_matching_formula(g4):
@@ -82,7 +78,7 @@ def test_pfaffian_4x4_matching_formula(g4):
             ^ g4.mul(vals[(0, 2)], vals[(1, 3)])
             ^ g4.mul(vals[(0, 3)], vals[(1, 2)])
         )
-        assert pfaffian(g4, gram) == expect
+        assert pfaffian_vector(g4, bordered(gram))[4] == expect
         assert pfaffian_by_matchings(g4, gram) == expect
 
 
@@ -98,7 +94,7 @@ def test_pfaffian_squares_to_det():
                     for j in range(i + 1, n):
                         c = rng.randrange(gf.order)
                         gram[i][j] = gram[j][i] = c
-                pf = pfaffian(gf, gram)
+                pf = pfaffian_vector(gf, bordered(gram))[n]
                 assert gf.mul(pf, pf) == det(gf, gram)
                 assert pf == pfaffian_by_matchings(gf, gram)
 
@@ -108,7 +104,7 @@ def test_pfaffian_of_hyperbolic_sum(g2):
     gram = [[0] * n for _ in range(n)]
     for i in range(0, n, 2):
         gram[i][i + 1] = gram[i + 1][i] = 1
-    assert pfaffian(g2, gram) == 1
+    assert pfaffian_vector(g2, bordered(gram)) == [0] * n + [1]
 
 
 def test_pfaffian_vector_n3(g4):
@@ -236,13 +232,15 @@ def test_half_disc_detects_smoothness(g2, g4):
 
 
 def test_totally_singular_vs_isotropic(g2):
+    # x^2 has a zero polar form, so every span is totally singular for it,
+    # yet <e_0> is not totally isotropic
     q_hyp = qf(g2, 2, {(0, 1): 1})
     assert is_totally_isotropic(q_hyp, [[1, 0]])
     q_sq = qf(g2, 2, {(0, 0): 1})
-    assert is_totally_singular(q_sq, [[1, 0]])
+    assert q_sq.polar().gram == ((0, 0), (0, 0))
     assert not is_totally_isotropic(q_sq, [[1, 0]])
     with pytest.raises(ValueError):
-        is_totally_singular(q_sq, [[1, 0], [1, 0]])
+        is_totally_isotropic(q_sq, [[1, 0], [1, 0]])
 
 
 def test_normal_form_w_span_is_isotropic(g2):
@@ -250,8 +248,8 @@ def test_normal_form_w_span_is_isotropic(g2):
 
     p = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     w_span = [[1 if t == i else 0 for t in range(5)] for i in range(3)]
-    assert is_totally_singular(p.q0, w_span)
-    assert is_totally_singular(p.q1, w_span)
+    for q in (p.q0, p.q1):  # totally singular: the polar form vanishes
+        assert all(q.polar_pair(x, y) == 0 for x in w_span for y in w_span)
     assert not is_totally_isotropic(p.q0, w_span)  # q0(w_1) = a_2 = 1
     v_span = [[1 if t == 3 + i else 0 for t in range(5)] for i in range(2)]
     assert is_totally_isotropic(p.q0, v_span)  # r = 0 normal form

@@ -4,7 +4,8 @@ from qpencil.normalform import NormalForm
 
 def test_normal_form_check_catches_a_wrong_model(monkeypatch):
     # a model with r_0 flipped is not isomorphic to the pencil whenever the
-    # flip leaves the r-coset; T1.1 must then report a failure
+    # flip leaves the r-coset; T1.1 must then report a failure under the
+    # same description as a pass
     realized = NormalForm.realized
 
     def flipped(nf):
@@ -16,3 +17,4 @@ def test_normal_form_check_catches_a_wrong_model(monkeypatch):
     result = verify.check_normal_form("small")
     assert not result.passed
     assert "not isomorphic" in result.detail
+    assert result.description == "Kronecker normal form and round trip"
