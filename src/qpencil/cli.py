@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .autos import (
     aut_x,
@@ -47,7 +48,7 @@ from .lattice import cartan_d, lattice_for
 from .normalform import extract_normal_form
 from .pencil import Pencil
 from .quadform import QuadraticForm
-from .verify import run_suite
+from .verify import SCALES, run_suite
 
 
 def _json_int(x, what: str) -> int:
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     iso.add_argument("second", help="second pencil document")
     iso.add_argument("--out", dest="out", default=None)
     ver = sub.add_parser("verify")
-    ver.add_argument("--scale", choices=("small", "full"), default="small")
+    ver.add_argument("--scale", choices=SCALES, default="small")
     ver.add_argument("--out", dest="out", default=None)
     return ap
 
@@ -346,15 +347,7 @@ def main(argv=None) -> int:
             payload = {
                 "scale": args.scale,
                 "results": [
-                    {
-                        "tag": r.tag,
-                        "description": r.description,
-                        "passed": r.passed,
-                        "checked": r.checked,
-                        "seconds": round(r.seconds, 3),
-                        "detail": r.detail,
-                    }
-                    for r in results
+                    {**asdict(r), "seconds": round(r.seconds, 3)} for r in results
                 ],
                 "all_passed": all(r.passed for r in results),
             }

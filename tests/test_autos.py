@@ -17,7 +17,7 @@ from qpencil.errors import PreconditionError
 from qpencil.field import GF, find_embedding
 from qpencil.linalg import identity, mat_mul
 from qpencil.normalform import realize
-from qpencil.verify import gl_elements
+from qpencil.verify import gl_elements, pulls_back
 
 
 def test_catalecticant_shape():
@@ -92,7 +92,7 @@ def test_automorphism_group_matches_stabilizer(g2):
         stab = {
             tuple(tuple(r_) for r_ in g)
             for g in gl3
-            if p.q0.transform(g) == p.q0 and p.q1.transform(g) == p.q1
+            if pulls_back(p.q0, g, p.q0) and pulls_back(p.q1, g, p.q1)
         }
         assert group == stab
 

@@ -158,9 +158,11 @@ def test_cli_verify_small():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["all_passed"] is True
-    tags = {r["tag"] for r in data["results"]}
-    assert {"T1.1", "T1.5", "T5.3", "T5.4", "T5.6", "T6.1", "T7.1", "T7.3",
-            "C7.4", "L8"} <= tags
+    assert [(r["tag"], r["checked"]) for r in data["results"]] == [
+        ("HD", 100), ("REG", 190), ("T1.1", 60), ("T5.3", 20), ("T5.4", 20),
+        ("T5.6", 30), ("T1.5", 336), ("T7.1", 4), ("T7.3", 2), ("C7.4", 2),
+        ("CP", 5), ("T6.1", 15), ("L8", 1), ("AX", 1),
+    ]
     for r in data["results"]:
         assert r["passed"] is True
 

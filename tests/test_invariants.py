@@ -15,7 +15,7 @@ from qpencil.invariants import (
 )
 from qpencil.normalform import extract_normal_form, realize
 from qpencil.pencil import Pencil
-from qpencil.verify import gl_elements
+from qpencil.verify import gl_elements, pulls_back
 
 
 def test_r_invariant_examples(g2):
@@ -59,7 +59,7 @@ def test_isomorphism_matches_exhaustive_orbit(g2):
     p01 = realize(g2, [0, 1, 1, 1], [0, 1])
     def related(pa, pb):
         return any(
-            pb.q0.transform(g) == pa.q0 and pb.q1.transform(g) == pa.q1
+            pulls_back(pb.q0, g, pa.q0) and pulls_back(pb.q1, g, pa.q1)
             for g in gl3
         )
     assert related(p00, p10)

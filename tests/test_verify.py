@@ -1,5 +1,11 @@
+import random
+
+import pytest
+
 from qpencil import verify
+from qpencil.field import GF
 from qpencil.normalform import NormalForm
+from qpencil.quadform import QuadraticForm
 
 
 def test_normal_form_check_catches_a_wrong_model(monkeypatch):
@@ -14,7 +20,81 @@ def test_normal_form_check_catches_a_wrong_model(monkeypatch):
         return realized(NormalForm(nf.a, tuple(r), nf.basis))
 
     monkeypatch.setattr(NormalForm, "realized", flipped)
-    result = verify.check_normal_form("small")
+    result = verify.run_check("T1.1", "small")
     assert not result.passed
     assert "not isomorphic" in result.detail
     assert result.description == "Kronecker normal form and round trip"
+
+
+def test_stabilizer_failure_stops_at_the_first_case(monkeypatch):
+    # no matrix pulls back: the first GF(2) pencil (|Aut| = 2) fails before
+    # any case is counted
+    monkeypatch.setattr(verify, "pulls_back", lambda q, g, target: False)
+    result = verify.run_check("T7.1", "small")
+    assert not result.passed
+    assert result.checked == 0
+    assert result.detail == "GL3(F2) stabilizer 0 != 2"
+    assert result.description == "|Aut| = 2^(l-1) = exhaustive GL stabilizer"
+
+
+def test_checked_counts_the_cases_before_the_failure(monkeypatch):
+    law = verify.transformation_law_check
+    calls = []
+
+    def fifth_fails(p, s):
+        calls.append(s)
+        return len(calls) != 5 and law(p, s)
+
+    monkeypatch.setattr(verify, "transformation_law_check", fifth_fails)
+    result = verify.run_check("T5.6", "small")
+    assert not result.passed
+    assert result.checked == 4
+    assert result.detail.startswith("failed at m=")
+    assert result.description == "Artin-Schreier transformation law"
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("scale", ["huge", "Full", "", None])
+def test_unknown_scale_is_refused(scale):
+    with pytest.raises(ValueError):
+        verify.run_suite(scale)
+    with pytest.raises(ValueError):
+        verify.run_check("HD", scale)
+
+
+@pytest.mark.parametrize("tag", ["T9.9", "hd", ""])
+def test_unknown_tag_is_refused(tag):
+    with pytest.raises(ValueError):
+        verify.run_check(tag, "small")
+
+
+def test_pulls_back_matches_transform():
+    rng = random.Random(2024)
+    fields = [GF(1), GF(2), GF(3), GF(8), GF(17)]
+    verdicts = {True: 0, False: 0}
+    for case in range(2000):
+        gf = fields[case % len(fields)]
+        n = 1 + (case // len(fields)) % 7
+        keys = [(i, j) for i in range(n) for j in range(i, n)]
+
+        def form():
+            return QuadraticForm.from_table(
+                gf, n, {k: rng.randrange(gf.order) for k in keys})
+
+        q = form()
+        g = [[rng.randrange(gf.order) for _ in range(n)] for _ in range(n)]
+        image = q.transform(g)
+        kind = case % 3
+        if kind == 0:
+            target = image
+        elif kind == 1:
+            target = form()
+        else:
+            t = image.table()
+            k = rng.choice(keys)
+            t[k] = t.get(k, 0) ^ rng.randrange(1, gf.order)
+            target = QuadraticForm.from_table(gf, n, t)
+        verdict = verify.pulls_back(q, g, target)
+        assert verdict == (image == target), (gf, q, g, target)
+        verdicts[verdict] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
