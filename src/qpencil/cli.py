@@ -17,7 +17,8 @@ fields created on demand are reported in the output (with their modulus)
 so results are reproducible without hidden state.
 
 Exit codes: 0 success, 1 precondition violation (with a machine-readable
-error object), 2 malformed input.
+error object), 2 malformed input, 3 a failed internal certificate (a bug:
+a result did not survive its own substitution check).
 """
 
 from __future__ import annotations
@@ -387,6 +388,9 @@ def main(argv=None) -> int:
             args,
         )
         return 1
+    except AssertionError as e:  # the package's certificates raise these
+        _emit({"error": {"type": "internal", "message": str(e)}}, args)
+        return 3
 
 
 if __name__ == "__main__":

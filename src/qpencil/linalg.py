@@ -95,19 +95,22 @@ def rank(gf: Field, a: list) -> int:
     return len(rref(gf, a)[1])
 
 
-def solve(gf: Field, a: list, b: list):
-    """One solution of a x = b with free variables zero, or None."""
+def solve(gf: Field, a: list, bs: list):
+    """One solution of a x = b for each right-hand side b in bs, free
+    variables zero, from one rref of a augmented with all of them; None
+    when any of them is inconsistent."""
     if not a:
         return None
-    aug = [row + [bv] for row, bv in zip(a, b)]
-    m, pivots = rref(gf, aug)
     ncols = len(a[0])
-    if ncols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][ncols]
-    return x
+    aug = [row + list(rhs) for row, rhs in zip(a, zip(*bs))]
+    m, pivots = rref(gf, aug)
+    if pivots and pivots[-1] >= ncols:
+        return None  # a pivot in an augmented column: inconsistent
+    xs = [[0] * ncols for _ in bs]
+    for row, c in zip(m, pivots):
+        for x, v in zip(xs, row[ncols:]):
+            x[c] = v
+    return xs
 
 
 def nullspace(gf: Field, a: list) -> list:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import NotRegularError
 from .field import Field
-from .linalg import inverse, mat_mul, mat_vec, rank, solve, transpose
+from .linalg import inverse, mat_mul, mat_vec, rank, solve, transpose, vec_dot
 from .pencil import Pencil
 from .quadform import QuadraticForm
 
@@ -83,6 +83,13 @@ def canonical_w(p: Pencil) -> list:
 def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
     """Extend the canonical w-vectors to a full Kronecker basis.
 
+    The m v-solves share one condition matrix (rows G1 w_i, then G0 w_i),
+    so one `solve` with all m right-hand sides gives every v_j: one rref,
+    and RREF is unique, so each v_j is what a separate solve returns.  The
+    v-v pairings are dot products with the rows G v_j, and the correction
+    inside span(w) is a 0/1 system eliminated by XOR (`_vv_correction`).
+    O(n^3) multiplications.
+
     Nothing here checks the result: the round trip in extract_normal_form
     is its certificate, since q o B equals the realized model exactly when
     the Kronecker equations hold."""
@@ -90,56 +97,30 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
     g0 = [list(r) for r in p.gram0().gram]
     g1 = [list(r) for r in p.gram1().gram]
 
-    # b(w_i, x) = (G w_i) . x, so the condition rows are G w_i.
-    rows0 = [mat_vec(gf, g0, w) for w in ws]
-    rows1 = [mat_vec(gf, g1, w) for w in ws]
+    # b(w_i, x) = (G w_i) . x, so the condition rows are G w_i; v_j has
+    # b1(w_i, v_j) = delta_ij and b0(w_i, v_j) = delta_{i(j+1)}
+    rows = [mat_vec(gf, g1, w) for w in ws] + [mat_vec(gf, g0, w) for w in ws]
+    v0 = solve(gf, rows, [
+        [int(i == j) for i in range(m + 1)] + [int(i == j + 1) for i in range(m + 1)]
+        for j in range(m)
+    ])
+    if v0 is None:
+        raise NotRegularError("pencil not regular: Kronecker pairing system "
+                              "is inconsistent")
 
-    v0 = []
-    for j in range(m):
-        rows = []
-        rhs = []
-        for i in range(m + 1):
-            rows.append(rows1[i])
-            rhs.append(1 if i == j else 0)
-        for i in range(m + 1):
-            rows.append(rows0[i])
-            rhs.append(1 if i == j + 1 else 0)
-        x = solve(gf, rows, rhs)
-        if x is None:
-            raise NotRegularError("pencil not regular: Kronecker pairing system "
-                                  "is inconsistent")
-        v0.append(x)
-
-    # Correct v_j by elements of span(w) to kill the v-v pairings:
-    # unknowns l[j][k], equations l_ij + l_ji = b1(v_i, v_j) and
-    # l_{j(i+1)} + l_{i(j+1)} = b0(v_i, v_j) for i < j.
+    # Correct v_j by elements of span(w) to kill the v-v pairings.
     if m > 1:
-        nvars = m * (m + 1)
-
-        def var(j, k):
-            return j * (m + 1) + k
-
-        rows = []
-        rhs = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                row = [0] * nvars
-                row[var(i, j)] ^= 1
-                row[var(j, i)] ^= 1
-                rows.append(row)
-                rhs.append(p.q1.polar_pair(v0[i], v0[j]))
-                row = [0] * nvars
-                row[var(j, i + 1)] ^= 1
-                row[var(i, j + 1)] ^= 1
-                rows.append(row)
-                rhs.append(p.q0.polar_pair(v0[i], v0[j]))
-        sol = solve(gf, rows, rhs)
-        if sol is None:
-            raise NotRegularError("pencil not regular: no totally isotropic "
-                                  "complement exists")
+        h0 = [mat_vec(gf, g0, v) for v in v0]
+        h1 = [mat_vec(gf, g1, v) for v in v0]
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        sol = _vv_correction(
+            m,
+            [vec_dot(gf, h1[i], v0[j]) for i, j in pairs],
+            [vec_dot(gf, h0[i], v0[j]) for i, j in pairs],
+        )
         for j in range(m):
             for k in range(m + 1):
-                c = sol[var(j, k)]
+                c = sol[j * (m + 1) + k]
                 if c:
                     for t in range(n):
                         v0[j][t] ^= gf.mul(c, ws[k][t])
@@ -152,6 +133,46 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
         tuple(tuple(v) for v in v0),
         tuple(tuple(row) for row in bmat),
     )
+
+
+def _vv_correction(m: int, c1: list, c0: list) -> list:
+    """The corrections l_jk (flat, index j*(m+1) + k) with
+    l_ij + l_ji = c1 and l_{j(i+1)} + l_{i(j+1)} = c0 for the pairs i < j
+    in the order (0,1), (0,2), ..., (m-2,m-1).
+
+    The coefficients are 0/1, so the rows are bit masks and elimination
+    only XORs the right-hand sides.  The solution is linalg.solve's: each
+    reduced row is kept under its lowest set bit, so the pivot columns are
+    the lowest ones, and free variables are zero.  The rows are independent
+    for every m, so a solution always exists: give each equation the
+    variable l_ji (c1) or l_{i(j+1)} (c0); its other variable is either
+    given to an equation with a smaller j - i or to none."""
+    def var(j, k):
+        return 1 << (j * (m + 1) + k)
+
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    rows = []
+    for (i, j), b1, b0 in zip(pairs, c1, c0):
+        rows.append((var(i, j) ^ var(j, i), b1))
+        rows.append((var(j, i + 1) ^ var(i, j + 1), b0))
+    pivots = {}  # lowest set bit -> (mask, rhs)
+    for mask, b in rows:
+        low = (mask & -mask).bit_length() - 1
+        while low in pivots:
+            pm, pb = pivots[low]
+            mask, b = mask ^ pm, b ^ pb
+            low = (mask & -mask).bit_length() - 1
+        pivots[low] = (mask, b)
+    x = [0] * (m * (m + 1))
+    for low in sorted(pivots, reverse=True):  # higher columns are solved
+        mask, b = pivots[low]
+        mask ^= 1 << low
+        while mask:
+            c = (mask & -mask).bit_length() - 1
+            b ^= x[c]
+            mask ^= 1 << c
+        x[low] = b
+    return x
 
 
 def extract_normal_form(p: Pencil) -> NormalForm:

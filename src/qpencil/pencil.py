@@ -114,21 +114,28 @@ class Pencil:
         return acc
 
     def half_discriminant(self) -> list:
-        """Coefficients (a_0, ..., a_n) of Delta = (l q0 + u q1)(Omega(l, u))."""
+        """Coefficients (a_0, ..., a_n) of Delta = (l q0 + u q1)(Omega(l, u)).
+
+        q(Omega) = sum_i Omega_i s_i with s_i = sum_{j >= i} t_ij Omega_j,
+        so Delta = sum_i Omega_i (l s0_i + u s1_i): one pass over the
+        coefficients (scalar times binary form) and 2n products of binary
+        forms of degree m, O(n^3) multiplications.
+        """
         if self._half_disc is None:
-            gf, n = self.gf, self.n
-            ws = self.radical_map()
-            m = self.m
-            omega = [[ws[i][k] for i in range(m + 1)] for k in range(n)]
+            gf, n, m = self.gf, self.n, self.m
+            mul = gf.mul
+            omega = [list(c) for c in zip(*self.radical_map())]
             acc = [0] * (n + 1)
-            t0 = self.q0.table()
-            t1 = self.q1.table()
-            for key in set(t0) | set(t1):
-                i, j = key
-                lin = [t0.get(key, 0), t1.get(key, 0)]
-                term = poly.bf_mul(gf, lin, poly.bf_mul(gf, omega[i], omega[j]))
-                for k, v in enumerate(term):
-                    acc[k] ^= v
+            for shift, q in enumerate((self.q0, self.q1)):  # l shifts by 0, u by 1
+                s = [[0] * (m + 1) for _ in range(n)]
+                for (i, j), c in q.coeffs:
+                    si = s[i]
+                    for d, x in enumerate(omega[j]):
+                        if x:
+                            si[d] ^= mul(c, x)
+                for oi, si in zip(omega, s):
+                    for d, v in enumerate(poly.bf_mul(gf, oi, si)):
+                        acc[d + shift] ^= v
             self._half_disc = acc
         return self._half_disc
 
@@ -153,8 +160,10 @@ class Pencil:
     def change_basis_gl2(self, m2: list) -> "Pencil":
         """The pencil (q_{g(u0)}, q_{g(u1)}) for g with matrix columns m2[.][j].
 
-        Delta transforms by substitution with the same matrix:
-        Delta'(t0, t1) = Delta(m00 t0 + m01 t1, m10 t0 + m11 t1).
+        Its member at (t0, t1) is this pencil's member at
+        (m00 t0 + m01 t1, m10 t0 + m11 t1), so Omega and Delta transform by
+        that substitution; when they are known here they are carried over
+        instead of recomputed (each coordinate of Omega at degree m).
         """
         gf = self.gf
         d = gf.mul(m2[0][0], m2[1][1]) ^ gf.mul(m2[0][1], m2[1][0])
@@ -162,7 +171,14 @@ class Pencil:
             raise ValueError("singular GL(2) matrix")
         q0p = self.q0.scale(m2[0][0]).add(self.q1.scale(m2[1][0]))
         q1p = self.q0.scale(m2[0][1]).add(self.q1.scale(m2[1][1]))
-        return Pencil(q0p, q1p)
+        moved = Pencil(q0p, q1p)
+        if self._radical_map is not None:
+            coords = [poly.bf_substitute(gf, list(c), m2)
+                      for c in zip(*self._radical_map)]
+            moved._radical_map = [list(w) for w in zip(*coords)]
+        if self._half_disc is not None:
+            moved._half_disc = poly.bf_substitute(gf, self._half_disc, m2)
+        return moved
 
     def conjugate(self, g: list) -> "Pencil":
         """The pencil (q0 o g, q1 o g)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import Field
-from .linalg import nullspace, rank, vec_dot
+from .linalg import mat_mul, nullspace, rank, transpose, vec_dot
 
 
 @dataclass(frozen=True)
@@ -89,20 +89,22 @@ class QuadraticForm:
         )
 
     def transform(self, g: list) -> "QuadraticForm":
-        """The pulled-back form q o g, i.e. (q o g)(v) = q(g v)."""
+        """The pulled-back form q o g, i.e. (q o g)(v) = q(g v).
+
+        With U the upper-triangular coefficient matrix, q(x) = x^T U x, so
+        q o g has the matrix K = g^T U g read back to upper-triangular form:
+        (q o g)_ii = K_ii and (q o g)_ij = K_ij + K_ji.  Two matrix products,
+        O(n^3) multiplications.
+        """
         n = self.n
-        cols = [[g[r][c] for r in range(n)] for c in range(n)]
-        table = {}
-        for i in range(n):
-            qi = self(cols[i])
-            if qi:
-                table[(i, i)] = qi
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = self.polar_pair(cols[i], cols[j])
-                if bij:
-                    table[(i, j)] = bij
-        return QuadraticForm.from_table(self.gf, n, table)
+        u = [[0] * n for _ in range(n)]
+        for (i, j), c in self.coeffs:
+            u[i][j] = c
+        k = mat_mul(self.gf, transpose(g), mat_mul(self.gf, u, g))
+        return QuadraticForm.from_table(self.gf, n, {
+            (i, j): k[i][j] ^ (k[j][i] if i != j else 0)
+            for i in range(n) for j in range(i, n)
+        })
 
     def map_field(self, emb) -> "QuadraticForm":
         return QuadraticForm.from_table(

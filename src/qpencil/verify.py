@@ -98,15 +98,18 @@ def all_pencils_n3_gf2():
     return out
 
 
-def gl_elements(gf: Field, n: int) -> list:
+def gl_elements(gf: Field, n: int, projective: bool = False) -> list:
     """All invertible n x n matrices, in the lexicographic order of their
     row-major entries: each next row is any vector outside the span of the
-    rows before it."""
+    rows before it.  With projective, only those whose first nonzero entry
+    is 1, one per class of PGL_n, in the same order."""
     vectors = list(itertools.product(gf.elements(), repeat=n))
+    firsts = [v for v in vectors
+              if not projective or next((x for x in v if x), 1) == 1]
     out = []
 
     def extend(rows: list, span: set):
-        for v in vectors:
+        for v in vectors if rows else firsts:
             if v in span:
                 continue
             if len(rows) + 1 == n:
@@ -561,9 +564,8 @@ def _pgl_point_stabilizer_order(gf: Field, pts: list) -> int:
     # m is injective on points, so mapping target into itself maps it onto it
     return sum(
         1
-        for m in gl_elements(gf, len(pts[0]))
-        if next(x for x in m[0] if x) == 1
-        and all(norm(mat_vec(gf, m, list(pt))) in target for pt in target)
+        for m in gl_elements(gf, len(pts[0]), projective=True)
+        if all(norm(mat_vec(gf, m, list(pt))) in target for pt in target)
     )
 
 

@@ -73,6 +73,41 @@ def kronecker_equations_hold(p, ws, vs):
     )
 
 
+def half_discriminant_per_key(p):
+    """Delta = (l q0 + u q1)(Omega(l, u)) as one product of binary forms per
+    coefficient key: (t0_ij l + t1_ij u) Omega_i Omega_j, summed."""
+    gf, n, m = p.gf, p.n, p.m
+    ws = p.radical_map()
+    omega = [[ws[i][k] for i in range(m + 1)] for k in range(n)]
+    acc = [0] * (n + 1)
+    t0, t1 = p.q0.table(), p.q1.table()
+    for key in set(t0) | set(t1):
+        i, j = key
+        lin = [t0.get(key, 0), t1.get(key, 0)]
+        term = poly.bf_mul(gf, lin, poly.bf_mul(gf, omega[i], omega[j]))
+        for k, v in enumerate(term):
+            acc[k] ^= v
+    return acc
+
+
+def vv_system(m):
+    """The v-v correction system of complete_kronecker as dense 0/1 rows:
+    for each pair i < j, l_ij + l_ji (the b1 pairing), then
+    l_{j(i+1)} + l_{i(j+1)} (the b0 pairing); l_jk is column j*(m+1) + k."""
+    def row(*cells):
+        r = [0] * (m * (m + 1))
+        for j, k in cells:
+            r[j * (m + 1) + k] ^= 1
+        return r
+
+    return [
+        eq
+        for i in range(m)
+        for j in range(i + 1, m)
+        for eq in (row((i, j), (j, i)), row((j, i + 1), (i, j + 1)))
+    ]
+
+
 def wp_plus_constants(algebra):
     """The set k + wp(A) by full enumeration (desk scale only)."""
     out = set()

@@ -76,3 +76,22 @@ def test_one_analysis_per_pencil(monkeypatch, command, doc):
     assert normal_forms and max(normal_forms.values()) == 1
     assert radical_maps and max(radical_maps.values()) == 1
     assert all(n == 1 for n in root_scans.values()), root_scans
+
+
+@pytest.mark.parametrize("doc", ["g4_n5_an0", "g2_n3_an0"])
+def test_gl2_move_computes_no_second_radical_map(monkeypatch, doc):
+    # a_n = 0: the analysis runs on the pencil moved by ensure_an_nonzero,
+    # which inherits Omega and Delta by substitution
+    computed = 0
+    radical_map = Pencil.radical_map
+
+    def counted_radical_map(p):
+        nonlocal computed
+        computed += p._radical_map is None
+        return radical_map(p)
+
+    monkeypatch.setattr(Pencil, "radical_map", counted_radical_map)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["autos", "--in", str(DOCS / f"{doc}.json")])
+    assert code == 0
+    assert computed == 1

@@ -242,3 +242,23 @@ def test_only_json_integers_are_accepted(tmp_path, capsys, path, value):
     assert main(["halfdisc", "--in", doc]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "input"
+
+
+def test_certificate_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a substitution that returns a wrong form breaks the round trip of
+    # extract_normal_form: exit 3 with one JSON object, not a traceback
+    from qpencil.quadform import QuadraticForm
+
+    transform = QuadraticForm.transform
+
+    def wrong(q, g):
+        image = transform(q, g)
+        return image.add(QuadraticForm.from_table(image.gf, image.n, {(0, 0): 1}))
+
+    monkeypatch.setattr(QuadraticForm, "transform", wrong)
+    doc = write_doc(tmp_path, "doc.json", DP_DOC)
+    assert main(["normalform", "--in", doc]) == 3
+    out = capsys.readouterr().out
+    error = json.loads(out)["error"]
+    assert error["type"] == "internal"
+    assert error["message"] == "normal form does not reproduce the pencil"

@@ -40,16 +40,19 @@ def test_solve_and_nullspace_random():
             a = random_matrix(gf, 4, 5, rng)
             x = [rng.randrange(gf.order) for _ in range(5)]
             b = mat_vec(gf, a, x)
-            got = solve(gf, a, b)
+            b2 = mat_vec(gf, a, [rng.randrange(gf.order) for _ in range(5)])
+            got = solve(gf, a, [b, b2])
             assert got is not None
-            assert mat_vec(gf, a, got) == b
+            assert mat_vec(gf, a, got[0]) == b and mat_vec(gf, a, got[1]) == b2
+            # one rref for all right-hand sides gives each separate solution
+            assert got == solve(gf, a, [b]) + solve(gf, a, [b2])
             for v in nullspace(gf, a):
                 assert mat_vec(gf, a, v) == [0, 0, 0, 0]
             assert len(nullspace(gf, a)) == 5 - rank(gf, a)
 
 
 def test_solve_inconsistent(g2):
-    assert solve(g2, [[1, 0], [1, 0]], [1, 0]) is None
+    assert solve(g2, [[1, 0], [1, 0]], [[1, 0]]) is None
 
 
 def test_inverse(g8):

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from oracles import all_subspaces, kronecker_equations_hold
+from oracles import all_subspaces, kronecker_equations_hold, vv_system
 from qpencil import normalform
 from qpencil.errors import NotRegularError
 from qpencil.field import GF
-from qpencil.linalg import normalize_subspace, rank, transpose
+from qpencil.linalg import normalize_subspace, rank, solve, transpose
 from qpencil.normalform import (
     KroneckerBasis,
     canonical_w,
@@ -147,6 +147,24 @@ def test_complete_kronecker_satisfies_equations(g4):
         kb = complete_kronecker(pc, ws)
         assert len(kb.v) == m
         assert kronecker_equations_hold(pc, kb.w, kb.v)
+
+
+def test_vv_correction_matches_solve():
+    # the XOR elimination against rref over the field on the dense system;
+    # the rows are independent, so every right-hand side is consistent
+    rng = random.Random(49)
+    cases = 0
+    for gf in (GF(1), GF(2), GF(8), GF(17)):
+        for m in range(2, 13):
+            rows = vv_system(m)
+            assert rank(GF(1), rows) == len(rows)
+            for _ in range(4):
+                c1, c0 = ([rng.randrange(gf.order) for _ in range(len(rows) // 2)]
+                          for _ in range(2))
+                expected, = solve(gf, rows, [[x for pair in zip(c1, c0) for x in pair]])
+                assert normalform._vv_correction(m, c1, c0) == expected, (gf, m)
+                cases += 1
+    assert cases == 176
 
 
 def test_round_trip_rejects_exactly_the_broken_kronecker_bases(monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import qpencil.poly as poly
-from oracles import corank_profile, det, half_disc_check
+from oracles import corank_profile, det, half_disc_check, half_discriminant_per_key
 from qpencil.errors import NotRegularError, PreconditionError
 from qpencil.field import GF, Field, default_modulus, field_from_modulus
 from qpencil.normalform import realize
@@ -153,6 +153,49 @@ def test_half_discriminant_matches_members(g2, g4, g8):
     p = random_pencil(g8, 9, rng, regular=False)
     for l, u in ((1, 0), (0, 1), (1, 1), (1, 5), (3, 7)):
         assert half_disc_check(p, l, u)
+
+
+def test_half_discriminant_matches_per_key_oracle():
+    # dense and sparse pencils, regular or not, n = 3..11
+    rng = random.Random(47)
+    fields = [GF(1), GF(2), GF(3), GF(8), GF(17)]
+    checked = 0
+    for case in range(150):
+        gf = fields[case % len(fields)]
+        n = 3 + 2 * (case // len(fields) % 5)
+        keep = (1.0, 0.4, 0.1)[case % 3]
+        tables = [
+            {(i, j): rng.randrange(gf.order) for i in range(n)
+             for j in range(i, n) if rng.random() < keep}
+            for _ in range(2)
+        ]
+        try:
+            p = Pencil(qf(gf, n, tables[0]), qf(gf, n, tables[1]))
+        except ValueError:
+            continue
+        assert p.half_discriminant() == half_discriminant_per_key(p), (gf, n)
+        checked += 1
+    assert checked == 131  # the others drew proportional forms
+
+
+def test_gl2_move_carries_radical_map_and_delta():
+    # the moved pencil's Omega and Delta are substituted, not recomputed;
+    # they equal what a fresh pencil with the same forms computes
+    rng = random.Random(48)
+    fields = [GF(1), GF(2), GF(3), GF(8)]
+    for case in range(128):
+        gf = fields[case % len(fields)]
+        n = 3 + 2 * (case // len(fields) % 4)
+        p = random_pencil(gf, n, rng, regular=False)
+        p.half_discriminant()
+        while True:
+            m2 = [[rng.randrange(gf.order) for _ in range(2)] for _ in range(2)]
+            if gf.mul(m2[0][0], m2[1][1]) != gf.mul(m2[0][1], m2[1][0]):
+                break
+        moved = p.change_basis_gl2(m2)
+        fresh = Pencil(moved.q0, moved.q1)
+        assert moved._radical_map == fresh.radical_map(), (gf, n, m2)
+        assert moved._half_disc == fresh.half_discriminant(), (gf, n, m2)
 
 
 def test_half_disc_example_m1(g2):
