@@ -19,6 +19,11 @@ so results are reproducible without hidden state.
 Exit codes: 0 success, 1 precondition violation (with a machine-readable
 error object), 2 malformed input, 3 a failed internal certificate (a bug:
 a result did not survive its own substitution check).
+
+Fields are limited to GF(2^64): a field degree, a modulus degree or a
+degree times --ext-degree above MAX_FIELD_DEGREE is refused (exit 1, with
+info {"limit": 64, "degree": d}) before any modulus search or
+irreducibility test.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .autos import (
     reflections_match_idempotents,
 )
 from .errors import InputError, NotRegularError, PreconditionError
-from .field import GF, Field, field_from_modulus
+from .field import GF, Field, field_from_modulus, p2_degree
 from .geometry import (
     canonical_plane,
     enumerate_generators,
@@ -60,6 +65,18 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+MAX_FIELD_DEGREE = 64
+
+
+def _check_field_degree(degree: int) -> None:
+    """Refuse a field above GF(2^MAX_FIELD_DEGREE): the default-modulus
+    search and the irreducibility test grow with the degree without bound."""
+    if degree > MAX_FIELD_DEGREE:
+        raise PreconditionError(
+            f"field degree {degree} is above the limit {MAX_FIELD_DEGREE}",
+            limit=MAX_FIELD_DEGREE, degree=degree)
+
+
 def parse_field(doc: dict) -> Field:
     try:
         fd = doc["field"]
@@ -68,9 +85,12 @@ def parse_field(doc: dict) -> Field:
         raise InputError(f"bad field description: {e}")
     if degree < 1:
         raise InputError(f"field degree must be >= 1, got {degree}")
+    _check_field_degree(degree)
     if "modulus" in fd:
+        modulus = _json_int(fd["modulus"], "field modulus")
+        _check_field_degree(p2_degree(modulus))
         try:
-            gf = field_from_modulus(_json_int(fd["modulus"], "field modulus"))
+            gf = field_from_modulus(modulus)
         except ValueError as e:
             raise InputError(str(e))
         if gf.degree != degree:
@@ -186,6 +206,7 @@ def _extension(p: Pencil, args, quasi_split: bool = True) -> Field:
     if args.ext_degree is not None:
         if args.ext_degree < 1:
             raise InputError(f"--ext-degree must be >= 1, got {args.ext_degree}")
+        _check_field_degree(p.gf.degree * args.ext_degree)
         return GF(p.gf.degree * args.ext_degree)
     j = quasi_split_over(p)[0] if quasi_split else 1
     return GF(p.gf.degree * math.lcm(splitting_degree(p), j))

@@ -6,6 +6,15 @@ one elements are the ints 0 and 1.  A Field object carries the modulus and
 multiplication tables; it is immutable after construction, so contexts can
 be shared freely between threads.
 
+Two paths serve the arithmetic, chosen by the field order:
+
+- order <= 2^16 (k <= 16): exp/log tables of a primitive element; mul and
+  inv are table lookups.
+- order > 2^16: no tables of elements.  mul is the 4-bit windowed
+  carry-less product p2_mul, reduced a byte at a time from the top with a
+  256-entry table of multiples of the modulus; inv is the binary extended
+  Euclidean algorithm on packed GF(2)[T] ints.
+
 Use the cached factories GF(k) / field_from_modulus(m) so that repeated
 requests return the same context (and the same lookup tables).
 """
@@ -30,13 +39,22 @@ def p2_degree(p: int) -> int:
 
 
 def p2_mul(a: int, b: int) -> int:
-    """Carry-less product of two packed GF(2)[T] polynomials."""
+    """Carry-less product of two packed GF(2)[T] polynomials, four bits of
+    b at a time: t[c] is the product of a with the nibble c."""
+    a2 = a << 1
+    a4 = a << 2
+    a8 = a << 3
+    a3 = a2 ^ a
+    a5 = a4 ^ a
+    a6 = a4 ^ a2
+    a7 = a6 ^ a
+    t = (0, a, a2, a3, a4, a5, a6, a7,
+         a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
     r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
+    s = (b.bit_length() + 3) & -4
+    while s:
+        s -= 4
+        r = (r << 4) ^ t[(b >> s) & 15]
     return r
 
 
@@ -58,6 +76,17 @@ def p2_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, p2_mod(a, b)
     return a
+
+
+def p2_powmod(a: int, e: int, m: int) -> int:
+    """a^e modulo m in GF(2)[T], by square and multiply."""
+    r = 1
+    while e:
+        if e & 1:
+            r = p2_mulmod(r, a, m)
+        a = p2_mulmod(a, a, m)
+        e >>= 1
+    return r
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -111,7 +140,7 @@ def default_modulus(k: int) -> int:
 class Field:
     """The field GF(2^k) presented as GF(2)[T]/(modulus)."""
 
-    __slots__ = ("degree", "modulus", "order", "_exp", "_log")
+    __slots__ = ("degree", "modulus", "order", "_exp", "_log", "_red", "_shifts")
 
     def __init__(self, degree: int | None = None, modulus: int | None = None):
         if modulus is None:
@@ -131,8 +160,12 @@ class Field:
         self.order = 1 << degree
         self._exp = None
         self._log = None
+        self._red = None
+        self._shifts = ()
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
+        else:
+            self._build_reduction()
 
     # -- identity ----------------------------------------------------------
 
@@ -151,39 +184,48 @@ class Field:
     def add(a: int, b: int) -> int:
         return a ^ b
 
+    def _build_reduction(self):
+        """_red[c] is the multiple of the modulus whose bits k..k+7 are c;
+        a product has at most k-1 bits above bit k-1, so _shifts holds the
+        byte offsets of those bits from the top down."""
+        k, m = self.degree, self.modulus
+        self._red = [(c << k) ^ p2_mod(c << k, m) for c in range(256)]
+        self._shifts = tuple(range((k - 2) // 8 * 8, -1, -8))
+
     def _mul_raw(self, a: int, b: int) -> int:
-        m = self.modulus
-        top = 1 << self.degree
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= m
-        return r
+        p = p2_mul(a, b)
+        red = self._red
+        k = self.degree
+        for s in self._shifts:
+            p ^= red[p >> (k + s)] << s
+        return p
 
     def _build_tables(self):
-        order = self.order
-        g = 1 if self.degree == 1 else 2
-        while True:
-            exp = [0] * (2 * order)
-            log = [0] * order
-            v = 1
-            ok = True
-            for i in range(order - 1):
-                if v == 1 and i > 0:
-                    ok = False  # g has order i < order-1, not primitive
-                    break
-                exp[i] = v
-                log[v] = i
-                v = self._mul_raw(v, g)
-            if ok and v == 1:
-                break
+        """exp/log tables of the smallest primitive g (1 in GF(2), else the
+        first g >= 2 with g^((q-1)/p) != 1 for every prime p | q-1).  The
+        powers of g are stepped through the linear map x -> g x, applied as
+        two byte tables."""
+        order, m, k = self.order, self.modulus, self.degree
+        g = 1 if k == 1 else 2
+        while any(p2_powmod(g, (order - 1) // p, m) == 1
+                  for p in _prime_divisors(order - 1)):
             g += 1
-        for i in range(order - 1, 2 * order):
-            exp[i] = exp[i - (order - 1)]
+        images = [g]  # g * T^i
+        for _ in range(k - 1):
+            v = images[-1] << 1
+            images.append(v ^ m if v >> k else v)
+        lo, hi = [0], [0]
+        for i, v in enumerate(images):
+            half = lo if i < 8 else hi
+            half += [x ^ v for x in half]
+        exp = [0] * (2 * order)  # exp[i] = g^(i mod q-1)
+        log = [0] * order
+        v = 1
+        for i in range(order - 1):
+            exp[i] = exp[i + order - 1] = v
+            log[v] = i
+            v = lo[v & 255] ^ hi[v >> 8]
+        exp[2 * order - 2 :] = exp[:2]
         self._exp = exp
         self._log = log
 
@@ -199,7 +241,16 @@ class Field:
             raise ZeroDivisionError("division by zero in " + repr(self))
         if self._exp is not None:
             return self._exp[self.order - 1 - self._log[a]]
-        return self.pow(a, self.order - 2)
+        # binary extended Euclid: g1 a = u and g2 a = v modulo the modulus
+        u, v = a, self.modulus
+        g1, g2 = 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -223,15 +274,6 @@ class Field:
         for _ in range(self.degree - 1):
             a = self.mul(a, a)
         return a
-
-    def trace(self, a: int) -> int:
-        """Absolute trace down to GF(2): a + a^2 + ... + a^(2^(k-1))."""
-        acc = a
-        x = a
-        for _ in range(self.degree - 1):
-            x = self.mul(x, x)
-            acc ^= x
-        return acc
 
     # -- element iteration ---------------------------------------------------
 

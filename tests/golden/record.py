@@ -69,6 +69,8 @@ EXT_DEGREE = [
     ("autx", "4", "g2_n3_autx_bug"),
     ("autx", "2", "g2_n3_autx_bug"),
     ("autx", "2", "g2_n3_m1"),
+    ("reflections", "65", "g2_n3_m1"),
+    ("lattice", "22", "g8_n3_split"),
 ]
 
 

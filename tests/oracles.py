@@ -37,6 +37,60 @@ def pfaffian_by_matchings(gf, gram):
     return rec(idx)
 
 
+def mul_by_bits(modulus, a, b):
+    """a b in GF(2)[T]/(modulus), one bit of b per step: a is doubled and
+    reduced as soon as it reaches the degree of the modulus."""
+    top = 1 << (modulus.bit_length() - 1)
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return r
+
+
+def inv_by_pow(modulus, a):
+    """a^(q-2) = a^-1 in GF(q), q = 2^deg(modulus), by square and multiply
+    with mul_by_bits."""
+    e = (1 << (modulus.bit_length() - 1)) - 2
+    r = 1
+    while e:
+        if e & 1:
+            r = mul_by_bits(modulus, r, a)
+        a = mul_by_bits(modulus, a, a)
+        e >>= 1
+    return r
+
+
+def log_tables_by_trial(modulus):
+    """(exp, log) of the first primitive g = 1, 2, 3, ...: walk the powers
+    of each candidate with mul_by_bits and restart with the next one when
+    the walk returns to 1 early.  exp has 2q entries, exp[i] = g^(i mod q-1)."""
+    k = modulus.bit_length() - 1
+    order = 1 << k
+    g = 1 if k == 1 else 2
+    while True:
+        exp = [0] * (2 * order)
+        log = [0] * order
+        v = 1
+        for i in range(order - 1):
+            if v == 1 and i > 0:
+                break  # g has order i < q-1
+            exp[i] = v
+            log[v] = i
+            v = mul_by_bits(modulus, v, g)
+        else:
+            if v == 1:
+                break
+        g += 1
+    for i in range(order - 1, 2 * order):
+        exp[i] = exp[i - (order - 1)]
+    return exp, log
+
+
 def evaluate(gf, coeffs, x):
     """coeffs[0] + coeffs[1] x + ... by Horner's rule."""
     r = 0

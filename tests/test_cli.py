@@ -262,3 +262,38 @@ def test_certificate_failure_exits_3(tmp_path, capsys, monkeypatch):
     error = json.loads(out)["error"]
     assert error["type"] == "internal"
     assert error["message"] == "normal form does not reproduce the pencil"
+
+
+@pytest.mark.parametrize(
+    "field,argv,degree",
+    [
+        ({"degree": 3000}, [], 3000),
+        ({"degree": 65}, [], 65),
+        ({"degree": 3, "modulus": (1 << 100) | 1}, [], 100),
+        ({"degree": 1}, ["--ext-degree", "65"], 65),
+        ({"degree": 2}, ["--ext-degree", "33"], 66),
+    ],
+)
+def test_field_degree_limit_is_checked_before_any_search(
+        tmp_path, capsys, monkeypatch, field, argv, degree):
+    # degree 3000 used to hang in default_modulus; the refusal must come
+    # before any modulus search or irreducibility test
+    from qpencil import field as field_module
+
+    def refuse(m):
+        raise AssertionError("irreducibility test above the limit")
+
+    if argv:
+        field_module.GF(field["degree"])  # the base field is within the limit
+    monkeypatch.setattr(field_module, "p2_is_irreducible", refuse)
+    doc = write_doc(tmp_path, "doc.json", _with(M1_DOC, ("field",), field))
+    assert main(["reflections", *argv, "--in", doc]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "precondition"
+    assert error["info"] == {"limit": 64, "degree": degree}
+
+
+def test_field_degree_64_is_accepted(tmp_path, capsys):
+    doc = write_doc(tmp_path, "doc.json", _with(M1_DOC, ("field",), {"degree": 64}))
+    assert main(["halfdisc", "--in", doc]) == 0
+    assert json.loads(capsys.readouterr().out) == {"a": [0, 1, 1, 1]}

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compose_embeddings
+from oracles import compose_embeddings, inv_by_pow, log_tables_by_trial, mul_by_bits
 from qpencil.field import (
+    _TABLE_LIMIT,
     GF,
     Field,
     default_modulus,
@@ -59,22 +62,6 @@ def test_sqrt_is_frobenius_inverse():
             s = gf.sqrt(a)
             assert gf.mul(s, s) == a
             assert gf.sqrt(gf.mul(a, a)) == a
-
-
-def test_trace_examples(g2, g4):
-    assert g2.trace(1) == 1
-    assert g4.trace(1) == 0
-    assert g4.trace(2) == 1  # u + u^2 = 1
-
-
-def test_trace_additive_and_balanced():
-    for gf in FIELDS:
-        zeros = sum(1 for a in gf.elements() if gf.trace(a) == 0)
-        assert zeros == gf.order // 2
-        for a in list(gf.elements())[:8]:
-            for b in list(gf.elements())[:8]:
-                assert gf.trace(a ^ b) == gf.trace(a) ^ gf.trace(b)
-                assert gf.trace(gf.mul(a, a)) == gf.trace(a)
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,3 +148,58 @@ def test_large_field_without_tables():
     assert gf.mul(a, gf.inv(a)) == 1
     s = gf.sqrt(a)
     assert gf.mul(s, s) == a
+
+
+def _irreducibles(k, count, skip):
+    """The first `count` irreducible degree-k moduli other than `skip`."""
+    out = []
+    m = 1 << k
+    while len(out) < count and m < 1 << (k + 1):
+        if m != skip and p2_is_irreducible(m):
+            out.append(m)
+        m += 1
+    return out
+
+
+ORACLE_DEGREES = list(range(1, 34)) + [48, 64]
+
+
+@pytest.mark.parametrize("k", ORACLE_DEGREES)
+def test_mul_and_inv_match_the_bit_loop_oracle(k):
+    # both sides of the table limit (k <= 16 tables, k >= 17 windowed
+    # product and Euclidean inverse), default and non-default moduli
+    rng = random.Random(1000 + k)
+    default = default_modulus(k)
+    for modulus in [default] + _irreducibles(k, 1, default):
+        gf = field_from_modulus(modulus)
+        assert (gf._exp is None) == (gf.order > _TABLE_LIMIT)
+        edge = [1, 1 << (k - 1), (1 << k) - 1]
+        xs = edge + [rng.randrange(1, gf.order) for _ in range(40)]
+        for a in xs:
+            for b in edge + [rng.choice(xs), rng.randrange(gf.order)]:
+                assert gf.mul(a, b) == mul_by_bits(modulus, a, b)
+            assert gf.inv(a) == inv_by_pow(modulus, a)
+
+
+def test_log_tables_match_the_trial_build():
+    # the primitivity test picks the same generator g as walking the powers
+    # of 2, 3, ... until one has order q-1, so the tables are identical
+    moduli = [default_modulus(k) for k in range(1, 17)]
+    moduli += [m for k in range(2, 13) for m in _irreducibles(k, 3, default_modulus(k))]
+    for modulus in moduli:
+        gf = Field(modulus=modulus)
+        assert (gf._exp, gf._log) == log_tables_by_trial(modulus), bin(modulus)
+
+
+def test_big_field_inverse_uses_no_multiplication(monkeypatch):
+    gf = GF(32)
+    xs = [1, 2, 1 << 31, (1 << 32) - 1, 0x12345678, 0x9ABCDEF1]
+
+    def refuse(*args):
+        raise AssertionError("inv called mul or pow")
+
+    monkeypatch.setattr(Field, "mul", refuse)
+    monkeypatch.setattr(Field, "pow", refuse)
+    invs = [gf.inv(a) for a in xs]
+    monkeypatch.undo()
+    assert [gf.mul(a, b) for a, b in zip(xs, invs)] == [1] * len(xs)
