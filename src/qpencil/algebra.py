@@ -117,14 +117,6 @@ class EtaleAlgebra:
             traces.append(acc)
         return tuple(traces)
 
-    def trace(self, x: tuple) -> int:
-        tp = self._power_traces
-        acc = 0
-        for i, c in enumerate(x):
-            if c:
-                acc ^= self.gf.mul(c, tp[i])
-        return acc
-
     def trace_pair(self, x: tuple, y: tuple) -> int:
         """Tr(x*y) computed bilinearly from the power traces."""
         gf = self.gf
@@ -230,13 +222,6 @@ class EtaleAlgebra:
                     raise AssertionError("idempotents are not orthogonal")
         return tuple(eps)
 
-    def all_idempotents(self) -> list:
-        """All 2^l sums of primitive idempotents (the kernel of wp)."""
-        out = [self.zero()]
-        for e in self.idempotents:
-            out += [self.add(x, e) for x in out]
-        return out
-
     # -- the subspace k + wp(A) and coset reduction -------------------------------
 
     def _pack(self, x: tuple) -> int:
@@ -297,9 +282,6 @@ class EtaleAlgebra:
         if any(check[1:]) and len(check) > 1:
             raise AssertionError("Artin-Schreier witness fails verification")
         return s
-
-    def map_field(self, emb) -> "EtaleAlgebra":
-        return EtaleAlgebra(emb.dst, tuple(emb.map(c) for c in self.f))
 
 
 def _invert_mod(gf: Field, a: list, m: list) -> list:

@@ -7,7 +7,9 @@ catalecticant Cat(s_0, ..., s_{2m-1}); the map phi is a homomorphism from
 automorphisms of the pair itself; over a splitting field these are the n
 reflections at the singular points of the degenerate members, and Aut(X)
 is generated by them together with lifts of the projective-line symmetries
-of the root divisor of the half-discriminant.
+of the root divisor of the half-discriminant.  Each lift is a block matrix
+in the r = 0 frame, built from poly.bf_substitution_matrix; it needs no
+correction, and substitution is its one certificate (see _lift_one).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import poly
 from .algebra import EtaleAlgebra
 from .errors import PreconditionError
 from .field import Field, find_embedding
-from .linalg import inverse, mat_mul, mat_vec, normalize_subspace
+from .linalg import inverse, mat_mul, mat_vec, normalize_subspace, transpose, vec_scale
 from .normalform import NormalForm, extract_normal_form, model_to_pencil
 from .pencil import Pencil
 
@@ -172,16 +174,11 @@ def reflections(p: Pencil, ext: Field) -> list[Reflection]:
             if qz == 0:
                 raise AssertionError("singular vector lies on the base locus; "
                                      "pencil cannot be regular")
-            inv = ext.inv(qz)
-            n = pe.n
-            mat = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-            for c in range(n):
-                ec = [1 if t == c else 0 for t in range(n)]
-                coef = ext.mul(inv, member.polar_pair(z, ec))
-                if coef:
-                    for r in range(n):
-                        mat[r][c] ^= ext.mul(coef, z[r])
-            mats.append(mat)
+            # rho = I + z (b_u(z, .) / q_u(z)): one rank-one product
+            coef = vec_scale(ext, mat_vec(ext, member.polar().gram, z), ext.inv(qz))
+            outer = mat_mul(ext, [[x] for x in z], [coef])
+            mats.append([[x ^ (r == c) for c, x in enumerate(row)]
+                         for r, row in enumerate(outer)])
             if len(mats) == 2:
                 break
         if mats[0] != mats[1]:
@@ -260,22 +257,6 @@ def delta_stabilizer(p: Pencil, ext: Field) -> list:
         if image == pts:
             out.append(m2)
     return out
-
-
-def _symmetric_power_matrix(gf: Field, m2: list, d: int) -> list:
-    """Matrix of the degree-d substitution t0 -> m00 t0 + m01 t1,
-    t1 -> m10 t0 + m11 t1 on the monomial basis t0^(d-i) t1^i."""
-    l0 = [m2[0][0], m2[0][1]]
-    l1 = [m2[1][0], m2[1][1]]
-    cols = []
-    for i in range(d + 1):
-        form = [1]
-        for _ in range(d - i):
-            form = poly.bf_mul(gf, form, l0)
-        for _ in range(i):
-            form = poly.bf_mul(gf, form, l1)
-        cols.append(form)
-    return [[cols[j][i] for j in range(d + 1)] for i in range(d + 1)]
 
 
 def _scale_to_delta_invariant(gf: Field, a_form: list, m2: list):
@@ -361,44 +342,31 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
 
 def _lift_one(an: PairAnalysis, sm: list) -> list:
     """Lift one scaled stabilizer element to GL(E), exactly pair-compatible:
-    q_{g(u_j)} o lift = q_{u_j}; built in the r = 0 frame of an."""
+    q_{g(u_j)} o lift = q_{u_j}.
+
+    It is a block matrix in the r = 0 frame of an: W goes to W by the dual
+    degree-m substitution and the complement to the complement by the
+    inverse degree-(m-1) substitution over det.  The model with r = 0 has no
+    y-y terms, so this block matrix carries the moved pair to the pair on
+    the nose and needs no correction; the substitution check is its one
+    certificate."""
     work = an.pencil
     gf, m = work.gf, work.m
     det = gf.mul(sm[0][0], sm[1][1]) ^ gf.mul(sm[0][1], sm[1][0])
-    pw = _symmetric_power_matrix(gf, sm, m)
-    h_w = [list(col) for col in zip(*pw)]  # dual action: transpose
+    h_w = transpose(poly.bf_substitution_matrix(gf, sm, m))  # dual action
     inv2 = [
         [gf.div(sm[1][1], det), gf.div(sm[0][1], det)],
         [gf.div(sm[1][0], det), gf.div(sm[0][0], det)],
     ]
     # the complement transforms by the inverse substitution, scaled by 1/det
-    q_l = _symmetric_power_matrix(gf, inv2, m - 1)
-    dinv = gf.inv(det)
-    n = 2 * m + 1
-    block = [[0] * n for _ in range(n)]
-    for i in range(m + 1):
-        for j in range(m + 1):
-            block[i][j] = h_w[i][j]
-    for i in range(m):
-        for j in range(m):
-            block[m + 1 + i][m + 1 + j] = gf.mul(dinv, q_l[i][j])
+    q_l = poly.bf_substitution_matrix(gf, inv2, m - 1)
+    block = [row + [0] * m for row in h_w] + [
+        [0] * (m + 1) + vec_scale(gf, row, gf.inv(det)) for row in q_l]
     lift = model_to_pencil(gf, an.r0_frame, block)
 
     moved = work.change_basis_gl2(sm)
-    if moved.q0.transform(lift) == work.q0 and moved.q1.transform(lift) == work.q1:
-        return lift
-    # residual r-shift: correct by a unipotent of the shared Kronecker frame
-    nf_res = extract_normal_form(moved.conjugate(lift))
-    if nf_res.a != an.nf.a:
-        raise AssertionError("lift changed the half-discriminant")
-    shift = [x ^ y for x, y in zip(nf_res.r, an.nf.r)]
-    algebra = an.algebra
-    s = algebra.solve_artin_schreier(algebra.from_d_coords(shift + [0]))
-    if s is None:
-        raise AssertionError("residual r-coset of a lift is nontrivial")
-    lift = mat_mul(gf, lift, phi(algebra, nf_res, s).matrix)
     if moved.q0.transform(lift) != work.q0 or moved.q1.transform(lift) != work.q1:
-        raise AssertionError("lift verification failed after correction")
+        raise AssertionError("lift of a stabilizer element fails substitution")
     return lift
 
 

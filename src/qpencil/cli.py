@@ -18,12 +18,16 @@ so results are reproducible without hidden state.
 
 Exit codes: 0 success, 1 precondition violation (with a machine-readable
 error object), 2 malformed input, 3 a failed internal certificate (a bug:
-a result did not survive its own substitution check).
+a result did not survive its own substitution check).  Malformed argv (an
+unknown subcommand or flag, a bad option value) is malformed input too:
+the parser raises InputError, so stdout holds {"error": {"type": "input",
+"message": ...}} and the exit code is 2.  The parser is built once, at
+import.
 
-Fields are limited to GF(2^64): a field degree, a modulus degree or a
-degree times --ext-degree above MAX_FIELD_DEGREE is refused (exit 1, with
-info {"limit": 64, "degree": d}) before any modulus search or
-irreducibility test.
+Every field is limited to GF(2^64), the extension fields the CLI picks by
+itself included: Field refuses a degree above field.MAX_FIELD_DEGREE
+(exit 1, with info {"limit": 64, "degree": d}) before any modulus search
+or irreducibility test.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .autos import (
     reflections_match_idempotents,
 )
 from .errors import InputError, NotRegularError, PreconditionError
-from .field import GF, Field, field_from_modulus, p2_degree
+from .field import GF, Field, field_from_modulus
 from .geometry import (
     canonical_plane,
     enumerate_generators,
@@ -65,18 +69,6 @@ def _json_int(x, what: str) -> int:
     return x
 
 
-MAX_FIELD_DEGREE = 64
-
-
-def _check_field_degree(degree: int) -> None:
-    """Refuse a field above GF(2^MAX_FIELD_DEGREE): the default-modulus
-    search and the irreducibility test grow with the degree without bound."""
-    if degree > MAX_FIELD_DEGREE:
-        raise PreconditionError(
-            f"field degree {degree} is above the limit {MAX_FIELD_DEGREE}",
-            limit=MAX_FIELD_DEGREE, degree=degree)
-
-
 def parse_field(doc: dict) -> Field:
     try:
         fd = doc["field"]
@@ -85,18 +77,16 @@ def parse_field(doc: dict) -> Field:
         raise InputError(f"bad field description: {e}")
     if degree < 1:
         raise InputError(f"field degree must be >= 1, got {degree}")
-    _check_field_degree(degree)
-    if "modulus" in fd:
-        modulus = _json_int(fd["modulus"], "field modulus")
-        _check_field_degree(p2_degree(modulus))
-        try:
-            gf = field_from_modulus(modulus)
-        except ValueError as e:
-            raise InputError(str(e))
-        if gf.degree != degree:
-            raise InputError("field degree does not match the modulus")
-        return gf
-    return GF(degree)
+    if "modulus" not in fd:
+        return GF(degree)
+    modulus = _json_int(fd["modulus"], "field modulus")
+    try:
+        gf = field_from_modulus(modulus)
+    except ValueError as e:
+        raise InputError(str(e))
+    if gf.degree != degree:
+        raise InputError("field degree does not match the modulus")
+    return gf
 
 
 def parse_form(gf: Field, n: int, triples, name: str) -> QuadraticForm:
@@ -131,18 +121,6 @@ def parse_pencil(doc: dict) -> Pencil:
         return Pencil(q0, q1)
     except ValueError as e:
         raise InputError(str(e))
-
-
-def serialize_pencil(p: Pencil) -> dict:
-    def triples(q):
-        return [[i + 1, j + 1, c] for (i, j), c in q.coeffs]
-
-    return {
-        "field": {"degree": p.gf.degree, "modulus": p.gf.modulus},
-        "n": p.n,
-        "q0": triples(p.q0),
-        "q1": triples(p.q1),
-    }
 
 
 def field_info(gf: Field) -> dict:
@@ -206,7 +184,6 @@ def _extension(p: Pencil, args, quasi_split: bool = True) -> Field:
     if args.ext_degree is not None:
         if args.ext_degree < 1:
             raise InputError(f"--ext-degree must be >= 1, got {args.ext_degree}")
-        _check_field_degree(p.gf.degree * args.ext_degree)
         return GF(p.gf.degree * args.ext_degree)
     j = quasi_split_over(p)[0] if quasi_split else 1
     return GF(p.gf.degree * math.lcm(splitting_degree(p), j))
@@ -332,8 +309,16 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose failures raise InputError: malformed argv gets the
+    JSON error object and exit 2, as a malformed document does."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qpencil",
         description="Exact classification of pencils of quadratic forms on "
         "odd-dimensional spaces in characteristic 2.",
@@ -359,9 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = None
     try:
+        args = PARSER.parse_args(argv)
         if args.command == "verify":
             results = run_suite(args.scale)
             for res in results:

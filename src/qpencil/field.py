@@ -16,7 +16,9 @@ Two paths serve the arithmetic, chosen by the field order:
   Euclidean algorithm on packed GF(2)[T] ints.
 
 Use the cached factories GF(k) / field_from_modulus(m) so that repeated
-requests return the same context (and the same lookup tables).
+requests return the same context (and the same lookup tables).  A degree
+above MAX_FIELD_DEGREE = 64 is refused with a PreconditionError before
+any modulus search or irreducibility test.
 """
 
 from __future__ import annotations
@@ -25,8 +27,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import poly
+from .errors import PreconditionError
 
 _TABLE_LIMIT = 1 << 16  # build exp/log tables up to this field order
+# the default-modulus search and the irreducibility test grow with the
+# degree without bound, so larger fields are refused before either runs
+MAX_FIELD_DEGREE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +149,14 @@ class Field:
     __slots__ = ("degree", "modulus", "order", "_exp", "_log", "_red", "_shifts")
 
     def __init__(self, degree: int | None = None, modulus: int | None = None):
+        if degree is None and modulus is None:
+            raise ValueError("need a degree or a modulus")
+        size = degree if modulus is None else p2_degree(modulus)
+        if size > MAX_FIELD_DEGREE:
+            raise PreconditionError(
+                f"field degree {size} is above the limit {MAX_FIELD_DEGREE}",
+                limit=MAX_FIELD_DEGREE, degree=size)
         if modulus is None:
-            if degree is None:
-                raise ValueError("need a degree or a modulus")
             modulus = default_modulus(degree)
         if modulus < 0:
             raise ValueError(f"modulus {modulus} is not a polynomial over GF(2)")

@@ -20,7 +20,7 @@ from . import poly
 from .autos import apply_to_subspace, automorphism_group, pair_algebra
 from .errors import PreconditionError
 from .field import GF, Field, find_embedding
-from .linalg import mat_vec, normalize_subspace, nullspace, rank
+from .linalg import mat_mul, normalize_subspace, nullspace, rank
 from .pencil import Pencil
 from .quadform import is_totally_isotropic
 
@@ -50,21 +50,6 @@ def points_on_X(p: Pencil, ext: Field) -> list:
     pe = p.map_field(emb)
     q0, q1 = pe.q0, pe.q1
     return [tuple(x) for x in proj_points(ext, p.n) if q0(x) == 0 and q1(x) == 0]
-
-
-def singular_points_on_X(p: Pencil, ext: Field) -> list:
-    """Points of X(ext) where the Jacobian rows b0(x,.), b1(x,.) have rank
-    below 2 (the literal smoothness criterion, scan form)."""
-    emb = find_embedding(p.gf, ext)
-    pe = p.map_field(emb)
-    g0 = [list(r) for r in pe.gram0().gram]
-    g1 = [list(r) for r in pe.gram1().gram]
-    out = []
-    for x in points_on_X(p, ext):
-        rows = [mat_vec(ext, g0, list(x)), mat_vec(ext, g1, list(x))]
-        if rank(ext, rows) < 2:
-            out.append(x)
-    return out
 
 
 def smoothness_oracle(p: Pencil, max_ext_degree: int) -> bool:
@@ -112,12 +97,7 @@ def _singular_among(p: Pencil, ext: Field, members) -> bool:
                 return True
             continue
         for coords in proj_points(ext, len(rad)):
-            x = [0] * pe.n
-            for c, vec in zip(coords, rad):
-                if c:
-                    for t in range(pe.n):
-                        if vec[t]:
-                            x[t] ^= ext.mul(c, vec[t])
+            x = mat_mul(ext, [coords], rad)[0]
             if pe.q0(x) == 0 and pe.q1(x) == 0:
                 return True
     return False
@@ -152,16 +132,8 @@ def canonical_plane(p: Pencil) -> CanonicalPlane:
             "contradicting separability"
         )
     ws = p.radical_map()
-    sol = nullspace(gf, [l0, l1])  # coordinates inside W
-    basis = []
-    for coords in sol:
-        vec = [0] * p.n
-        for c, w in zip(coords, ws):
-            if c:
-                for t in range(p.n):
-                    if w[t]:
-                        vec[t] ^= gf.mul(c, w[t])
-        basis.append(vec)
+    # the solutions are coordinates inside W
+    basis = mat_mul(gf, nullspace(gf, [l0, l1]), ws)
     if len(basis) != m - 1:
         raise AssertionError("canonical plane has the wrong dimension")
     if not (is_totally_isotropic(p.q0, basis) and is_totally_isotropic(p.q1, basis)):

@@ -8,7 +8,10 @@ work inside etale algebras lives at the bottom.
 
 from __future__ import annotations
 
-from .field import Field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .field import Field
 
 
 def identity(n: int) -> list:

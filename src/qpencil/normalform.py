@@ -118,12 +118,8 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
             [vec_dot(gf, h1[i], v0[j]) for i, j in pairs],
             [vec_dot(gf, h0[i], v0[j]) for i, j in pairs],
         )
-        for j in range(m):
-            for k in range(m + 1):
-                c = sol[j * (m + 1) + k]
-                if c:
-                    for t in range(n):
-                        v0[j][t] ^= gf.mul(c, ws[k][t])
+        corr = mat_mul(gf, [sol[j * (m + 1):(j + 1) * (m + 1)] for j in range(m)], ws)
+        v0 = [[x ^ y for x, y in zip(v, c)] for v, c in zip(v0, corr)]
 
     bmat = transpose([list(w) for w in ws] + [list(v) for v in v0])
     return KroneckerBasis(

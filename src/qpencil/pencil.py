@@ -101,17 +101,9 @@ class Pencil:
 
     def omega_at(self, l: int, u: int) -> list:
         """The radical vector of the member at (l, u)."""
-        gf = self.gf
-        m = self.m
-        ws = self.radical_map()
-        acc = [0] * self.n
-        for i in range(m + 1):
-            c = gf.mul(gf.pow(l, m - i), gf.pow(u, i))
-            if c:
-                for k in range(self.n):
-                    if ws[i][k]:
-                        acc[k] ^= gf.mul(c, ws[i][k])
-        return acc
+        gf, m = self.gf, self.m
+        cs = [gf.mul(gf.pow(l, m - i), gf.pow(u, i)) for i in range(m + 1)]
+        return mat_mul(gf, [cs], self.radical_map())[0]
 
     def half_discriminant(self) -> list:
         """Coefficients (a_0, ..., a_n) of Delta = (l q0 + u q1)(Omega(l, u)).
@@ -163,7 +155,8 @@ class Pencil:
         Its member at (t0, t1) is this pencil's member at
         (m00 t0 + m01 t1, m10 t0 + m11 t1), so Omega and Delta transform by
         that substitution; when they are known here they are carried over
-        instead of recomputed (each coordinate of Omega at degree m).
+        instead of recomputed (Omega as one product with the degree-m
+        substitution matrix).
         """
         gf = self.gf
         d = gf.mul(m2[0][0], m2[1][1]) ^ gf.mul(m2[0][1], m2[1][0])
@@ -173,9 +166,8 @@ class Pencil:
         q1p = self.q0.scale(m2[0][1]).add(self.q1.scale(m2[1][1]))
         moved = Pencil(q0p, q1p)
         if self._radical_map is not None:
-            coords = [poly.bf_substitute(gf, list(c), m2)
-                      for c in zip(*self._radical_map)]
-            moved._radical_map = [list(w) for w in zip(*coords)]
+            moved._radical_map = mat_mul(
+                gf, poly.bf_substitution_matrix(gf, m2, self.m), self._radical_map)
         if self._half_disc is not None:
             moved._half_disc = poly.bf_substitute(gf, self._half_disc, m2)
         return moved

@@ -18,6 +18,8 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
+from .linalg import mat_vec
+
 if TYPE_CHECKING:
     from .field import Field
 
@@ -287,11 +289,6 @@ def bf_degree(c: list) -> int:
     return len(c) - 1
 
 
-def bf_scale(gf: Field, a: list, c: int) -> list:
-    mul_ = gf.mul
-    return [mul_(c, x) for x in a]
-
-
 def bf_mul(gf: Field, a: list, b: list) -> list:
     fmul = gf.mul
     out = [0] * (len(a) + len(b) - 1)
@@ -323,9 +320,10 @@ def bf_dehomogenize_t0(c: list) -> list:
     return trim(c[:])
 
 
-def bf_substitute(gf: Field, c: list, m2: list) -> list:
-    """Coefficients of form(m00*t0 + m01*t1, m10*t0 + m11*t1)."""
-    d = bf_degree(c)
+def bf_substitution_matrix(gf: Field, m2: list, d: int) -> list:
+    """Matrix of the substitution t0 -> m00*t0 + m01*t1, t1 -> m10*t0 + m11*t1
+    on binary forms of degree d: column i holds the coefficients of
+    (m00*t0 + m01*t1)^(d-i) (m10*t0 + m11*t1)^i."""
     l0 = [m2[0][0], m2[0][1]]
     l1 = [m2[1][0], m2[1][1]]
     pow0 = [[1]]
@@ -333,13 +331,13 @@ def bf_substitute(gf: Field, c: list, m2: list) -> list:
     for _ in range(d):
         pow0.append(bf_mul(gf, pow0[-1], l0))
         pow1.append(bf_mul(gf, pow1[-1], l1))
-    out = [0] * (d + 1)
-    for i in range(d + 1):
-        if c[i]:
-            term = bf_mul(gf, pow0[d - i], pow1[i])
-            for j, v in enumerate(bf_scale(gf, term, c[i])):
-                out[j] ^= v
-    return out
+    cols = [bf_mul(gf, pow0[d - i], pow1[i]) for i in range(d + 1)]
+    return [list(row) for row in zip(*cols)]
+
+
+def bf_substitute(gf: Field, c: list, m2: list) -> list:
+    """Coefficients of form(m00*t0 + m01*t1, m10*t0 + m11*t1)."""
+    return mat_vec(gf, bf_substitution_matrix(gf, m2, bf_degree(c)), c)
 
 
 def bf_is_separable(gf: Field, c: list) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import Field
-from .linalg import mat_mul, nullspace, rank, transpose, vec_dot
+from .linalg import mat_mul, rank, transpose, vec_dot
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,6 @@ class QuadraticForm:
             emb.dst, self.n, {k: emb.map(c) for k, c in self.coeffs}
         )
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient_vector(self) -> list:
         """Dense length n(n+1)/2 vector in (i, j) lexicographic order."""
         t = self.table()
@@ -138,9 +135,6 @@ class AlternatingForm:
 
     def corank(self) -> int:
         return self.n - rank(self.gf, [list(r) for r in self.gram])
-
-    def radical_basis(self) -> list:
-        return nullspace(self.gf, [list(r) for r in self.gram])
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,20 @@ EXT_DEGREE = [
     ("lattice", "22", "g8_n3_split"),
 ]
 
+# argv the parser refuses: input errors, exit 2, JSON on stdout
+BAD_ARGV = [
+    ["nosuchcmd", "--in", "@g2_n3_m1"],
+    ["halfdisc", "--bogus", "--in", "@g2_n3_m1"],
+    ["verify", "--scale", "huge"],
+    ["reflections", "--ext-degree", "x", "--in", "@g2_n3_m1"],
+    [],
+    ["halfdisc", "--in"],
+]
+
+# the extension the CLI picks by itself is above the field-degree limit:
+# Delta of gk24_n7_25 splits over the degree-10 extension of GF(2^24)
+AUTO_EXTENSION_ABOVE_LIMIT = [("reflections", "gk24_n7_25"), ("autx", "gk24_n7_25")]
+
 
 def cases() -> list:
     out = []
@@ -92,6 +106,8 @@ def cases() -> list:
         out += [[c, "--in", "@" + name] for c in cmds]
     out += [["isiso", "@" + a, "@" + b] for a, b in ISO_PAIRS]
     out += [[c, "--ext-degree", d, "--in", "@" + name] for c, d, name in EXT_DEGREE]
+    out += [list(argv) for argv in BAD_ARGV]
+    out += [[c, "--in", "@" + name] for c, name in AUTO_EXTENSION_ABOVE_LIMIT]
     return out
 
 

@@ -11,6 +11,8 @@ import itertools
 from qpencil import poly
 from qpencil.errors import PreconditionError
 from qpencil.field import Embedding, find_embedding
+from qpencil.geometry import points_on_X
+from qpencil.linalg import mat_vec, nullspace, rank
 from qpencil.quadform import half_disc
 
 
@@ -237,7 +239,7 @@ def half_disc_check(p, l, u):
     of the member at (l, u)."""
     lhs = poly.bf_eval(p.gf, p.half_discriminant(), l, u)
     member = p.member(l, u)
-    if member.is_zero():
+    if is_zero(member):
         return lhs == 0
     return lhs == half_disc(member)
 
@@ -255,3 +257,53 @@ def corank_profile(p, ext):
         )
     pe = p.map_field(emb)
     return [((l, u), pe.member(l, u).polar().corank()) for (l, u) in pts]
+
+
+def is_zero(q):
+    """q is the zero quadratic form."""
+    return not q.coeffs
+
+
+def radical_basis(form):
+    """Basis of the radical of an alternating form."""
+    return nullspace(form.gf, [list(r) for r in form.gram])
+
+
+def all_idempotents(algebra):
+    """All 2^l sums of primitive idempotents (the kernel of wp)."""
+    out = [algebra.zero()]
+    for e in algebra.idempotents:
+        out += [algebra.add(x, e) for x in out]
+    return out
+
+
+def algebra_trace(algebra, x):
+    """Tr(x) = Tr(x * 1)."""
+    return algebra.trace_pair(x, algebra.one())
+
+
+def singular_points_on_X(p, ext):
+    """Points of X(ext) where the Jacobian rows b0(x,.), b1(x,.) have rank
+    below 2 (the literal smoothness criterion, scan form)."""
+    pe = p.map_field(find_embedding(p.gf, ext))
+    g0 = [list(r) for r in pe.gram0().gram]
+    g1 = [list(r) for r in pe.gram1().gram]
+    out = []
+    for x in points_on_X(p, ext):
+        rows = [mat_vec(ext, g0, list(x)), mat_vec(ext, g1, list(x))]
+        if rank(ext, rows) < 2:
+            out.append(x)
+    return out
+
+
+def serialize_pencil(p):
+    """The pencil document of p, as the CLI reads it."""
+    def triples(q):
+        return [[i + 1, j + 1, c] for (i, j), c in q.coeffs]
+
+    return {
+        "field": {"degree": p.gf.degree, "modulus": p.gf.modulus},
+        "n": p.n,
+        "q0": triples(p.q0),
+        "q1": triples(p.q1),
+    }

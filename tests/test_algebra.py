@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpencil.poly as poly
-from oracles import evaluate, wp_plus_constants
+from oracles import algebra_trace, all_idempotents, evaluate, wp_plus_constants
 from qpencil.algebra import EtaleAlgebra
 from qpencil.field import GF
 
@@ -25,8 +25,8 @@ def test_mul_and_trace_examples(g2):
     t = A.t_power(1)
     t2 = A.t_power(2)
     assert A.mul(t, t2) == A.element([0, 1, 1])  # t^3 = t^2 + t
-    assert A.trace(A.one()) == 1  # n = 3 is odd
-    assert A.trace(t) == 1  # companion trace a_{n-1}/a_n
+    assert algebra_trace(A, A.one()) == 1  # n = 3 is odd
+    assert algebra_trace(A, t) == 1  # companion trace a_{n-1}/a_n
 
 
 def test_trace_by_root_sum(g4):
@@ -42,7 +42,7 @@ def test_trace_by_root_sum(g4):
         expect = 0
         for root in (0, 1, 2):
             expect ^= evaluate(g4, h, root)
-        assert A.trace(elem) == expect
+        assert algebra_trace(A, elem) == expect
 
 
 def test_d_basis_examples(g2):
@@ -134,7 +134,7 @@ def test_idempotents_example(g2):
     assert A.idempotents == ((1, 1, 1), (0, 1, 1))  # t^2+t+1 and t^2+t
     B = EtaleAlgebra(g2, (1, 1, 0, 1))  # irreducible
     assert B.idempotents == ((1, 0, 0),)
-    assert B.all_idempotents() == [B.zero(), B.one()]
+    assert all_idempotents(B) == [B.zero(), B.one()]
 
 
 def test_idempotent_action_split(g4):
@@ -158,7 +158,7 @@ def test_kernel_of_artin_schreier_is_idempotents(g2, g4):
             x = A.element(list(coords))
             if A.artin_schreier(x) == A.zero():
                 kernel.append(x)
-        assert sorted(kernel) == sorted(A.all_idempotents())
+        assert sorted(kernel) == sorted(all_idempotents(A))
         assert len(kernel) == 1 << A.num_components
 
 

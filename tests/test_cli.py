@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from qpencil.cli import main, parse_pencil, serialize_pencil
+from oracles import serialize_pencil
+from qpencil.cli import main, parse_pencil
 
 M1_DOC = {
     "field": {"degree": 1},
@@ -297,3 +298,52 @@ def test_field_degree_64_is_accepted(tmp_path, capsys):
     doc = write_doc(tmp_path, "doc.json", _with(M1_DOC, ("field",), {"degree": 64}))
     assert main(["halfdisc", "--in", doc]) == 0
     assert json.loads(capsys.readouterr().out) == {"a": [0, 1, 1, 1]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nosuchcmd"],
+        ["halfdisc", "--bogus"],
+        ["verify", "--scale", "huge"],
+        ["reflections", "--ext-degree", "x"],
+        [],
+        ["halfdisc", "--in"],
+    ],
+)
+def test_bad_argv_is_an_input_error(capsys, argv):
+    # argparse printed its usage to stderr, left stdout empty and exited
+    # through SystemExit
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["type"] == "input"
+    assert captured.err == ""
+
+
+def test_bad_argv_in_a_process_prints_json_only():
+    proc = run_cli(["verify", "--scale", "huge"])
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error == {"type": "input",
+                     "message": "argument --scale: invalid choice: 'huge' "
+                                "(choose from 'small', 'full')"}
+
+
+@pytest.mark.parametrize("command", ["reflections", "autx"])
+def test_automatic_extension_above_the_limit_is_refused(capsys, monkeypatch, command):
+    # Delta of this document splits over the degree-10 extension of
+    # GF(2^24); the CLI used to build GF(2^240) for it (12 s for
+    # reflections) while --ext-degree 10 was refused
+    from qpencil import field as field_module
+
+    def refuse(m):
+        raise AssertionError("irreducibility test above the limit")
+
+    doc = Path(__file__).parent / "golden" / "docs" / "gk24_n7_25.json"
+    field_module.GF(24)  # the base field is within the limit
+    monkeypatch.setattr(field_module, "p2_is_irreducible", refuse)
+    assert main([command, "--in", str(doc)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "precondition"
+    assert error["info"] == {"limit": 64, "degree": 240}

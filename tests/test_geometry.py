@@ -3,6 +3,7 @@ import random
 import pytest
 
 import qpencil.poly as poly
+from oracles import singular_points_on_X
 from qpencil.errors import PreconditionError
 from qpencil.field import GF, find_embedding
 from qpencil.geometry import (
@@ -13,7 +14,6 @@ from qpencil.geometry import (
     proj_count,
     proj_points,
     quasi_split_over,
-    singular_points_on_X,
     smoothness_oracle,
     splitting_degree,
 )
