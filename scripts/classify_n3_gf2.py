@@ -11,13 +11,14 @@ formula |orbit| = |GL3(F2)| / |Aut|.
 import itertools
 import sys
 from collections import defaultdict
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qpencil.algebra import EtaleAlgebra
-from qpencil.autos import automorphism_group
+from qpencil.autos import automorphism_group, pair_algebra
+from qpencil.errors import PreconditionError
 from qpencil.field import GF
-from qpencil.normalform import extract_normal_form
+from qpencil.invariants import r_invariant
 from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm
 
@@ -50,18 +51,12 @@ def main():
     gl_order = 168
     for a in sorted(by_delta):
         pencils = by_delta[a]
-        if a[3] == 0:
-            print(f"{str(a):>16} {len(pencils):>6}   (a_3 = 0: r-invariant "
-                  f"needs a GL2 move first)")
+        try:
+            cosets = {r_invariant(pair_algebra(p))[0] for p in pencils}
+        except PreconditionError:
+            print(f"{str(a):>16} {len(pencils):>6}   (every rational point "
+                  f"is a root of Delta)")
             continue
-        algebra = EtaleAlgebra(g2, a)
-        cosets = set()
-        for p in pencils:
-            nf = extract_normal_form(p)
-            rep, _ = algebra.coset_reduce(
-                algebra.from_d_coords(list(nf.r) + [0])
-            )
-            cosets.add(rep)
         aut = len(automorphism_group(pencils[0]))
         orbits = len(pencils) * aut // gl_order
         assert orbits == len(cosets), "orbit count must equal coset count"

@@ -9,8 +9,9 @@ prints the D5 root-basis Gram of the cycle lattice.
 
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qpencil.autos import reflections
 from qpencil.field import GF

@@ -6,7 +6,7 @@ with brute-force oracles for every structural claim."""
 from .algebra import EtaleAlgebra
 from .errors import InputError, NotRegularError, PreconditionError, QPencilError
 from .field import GF, Embedding, Field, field_from_modulus, find_embedding
-from .invariants import ArfData, RInvariant, arf_invariant, is_isomorphic, r_invariant
+from .invariants import ArfData, arf_invariant, is_isomorphic, r_invariant
 from .normalform import KroneckerBasis, NormalForm, extract_normal_form, realize
 from .pencil import Pencil
 from .quadform import AlternatingForm, QuadraticForm, half_disc
@@ -26,7 +26,6 @@ __all__ = [
     "PreconditionError",
     "QPencilError",
     "QuadraticForm",
-    "RInvariant",
     "arf_invariant",
     "extract_normal_form",
     "field_from_modulus",

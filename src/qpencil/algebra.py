@@ -7,15 +7,19 @@ reduction works with the monicization while the distinguished basis
 
 keeps the original coefficients, satisfying
 f(X) = (X - t)(d_0 + d_1 X + ... + d_{n-1} X^{n-1}) with d_{n-1} = a_n
-spanning the constants.  The elements d_i / f'(t) are dual to the power
-basis under the trace form, which gives exact d-coordinates by trace
-projection and the squaring rule r_k = sum_j s_j^2 a_{2j+1-k} (indices
-outside 0..n read as zero).
+spanning the constants.  d_i has degree n-1-i and leading coefficient
+a_n, so d-coordinates come from a triangular back-substitution.  The
+elements t^j / f'(t) are dual to the d-basis under the trace form,
+Tr(d_i t^j / f'(t)) = delta_ij; verify's T5.3 checks the coordinates
+against that projection, computed from the definition of the trace.  The
+squaring rule is r_k = sum_j s_j^2 a_{2j+1-k} (indices outside 0..n read
+as zero).
 
 Elements are coordinate tuples in the power basis 1, t, ..., t^{n-1}.
-The subgroup k + im(wp), wp(s) = s^2 + s, is a GF(2)-subspace; coset
-reduction against a fixed echelonized basis of it gives canonical
-representatives, so equality of representatives decides isomorphism.
+The subgroup k + im(wp), wp(s) = s^2 + s, is a GF(2)-subspace; reduction
+against one cached set of its pivots gives canonical representatives (so
+equality of representatives decides isomorphism) and the Artin-Schreier
+witnesses.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import cached_property
 
 from . import poly
 from .field import Field
-from .linalg import gf2_echelon, gf2_reduce, gf2_solve
+from .linalg import gf2_pivots, gf2_reduce
 
 
 @dataclass(frozen=True)
@@ -101,62 +105,27 @@ class EtaleAlgebra:
     def is_idempotent(self, x: tuple) -> bool:
         return self.square(x) == x
 
-    # -- trace ----------------------------------------------------------------
-
-    @cached_property
-    def _power_traces(self) -> tuple:
-        """Tr(t^i) for i = 0..2n-2: the power sums of the roots of f, by
-        Newton's identities (characteristic 2, so without signs)."""
-        gf, n, c = self.gf, self.n, self.monic_f
-        traces = [n & 1]
-        for i in range(1, 2 * n - 1):
-            acc = c[n - i] if i <= n and i & 1 else 0
-            for j in range(1, min(i, n) + 1):
-                if j != i:
-                    acc ^= gf.mul(c[n - j], traces[i - j])
-            traces.append(acc)
-        return tuple(traces)
-
-    def trace_pair(self, x: tuple, y: tuple) -> int:
-        """Tr(x*y) computed bilinearly from the power traces."""
-        gf = self.gf
-        tp = self._power_traces
-        acc = 0
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    if b:
-                        acc ^= gf.mul(gf.mul(a, b), tp[i + j])
-        return acc
-
     # -- the d-basis ------------------------------------------------------------
 
     @cached_property
     def d_basis(self) -> tuple:
         """d_i = a_{i+1} + a_{i+2} t + ... + a_n t^{n-1-i}, i = 0..n-1."""
-        n = self.n
-        out = []
-        for i in range(n):
-            out.append(self.element(list(self.f[i + 1 :])))
-        return tuple(out)
-
-    @cached_property
-    def _dual_projectors(self) -> tuple:
-        """Elements t^i / f'(t); Tr(x * proj_i) is the i-th d-coordinate."""
-        gf = self.gf
-        fprime = poly.derivative(gf, list(self.f))
-        inv = _invert_mod(gf, fprime, list(self.monic_f))
-        out = []
-        cur = self.element(inv)
-        t = self.t_power(1)
-        for _ in range(self.n):
-            out.append(cur)
-            cur = self.mul(cur, t)
-        return tuple(out)
+        return tuple(self.element(list(self.f[i + 1 :])) for i in range(self.n))
 
     def d_coords(self, x: tuple) -> tuple:
-        """Coordinates of x in the d-basis, by trace projection."""
-        return tuple(self.trace_pair(x, p) for p in self._dual_projectors)
+        """Coordinates of x in the d-basis, by back-substitution: d_i has
+        degree n-1-i and leading coefficient a_n, so the coefficient of
+        t^(n-1-j) in sum s_i d_i is a_n s_j + sum_{i<j} a_{n-j+i} s_i."""
+        gf, f, n = self.gf, self.f, self.n
+        inv_an = gf.inv(f[n])
+        s = []
+        for j in range(n):
+            acc = x[n - 1 - j]
+            for i, si in enumerate(s):
+                if si:
+                    acc ^= gf.mul(f[n - j + i], si)
+            s.append(gf.mul(acc, inv_an))
+        return tuple(s)
 
     def from_d_coords(self, s: list) -> tuple:
         acc = self.zero()
@@ -164,14 +133,6 @@ class EtaleAlgebra:
             if c:
                 acc = self.add(acc, tuple(self.gf.mul(c, x) for x in d))
         return acc
-
-    def dual_basis_check(self) -> bool:
-        """Tr(d_i t^j / f'(t)) = delta_ij, all n^2 identities."""
-        for i, d in enumerate(self.d_basis):
-            coords = self.d_coords(d)
-            if any(c != (1 if j == i else 0) for j, c in enumerate(coords)):
-                return False
-        return True
 
     def a_coefficient(self, i: int) -> int:
         """f's coefficient with the convention a_i = 0 outside 0..n."""
@@ -237,28 +198,17 @@ class EtaleAlgebra:
         return tuple((bits >> (j * k)) & mask for j in range(self.n))
 
     @cached_property
-    def _wp_columns(self) -> tuple:
-        """Images wp(e) of the GF(2)-basis e = t^j x^b, packed."""
-        cols = []
-        for j in range(self.n):
-            for b in range(self.gf.degree):
-                e = self.element([0] * j + [1 << b])
-                cols.append(self._pack(self.artin_schreier(e)))
-        return tuple(cols)
-
-    @cached_property
-    def _constant_columns(self) -> tuple:
-        return tuple(1 << b for b in range(self.gf.degree))
-
-    @cached_property
-    def _coset_basis(self) -> tuple:
-        """Echelonized GF(2)-basis of k + wp(A)."""
-        rows = list(self._wp_columns) + list(self._constant_columns)
-        return tuple(gf2_echelon(rows))
+    def _coset_pivots(self) -> tuple:
+        """GF(2) pivots of k + wp(A), spanned by the columns wp(t^j x^b)
+        (bit b + j*k of a combination) followed by the constants x^b."""
+        k = self.gf.degree
+        cols = [self._pack(self.artin_schreier(self.element([0] * j + [1 << b])))
+                for j in range(self.n) for b in range(k)]
+        return tuple(gf2_pivots(cols + [1 << b for b in range(k)]))
 
     def coset_reduce(self, x: tuple) -> tuple[tuple, bool]:
         """Canonical representative of x modulo k + wp(A), and triviality."""
-        red = gf2_reduce(self._pack(x), list(self._coset_basis))
+        red, _ = gf2_reduce(self._pack(x), self._coset_pivots)
         return self._unpack(red), red == 0
 
     def solve_artin_schreier(self, r: tuple):
@@ -269,23 +219,12 @@ class EtaleAlgebra:
         f is split, since the absolute trace of a ground-field element dies in
         the quadratic extension).
         """
-        cols = list(self._wp_columns) + list(self._constant_columns)
-        combo = gf2_solve(cols, self._pack(r))
-        if combo is None:
+        red, combo = gf2_reduce(self._pack(r), self._coset_pivots)
+        if red:
             return None
-        s = self.zero()
-        for idx in range(len(self._wp_columns)):
-            if (combo >> idx) & 1:
-                j, b = divmod(idx, self.gf.degree)
-                s = self.add(s, self.element([0] * j + [1 << b]))
+        k = self.gf.degree
+        s = self._unpack(combo & ((1 << (self.n * k)) - 1))
         check = self.add(self.artin_schreier(s), r)
-        if any(check[1:]) and len(check) > 1:
+        if any(check[1:]):
             raise AssertionError("Artin-Schreier witness fails verification")
         return s
-
-
-def _invert_mod(gf: Field, a: list, m: list) -> list:
-    g, u, _ = poly.extended_gcd(gf, a, m)
-    if g != [1]:
-        raise ValueError("element is not invertible modulo f")
-    return poly.mod(gf, u, m)

@@ -71,8 +71,8 @@ def phi(algebra: EtaleAlgebra, nf: NormalForm, s: tuple) -> AutomorphismRep:
 @dataclass(frozen=True)
 class PairAnalysis:
     """The normal form (a; r) of a regular pencil in a frame with a_n != 0,
-    with the algebra it lives in.  The Artin-Schreier witness of the r-coset
-    and the r = 0 frame are computed on first use."""
+    with the algebra it lives in.  The r-invariant, the Artin-Schreier
+    witness of its coset and the r = 0 frame are computed on first use."""
 
     pencil: Pencil  # the moved pencil: a_n != 0
     gl2: tuple  # the GL(2) move onto `pencil` from the pencil first analysed
@@ -80,12 +80,15 @@ class PairAnalysis:
     nf: NormalForm  # of `pencil`
 
     @cached_property
+    def r_value(self) -> tuple:
+        """The r-invariant sum r_i d_i as an element of the algebra."""
+        return self.algebra.from_d_coords(list(self.nf.r) + [0])
+
+    @cached_property
     def witness(self):
-        """s with wp(s) + c = sum r_i d_i for a constant c, or None when the
+        """s with wp(s) + c = r_value for a constant c, or None when the
         r-coset survives over this field (X is not quasi-split)."""
-        return self.algebra.solve_artin_schreier(
-            self.algebra.from_d_coords(list(self.nf.r) + [0])
-        )
+        return self.algebra.solve_artin_schreier(self.r_value)
 
     @cached_property
     def r0_frame(self):

@@ -21,8 +21,8 @@ error object), 2 malformed input, 3 a failed internal certificate (a bug:
 a result did not survive its own substitution check).  Malformed argv (an
 unknown subcommand or flag, a bad option value) is malformed input too:
 the parser raises InputError, so stdout holds {"error": {"type": "input",
-"message": ...}} and the exit code is 2.  The parser is built once, at
-import.
+"message": ...}} and the exit code is 2.  -h/--help prints {"help": the
+usage text} and exits 0.  The parser is built once, at import.
 
 Every field is limited to GF(2^64), the extension fields the CLI picks by
 itself included: Field refuses a degree above field.MAX_FIELD_DEGREE
@@ -33,6 +33,7 @@ or irreducibility test.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -152,17 +153,24 @@ def cmd_normalform(p: Pencil, args) -> dict:
     }
 
 
+def _moved(an, payload: dict) -> dict:
+    """payload, with the GL(2) move under "gl2" when the analysis runs on a
+    moved pencil (a_n = 0 in the given one)."""
+    if an.gl2 != ((1, 0), (0, 1)):
+        payload["gl2"] = _matrix(an.gl2)
+    return payload
+
+
 def cmd_rinv(p: Pencil, args) -> dict:
-    nf = extract_normal_form(p)
-    rinv = r_invariant(nf)
-    rep, trivial = rinv.algebra.coset_reduce(rinv.value)
-    return {
-        "f": list(rinv.algebra.f),
-        "r_coeffs": list(rinv.coeffs),
-        "value": list(rinv.value),
+    an = pair_algebra(p)
+    rep, trivial = r_invariant(an)
+    return _moved(an, {
+        "f": list(an.algebra.f),
+        "r_coeffs": list(an.nf.r),
+        "value": list(an.r_value),
         "canonical_rep": list(rep),
         "trivial_class": trivial,
-    }
+    })
 
 
 def cmd_autos(p: Pencil, args) -> dict:
@@ -230,15 +238,15 @@ def cmd_canonical_plane(p: Pencil, args) -> dict:
 
 
 def cmd_arf(p: Pencil, args) -> dict:
-    nf = extract_normal_form(p)
-    data = arf_invariant(nf)
-    return {
+    an = pair_algebra(p)
+    data = arf_invariant(an)
+    return _moved(an, {
         "arf": list(data.arf),
         "arf_class": list(data.arf_class),
         "matches_r": data.matches_r,
         "qa_w": [list(x) for x in data.qa_w],
         "qa_v": [list(x) for x in data.qa_v],
-    }
+    })
 
 
 def cmd_lattice(p: Pencil, args) -> dict:
@@ -309,12 +317,26 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
+class _HelpRequested(Exception):
+    """-h/--help: the usage text, to be printed as JSON."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse whose failures raise InputError: malformed argv gets the
-    JSON error object and exit 2, as a malformed document does."""
+    JSON error object and exit 2, as a malformed document does.  Help is
+    laid out 80 columns wide whatever the terminal, and raised as
+    _HelpRequested instead of printed."""
+
+    def __init__(self, **kwargs):
+        kwargs.setdefault("formatter_class",
+                          functools.partial(argparse.HelpFormatter, width=80))
+        super().__init__(**kwargs)
 
     def error(self, message):
         raise InputError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,6 +401,9 @@ def main(argv=None) -> int:
         pencil = parse_pencil(_read_json(args.infile))
         payload = SINGLE_DOC_COMMANDS[args.command](pencil, args)
         _emit(payload, args)
+        return 0
+    except _HelpRequested as e:
+        _emit({"help": str(e)}, args)
         return 0
     except InputError as e:
         _emit({"error": {"type": "input", "message": str(e)}}, args)

@@ -16,30 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import EtaleAlgebra
-from .autos import pair_algebra, phi, phi_model_matrix
-from .errors import PreconditionError
+from .autos import PairAnalysis, pair_algebra, phi, phi_model_matrix
 from .linalg import inverse, mat_mul
-from .normalform import NormalForm, extract_normal_form
+from .normalform import extract_normal_form
 from .pencil import Pencil
 
 
-@dataclass(frozen=True)
-class RInvariant:
-    algebra: EtaleAlgebra
-    coeffs: tuple  # r_0 .. r_{n-2}
-    value: tuple  # sum r_i d_i as an algebra element
-
-
-def r_invariant(nf: NormalForm, algebra: EtaleAlgebra | None = None) -> RInvariant:
-    """The element sum r_i d_i of A = k[T]/(Delta(1,T)); needs a_n != 0."""
-    if nf.a[nf.n] == 0:
-        raise PreconditionError(
-            "a_n = 0: apply ensure_an_nonzero to the pencil first"
-        )
-    if algebra is None:
-        algebra = EtaleAlgebra(nf.basis.gf, tuple(nf.a))
-    value = algebra.from_d_coords(list(nf.r) + [0])
-    return RInvariant(algebra, tuple(nf.r), value)
+def r_invariant(an: PairAnalysis) -> tuple[tuple, bool]:
+    """The class of sum r_i d_i modulo k + wp(A): its canonical
+    representative, and whether the class is trivial."""
+    return an.algebra.coset_reduce(an.r_value)
 
 
 def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
@@ -59,8 +45,7 @@ def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
     # equal Delta: both normal forms are taken after the same GL(2) move
     an1, an2 = pair_algebra(p1), pair_algebra(p2)
     algebra = an1.algebra
-    diff = [x ^ y for x, y in zip(an1.nf.r, an2.nf.r)]
-    s = algebra.solve_artin_schreier(algebra.from_d_coords(diff + [0]))
+    s = algebra.solve_artin_schreier(algebra.add(an1.r_value, an2.r_value))
     if s is None:
         return False, None
     gf = p1.gf
@@ -100,7 +85,7 @@ class ArfData:
     matches_r: bool
 
 
-def arf_invariant(nf: NormalForm, algebra: EtaleAlgebra | None = None) -> ArfData:
+def arf_invariant(an: PairAnalysis) -> ArfData:
     """Arf invariant of q_A = q0 + t q1 on A^n, checked against r.
 
     In the primed basis w'_i = sum_{k>=i} w_k t^(k-i), v'_i = v_i, the form
@@ -113,11 +98,7 @@ def arf_invariant(nf: NormalForm, algebra: EtaleAlgebra | None = None) -> ArfDat
     q_A(v'_i) = r_{2i} t + r_{2i+1}; matches_r compares the Arf class
     with the r-coset.
     """
-    if nf.a[nf.n] == 0:
-        raise PreconditionError("a_n = 0: apply ensure_an_nonzero first")
-    if algebra is None:
-        algebra = EtaleAlgebra(nf.basis.gf, tuple(nf.a))
-    A = algebra
+    A, nf = an.algebra, an.nf
     n, m = nf.n, nf.m
     model = nf.realized()
     t0 = model.q0.table()
@@ -161,8 +142,7 @@ def arf_invariant(nf: NormalForm, algebra: EtaleAlgebra | None = None) -> ArfDat
     arf = A.zero()
     for x, y in zip(qa_w, qa_v):
         arf = A.add(arf, A.mul(x, y))
-    rval = A.from_d_coords(list(nf.r) + [0])
-    _, matches = A.coset_reduce(A.add(arf, rval))
+    _, matches = A.coset_reduce(A.add(arf, an.r_value))
     rep, _ = A.coset_reduce(arf)
     return ArfData(
         tuple(qa_w), tuple(qa_v), arf, rep, matches

@@ -160,34 +160,10 @@ def intersect_dim(gf: Field, span_a, span_b) -> int:
 # GF(2) linear algebra on bit-packed vectors (ints)
 
 
-def gf2_echelon(rows: list[int]) -> list[int]:
-    """Echelon basis (descending leading bits), fully reduced."""
-    basis: list[int] = []
-    for v in rows:
-        for b in basis:
-            if v ^ b < v:
-                v ^= b
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    # back-substitute so each leading bit appears in exactly one row
-    for i in range(len(basis)):
-        for j in range(i):
-            if basis[j] ^ basis[i] < basis[j]:
-                basis[j] ^= basis[i]
-    return basis
-
-
-def gf2_reduce(v: int, basis: list[int]) -> int:
-    for b in basis:
-        if v ^ b < v:
-            v ^= b
-    return v
-
-
-def gf2_solve(columns: list[int], target: int):
-    """Bitmask x with xor of chosen columns = target, or None."""
-    pivots: list[tuple[int, int]] = []  # (value, combo mask)
+def gf2_pivots(columns: list[int]) -> list[tuple[int, int]]:
+    """(value, combination) pairs spanning the columns, with distinct
+    leading bits in descending order; bit j of a combination is column j."""
+    pivots: list[tuple[int, int]] = []
     for j, col in enumerate(columns):
         combo = 1 << j
         for val, cmb in pivots:
@@ -197,11 +173,15 @@ def gf2_solve(columns: list[int], target: int):
         if col:
             pivots.append((col, combo))
             pivots.sort(key=lambda t: -t[0])
+    return pivots
+
+
+def gf2_reduce(v: int, pivots) -> tuple[int, int]:
+    """The remainder of v with none of the pivots' leading bits set, and
+    the combination of columns whose xor is v + remainder."""
     combo = 0
     for val, cmb in pivots:
-        if target ^ val < target:
-            target ^= val
+        if v ^ val < v:
+            v ^= val
             combo ^= cmb
-    if target:
-        return None
-    return combo
+    return v, combo

@@ -38,7 +38,12 @@ from .geometry import (
     points_on_X,
     smoothness_oracle,
 )
-from .invariants import arf_invariant, is_isomorphic, transformation_law_check
+from .invariants import (
+    arf_invariant,
+    is_isomorphic,
+    r_invariant,
+    transformation_law_check,
+)
 from .lattice import cartan_d, intersection_number, lattice_for
 from .linalg import identity, mat_mul, mat_vec, rank
 from .normalform import extract_normal_form, realize
@@ -280,22 +285,38 @@ def check_normal_form(scale: str):
         yield 1
 
 
+def _trace(A: EtaleAlgebra, x: tuple) -> int:
+    """Tr(x): the trace of multiplication by x in the power basis."""
+    acc = 0
+    for j in range(A.n):
+        acc ^= A.mul(x, A.t_power(j))[j]
+    return acc
+
+
 def check_dual_basis(scale: str):
-    """T5.3: Tr(d_i t^j / f'(t)) = delta_ij for random separable f."""
+    """T5.3: Tr(y t^j / f'(t)) is the j-th d-coordinate of y, for every d_i
+    and a random y, with the trace and 1/f' taken from their definitions."""
     count = 100 if scale == "full" else 20
     rng = random.Random(53)
+    rng_y = random.Random(530)
     fields = [GF(1), GF(2), GF(3)]
-    for i in range(count):
-        gf = fields[i % 3]
+    for k in range(count):
+        gf = fields[k % 3]
         deg = rng.randrange(2, 10)
         f = random_separable_poly(gf, deg, rng)
         A = EtaleAlgebra(gf, tuple(f))
-        _expect(A.dual_basis_check(), f"failed for f={f}")
-        # falsification control: a perturbed d-element must not pass
-        bad = list(A.d_basis[0])
-        bad[0] ^= 1
-        _expect(A.d_coords(tuple(bad)) != A.d_coords(A.d_basis[0]),
-                "projection failed to separate elements")
+        g, inv, _ = poly.extended_gcd(gf, poly.derivative(gf, f), list(A.monic_f))
+        _expect(g == [1], f"f'(t) is not invertible for f={f}")
+        duals = [A.mul(A.from_poly(inv), A.t_power(j)) for j in range(A.n)]
+
+        def projection(x):
+            return tuple(_trace(A, A.mul(x, dual)) for dual in duals)
+
+        for i, d in enumerate(A.d_basis):
+            unit = tuple(int(j == i) for j in range(A.n))
+            _expect(projection(d) == unit == A.d_coords(d), f"f={f} d_{i}")
+        y = A.element([rng_y.randrange(gf.order) for _ in range(A.n)])
+        _expect(projection(y) == A.d_coords(y), f"f={f} y={y}")
         yield 1
 
 
@@ -349,16 +370,12 @@ def check_classification(scale: str):
     if scale != "full":
         by_delta = dict(sorted(by_delta.items())[:2])
     for a, pencils in sorted(by_delta.items()):
-        algebra = EtaleAlgebra(g2, a)
         coset_parts: dict = {}
         index = {}
         for p in pencils:
             key = (p.q0.coeffs, p.q1.coeffs)
             index[key] = p
-            nf = extract_normal_form(p)
-            rep, _ = algebra.coset_reduce(
-                algebra.from_d_coords(list(nf.r) + [0])
-            )
+            rep, _ = r_invariant(pair_algebra(p))
             coset_parts.setdefault(rep, set()).add(key)
         unvisited = set(index)
         orbits = []
@@ -482,8 +499,7 @@ def check_arf(scale: str):
     combos = [(GF(1), 1), (GF(1), 2), (GF(2), 1), (GF(2), 2), (GF(1), 3)]
     for i in range(count):
         gf, m = combos[i % len(combos)]
-        an = pair_algebra(random_comparable_pencil(gf, m, rng))
-        data = arf_invariant(an.nf, an.algebra)
+        data = arf_invariant(pair_algebra(random_comparable_pencil(gf, m, rng)))
         _expect(data.matches_r, f"mismatch at m={m} over {gf!r}")
         yield 1
 

@@ -4,7 +4,9 @@ case below, run in-process through `cli.main`.
     PYTHONPATH=src python tests/golden/record.py
 
 rewrites tests/golden/corpus.json from the current code; tests/test_golden.py
-replays it.  An argument "@name" stands for tests/golden/docs/name.json.
+replays it.  Before writing, it prints to stderr the argv of every entry
+whose exit code or stdout digest changed (new entries included), then their
+count.  An argument "@name" stands for tests/golden/docs/name.json.
 Re-record only when a change of output is intended, and say which entries
 changed and why.
 """
@@ -131,8 +133,24 @@ def entry(argv: list) -> dict:
     return e
 
 
+def report_changes(entries: list) -> None:
+    """Print to stderr the argv of each entry whose exit code or digest
+    differs from the corpus on disk (or is new), then their count."""
+    old = {}
+    if CORPUS.exists():
+        old = {tuple(e["argv"]): e for e in json.loads(CORPUS.read_text())}
+    changed = 0
+    for e in entries:
+        prev = old.get(tuple(e["argv"]))
+        if prev is None or (prev["exit"], prev["sha256"]) != (e["exit"], e["sha256"]):
+            print("changed: " + " ".join(e["argv"]), file=sys.stderr)
+            changed += 1
+    print(f"{changed} entries changed", file=sys.stderr)
+
+
 def main() -> int:
     entries = [entry(argv) for argv in cases()]
+    report_changes(entries)
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"recorded {len(entries)} cases in {CORPUS}", file=sys.stderr)
     return 0

@@ -278,8 +278,24 @@ def all_idempotents(algebra):
 
 
 def algebra_trace(algebra, x):
-    """Tr(x) = Tr(x * 1)."""
-    return algebra.trace_pair(x, algebra.one())
+    """Tr(x): the trace of multiplication by x, sum_j (x t^j)_j in the
+    power basis."""
+    acc = 0
+    for j in range(algebra.n):
+        acc ^= algebra.mul(x, algebra.t_power(j))[j]
+    return acc
+
+
+def trace_projection(algebra, x):
+    """(Tr(x t^j / f'(t)))_j, which are the d-coordinates of x (the
+    elements t^j / f'(t) are trace-dual to the d-basis)."""
+    gf = algebra.gf
+    g, inv, _ = poly.extended_gcd(gf, poly.derivative(gf, list(algebra.f)),
+                                  list(algebra.monic_f))
+    assert g == [1], "f'(t) is not invertible"
+    y = algebra.mul(x, algebra.from_poly(inv))
+    return tuple(algebra_trace(algebra, algebra.mul(y, algebra.t_power(j)))
+                 for j in range(algebra.n))
 
 
 def singular_points_on_X(p, ext):

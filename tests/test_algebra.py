@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpencil.poly as poly
-from oracles import algebra_trace, all_idempotents, evaluate, wp_plus_constants
+from oracles import (
+    algebra_trace,
+    all_idempotents,
+    evaluate,
+    trace_projection,
+    wp_plus_constants,
+)
 from qpencil.algebra import EtaleAlgebra
 from qpencil.field import GF
+from qpencil.verify import random_separable_poly
 
 F_EXAMPLE = (0, 1, 1, 1)  # T^3 + T^2 + T = T (T^2 + T + 1)
 
@@ -73,15 +80,38 @@ def test_d_basis_generating_identity(g4):
             assert A.add(prev, cur) == expect
 
 
+def _units(n):
+    return [tuple(int(j == i) for j in range(n)) for i in range(n)]
+
+
 def test_dual_basis_check_and_perturbation(g2):
+    # Tr(d_i t^j / f'(t)) = delta_ij, and d_coords agrees
     for f in [(1, 1, 0, 1), F_EXAMPLE]:
         A = EtaleAlgebra(g2, f)
-        assert A.dual_basis_check()
+        assert [trace_projection(A, d) for d in A.d_basis] == _units(A.n)
+        assert [A.d_coords(d) for d in A.d_basis] == _units(A.n)
     A = EtaleAlgebra(g2, F_EXAMPLE)
     # a perturbed element projects differently (falsification control)
     bad = list(A.d_basis[0])
     bad[1] ^= 1
     assert A.d_coords(tuple(bad)) != (1, 0, 0)
+    assert trace_projection(A, tuple(bad)) == A.d_coords(tuple(bad))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([GF(1), GF(4), GF(17)]),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_d_coords_round_trip_and_trace_projection(gf, deg, seed):
+    # separable f, non-monic included: back-substitution inverts
+    # from_d_coords and equals the trace-dual projection
+    rng = random.Random(seed)
+    A = EtaleAlgebra(gf, tuple(random_separable_poly(gf, deg, rng)))
+    x = A.element([rng.randrange(gf.order) for _ in range(deg)])
+    assert A.from_d_coords(list(A.d_coords(x))) == x
+    assert trace_projection(A, x) == A.d_coords(x)
 
 
 def test_d_coords_roundtrip(g8):
@@ -233,7 +263,8 @@ def test_trace_form_nondegenerate(g4):
         from oracles import det
 
         gram = [
-            [A.trace_pair(A.t_power(i), A.t_power(j)) for j in range(deg)]
+            [algebra_trace(A, A.mul(A.t_power(i), A.t_power(j)))
+             for j in range(deg)]
             for i in range(deg)
         ]
         assert det(g4, gram) != 0
@@ -245,7 +276,8 @@ def test_non_monic_algebra(g4):
     assert poly.is_separable(g4, list(f))
     A = EtaleAlgebra(g4, f)
     assert A.d_basis[-1] == A.constant(2)
-    assert A.dual_basis_check()
+    assert [trace_projection(A, d) for d in A.d_basis] == _units(3)
+    assert [A.d_coords(d) for d in A.d_basis] == _units(3)
     rng = random.Random(10)
     s = [rng.randrange(4) for _ in range(3)]
     assert list(A.d_coords(A.square(A.from_d_coords(s)))) == A.square_in_d_basis(s)

@@ -28,6 +28,10 @@ CASES = [
     ("autx", "g2_n3_autx_bug"),
     ("autx", "g2_n3_an0"),
     ("autx", "g2_n5_113_r0"),
+    ("rinv", "g4_n5_an0"),
+    ("rinv", "g2_n3_an0"),
+    ("arf", "g4_n5_an0"),
+    ("arf", "g2_n3_an0"),
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -347,3 +348,50 @@ def test_automatic_extension_above_the_limit_is_refused(capsys, monkeypatch, com
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "precondition"
     assert error["info"] == {"limit": 64, "degree": 240}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["halfdisc", "--help"],
+                                  ["reflections", "-h"], ["isiso", "--help"]])
+def test_help_is_one_json_object(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    text = json.loads(captured.out)["help"]
+    prog = "qpencil" if argv[0].startswith("-") else f"qpencil {argv[0]}"
+    assert text.startswith(f"usage: {prog} ")
+
+
+def test_help_in_a_process_does_not_depend_on_columns():
+    outputs = set()
+    for columns in ("30", "200"):
+        for argv in (["-h"], ["reflections", "--help"]):
+            env = {**os.environ, "COLUMNS": columns}
+            proc = subprocess.run([sys.executable, "-m", "qpencil"] + argv,
+                                  capture_output=True, text=True, env=env,
+                                  timeout=600)
+            assert proc.returncode == 0 and proc.stderr == ""
+            outputs.add((tuple(argv), proc.stdout))
+    assert len(outputs) == 2
+    assert all(set(json.loads(out)) == {"help"} for _, out in outputs)
+
+
+GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
+
+
+@pytest.mark.parametrize("command", ["rinv", "arf"])
+def test_rinv_and_arf_move_an_a_n_zero_pencil(capsys, command):
+    # a_n = 0: the answer is for the pencil moved by the reported GL(2) move
+    assert main([command, "--in", str(GOLDEN_DOCS / "g2_n3_an0.json")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["gl2"] == [[0, 1], [1, 0]]
+    # a_n != 0: no move, no "gl2" key
+    assert main([command, "--in", str(GOLDEN_DOCS / "g2_n3_m1.json")]) == 0
+    assert "gl2" not in json.loads(capsys.readouterr().out)
+    # every rational point is a root: the error autos gives
+    errors = []
+    for cmd in (command, "autos"):
+        path = str(GOLDEN_DOCS / "g2_n3_all_roots.json")
+        assert main([cmd, "--in", path]) == 1
+        errors.append(json.loads(capsys.readouterr().out)["error"])
+    assert errors[0] == errors[1]
+    assert errors[0]["info"] == {"extension_degree": 2}

@@ -5,6 +5,7 @@ import pytest
 
 from qpencil import poly
 from qpencil.algebra import EtaleAlgebra
+from qpencil.autos import pair_algebra
 from qpencil.errors import PreconditionError
 from qpencil.field import GF
 from qpencil.invariants import (
@@ -19,22 +20,27 @@ from qpencil.verify import gl_elements, pulls_back
 
 
 def test_r_invariant_examples(g2):
-    p = realize(g2, [0, 1, 1, 1], [0, 0])
-    nf = extract_normal_form(p)
-    rv = r_invariant(nf)
-    assert rv.value == (0, 0, 0)
-    A = rv.algebra
-    nf2 = extract_normal_form(realize(g2, [0, 1, 1, 1], [1, 0]))
-    assert r_invariant(nf2, A).value == A.d_basis[0]
-    nf3 = extract_normal_form(realize(g2, [0, 1, 1, 1], [0, 1]))
-    assert r_invariant(nf3, A).value == A.d_basis[1]
+    an = pair_algebra(realize(g2, [0, 1, 1, 1], [0, 0]))
+    assert an.r_value == (0, 0, 0)
+    assert r_invariant(an) == ((0, 0, 0), True)
+    A = an.algebra
+    an2 = pair_algebra(realize(g2, [0, 1, 1, 1], [1, 0]))
+    assert an2.r_value == A.d_basis[0]
+    assert r_invariant(an2)[1] is True
+    an3 = pair_algebra(realize(g2, [0, 1, 1, 1], [0, 1]))
+    assert an3.r_value == A.d_basis[1]
+    assert r_invariant(an3) == (A.coset_reduce(A.d_basis[1])[0], False)
 
 
 def test_r_invariant_requires_an(g2):
-    p = realize(g2, [1, 1, 1, 0], [0, 0], check=False)
-    nf_fails = extract_normal_form(p)
-    with pytest.raises(PreconditionError):
-        r_invariant(nf_fails)
+    # a_n = 0: the analysis runs on the pencil moved to a_n != 0
+    an = pair_algebra(realize(g2, [1, 1, 1, 0], [0, 0], check=False))
+    assert an.gl2 != ((1, 0), (0, 1)) and an.algebra.f[-1] != 0
+    assert r_invariant(an)[1] is True
+    # every rational point of P^1 is a root: no frame over GF(2) has a_n != 0
+    with pytest.raises(PreconditionError) as err:
+        pair_algebra(realize(g2, [0, 1, 1, 0], [0, 0], check=False))
+    assert err.value.info["extension_degree"] == 2
 
 
 def test_isomorphism_examples(g2):
@@ -134,7 +140,7 @@ def test_transformation_law_shifts_coset(g2):
     # conjugating by phi(s) with wp(s) nontrivial changes the representative
     p = realize(g2, [0, 1, 1, 1], [0, 0])
     A = EtaleAlgebra(g2, (0, 1, 1, 1))
-    from qpencil.autos import pair_algebra, phi_model_matrix
+    from qpencil.autos import phi_model_matrix
     from qpencil.linalg import inverse, mat_mul
 
     an = pair_algebra(p)
@@ -153,12 +159,10 @@ def test_transformation_law_shifts_coset(g2):
 
 def test_arf_examples(g2):
     A = EtaleAlgebra(g2, (0, 1, 1, 1))
-    nf0 = extract_normal_form(realize(g2, [0, 1, 1, 1], [0, 0]))
-    data0 = arf_invariant(nf0, A)
+    data0 = arf_invariant(pair_algebra(realize(g2, [0, 1, 1, 1], [0, 0])))
     assert data0.arf == A.zero()
     assert data0.matches_r and data0.arf_class == A.zero()
-    nf01 = extract_normal_form(realize(g2, [0, 1, 1, 1], [0, 1]))
-    data01 = arf_invariant(nf01, A)
+    data01 = arf_invariant(pair_algebra(realize(g2, [0, 1, 1, 1], [0, 1])))
     assert data01.arf == A.d_basis[1]
     assert data01.matches_r
     assert data01.qa_w == (A.d_basis[1],)
@@ -166,9 +170,9 @@ def test_arf_examples(g2):
 
 def test_arf_qa_values(g2):
     # q_A(w'_{i+1}) = d_{2i+1} and q_A(v'_i) = r_{2i} t + r_{2i+1} at m = 2
-    nf = extract_normal_form(realize(g2, [0, 1, 1, 1, 1, 1], [1, 0, 0, 1]))
+    an = pair_algebra(realize(g2, [0, 1, 1, 1, 1, 1], [1, 0, 0, 1]))
     A = EtaleAlgebra(g2, (0, 1, 1, 1, 1, 1))
-    data = arf_invariant(nf, A)
+    data = arf_invariant(an)
     assert data.qa_w == (A.d_basis[1], A.d_basis[3])
     assert data.matches_r
 

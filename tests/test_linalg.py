@@ -5,9 +5,8 @@ import pytest
 from oracles import det
 from qpencil.field import GF
 from qpencil.linalg import (
-    gf2_echelon,
+    gf2_pivots,
     gf2_reduce,
-    gf2_solve,
     identity,
     intersect_dim,
     inverse,
@@ -87,17 +86,24 @@ def test_subspace_utilities(g2):
 
 
 def test_gf2_bitpacked():
-    basis = gf2_echelon([0b1100, 0b0110, 0b1010, 0b0001])
-    assert len(basis) == 3
-    assert gf2_reduce(0b1100, basis) == 0
-    assert gf2_reduce(0b1000, basis) != 0
+    pivots = gf2_pivots([0b1100, 0b0110, 0b1010, 0b0001])
+    assert len(pivots) == 3
+    leads = [val.bit_length() for val, _ in pivots]
+    assert leads == sorted(set(leads), reverse=True)  # distinct, descending
+    assert gf2_reduce(0b1100, pivots)[0] == 0
+    assert gf2_reduce(0b1000, pivots)[0] != 0
     cols = [0b011, 0b101, 0b110]
-    combo = gf2_solve(cols, 0b000)
-    assert combo == 0
-    combo = gf2_solve(cols, 0b110)
+    pivots = gf2_pivots(cols)
+    assert gf2_reduce(0b000, pivots) == (0, 0)
+    rem, combo = gf2_reduce(0b110, pivots)
+    assert rem == 0
     acc = 0
     for j, c in enumerate(cols):
         if (combo >> j) & 1:
             acc ^= c
     assert acc == 0b110
-    assert gf2_solve([0b01, 0b01], 0b10) is None
+    assert gf2_reduce(0b10, gf2_pivots([0b01, 0b01]))[0] != 0
+    # the remainder has none of the leading bits, and differs from the
+    # input by the xor of the columns in the combination
+    rem, combo = gf2_reduce(0b1111, gf2_pivots([0b1100, 0b0110]))
+    assert rem == 0b0011 and combo == 0b01
