@@ -92,7 +92,7 @@ class EtaleAlgebra:
         return tuple(a ^ b for a, b in zip(x, y))
 
     def mul(self, x: tuple, y: tuple) -> tuple:
-        prod = poly.mul(self.gf, list(x), list(y))
+        prod = poly.mul(self.gf, poly.trim(list(x)), poly.trim(list(y)))
         return self.element(poly.mod(self.gf, prod, list(self.monic_f)))
 
     def square(self, x: tuple) -> tuple:
@@ -128,11 +128,7 @@ class EtaleAlgebra:
         return tuple(s)
 
     def from_d_coords(self, s: list) -> tuple:
-        acc = self.zero()
-        for c, d in zip(s, self.d_basis):
-            if c:
-                acc = self.add(acc, tuple(self.gf.mul(c, x) for x in d))
-        return acc
+        return tuple(self.gf.addmul([0] * self.n, s, self.d_basis))
 
     def a_coefficient(self, i: int) -> int:
         """f's coefficient with the convention a_i = 0 outside 0..n."""

@@ -325,14 +325,16 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
                 classes.append(key)
     if len(classes) != len(r_mats) * len(lifts):
         raise AssertionError("semidirect product classes collide")
+    # g1 times every class at once: the classes side by side as one wide
+    # matrix, so each product row is one kernel call
+    n = len(classes[0])
+    wide = [[x for k2 in classes for x in k2[i]] for i in range(n)]
     table = []
     for k1 in classes:
-        row = []
-        g1 = [list(r) for r in k1]
-        for k2 in classes:
-            prod = mat_mul(gf, g1, [list(r) for r in k2])
-            row.append(index[_projective_key(gf, prod)])
-        table.append(tuple(row))
+        prod = mat_mul(gf, [list(r) for r in k1], wide)
+        table.append(tuple(
+            index[_projective_key(gf, [r[c:c + n] for r in prod])]
+            for c in range(0, len(wide[0]), n)))
     return AutXGroup(
         ext,
         tuple(tuple(tuple(r) for r in g) for g in r_mats),
@@ -375,14 +377,13 @@ def _lift_one(an: PairAnalysis, sm: list) -> list:
 
 def _projective_key(gf: Field, g: list) -> tuple:
     """Normalize a matrix modulo scalars: first nonzero entry becomes 1."""
-    for row in g:
-        for x in row:
-            if x:
-                inv = gf.inv(x)
-                return tuple(
-                    tuple(gf.mul(inv, y) for y in r) for r in g
-                )
-    raise ValueError("zero matrix has no projective class")
+    flat = [x for row in g for x in row]
+    lead = next((x for x in flat if x), 0)
+    if not lead:
+        raise ValueError("zero matrix has no projective class")
+    flat = vec_scale(gf, flat, gf.inv(lead))
+    width = len(g[0])
+    return tuple(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
 
 
 def apply_to_subspace(gf: Field, g: list, span) -> tuple:

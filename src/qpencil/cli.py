@@ -27,7 +27,9 @@ usage text} and exits 0.  The parser is built once, at import.
 Every field is limited to GF(2^64), the extension fields the CLI picks by
 itself included: Field refuses a degree above field.MAX_FIELD_DEGREE
 (exit 1, with info {"limit": 64, "degree": d}) before any modulus search
-or irreducibility test.
+or irreducibility test.  The dimension is limited to MAX_DIMENSION = 61:
+a larger n is refused (exit 1, with info {"limit": 61, "n": n}) before
+any coefficient triple is parsed.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ from .normalform import extract_normal_form
 from .pencil import Pencil
 from .quadform import QuadraticForm
 from .verify import SCALES, run_suite
+
+
+# the radical map costs O(n^4) field products: halfdisc on a dense pencil
+# with n = 61 takes about 0.5 s over GF(2^8) and 11 s over GF(2^64)
+MAX_DIMENSION = 61
 
 
 def _json_int(x, what: str) -> int:
@@ -114,6 +121,9 @@ def parse_pencil(doc: dict) -> Pencil:
     gf = parse_field(doc)
     try:
         n = _json_int(doc["n"], "n")
+        if n > MAX_DIMENSION:
+            raise PreconditionError(f"dimension {n} is above the limit {MAX_DIMENSION}",
+                                    limit=MAX_DIMENSION, n=n)
         q0 = parse_form(gf, n, doc["q0"], "q0")
         q1 = parse_form(gf, n, doc["q1"], "q1")
     except KeyError as e:

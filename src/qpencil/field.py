@@ -6,14 +6,22 @@ one elements are the ints 0 and 1.  A Field object carries the modulus and
 multiplication tables; it is immutable after construction, so contexts can
 be shared freely between threads.
 
-Two paths serve the arithmetic, chosen by the field order:
+Two representations serve the arithmetic, chosen by the field order:
 
 - order <= 2^16 (k <= 16): exp/log tables of a primitive element; mul and
-  inv are table lookups.
+  inv are table lookups, and every product is reduced by construction.
 - order > 2^16: no tables of elements.  mul is the 4-bit windowed
   carry-less product p2_mul, reduced a byte at a time from the top with a
   256-entry table of multiples of the modulus; inv is the binary extended
   Euclidean algorithm on packed GF(2)[T] ints.
+
+Linear algebra and polynomial products go through one vector kernel,
+Field.addmul(acc, cs, vs) = acc + sum of c*v over the pairs, instead of
+one mul call per product.  With log tables it takes the log of each c
+once and does one exp lookup per nonzero entry of v.  Without them it
+builds the 4-bit table of multiples of each c once, xors the unreduced
+carry-less products into acc, and reduces each entry of the sum once, at
+the end of the call.
 
 Use the cached factories GF(k) / field_from_modulus(m) so that repeated
 requests return the same context (and the same lookup tables).  A degree
@@ -44,9 +52,8 @@ def p2_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def p2_mul(a: int, b: int) -> int:
-    """Carry-less product of two packed GF(2)[T] polynomials, four bits of
-    b at a time: t[c] is the product of a with the nibble c."""
+def _nibble_table(a: int) -> tuple:
+    """The carry-less products of a with the sixteen 4-bit polynomials."""
     a2 = a << 1
     a4 = a << 2
     a8 = a << 3
@@ -54,8 +61,23 @@ def p2_mul(a: int, b: int) -> int:
     a5 = a4 ^ a
     a6 = a4 ^ a2
     a7 = a6 ^ a
-    t = (0, a, a2, a3, a4, a5, a6, a7,
-         a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+    return (0, a, a2, a3, a4, a5, a6, a7,
+            a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+
+
+def _clmul_add(acc: list, t: tuple, v) -> list:
+    """acc xor the carry-less products of a with the entries of v, each
+    below 2^32, where t = _nibble_table(a)."""
+    return [x ^ t[y & 15] ^ t[y >> 4 & 15] << 4 ^ t[y >> 8 & 15] << 8
+            ^ t[y >> 12 & 15] << 12 ^ t[y >> 16 & 15] << 16
+            ^ t[y >> 20 & 15] << 20 ^ t[y >> 24 & 15] << 24 ^ t[y >> 28] << 28
+            for x, y in zip(acc, v)]
+
+
+def p2_mul(a: int, b: int) -> int:
+    """Carry-less product of two packed GF(2)[T] polynomials, four bits of
+    b at a time: t[c] is the product of a with the nibble c."""
+    t = _nibble_table(a)
     r = 0
     s = (b.bit_length() + 3) & -4
     while s:
@@ -246,6 +268,44 @@ class Field:
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
         return self._mul_raw(a, b)
+
+    def addmul(self, acc: list, cs, vs) -> list:
+        """acc + sum of c*v over the pairs (c, v) of cs and vs, entrywise:
+        the multiply-accumulate kernel.  Every v has the length of acc.
+        acc is not modified, but it may be returned itself."""
+        exp, log = self._exp, self._log
+        if exp is not None:
+            # pairs with c != 0, 1 go two to a pass, which halves the
+            # per-pass overhead that dominates at n around 13
+            held = None
+            for c, v in zip(cs, vs):
+                if c == 1:
+                    acc = [x ^ y for x, y in zip(acc, v)]
+                elif c and held is None:
+                    held = log[c], v
+                elif c:
+                    lb, u = held
+                    held = None
+                    lc = log[c]
+                    acc = [x ^ (exp[lb + log[y]] if y else 0) ^ (exp[lc + log[z]] if z else 0)
+                           for x, y, z in zip(acc, u, v)]
+            if held is not None:
+                lb, u = held
+                acc = [x ^ exp[lb + log[y]] if y else x for x, y in zip(acc, u)]
+            return acc
+        # unreduced carry-less products, 32 bits of each entry of v per pass
+        for c, v in zip(cs, vs):
+            if c == 1:
+                acc = [x ^ y for x, y in zip(acc, v)]
+            elif c:
+                if self.degree > 32:
+                    acc = _clmul_add(acc, _nibble_table(c << 32), [y >> 32 for y in v])
+                    v = [y & 0xFFFFFFFF for y in v]
+                acc = _clmul_add(acc, _nibble_table(c), v)
+        red, k = self._red, self.degree
+        for s in self._shifts:
+            acc = [p ^ red[p >> k + s] << s for p in acc]
+        return acc
 
     def inv(self, a: int) -> int:
         if a == 0:

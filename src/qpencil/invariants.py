@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import EtaleAlgebra
 from .autos import PairAnalysis, pair_algebra, phi, phi_model_matrix
-from .linalg import inverse, mat_mul
+from .linalg import inverse, mat_mul, vec_scale
 from .normalform import extract_normal_form
 from .pencil import Pencil
 
@@ -150,4 +150,4 @@ def arf_invariant(an: PairAnalysis) -> ArfData:
 
 
 def _scal(A: EtaleAlgebra, c: int, x: tuple) -> tuple:
-    return tuple(A.gf.mul(c, v) for v in x)
+    return tuple(vec_scale(A.gf, x, c))

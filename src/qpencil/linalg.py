@@ -23,31 +23,16 @@ def transpose(a: list) -> list:
 
 
 def mat_vec(gf: Field, a: list, v: list) -> list:
-    mul = gf.mul
-    out = []
-    for row in a:
-        acc = 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc ^= mul(x, y)
-        out.append(acc)
-    return out
+    """a v, as the combination of the columns of a with the entries of v."""
+    return gf.addmul([0] * len(a), v, zip(*a))
 
 
 def mat_mul(gf: Field, a: list, b: list) -> list:
-    mul = gf.mul
-    bt = transpose(b)
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc ^= mul(x, y)
-            orow.append(acc)
-        out.append(orow)
-    return out
+    """a b, row by row: row i is the combination of the rows of b with the
+    entries of row i of a."""
+    addmul = gf.addmul
+    width = len(b[0]) if b else 0
+    return [addmul([0] * width, row, b) for row in a]
 
 
 def vec_dot(gf: Field, u: list, v: list) -> int:
@@ -60,8 +45,7 @@ def vec_dot(gf: Field, u: list, v: list) -> int:
 
 
 def vec_scale(gf: Field, v: list, c: int) -> list:
-    mul = gf.mul
-    return [mul(c, x) for x in v]
+    return gf.addmul([0] * len(v), (c,), (v,))
 
 
 def rref(gf: Field, a: list) -> tuple[list, list]:
@@ -83,10 +67,11 @@ def rref(gf: Field, a: list) -> tuple[list, list]:
         inv = gf.inv(m[r][c])
         if inv != 1:
             m[r] = vec_scale(gf, m[r], inv)
+        # columns before c are zero in row r
+        pivot_row = (m[r][c:],)
         for i in range(nrows):
             if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x ^ gf.mul(f, y) for x, y in zip(m[i], m[r])]
+                m[i][c:] = gf.addmul(m[i][c:], (m[i][c],), pivot_row)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -135,7 +120,7 @@ def nullspace(gf: Field, a: list) -> list:
 
 def inverse(gf: Field, a: list) -> list:
     n = len(a)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(a)]
+    aug = [row + e for row, e in zip(a, identity(n))]
     m, pivots = rref(gf, aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

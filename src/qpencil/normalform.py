@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import NotRegularError
 from .field import Field
-from .linalg import inverse, mat_mul, mat_vec, rank, solve, transpose, vec_dot
+from .linalg import inverse, mat_mul, mat_vec, rank, solve, transpose
 from .pencil import Pencil
 from .quadform import QuadraticForm
 
@@ -110,14 +110,13 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
 
     # Correct v_j by elements of span(w) to kill the v-v pairings.
     if m > 1:
-        h0 = [mat_vec(gf, g0, v) for v in v0]
-        h1 = [mat_vec(gf, g1, v) for v in v0]
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        sol = _vv_correction(
-            m,
-            [vec_dot(gf, h1[i], v0[j]) for i, j in pairs],
-            [vec_dot(gf, h0[i], v0[j]) for i, j in pairs],
-        )
+        # b(v_i, v_j) = (G v_i) . v_j for the pairs i < j, row i at a time
+        c1, c0 = [], []
+        for i, v in enumerate(v0[:-1]):
+            later = v0[i + 1:]
+            c1 += mat_vec(gf, later, mat_vec(gf, g1, v))
+            c0 += mat_vec(gf, later, mat_vec(gf, g0, v))
+        sol = _vv_correction(m, c1, c0)
         corr = mat_mul(gf, [sol[j * (m + 1):(j + 1) * (m + 1)] for j in range(m)], ws)
         v0 = [[x ^ y for x, y in zip(v, c)] for v, c in zip(v0, corr)]
 
@@ -177,35 +176,29 @@ def extract_normal_form(p: Pencil) -> NormalForm:
     a_{2i} = q0(w_i), a_{2i+1} = q1(w_i), r_{2i+1} = q0(v_i), r_{2i} = q1(v_i);
     the extracted a always equals the half-discriminant coefficients.
 
-    Two certificates: a equals the half-discriminant, and the round trip
-    q o B = model.  The model's off-diagonal entries are the Kronecker
-    pairings and its diagonal is q on the same basis vectors, so the round
-    trip holds exactly when the Kronecker equations do.
+    Both forms are pulled back by the basis once: q(B e_i) is the diagonal
+    of q o B, so a and r are read off it.  Two certificates: a equals the
+    half-discriminant, and the round trip q o B = model.  The model's
+    off-diagonal entries are the Kronecker pairings and its diagonal is
+    q on the same basis vectors, so the round trip holds exactly when the
+    Kronecker equations do.
     """
     kb = complete_kronecker(p, canonical_w(p))
-    a = [0] * (p.n + 1)
-    r = [0] * (p.n - 1)
-    for i, w in enumerate(kb.w):
-        a[2 * i] = p.q0(w)
-        a[2 * i + 1] = p.q1(w)
-    for i, v in enumerate(kb.v):
-        r[2 * i + 1] = p.q0(v)
-        r[2 * i] = p.q1(v)
+    n, m = p.n, p.m
+    b = kb.matrix()
+    pulled = (p.q0.transform(b), p.q1.transform(b))
+    d0, d1 = ([q.table().get((i, i), 0) for i in range(n)] for q in pulled)
+    a = [c for pair in zip(d0[:m + 1], d1[:m + 1]) for c in pair]
+    r = [c for pair in zip(d1[m + 1:], d0[m + 1:]) for c in pair]
     if a != p.half_discriminant():
         raise AssertionError("extracted coefficients disagree with the "
                              "half-discriminant")
-    nf = NormalForm(tuple(a), tuple(r), kb)
-    _verify_roundtrip(p, nf)
-    return nf
-
-
-def _verify_roundtrip(p: Pencil, nf: NormalForm):
     # realized directly, so this certificate stays independent of
     # NormalForm.realized, which the T1.1 check tests on its own
-    model = realize(nf.basis.gf, list(nf.a), list(nf.r), check=False)
-    b = nf.basis.matrix()
-    if p.q0.transform(b) != model.q0 or p.q1.transform(b) != model.q1:
+    model = realize(kb.gf, a, r, check=False)
+    if pulled != (model.q0, model.q1):
         raise AssertionError("normal form does not reproduce the pencil")
+    return NormalForm(tuple(a), tuple(r), kb)
 
 
 def realize(gf: Field, a: list, r: list, check: bool = True) -> Pencil:

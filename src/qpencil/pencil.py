@@ -14,7 +14,7 @@ from __future__ import annotations
 from . import poly
 from .errors import NotRegularError, PreconditionError
 from .field import Field
-from .linalg import inverse, mat_mul, rank
+from .linalg import inverse, mat_mul, rank, transpose
 from .quadform import AlternatingForm, QuadraticForm, pfaffian_vector
 
 
@@ -84,11 +84,8 @@ class Pencil:
             if j > 1:  # then gf has at most m elements
                 ext, emb = gf.extension(j)
                 grams = [[emb.map_vec(row) for row in g] for g in grams]
-            mul = ext.mul
             values = [
-                pfaffian_vector(
-                    ext, [[mul(x, a) ^ b for a, b in zip(*rs)] for rs in zip(*grams)]
-                )
+                pfaffian_vector(ext, [ext.addmul(r1, (x,), (r0,)) for r0, r1 in zip(*grams)])
                 for x in range(m + 1)
             ]
             vander = [[ext.pow(x, m - i) for i in range(m + 1)] for x in range(m + 1)]
@@ -108,26 +105,22 @@ class Pencil:
     def half_discriminant(self) -> list:
         """Coefficients (a_0, ..., a_n) of Delta = (l q0 + u q1)(Omega(l, u)).
 
-        q(Omega) = sum_i Omega_i s_i with s_i = sum_{j >= i} t_ij Omega_j,
-        so Delta = sum_i Omega_i (l s0_i + u s1_i): one pass over the
-        coefficients (scalar times binary form) and 2n products of binary
-        forms of degree m, O(n^3) multiplications.
+        With W the (m+1) x n matrix of the w_i and U the upper-triangular
+        coefficient matrix of q, q(Omega) = Omega^T U Omega, whose t^d
+        coefficient is the sum of the entries (e, f) of W U W^T with
+        e + f = d.  Two matrix products per form (U W^T, one pass over the
+        coefficients, then W times it), O(n^3) multiplications.
         """
         if self._half_disc is None:
-            gf, n, m = self.gf, self.n, self.m
-            mul = gf.mul
-            omega = [list(c) for c in zip(*self.radical_map())]
+            gf, n = self.gf, self.n
+            w = self.radical_map()
+            wt = transpose(w)
             acc = [0] * (n + 1)
             for shift, q in enumerate((self.q0, self.q1)):  # l shifts by 0, u by 1
-                s = [[0] * (m + 1) for _ in range(n)]
-                for (i, j), c in q.coeffs:
-                    si = s[i]
-                    for d, x in enumerate(omega[j]):
-                        if x:
-                            si[d] ^= mul(c, x)
-                for oi, si in zip(omega, s):
-                    for d, v in enumerate(poly.bf_mul(gf, oi, si)):
-                        acc[d + shift] ^= v
+                g = mat_mul(gf, w, mat_mul(gf, q.upper_matrix(), wt))
+                for e, row in enumerate(g):
+                    for f, v in enumerate(row, e + shift):
+                        acc[f] ^= v
             self._half_disc = acc
         return self._half_disc
 

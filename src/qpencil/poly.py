@@ -50,21 +50,13 @@ def add(a: list, b: list) -> list:
 def scale(gf: Field, a: list, c: int) -> list:
     if c == 0:
         return []
-    mul = gf.mul
-    return [mul(c, x) for x in a]
+    return gf.addmul([0] * len(a), (c,), (a,))
 
 
 def mul(gf: Field, a: list, b: list) -> list:
     if not a or not b:
         return []
-    fmul = gf.mul
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] ^= fmul(x, y)
-    return trim(out)
+    return trim(bf_mul(gf, a, b))
 
 
 def monic(gf: Field, a: list) -> list:
@@ -87,9 +79,7 @@ def divmod_(gf: Field, a: list, b: list) -> tuple[list, list]:
         d = len(r) - 1 - db
         coef = gf.mul(r[-1], inv_lead)
         q[d] = coef
-        for i, x in enumerate(b):
-            if x:
-                r[d + i] ^= gf.mul(coef, x)
+        r[d:] = gf.addmul(r[d:], (coef,), (b,))
         trim(r)
     return trim(q), r
 
@@ -290,14 +280,18 @@ def bf_degree(c: list) -> int:
 
 
 def bf_mul(gf: Field, a: list, b: list) -> list:
-    fmul = gf.mul
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] ^= fmul(x, y)
-    return out
+    """The product of two nonempty coefficient lists, untrimmed: a binary
+    form of degree deg a + deg b.  One kernel call: the sum, over the
+    nonzero a_i of the list with fewer of them, of a_i times the other
+    list shifted by i."""
+    if len(b) - b.count(0) < len(a) - a.count(0):
+        a, b = b, a
+    la = len(a)
+    width = la + len(b) - 1
+    padded = [0] * (la - 1) + b + [0] * (la - 1)
+    shifts = [i for i, c in enumerate(a) if c]
+    return gf.addmul([0] * width, [a[i] for i in shifts],
+                     [padded[la - 1 - i:la - 1 - i + width] for i in shifts])
 
 
 def bf_eval(gf: Field, c: list, t0: int, t1: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import Field
-from .linalg import mat_mul, rank, transpose, vec_dot
+from .linalg import mat_mul, rank, transpose, vec_dot, vec_scale
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,18 @@ class QuadraticForm:
         O(n^3) multiplications.
         """
         n = self.n
-        u = [[0] * n for _ in range(n)]
-        for (i, j), c in self.coeffs:
-            u[i][j] = c
-        k = mat_mul(self.gf, transpose(g), mat_mul(self.gf, u, g))
+        k = mat_mul(self.gf, transpose(g), mat_mul(self.gf, self.upper_matrix(), g))
         return QuadraticForm.from_table(self.gf, n, {
             (i, j): k[i][j] ^ (k[j][i] if i != j else 0)
             for i in range(n) for j in range(i, n)
         })
+
+    def upper_matrix(self) -> list:
+        """The upper-triangular U with q(x) = x^T U x."""
+        u = [[0] * self.n for _ in range(self.n)]
+        for (i, j), c in self.coeffs:
+            u[i][j] = c
+        return u
 
     def map_field(self, emb) -> "QuadraticForm":
         return QuadraticForm.from_table(
@@ -178,10 +182,9 @@ def pfaffian_vector(gf: Field, gram) -> list:
     for i, j, p in reversed(pivots):
         # entries outside omega(S) are still zero, so whole rows can be dotted
         wi, wj = vec_dot(gf, a[j], omega), vec_dot(gf, a[i], omega)
-        omega = [mul(p, w) for w in omega]
+        omega = vec_scale(gf, omega, p)
         omega[i], omega[j] = wi, wj
-    inv = gf.inv(scale)
-    return [mul(inv, w) for w in omega]
+    return vec_scale(gf, omega, gf.inv(scale))
 
 
 def half_disc(q: QuadraticForm) -> int:

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from qpencil.field import GF
+from qpencil.field import GF, Field
 
 
 @pytest.fixture
@@ -26,3 +26,35 @@ def g8():
 @pytest.fixture
 def g16():
     return GF(4)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """products(fn) runs fn and returns (the field products it formed, its
+    result): one product per Field.mul call, plus len(v) for each pair
+    (c, v) with c != 0 that a Field.addmul call takes.  The
+    multiplication-count guards use it, so a product is counted whether it
+    goes through mul or through the kernel."""
+
+    def count(fn):
+        formed = 0
+        mul, addmul = Field.mul, Field.addmul
+
+        def counted_mul(self, a, b):
+            nonlocal formed
+            formed += 1
+            return mul(self, a, b)
+
+        def counted_addmul(self, acc, cs, vs):
+            nonlocal formed
+            cs, vs = list(cs), list(vs)
+            formed += sum(len(v) for c, v in zip(cs, vs) if c)
+            return addmul(self, acc, cs, vs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Field, "mul", counted_mul)
+            mp.setattr(Field, "addmul", counted_addmul)
+            out = fn()
+        return formed, out
+
+    return count

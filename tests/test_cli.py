@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from oracles import serialize_pencil
-from qpencil.cli import main, parse_pencil
+from qpencil.cli import MAX_DIMENSION, main, parse_pencil
 
 M1_DOC = {
     "field": {"degree": 1},
@@ -246,24 +246,40 @@ def test_only_json_integers_are_accepted(tmp_path, capsys, path, value):
     assert error["type"] == "input"
 
 
-def test_certificate_failure_exits_3(tmp_path, capsys, monkeypatch):
-    # a substitution that returns a wrong form breaks the round trip of
-    # extract_normal_form: exit 3 with one JSON object, not a traceback
+def _wrong_substitution(monkeypatch, key):
+    """QuadraticForm.transform with coefficient `key` of its image flipped."""
     from qpencil.quadform import QuadraticForm
 
     transform = QuadraticForm.transform
 
     def wrong(q, g):
         image = transform(q, g)
-        return image.add(QuadraticForm.from_table(image.gf, image.n, {(0, 0): 1}))
+        return image.add(QuadraticForm.from_table(image.gf, image.n, {key: 1}))
 
     monkeypatch.setattr(QuadraticForm, "transform", wrong)
+
+
+def test_certificate_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a substitution that returns a wrong pairing breaks the round trip of
+    # extract_normal_form: exit 3 with one JSON object, not a traceback
+    _wrong_substitution(monkeypatch, (0, 1))
     doc = write_doc(tmp_path, "doc.json", DP_DOC)
     assert main(["normalform", "--in", doc]) == 3
     out = capsys.readouterr().out
     error = json.loads(out)["error"]
     assert error["type"] == "internal"
     assert error["message"] == "normal form does not reproduce the pencil"
+
+
+def test_wrong_diagonal_fails_the_half_discriminant_check(tmp_path, capsys, monkeypatch):
+    # a and r are read off the diagonal of q o B, so a wrong q(w_0) is
+    # caught by the check of a against the half-discriminant
+    _wrong_substitution(monkeypatch, (0, 0))
+    doc = write_doc(tmp_path, "doc.json", DP_DOC)
+    assert main(["normalform", "--in", doc]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "internal"
+    assert error["message"] == "extracted coefficients disagree with the half-discriminant"
 
 
 @pytest.mark.parametrize(
@@ -293,6 +309,24 @@ def test_field_degree_limit_is_checked_before_any_search(
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "precondition"
     assert error["info"] == {"limit": 64, "degree": degree}
+
+
+@pytest.mark.parametrize("n", [MAX_DIMENSION + 1, MAX_DIMENSION + 2, 4001])
+def test_dimension_limit_is_checked_before_any_triple(tmp_path, capsys, n):
+    # n = 4001 used to print nothing within 20 s; the refusal comes before
+    # the coefficient triples are read, so even malformed ones are not seen
+    doc = _with(M1_DOC, ("n",), n)
+    doc["q0"] = "not a list of triples"
+    assert main(["halfdisc", "--in", write_doc(tmp_path, "doc.json", doc)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "precondition"
+    assert error["info"] == {"limit": MAX_DIMENSION, "n": n}
+
+
+def test_dimension_at_the_limit_is_accepted(tmp_path, capsys):
+    doc = _with(M1_DOC, ("n",), MAX_DIMENSION)
+    assert main(["halfdisc", "--in", write_doc(tmp_path, "doc.json", doc)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"a": [0] * (MAX_DIMENSION + 1)}
 
 
 def test_field_degree_64_is_accepted(tmp_path, capsys):

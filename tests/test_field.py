@@ -14,6 +14,7 @@ from qpencil.field import (
     find_embedding,
     p2_is_irreducible,
 )
+from qpencil.linalg import mat_mul
 
 FIELDS = [GF(1), GF(2), GF(3), GF(4), GF(8)]
 
@@ -179,6 +180,56 @@ def test_mul_and_inv_match_the_bit_loop_oracle(k):
             for b in edge + [rng.choice(xs), rng.randrange(gf.order)]:
                 assert gf.mul(a, b) == mul_by_bits(modulus, a, b)
             assert gf.inv(a) == inv_by_pow(modulus, a)
+
+
+def _addmul_by_bits(modulus, acc, cs, vs):
+    out = list(acc)
+    for c, v in zip(cs, vs):
+        for i, y in enumerate(v):
+            out[i] ^= mul_by_bits(modulus, c, y)
+    return out
+
+
+def _mat_mul_by_bits(modulus, a, b):
+    out = [[0] * (len(b[0]) if b else 0) for _ in a]
+    for i, row in enumerate(a):
+        for j in range(len(out[i])):
+            for t, x in enumerate(row):
+                out[i][j] ^= mul_by_bits(modulus, x, b[t][j])
+    return out
+
+
+@pytest.mark.parametrize("k", ORACLE_DEGREES)
+def test_kernel_and_mat_mul_match_the_bit_loop_oracle(k):
+    # the multiply-accumulate kernel on both sides of the table limit:
+    # vectors with zeros, c in {0, 1, random}, lengths 0..9, one to three
+    # pairs per call; then mat_mul on square, non-square and empty shapes
+    rng = random.Random(2000 + k)
+    gf = GF(k)
+
+    def vec(length):
+        return [rng.choice((0, 1, rng.randrange(gf.order))) for _ in range(length)]
+
+    for length in range(10):
+        for _ in range(4):
+            pairs = rng.randrange(1, 4)
+            cs = [rng.choice((0, 1, rng.randrange(1, gf.order))) for _ in range(pairs)]
+            vs = [vec(length) for _ in range(pairs)]
+            acc = vec(length)
+            before = list(acc)
+            got = gf.addmul(acc, cs, vs)
+            assert got == _addmul_by_bits(gf.modulus, acc, cs, vs)
+            assert acc == before  # acc itself is left alone
+        for c in (0, 1, rng.randrange(2, gf.order) if k > 1 else 1):
+            v = vec(length)
+            assert gf.addmul([0] * length, [c], [v]) == _addmul_by_bits(
+                gf.modulus, [0] * length, [c], [v])
+    shapes = [(1, 5, 3), (5, 1, 4), (4, 6, 1), (1, 1, 1), (3, 3, 3), (2, 0, 3),
+              (0, 3, 2), (9, 7, 8)]
+    for rows, inner, cols in shapes:
+        a = [vec(inner) for _ in range(rows)]
+        b = [vec(cols) for _ in range(inner)]
+        assert mat_mul(gf, a, b) == _mat_mul_by_bits(gf.modulus, a, b)
 
 
 def test_log_tables_match_the_trial_build():

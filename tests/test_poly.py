@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import qpencil.poly as poly
 from oracles import bf_dehomogenize_t1, evaluate, roots_by_scan, roots_in
-from qpencil.field import GF, Field, field_from_modulus, find_embedding
+from qpencil.field import GF, field_from_modulus, find_embedding
 
 FIELDS = [GF(1), GF(2), GF(3)]
 
@@ -170,26 +170,18 @@ def test_embedding_takes_smallest_scanned_root():
     assert len(pairs) == 28
 
 
-def test_root_finding_multiplications_stay_polynomial(monkeypatch):
+def test_root_finding_multiplications_stay_polynomial(products):
     # a deterministic guard against scanning the field: evaluating at every
     # element of GF(2^24) needs more than 5 * 10^7 multiplications
     big = GF(24)
     a, b, c = 0xABCDEF, 0x123456, 0x0F0F0F
     f = poly.mul(big, poly.mul(big, [a, 1], [b, 1]), [c, 1])
-    calls = 0
-    mul = Field.mul
-
-    def counted(self, x, y):
-        nonlocal calls
-        calls += 1
-        return mul(self, x, y)
-
-    monkeypatch.setattr(Field, "mul", counted)
-    assert poly.roots(big, f) == sorted([a, b, c])
-    assert 0 < calls < 10**6
-    calls = 0
-    emb = find_embedding.__wrapped__(GF(8), big)  # bypass the cache
-    assert 0 < calls < 10**6
+    formed, found = products(lambda: poly.roots(big, f))
+    assert 0 < formed < 10**6
+    assert found == sorted([a, b, c])
+    # bypass the cache
+    formed, emb = products(lambda: find_embedding.__wrapped__(GF(8), big))
+    assert 0 < formed < 10**6
     assert evaluate(big, [(GF(8).modulus >> i) & 1 for i in range(9)], emb.root) == 0
 
 
