@@ -21,7 +21,7 @@ from . import poly
 from .algebra import EtaleAlgebra
 from .errors import PreconditionError
 from .field import Field, find_embedding
-from .linalg import inverse, mat_mul, mat_vec, normalize_subspace, transpose, vec_scale
+from .linalg import mat_mul, mat_vec, normalize_subspace, transpose, vec_scale
 from .normalform import NormalForm, extract_normal_form, model_to_pencil
 from .pencil import Pencil
 
@@ -93,13 +93,14 @@ class PairAnalysis:
     @cached_property
     def r0_frame(self):
         """Basis matrix (columns w_0..w_m, v_0..v_{m-1}) in which the pair
-        reads as the normal form with r = 0, or None without a witness."""
+        reads as the normal form with r = 0, or None without a witness.
+        That is B phi(s)^-1, and phi(s) = [[I, S], [0, I]] is its own
+        inverse in characteristic 2."""
         if self.witness is None:
             return None
-        gf = self.nf.basis.gf
         s_coords = list(self.algebra.d_coords(self.witness))[: self.algebra.n - 1]
         ms = phi_model_matrix(self.nf.m, s_coords)
-        return mat_mul(gf, self.nf.basis.matrix(), inverse(gf, ms))
+        return mat_mul(self.nf.basis.gf, self.nf.basis.matrix(), ms)
 
 
 def pair_algebra(p: Pencil) -> PairAnalysis:

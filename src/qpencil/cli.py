@@ -308,23 +308,42 @@ SINGLE_DOC_COMMANDS = {
 
 
 def _read_json(path: str | None):
+    """The document at path (stdin without one).  A file that cannot be
+    opened, is not UTF-8, is not JSON or nests too deeply for the decoder
+    is malformed input."""
     try:
         if path:
             with open(path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
         return json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"cannot read document: {e}")
+    except RecursionError:
+        raise InputError("cannot read document: nested too deeply")
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(payload: dict, code: int, args) -> int:
+    """Write payload to --out, or to stdout without one, and return the
+    exit code.  An --out that cannot be written is malformed input: its
+    error object goes to stdout, with exit 2."""
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(_dumps(payload))
+            return code
+        except OSError as e:
+            payload, code = _error("input", f"cannot write output: {e}"), 2
+    sys.stdout.write(_dumps(payload))
+    return code
+
+
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _error(kind: str, message, **info) -> dict:
+    return {"error": {"type": kind, "message": str(message), **info}}
 
 
 class _HelpRequested(Exception):
@@ -383,59 +402,41 @@ def main(argv=None) -> int:
     args = None
     try:
         args = PARSER.parse_args(argv)
-        if args.command == "verify":
-            results = run_suite(args.scale)
-            for res in results:
-                print(res.line(), file=sys.stderr)
-            payload = {
-                "scale": args.scale,
-                "results": [
-                    {**asdict(r), "seconds": round(r.seconds, 3)} for r in results
-                ],
-                "all_passed": all(r.passed for r in results),
-            }
-            _emit(payload, args)
-            return 0 if payload["all_passed"] else 1
-        if args.command == "isiso":
-            p1 = parse_pencil(_read_json(args.first))
-            p2 = parse_pencil(_read_json(args.second))
-            ok, witness = is_isomorphic(p1, p2)
-            _emit(
-                {
-                    "isomorphic": ok,
-                    "witness": _matrix(witness) if witness else None,
-                },
-                args,
-            )
-            return 0
-        pencil = parse_pencil(_read_json(args.infile))
-        payload = SINGLE_DOC_COMMANDS[args.command](pencil, args)
-        _emit(payload, args)
-        return 0
+        payload, code = _run(args)
     except _HelpRequested as e:
-        _emit({"help": str(e)}, args)
-        return 0
+        payload, code = {"help": str(e)}, 0
     except InputError as e:
-        _emit({"error": {"type": "input", "message": str(e)}}, args)
-        return 2
+        payload, code = _error("input", e), 2
     except NotRegularError as e:
-        _emit({"error": {"type": "not-regular", "message": str(e)}}, args)
-        return 1
+        payload, code = _error("not-regular", e), 1
     except PreconditionError as e:
-        _emit(
-            {
-                "error": {
-                    "type": "precondition",
-                    "message": str(e),
-                    "info": getattr(e, "info", {}),
-                }
-            },
-            args,
-        )
-        return 1
+        payload, code = _error("precondition", e, info=getattr(e, "info", {})), 1
     except AssertionError as e:  # the package's certificates raise these
-        _emit({"error": {"type": "internal", "message": str(e)}}, args)
-        return 3
+        payload, code = _error("internal", e), 3
+    return _emit(payload, code, args)
+
+
+def _run(args) -> tuple[dict, int]:
+    """The payload and exit code of one parsed command line."""
+    if args.command == "verify":
+        results = run_suite(args.scale)
+        for res in results:
+            print(res.line(), file=sys.stderr)
+        payload = {
+            "scale": args.scale,
+            "results": [
+                {**asdict(r), "seconds": round(r.seconds, 3)} for r in results
+            ],
+            "all_passed": all(r.passed for r in results),
+        }
+        return payload, 0 if payload["all_passed"] else 1
+    if args.command == "isiso":
+        p1 = parse_pencil(_read_json(args.first))
+        p2 = parse_pencil(_read_json(args.second))
+        ok, witness = is_isomorphic(p1, p2)
+        return {"isomorphic": ok, "witness": _matrix(witness) if witness else None}, 0
+    pencil = parse_pencil(_read_json(args.infile))
+    return SINGLE_DOC_COMMANDS[args.command](pencil, args), 0
 
 
 if __name__ == "__main__":

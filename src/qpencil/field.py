@@ -351,9 +351,6 @@ class Field:
     def elements(self) -> range:
         return range(self.order)
 
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
-
     # -- extensions ----------------------------------------------------------
 
     def extension(self, j: int) -> tuple["Field", "Embedding"]:

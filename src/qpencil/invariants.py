@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import EtaleAlgebra
 from .autos import PairAnalysis, pair_algebra, phi, phi_model_matrix
-from .linalg import inverse, mat_mul, vec_scale
+from .linalg import inverse, mat_mul
 from .normalform import extract_normal_form
 from .pencil import Pencil
 
@@ -99,44 +98,31 @@ def arf_invariant(an: PairAnalysis) -> ArfData:
     with the r-coset.
     """
     A, nf = an.algebra, an.nf
-    n, m = nf.n, nf.m
+    m = nf.m
     model = nf.realized()
-    t0 = model.q0.table()
-    t1 = model.q1.table()
+    tables = ((model.q0.table(), 0), (model.q1.table(), 1))
 
-    def qa(vec):
-        acc = A.zero()
-        t = A.t_power(1)
-        for (i, j), c in t0.items():
-            acc = A.add(acc, _scal(A, c, A.mul(vec[i], vec[j])))
-        for (i, j), c in t1.items():
-            acc = A.add(acc, A.mul(t, _scal(A, c, A.mul(vec[i], vec[j]))))
-        return acc
+    def qa(exps):
+        """q_A of the vector with entry t^exps[k] at each index k in exps
+        and zero elsewhere: each table entry adds its coefficient at the
+        exponent sum, one more for q1's factor t."""
+        acc = [0] * (2 * m + 2)
+        for table, shift in tables:
+            for (i, j), c in table.items():
+                if i in exps and j in exps:
+                    acc[exps[i] + exps[j] + shift] ^= c
+        return A.from_poly(acc)
 
-    wprime = []
-    for i in range(m + 1):
-        vec = [A.zero()] * n
-        for k in range(i, m + 1):
-            vec[k] = A.t_power(k - i)
-        wprime.append(vec)
-    vprime = []
-    for i in range(m):
-        vec = [A.zero()] * n
-        vec[m + 1 + i] = A.one()
-        vprime.append(vec)
-
-    if qa(wprime[0]) != A.zero():
+    # w'_i has t^(k-i) at k = i..m; v'_i has 1 at m+1+i
+    if qa({k: k for k in range(m + 1)}) != A.zero():
         raise AssertionError("q_A(w'_0) must vanish (it is f(t))")
 
-    qa_w = [qa(wprime[i + 1]) for i in range(m)]
-    qa_v = [qa(vprime[i]) for i in range(m)]
+    qa_w = [qa({k: k - i - 1 for k in range(i + 1, m + 1)}) for i in range(m)]
+    qa_v = [qa({m + 1 + i: 0}) for i in range(m)]
     for i in range(m):
         if qa_w[i] != A.d_basis[2 * i + 1]:
             raise AssertionError("q_A(w'_{i+1}) differs from d_{2i+1}")
-        expect = A.add(
-            _scal(A, nf.r[2 * i], A.t_power(1)), A.constant(nf.r[2 * i + 1])
-        )
-        if qa_v[i] != expect:
+        if qa_v[i] != A.element([nf.r[2 * i + 1], nf.r[2 * i]]):
             raise AssertionError("q_A(v'_i) differs from r_{2i} t + r_{2i+1}")
 
     arf = A.zero()
@@ -148,6 +134,3 @@ def arf_invariant(an: PairAnalysis) -> ArfData:
         tuple(qa_w), tuple(qa_v), arf, rep, matches
     )
 
-
-def _scal(A: EtaleAlgebra, c: int, x: tuple) -> tuple:
-    return tuple(vec_scale(A.gf, x, c))

@@ -8,10 +8,12 @@ For a regular pair the associated alternating forms (b0, b1) admit a basis
 
 The w-part is canonical: it consists of the coefficient vectors of the
 radical map, so we never need the general minimal-indices machinery for
-singular matrix pencils.  The v-part is produced by two deterministic
-linear solves: an inhomogeneous solve for the pairing conditions, then a
-correction inside span(w) that kills the v-v pairings (corrections by w
-leave the w-v pairings untouched because span(w) is totally isotropic).
+singular matrix pencils.  The v-part is produced by one deterministic
+linear solve for the pairing conditions, then a correction inside span(w)
+that kills the v-v pairings (corrections by w leave the w-v pairings
+untouched because span(w) is totally isotropic).  The correction system
+has 0/1 coefficients and two unknowns per equation, so it is solved by
+back-substitution, without elimination.
 
 In such a basis the pair reads
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import NotRegularError
 from .field import Field
-from .linalg import inverse, mat_mul, mat_vec, rank, solve, transpose
+from .linalg import inverse, mat_mul, rank, solve, transpose
 from .pencil import Pencil
 from .quadform import QuadraticForm
 
@@ -83,12 +85,12 @@ def canonical_w(p: Pencil) -> list:
 def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
     """Extend the canonical w-vectors to a full Kronecker basis.
 
-    The m v-solves share one condition matrix (rows G1 w_i, then G0 w_i),
-    so one `solve` with all m right-hand sides gives every v_j: one rref,
-    and RREF is unique, so each v_j is what a separate solve returns.  The
-    v-v pairings are dot products with the rows G v_j, and the correction
-    inside span(w) is a 0/1 system eliminated by XOR (`_vv_correction`).
-    O(n^3) multiplications.
+    The m v-solves share one condition matrix (the rows of W G1, then of
+    W G0), so one `solve` with all m right-hand sides gives every v_j: one
+    rref, and RREF is unique, so each v_j is what a separate solve returns.
+    The v-v pairings are the upper triangles of V G1 V^T and V G0 V^T, and
+    the correction inside span(w) is a 0/1 system solved by
+    back-substitution (`_vv_correction`).  O(n^3) multiplications.
 
     Nothing here checks the result: the round trip in extract_normal_form
     is its certificate, since q o B equals the realized model exactly when
@@ -97,10 +99,9 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
     g0 = [list(r) for r in p.gram0().gram]
     g1 = [list(r) for r in p.gram1().gram]
 
-    # b(w_i, x) = (G w_i) . x, so the condition rows are G w_i; v_j has
-    # b1(w_i, v_j) = delta_ij and b0(w_i, v_j) = delta_{i(j+1)}
-    rows = [mat_vec(gf, g1, w) for w in ws] + [mat_vec(gf, g0, w) for w in ws]
-    v0 = solve(gf, rows, [
+    # b(w_i, x) = (w_i G) . x, so the condition rows are those of W G; v_j
+    # has b1(w_i, v_j) = delta_ij and b0(w_i, v_j) = delta_{i(j+1)}
+    v0 = solve(gf, mat_mul(gf, ws, g1) + mat_mul(gf, ws, g0), [
         [int(i == j) for i in range(m + 1)] + [int(i == j + 1) for i in range(m + 1)]
         for j in range(m)
     ])
@@ -108,19 +109,16 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
         raise NotRegularError("pencil not regular: Kronecker pairing system "
                               "is inconsistent")
 
-    # Correct v_j by elements of span(w) to kill the v-v pairings.
-    if m > 1:
-        # b(v_i, v_j) = (G v_i) . v_j for the pairs i < j, row i at a time
-        c1, c0 = [], []
-        for i, v in enumerate(v0[:-1]):
-            later = v0[i + 1:]
-            c1 += mat_vec(gf, later, mat_vec(gf, g1, v))
-            c0 += mat_vec(gf, later, mat_vec(gf, g0, v))
-        sol = _vv_correction(m, c1, c0)
-        corr = mat_mul(gf, [sol[j * (m + 1):(j + 1) * (m + 1)] for j in range(m)], ws)
-        v0 = [[x ^ y for x, y in zip(v, c)] for v, c in zip(v0, corr)]
+    # Correct v_j by elements of span(w) to kill the v-v pairings b(v_i, v_j),
+    # i < j: the upper triangle of V G V^T without row m-1 and column 0
+    right = transpose(v0[1:])
+    c1, c0 = ([x for i, row in enumerate(mat_mul(gf, mat_mul(gf, v0[:-1], g), right))
+               for x in row[i:]] for g in (g1, g0))
+    sol = _vv_correction(m, c1, c0)
+    corr = mat_mul(gf, [sol[j * (m + 1):(j + 1) * (m + 1)] for j in range(m)], ws)
+    v0 = [[x ^ y for x, y in zip(v, c)] for v, c in zip(v0, corr)]
 
-    bmat = transpose([list(w) for w in ws] + [list(v) for v in v0])
+    bmat = transpose([list(w) for w in ws] + v0)
     return KroneckerBasis(
         gf,
         n,
@@ -135,38 +133,26 @@ def _vv_correction(m: int, c1: list, c0: list) -> list:
     l_ij + l_ji = c1 and l_{j(i+1)} + l_{i(j+1)} = c0 for the pairs i < j
     in the order (0,1), (0,2), ..., (m-2,m-1).
 
-    The coefficients are 0/1, so the rows are bit masks and elimination
-    only XORs the right-hand sides.  The solution is linalg.solve's: each
-    reduced row is kept under its lowest set bit, so the pivot columns are
-    the lowest ones, and free variables are zero.  The rows are independent
-    for every m, so a solution always exists: give each equation the
-    variable l_ji (c1) or l_{i(j+1)} (c0); its other variable is either
-    given to an equation with a smaller j - i or to none."""
+    Each row has two unknowns, and its lowest column is its pivot.  The c0
+    row of (i, j) owns l_{i(j+1)}.  The c1 row of (i, j) owns l_ij when
+    j = i + 1; otherwise l_ij is the c0 pivot of (i, j-1), and the sum of
+    the two rows, l_{(j-1)(i+1)} + l_ji, owns l_{(j-1)(i+1)}.  These
+    pivots are distinct, so the rows are independent for every m and a
+    solution always exists.  Each pivot is its right-hand side plus one
+    later unknown: solved from the highest pivot down, with the free
+    unknowns zero, this is linalg.solve's solution."""
     def var(j, k):
-        return 1 << (j * (m + 1) + k)
+        return j * (m + 1) + k
 
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    rows = []
-    for (i, j), b1, b0 in zip(pairs, c1, c0):
-        rows.append((var(i, j) ^ var(j, i), b1))
-        rows.append((var(j, i + 1) ^ var(i, j + 1), b0))
-    pivots = {}  # lowest set bit -> (mask, rhs)
-    for mask, b in rows:
-        low = (mask & -mask).bit_length() - 1
-        while low in pivots:
-            pm, pb = pivots[low]
-            mask, b = mask ^ pm, b ^ pb
-            low = (mask & -mask).bit_length() - 1
-        pivots[low] = (mask, b)
+    b0 = dict(zip(pairs, c0))
+    rows = []  # (pivot, the other unknown, right-hand side)
+    for (i, j), r1, r0 in zip(pairs, c1, c0):
+        rows.append((var(i, j + 1), var(j, i + 1), r0))
+        rows.append((var(j - 1, i + 1), var(j, i), r1 ^ b0.get((i, j - 1), 0)))
     x = [0] * (m * (m + 1))
-    for low in sorted(pivots, reverse=True):  # higher columns are solved
-        mask, b = pivots[low]
-        mask ^= 1 << low
-        while mask:
-            c = (mask & -mask).bit_length() - 1
-            b ^= x[c]
-            mask ^= 1 << c
-        x[low] = b
+    for pivot, other, b in sorted(rows, reverse=True):
+        x[pivot] = b ^ x[other]
     return x
 
 

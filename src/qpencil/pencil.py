@@ -195,10 +195,7 @@ class Pencil:
         n = self.n
         if a[n] != 0:
             return self, [[1, 0], [0, 1]]
-        if a[0] != 0:
-            swap = [[0, 1], [1, 0]]
-            return self.change_basis_gl2(swap), swap
-        for c in gf.nonzero_elements():
+        for c in gf.elements():  # c = 0 swaps q0 and q1: a_0 != 0 suffices
             if poly.bf_eval(gf, a, 1, c) != 0:
                 g = [[0, 1], [1, c]]
                 return self.change_basis_gl2(g), g

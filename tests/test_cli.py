@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import serialize_pencil
 from qpencil.cli import MAX_DIMENSION, main, parse_pencil
@@ -429,3 +434,76 @@ def test_rinv_and_arf_move_an_a_n_zero_pencil(capsys, command):
         errors.append(json.loads(capsys.readouterr().out)["error"])
     assert errors[0] == errors[1]
     assert errors[0]["info"] == {"extension_degree": 2}
+
+
+@pytest.mark.parametrize("out", ["{tmp}", "{tmp}/missing/out.json"],
+                         ids=["directory", "missing_directory"])
+def test_unwritable_out_is_an_input_error_on_stdout(tmp_path, capsys, out):
+    # the payload, and then the error object, went to the same path: a
+    # traceback, nothing on stdout, exit 1
+    out = out.format(tmp=tmp_path)
+    doc = write_doc(tmp_path, "doc.json", M1_DOC)
+    for argv in (["halfdisc", "--in", doc], ["halfdisc", "--in", str(tmp_path / "no.json")],
+                 ["isiso", doc, doc]):
+        assert main(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "input"
+        assert error["message"].startswith("cannot write output: ")
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"field": {"degree": 1}, "n": 3, "q0": [[1, 1, \xff]], "q1": []}',
+     "cannot read document: 'utf-8' codec can't decode byte 0xff in position 47: "
+     "invalid start byte"),
+    (b"[" * (10 * sys.getrecursionlimit()) + b"]" * (10 * sys.getrecursionlimit()),
+     "cannot read document: nested too deeply"),
+], ids=["not_utf8", "nested_too_deeply"])
+def test_unreadable_document_is_an_input_error(tmp_path, capsys, monkeypatch, content, message):
+    # UnicodeDecodeError and RecursionError escaped as tracebacks, exit 1
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(["halfdisc", "--in", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {"type": "input",
+                                                           "message": message}
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content), "utf-8"))
+    assert main(["rinv"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {"type": "input",
+                                                           "message": message}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=10,
+)
+_NOT_INT = _JSON.filter(lambda x: type(x) is not int)
+_TRIPLES = st.lists(st.lists(st.integers(-1, 12), max_size=4) | _JSON, max_size=8) | _JSON
+# every key optional and every value either plausible or any JSON; n stays
+# small or above the limit, so no example runs a large radical map
+_DOCS = st.fixed_dictionaries({}, optional={
+    "field": st.fixed_dictionaries(
+        {"degree": st.integers(-2, 70) | _NOT_INT},
+        optional={"modulus": st.integers(-1, 2**70) | _NOT_INT}) | _JSON,
+    "n": st.integers(-3, 11) | st.integers(min_value=MAX_DIMENSION + 1) | _NOT_INT,
+    "q0": _TRIPLES,
+    "q1": _TRIPLES,
+}) | _JSON
+
+
+@settings(max_examples=80, deadline=2000)
+@given(_DOCS.map(lambda d: json.dumps(d).encode()) | st.binary(max_size=80))
+def test_any_document_gets_one_json_object_and_a_documented_exit_code(data):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["halfdisc", "--in", path])
+    finally:
+        os.unlink(path)
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(buf.getvalue()), dict)

@@ -88,7 +88,7 @@ def test_field_axioms(gf, a, b, c):
 
 def test_inverse_and_pow():
     for gf in FIELDS:
-        for a in gf.nonzero_elements():
+        for a in range(1, gf.order):
             assert gf.mul(a, gf.inv(a)) == 1
             assert gf.pow(a, gf.order - 1) == 1
         assert gf.pow(0, 0) == 1

@@ -217,3 +217,30 @@ def test_arf_pairing_table_is_delta():
                 for j in range(m + 1):
                     want = A.one() if j == i + 1 else A.zero()
                     assert ba(vprime[i], wprime[j]) == want
+
+
+def test_arf_makes_one_algebra_product_per_plane(monkeypatch):
+    # q_A of the primed basis is a coefficient list indexed by exponent
+    # sums; the only products in A are the m Arf products q_A(w') q_A(v')
+    rng = random.Random(59)
+    for gf in (GF(1), GF(2), GF(8), GF(17)):
+        for m in range(1, 6):
+            n = 2 * m + 1
+            a = [0]
+            while not poly.bf_is_separable(gf, a):
+                a = [rng.randrange(gf.order) for _ in range(n)] + [rng.randrange(1, gf.order)]
+            an = pair_algebra(realize(gf, a, [rng.randrange(gf.order) for _ in range(n - 1)]))
+            r_invariant(an)  # builds the cached coset pivots
+            calls = 0
+            mul = EtaleAlgebra.mul
+
+            def counted(self, x, y):
+                nonlocal calls
+                calls += 1
+                return mul(self, x, y)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(EtaleAlgebra, "mul", counted)
+                data = arf_invariant(an)
+            assert data.matches_r
+            assert calls <= m, (gf, m, calls)

@@ -250,3 +250,19 @@ def test_v_span_isotropic_iff_r_zero(g2):
     vs = [list(v) for v in nf.basis.v]
     assert is_totally_isotropic(p.q0, vs)
     assert is_totally_isotropic(p.q1, vs)
+
+
+def test_vv_correction_matches_solve_up_to_m30():
+    # the back-substitution against rref on the dense system at sizes the
+    # 176-case test above does not reach; m = 1 has no pairs and no rows
+    assert normalform._vv_correction(1, [], []) == [0, 0]
+    assert vv_system(1) == []
+    rng = random.Random(61)
+    fields = (GF(1), GF(2), GF(8), GF(17))
+    for m in range(13, 31):
+        gf = fields[m % len(fields)]
+        rows = vv_system(m)
+        rhs = [[rng.randrange(gf.order) for _ in rows] for _ in range(2)]
+        for b, expected in zip(rhs, solve(gf, rows, rhs)):
+            c1, c0 = b[0::2], b[1::2]
+            assert normalform._vv_correction(m, c1, c0) == expected, (gf, m)
