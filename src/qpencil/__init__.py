@@ -9,11 +9,10 @@ from .field import GF, Embedding, Field, field_from_modulus, find_embedding
 from .invariants import ArfData, arf_invariant, is_isomorphic, r_invariant
 from .normalform import KroneckerBasis, NormalForm, extract_normal_form, realize
 from .pencil import Pencil
-from .quadform import AlternatingForm, QuadraticForm, half_disc
+from .quadform import QuadraticForm, half_disc
 
 __all__ = [
     "GF",
-    "AlternatingForm",
     "ArfData",
     "Embedding",
     "EtaleAlgebra",

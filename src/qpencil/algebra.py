@@ -78,9 +78,6 @@ class EtaleAlgebra:
     def one(self) -> tuple:
         return self.element([1])
 
-    def constant(self, c: int) -> tuple:
-        return self.element([c])
-
     def t_power(self, i: int) -> tuple:
         """t^i as an element (reduced when i >= n)."""
         return self.element(poly.mod(self.gf, [0] * i + [1], list(self.monic_f)))

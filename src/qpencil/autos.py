@@ -59,7 +59,7 @@ def phi(algebra: EtaleAlgebra, nf: NormalForm, s: tuple) -> AutomorphismRep:
     m = nf.m
     s_coords = list(algebra.d_coords(s))[: algebra.n - 1]
     mat = model_to_pencil(
-        nf.basis.gf, nf.basis.matrix(), phi_model_matrix(m, s_coords)
+        nf.basis.gf, nf.basis.basis_matrix, phi_model_matrix(m, s_coords)
     )
     return AutomorphismRep(
         tuple(s_coords),
@@ -100,7 +100,7 @@ class PairAnalysis:
             return None
         s_coords = list(self.algebra.d_coords(self.witness))[: self.algebra.n - 1]
         ms = phi_model_matrix(self.nf.m, s_coords)
-        return mat_mul(self.nf.basis.gf, self.nf.basis.matrix(), ms)
+        return mat_mul(self.nf.basis.gf, self.nf.basis.basis_matrix, ms)
 
 
 def pair_algebra(p: Pencil) -> PairAnalysis:
@@ -131,7 +131,7 @@ def automorphism_group(p: Pencil) -> list[AutomorphismRep]:
     out = []
     for e in reps:
         rep = phi(algebra, an.nf, e)
-        g = [list(r) for r in rep.matrix]
+        g = rep.matrix
         if p.q0.transform(g) != p.q0 or p.q1.transform(g) != p.q1:
             raise AssertionError("phi(idempotent) fails to preserve the pair")
         out.append(rep)
@@ -179,7 +179,7 @@ def reflections(p: Pencil, ext: Field) -> list[Reflection]:
                 raise AssertionError("singular vector lies on the base locus; "
                                      "pencil cannot be regular")
             # rho = I + z (b_u(z, .) / q_u(z)): one rank-one product
-            coef = vec_scale(ext, mat_vec(ext, member.polar().gram, z), ext.inv(qz))
+            coef = vec_scale(ext, mat_vec(ext, member.polar(), z), ext.inv(qz))
             outer = mat_mul(ext, [[x] for x in z], [coef])
             mats.append([[x ^ (r == c) for c, x in enumerate(row)]
                          for r, row in enumerate(outer)])
@@ -301,7 +301,7 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
     work = an.pencil
     a_form = list(work.half_discriminant())
 
-    r_mats = [[list(row) for row in rep.matrix] for rep in automorphism_group(pe)]
+    r_mats = [rep.matrix for rep in automorphism_group(pe)]
 
     g_elements = delta_stabilizer(work, ext)
     lifts = []
@@ -332,7 +332,7 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
     wide = [[x for k2 in classes for x in k2[i]] for i in range(n)]
     table = []
     for k1 in classes:
-        prod = mat_mul(gf, [list(r) for r in k1], wide)
+        prod = mat_mul(gf, k1, wide)
         table.append(tuple(
             index[_projective_key(gf, [r[c:c + n] for r in prod])]
             for c in range(0, len(wide[0]), n)))
@@ -389,4 +389,4 @@ def _projective_key(gf: Field, g: list) -> tuple:
 
 def apply_to_subspace(gf: Field, g: list, span) -> tuple:
     """Image of a row-span subspace under the matrix g, canonicalized."""
-    return normalize_subspace(gf, [mat_vec(gf, g, list(v)) for v in span])
+    return normalize_subspace(gf, [mat_vec(gf, g, v) for v in span])

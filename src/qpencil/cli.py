@@ -22,7 +22,10 @@ a result did not survive its own substitution check).  Malformed argv (an
 unknown subcommand or flag, a bad option value) is malformed input too:
 the parser raises InputError, so stdout holds {"error": {"type": "input",
 "message": ...}} and the exit code is 2.  -h/--help prints {"help": the
-usage text} and exits 0.  The parser is built once, at import.
+usage text} and exits 0.  The parser is built once, at import.  An --out
+that cannot be written is malformed input (exit 2) when the command
+succeeded; when the command failed, stdout holds its own payload and exit
+code, with "output_error" added.
 
 Every field is limited to GF(2^64), the extension fields the CLI picks by
 itself included: Field refuses a degree above field.MAX_FIELD_DEGREE
@@ -138,36 +141,28 @@ def field_info(gf: Field) -> dict:
     return {"degree": gf.degree, "modulus": gf.modulus}
 
 
-def _matrix(m) -> list:
-    return [list(row) for row in m]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_halfdisc(p: Pencil, args) -> dict:
-    return {"a": list(p.half_discriminant())}
+    return {"a": p.half_discriminant()}
 
 
 def cmd_regular(p: Pencil, args) -> dict:
-    return {"regular": p.is_regular(), "a": list(p.half_discriminant())}
+    return {"regular": p.is_regular(), "a": p.half_discriminant()}
 
 
 def cmd_normalform(p: Pencil, args) -> dict:
     nf = extract_normal_form(p)
-    return {
-        "a": list(nf.a),
-        "r": list(nf.r),
-        "basis": _matrix(nf.basis.basis_matrix),
-    }
+    return {"a": nf.a, "r": nf.r, "basis": nf.basis.basis_matrix}
 
 
 def _moved(an, payload: dict) -> dict:
     """payload, with the GL(2) move under "gl2" when the analysis runs on a
     moved pencil (a_n = 0 in the given one)."""
     if an.gl2 != ((1, 0), (0, 1)):
-        payload["gl2"] = _matrix(an.gl2)
+        payload["gl2"] = an.gl2
     return payload
 
 
@@ -175,10 +170,10 @@ def cmd_rinv(p: Pencil, args) -> dict:
     an = pair_algebra(p)
     rep, trivial = r_invariant(an)
     return _moved(an, {
-        "f": list(an.algebra.f),
-        "r_coeffs": list(an.nf.r),
-        "value": list(an.r_value),
-        "canonical_rep": list(rep),
+        "f": an.algebra.f,
+        "r_coeffs": an.nf.r,
+        "value": an.r_value,
+        "canonical_rep": rep,
         "trivial_class": trivial,
     })
 
@@ -189,7 +184,7 @@ def cmd_autos(p: Pencil, args) -> dict:
         "order": len(group),
         "components": pair_algebra(p).algebra.num_components,
         "elements": [
-            {"s_coords": list(g.s_coeffs), "matrix": _matrix(g.matrix)}
+            {"s_coords": g.s_coeffs, "matrix": g.matrix}
             for g in group
         ],
     }
@@ -214,9 +209,9 @@ def cmd_reflections(p: Pencil, args) -> dict:
         "ext": field_info(ext),
         "reflections": [
             {
-                "root": list(r.root),
-                "singular_vector": list(r.singular_vector),
-                "matrix": _matrix(r.matrix),
+                "root": r.root,
+                "singular_vector": r.singular_vector,
+                "matrix": r.matrix,
             }
             for r in refl
         ],
@@ -234,28 +229,24 @@ def cmd_generators(p: Pencil, args) -> dict:
     return {
         "ext": field_info(ext),
         "count": len(gens),
-        "generators": [_matrix(g.basis) for g in gens],
+        "generators": [g.basis for g in gens],
     }
 
 
 def cmd_canonical_plane(p: Pencil, args) -> dict:
     cp = canonical_plane(p)
-    return {
-        "l0": list(cp.l0),
-        "l1": list(cp.l1),
-        "point_basis": _matrix(cp.point_basis),
-    }
+    return {"l0": cp.l0, "l1": cp.l1, "point_basis": cp.point_basis}
 
 
 def cmd_arf(p: Pencil, args) -> dict:
     an = pair_algebra(p)
     data = arf_invariant(an)
     return _moved(an, {
-        "arf": list(data.arf),
-        "arf_class": list(data.arf_class),
+        "arf": data.arf,
+        "arf_class": data.arf_class,
         "matches_r": data.matches_r,
-        "qa_w": [list(x) for x in data.qa_w],
-        "qa_v": [list(x) for x in data.qa_v],
+        "qa_w": data.qa_w,
+        "qa_v": data.qa_v,
     })
 
 
@@ -264,18 +255,17 @@ def cmd_lattice(p: Pencil, args) -> dict:
     refl = reflections(p, ext)
     lat = lattice_for(p, ext, refl)
     sign = (-1) ** (p.m - 1)
-    expected = [[sign * x for x in row] for row in cartan_d(p.m)]
+    # gram_alpha is a tuple of row tuples, and a tuple never equals a list
+    expected = tuple(tuple(sign * x for x in row) for row in cartan_d(p.m))
     return {
         "ext": field_info(ext),
         "rank": lat.rank,
-        "gram_e": _matrix(lat.gram),
-        "gram_alpha": _matrix(lat.gram_alpha),
+        "gram_e": lat.gram,
+        "gram_alpha": lat.gram_alpha,
         "cartan_sign": sign,
-        "is_signed_cartan_d": _matrix(lat.gram_alpha) == expected,
-        "lam_empty_in_e": (
-            list(lat.lam_empty_in_e) if lat.lam_empty_in_e else None
-        ),
-        "line_gram": _matrix(lat.line_gram),
+        "is_signed_cartan_d": lat.gram_alpha == expected,
+        "lam_empty_in_e": lat.lam_empty_in_e,
+        "line_gram": lat.line_gram,
     }
 
 
@@ -285,10 +275,10 @@ def cmd_autx(p: Pencil, args) -> dict:
     return {
         "ext": field_info(ax.ext),
         "order": ax.order,
-        "pair_autos": [_matrix(g) for g in ax.pair_autos],
-        "g_elements": [_matrix(g) for g in ax.g_elements],
-        "g_lifts": [_matrix(g) for g in ax.g_lifts],
-        "mult_table": _matrix(ax.mult_table),
+        "pair_autos": ax.pair_autos,
+        "g_elements": ax.g_elements,
+        "g_lifts": ax.g_lifts,
+        "mult_table": ax.mult_table,
     }
 
 
@@ -324,8 +314,11 @@ def _read_json(path: str | None):
 
 def _emit(payload: dict, code: int, args) -> int:
     """Write payload to --out, or to stdout without one, and return the
-    exit code.  An --out that cannot be written is malformed input: its
-    error object goes to stdout, with exit 2."""
+    exit code.  An --out that cannot be written goes to stdout instead.
+    When the command itself failed (code != 0), its payload and exit code
+    stand, with the write failure under "output_error", so that the
+    command's own error is not hidden.  Otherwise the unwritable --out is
+    malformed input: its error object, with exit 2."""
     out = getattr(args, "out", None)
     if out:
         try:
@@ -333,7 +326,11 @@ def _emit(payload: dict, code: int, args) -> int:
                 fh.write(_dumps(payload))
             return code
         except OSError as e:
-            payload, code = _error("input", f"cannot write output: {e}"), 2
+            message = f"cannot write output: {e}"
+            if code:
+                payload = {**payload, "output_error": message}
+            else:
+                payload, code = _error("input", message), 2
     sys.stdout.write(_dumps(payload))
     return code
 
@@ -434,7 +431,7 @@ def _run(args) -> tuple[dict, int]:
         p1 = parse_pencil(_read_json(args.first))
         p2 = parse_pencil(_read_json(args.second))
         ok, witness = is_isomorphic(p1, p2)
-        return {"isomorphic": ok, "witness": _matrix(witness) if witness else None}, 0
+        return {"isomorphic": ok, "witness": witness}, 0
     pencil = parse_pencil(_read_json(args.infile))
     return SINGLE_DOC_COMMANDS[args.command](pencil, args), 0
 

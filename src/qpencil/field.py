@@ -213,10 +213,6 @@ class Field:
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def _build_reduction(self):
         """_red[c] is the multiple of the modulus whose bits k..k+7 are c;
         a product has at most k-1 bits above bit k-1, so _shifts holds the
@@ -405,9 +401,6 @@ class Embedding:
 
     def map_vec(self, v) -> list:
         return [self.map(a) for a in v]
-
-    def map_poly(self, coeffs) -> list:
-        return [self.map(a) for a in coeffs]
 
 
 @lru_cache(maxsize=None)

@@ -70,7 +70,7 @@ def smoothness_oracle(p: Pencil, max_ext_degree: int) -> bool:
         return True
     for d in range(1, max_ext_degree + 1):
         ext = GF(base.degree * d)
-        roots = poly.bf_projective_roots(ext, find_embedding(base, ext).map_poly(a))
+        roots = poly.bf_projective_roots(ext, find_embedding(base, ext).map_vec(a))
         if roots and _singular_among(p, ext, roots):
             return False
     return True
@@ -79,8 +79,7 @@ def smoothness_oracle(p: Pencil, max_ext_degree: int) -> bool:
 def _singular_among(p: Pencil, ext: Field, members) -> bool:
     emb = find_embedding(p.gf, ext)
     pe = p.map_field(emb)
-    g0 = [list(r) for r in pe.gram0().gram]
-    g1 = [list(r) for r in pe.gram1().gram]
+    g0, g1 = pe.q0.polar(), pe.q1.polar()
     if members is None:
         members = [(1, c) for c in ext.elements()] + [(0, 1)]
     for (l, u) in members:

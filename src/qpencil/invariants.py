@@ -52,8 +52,8 @@ def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
     ms = phi_model_matrix(p1.m, scoords)
     witness = mat_mul(
         gf,
-        mat_mul(gf, an2.nf.basis.matrix(), ms),
-        inverse(gf, an1.nf.basis.matrix()),
+        mat_mul(gf, an2.nf.basis.basis_matrix, ms),
+        inverse(gf, an1.nf.basis.basis_matrix),
     )
     if p2.q0.transform(witness) != p1.q0 or p2.q1.transform(witness) != p1.q1:
         raise AssertionError("isomorphism witness failed verification")

@@ -207,9 +207,7 @@ def lattice_for(p: Pencil, ext: Field, refl: list[Reflection]) -> CycleLattice:
     lam_empty = gens[0]
     lam_singles = []
     for r in refl:
-        span = apply_to_subspace(
-            ext, [list(row) for row in r.matrix], lam_empty.basis
-        )
+        span = apply_to_subspace(ext, r.matrix, lam_empty.basis)
         if span not in by_span:
             raise AssertionError("reflection image is not an enumerated generator")
         lam_singles.append(by_span[span])

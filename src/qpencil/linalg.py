@@ -1,8 +1,10 @@
 """Dense exact linear algebra over GF(2^k) contexts.
 
-Vectors are lists of ints, matrices are lists of row lists.  Pivoting is
-always on the lowest-index column and free variables are set to zero, so
-every routine is deterministic.  A bit-packed GF(2) toolkit for subspace
+Vectors are sequences of ints and a matrix is any sequence of row
+sequences (lists or tuples); results are lists.  Inputs are never
+modified: the eliminations copy the rows they update.  Pivoting is always
+on the lowest-index column and free variables are set to zero, so every
+routine is deterministic.  A bit-packed GF(2) toolkit for subspace
 work inside etale algebras lives at the bottom.
 """
 
@@ -50,7 +52,7 @@ def vec_scale(gf: Field, v: list, c: int) -> list:
 
 def rref(gf: Field, a: list) -> tuple[list, list]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [row[:] for row in a]
+    m = [list(row) for row in a]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -90,7 +92,7 @@ def solve(gf: Field, a: list, bs: list):
     if not a:
         return None
     ncols = len(a[0])
-    aug = [row + list(rhs) for row, rhs in zip(a, zip(*bs))]
+    aug = [[*row, *rhs] for row, rhs in zip(a, zip(*bs))]
     m, pivots = rref(gf, aug)
     if pivots and pivots[-1] >= ncols:
         return None  # a pivot in an augmented column: inconsistent
@@ -120,7 +122,7 @@ def nullspace(gf: Field, a: list) -> list:
 
 def inverse(gf: Field, a: list) -> list:
     n = len(a)
-    aug = [row + e for row, e in zip(a, identity(n))]
+    aug = [[*row, *e] for row, e in zip(a, identity(n))]
     m, pivots = rref(gf, aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -135,10 +137,7 @@ def normalize_subspace(gf: Field, vectors: list) -> tuple:
 
 def intersect_dim(gf: Field, span_a, span_b) -> int:
     """Linear dimension of the intersection of two row spans."""
-    ra = rank(gf, list(map(list, span_a)))
-    rb = rank(gf, list(map(list, span_b)))
-    rs = rank(gf, [list(r) for r in span_a] + [list(r) for r in span_b])
-    return ra + rb - rs
+    return rank(gf, span_a) + rank(gf, span_b) - rank(gf, [*span_a, *span_b])
 
 
 # ---------------------------------------------------------------------------

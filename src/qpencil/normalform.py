@@ -48,9 +48,6 @@ class KroneckerBasis:
     def m(self) -> int:
         return (self.n - 1) // 2
 
-    def matrix(self) -> list:
-        return [list(row) for row in self.basis_matrix]
-
 
 @dataclass(frozen=True)
 class NormalForm:
@@ -96,8 +93,7 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
     is its certificate, since q o B equals the realized model exactly when
     the Kronecker equations hold."""
     gf, n, m = p.gf, p.n, p.m
-    g0 = [list(r) for r in p.gram0().gram]
-    g1 = [list(r) for r in p.gram1().gram]
+    g0, g1 = p.q0.polar(), p.q1.polar()
 
     # b(w_i, x) = (w_i G) . x, so the condition rows are those of W G; v_j
     # has b1(w_i, v_j) = delta_ij and b0(w_i, v_j) = delta_{i(j+1)}
@@ -118,7 +114,7 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
     corr = mat_mul(gf, [sol[j * (m + 1):(j + 1) * (m + 1)] for j in range(m)], ws)
     v0 = [[x ^ y for x, y in zip(v, c)] for v, c in zip(v0, corr)]
 
-    bmat = transpose([list(w) for w in ws] + v0)
+    bmat = transpose(ws + v0)
     return KroneckerBasis(
         gf,
         n,
@@ -171,7 +167,7 @@ def extract_normal_form(p: Pencil) -> NormalForm:
     """
     kb = complete_kronecker(p, canonical_w(p))
     n, m = p.n, p.m
-    b = kb.matrix()
+    b = kb.basis_matrix
     pulled = (p.q0.transform(b), p.q1.transform(b))
     d0, d1 = ([q.table().get((i, i), 0) for i in range(n)] for q in pulled)
     a = [c for pair in zip(d0[:m + 1], d1[:m + 1]) for c in pair]

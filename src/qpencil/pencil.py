@@ -15,7 +15,7 @@ from . import poly
 from .errors import NotRegularError, PreconditionError
 from .field import Field
 from .linalg import inverse, mat_mul, rank, transpose
-from .quadform import AlternatingForm, QuadraticForm, pfaffian_vector
+from .quadform import QuadraticForm, pfaffian_vector
 
 
 class Pencil:
@@ -58,12 +58,6 @@ class Pencil:
         """The quadratic form l*q0 + u*q1."""
         return self.q0.scale(l).add(self.q1.scale(u))
 
-    def gram0(self) -> AlternatingForm:
-        return self.q0.polar()
-
-    def gram1(self) -> AlternatingForm:
-        return self.q1.polar()
-
     # -- the radical map and half-discriminant --------------------------------
 
     def radical_map(self) -> list:
@@ -78,7 +72,7 @@ class Pencil:
         """
         if self._radical_map is None:
             gf, m = self.gf, self.m
-            grams = (self.gram0().gram, self.gram1().gram)
+            grams = (self.q0.polar(), self.q1.polar())
             j = -(-m.bit_length() // gf.degree)  # smallest j with 2^(k*j) > m
             ext = gf
             if j > 1:  # then gf has at most m elements

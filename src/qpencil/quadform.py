@@ -1,11 +1,12 @@
-"""Quadratic and alternating bilinear forms in characteristic 2.
+"""Quadratic forms and their polar forms in characteristic 2.
 
 A quadratic form is an upper-triangular coefficient table q = sum a_ij x_i x_j
 (0-based, i <= j); its polar form b(v, w) = q(v+w) + q(v) + q(w) is alternating
-because the characteristic is 2.  On odd-dimensional spaces the vector of
-principal Pfaffians spans the radical of a corank-1 alternating form, and
-q evaluated there is the half-discriminant, the degree-n substitute for the
-vanishing determinant.
+because the characteristic is 2, and polar() returns its Gram matrix, which is
+symmetric with zero diagonal by construction.  On odd-dimensional spaces the
+vector of principal Pfaffians spans the radical of a corank-1 alternating
+form, and q evaluated there is the half-discriminant, the degree-n substitute
+for the vanishing determinant.
 
 The volume form is fixed once and for all as e_1 ^ ... ^ e_n -> 1 in the
 standard basis, so Pfaffian vectors and half-discriminants are exact values,
@@ -56,14 +57,15 @@ class QuadraticForm:
                 acc ^= mul(c, p)
         return acc
 
-    def polar(self) -> "AlternatingForm":
+    def polar(self) -> tuple:
+        """The Gram matrix of b, b(v, w) = v^T G w, as a tuple of row tuples."""
         n = self.n
         gram = [[0] * n for _ in range(n)]
         for (i, j), c in self.coeffs:
             if i != j:
                 gram[i][j] ^= c
                 gram[j][i] ^= c
-        return AlternatingForm(self.gf, n, tuple(tuple(r) for r in gram))
+        return tuple(tuple(r) for r in gram)
 
     def polar_pair(self, v: list, w: list) -> int:
         """b(v, w) without materializing the Gram matrix."""
@@ -121,26 +123,6 @@ class QuadraticForm:
         return [t.get((i, j), 0) for i in range(self.n) for j in range(i, self.n)]
 
 
-@dataclass(frozen=True)
-class AlternatingForm:
-    """Alternating bilinear form: symmetric Gram matrix with zero diagonal."""
-
-    gf: Field
-    n: int
-    gram: tuple  # n x n, tuple of tuples
-
-    def __post_init__(self):
-        for i in range(self.n):
-            if self.gram[i][i] != 0:
-                raise ValueError("alternating form with nonzero diagonal")
-            for j in range(self.n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("Gram matrix is not symmetric")
-
-    def corank(self) -> int:
-        return self.n - rank(self.gf, [list(r) for r in self.gram])
-
-
 # ---------------------------------------------------------------------------
 # Pfaffians
 
@@ -191,7 +173,7 @@ def half_disc(q: QuadraticForm) -> int:
     """q evaluated on the Pfaffian vector of its polar form (n odd)."""
     if q.n % 2 != 1:
         raise ValueError("half-discriminant needs odd dimension")
-    omega = pfaffian_vector(q.gf, q.polar().gram)
+    omega = pfaffian_vector(q.gf, q.polar())
     return q(omega)
 
 
@@ -202,7 +184,7 @@ def half_disc(q: QuadraticForm) -> int:
 def is_totally_isotropic(q: QuadraticForm, vectors: list) -> bool:
     """q vanishes identically on the span: zero on basis vectors and on
     pairwise sums (which is exactly q(v_i) = 0 and b(v_i, v_j) = 0)."""
-    if rank(q.gf, [list(v) for v in vectors]) != len(vectors):
+    if rank(q.gf, vectors) != len(vectors):
         raise ValueError("spanning set is linearly dependent")
     for v in vectors:
         if q(v):

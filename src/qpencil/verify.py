@@ -233,7 +233,7 @@ def check_half_disc(scale: str):
                 ^ mul(a12, mul(a23, a13))
             )
             _expect(half_disc(q) == explicit, f"mismatch at {q.coeffs}")
-            omega = pfaffian_vector(gf, q.polar().gram)
+            omega = pfaffian_vector(gf, q.polar())
             _expect(q(omega) == explicit, "q(omega) route disagrees")
             yield 1
 
@@ -438,7 +438,7 @@ def check_reflections(scale: str):
         refl = reflections(p, ext)
         _expect(len(refl) == p.n, "wrong count")
         ident = prod = identity(p.n)
-        mats = [[list(row) for row in rf.matrix] for rf in refl]
+        mats = [rf.matrix for rf in refl]
         for mat in mats:
             _expect(mat_mul(ext, mat, mat) == ident, "not an involution")
             prod = mat_mul(ext, prod, mat)
@@ -541,8 +541,8 @@ def check_lattice(scale: str):
         span_index = {g.basis: i for i, g in enumerate(gens)}
         gram = [[intersection_number(x, y, dp.m) for y in gens] for x in gens]
         for rep in automorphism_group(dp.map_field(find_embedding(g2, ext))):
-            g = [list(row) for row in rep.matrix]
-            perm = [span_index[apply_to_subspace(ext, g, x.basis)] for x in gens]
+            perm = [span_index[apply_to_subspace(ext, rep.matrix, x.basis)]
+                    for x in gens]
             _expect(all(gram[perm[i]][perm[j]] == gram[i][j]
                         for i in range(len(gens)) for j in range(len(gens))),
                     "automorphisms break the intersection matrix")

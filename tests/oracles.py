@@ -12,7 +12,7 @@ from qpencil import poly
 from qpencil.errors import PreconditionError
 from qpencil.field import Embedding, find_embedding
 from qpencil.geometry import points_on_X
-from qpencil.linalg import mat_vec, nullspace, rank
+from qpencil.linalg import mat_vec, rank
 from qpencil.quadform import half_disc
 
 
@@ -171,7 +171,7 @@ def wp_plus_constants(algebra):
     for c in itertools.product(*coords):
         w = algebra.artin_schreier(algebra.element(list(c)))
         for const in algebra.gf.elements():
-            out.add(algebra.add(w, algebra.constant(const)))
+            out.add(algebra.add(w, algebra.element([const])))
     return out
 
 
@@ -226,7 +226,7 @@ def compose_embeddings(first, second):
 
 def roots_in(p, src, ext):
     """All roots of p (coefficients in src) inside the extension ext."""
-    return poly.roots(ext, find_embedding(src, ext).map_poly(p))
+    return poly.roots(ext, find_embedding(src, ext).map_vec(p))
 
 
 def bf_dehomogenize_t1(c):
@@ -249,24 +249,19 @@ def corank_profile(p, ext):
     corank-1 property of regular pencils."""
     p.require_regular()
     emb = find_embedding(p.gf, ext)
-    pts = poly.bf_projective_roots(ext, emb.map_poly(p.half_discriminant()))
+    pts = poly.bf_projective_roots(ext, emb.map_vec(p.half_discriminant()))
     if len(pts) != p.n:
         raise PreconditionError(
             f"extension {ext!r} does not split Delta "
             f"({len(pts)} of {p.n} roots)"
         )
     pe = p.map_field(emb)
-    return [((l, u), pe.member(l, u).polar().corank()) for (l, u) in pts]
+    return [((l, u), p.n - rank(ext, pe.member(l, u).polar())) for (l, u) in pts]
 
 
 def is_zero(q):
     """q is the zero quadratic form."""
     return not q.coeffs
-
-
-def radical_basis(form):
-    """Basis of the radical of an alternating form."""
-    return nullspace(form.gf, [list(r) for r in form.gram])
 
 
 def all_idempotents(algebra):
@@ -302,8 +297,7 @@ def singular_points_on_X(p, ext):
     """Points of X(ext) where the Jacobian rows b0(x,.), b1(x,.) have rank
     below 2 (the literal smoothness criterion, scan form)."""
     pe = p.map_field(find_embedding(p.gf, ext))
-    g0 = [list(r) for r in pe.gram0().gram]
-    g1 = [list(r) for r in pe.gram1().gram]
+    g0, g1 = pe.q0.polar(), pe.q1.polar()
     out = []
     for x in points_on_X(p, ext):
         rows = [mat_vec(ext, g0, list(x)), mat_vec(ext, g1, list(x))]

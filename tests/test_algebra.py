@@ -57,7 +57,7 @@ def test_d_basis_examples(g2):
     assert A.d_basis == ((1, 0, 1), (0, 1, 0), (1, 0, 0))
     B = EtaleAlgebra(g2, F_EXAMPLE)
     assert B.d_basis == ((1, 1, 1), (1, 1, 0), (1, 0, 0))
-    assert B.d_basis[-1] == B.constant(B.f[-1])  # d_{n-1} spans the constants
+    assert B.d_basis[-1] == B.element([B.f[-1]])  # d_{n-1} spans the constants
 
 
 def test_d_basis_generating_identity(g4):
@@ -76,7 +76,7 @@ def test_d_basis_generating_identity(g4):
         for k in range(deg + 1):
             prev = ds[k - 1] if k >= 1 else A.zero()
             cur = A.mul(t, ds[k]) if k < deg else A.zero()
-            expect = A.constant(f[k])
+            expect = A.element([f[k]])
             assert A.add(prev, cur) == expect
 
 
@@ -275,7 +275,7 @@ def test_non_monic_algebra(g4):
     f = (1, 3, 0, 2)
     assert poly.is_separable(g4, list(f))
     A = EtaleAlgebra(g4, f)
-    assert A.d_basis[-1] == A.constant(2)
+    assert A.d_basis[-1] == A.element([2])
     assert [trace_projection(A, d) for d in A.d_basis] == _units(3)
     assert [A.d_coords(d) for d in A.d_basis] == _units(3)
     rng = random.Random(10)

@@ -8,11 +8,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import serialize_pencil
-from qpencil.cli import MAX_DIMENSION, main, parse_pencil
+from qpencil import cli
+from qpencil.cli import MAX_DIMENSION, SINGLE_DOC_COMMANDS, main, parse_pencil
+from qpencil.verify import VerifyResult
 
 M1_DOC = {
     "field": {"degree": 1},
@@ -443,14 +445,32 @@ def test_unwritable_out_is_an_input_error_on_stdout(tmp_path, capsys, out):
     # traceback, nothing on stdout, exit 1
     out = out.format(tmp=tmp_path)
     doc = write_doc(tmp_path, "doc.json", M1_DOC)
-    for argv in (["halfdisc", "--in", doc], ["halfdisc", "--in", str(tmp_path / "no.json")],
-                 ["isiso", doc, doc]):
+    for argv in (["halfdisc", "--in", doc], ["isiso", doc, doc]):
         assert main(argv + ["--out", out]) == 2
         captured = capsys.readouterr()
         error = json.loads(captured.out)["error"]
         assert error["type"] == "input"
         assert error["message"].startswith("cannot write output: ")
         assert captured.err == ""
+
+
+@pytest.mark.parametrize("out", ["{tmp}", "{tmp}/missing/out.json"],
+                         ids=["directory", "missing_directory"])
+def test_unwritable_out_keeps_a_failed_commands_payload(tmp_path, capsys, monkeypatch, out):
+    # a failed command's own error was replaced by "cannot write output" and
+    # exit 2: a not-regular pencil did not say so
+    out = out.format(tmp=tmp_path)
+    failing = VerifyResult("T0", "a failing check", False, 1, 0.0, "stubbed")
+    monkeypatch.setattr(cli, "run_suite", lambda scale: [failing])
+    for argv, code in ((["halfdisc", "--in", str(tmp_path / "no.json")], 2),
+                       (["normalform", "--in", str(GOLDEN_DOCS / "g2_n5_not_regular.json")], 1),
+                       (["verify"], 1)):
+        assert main(argv) == code
+        expected = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--out", out]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.pop("output_error").startswith("cannot write output: ")
+        assert payload == expected
 
 
 @pytest.mark.parametrize("content, message", [
@@ -507,3 +527,65 @@ def test_any_document_gets_one_json_object_and_a_documented_exit_code(data):
         os.unlink(path)
     assert code in (0, 1, 2)
     assert isinstance(json.loads(buf.getvalue()), dict)
+
+
+# argv fuzz: documents whose every subcommand stays cheap at any listed
+# --ext-degree (autx without one on g4_n3_12 scans PGL_2(GF(2^8)) and runs
+# for minutes, so it is left out), and --out targets of which only the
+# first can be written
+_ARGV_DOCS = [str(GOLDEN_DOCS / f"{name}.json") for name in (
+    "g2_n3_m1", "g2_n3_irreducible", "g2_n3_an0", "g2_n5_not_regular",
+    "g4_n3_split_r0", "bad_element", "no_such_document")]
+_OUTS = ["{tmp}/out.json", "{tmp}/missing/out.json", "{tmp}"]
+_EXT_COMMANDS = ("reflections", "generators", "lattice", "autx")
+_DOC = st.sampled_from(_ARGV_DOCS)
+# misplaced or malformed parts, appended after a mostly well-formed core; a
+# bare --out is left out, since it would write to the token after it
+_STRAY = st.one_of(
+    _DOC.map(lambda path: [path]),
+    st.tuples(st.just("--in"), _DOC).map(list),
+    st.tuples(st.just("--ext-degree"), st.sampled_from(["1", "x"])).map(list),
+    st.tuples(st.just("--scale"), st.sampled_from(["small", "huge"])).map(list),
+    st.sampled_from(["-h", "--in", "--ext-degree", "--bogus", "-", "", "extra"])
+    .map(lambda token: [token]),
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from([*SINGLE_DOC_COMMANDS, "isiso", "verify",
+                                    "nosuchcommand"]))
+    argv = [command]
+    if command == "isiso":
+        argv += [draw(_DOC), draw(_DOC)]
+    elif draw(st.booleans()):
+        argv += ["--in", draw(_DOC)]
+    if command in _EXT_COMMANDS and draw(st.booleans()):
+        argv += ["--ext-degree", draw(st.sampled_from(["-1", "0", "1", "2", "65", "x"]))]
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--scale", draw(st.sampled_from(["small", "full", "huge", ""]))]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(_OUTS))]
+    for part in draw(st.lists(_STRAY, max_size=2)):
+        argv += part
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_any_argv_gets_one_json_object_and_a_documented_exit_code(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_suite", lambda scale: [])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(M1_DOC)))
+    argv = [token.format(tmp=tmp_path) for token in argv]
+    written = tmp_path / "out.json"
+    written.unlink(missing_ok=True)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    outputs = [text for text in (buf.getvalue(), written.exists() and written.read_text())
+               if text]
+    assert len(outputs) == 1
+    assert isinstance(json.loads(outputs[0]), dict)

@@ -50,7 +50,7 @@ def _quartic_transform(q: QuadraticForm, g: list) -> QuadraticForm:
     of the Gram matrix with a column of g: Theta(n^4) products, all of
     them in the kernel."""
     gf, n = q.gf, q.n
-    gram = [list(r) for r in q.polar().gram]
+    gram = q.polar()
     cols = [list(c) for c in zip(*g)]
     table = {(i, i): q(cols[i]) for i in range(n)}
     for i in range(n):

@@ -107,3 +107,24 @@ def test_gf2_bitpacked():
     # input by the xor of the columns in the combination
     rem, combo = gf2_reduce(0b1111, gf2_pivots([0b1100, 0b0110]))
     assert rem == 0b0011 and combo == 0b01
+
+
+def test_tuple_rows_give_the_list_rows_answer(g4):
+    # polar() and the frozen dataclasses hold tuple rows; the rref row update
+    # and inverse's augmented rows raised TypeError on them
+    lists = [[0, 1, 2], [1, 2, 3], [3, 1, 1]]  # a row swap, then eliminations
+    tuples = tuple(map(tuple, lists))
+    before = [row[:] for row in lists]
+    calls = (
+        lambda a: rref(g4, a),
+        lambda a: rank(g4, a),
+        lambda a: solve(g4, a, [(1, 0, 2), (3, 3, 0)]),
+        lambda a: inverse(g4, a),
+        lambda a: nullspace(g4, a[:2]),
+        lambda a: normalize_subspace(g4, a[:2]),
+        lambda a: intersect_dim(g4, a[:2], a[1:]),
+    )
+    for call in calls:
+        assert call(tuples) == call(lists)
+        assert lists == before
+    assert mat_mul(g4, inverse(g4, tuples), lists) == identity(3)

@@ -50,9 +50,9 @@ def test_radical_map_specializes_to_pfaffian_vector(g4):
     for _ in range(20):
         p = random_pencil(g4, 5, rng, regular=False)
         w10 = p.omega_at(1, 0)
-        assert w10 == pfaffian_vector(g4, [list(r) for r in p.gram0().gram])
+        assert w10 == pfaffian_vector(g4, p.q0.polar())
         w01 = p.omega_at(0, 1)
-        assert w01 == pfaffian_vector(g4, [list(r) for r in p.gram1().gram])
+        assert w01 == pfaffian_vector(g4, p.q1.polar())
 
 
 def _sparse_pencil(gf, n, rng, density, support):
@@ -92,8 +92,8 @@ def test_radical_map_squares_to_principal_minors(modulus, n, density, support):
     ext, emb = gf.extension(j) if j > 1 else (gf, None)
     lift = emb.map if emb else (lambda c: c)
     ws = [[lift(c) for c in w] for w in p.radical_map()]
-    g0 = [[lift(c) for c in r] for r in p.gram0().gram]
-    g1 = [[lift(c) for c in r] for r in p.gram1().gram]
+    g0 = [[lift(c) for c in r] for r in p.q0.polar()]
+    g1 = [[lift(c) for c in r] for r in p.q1.polar()]
     points = [(1, 0), (0, 1)] + [(1, t) for t in range(1, ext.order)]
     if len(points) > 2 * (m + 1):
         points = points[:2] + [(1, rng.randrange(1, ext.order)) for _ in range(m)]
