@@ -16,10 +16,13 @@ squaring rule is r_k = sum_j s_j^2 a_{2j+1-k} (indices outside 0..n read
 as zero).
 
 Elements are coordinate tuples in the power basis 1, t, ..., t^{n-1}.
-The subgroup k + im(wp), wp(s) = s^2 + s, is a GF(2)-subspace; reduction
-against one cached set of its pivots gives canonical representatives (so
-equality of representatives decides isomorphism) and the Artin-Schreier
-witnesses.
+Squaring is additive in characteristic 2 (as in Berlekamp's Q-matrix), so
+a square is one combination of the rows t^(2i) of a squaring table of f
+built once per algebra (poly.square_table); wp, the idempotent test and
+the pivots below all square that way.  The subgroup k + im(wp),
+wp(s) = s^2 + s, is a GF(2)-subspace; reduction against one cached set of
+its pivots gives canonical representatives (so equality of
+representatives decides isomorphism) and the Artin-Schreier witnesses.
 """
 
 from __future__ import annotations
@@ -92,8 +95,13 @@ class EtaleAlgebra:
         prod = poly.mul(self.gf, poly.trim(list(x)), poly.trim(list(y)))
         return self.element(poly.mod(self.gf, prod, list(self.monic_f)))
 
+    @cached_property
+    def _square_table(self) -> list:
+        return poly.square_table(self.gf, list(self.monic_f))
+
     def square(self, x: tuple) -> tuple:
-        return self.mul(x, x)
+        """x^2 as one combination of the rows t^(2i) of the squaring table."""
+        return self.element(poly.square_mod(self.gf, list(x), self._square_table))
 
     def artin_schreier(self, x: tuple) -> tuple:
         """wp(x) = x^2 + x; additive, kernel = the idempotents."""

@@ -21,7 +21,7 @@ from . import poly
 from .algebra import EtaleAlgebra
 from .errors import PreconditionError
 from .field import Field, find_embedding
-from .linalg import mat_mul, mat_vec, normalize_subspace, transpose, vec_scale
+from .linalg import inverse, mat_mul, mat_vec, normalize_subspace, transpose, vec_scale
 from .normalform import NormalForm, extract_normal_form, model_to_pencil
 from .pencil import Pencil
 
@@ -58,9 +58,9 @@ def phi(algebra: EtaleAlgebra, nf: NormalForm, s: tuple) -> AutomorphismRep:
     """phi(s) conjugated into the original coordinates of nf's pencil."""
     m = nf.m
     s_coords = list(algebra.d_coords(s))[: algebra.n - 1]
-    mat = model_to_pencil(
-        nf.basis.gf, nf.basis.basis_matrix, phi_model_matrix(m, s_coords)
-    )
+    kb = nf.basis
+    mat = model_to_pencil(kb.gf, kb.basis_matrix, kb.inverse,
+                          phi_model_matrix(m, s_coords))
     return AutomorphismRep(
         tuple(s_coords),
         tuple(tuple(r) for r in mat),
@@ -101,6 +101,11 @@ class PairAnalysis:
         s_coords = list(self.algebra.d_coords(self.witness))[: self.algebra.n - 1]
         ms = phi_model_matrix(self.nf.m, s_coords)
         return mat_mul(self.nf.basis.gf, self.nf.basis.basis_matrix, ms)
+
+    @cached_property
+    def r0_frame_inverse(self):
+        """r0_frame^-1, inverted once for all the lifts of Aut(X)."""
+        return inverse(self.nf.basis.gf, self.r0_frame)
 
 
 def pair_algebra(p: Pencil) -> PairAnalysis:
@@ -368,7 +373,7 @@ def _lift_one(an: PairAnalysis, sm: list) -> list:
     q_l = poly.bf_substitution_matrix(gf, inv2, m - 1)
     block = [row + [0] * m for row in h_w] + [
         [0] * (m + 1) + vec_scale(gf, row, gf.inv(det)) for row in q_l]
-    lift = model_to_pencil(gf, an.r0_frame, block)
+    lift = model_to_pencil(gf, an.r0_frame, an.r0_frame_inverse, block)
 
     moved = work.change_basis_gl2(sm)
     if moved.q0.transform(lift) != work.q0 or moved.q1.transform(lift) != work.q1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autos import PairAnalysis, pair_algebra, phi, phi_model_matrix
-from .linalg import inverse, mat_mul
+from .linalg import mat_mul
 from .normalform import extract_normal_form
 from .pencil import Pencil
 
@@ -50,11 +50,8 @@ def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
     gf = p1.gf
     scoords = list(algebra.d_coords(s))[: algebra.n - 1]
     ms = phi_model_matrix(p1.m, scoords)
-    witness = mat_mul(
-        gf,
-        mat_mul(gf, an2.nf.basis.basis_matrix, ms),
-        inverse(gf, an1.nf.basis.basis_matrix),
-    )
+    witness = mat_mul(gf, mat_mul(gf, an2.nf.basis.basis_matrix, ms),
+                      an1.nf.basis.inverse)
     if p2.q0.transform(witness) != p1.q0 or p2.q1.transform(witness) != p1.q1:
         raise AssertionError("isomorphism witness failed verification")
     return True, witness

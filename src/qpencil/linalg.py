@@ -147,17 +147,20 @@ def intersect_dim(gf: Field, span_a, span_b) -> int:
 def gf2_pivots(columns: list[int]) -> list[tuple[int, int]]:
     """(value, combination) pairs spanning the columns, with distinct
     leading bits in descending order; bit j of a combination is column j."""
-    pivots: list[tuple[int, int]] = []
+    by_lead: dict[int, tuple[int, int]] = {}
+    leads = 0  # the pivots' leading bits
     for j, col in enumerate(columns):
         combo = 1 << j
-        for val, cmb in pivots:
-            if col ^ val < col:
-                col ^= val
-                combo ^= cmb
+        # the pivot to use next is the one whose leading bit is the
+        # highest bit of col among the leads; the reduction is unique
+        while hit := col & leads:
+            val, cmb = by_lead[hit.bit_length()]
+            col ^= val
+            combo ^= cmb
         if col:
-            pivots.append((col, combo))
-            pivots.sort(key=lambda t: -t[0])
-    return pivots
+            by_lead[col.bit_length()] = col, combo
+            leads |= 1 << (col.bit_length() - 1)
+    return [by_lead[b] for b in sorted(by_lead, reverse=True)]
 
 
 def gf2_reduce(v: int, pivots) -> tuple[int, int]:

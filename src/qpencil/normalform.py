@@ -26,6 +26,7 @@ with (a_0..a_n) equal to the half-discriminant coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotRegularError
 from .field import Field
@@ -47,6 +48,11 @@ class KroneckerBasis:
     @property
     def m(self) -> int:
         return (self.n - 1) // 2
+
+    @cached_property
+    def inverse(self) -> list:
+        """basis_matrix^-1, inverted once per basis."""
+        return inverse(self.gf, self.basis_matrix)
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,7 @@ def realize(gf: Field, a: list, r: list, check: bool = True) -> Pencil:
     return p
 
 
-def model_to_pencil(gf: Field, b: list, g_model: list) -> list:
+def model_to_pencil(gf: Field, b: list, b_inv: list, g_model: list) -> list:
     """B g B^-1: a matrix given in the coordinates of the basis whose columns
-    are b, in the pencil's own coordinates."""
-    return mat_mul(gf, mat_mul(gf, b, g_model), inverse(gf, b))
+    are b, in the pencil's own coordinates; b_inv is B^-1."""
+    return mat_mul(gf, mat_mul(gf, b, g_model), b_inv)

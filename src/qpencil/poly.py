@@ -11,6 +11,12 @@ equal-degree splitting by Artin-Schreier trace maps; the usual odd
 characteristic power trick fails at p = 2.  Equal-degree splitting draws
 candidates from a generator seeded by the input, so runs are reproducible.
 Roots are the constant terms of the linear factors; no field is scanned.
+
+Both splitting stages spend their time squaring modulo a polynomial, and
+in characteristic 2 that map is additive: h^2 = sum h_i^2 T^(2i) mod m,
+the fact behind Berlekamp's Q-matrix (1970).  So each modulus gets one squaring table, the
+rows T^(2i) mod m (square_table), and a squaring is one kernel call with
+the coefficients h_i^2 (square_mod).
 """
 
 from __future__ import annotations
@@ -125,15 +131,30 @@ def derivative(gf: Field, a: list) -> list:
     return trim([a[i] if i % 2 == 1 else 0 for i in range(1, len(a))])
 
 
-def modpow(gf: Field, a: list, e: int, m: list) -> list:
-    r = [1]
-    a = mod(gf, a, m)
-    while e:
-        if e & 1:
-            r = mod(gf, mul(gf, r, a), m)
-        a = mod(gf, mul(gf, a, a), m)
-        e >>= 1
-    return r
+def square_table(gf: Field, m: list) -> list:
+    """The rows T^(2i) mod m for i < deg m, each of length deg m.  Row i+1
+    is row i times T twice, reduced after each step: O(deg m) kernel work
+    per row."""
+    d = degree(m)
+    low, inv_lead = m[:d], gf.inv(m[-1])
+    rows = [[1] + [0] * (d - 1)]
+    while len(rows) < d:
+        row = rows[-1]
+        for _ in range(2):
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = gf.addmul(row, (gf.mul(top, inv_lead),), (low,))
+        rows.append(row)
+    return rows
+
+
+def square_mod(gf: Field, h: list, table: list) -> list:
+    """h^2 mod m = sum h_i^2 T^(2i) mod m, with table = square_table(gf, m);
+    h must already be reduced below deg m."""
+    if len(h) > len(table):
+        raise ValueError("square_mod needs h reduced below the modulus degree")
+    return trim(gf.addmul([0] * len(table), [gf.mul(c, c) for c in h], table))
 
 
 def poly_sqrt(gf: Field, a: list) -> list:
@@ -171,8 +192,8 @@ def _seed_from(gf: Field, p: list, salt: int) -> int:
 def _distinct_degree(gf: Field, p: list) -> list[tuple[list, int]]:
     """Split a squarefree monic p into (product of irreducibles of degree d, d)."""
     out = []
-    q = gf.order
-    h = [0, 1]  # T
+    table = square_table(gf, p)
+    h = [0, 1]  # T, then T^(q^d) mod p; gcd(h + T, v) only needs h mod v
     v = p[:]
     d = 0
     while degree(v) > 0:
@@ -180,12 +201,12 @@ def _distinct_degree(gf: Field, p: list) -> list[tuple[list, int]]:
         if 2 * d > degree(v):
             out.append((v, degree(v)))
             break
-        h = modpow(gf, h, q, v)
+        for _ in range(gf.degree):
+            h = square_mod(gf, h, table)
         g = gcd(gf, add(h, [0, 1]), v)
         if degree(g) > 0:
             out.append((g, d))
             v = divexact(gf, v, g)
-            h = mod(gf, h, v)
     return out
 
 
@@ -195,6 +216,7 @@ def _equal_degree_split(gf: Field, p: list, d: int, rng: random.Random) -> list:
     if degree(p) == d:
         return [p]
     bits = gf.degree * d  # factors have 2^bits elements
+    table = square_table(gf, p)
     while True:
         h = [rng.randrange(gf.order) for _ in range(degree(p))]
         trim(h)
@@ -204,7 +226,7 @@ def _equal_degree_split(gf: Field, p: list, d: int, rng: random.Random) -> list:
         tr = h[:]
         sq = h[:]
         for _ in range(bits - 1):
-            sq = mod(gf, mul(gf, sq, sq), p)
+            sq = square_mod(gf, sq, table)
             tr = add(tr, sq)
         g = gcd(gf, tr, p) if tr else []
         if g and 0 < degree(g) < degree(p):

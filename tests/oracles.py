@@ -169,7 +169,8 @@ def wp_plus_constants(algebra):
     out = set()
     coords = [range(algebra.gf.order)] * algebra.n
     for c in itertools.product(*coords):
-        w = algebra.artin_schreier(algebra.element(list(c)))
+        x = algebra.element(list(c))
+        w = algebra.add(algebra.mul(x, x), x)  # not the squaring table
         for const in algebra.gf.elements():
             out.add(algebra.add(w, algebra.element([const])))
     return out
@@ -317,3 +318,20 @@ def serialize_pencil(p):
         "q0": triples(p.q0),
         "q1": triples(p.q1),
     }
+
+
+def gf2_pivots_by_scan(columns):
+    """linalg.gf2_pivots by a scan over every pivot, re-sorted after each
+    insertion: (value, combination) pairs with distinct leading bits in
+    descending order."""
+    pivots = []
+    for j, col in enumerate(columns):
+        combo = 1 << j
+        for val, cmb in pivots:
+            if col ^ val < col:
+                col ^= val
+                combo ^= cmb
+        if col:
+            pivots.append((col, combo))
+            pivots.sort(key=lambda t: -t[0])
+    return pivots

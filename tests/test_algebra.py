@@ -281,3 +281,20 @@ def test_non_monic_algebra(g4):
     rng = random.Random(10)
     s = [rng.randrange(4) for _ in range(3)]
     assert list(A.d_coords(A.square(A.from_d_coords(s)))) == A.square_in_d_basis(s)
+
+
+def test_square_matches_mul():
+    # the squaring table against the generic product, f non-monic included
+    rng = random.Random(51)
+    cases = 0
+    for k in (1, 2, 3, 8, 17, 32):
+        gf = GF(k)
+        for deg in range(1, 10):
+            f = random_separable_poly(gf, deg, rng)
+            A = EtaleAlgebra(gf, tuple(f))
+            for _ in range(4):
+                x = A.element([rng.randrange(gf.order) for _ in range(deg)])
+                assert A.square(x) == A.mul(x, x), (k, f, x)
+                cases += 1
+            assert A.square(A.one()) == A.one()
+    assert cases == 216

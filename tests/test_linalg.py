@@ -1,8 +1,10 @@
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
-from oracles import det
+from oracles import det, gf2_pivots_by_scan
 from qpencil.field import GF
 from qpencil.linalg import (
     gf2_pivots,
@@ -107,6 +109,18 @@ def test_gf2_bitpacked():
     # input by the xor of the columns in the combination
     rem, combo = gf2_reduce(0b1111, gf2_pivots([0b1100, 0b0110]))
     assert rem == 0b0011 and combo == 0b01
+
+
+def test_gf2_pivots_match_the_scan():
+    rng = random.Random(88)
+    for _ in range(300):
+        width = rng.randrange(1, 80)
+        cols = [rng.getrandbits(width) for _ in range(rng.randrange(1, 40))]
+        # dependent columns: xors of others, and a zero column
+        cols += [reduce(xor, rng.sample(cols, rng.randrange(1, len(cols) + 1)))
+                 for _ in range(rng.randrange(10))] + [0]
+        rng.shuffle(cols)
+        assert gf2_pivots(cols) == gf2_pivots_by_scan(cols), cols
 
 
 def test_tuple_rows_give_the_list_rows_answer(g4):

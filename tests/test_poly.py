@@ -185,6 +185,26 @@ def test_root_finding_multiplications_stay_polynomial(products):
     assert evaluate(big, [(GF(8).modulus >> i) & 1 for i in range(9)], emb.root) == 0
 
 
+def test_square_mod_matches_mul_then_mod():
+    rng = random.Random(15)
+    cases = 0
+    for k in list(range(1, 34)) + [48, 64]:
+        gf = GF(k)
+        for deg in range(1, 18, 2 if k > 4 else 1):
+            # monic and non-monic moduli in turn, over every field
+            lead = 1 if (deg + k) % 2 else rng.randrange(1, gf.order)
+            m = [rng.randrange(gf.order) for _ in range(deg)] + [lead]
+            table = poly.square_table(gf, m)
+            for h in ([], [1], poly.trim([0, 1][:deg]),
+                      poly.trim([rng.randrange(gf.order) for _ in range(deg)])):
+                assert poly.square_mod(gf, h, table) == poly.mod(
+                    gf, poly.mul(gf, h, h), m), (k, m, h)
+                cases += 1
+    assert cases == 1388
+    with pytest.raises(ValueError):  # h must be reduced below deg m first
+        poly.square_mod(GF(2), [0, 1], poly.square_table(GF(2), [3, 1]))
+
+
 def test_projective_roots(g2, g4):
     pts = poly.bf_projective_roots(g4, [0, 1, 1, 1])
     assert pts == [(1, 0), (1, 2), (1, 3)]  # a_0 = 0 makes (1, 0) a root
