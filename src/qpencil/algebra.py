@@ -201,10 +201,19 @@ class EtaleAlgebra:
     @cached_property
     def _coset_pivots(self) -> tuple:
         """GF(2) pivots of k + wp(A), spanned by the columns wp(t^j x^b)
-        (bit b + j*k of a combination) followed by the constants x^b."""
-        k = self.gf.degree
-        cols = [self._pack(self.artin_schreier(self.element([0] * j + [1 << b])))
-                for j in range(self.n) for b in range(k)]
+        (bit b + j*k of a combination) followed by the constants x^b.
+        Column (j, b) is x^(2b) T_j + x^b t^j, with T_j = t^(2j) row j of
+        the squaring table, so one kernel call per b over the table's rows
+        laid end to end gives that column for every j."""
+        gf, n, k = self.gf, self.n, self.gf.degree
+        flat = [c for row in self._square_table for c in row]
+        mask = (1 << n * k) - 1
+        cols = [0] * (n * k)
+        for b in range(k):
+            x = 1 << b
+            squares = self._pack(gf.addmul([0] * len(flat), (gf.mul(x, x),), (flat,)))
+            for j in range(n):
+                cols[j * k + b] = (squares >> j * n * k & mask) ^ x << j * k
         return tuple(gf2_pivots(cols + [1 << b for b in range(k)]))
 
     def coset_reduce(self, x: tuple) -> tuple[tuple, bool]:

@@ -4,7 +4,9 @@ Additive elements s of the algebra act on a Kronecker frame through the
 unipotent block matrix [[I, S], [0, I]] whose upper-right block is the
 catalecticant Cat(s_0, ..., s_{2m-1}); the map phi is a homomorphism from
 (A, +) with kernel exactly the constants.  Idempotents of A give the
-automorphisms of the pair itself; over a splitting field these are the n
+automorphisms of the pair itself, an elementary abelian 2-group built
+from its l - 1 certified generators by that law (automorphism_group);
+over a splitting field these are the n
 reflections at the singular points of the degenerate members, and Aut(X)
 is generated by them together with lifts of the projective-line symmetries
 of the root divisor of the half-discriminant.  Each lift is a block matrix
@@ -21,7 +23,7 @@ from . import poly
 from .algebra import EtaleAlgebra
 from .errors import PreconditionError
 from .field import Field, find_embedding
-from .linalg import inverse, mat_mul, mat_vec, normalize_subspace, transpose, vec_scale
+from .linalg import identity, inverse, mat_mul, mat_vec, normalize_subspace, transpose, vec_scale
 from .normalform import NormalForm, extract_normal_form, model_to_pencil
 from .pencil import Pencil
 
@@ -55,16 +57,19 @@ def phi_model_matrix(m: int, s: list) -> list:
 
 
 def phi(algebra: EtaleAlgebra, nf: NormalForm, s: tuple) -> AutomorphismRep:
-    """phi(s) conjugated into the original coordinates of nf's pencil."""
+    """phi(s) conjugated into the original coordinates of nf's pencil:
+    B [[I, S], [0, I]] B^-1 = I + B_w S (B^-1)_v, with B_w the first m+1
+    columns of the Kronecker basis B and (B^-1)_v the last m rows of B^-1."""
     m = nf.m
     s_coords = list(algebra.d_coords(s))[: algebra.n - 1]
+    cat = catalecticant(m, s_coords)
     kb = nf.basis
-    mat = model_to_pencil(kb.gf, kb.basis_matrix, kb.inverse,
-                          phi_model_matrix(m, s_coords))
+    b_w = [row[: m + 1] for row in kb.basis_matrix]
+    nil = mat_mul(kb.gf, mat_mul(kb.gf, b_w, cat), kb.inverse[m + 1:])
     return AutomorphismRep(
         tuple(s_coords),
-        tuple(tuple(r) for r in mat),
-        tuple(tuple(r) for r in catalecticant(m, s_coords)),
+        tuple(tuple(x ^ (r == c) for c, x in enumerate(row)) for r, row in enumerate(nil)),
+        tuple(tuple(r) for r in cat),
     )
 
 
@@ -125,22 +130,53 @@ def pair_algebra(p: Pencil) -> PairAnalysis:
     return p._analysis
 
 
+def group_generators(p: Pencil) -> list[AutomorphismRep]:
+    """phi(eps_1), ..., phi(eps_(l-1)), for the idempotents of A but the
+    first: each certified by substitution and, when there are two or more,
+    the block (B^-1)_v B_w = 0 that makes their products xors is checked
+    (see automorphism_group)."""
+    an = pair_algebra(p)
+    algebra, kb, m = an.algebra, an.nf.basis, an.nf.m
+    gens = [phi(algebra, an.nf, e) for e in algebra.idempotents[1:]]
+    for g in gens:
+        if p.q0.transform(g.matrix) != p.q0 or p.q1.transform(g.matrix) != p.q1:
+            raise AssertionError("phi(idempotent) fails to preserve the pair")
+    if len(gens) > 1:
+        b_w = [row[: m + 1] for row in kb.basis_matrix]
+        if any(any(row) for row in mat_mul(kb.gf, kb.inverse[m + 1:], b_w)):
+            raise AssertionError("(B^-1)_v B_w != 0: phi is not additive")
+    return gens
+
+
 def automorphism_group(p: Pencil) -> list[AutomorphismRep]:
     """All automorphisms of the pair (q0, q1): phi of the idempotents of A,
-    modulo the identification e ~ e + 1; the group has order 2^(l-1)."""
-    an = pair_algebra(p)
-    algebra = an.algebra
-    reps = [algebra.zero()]
-    for e in algebra.idempotents[1:]:  # dropping eps[0] fixes e ~ e+1
-        reps += [algebra.add(x, e) for x in reps]
-    out = []
-    for e in reps:
-        rep = phi(algebra, an.nf, e)
-        g = rep.matrix
-        if p.q0.transform(g) != p.q0 or p.q1.transform(g) != p.q1:
-            raise AssertionError("phi(idempotent) fails to preserve the pair")
-        out.append(rep)
+    modulo the identification e ~ e + 1; the group has order 2^(l-1).
+
+    Element i is phi of the sum of eps_(b+1) over the set bits b of the mask
+    i (eps_0 is dropped to fix e ~ e + 1), so element 0 is the identity.
+    The group law: phi(s) = I + N_s with N_s = B_w Cat(s) (B^-1)_v linear in
+    s, and N_s N_t = 0 because (B^-1)_v B_w is an off-diagonal block of
+    B^-1 B = I.  So (I + N_s)(I + N_t) = I + N_(s+t): the group is
+    elementary abelian, element i is I plus the xor of the N of its bits,
+    and its s-coordinates and catalecticant are xors as well.  Certificates:
+    one substitution per generator and the block (B^-1)_v B_w = 0 checked
+    once (group_generators); since q o (g h) = (q o g) o h, they certify
+    every element, and the identity needs none."""
+    n = p.n
+    zero = (0,) * (n - 1)
+    out = [AutomorphismRep(zero, tuple(tuple(r) for r in identity(n)),
+                           tuple(tuple(r) for r in catalecticant(p.m, zero)))]
+    for g in group_generators(p):
+        nil = [tuple(x ^ (r == c) for c, x in enumerate(row)) for r, row in enumerate(g.matrix)]
+        out += [AutomorphismRep(_xor(x.s_coeffs, g.s_coeffs),
+                                tuple(map(_xor, x.matrix, nil)),
+                                tuple(map(_xor, x.catalecticant, g.catalecticant)))
+                for x in out]
     return out
+
+
+def _xor(u: tuple, v: tuple) -> tuple:
+    return tuple(a ^ b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------

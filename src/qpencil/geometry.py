@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 from . import poly
-from .autos import apply_to_subspace, automorphism_group, pair_algebra
+from .autos import group_generators, pair_algebra
 from .errors import PreconditionError
 from .field import GF, Field, find_embedding
-from .linalg import mat_mul, normalize_subspace, nullspace, rank
+from .linalg import mat_mul, mat_vec, normalize_subspace, nullspace, rank
 from .pencil import Pencil
 from .quadform import is_totally_isotropic
 
@@ -185,7 +185,8 @@ class Generator:
 
 def enumerate_generators(p: Pencil, ext: Field) -> list[Generator]:
     """All 2^(2m) generators of X over ext, as the simply transitive orbit
-    of one Kronecker complement under the pair automorphisms.
+    of one Kronecker complement under the pair automorphisms: generator i
+    is its image under element i of automorphism_group (bit mask i).
 
     Needs ext to split Delta (so the orbit has full size) and to kill the
     r-coset (so one generator exists to start from)."""
@@ -208,19 +209,23 @@ def enumerate_generators(p: Pencil, ext: Field) -> list[Generator]:
         [b0[r][m + 1 + j] for r in range(n)] for j in range(m)
     ]  # columns v_0..v_{m-1} of the r = 0 frame
     # only the first generator is checked: the others are its images under
-    # automorphisms that automorphism_group verified by substitution
+    # the group that group_generators certified.  Element i is I plus the
+    # xor of the N_b over the bits b of i, so the vectors of generator i are
+    # those of the first plus the xor of the N_b v.
     if not (is_totally_isotropic(pe.q0, lam) and is_totally_isotropic(pe.q1, lam)):
         raise AssertionError("generator span leaves X")
     first = normalize_subspace(gf, lam)
-    seen = {}
-    for rep in automorphism_group(pe):
-        img = apply_to_subspace(gf, rep.matrix, first)
-        if img in seen:
-            raise AssertionError("automorphism orbit of the generator collides")
-        seen[img] = rep
-    if len(seen) != 1 << (2 * m):
+    spans = [first]
+    for g in group_generators(pe):
+        moved = [[x ^ y for x, y in zip(mat_vec(gf, g.matrix, v), v)] for v in first]
+        spans += [[[x ^ y for x, y in zip(u, w)] for u, w in zip(span, moved)]
+                  for span in spans]
+    images = [normalize_subspace(gf, span) for span in spans]
+    if len(set(images)) != len(images):
+        raise AssertionError("automorphism orbit of the generator collides")
+    if len(images) != 1 << (2 * m):
         raise AssertionError("generator count differs from 2^(2m)")
-    return [Generator(gf, span) for span in seen]
+    return [Generator(gf, span) for span in images]
 
 
 def brute_force_lines(p: Pencil, ext: Field) -> list[tuple]:

@@ -157,13 +157,14 @@ def build_lattice(
 
 
 def _full_line_gram(gens: list[Generator], m: int) -> tuple:
-    k = len(gens)
-    out = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            v = intersection_number(gens[i], gens[j], m)
-            out[i][j] = out[j][i] = v
-    return tuple(tuple(r) for r in out)
+    """line_gram[i][j] = [L_i].[L_j] for the generators in the order of
+    enumerate_generators: gens[i] is the image of gens[0] under element i
+    of automorphism_group, i the bit mask of its idempotents.  That group is
+    elementary abelian (g_i g_j = g_(i^j), so g_i^-1 = g_i), hence
+    L_i meets L_j as L_0 meets g_i g_j L_0 = L_(i^j): the entry is d[i ^ j],
+    one measured intersection per generator."""
+    d = [intersection_number(gens[0], g, m) for g in gens]
+    return tuple(tuple(d[i ^ j] for j in range(len(gens))) for i in range(len(gens)))
 
 
 def _unit(size: int, i: int) -> list:

@@ -42,6 +42,10 @@ AUTX = {"g2_n3_all_roots", "g2_n3_an0", "g2_n3_autx_bug", "g2_n3_irreducible",
 # documents over GF(2^17)..GF(2^32) (gk<k>..., beyond the log tables) run the
 # cheap commands only: they are there for the raw multiplication path
 BIG_FIELD_PREFIX = "gk"
+# split pencils over GF(2^5) with r = 0: Delta has n rational roots, so the
+# pair group has its largest order 2^(n-1) and every generator is rational
+SPLIT = {"g32_n7_split_r0": ("autos", "generators", "lattice"),
+         "g32_n9_split_r0": ("autos", "generators")}
 
 ISO_PAIRS = [
     ("iso_g2_n5_a", "iso_g2_n5_b"),
@@ -100,6 +104,8 @@ def cases() -> list:
             cmds = CHEAP + (("autx",) if name in AUTX else ())
         elif name.startswith(BIG_FIELD_PREFIX):
             cmds = CHEAP
+        elif name in SPLIT:
+            cmds = SPLIT[name]
         else:
             cmds = [c for c in ALL
                     if not (c in ("generators", "lattice") and "_n7_" in name

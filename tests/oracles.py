@@ -335,3 +335,72 @@ def gf2_pivots_by_scan(columns):
             pivots.append((col, combo))
             pivots.sort(key=lambda t: -t[0])
     return pivots
+
+
+# ---------------------------------------------------------------------------
+# the pair group element by element: the code the group law replaced
+
+
+def automorphism_group_per_element(p):
+    """The pair group as it was built before the group law was used: phi of
+    every sum of the idempotents eps_1.. (bit mask i, eps_0 dropped), each
+    conjugated into the pencil's coordinates by two matrix products and
+    certified by its own two substitutions."""
+    from qpencil.autos import AutomorphismRep, catalecticant, pair_algebra, phi_model_matrix
+    from qpencil.normalform import model_to_pencil
+
+    an = pair_algebra(p)
+    algebra, nf = an.algebra, an.nf
+    kb = nf.basis
+    reps = [algebra.zero()]
+    for e in algebra.idempotents[1:]:
+        reps += [algebra.add(x, e) for x in reps]
+    out = []
+    for e in reps:
+        s = list(algebra.d_coords(e))[: algebra.n - 1]
+        g = model_to_pencil(kb.gf, kb.basis_matrix, kb.inverse, phi_model_matrix(nf.m, s))
+        if p.q0.transform(g) != p.q0 or p.q1.transform(g) != p.q1:
+            raise AssertionError("phi(idempotent) fails to preserve the pair")
+        out.append(AutomorphismRep(tuple(s), tuple(tuple(r) for r in g),
+                                   tuple(tuple(r) for r in catalecticant(nf.m, s))))
+    return out
+
+
+def generators_per_element(p, ext):
+    """The 2^(2m) generator spans over ext, the i-th the image of the first
+    under element i of automorphism_group_per_element, one matrix-vector
+    product per spanning vector."""
+    from qpencil.autos import pair_algebra
+    from qpencil.linalg import normalize_subspace
+
+    pe = p.map_field(find_embedding(p.gf, ext))
+    b0 = pair_algebra(pe).r0_frame
+    m, n = pe.m, pe.n
+    first = normalize_subspace(ext, [[b0[r][m + 1 + j] for r in range(n)] for j in range(m)])
+    return [normalize_subspace(ext, [mat_vec(ext, rep.matrix, v) for v in first])
+            for rep in automorphism_group_per_element(pe)]
+
+
+def line_gram_pairwise(gens, m):
+    """The intersection numbers of every pair of generators, one measured
+    intersection per unordered pair."""
+    from qpencil.lattice import intersection_number
+
+    k = len(gens)
+    out = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            out[i][j] = out[j][i] = intersection_number(gens[i], gens[j], m)
+    return tuple(tuple(r) for r in out)
+
+
+def coset_columns_per_element(algebra):
+    """The spanning columns of k + wp(A) in the order of _coset_pivots: wp of
+    each x^b t^j, squared by multiplication, then the constants x^b."""
+    k = algebra.gf.degree
+    cols = []
+    for j in range(algebra.n):
+        for b in range(k):
+            x = algebra.element([0] * j + [1 << b])
+            cols.append(algebra._pack(algebra.add(algebra.mul(x, x), x)))
+    return cols + [1 << b for b in range(k)]

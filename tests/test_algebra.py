@@ -9,12 +9,14 @@ import qpencil.poly as poly
 from oracles import (
     algebra_trace,
     all_idempotents,
+    coset_columns_per_element,
     evaluate,
     trace_projection,
     wp_plus_constants,
 )
 from qpencil.algebra import EtaleAlgebra
 from qpencil.field import GF
+from qpencil.linalg import gf2_pivots
 from qpencil.verify import random_separable_poly
 
 F_EXAMPLE = (0, 1, 1, 1)  # T^3 + T^2 + T = T (T^2 + T + 1)
@@ -298,3 +300,20 @@ def test_square_matches_mul():
                 cases += 1
             assert A.square(A.one()) == A.one()
     assert cases == 216
+
+
+def test_coset_pivots_match_per_column():
+    # columns from the squaring table, one kernel call per bit b, against
+    # wp(x^b t^j) squared by multiplication one column at a time: the same
+    # columns in the same order give the same pivots, f non-monic included
+    rng = random.Random(52)
+    cases = 0
+    for k in (1, 2, 3, 8, 17, 32):
+        gf = GF(k)
+        for deg in range(1, 10):
+            f = random_separable_poly(gf, deg, rng)
+            c = rng.randrange(2, gf.order) if gf.order > 2 else 1
+            A = EtaleAlgebra(gf, tuple(gf.mul(c, x) for x in f))
+            assert A._coset_pivots == tuple(gf2_pivots(coset_columns_per_element(A))), (k, f)
+            cases += A.f[-1] != 1
+    assert cases == 39
