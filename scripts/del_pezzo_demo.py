@@ -15,14 +15,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qpencil.autos import reflections
 from qpencil.field import GF
-from qpencil.geometry import (
-    brute_force_lines,
-    canonical_plane,
-    enumerate_generators,
-    points_on_X,
-)
+from qpencil.geometry import canonical_plane, enumerate_generators
 from qpencil.lattice import cartan_d, lattice_for
 from qpencil.normalform import realize
+from qpencil.verify import brute_force_lines, points_on_X
 
 
 def main():

@@ -11,9 +11,9 @@ spanning the constants.  d_i has degree n-1-i and leading coefficient
 a_n, so d-coordinates come from a triangular back-substitution.  The
 elements t^j / f'(t) are dual to the d-basis under the trace form,
 Tr(d_i t^j / f'(t)) = delta_ij; verify's T5.3 checks the coordinates
-against that projection, computed from the definition of the trace.  The
-squaring rule is r_k = sum_j s_j^2 a_{2j+1-k} (indices outside 0..n read
-as zero).
+against that projection, computed from the definition of the trace, and
+its T5.4 checks squares against the rule r_k = sum_j s_j^2 a_{2j+1-k} in
+d-coordinates.
 
 Elements are coordinate tuples in the power basis 1, t, ..., t^{n-1}.
 Squaring is additive in characteristic 2 (as in Berlekamp's Q-matrix), so
@@ -134,26 +134,6 @@ class EtaleAlgebra:
 
     def from_d_coords(self, s: list) -> tuple:
         return tuple(self.gf.addmul([0] * self.n, s, self.d_basis))
-
-    def a_coefficient(self, i: int) -> int:
-        """f's coefficient with the convention a_i = 0 outside 0..n."""
-        if 0 <= i <= self.n:
-            return self.f[i]
-        return 0
-
-    def square_in_d_basis(self, s: list) -> list:
-        """d-coordinates of (sum s_j d_j)^2: r_k = sum_j s_j^2 a_{2j+1-k}."""
-        gf = self.gf
-        out = []
-        for k in range(self.n):
-            acc = 0
-            for j, sj in enumerate(s):
-                if sj:
-                    a = self.a_coefficient(2 * j + 1 - k)
-                    if a:
-                        acc ^= gf.mul(gf.mul(sj, sj), a)
-            out.append(acc)
-        return out
 
     # -- idempotents -------------------------------------------------------------
 

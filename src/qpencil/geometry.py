@@ -1,18 +1,15 @@
-"""The base locus X = V(q0, q1): points, smoothness, canonical plane,
-quasi-splitness, and the 2^(2m) generators.
+"""The base locus X = V(q0, q1): the canonical plane, quasi-splitness,
+and the 2^(2m) generators.
 
-The smoothness oracle never trusts the half-discriminant criterion: a point
-x of X is singular iff the rows b0(x, .), b1(x, .) are dependent, i.e. x
-lies in the radical of some member.  Candidate members are the projective
-roots of Delta (or every member when Delta vanishes identically), so the
-scan walks roots over extensions, their radicals, and small projective
-spaces inside those radicals; in characteristic 2 the gradient of q at x
-is b(x, .), so no symbolic differentiation is needed.
+Each is read off the pair's structure (the half-discriminant, the
+Kronecker frame, the pair group), and the plane and the generators are
+checked to lie on X.  The brute-force scans of X that check these answers
+(its points, its lines, and the singular-point scan behind the regularity
+criterion) live in `verify`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,83 +20,6 @@ from .field import GF, Field, find_embedding
 from .linalg import mat_mul, mat_vec, normalize_subspace, nullspace, rank
 from .pencil import Pencil
 from .quadform import is_totally_isotropic
-
-_SCAN_LIMIT = 10**8
-
-
-def proj_points(gf: Field, n: int):
-    """Normalized representatives of P^(n-1)(gf): first nonzero entry 1."""
-    for lead in range(n):
-        tail = n - lead - 1
-        for rest in itertools.product(gf.elements(), repeat=tail):
-            yield [0] * lead + [1] + list(rest)
-
-
-def proj_count(q: int, n: int) -> int:
-    return (q**n - 1) // (q - 1)
-
-
-def points_on_X(p: Pencil, ext: Field) -> list:
-    """All projective points of X over ext, by exhaustive scan."""
-    total = proj_count(ext.order, p.n)
-    if total > _SCAN_LIMIT:
-        raise PreconditionError(
-            f"scan of {total} projective points exceeds the {_SCAN_LIMIT} limit"
-        )
-    emb = find_embedding(p.gf, ext)
-    pe = p.map_field(emb)
-    q0, q1 = pe.q0, pe.q1
-    return [tuple(x) for x in proj_points(ext, p.n) if q0(x) == 0 and q1(x) == 0]
-
-
-def smoothness_oracle(p: Pencil, max_ext_degree: int) -> bool:
-    """Brute-force smoothness of X over extensions of degree <= max_ext_degree.
-
-    Singular points sit inside radicals of degenerate members, so the scan
-    visits each projective root of Delta over each extension, and inside a
-    corank >= 3 radical scans the small projective space cut out there.  A
-    vanishing Delta falls back to scanning every member of the pencil.
-    """
-    a = p.half_discriminant()
-    base = p.gf
-    if all(c == 0 for c in a):
-        for d in range(1, max_ext_degree + 1):
-            ext = GF(base.degree * d)
-            if _singular_among(p, ext, None):
-                return False
-        return True
-    for d in range(1, max_ext_degree + 1):
-        ext = GF(base.degree * d)
-        roots = poly.bf_projective_roots(ext, find_embedding(base, ext).map_vec(a))
-        if roots and _singular_among(p, ext, roots):
-            return False
-    return True
-
-
-def _singular_among(p: Pencil, ext: Field, members) -> bool:
-    emb = find_embedding(p.gf, ext)
-    pe = p.map_field(emb)
-    g0, g1 = pe.q0.polar(), pe.q1.polar()
-    if members is None:
-        members = [(1, c) for c in ext.elements()] + [(0, 1)]
-    for (l, u) in members:
-        gram = [
-            [ext.mul(l, x) ^ ext.mul(u, y) for x, y in zip(r0, r1)]
-            for r0, r1 in zip(g0, g1)
-        ]
-        rad = nullspace(ext, gram)
-        if not rad:
-            continue
-        if len(rad) == 1:
-            x = rad[0]
-            if pe.q0(x) == 0 and pe.q1(x) == 0:
-                return True
-            continue
-        for coords in proj_points(ext, len(rad)):
-            x = mat_mul(ext, [coords], rad)[0]
-            if pe.q0(x) == 0 and pe.q1(x) == 0:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +146,3 @@ def enumerate_generators(p: Pencil, ext: Field) -> list[Generator]:
     if len(images) != 1 << (2 * m):
         raise AssertionError("generator count differs from 2^(2m)")
     return [Generator(gf, span) for span in images]
-
-
-def brute_force_lines(p: Pencil, ext: Field) -> list[tuple]:
-    """All lines on X(ext) for m = 2, from pairs of points: the line through
-    two points of X lies on X iff both polar pairings vanish."""
-    if p.m != 2:
-        raise PreconditionError("line enumeration is the m = 2 oracle")
-    emb = find_embedding(p.gf, ext)
-    pe = p.map_field(emb)
-    pts = points_on_X(p, ext)
-    lines = set()
-    for i in range(len(pts)):
-        xi = list(pts[i])
-        for j in range(i + 1, len(pts)):
-            xj = list(pts[j])
-            if pe.q0.polar_pair(xi, xj) == 0 and pe.q1.polar_pair(xi, xj) == 0:
-                lines.add(normalize_subspace(ext, [xi, xj]))
-    return sorted(lines)

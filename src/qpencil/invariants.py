@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autos import PairAnalysis, pair_algebra, phi, phi_model_matrix
+from .autos import PairAnalysis, pair_algebra, phi_model_matrix
 from .linalg import mat_mul
-from .normalform import extract_normal_form
 from .pencil import Pencil
 
 
@@ -55,21 +54,6 @@ def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
     if p2.q0.transform(witness) != p1.q0 or p2.q1.transform(witness) != p1.q1:
         raise AssertionError("isomorphism witness failed verification")
     return True, witness
-
-
-def transformation_law_check(p: Pencil, s: tuple) -> bool:
-    """Conjugating by phi(s) shifts the extracted r by wp(s) modulo the
-    constants, with exact coefficient equality in positions 0..n-2."""
-    an = pair_algebra(p)
-    algebra, nf = an.algebra, an.nf
-    conj = an.pencil.conjugate(phi(algebra, nf, algebra.element(s)).matrix)
-    nf2 = extract_normal_form(conj)
-    if nf2.a != nf.a:
-        return False
-    wp = algebra.artin_schreier(algebra.element(s))
-    expected = algebra.d_coords(wp)[: algebra.n - 1]
-    got = [x ^ y for x, y in zip(nf2.r, nf.r)]
-    return list(expected) == got
 
 
 @dataclass(frozen=True)

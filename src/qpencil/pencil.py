@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from . import poly
 from .errors import NotRegularError, PreconditionError
-from .field import Field
 from .linalg import inverse, mat_mul, rank, transpose
 from .quadform import QuadraticForm, pfaffian_vector
 
@@ -175,10 +174,6 @@ class Pencil:
             self._mapped[emb] = Pencil(self.q0.map_field(emb), self.q1.map_field(emb))
         return self._mapped[emb]
 
-    def extend(self, j: int) -> tuple["Pencil", "Field"]:
-        ext, emb = self.gf.extension(j)
-        return self.map_field(emb), ext
-
     def ensure_an_nonzero(self) -> tuple["Pencil", list]:
         """A GL2-equivalent pencil whose Delta has a_n != 0 (q1 nondegenerate),
         together with the matrix used; errors if every rational point of the
@@ -202,22 +197,3 @@ class Pencil:
             extension_degree=j,
         )
 
-
-def random_pencil(gf: Field, n: int, rng, regular: bool = True, max_tries: int = 5000):
-    """Deterministic-by-seed random pencil sampler (rejection)."""
-    for _ in range(max_tries):
-        t0 = {}
-        t1 = {}
-        for i in range(n):
-            for j in range(i, n):
-                t0[(i, j)] = rng.randrange(gf.order)
-                t1[(i, j)] = rng.randrange(gf.order)
-        q0 = QuadraticForm.from_table(gf, n, t0)
-        q1 = QuadraticForm.from_table(gf, n, t1)
-        try:
-            p = Pencil(q0, q1)
-        except ValueError:
-            continue
-        if not regular or p.is_regular():
-            return p
-    raise RuntimeError("no pencil found within the retry budget")

@@ -169,14 +169,6 @@ def pfaffian_vector(gf: Field, gram) -> list:
     return vec_scale(gf, omega, gf.inv(scale))
 
 
-def half_disc(q: QuadraticForm) -> int:
-    """q evaluated on the Pfaffian vector of its polar form (n odd)."""
-    if q.n % 2 != 1:
-        raise ValueError("half-discriminant needs odd dimension")
-    omega = pfaffian_vector(q.gf, q.polar())
-    return q(omega)
-
-
 # ---------------------------------------------------------------------------
 # the isotropy predicate
 

@@ -1,10 +1,16 @@
-"""Theorem-tagged verification harness.
+"""Theorem-tagged verification harness, and the package's brute-force oracles.
 
 Every structural claim the package relies on is re-checked here against an
 independent brute-force route: explicit coordinate formulas, exhaustive
 GL-orbit and stabilizer scans, point/line enumeration, and coset
 enumeration.  `run_suite("small")` keeps within a minute; "full" runs the
 acceptance-scale counts.
+
+The oracles and samplers the checks share live here and nowhere else: no
+production module imports this one, and an oracle reads nothing of the
+path it checks (the smoothness scan, for one, never sees Delta).
+tests/test_boundaries.py holds both rules, with the one list of
+production names the oracles may use.
 
 Each check is a generator over its cases that yields how many cases it has
 just checked.  `run_check` is the one runner: it times the check, adds up
@@ -21,36 +27,25 @@ from dataclasses import dataclass
 
 from . import poly
 from .algebra import EtaleAlgebra
-from .errors import PreconditionError
 from .autos import (
     apply_to_subspace,
     automorphism_group,
     aut_x,
     pair_algebra,
+    phi,
     reflections,
     reflections_match_idempotents,
 )
+from .cli import SCALES
+from .errors import PreconditionError
 from .field import GF, Field, find_embedding
-from .geometry import (
-    brute_force_lines,
-    canonical_plane,
-    enumerate_generators,
-    points_on_X,
-    smoothness_oracle,
-)
-from .invariants import (
-    arf_invariant,
-    is_isomorphic,
-    r_invariant,
-    transformation_law_check,
-)
+from .geometry import canonical_plane, enumerate_generators
+from .invariants import arf_invariant, is_isomorphic, r_invariant
 from .lattice import cartan_d, intersection_number, lattice_for
-from .linalg import identity, mat_mul, mat_vec, rank
+from .linalg import identity, mat_mul, mat_vec, normalize_subspace, nullspace, rank
 from .normalform import extract_normal_form, realize
-from .pencil import Pencil, random_pencil
-from .quadform import QuadraticForm, half_disc, pfaffian_vector
-
-SCALES = ("small", "full")
+from .pencil import Pencil
+from .quadform import QuadraticForm, pfaffian_vector
 
 
 @dataclass
@@ -131,6 +126,26 @@ def gl_elements(gf: Field, n: int, projective: bool = False) -> list:
     return out
 
 
+def random_pencil(gf: Field, n: int, rng, regular: bool = True):
+    """Deterministic-by-seed random pencil sampler (rejection)."""
+    for _ in range(5000):
+        t0 = {}
+        t1 = {}
+        for i in range(n):
+            for j in range(i, n):
+                t0[(i, j)] = rng.randrange(gf.order)
+                t1[(i, j)] = rng.randrange(gf.order)
+        q0 = QuadraticForm.from_table(gf, n, t0)
+        q1 = QuadraticForm.from_table(gf, n, t1)
+        try:
+            p = Pencil(q0, q1)
+        except ValueError:
+            continue
+        if not regular or p.is_regular():
+            return p
+    raise RuntimeError("no pencil found within the retry budget")
+
+
 def random_separable_poly(gf: Field, deg: int, rng) -> list:
     while True:
         f = [rng.randrange(gf.order) for _ in range(deg)]
@@ -198,6 +213,142 @@ def pulls_back(q: QuadraticForm, g: list, target: QuadraticForm) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# points, lines and singular points of X, by exhaustive scan
+
+_SCAN_LIMIT = 10**8
+
+
+def proj_points(gf: Field, n: int):
+    """Normalized representatives of P^(n-1)(gf): first nonzero entry 1."""
+    for lead in range(n):
+        tail = n - lead - 1
+        for rest in itertools.product(gf.elements(), repeat=tail):
+            yield [0] * lead + [1] + list(rest)
+
+
+def proj_count(q: int, n: int) -> int:
+    return (q**n - 1) // (q - 1)
+
+
+def points_on_X(p: Pencil, ext: Field) -> list:
+    """All projective points of X over ext, by exhaustive scan."""
+    total = proj_count(ext.order, p.n)
+    if total > _SCAN_LIMIT:
+        raise PreconditionError(
+            f"scan of {total} projective points exceeds the {_SCAN_LIMIT} limit"
+        )
+    emb = find_embedding(p.gf, ext)
+    pe = p.map_field(emb)
+    q0, q1 = pe.q0, pe.q1
+    return [tuple(x) for x in proj_points(ext, p.n) if q0(x) == 0 and q1(x) == 0]
+
+
+def smoothness_oracle(p: Pencil, max_ext_degree: int) -> bool:
+    """Brute-force smoothness of X over extensions of degree <= max_ext_degree.
+
+    A point x of X is singular iff the rows b0(x, .), b1(x, .) are
+    dependent, i.e. x lies in the radical of some member (in characteristic
+    2 the gradient of q at x is b(x, .)).  So the scan visits every member
+    over each extension, and the projective space spanned by its radical.
+    It reads nothing of Delta, whose separability it checks.
+    """
+    for d in range(1, max_ext_degree + 1):
+        if _singular_among(p, GF(p.gf.degree * d)):
+            return False
+    return True
+
+
+def _singular_among(p: Pencil, ext: Field) -> bool:
+    """Whether the radical of some member l q0 + u q1 over ext, (1, c) for
+    every c and then (0, 1), holds a point of X."""
+    pe = p.map_field(find_embedding(p.gf, ext))
+    q0, q1 = pe.q0, pe.q1
+    n = p.n
+    # the two Gram matrices laid end to end: one kernel call per member
+    grams = [[x for row in q.polar() for x in row] for q in (q0, q1)]
+    for lu in [(1, c) for c in ext.elements()] + [(0, 1)]:
+        gram = ext.addmul([0] * (n * n), lu, grams)
+        rad = nullspace(ext, [gram[i:i + n] for i in range(0, n * n, n)])
+        for coords in proj_points(ext, len(rad)):
+            x = ext.addmul([0] * n, coords, rad)
+            if q0(x) == 0 and q1(x) == 0:
+                return True
+    return False
+
+
+def brute_force_lines(p: Pencil, ext: Field) -> list[tuple]:
+    """All lines on X(ext) for m = 2, from pairs of points: the line through
+    two points of X lies on X iff both polar pairings vanish."""
+    if p.m != 2:
+        raise PreconditionError("line enumeration is the m = 2 oracle")
+    emb = find_embedding(p.gf, ext)
+    pe = p.map_field(emb)
+    pts = points_on_X(p, ext)
+    lines = set()
+    for i in range(len(pts)):
+        xi = list(pts[i])
+        for j in range(i + 1, len(pts)):
+            xj = list(pts[j])
+            if pe.q0.polar_pair(xi, xj) == 0 and pe.q1.polar_pair(xi, xj) == 0:
+                lines.add(normalize_subspace(ext, [xi, xj]))
+    return sorted(lines)
+
+
+# ---------------------------------------------------------------------------
+# the etale algebra and the transformation law, from their definitions
+
+
+def algebra_trace(A: EtaleAlgebra, x: tuple) -> int:
+    """Tr(x): the trace of multiplication by x, sum_j (x t^j)_j in the
+    power basis."""
+    acc = 0
+    for j in range(A.n):
+        acc ^= A.mul(x, A.t_power(j))[j]
+    return acc
+
+
+def trace_projection(A: EtaleAlgebra, x: tuple) -> tuple:
+    """(Tr(x t^j / f'(t)))_j, with 1/f'(t) from the extended gcd: the
+    d-coordinates of x, since the t^j / f'(t) are trace-dual to the
+    d-basis."""
+    gf, f = A.gf, list(A.f)
+    g, inv, _ = poly.extended_gcd(gf, poly.derivative(gf, f), list(A.monic_f))
+    _expect(g == [1], f"f'(t) is not invertible for f={f}")
+    y = A.mul(x, A.from_poly(inv))
+    return tuple(algebra_trace(A, A.mul(y, A.t_power(j))) for j in range(A.n))
+
+
+def square_in_d_basis(A: EtaleAlgebra, s: list) -> list:
+    """d-coordinates of (sum s_j d_j)^2: r_k = sum_j s_j^2 a_{2j+1-k}, with
+    a_i = 0 outside 0..n."""
+    gf, f, n = A.gf, A.f, A.n
+    out = []
+    for k in range(n):
+        acc = 0
+        for j, sj in enumerate(s):
+            i = 2 * j + 1 - k
+            if sj and 0 <= i <= n and f[i]:
+                acc ^= gf.mul(gf.mul(sj, sj), f[i])
+        out.append(acc)
+    return out
+
+
+def transformation_law_check(p: Pencil, s: tuple) -> bool:
+    """Conjugating by phi(s) shifts the extracted r by wp(s) modulo the
+    constants, with exact coefficient equality in positions 0..n-2."""
+    an = pair_algebra(p)
+    algebra, nf = an.algebra, an.nf
+    conj = an.pencil.conjugate(phi(algebra, nf, algebra.element(s)).matrix)
+    nf2 = extract_normal_form(conj)
+    if nf2.a != nf.a:
+        return False
+    wp = algebra.artin_schreier(algebra.element(s))
+    expected = algebra.d_coords(wp)[: algebra.n - 1]
+    got = [x ^ y for x, y in zip(nf2.r, nf.r)]
+    return list(expected) == got
+
+
+# ---------------------------------------------------------------------------
 # the checks: generators that yield how many cases they have just checked
 
 
@@ -211,8 +362,8 @@ def _split_m3_pencil() -> Pencil:
 
 
 def check_half_disc(scale: str):
-    """HD: the Pfaffian-vector evaluation of the half-discriminant equals the
-    explicit n = 3 polynomial, and q(omega) in general."""
+    """HD: q(omega), q evaluated on the Pfaffian vector of its polar form,
+    equals the explicit n = 3 half-discriminant polynomial."""
     count = 1000 if scale == "full" else 100
     rng = random.Random(2201)
     for gf in (GF(1), GF(2)):
@@ -232,9 +383,8 @@ def check_half_disc(scale: str):
                 ^ mul(a33, mul(a12, a12))
                 ^ mul(a12, mul(a23, a13))
             )
-            _expect(half_disc(q) == explicit, f"mismatch at {q.coeffs}")
             omega = pfaffian_vector(gf, q.polar())
-            _expect(q(omega) == explicit, "q(omega) route disagrees")
+            _expect(q(omega) == explicit, f"mismatch at {q.coeffs}")
             yield 1
 
 
@@ -280,17 +430,10 @@ def check_normal_form(scale: str):
             # every rational point is a root of Delta; compare over the
             # reported extension instead
             j = err.info["extension_degree"]
-            iso, _ = is_isomorphic(p.extend(j)[0], model.extend(j)[0])
+            _, emb = p.gf.extension(j)
+            iso, _ = is_isomorphic(p.map_field(emb), model.map_field(emb))
         _expect(iso, "the realized normal form is not isomorphic to the pencil")
         yield 1
-
-
-def _trace(A: EtaleAlgebra, x: tuple) -> int:
-    """Tr(x): the trace of multiplication by x in the power basis."""
-    acc = 0
-    for j in range(A.n):
-        acc ^= A.mul(x, A.t_power(j))[j]
-    return acc
 
 
 def check_dual_basis(scale: str):
@@ -305,18 +448,11 @@ def check_dual_basis(scale: str):
         deg = rng.randrange(2, 10)
         f = random_separable_poly(gf, deg, rng)
         A = EtaleAlgebra(gf, tuple(f))
-        g, inv, _ = poly.extended_gcd(gf, poly.derivative(gf, f), list(A.monic_f))
-        _expect(g == [1], f"f'(t) is not invertible for f={f}")
-        duals = [A.mul(A.from_poly(inv), A.t_power(j)) for j in range(A.n)]
-
-        def projection(x):
-            return tuple(_trace(A, A.mul(x, dual)) for dual in duals)
-
         for i, d in enumerate(A.d_basis):
             unit = tuple(int(j == i) for j in range(A.n))
-            _expect(projection(d) == unit == A.d_coords(d), f"f={f} d_{i}")
+            _expect(trace_projection(A, d) == unit == A.d_coords(d), f"f={f} d_{i}")
         y = A.element([rng_y.randrange(gf.order) for _ in range(A.n)])
-        _expect(projection(y) == A.d_coords(y), f"f={f} y={y}")
+        _expect(trace_projection(A, y) == A.d_coords(y), f"f={f} y={y}")
         yield 1
 
 
@@ -333,7 +469,7 @@ def check_squaring(scale: str):
         A = EtaleAlgebra(gf, tuple(f))
         s = [rng.randrange(gf.order) for _ in range(A.n)]
         elem = A.from_d_coords(s)
-        formula = A.square_in_d_basis(s)
+        formula = square_in_d_basis(A, s)
         for way, sq in (("mul", A.mul(elem, elem)), ("square", A.square(elem))):
             _expect(list(A.d_coords(sq)) == formula, f"{way}: f={f} s={s}")
         yield 1

@@ -1,9 +1,14 @@
-"""Independent brute-force oracles used by the tests.
+"""Independent brute-force oracles that only the tests use.
 
-Everything here recomputes results by definition-level enumeration
-(perfect matchings, exhaustive subsets, full subgroup enumeration) and
-never calls the production code paths it is checking.  The helpers at the
-bottom are small compositions of the package's API that only tests use.
+The package's own oracles and samplers (the point, line and singular-point
+scans of X, GL enumeration, the trace of the etale algebra, the samplers
+of pencils and polynomials) live in `qpencil.verify`, and the tests import
+them from there; none is copied between the two.  Everything here
+recomputes results by definition-level enumeration (perfect matchings,
+exhaustive subsets, full subgroup enumeration) and never calls the
+production code paths it is checking.  The helpers at the bottom are small
+compositions of the package's API that only tests use, and the last
+section keeps code the package replaced, to compare against.
 """
 
 import itertools
@@ -11,9 +16,9 @@ import itertools
 from qpencil import poly
 from qpencil.errors import PreconditionError
 from qpencil.field import Embedding, find_embedding
-from qpencil.geometry import points_on_X
 from qpencil.linalg import mat_vec, rank
-from qpencil.quadform import half_disc
+from qpencil.quadform import pfaffian_vector
+from qpencil.verify import points_on_X
 
 
 def pfaffian_by_matchings(gf, gram):
@@ -237,12 +242,13 @@ def bf_dehomogenize_t1(c):
 
 def half_disc_check(p, l, u):
     """Delta(l, u) evaluated from coefficients equals the half-discriminant
-    of the member at (l, u)."""
+    of the member at (l, u): the member on the Pfaffian vector of its polar
+    form."""
     lhs = poly.bf_eval(p.gf, p.half_discriminant(), l, u)
     member = p.member(l, u)
     if is_zero(member):
         return lhs == 0
-    return lhs == half_disc(member)
+    return lhs == member(pfaffian_vector(p.gf, member.polar()))
 
 
 def corank_profile(p, ext):
@@ -271,27 +277,6 @@ def all_idempotents(algebra):
     for e in algebra.idempotents:
         out += [algebra.add(x, e) for x in out]
     return out
-
-
-def algebra_trace(algebra, x):
-    """Tr(x): the trace of multiplication by x, sum_j (x t^j)_j in the
-    power basis."""
-    acc = 0
-    for j in range(algebra.n):
-        acc ^= algebra.mul(x, algebra.t_power(j))[j]
-    return acc
-
-
-def trace_projection(algebra, x):
-    """(Tr(x t^j / f'(t)))_j, which are the d-coordinates of x (the
-    elements t^j / f'(t) are trace-dual to the d-basis)."""
-    gf = algebra.gf
-    g, inv, _ = poly.extended_gcd(gf, poly.derivative(gf, list(algebra.f)),
-                                  list(algebra.monic_f))
-    assert g == [1], "f'(t) is not invertible"
-    y = algebra.mul(x, algebra.from_poly(inv))
-    return tuple(algebra_trace(algebra, algebra.mul(y, algebra.t_power(j)))
-                 for j in range(algebra.n))
 
 
 def singular_points_on_X(p, ext):

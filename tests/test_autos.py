@@ -156,7 +156,7 @@ def test_aut_x_m1(g2, g4):
     for row in ax.mult_table:
         assert sorted(row) == list(range(size))
     # every element preserves X as a point set
-    from qpencil.geometry import points_on_X
+    from qpencil.verify import points_on_X
 
     pts = set(points_on_X(p, g4))
     pe = p.map_field(find_embedding(g2, g4))
@@ -192,7 +192,7 @@ def test_aut_x_m2_with_symmetric_roots(g8):
     # roots {0, inf, 1, g, 1/g} of Delta are preserved by a Klein four-group
     # of the projective line; exercises the symmetric-power lifts at m = 2
     import qpencil.poly as poly
-    from qpencil.geometry import points_on_X
+    from qpencil.verify import points_on_X
     from qpencil.linalg import mat_vec
 
     g = 2

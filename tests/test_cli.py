@@ -12,9 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import serialize_pencil
-from qpencil import cli
+from qpencil import verify
 from qpencil.cli import MAX_DIMENSION, SINGLE_DOC_COMMANDS, main, parse_pencil
-from qpencil.verify import VerifyResult
 
 M1_DOC = {
     "field": {"degree": 1},
@@ -460,8 +459,8 @@ def test_unwritable_out_keeps_a_failed_commands_payload(tmp_path, capsys, monkey
     # a failed command's own error was replaced by "cannot write output" and
     # exit 2: a not-regular pencil did not say so
     out = out.format(tmp=tmp_path)
-    failing = VerifyResult("T0", "a failing check", False, 1, 0.0, "stubbed")
-    monkeypatch.setattr(cli, "run_suite", lambda scale: [failing])
+    failing = verify.VerifyResult("T0", "a failing check", False, 1, 0.0, "stubbed")
+    monkeypatch.setattr(verify, "run_suite", lambda scale: [failing])
     for argv, code in ((["halfdisc", "--in", str(tmp_path / "no.json")], 2),
                        (["normalform", "--in", str(GOLDEN_DOCS / "g2_n5_not_regular.json")], 1),
                        (["verify"], 1)):
@@ -576,7 +575,7 @@ def _argvs(draw):
 @given(_argvs())
 def test_any_argv_gets_one_json_object_and_a_documented_exit_code(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "run_suite", lambda scale: [])
+    monkeypatch.setattr(verify, "run_suite", lambda scale: [])
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(M1_DOC)))
     argv = [token.format(tmp=tmp_path) for token in argv]
     written = tmp_path / "out.json"

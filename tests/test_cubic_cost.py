@@ -12,8 +12,9 @@ import pytest
 from qpencil.field import GF
 from qpencil.linalg import mat_vec
 from qpencil.normalform import canonical_w, complete_kronecker
-from qpencil.pencil import Pencil, random_pencil
+from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm
+from qpencil.verify import random_pencil
 
 N = 41
 

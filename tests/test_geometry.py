@@ -7,19 +7,22 @@ from oracles import singular_points_on_X
 from qpencil.errors import PreconditionError
 from qpencil.field import GF, find_embedding
 from qpencil.geometry import (
-    brute_force_lines,
     canonical_plane,
     enumerate_generators,
-    points_on_X,
-    proj_count,
-    proj_points,
     quasi_split_over,
-    smoothness_oracle,
     splitting_degree,
 )
 from qpencil.normalform import realize
-from qpencil.pencil import Pencil, random_pencil
+from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm
+from qpencil.verify import (
+    brute_force_lines,
+    points_on_X,
+    proj_count,
+    proj_points,
+    random_pencil,
+    smoothness_oracle,
+)
 
 
 def test_proj_points_count(g4):
@@ -62,6 +65,26 @@ def test_smoothness_oracle_examples(g2):
     assert not smoothness_oracle(bad, 3)
     dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     assert smoothness_oracle(dp, 4)
+
+
+def test_smoothness_oracle_reads_no_delta(g2, monkeypatch):
+    # the scan checks the Delta criterion, so it may not be steered by it:
+    # with Delta and its roots unavailable it gives the same answers
+    p = realize(g2, [0, 1, 1, 1], [1, 0])
+    bad = realize(g2, [0, 0, 1, 1], [0, 0], check=False)
+    dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
+    vanishing = Pencil(QuadraticForm.from_table(g2, 3, {(0, 1): 1}),
+                       QuadraticForm.from_table(g2, 3, {(0, 2): 1}))
+
+    def unavailable(*args):
+        raise AssertionError("the smoothness oracle read Delta")
+
+    monkeypatch.setattr(Pencil, "half_discriminant", unavailable)
+    monkeypatch.setattr(poly, "bf_projective_roots", unavailable)
+    assert smoothness_oracle(p, 3)
+    assert not smoothness_oracle(bad, 3)
+    assert smoothness_oracle(dp, 4)
+    assert not smoothness_oracle(vanishing, 2)
 
 
 def test_smoothness_oracle_vs_rank_scan(g2):

@@ -27,7 +27,7 @@ from qpencil.geometry import enumerate_generators
 from qpencil.lattice import lattice_for
 from qpencil.linalg import mat_mul
 from qpencil.normalform import realize
-from qpencil.pencil import random_pencil
+from qpencil.verify import random_pencil
 
 
 def hidden_split_pencil(gf, n, rng, r_zero=True, infinite_root=False):

@@ -8,15 +8,10 @@ from qpencil.algebra import EtaleAlgebra
 from qpencil.autos import pair_algebra
 from qpencil.errors import PreconditionError
 from qpencil.field import GF
-from qpencil.invariants import (
-    arf_invariant,
-    is_isomorphic,
-    r_invariant,
-    transformation_law_check,
-)
+from qpencil.invariants import arf_invariant, is_isomorphic, r_invariant
 from qpencil.normalform import extract_normal_form, realize
 from qpencil.pencil import Pencil
-from qpencil.verify import gl_elements, pulls_back
+from qpencil.verify import gl_elements, pulls_back, transformation_law_check
 
 
 def test_r_invariant_examples(g2):

@@ -7,9 +7,9 @@ from oracles import corank_profile, det, half_disc_check, half_discriminant_per_
 from qpencil.errors import NotRegularError, PreconditionError
 from qpencil.field import GF, default_modulus, field_from_modulus
 from qpencil.normalform import realize
-from qpencil.pencil import Pencil, random_pencil
-from qpencil.quadform import QuadraticForm, half_disc
-from qpencil.verify import gl_elements
+from qpencil.pencil import Pencil
+from qpencil.quadform import QuadraticForm, pfaffian_vector
+from qpencil.verify import gl_elements, random_pencil
 
 
 def qf(gf, n, table):
@@ -44,8 +44,6 @@ def test_radical_map_normal_form(g2):
 
 
 def test_radical_map_specializes_to_pfaffian_vector(g4):
-    from qpencil.quadform import pfaffian_vector
-
     rng = random.Random(31)
     for _ in range(20):
         p = random_pencil(g4, 5, rng, regular=False)
@@ -191,8 +189,8 @@ def test_gl2_move_carries_radical_map_and_delta():
 def test_half_disc_example_m1(g2):
     p = realize(g2, [0, 1, 1, 1], [1, 1], check=False)
     assert p.half_discriminant() == [0, 1, 1, 1]
-    assert p.half_discriminant()[0] == 0  # half_disc(q0) = 0 here
-    assert half_disc(p.q1) == 1  # Delta(0,1) = a_3
+    assert p.half_discriminant()[0] == 0  # q0(omega(q0)) = 0 here
+    assert p.q1(pfaffian_vector(g2, p.q1.polar())) == 1  # Delta(0,1) = a_3
 
 
 def test_is_regular_examples(g2):
@@ -261,8 +259,8 @@ def test_ensure_an_nonzero_impossible_over_gf2(g2):
     with pytest.raises(PreconditionError) as exc:
         p.ensure_an_nonzero()
     assert exc.value.info["extension_degree"] == 2
-    ext_pencil, ext = p.extend(2)
-    moved, _ = ext_pencil.ensure_an_nonzero()
+    _, emb = g2.extension(2)
+    moved, _ = p.map_field(emb).ensure_an_nonzero()
     assert moved.half_discriminant()[3] != 0
 
 
@@ -275,7 +273,6 @@ def test_corank_profile(g2, g4):
         corank_profile(p, g2)  # GF(2) does not split Delta
     # every root's member is degenerate, and non-roots are not
     from qpencil.field import find_embedding
-    from qpencil.quadform import half_disc as hd
 
     pe = p.map_field(find_embedding(g2, g4))
     roots = {pt for pt, _ in prof}
@@ -285,4 +282,4 @@ def test_corank_profile(g2, g4):
                 continue
             pt = (1, g4.div(u, l)) if l else (0, 1)
             member = pe.member(l, u)
-            assert (hd(member) == 0) == (pt in roots)
+            assert (member(pfaffian_vector(g4, member.polar())) == 0) == (pt in roots)

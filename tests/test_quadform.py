@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 from oracles import is_zero, pfaffian_by_matchings, polar_by_definition
 from qpencil.field import GF
 from qpencil.linalg import nullspace, rank
-from qpencil.quadform import (
-    QuadraticForm,
-    half_disc,
-    is_totally_isotropic,
-    pfaffian_vector,
-)
+from qpencil.quadform import QuadraticForm, is_totally_isotropic, pfaffian_vector
+from qpencil.verify import proj_points
 
 FIELDS = [GF(1), GF(2)]
 
@@ -188,29 +184,27 @@ def test_half_disc_explicit_n3():
                 ^ mul(t[(2, 2)], mul(t[(0, 1)], t[(0, 1)]))
                 ^ mul(t[(0, 1)], mul(t[(1, 2)], t[(0, 2)]))
             )
-            assert half_disc(q) == explicit
+            assert q(pfaffian_vector(gf, q.polar())) == explicit
 
 
 def test_half_disc_examples(g2):
     q = qf(g2, 3, {(0, 1): 1, (2, 2): 1})
-    assert half_disc(q) == 1
+    assert q(pfaffian_vector(g2, q.polar())) == 1
     totally_singular = qf(g2, 3, {(0, 0): 1, (1, 1): 1})
-    assert half_disc(totally_singular) == 0
+    assert totally_singular(pfaffian_vector(g2, totally_singular.polar())) == 0
     with pytest.raises(ValueError):
-        half_disc(qf(g2, 2, {(0, 1): 1}))
+        pfaffian_vector(g2, qf(g2, 2, {(0, 1): 1}).polar())
 
 
 def test_half_disc_detects_smoothness(g2, g4):
     # nonzero half-discriminant <=> no singular point on the quadric
-    from qpencil.geometry import proj_points
-
     rng = random.Random(77)
     for gf, maxdeg in ((g2, 4), (g4, 2)):
         for _ in range(40):
             q = random_form(gf, 3, rng)
             if is_zero(q):
                 continue
-            hd = half_disc(q)
+            hd = q(pfaffian_vector(gf, q.polar()))
             singular = False
             for d in range(1, maxdeg + 1):
                 ext = GF(gf.degree * d)
