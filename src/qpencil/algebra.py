@@ -58,9 +58,8 @@ class EtaleAlgebra:
 
     @cached_property
     def factors(self) -> tuple:
-        """Irreducible factors in canonical order (all multiplicities 1)."""
-        out = poly.factor(self.gf, list(self.f))
-        return tuple(tuple(g) for g, _ in out)
+        """Irreducible factors in canonical order."""
+        return tuple(tuple(g) for g in poly.factor(self.gf, list(self.f)))
 
     @property
     def num_components(self) -> int:

@@ -35,7 +35,6 @@ class AutomorphismRep:
 
     s_coeffs: tuple  # d-coordinates s_0..s_{n-2}
     matrix: tuple
-    catalecticant: tuple
 
 
 def catalecticant(m: int, s: list) -> list:
@@ -69,7 +68,6 @@ def phi(algebra: EtaleAlgebra, nf: NormalForm, s: tuple) -> AutomorphismRep:
     return AutomorphismRep(
         tuple(s_coords),
         tuple(tuple(x ^ (r == c) for c, x in enumerate(row)) for r, row in enumerate(nil)),
-        tuple(tuple(r) for r in cat),
     )
 
 
@@ -158,19 +156,16 @@ def automorphism_group(p: Pencil) -> list[AutomorphismRep]:
     s, and N_s N_t = 0 because (B^-1)_v B_w is an off-diagonal block of
     B^-1 B = I.  So (I + N_s)(I + N_t) = I + N_(s+t): the group is
     elementary abelian, element i is I plus the xor of the N of its bits,
-    and its s-coordinates and catalecticant are xors as well.  Certificates:
+    and its s-coordinates are xors as well.  Certificates:
     one substitution per generator and the block (B^-1)_v B_w = 0 checked
     once (group_generators); since q o (g h) = (q o g) o h, they certify
     every element, and the identity needs none."""
     n = p.n
     zero = (0,) * (n - 1)
-    out = [AutomorphismRep(zero, tuple(tuple(r) for r in identity(n)),
-                           tuple(tuple(r) for r in catalecticant(p.m, zero)))]
+    out = [AutomorphismRep(zero, tuple(tuple(r) for r in identity(n)))]
     for g in group_generators(p):
         nil = [tuple(x ^ (r == c) for c, x in enumerate(row)) for r, row in enumerate(g.matrix)]
-        out += [AutomorphismRep(_xor(x.s_coeffs, g.s_coeffs),
-                                tuple(map(_xor, x.matrix, nil)),
-                                tuple(map(_xor, x.catalecticant, g.catalecticant)))
+        out += [AutomorphismRep(_xor(x.s_coeffs, g.s_coeffs), tuple(map(_xor, x.matrix, nil)))
                 for x in out]
     return out
 

@@ -68,14 +68,13 @@ def splitting_degree(p: Pencil) -> int:
     """Degree over the base field of the splitting field of Delta."""
     a = p.half_discriminant()
     f = poly.trim(list(a))
-    return math.lcm(*(len(g) - 1 for g, _ in poly.factor(p.gf, f)))
+    return math.lcm(*(len(g) - 1 for g in poly.factor(p.gf, f)))
 
 
-def quasi_split_over(p: Pencil) -> tuple[int, tuple, Field]:
-    """Smallest scanned extension degree j where the r-coset dies, with the
-    Artin-Schreier witness s over that extension.  Finite fields always
-    terminate: after splitting Delta, one quadratic step kills every
-    absolute-trace obstruction."""
+def quasi_split_over(p: Pencil) -> tuple[int, Field]:
+    """Smallest scanned extension degree j where the r-coset dies, with that
+    extension.  Finite fields always terminate: after splitting Delta, one
+    quadratic step kills every absolute-trace obstruction."""
     p.require_regular()
     bound = 2 * splitting_degree(p)
     for j in range(1, bound + 1):
@@ -85,7 +84,7 @@ def quasi_split_over(p: Pencil) -> tuple[int, tuple, Field]:
         except PreconditionError:
             continue  # every point of P^1(ext) is a root of Delta
         if an.witness is not None:
-            return j, an.witness, ext
+            return j, ext
     raise AssertionError("no quasi-splitting extension within twice the "
                          "splitting degree")
 
@@ -118,7 +117,7 @@ def enumerate_generators(p: Pencil, ext: Field) -> list[Generator]:
         )
     b0 = pair_algebra(pe).r0_frame
     if b0 is None:
-        j, _, needed = quasi_split_over(p)
+        j, needed = quasi_split_over(p)
         raise PreconditionError(
             f"X is not quasi-split over {ext!r}; degree {j} over the base "
             f"field ({needed!r}) suffices"

@@ -56,13 +56,9 @@ def pairing_value(r: int) -> int:
 @dataclass(frozen=True)
 class CycleLattice:
     m: int
-    presentation_gram: tuple  # pairings of (eta^(m-1), [L_empty], e_1..e_{2m+1})
     gram: tuple  # (2m+2) x (2m+2) on the basis (e_0, ..., e_{2m+1})
-    eta_power: tuple  # eta^(m-1) in presentation coordinates
-    lam_empty: tuple  # [L_empty] in presentation coordinates
-    lam_empty_in_e: tuple | None  # integral e-coordinates when they exist
-    root_basis: tuple  # alpha_0 .. alpha_2m in presentation coordinates
-    gram_alpha: tuple
+    lam_empty_in_e: tuple | None  # [L_empty] in e-coordinates, when integral
+    gram_alpha: tuple  # on the root basis alpha_0 .. alpha_2m
     line_gram: tuple  # full pairwise matrix of all 2^(2m) generator classes
 
     @property
@@ -145,12 +141,8 @@ def build_lattice(
 
     return CycleLattice(
         m,
-        tuple(tuple(r) for r in pres),
         tuple(tuple(r) for r in gram_e),
-        tuple(eta),
-        tuple(lam0),
         lam_in_e,
-        tuple(tuple(a) for a in alphas),
         tuple(tuple(r) for r in gram_alpha),
         line_gram,
     )

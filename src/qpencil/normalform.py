@@ -41,8 +41,6 @@ class KroneckerBasis:
 
     gf: Field
     n: int
-    w: tuple
-    v: tuple
     basis_matrix: tuple
 
     @property
@@ -73,7 +71,7 @@ class NormalForm:
 
     def realized(self) -> Pencil:
         """The model pencil with exactly these coefficient tables."""
-        return realize(self.basis.gf, list(self.a), list(self.r), check=False)
+        return realize(self.basis.gf, list(self.a), list(self.r))
 
 
 def canonical_w(p: Pencil) -> list:
@@ -120,14 +118,7 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
     corr = mat_mul(gf, [sol[j * (m + 1):(j + 1) * (m + 1)] for j in range(m)], ws)
     v0 = [[x ^ y for x, y in zip(v, c)] for v, c in zip(v0, corr)]
 
-    bmat = transpose(ws + v0)
-    return KroneckerBasis(
-        gf,
-        n,
-        tuple(tuple(w) for w in ws),
-        tuple(tuple(v) for v in v0),
-        tuple(tuple(row) for row in bmat),
-    )
+    return KroneckerBasis(gf, n, tuple(map(tuple, transpose(ws + v0))))
 
 
 def _vv_correction(m: int, c1: list, c0: list) -> list:
@@ -183,14 +174,15 @@ def extract_normal_form(p: Pencil) -> NormalForm:
                              "half-discriminant")
     # realized directly, so this certificate stays independent of
     # NormalForm.realized, which the T1.1 check tests on its own
-    model = realize(kb.gf, a, r, check=False)
+    model = realize(kb.gf, a, r)
     if pulled != (model.q0, model.q1):
         raise AssertionError("normal form does not reproduce the pencil")
     return NormalForm(tuple(a), tuple(r), kb)
 
 
-def realize(gf: Field, a: list, r: list, check: bool = True) -> Pencil:
-    """The pencil with the exact normal-form tables for data (a, r)."""
+def realize(gf: Field, a: list, r: list) -> Pencil:
+    """The pencil with the exact normal-form tables for data (a, r).  It is
+    regular exactly when Delta = a is separable; nothing checks that here."""
     n = len(a) - 1
     if n % 2 != 1 or n < 3:
         raise ValueError(f"need n odd and >= 3, got n={n}")
@@ -208,13 +200,9 @@ def realize(gf: Field, a: list, r: list, check: bool = True) -> Pencil:
         t1[(i, y)] = 1  # x_i y_i
         t0[(y, y)] = r[2 * i + 1]
         t1[(y, y)] = r[2 * i]
-    p = Pencil(
+    return Pencil(
         QuadraticForm.from_table(gf, n, t0), QuadraticForm.from_table(gf, n, t1)
     )
-    if check and not p.is_regular():
-        raise NotRegularError("normal-form data has an inseparable "
-                              "half-discriminant")
-    return p
 
 
 def model_to_pencil(gf: Field, b: list, b_inv: list, g_model: list) -> list:

@@ -5,11 +5,11 @@ trailing zeros trimmed (the zero polynomial is []).  Binary forms of
 degree d are lists of length d+1, index i holding the coefficient of
 t0^(d-i) t1^i.
 
-Factorization is squarefree decomposition (char-2 aware: a vanishing
-derivative means the polynomial is a square), then distinct-degree, then
-equal-degree splitting by Artin-Schreier trace maps; the usual odd
-characteristic power trick fails at p = 2.  Equal-degree splitting draws
-candidates from a generator seeded by the input, so runs are reproducible.
+Factorization takes squarefree polynomials only (checked by the gcd with
+the derivative) and runs distinct-degree, then equal-degree splitting by
+Artin-Schreier trace maps; the usual odd characteristic power trick fails
+at p = 2.  Equal-degree splitting draws candidates from a generator seeded
+by the input, so runs are reproducible.
 Roots are the constant terms of the linear factors; no field is scanned.
 
 Both splitting stages spend their time squaring modulo a polynomial, and
@@ -157,17 +157,6 @@ def square_mod(gf: Field, h: list, table: list) -> list:
     return trim(gf.addmul([0] * len(table), [gf.mul(c, c) for c in h], table))
 
 
-def poly_sqrt(gf: Field, a: list) -> list:
-    """Inverse of squaring: valid when all odd coefficients vanish."""
-    out = []
-    for i in range(0, len(a), 2):
-        out.append(gf.sqrt(a[i]))
-    for i in range(1, len(a), 2):
-        if a[i]:
-            raise ValueError("polynomial is not a square")
-    return trim(out)
-
-
 def is_separable(gf: Field, p: list) -> bool:
     """gcd(p, p') = 1, i.e. distinct roots in the algebraic closure."""
     if not p:
@@ -235,62 +224,33 @@ def _equal_degree_split(gf: Field, p: list, d: int, rng: random.Random) -> list:
             )
 
 
-def _factor_squarefree(gf: Field, p: list, rng: random.Random) -> list[list]:
-    out = []
-    for part, d in _distinct_degree(gf, p):
-        out.extend(_equal_degree_split(gf, part, d, rng))
-    return out
+def factor(gf: Field, p: list) -> list[list]:
+    """The monic irreducible factors of a squarefree, non-constant p, sorted
+    by degree and then by coefficients; their product is monic(p).
 
-
-def factor(gf: Field, p: list) -> list[tuple[list, int]]:
-    """Irreducible factorization of monic(p), canonically sorted.
-
-    Returns (factor, multiplicity) pairs; the product of factor^multiplicity
-    equals monic(p) exactly.
-    """
-    if not p:
-        raise ValueError("cannot factor the zero polynomial")
+    A constant or a polynomial with a repeated factor raises ValueError:
+    every polynomial the package factors (Delta of a regular pencil, the
+    algebra's f, field moduli, T^n + c with n odd) is squarefree."""
     if degree(p) < 1:
         raise ValueError("cannot factor a constant polynomial")
+    if not is_separable(gf, p):
+        raise ValueError("cannot factor a polynomial with a repeated factor")
     rng = random.Random(_seed_from(gf, p, 0x5EED))
-    work = monic(gf, p)
-    found: dict[tuple, int] = {}
-
-    def accumulate(q: list, outer_mult: int):
-        if degree(q) == 0:
-            return
-        d = derivative(gf, q)
-        if not d:
-            accumulate(poly_sqrt(gf, q), 2 * outer_mult)
-            return
-        w = divexact(gf, q, gcd(gf, q, d))  # squarefree, odd-multiplicity part
-        rest = q
-        for f in _factor_squarefree(gf, w, rng):
-            e = 0
-            while True:
-                qq, rr = divmod_(gf, rest, f)
-                if rr:
-                    break
-                rest = qq
-                e += 1
-            key = tuple(f)
-            found[key] = found.get(key, 0) + e * outer_mult
-        accumulate(rest, outer_mult)
-
-    accumulate(work, 1)
-    out = [(list(k), m) for k, m in found.items()]
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out
+    out = []
+    for part, d in _distinct_degree(gf, monic(gf, p)):
+        out.extend(_equal_degree_split(gf, part, d, rng))
+    return sorted(out, key=lambda f: (len(f), f))
 
 
 def roots(gf: Field, p: list) -> list[int]:
-    """The distinct roots of p in gf itself, sorted: the constant terms of
-    the monic linear factors (in characteristic 2, -a = a)."""
+    """The roots of a squarefree p in gf itself, sorted: the constant terms
+    of the monic linear factors (in characteristic 2, -a = a).  A constant
+    has none; a repeated factor raises ValueError, as in factor."""
     if not p:
         raise ValueError("every element is a root of the zero polynomial")
     if degree(p) == 0:
         return []
-    return sorted(f[0] for f, _ in factor(gf, p) if len(f) == 2)
+    return sorted(f[0] for f in factor(gf, p) if len(f) == 2)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def random_regular_nf_pencil(gf: Field, m: int, rng) -> Pencil:
         if not poly.bf_is_separable(gf, a):
             continue
         r = [rng.randrange(gf.order) for _ in range(n - 1)]
-        p = realize(gf, a, r, check=False)
+        p = realize(gf, a, r)
         g = _random_gl(gf, n, rng)
         return p.conjugate(g)
 

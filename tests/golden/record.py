@@ -38,7 +38,8 @@ GEOMETRY_M3 = {("generators", "g2_n7_34_r0"), ("generators", "g8_n7_11122"),
 AUTX = {"g2_n3_all_roots", "g2_n3_an0", "g2_n3_autx_bug", "g2_n3_irreducible",
         "g2_n3_m1", "g2_n3_split2_r0", "g2_n5_113_r0", "g2_n5_del_pezzo",
         "g4_n3_split_r0", "g8_n3_split_r0", "iso_g2_n5_other_coset",
-        "g2_n5_not_regular", "g4_n3_not_regular", "g8_n7_not_regular"}
+        "g2_n5_not_regular", "g4_n3_not_regular", "g8_n7_not_regular",
+        "g2_n3_delta_zero"}
 # documents over GF(2^17)..GF(2^32) (gk<k>..., beyond the log tables) run the
 # cheap commands only: they are there for the raw multiplication path
 BIG_FIELD_PREFIX = "gk"

@@ -331,7 +331,7 @@ def automorphism_group_per_element(p):
     every sum of the idempotents eps_1.. (bit mask i, eps_0 dropped), each
     conjugated into the pencil's coordinates by two matrix products and
     certified by its own two substitutions."""
-    from qpencil.autos import AutomorphismRep, catalecticant, pair_algebra, phi_model_matrix
+    from qpencil.autos import AutomorphismRep, pair_algebra, phi_model_matrix
     from qpencil.normalform import model_to_pencil
 
     an = pair_algebra(p)
@@ -346,8 +346,7 @@ def automorphism_group_per_element(p):
         g = model_to_pencil(kb.gf, kb.basis_matrix, kb.inverse, phi_model_matrix(nf.m, s))
         if p.q0.transform(g) != p.q0 or p.q1.transform(g) != p.q1:
             raise AssertionError("phi(idempotent) fails to preserve the pair")
-        out.append(AutomorphismRep(tuple(s), tuple(tuple(r) for r in g),
-                                   tuple(tuple(r) for r in catalecticant(nf.m, s))))
+        out.append(AutomorphismRep(tuple(s), tuple(tuple(r) for r in g)))
     return out
 
 

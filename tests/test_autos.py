@@ -98,7 +98,7 @@ def test_automorphism_group_matches_stabilizer(g2):
 
 
 def test_automorphism_group_with_an_zero(g2):
-    p = realize(g2, [1, 1, 1, 0], [0, 0], check=False)
+    p = realize(g2, [1, 1, 1, 0], [0, 0])
     assert p.is_regular()
     group = automorphism_group(p)
     for rep in group:
@@ -199,7 +199,7 @@ def test_aut_x_m2_with_symmetric_roots(g8):
     delta = poly.bf_mul(g8, [1, 0], [0, 1])
     for root in (1, g, g8.inv(g)):
         delta = poly.bf_mul(g8, delta, [root, 1])
-    p = realize(g8, delta, [0] * 4, check=False)
+    p = realize(g8, delta, [0] * 4)
     assert p.is_regular()
     ax = aut_x(p, g8)
     assert len(ax.pair_autos) == 16

@@ -8,7 +8,10 @@
   map, the Pfaffian vector and the regularity criterion are left out.
 - Every public top-level function of the package is used somewhere in
   `src/` or `scripts/` outside its own definition: API that only its own
-  unit tests call is deleted.
+  unit tests call is deleted.  The same holds for the methods, properties
+  and dataclass fields of its public classes, matched by attribute name: a
+  method's own body and a field's reads inside the function that builds
+  the record do not count.
 """
 
 import ast
@@ -177,12 +180,16 @@ def _reads(tree) -> list:
     return out
 
 
-def test_every_public_function_is_used_in_src_or_scripts():
+def _src_and_scripts() -> dict:
     files = dict(TREES)
     files.update({"scripts/" + path.name: ast.parse(path.read_text())
                   for path in sorted((ROOT / "scripts").glob("*.py"))})
+    return files
+
+
+def test_every_public_function_is_used_in_src_or_scripts():
     used = set()
-    for key, tree in files.items():
+    for key, tree in _src_and_scripts().items():
         reads = _reads(tree)
         for module in TREES:
             bare, holders = _bindings(tree, module, own=key == module)
@@ -196,4 +203,73 @@ def test_every_public_function_is_used_in_src_or_scripts():
               for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
               and (module, node.name) not in used]
+    assert unused == []
+
+
+def _public_members() -> dict:
+    """(module, class, name) -> the method's definition, or None for a
+    dataclass field, over the public classes of the package."""
+    out = {}
+    for module, tree in TREES.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for sub in cls.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    out[(module, cls.name, sub.name)] = sub
+                elif (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+                      and not sub.target.id.startswith("_")):
+                    out[(module, cls.name, sub.target.id)] = None
+    return out
+
+
+def _module_names(tree) -> set:
+    """The names tree binds to modules by its imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (
+                "." * node.level + (node.module or "")) in (".", "qpencil"):
+            out |= {a.asname or a.name for a in node.names if a.name in TREES}
+    return out
+
+
+def _attribute_reads(node, modules: set, around=()):
+    """(attribute name, the enclosing function and class definitions) for
+    each attribute read below node, except the attributes of the names in
+    modules: poly.mul is the module's function, not a method named mul."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)):
+        yield node.attr, around
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        around = around + (node,)
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_reads(child, modules, around)
+
+
+def _called_names(func) -> set:
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(func) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_member_is_read_in_src_or_scripts():
+    members = _public_members()
+    by_name = {}
+    for key in members:
+        by_name.setdefault(key[2], []).append(key)
+    used = set()
+    for tree in _src_and_scripts().values():
+        for name, around in _attribute_reads(tree, _module_names(tree)):
+            for key in by_name.get(name, ()):
+                method = members[key]
+                if method is None:
+                    if any(isinstance(f, ast.FunctionDef) and key[1] in _called_names(f)
+                           for f in around):
+                        continue  # read by the function that builds the record
+                elif method in around:
+                    continue  # a method's own body
+                used.add(key)
+    unused = [".".join(key) for key in members if key not in used]
     assert unused == []

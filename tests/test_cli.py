@@ -453,6 +453,15 @@ def test_unwritable_out_is_an_input_error_on_stdout(tmp_path, capsys, out):
         assert captured.err == ""
 
 
+def test_reflections_on_a_zero_delta_is_not_regular(capsys):
+    # Delta = 0: the automatic extension is the splitting field of Delta,
+    # which is factored only once the pencil is known to be regular
+    path = str(GOLDEN_DOCS / "g2_n3_delta_zero.json")
+    assert main(["reflections", "--in", path]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "not-regular"
+
+
 @pytest.mark.parametrize("out", ["{tmp}", "{tmp}/missing/out.json"],
                          ids=["directory", "missing_directory"])
 def test_unwritable_out_keeps_a_failed_commands_payload(tmp_path, capsys, monkeypatch, out):
@@ -534,7 +543,7 @@ def test_any_document_gets_one_json_object_and_a_documented_exit_code(data):
 # first can be written
 _ARGV_DOCS = [str(GOLDEN_DOCS / f"{name}.json") for name in (
     "g2_n3_m1", "g2_n3_irreducible", "g2_n3_an0", "g2_n5_not_regular",
-    "g4_n3_split_r0", "bad_element", "no_such_document")]
+    "g4_n3_split_r0", "g2_n3_delta_zero", "bad_element", "no_such_document")]
 _OUTS = ["{tmp}/out.json", "{tmp}/missing/out.json", "{tmp}"]
 _EXT_COMMANDS = ("reflections", "generators", "lattice", "autx")
 _DOC = st.sampled_from(_ARGV_DOCS)

@@ -4,6 +4,7 @@ import pytest
 
 import qpencil.poly as poly
 from oracles import singular_points_on_X
+from qpencil.autos import pair_algebra
 from qpencil.errors import PreconditionError
 from qpencil.field import GF, find_embedding
 from qpencil.geometry import (
@@ -61,7 +62,7 @@ def test_scan_guard(g2):
 def test_smoothness_oracle_examples(g2):
     p = realize(g2, [0, 1, 1, 1], [1, 0])
     assert smoothness_oracle(p, 3)
-    bad = realize(g2, [0, 0, 1, 1], [0, 0], check=False)
+    bad = realize(g2, [0, 0, 1, 1], [0, 0])
     assert not smoothness_oracle(bad, 3)
     dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     assert smoothness_oracle(dp, 4)
@@ -71,7 +72,7 @@ def test_smoothness_oracle_reads_no_delta(g2, monkeypatch):
     # the scan checks the Delta criterion, so it may not be steered by it:
     # with Delta and its roots unavailable it gives the same answers
     p = realize(g2, [0, 1, 1, 1], [1, 0])
-    bad = realize(g2, [0, 0, 1, 1], [0, 0], check=False)
+    bad = realize(g2, [0, 0, 1, 1], [0, 0])
     dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     vanishing = Pencil(QuadraticForm.from_table(g2, 3, {(0, 1): 1}),
                        QuadraticForm.from_table(g2, 3, {(0, 2): 1}))
@@ -129,7 +130,7 @@ def test_canonical_plane_sqrt_coefficients(g4):
         a = [rng.randrange(4) for _ in range(6)]
         if poly.bf_is_separable(g4, a):
             break
-    p = realize(g4, a, [0] * 4, check=False)
+    p = realize(g4, a, [0] * 4)
     cp = canonical_plane(p)
     for i in range(3):
         assert g4.mul(cp.l0[i], cp.l0[i]) == a[2 * i]
@@ -168,15 +169,16 @@ def test_splitting_degree(g2):
 
 def test_quasi_split_trivial(g2):
     p = realize(g2, [0, 1, 1, 1], [0, 0])
-    j, s, ext = quasi_split_over(p)
-    assert j == 1 and s == (0, 0, 0)
+    j, ext = quasi_split_over(p)
+    assert j == 1 and ext.degree == 1
+    assert pair_algebra(p).witness == (0, 0, 0)
 
 
 def test_quasi_split_needs_extension(g2):
     # r = (0, 1): trivial only once the points of X become rational (GF(16)),
     # not over the splitting field GF(4) of Delta
     p = realize(g2, [0, 1, 1, 1], [0, 1])
-    j, s, ext = quasi_split_over(p)
+    j, ext = quasi_split_over(p)
     assert j == 4
     assert points_on_X(p, GF(2)) == []
     assert points_on_X(p, GF(4)) != []  # matches quasi-splitness exactly
@@ -190,7 +192,7 @@ def test_quasi_split_geometric_agreement(g2):
     rng = random.Random(47)
     for _ in range(12):
         p = random_pencil(g2, 3, rng)
-        j, s, ext = quasi_split_over(p)
+        j, ext = quasi_split_over(p)
         assert points_on_X(p, ext) != []
         for d in range(1, j):
             try:
@@ -204,9 +206,9 @@ def test_quasi_split_reports_first_comparable_level(g2):
     # Delta = t0 t1 (t0 + t1): every rational point is a root, so the
     # invariant is first comparable over GF(4), even though X already has
     # rational points; the contract is "smallest scanned j", not a guess
-    p = realize(g2, [0, 1, 1, 0], [0, 0], check=False)
+    p = realize(g2, [0, 1, 1, 0], [0, 0])
     assert p.is_regular()
-    j, s, ext = quasi_split_over(p)
+    j, ext = quasi_split_over(p)
     assert j == 2
     assert points_on_X(p, g2) != []
 

@@ -19,7 +19,13 @@ from oracles import (
     serialize_pencil,
 )
 from qpencil import autos, poly
-from qpencil.autos import AutomorphismRep, automorphism_group, pair_algebra, reflections
+from qpencil.autos import (
+    AutomorphismRep,
+    automorphism_group,
+    pair_algebra,
+    phi_model_matrix,
+    reflections,
+)
 from qpencil.cli import _extension, main
 from qpencil.errors import PreconditionError
 from qpencil.field import GF
@@ -82,6 +88,11 @@ def test_pair_group_matches_per_element():
         group = automorphism_group(p)
         assert group == automorphism_group_per_element(p)
         orders.add(len(group))
+        # in the Kronecker frame B every element is [[I, Cat(s)], [0, I]]
+        kb = pair_algebra(p).nf.basis
+        for g in group:
+            frame = mat_mul(p.gf, mat_mul(p.gf, kb.inverse, g.matrix), kb.basis_matrix)
+            assert frame == phi_model_matrix(p.m, list(g.s_coeffs))
     assert len(pencils) == 277  # 13 of the 290 drawn have all of P^1(k) as roots
     assert sorted(orders) == [1, 2, 4, 8, 16, 64, 256]
 
@@ -136,8 +147,7 @@ def test_corrupted_generator_exits_3(tmp_path, capsys, monkeypatch):
             return rep
         rows = [list(r) for r in rep.matrix]
         rows[0][1] ^= 1
-        return AutomorphismRep(rep.s_coeffs, tuple(tuple(r) for r in rows),
-                               rep.catalecticant)
+        return AutomorphismRep(rep.s_coeffs, tuple(tuple(r) for r in rows))
 
     monkeypatch.setattr(autos, "phi", corrupt_second)
     assert main(["autos", "--in", str(doc)]) == 3

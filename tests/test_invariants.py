@@ -29,12 +29,12 @@ def test_r_invariant_examples(g2):
 
 def test_r_invariant_requires_an(g2):
     # a_n = 0: the analysis runs on the pencil moved to a_n != 0
-    an = pair_algebra(realize(g2, [1, 1, 1, 0], [0, 0], check=False))
+    an = pair_algebra(realize(g2, [1, 1, 1, 0], [0, 0]))
     assert an.gl2 != ((1, 0), (0, 1)) and an.algebra.f[-1] != 0
     assert r_invariant(an)[1] is True
     # every rational point of P^1 is a root: no frame over GF(2) has a_n != 0
     with pytest.raises(PreconditionError) as err:
-        pair_algebra(realize(g2, [0, 1, 1, 0], [0, 0], check=False))
+        pair_algebra(realize(g2, [0, 1, 1, 0], [0, 0]))
     assert err.value.info["extension_degree"] == 2
 
 
@@ -76,7 +76,7 @@ def test_isomorphism_differs_on_delta(g2):
 
 def test_isomorphism_with_an_zero(g2, g4):
     # both pencils share Delta = t1(t0+t1)t0 reversed...: use a_n = 0 example
-    p1 = realize(g2, [1, 1, 1, 0], [0, 0], check=False)
+    p1 = realize(g2, [1, 1, 1, 0], [0, 0])
     p2 = p1.conjugate([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
     ok, wit = is_isomorphic(p1, p2)
     assert ok
@@ -86,7 +86,7 @@ def test_isomorphism_with_an_zero(g2, g4):
 def test_isomorphism_is_equivalence(g2):
     rng = random.Random(13)
     gl3 = gl_elements(g2, 3)
-    base = realize(g2, [0, 1, 1, 1], [1, 1], check=False)
+    base = realize(g2, [0, 1, 1, 1], [1, 1])
     assert base.is_regular()
     samples = [base.conjugate(g) for g in rng.sample(gl3, 5)]
     for p in samples:
@@ -105,7 +105,7 @@ def test_isomorphism_m2_witnesses(g4):
     base = realize(g4, a, [0, 0, 0, 0])
     A = EtaleAlgebra(g4, tuple(a))
     wp = A.artin_schreier(A.d_basis[0])
-    shifted = realize(g4, a, list(A.d_coords(wp))[:4], check=False)
+    shifted = realize(g4, a, list(A.d_coords(wp))[:4])
     ok, wit = is_isomorphic(base, shifted)
     assert ok
     assert shifted.q0.transform(wit) == base.q0

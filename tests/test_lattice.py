@@ -111,21 +111,27 @@ def test_lattice_m3(g8):
 
 
 def test_lattice_eta_orthogonality(g2, g16):
+    # e_0 = eta^(m-1) - [L_empty], so eta^(m-1) = e_0 + [L_empty]; at m = 2
+    # [L_empty] is integral on the e-basis, and the pairings build_lattice
+    # rests on read off its Gram matrix
     dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     lat = lattice_for(dp, g16, reflections(dp, g16))
-    pres = [list(r) for r in lat.presentation_gram]
 
     def pair(x, y):
-        return sum(
-            x[i] * pres[i][j] * y[j]
-            for i in range(len(x))
-            for j in range(len(y))
-        )
+        return sum(x[i] * lat.gram[i][j] * y[j] for i in range(6) for j in range(6))
 
-    for alpha in lat.root_basis:
-        assert pair(list(alpha), list(lat.eta_power)) == 0
-    assert pair(list(lat.eta_power), list(lat.eta_power)) == 4
-    assert pair(list(lat.eta_power), list(lat.lam_empty)) == 1
+    lam = list(lat.lam_empty_in_e)
+    eta = [lam[0] + 1] + lam[1:]
+    e = [[int(i == j) for j in range(6)] for i in range(6)]
+    # alpha_0 = -e_0 + [L_empty] + e_4 + e_5, alpha_i = e_i - e_(i+1)
+    alphas = [[-x + l + y + z for x, l, y, z in zip(e[0], lam, e[4], e[5])]]
+    alphas += [[x - y for x, y in zip(e[i], e[i + 1])] for i in range(1, 5)]
+    assert [[pair(x, y) for y in alphas] for x in alphas] == [list(r) for r in lat.gram_alpha]
+    for alpha in alphas:
+        assert pair(alpha, eta) == 0
+    assert pair(eta, eta) == 4
+    assert pair(eta, lam) == 1
+    assert pair(lam, lam) == lat.line_gram[0][0] == -1
 
 
 def test_build_lattice_input_validation(g2, g16):

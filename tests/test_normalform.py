@@ -33,8 +33,10 @@ def test_realize_m2_del_pezzo(g2):
 
 
 def test_realize_rejects_inseparable(g2):
+    # realize only builds the pencil; Delta = t0 t1^2 (t0 + t1) is caught
+    # when the result is asked to be regular
     with pytest.raises(NotRegularError):
-        realize(g2, [0, 0, 1, 1], [0, 0])  # Delta = t0 t1^2 (t0 + t1)
+        realize(g2, [0, 0, 1, 1], [0, 0]).require_regular()
     with pytest.raises(ValueError):
         realize(g2, [0, 1, 1, 1], [0])  # wrong r length
 
@@ -85,7 +87,7 @@ def test_canonical_w_equivariance(g2):
     # w-span of a conjugate is the inverse image of the w-span
     rng = random.Random(23)
     gl3 = gl_elements(g2, 3)
-    p = realize(g2, [0, 1, 1, 1], [1, 1], check=False)
+    p = realize(g2, [0, 1, 1, 1], [1, 1])
     ws = canonical_w(p)
     span = normalize_subspace(g2, ws)
     from qpencil.linalg import inverse, mat_vec
@@ -107,7 +109,7 @@ def test_canonical_w_transformation_law(g4):
     from qpencil.linalg import inverse, mat_vec
 
     rng = random.Random(37)
-    p = realize(g4, [0, 1, 1, 1, 2, 3], [1, 0, 2, 0], check=False)
+    p = realize(g4, [0, 1, 1, 1, 2, 3], [1, 0, 2, 0])
     assert p.is_regular()
     ws = canonical_w(p)
     for _ in range(25):
@@ -136,7 +138,7 @@ def test_complete_kronecker_satisfies_equations(g4):
             if poly.bf_is_separable(g4, a):
                 break
         r = [rng.randrange(4) for _ in range(n - 1)]
-        p = realize(g4, a, r, check=False)
+        p = realize(g4, a, r)
         g = None
         while g is None:
             cand = [[rng.randrange(4) for _ in range(n)] for _ in range(n)]
@@ -145,8 +147,9 @@ def test_complete_kronecker_satisfies_equations(g4):
         pc = p.conjugate(g)
         ws = canonical_w(pc)
         kb = complete_kronecker(pc, ws)
-        assert len(kb.v) == m
-        assert kronecker_equations_hold(pc, kb.w, kb.v)
+        cols = transpose(kb.basis_matrix)
+        assert len(cols) == n and cols[: m + 1] == ws
+        assert kronecker_equations_hold(pc, cols[: m + 1], cols[m + 1:])
 
 
 def test_vv_correction_matches_solve():
@@ -177,15 +180,12 @@ def test_round_trip_rejects_exactly_the_broken_kronecker_bases(monkeypatch):
 
     def corrupt(p, ws):
         kb = build(p, ws)
-        vecs = [list(x) for x in kb.w + kb.v]
+        vecs = transpose(kb.basis_matrix)
         k, t = rng.randrange(len(vecs)), rng.randrange(kb.n)
         vecs[k][t] ^= rng.randrange(1, p.gf.order)
         w, v = vecs[: kb.m + 1], vecs[kb.m + 1 :]
         corrupted.append((w, v))
-        return KroneckerBasis(
-            kb.gf, kb.n, tuple(map(tuple, w)), tuple(map(tuple, v)),
-            tuple(map(tuple, transpose(vecs))),
-        )
+        return KroneckerBasis(kb.gf, kb.n, tuple(map(tuple, transpose(vecs))))
 
     monkeypatch.setattr(normalform, "complete_kronecker", corrupt)
     verdicts = set()
@@ -230,7 +230,7 @@ def test_exhaustive_extraction_n3_gf2(g2):
 
 
 def test_extraction_swap_symmetry(g2):
-    p = realize(g2, [1, 1, 0, 1], [1, 0], check=False)
+    p = realize(g2, [1, 1, 0, 1], [1, 0])
     assert p.is_regular()
     nf = extract_normal_form(p)
     swapped = p.change_basis_gl2([[0, 1], [1, 0]])
@@ -239,7 +239,7 @@ def test_extraction_swap_symmetry(g2):
 
 
 def test_extract_refuses_nonregular(g2):
-    p = realize(g2, [0, 0, 1, 1], [0, 0], check=False)
+    p = realize(g2, [0, 0, 1, 1], [0, 0])
     with pytest.raises(NotRegularError):
         extract_normal_form(p)
 
@@ -247,7 +247,7 @@ def test_extract_refuses_nonregular(g2):
 def test_v_span_isotropic_iff_r_zero(g2):
     p = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     nf = extract_normal_form(p)
-    vs = [list(v) for v in nf.basis.v]
+    vs = transpose(nf.basis.basis_matrix)[nf.m + 1:]
     assert is_totally_isotropic(p.q0, vs)
     assert is_totally_isotropic(p.q1, vs)
 

@@ -36,7 +36,7 @@ def test_radical_map_normal_form(g2):
         (2, [0, 1, 1, 1, 1, 1], [0, 0, 0, 0]),
         (3, [1, 1, 0, 0, 0, 0, 1, 1], [0] * 6),
     ]:
-        p = realize(g2, a, r, check=False)
+        p = realize(g2, a, r)
         ws = p.radical_map()
         n = 2 * m + 1
         for i in range(m + 1):
@@ -187,22 +187,22 @@ def test_gl2_move_carries_radical_map_and_delta():
 
 
 def test_half_disc_example_m1(g2):
-    p = realize(g2, [0, 1, 1, 1], [1, 1], check=False)
+    p = realize(g2, [0, 1, 1, 1], [1, 1])
     assert p.half_discriminant() == [0, 1, 1, 1]
     assert p.half_discriminant()[0] == 0  # q0(omega(q0)) = 0 here
     assert p.q1(pfaffian_vector(g2, p.q1.polar())) == 1  # Delta(0,1) = a_3
 
 
 def test_is_regular_examples(g2):
-    assert realize(g2, [0, 1, 1, 1], [1, 0], check=False).is_regular()
-    p_bad = realize(g2, [0, 0, 1, 1], [0, 0], check=False)
+    assert realize(g2, [0, 1, 1, 1], [1, 0]).is_regular()
+    p_bad = realize(g2, [0, 0, 1, 1], [0, 0])
     assert not p_bad.is_regular()
     with pytest.raises(NotRegularError):
-        realize(g2, [0, 0, 1, 1], [0, 0])
+        p_bad.require_regular()
 
 
 def test_change_basis_swap_reverses(g2):
-    p = realize(g2, [0, 1, 1, 1], [1, 0], check=False)
+    p = realize(g2, [0, 1, 1, 1], [1, 0])
     swapped = p.change_basis_gl2([[0, 1], [1, 0]])
     assert swapped.q0 == p.q1 and swapped.q1 == p.q0
     assert swapped.half_discriminant() == p.half_discriminant()[::-1]
@@ -246,7 +246,7 @@ def test_ensure_an_nonzero(g2):
     p = realize(g2, [0, 1, 1, 1], [0, 0])
     moved, g = p.ensure_an_nonzero()
     assert g == [[1, 0], [0, 1]] and moved is p
-    p2 = realize(g2, [1, 1, 1, 0], [0, 0], check=False)
+    p2 = realize(g2, [1, 1, 1, 0], [0, 0])
     moved2, g2m = p2.ensure_an_nonzero()
     assert g2m == [[0, 1], [1, 0]]
     assert moved2.half_discriminant() == [0, 1, 1, 1]
@@ -254,7 +254,7 @@ def test_ensure_an_nonzero(g2):
 
 def test_ensure_an_nonzero_impossible_over_gf2(g2):
     # Delta = t0 t1 (t0 + t1): all three rational points are roots
-    p = realize(g2, [0, 1, 1, 0], [0, 0], check=False)
+    p = realize(g2, [0, 1, 1, 0], [0, 0])
     assert p.is_regular()
     with pytest.raises(PreconditionError) as exc:
         p.ensure_an_nonzero()

@@ -37,7 +37,7 @@ def test_radical_map_cache_attribute_exists(g2):
     # the radical-map counter reads Pencil._radical_map
     from qpencil.normalform import realize
 
-    p = realize(g2, [0, 1, 1, 1], [0, 0], check=False)
+    p = realize(g2, [0, 1, 1, 1], [0, 0])
     assert p._radical_map is None
     p.radical_map()
     assert p._radical_map is not None

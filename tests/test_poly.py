@@ -29,32 +29,33 @@ def test_separability_examples(g2):
 
 def test_factor_examples(g2):
     fs = poly.factor(g2, [0, 1, 1, 1])
-    assert fs == [([0, 1], 1), ([1, 1, 1], 1)]
-    assert poly.factor(g2, [1, 1, 0, 1]) == [([1, 1, 0, 1], 1)]
-    assert poly.factor(g2, [0, 1, 1]) == [([0, 1], 1), ([1, 1], 1)]
+    assert fs == [[0, 1], [1, 1, 1]]
+    assert poly.factor(g2, [1, 1, 0, 1]) == [[1, 1, 0, 1]]
+    assert poly.factor(g2, [0, 1, 1]) == [[0, 1], [1, 1]]
     with pytest.raises(ValueError):
         poly.factor(g2, [1])
     with pytest.raises(ValueError):
         poly.factor(g2, [])
 
 
-def test_factor_with_multiplicities(g2, g4):
+def test_factor_refuses_repeated_factors(g2, g4):
     # (T+1)^2 * T^3 * (T^2+T+1)
     f = [0, 0, 0, 1]
     f = poly.mul(g2, f, poly.mul(g2, [1, 1], [1, 1]))
     f = poly.mul(g2, f, [1, 1, 1])
-    fs = poly.factor(g2, f)
-    assert fs == [([0, 1], 3), ([1, 1], 2), ([1, 1, 1], 1)]
-    # pure square over GF(4)
-    sq = poly.mul(g4, [2, 1], [2, 1])
-    assert poly.factor(g4, sq) == [([2, 1], 2)]
+    with pytest.raises(ValueError, match="repeated factor"):
+        poly.factor(g2, f)
+    # a pure square over GF(4): its derivative vanishes
+    with pytest.raises(ValueError, match="repeated factor"):
+        poly.factor(g4, poly.mul(g4, [2, 1], [2, 1]))
+    with pytest.raises(ValueError, match="repeated factor"):
+        poly.roots(g4, poly.mul(g4, [0, 1], [0, 1, 1]))
 
 
 def remultiply(gf, factors):
     acc = [1]
-    for f, e in factors:
-        for _ in range(e):
-            acc = poly.mul(gf, acc, f)
+    for f in factors:
+        acc = poly.mul(gf, acc, f)
     return acc
 
 
@@ -69,21 +70,26 @@ def test_factor_remultiplies(gf, deg, seed):
     f = [rng.randrange(gf.order) for _ in range(deg)] + [
         rng.randrange(1, gf.order)
     ]
+    if not poly.is_separable(gf, f):
+        with pytest.raises(ValueError):
+            poly.factor(gf, f)
+        return
     fs = poly.factor(gf, f)
     assert remultiply(gf, fs) == poly.monic(gf, f)
-    for g, _ in fs:
+    assert fs == sorted(fs, key=lambda g: (len(g), g))  # canonical order
+    assert len(set(map(tuple, fs))) == len(fs)  # distinct
+    for g in fs:
         assert g[-1] == 1  # monic factors
-        assert len(poly.factor(gf, g)) == 1  # irreducible
-    # separability <=> all multiplicities 1
-    squarefree = all(e == 1 for _, e in fs)
-    assert poly.is_separable(gf, f) == (
-        squarefree and sum(len(g) - 1 for g, e in fs) == deg
-    )
+        assert poly.factor(gf, g) == [g]  # irreducible
 
 
 def test_factor_deterministic(g4):
-    f = [3, 1, 2, 0, 1, 1]
-    assert poly.factor(g4, f) == poly.factor(g4, f)
+    # the four linear factors and two irreducible quadratics over GF(4): the
+    # equal-degree splitting draws from a generator seeded by the input
+    f = poly.mul(g4, [0, 1, 0, 0, 1], poly.mul(g4, [2, 1, 1], [3, 1, 1]))
+    fs = poly.factor(g4, f)
+    assert fs == poly.factor(g4, f)
+    assert fs == [[0, 1], [1, 1], [2, 1], [3, 1], [2, 1, 1], [3, 1, 1]]
 
 
 def test_roots_examples(g2, g4, g8):
@@ -143,15 +149,29 @@ def _random_polys(gf, rng, count):
 
 
 def test_roots_match_scan():
+    # roots take squarefree polynomials, as factor does: the draws with a
+    # repeated factor are refused
     rng = random.Random(2024)
+    scanned = refused = 0
     for gf in [GF(k) for k in range(1, 13)] + [field_from_modulus(13)]:
         for f in _random_polys(gf, rng, 12):
-            assert poly.roots(gf, f) == roots_by_scan(gf, f), (gf, f)
+            if poly.is_separable(gf, f):
+                assert poly.roots(gf, f) == roots_by_scan(gf, f), (gf, f)
+                scanned += 1
+            else:
+                with pytest.raises(ValueError):
+                    poly.roots(gf, f)
+                refused += 1
+    assert (scanned, refused) == (112, 57)
     # no log tables: the scan costs about a second per polynomial
     big = GF(17)
     for f in ([0, 0, 5, 1], poly.mul(big, [rng.randrange(big.order), 1],
                                     [0, 7, 0, 1])):
-        assert poly.roots(big, f) == roots_by_scan(big, f)
+        with pytest.raises(ValueError):  # T^2 and (T + sqrt 7)^2 divide
+            poly.roots(big, f)
+    f = poly.mul(big, [rng.randrange(big.order), 1], [0, 7, 1, 1])
+    assert poly.is_separable(big, f)
+    assert poly.roots(big, f) == roots_by_scan(big, f)
     with pytest.raises(ValueError):
         poly.roots(GF(2), [])
 
