@@ -11,7 +11,9 @@ reflections at the singular points of the degenerate members, and Aut(X)
 is generated by them together with lifts of the projective-line symmetries
 of the root divisor of the half-discriminant.  Each lift is a block matrix
 in the r = 0 frame, built from poly.bf_substitution_matrix; it needs no
-correction, and substitution is its one certificate (see _lift_one).
+correction, and substitution is its one certificate (see _lift_one).  That
+frame is B U(s) for the witness s, and it and its inverse U(s) B^-1 are
+read off the blocks of U(s) and the Kronecker basis's one inverse.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from . import poly
 from .algebra import EtaleAlgebra
 from .errors import PreconditionError
 from .field import Field, find_embedding
-from .linalg import identity, inverse, mat_mul, mat_vec, normalize_subspace, transpose, vec_scale
-from .normalform import NormalForm, extract_normal_form, model_to_pencil
+from .linalg import identity, mat_mul, mat_vec, normalize_subspace, transpose, vec_scale
+from .normalform import KroneckerBasis, NormalForm, extract_normal_form
 from .pencil import Pencil
 
 
@@ -39,20 +41,16 @@ class AutomorphismRep:
 
 def catalecticant(m: int, s: list) -> list:
     """Cat(s_0, ..., s_{2m-1}): the (m+1) x m block S[k][j] = s_{j+k}."""
-    if len(s) < 2 * m:
-        s = list(s) + [0] * (2 * m - len(s))
     return [[s[k + j] for j in range(m)] for k in range(m + 1)]
 
 
-def phi_model_matrix(m: int, s: list) -> list:
-    """phi(s) in Kronecker coordinates (w_0..w_m, v_0..v_{m-1})."""
-    n = 2 * m + 1
-    g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    cat = catalecticant(m, s)
-    for k in range(m + 1):
-        for j in range(m):
-            g[k][m + 1 + j] = cat[k][j]
-    return g
+def frame_times_u(kb: KroneckerBasis, cat: list) -> list:
+    """B U(s) = [B_w | B_v + B_w Cat(s)] for U(s) = [[I, Cat(s)], [0, I]]
+    and B = kb.basis_matrix: the v-columns moved by the w-columns."""
+    m = kb.m
+    corr = mat_mul(kb.gf, [row[: m + 1] for row in kb.basis_matrix], cat)
+    return [list(row[: m + 1]) + [x ^ y for x, y in zip(row[m + 1:], c)]
+            for row, c in zip(kb.basis_matrix, corr)]
 
 
 def phi(algebra: EtaleAlgebra, nf: NormalForm, s: tuple) -> AutomorphismRep:
@@ -97,18 +95,22 @@ class PairAnalysis:
     def r0_frame(self):
         """Basis matrix (columns w_0..w_m, v_0..v_{m-1}) in which the pair
         reads as the normal form with r = 0, or None without a witness.
-        That is B phi(s)^-1, and phi(s) = [[I, S], [0, I]] is its own
-        inverse in characteristic 2."""
+        That is B phi(s)^-1 = B U(s), since U(s) = [[I, Cat(s)], [0, I]] is
+        its own inverse in characteristic 2."""
         if self.witness is None:
             return None
-        s_coords = list(self.algebra.d_coords(self.witness))[: self.algebra.n - 1]
-        ms = phi_model_matrix(self.nf.m, s_coords)
-        return mat_mul(self.nf.basis.gf, self.nf.basis.basis_matrix, ms)
+        cat = catalecticant(self.nf.m, self.algebra.d_coords(self.witness))
+        return frame_times_u(self.nf.basis, cat)
 
     @cached_property
     def r0_frame_inverse(self):
-        """r0_frame^-1, inverted once for all the lifts of Aut(X)."""
-        return inverse(self.nf.basis.gf, self.r0_frame)
+        """r0_frame^-1 = U(s) B^-1 = [(B^-1)_w + Cat(s) (B^-1)_v ; (B^-1)_v]
+        when there is a witness, from the basis's own inverse, for all the
+        lifts of Aut(X)."""
+        kb, m = self.nf.basis, self.nf.m
+        inv_w, inv_v = kb.inverse[: m + 1], kb.inverse[m + 1:]
+        corr = mat_mul(kb.gf, catalecticant(m, self.algebra.d_coords(self.witness)), inv_v)
+        return [[x ^ y for x, y in zip(r, c)] for r, c in zip(inv_w, corr)] + inv_v
 
 
 def pair_algebra(p: Pencil) -> PairAnalysis:
@@ -401,10 +403,14 @@ def _lift_one(an: PairAnalysis, sm: list) -> list:
         [gf.div(sm[1][0], det), gf.div(sm[0][0], det)],
     ]
     # the complement transforms by the inverse substitution, scaled by 1/det
-    q_l = poly.bf_substitution_matrix(gf, inv2, m - 1)
-    block = [row + [0] * m for row in h_w] + [
-        [0] * (m + 1) + vec_scale(gf, row, gf.inv(det)) for row in q_l]
-    lift = model_to_pencil(gf, an.r0_frame, an.r0_frame_inverse, block)
+    q_l = [vec_scale(gf, row, gf.inv(det))
+           for row in poly.bf_substitution_matrix(gf, inv2, m - 1)]
+    # F diag(h_w, q_l) F^-1 for the frame F: its w-columns times h_w and its
+    # v-columns times q_l, then one product with the cached inverse
+    f = an.r0_frame
+    moved_frame = [a + b for a, b in zip(mat_mul(gf, [row[: m + 1] for row in f], h_w),
+                                         mat_mul(gf, [row[m + 1:] for row in f], q_l))]
+    lift = mat_mul(gf, moved_frame, an.r0_frame_inverse)
 
     moved = work.change_basis_gl2(sm)
     if moved.q0.transform(lift) != work.q0 or moved.q1.transform(lift) != work.q1:

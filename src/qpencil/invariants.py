@@ -2,8 +2,9 @@
 
 Two regular pairs with the same half-discriminant are isomorphic exactly
 when their r-invariants agree modulo k + wp(A); the test here not only
-decides but produces a certified matrix witness, assembled from the two
-Kronecker bases and a unipotent phi(s) with wp(s) matching the r-shift.
+decides but produces a certified matrix witness (B2 U(s)) B1^-1, assembled
+from the two Kronecker bases and the unipotent U(s) = [[I, Cat(s)], [0, I]]
+with wp(s) matching the r-shift.
 
 The pair also induces a quadratic form q_A = q0 + t*q1 on the free module
 A^n; it splits off a one-dimensional trivial summand spanned by the image
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autos import PairAnalysis, pair_algebra, phi_model_matrix
+from .autos import PairAnalysis, catalecticant, frame_times_u, pair_algebra
 from .linalg import mat_mul
 from .pencil import Pencil
 
@@ -47,10 +48,9 @@ def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
     if s is None:
         return False, None
     gf = p1.gf
-    scoords = list(algebra.d_coords(s))[: algebra.n - 1]
-    ms = phi_model_matrix(p1.m, scoords)
-    witness = mat_mul(gf, mat_mul(gf, an2.nf.basis.basis_matrix, ms),
-                      an1.nf.basis.inverse)
+    # (B2 U(s)) B1^-1: the moved frame by its blocks, then one full product
+    frame = frame_times_u(an2.nf.basis, catalecticant(p1.m, algebra.d_coords(s)))
+    witness = mat_mul(gf, frame, an1.nf.basis.inverse)
     if p2.q0.transform(witness) != p1.q0 or p2.q1.transform(witness) != p1.q1:
         raise AssertionError("isomorphism witness failed verification")
     return True, witness

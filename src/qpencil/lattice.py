@@ -2,7 +2,10 @@
 
 Intersection numbers come from the projective dimension r of the measured
 linear intersection of two generators: the pairing is
-(-1)^r (floor(r/2) + 1), zero for disjoint generators.  eta^(m-1) pairs to
+(-1)^r (floor(r/2) + 1), zero for disjoint generators.  Only the first
+generator is measured against the others, giving d; by the group law of
+the pair group every other pairing, the presentation Gram's included, is an
+entry of d (see build_lattice).  eta^(m-1) pairs to
 1 with every generator class and to 4 (the degree of a complete
 intersection of two quadrics) with itself; that last value is needed to
 close the Gram matrix and makes the root basis exactly orthogonal to
@@ -38,7 +41,7 @@ DEGREE_OF_X = 4  # two quadrics: eta^(m-1) . eta^(m-1)
 ETA_DOT_GENERATOR = 1  # a generator is a linear subspace
 
 
-def intersection_number(g1: Generator, g2: Generator, m: int) -> int:
+def intersection_number(g1: Generator, g2: Generator) -> int:
     """[L_1].[L_2] from the measured intersection dimension."""
     if g1.gf != g2.gf or len(g1.basis[0]) != len(g2.basis[0]):
         raise PreconditionError("generators live in different ambient spaces")
@@ -80,16 +83,16 @@ def cartan_d(m: int) -> list:
     return c
 
 
-def build_lattice(
-    gens: list[Generator],
-    lam_empty: Generator,
-    lam_singles: list[Generator],
-    m: int,
-) -> CycleLattice:
-    """Assemble the cycle lattice from enumerated generators.
+def build_lattice(d: list, lam_singles: list[int], m: int) -> CycleLattice:
+    """Assemble the cycle lattice from the measured pairings
+    d[i] = [L_0].[L_i] of the enumerated generators (in the order of
+    enumerate_generators, L_0 = L_empty).
 
-    lam_singles[i-1] must be the image of lam_empty under the i-th
-    reflection; together with lam_empty they index the basis classes."""
+    lam_singles[i-1] is the index of the image of L_empty under the i-th
+    reflection.  Generator i is the image of L_0 under element i of the
+    elementary abelian automorphism_group (g_i g_j = g_(i^j), so
+    g_i^-1 = g_i), hence L_i meets L_j as L_0 meets L_(i^j): every pairing,
+    of the presentation and of line_gram, is d[i ^ j]."""
     n = 2 * m + 1
     if len(lam_singles) != n:
         raise PreconditionError(
@@ -99,12 +102,11 @@ def build_lattice(
 
     pres = [[0] * size for _ in range(size)]
     pres[0][0] = DEGREE_OF_X
-    lams = [lam_empty] + list(lam_singles)
-    for i, g in enumerate(lams):
+    lams = [0] + list(lam_singles)
+    for i, a in enumerate(lams):
         pres[0][1 + i] = pres[1 + i][0] = ETA_DOT_GENERATOR
-    for i, gi in enumerate(lams):
-        for j, gj in enumerate(lams):
-            pres[1 + i][1 + j] = intersection_number(gi, gj, m)
+        for j, b in enumerate(lams):
+            pres[1 + i][1 + j] = d[a ^ b]
 
     def pair(x, y):
         acc = 0
@@ -137,26 +139,14 @@ def build_lattice(
             raise AssertionError("root basis is not orthogonal to eta^(m-1)")
 
     lam_in_e = _try_integer_solve(gram_e, [pair(lam0, e) for e in e_classes])
-    line_gram = _full_line_gram(gens, m)
 
     return CycleLattice(
         m,
         tuple(tuple(r) for r in gram_e),
         lam_in_e,
         tuple(tuple(r) for r in gram_alpha),
-        line_gram,
+        tuple(tuple(d[i ^ j] for j in range(len(d))) for i in range(len(d))),
     )
-
-
-def _full_line_gram(gens: list[Generator], m: int) -> tuple:
-    """line_gram[i][j] = [L_i].[L_j] for the generators in the order of
-    enumerate_generators: gens[i] is the image of gens[0] under element i
-    of automorphism_group, i the bit mask of its idempotents.  That group is
-    elementary abelian (g_i g_j = g_(i^j), so g_i^-1 = g_i), hence
-    L_i meets L_j as L_0 meets g_i g_j L_0 = L_(i^j): the entry is d[i ^ j],
-    one measured intersection per generator."""
-    d = [intersection_number(gens[0], g, m) for g in gens]
-    return tuple(tuple(d[i ^ j] for j in range(len(gens))) for i in range(len(gens)))
 
 
 def _unit(size: int, i: int) -> list:
@@ -193,15 +183,16 @@ def _try_integer_solve(gram: list, rhs: list):
 
 
 def lattice_for(p: Pencil, ext: Field, refl: list[Reflection]) -> CycleLattice:
-    """Orchestrate: enumerate generators over ext, index them through the
-    given reflections, and build the lattice."""
+    """Orchestrate: enumerate generators over ext, measure the pairing of
+    the first with each, index the reflection images of the first by their
+    generator index, and build the lattice."""
     gens = enumerate_generators(p, ext)
-    by_span = {g.basis: g for g in gens}
-    lam_empty = gens[0]
+    index = {g.basis: i for i, g in enumerate(gens)}
     lam_singles = []
     for r in refl:
-        span = apply_to_subspace(ext, r.matrix, lam_empty.basis)
-        if span not in by_span:
+        span = apply_to_subspace(ext, r.matrix, gens[0].basis)
+        if span not in index:
             raise AssertionError("reflection image is not an enumerated generator")
-        lam_singles.append(by_span[span])
-    return build_lattice(gens, lam_empty, lam_singles, p.m)
+        lam_singles.append(index[span])
+    d = [intersection_number(gens[0], g) for g in gens]
+    return build_lattice(d, lam_singles, p.m)

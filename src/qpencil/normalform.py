@@ -204,8 +204,3 @@ def realize(gf: Field, a: list, r: list) -> Pencil:
         QuadraticForm.from_table(gf, n, t0), QuadraticForm.from_table(gf, n, t1)
     )
 
-
-def model_to_pencil(gf: Field, b: list, b_inv: list, g_model: list) -> list:
-    """B g B^-1: a matrix given in the coordinates of the basis whose columns
-    are b, in the pencil's own coordinates; b_inv is B^-1."""
-    return mat_mul(gf, mat_mul(gf, b, g_model), b_inv)

@@ -37,6 +37,7 @@ class Pencil:
         self._radical_map = None
         self._half_disc = None
         self._roots = None
+        self._regular = None
         self._analysis = None  # set by autos.pair_algebra
         self._mapped = {}  # embedding -> the pencil over its target field
 
@@ -125,8 +126,11 @@ class Pencil:
 
     def is_regular(self) -> bool:
         """Delta nonzero and separable as a binary form: n distinct projective
-        roots over the closure, the point at infinity included."""
-        return poly.bf_is_separable(self.gf, self.half_discriminant())
+        roots over the closure, the point at infinity included.  Decided
+        once per pencil."""
+        if self._regular is None:
+            self._regular = poly.bf_is_separable(self.gf, self.half_discriminant())
+        return self._regular
 
     def require_regular(self):
         if not self.is_regular():

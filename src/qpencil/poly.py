@@ -257,10 +257,6 @@ def roots(gf: Field, p: list) -> list[int]:
 # binary forms: homogeneous in (t0, t1), index i <-> t0^(d-i) t1^i
 
 
-def bf_degree(c: list) -> int:
-    return len(c) - 1
-
-
 def bf_mul(gf: Field, a: list, b: list) -> list:
     """The product of two nonempty coefficient lists, untrimmed: a binary
     form of degree deg a + deg b.  One kernel call: the sum, over the
@@ -277,7 +273,7 @@ def bf_mul(gf: Field, a: list, b: list) -> list:
 
 
 def bf_eval(gf: Field, c: list, t0: int, t1: int) -> int:
-    d = bf_degree(c)
+    d = degree(c)
     mul_ = gf.mul
     acc = 0
     p0 = [1]
@@ -289,11 +285,6 @@ def bf_eval(gf: Field, c: list, t0: int, t1: int) -> int:
             acc ^= mul_(c[i], mul_(p0[d - i], p1))
         p1 = mul_(p1, t1)
     return acc
-
-
-def bf_dehomogenize_t0(c: list) -> list:
-    """f(T) = form(1, T): the coefficient list reads off directly."""
-    return trim(c[:])
 
 
 def bf_substitution_matrix(gf: Field, m2: list, d: int) -> list:
@@ -313,7 +304,7 @@ def bf_substitution_matrix(gf: Field, m2: list, d: int) -> list:
 
 def bf_substitute(gf: Field, c: list, m2: list) -> list:
     """Coefficients of form(m00*t0 + m01*t1, m10*t0 + m11*t1)."""
-    return mat_vec(gf, bf_substitution_matrix(gf, m2, bf_degree(c)), c)
+    return mat_vec(gf, bf_substitution_matrix(gf, m2, degree(c)), c)
 
 
 def bf_is_separable(gf: Field, c: list) -> bool:
@@ -322,8 +313,8 @@ def bf_is_separable(gf: Field, c: list) -> bool:
     divide the form."""
     if all(x == 0 for x in c):
         return False
-    f = bf_dehomogenize_t0(c)
-    if bf_degree(c) - degree(f) > 1:
+    f = trim(c[:])  # form(1, T): the coefficient list reads off directly
+    if degree(c) - degree(f) > 1:
         return False  # [1:0] is a multiple root
     return is_separable(gf, f)
 
@@ -335,6 +326,6 @@ def bf_projective_roots(gf: Field, c: list) -> list[tuple[int, int]]:
         raise ValueError("the zero form vanishes everywhere")
     f = trim(c[:])
     out = [(1, x) for x in roots(gf, f)]
-    if bf_degree(c) - degree(f) >= 1:
+    if degree(c) - degree(f) >= 1:
         out.append((0, 1))
     return out

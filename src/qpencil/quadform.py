@@ -6,7 +6,9 @@ because the characteristic is 2, and polar() returns its Gram matrix, which is
 symmetric with zero diagonal by construction.  On odd-dimensional spaces the
 vector of principal Pfaffians spans the radical of a corank-1 alternating
 form, and q evaluated there is the half-discriminant, the degree-n substitute
-for the vanishing determinant.
+for the vanishing determinant.  A span is totally isotropic for q when the
+pull-back of q by a matrix whose columns span it (`transform` on an n x k
+matrix) is the zero form.
 
 The volume form is fixed once and for all as e_1 ^ ... ^ e_n -> 1 in the
 standard basis, so Pfaffian vectors and half-discriminants are exact values,
@@ -67,17 +69,6 @@ class QuadraticForm:
                 gram[j][i] ^= c
         return tuple(tuple(r) for r in gram)
 
-    def polar_pair(self, v: list, w: list) -> int:
-        """b(v, w) without materializing the Gram matrix."""
-        mul = self.gf.mul
-        acc = 0
-        for (i, j), c in self.coeffs:
-            if i != j:
-                p = mul(v[i], w[j]) ^ mul(v[j], w[i])
-                if p:
-                    acc ^= mul(c, p)
-        return acc
-
     def add(self, other: "QuadraticForm") -> "QuadraticForm":
         t = self.table()
         for k, c in other.coeffs:
@@ -91,18 +82,20 @@ class QuadraticForm:
         )
 
     def transform(self, g: list) -> "QuadraticForm":
-        """The pulled-back form q o g, i.e. (q o g)(v) = q(g v).
+        """The pulled-back form q o g, i.e. (q o g)(v) = q(g v), for an n x k
+        matrix g: on k variables, the restriction of q to the span of g's
+        columns.
 
         With U the upper-triangular coefficient matrix, q(x) = x^T U x, so
         q o g has the matrix K = g^T U g read back to upper-triangular form:
         (q o g)_ii = K_ii and (q o g)_ij = K_ij + K_ji.  Two matrix products,
-        O(n^3) multiplications.
+        O(n^2 k) multiplications.
         """
-        n = self.n
-        k = mat_mul(self.gf, transpose(g), mat_mul(self.gf, self.upper_matrix(), g))
-        return QuadraticForm.from_table(self.gf, n, {
-            (i, j): k[i][j] ^ (k[j][i] if i != j else 0)
-            for i in range(n) for j in range(i, n)
+        k = len(g[0])
+        c = mat_mul(self.gf, transpose(g), mat_mul(self.gf, self.upper_matrix(), g))
+        return QuadraticForm.from_table(self.gf, k, {
+            (i, j): c[i][j] ^ (c[j][i] if i != j else 0)
+            for i in range(k) for j in range(i, k)
         })
 
     def upper_matrix(self) -> list:
@@ -174,15 +167,8 @@ def pfaffian_vector(gf: Field, gram) -> list:
 
 
 def is_totally_isotropic(q: QuadraticForm, vectors: list) -> bool:
-    """q vanishes identically on the span: zero on basis vectors and on
-    pairwise sums (which is exactly q(v_i) = 0 and b(v_i, v_j) = 0)."""
+    """q vanishes identically on the span of independent vectors: its
+    pull-back by the matrix with these columns is the zero form."""
     if rank(q.gf, vectors) != len(vectors):
         raise ValueError("spanning set is linearly dependent")
-    for v in vectors:
-        if q(v):
-            return False
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            if q.polar_pair(vectors[a], vectors[b]):
-                return False
-    return True
+    return not q.transform(transpose(vectors)).coeffs

@@ -193,7 +193,7 @@ def pulls_back(q: QuadraticForm, g: list, target: QuadraticForm) -> bool:
     coefficient j of q o g is q(g e_j), and the (i, j) one is the polar value
     b(g e_i, g e_j) = q(g e_i + g e_j) + q(g e_i) + q(g e_j).  Returns at the
     first coefficient that differs from target's.  Deliberately independent
-    of `QuadraticForm.transform` and `polar_pair`, which it checks.
+    of `QuadraticForm.transform`, which it checks.
     """
     n = q.n
     want = dict(target.coeffs)
@@ -278,7 +278,8 @@ def _singular_among(p: Pencil, ext: Field) -> bool:
 
 def brute_force_lines(p: Pencil, ext: Field) -> list[tuple]:
     """All lines on X(ext) for m = 2, from pairs of points: the line through
-    two points of X lies on X iff both polar pairings vanish."""
+    two points x, y of X lies on X iff both polar pairings vanish, and
+    b(x, y) = q(x + y) there since q(x) = q(y) = 0."""
     if p.m != 2:
         raise PreconditionError("line enumeration is the m = 2 oracle")
     emb = find_embedding(p.gf, ext)
@@ -289,7 +290,8 @@ def brute_force_lines(p: Pencil, ext: Field) -> list[tuple]:
         xi = list(pts[i])
         for j in range(i + 1, len(pts)):
             xj = list(pts[j])
-            if pe.q0.polar_pair(xi, xj) == 0 and pe.q1.polar_pair(xi, xj) == 0:
+            both = [x ^ y for x, y in zip(xi, xj)]
+            if pe.q0(both) == 0 and pe.q1(both) == 0:
                 lines.add(normalize_subspace(ext, [xi, xj]))
     return sorted(lines)
 
@@ -675,7 +677,7 @@ def check_lattice(scale: str):
         # Aut-permutation invariance of the full line Gram
         gens = enumerate_generators(dp, ext)
         span_index = {g.basis: i for i, g in enumerate(gens)}
-        gram = [[intersection_number(x, y, dp.m) for y in gens] for x in gens]
+        gram = [[intersection_number(x, y) for y in gens] for x in gens]
         for rep in automorphism_group(dp.map_field(find_embedding(g2, ext))):
             perm = [span_index[apply_to_subspace(ext, rep.matrix, x.basis)]
                     for x in gens]

@@ -16,7 +16,7 @@ import itertools
 from qpencil import poly
 from qpencil.errors import PreconditionError
 from qpencil.field import Embedding, find_embedding
-from qpencil.linalg import mat_vec, rank
+from qpencil.linalg import mat_mul, mat_vec, rank
 from qpencil.quadform import pfaffian_vector
 from qpencil.verify import points_on_X
 
@@ -323,6 +323,29 @@ def gf2_pivots_by_scan(columns):
 
 
 # ---------------------------------------------------------------------------
+# Kronecker-frame matrices in full: the code the block formulas replaced
+
+
+def phi_model_matrix(m, s):
+    """phi(s) = [[I, Cat(s)], [0, I]] in Kronecker coordinates
+    (w_0..w_m, v_0..v_{m-1}) as a full n x n matrix, Cat(s)[k][j] = s_(k+j)
+    with s padded by zeros to length 2m."""
+    n = 2 * m + 1
+    s = list(s) + [0] * (2 * m - len(s))
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(m + 1):
+        for j in range(m):
+            g[k][m + 1 + j] = s[k + j]
+    return g
+
+
+def model_to_pencil(gf, b, b_inv, g_model):
+    """B g B^-1: a matrix given in the coordinates of the basis whose
+    columns are b, in the pencil's own coordinates; b_inv is B^-1."""
+    return mat_mul(gf, mat_mul(gf, b, g_model), b_inv)
+
+
+# ---------------------------------------------------------------------------
 # the pair group element by element: the code the group law replaced
 
 
@@ -331,8 +354,7 @@ def automorphism_group_per_element(p):
     every sum of the idempotents eps_1.. (bit mask i, eps_0 dropped), each
     conjugated into the pencil's coordinates by two matrix products and
     certified by its own two substitutions."""
-    from qpencil.autos import AutomorphismRep, pair_algebra, phi_model_matrix
-    from qpencil.normalform import model_to_pencil
+    from qpencil.autos import AutomorphismRep, pair_algebra
 
     an = pair_algebra(p)
     algebra, nf = an.algebra, an.nf
@@ -365,7 +387,7 @@ def generators_per_element(p, ext):
             for rep in automorphism_group_per_element(pe)]
 
 
-def line_gram_pairwise(gens, m):
+def line_gram_pairwise(gens):
     """The intersection numbers of every pair of generators, one measured
     intersection per unordered pair."""
     from qpencil.lattice import intersection_number
@@ -374,7 +396,7 @@ def line_gram_pairwise(gens, m):
     out = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            out[i][j] = out[j][i] = intersection_number(gens[i], gens[j], m)
+            out[i][j] = out[j][i] = intersection_number(gens[i], gens[j])
     return tuple(tuple(r) for r in out)
 
 

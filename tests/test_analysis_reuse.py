@@ -1,6 +1,7 @@
 """Within one `cli.main` call every pencil is analysed once: no Pencil
-object extracts its normal form or computes its radical map twice, and
-Delta's roots are found at most once per field."""
+object extracts its normal form, computes its radical map or tests the
+separability of Delta twice, and Delta's roots are found at most once per
+field."""
 
 import contextlib
 import io
@@ -80,6 +81,25 @@ def test_one_analysis_per_pencil(monkeypatch, command, doc):
     assert normal_forms and max(normal_forms.values()) == 1
     assert radical_maps and max(radical_maps.values()) == 1
     assert all(n == 1 for n in root_scans.values()), root_scans
+
+
+@pytest.mark.parametrize("command,doc", CASES)
+def test_one_regularity_verdict_per_pencil(monkeypatch, command, doc):
+    # a pencil keeps its verdict: Delta's coefficient list is the pencil's
+    # own, so at most one separability test per list
+    keep, tests = [], Counter()
+    separable = poly.bf_is_separable
+
+    def counted(gf, c):
+        keep.append(c)
+        tests[id(c)] += 1
+        return separable(gf, c)
+
+    monkeypatch.setattr(poly, "bf_is_separable", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--in", str(DOCS / f"{doc}.json")])
+    assert code == 0
+    assert tests and max(tests.values()) == 1, tests
 
 
 @pytest.mark.parametrize("doc", ["g4_n5_an0", "g2_n3_an0"])

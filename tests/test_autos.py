@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from oracles import phi_model_matrix
 from qpencil.autos import (
     automorphism_group,
     aut_x,
@@ -9,10 +11,10 @@ from qpencil.autos import (
     pair_algebra,
     pgl2_elements,
     phi,
-    phi_model_matrix,
     reflections,
     reflections_match_idempotents,
 )
+from qpencil import linalg, poly
 from qpencil.errors import PreconditionError
 from qpencil.field import GF, find_embedding
 from qpencil.linalg import identity, mat_mul
@@ -72,6 +74,62 @@ def test_phi_moves_v_by_w(g2):
     # g(v_0) = v_0 + s_0 w_0 + s_1 w_1 with (s_0, s_1) = (1, 0)
     mat = [list(r) for r in rep.matrix]
     assert [row[2] for row in mat] == [1, 0, 1]
+
+
+def _witness_pencils(seed):
+    """Conjugated normal forms with a_n != 0 whose r-value is wp(s) for a
+    random s, so each has an Artin-Schreier witness: r is the
+    d-coordinates of wp(s) without the constant d_(n-1) one.  k in
+    {1, 2, 8, 17, 32}, n = 3..9."""
+    rng = random.Random(seed)
+    out = []
+    for k in (1, 2, 8, 17, 32):
+        gf = GF(k)
+        for n in (3, 5, 7, 9):
+            while True:
+                a = [rng.randrange(gf.order) for _ in range(n)] + [rng.randrange(1, gf.order)]
+                if poly.bf_is_separable(gf, a):
+                    break
+            algebra = pair_algebra(realize(gf, a, [0] * (n - 1))).algebra
+            s = algebra.element([rng.randrange(gf.order) for _ in range(n)])
+            r = list(algebra.d_coords(algebra.artin_schreier(s)))[: n - 1]
+            low = [[1 if i == j else rng.randrange(gf.order) * (j < i) for j in range(n)]
+                   for i in range(n)]
+            up = [[1 if i == j else rng.randrange(gf.order) * (j > i) for j in range(n)]
+                  for i in range(n)]
+            out.append(realize(gf, a, r).conjugate(mat_mul(gf, low, up)))
+    return out
+
+
+def test_r0_frame_is_the_basis_times_u(products):
+    # B U(s) from its blocks: B_w Cat(s) and the d-coordinates of s, not
+    # the full product B phi_model_matrix(s) (n^3 products on a dense B)
+    for p in _witness_pencils(5):
+        an = pair_algebra(p)
+        n, m = p.n, p.m
+        s = list(an.algebra.d_coords(an.witness))[: n - 1]
+        formed, frame = products(lambda: an.r0_frame)
+        assert frame == mat_mul(p.gf, an.nf.basis.basis_matrix, phi_model_matrix(m, s))
+        assert formed <= n * (m + 1) * m + n * n
+
+
+def test_r0_frame_inverse_needs_no_second_inversion(monkeypatch):
+    def refuse(gf, a):
+        raise AssertionError("a second matrix inversion")
+
+    original = linalg.inverse
+    for p in _witness_pencils(6):
+        an = pair_algebra(p)
+        an.nf.basis.inverse  # the basis's one inversion, cached
+        frame = an.r0_frame
+        with monkeypatch.context() as mp:
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("qpencil"):
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            mp.setattr(mod, key, refuse)
+            inv = an.r0_frame_inverse
+        assert mat_mul(p.gf, frame, inv) == identity(p.n)
 
 
 def test_automorphism_group_orders(g2, g4):

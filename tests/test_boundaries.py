@@ -45,7 +45,7 @@ ORACLES = (
 ALLOWED = {
     "poly", "GF", "Field", "find_embedding", "degree", "order", "elements",
     "mul", "addmul", "Pencil", "map_field", "n", "m", "QuadraticForm",
-    "from_table", "polar", "polar_pair", "add", "PreconditionError",
+    "from_table", "polar", "add", "PreconditionError",
     "nullspace", "normalize_subspace", "EtaleAlgebra", "t_power",
     "from_poly", "monic_f", "extended_gcd", "derivative",
 }

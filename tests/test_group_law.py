@@ -16,6 +16,7 @@ from oracles import (
     automorphism_group_per_element,
     generators_per_element,
     line_gram_pairwise,
+    phi_model_matrix,
     serialize_pencil,
 )
 from qpencil import autos, poly
@@ -23,7 +24,6 @@ from qpencil.autos import (
     AutomorphismRep,
     automorphism_group,
     pair_algebra,
-    phi_model_matrix,
     reflections,
 )
 from qpencil.cli import _extension, main
@@ -107,7 +107,7 @@ def test_generators_and_lattice_match_per_element():
         gens = enumerate_generators(p, ext)
         assert [g.basis for g in gens] == generators_per_element(p, ext)
         lat = lattice_for(p, ext, reflections(p, ext))
-        assert lat.line_gram == line_gram_pairwise(gens, p.m)
+        assert lat.line_gram == line_gram_pairwise(gens)
     assert len(pencils) == 48 and split_over_base == 9
 
 

@@ -135,7 +135,7 @@ def test_transformation_law_shifts_coset(g2):
     # conjugating by phi(s) with wp(s) nontrivial changes the representative
     p = realize(g2, [0, 1, 1, 1], [0, 0])
     A = EtaleAlgebra(g2, (0, 1, 1, 1))
-    from qpencil.autos import phi_model_matrix
+    from oracles import phi_model_matrix
     from qpencil.linalg import inverse, mat_mul
 
     an = pair_algebra(p)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import qpencil.poly as poly
+from qpencil import lattice
 from qpencil.autos import reflections
 from qpencil.errors import PreconditionError
 from qpencil.field import GF
@@ -62,14 +63,14 @@ def test_cartan_d_shape():
 def test_intersection_numbers_m2(g2, g16):
     dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     gens = enumerate_generators(dp, g16)
-    assert intersection_number(gens[0], gens[0], 2) == -1
+    assert intersection_number(gens[0], gens[0]) == -1
     values = sorted(
-        intersection_number(gens[0], g, 2) for g in gens[1:]
+        intersection_number(gens[0], g) for g in gens[1:]
     )
     assert values == [0] * 10 + [1] * 5  # disjoint or one point
     other = Generator(GF(1), ((1, 0, 0),))
     with pytest.raises(PreconditionError):
-        intersection_number(gens[0], other, 2)
+        intersection_number(gens[0], other)
 
 
 def test_lattice_m2(g2, g16):
@@ -134,8 +135,35 @@ def test_lattice_eta_orthogonality(g2, g16):
     assert pair(lam, lam) == lat.line_gram[0][0] == -1
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_lattice_for_measures_one_pairing_per_generator(monkeypatch, g2, g4, g8, g16, size):
+    # L_empty against each generator; every other pairing is read off d
+    if size == 1:
+        p, ext = realize(g2, [0, 1, 1, 1], [0, 0]), g4
+    elif size == 2:
+        p, ext = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4), g16
+    else:
+        f = [1]
+        for root in range(7):
+            f = poly.mul(g8, f, [root, 1])
+        p, ext = realize(g8, f, [0] * 6), g8
+    refl = reflections(p, ext)
+    calls = 0
+    measure = lattice.intersect_dim
+
+    def counted(gf, a, b):
+        nonlocal calls
+        calls += 1
+        return measure(gf, a, b)
+
+    monkeypatch.setattr(lattice, "intersect_dim", counted)
+    lattice_for(p, ext, refl)
+    assert calls == 1 << (2 * p.m)
+
+
 def test_build_lattice_input_validation(g2, g16):
     dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     gens = enumerate_generators(dp, g16)
+    d = [intersection_number(gens[0], g) for g in gens]
     with pytest.raises(PreconditionError):
-        build_lattice(gens, gens[0], gens[1:3], 2)
+        build_lattice(d, [1, 2], 2)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import all_subspaces, kronecker_equations_hold, vv_system
+from oracles import all_subspaces, kronecker_equations_hold, polar_by_definition, vv_system
 from qpencil import normalform
 from qpencil.errors import NotRegularError
 from qpencil.field import GF
@@ -65,7 +65,7 @@ def test_canonical_w_brute_force_m1(g2):
         for q in (q0, q1):
             for a in range(2):
                 for b in range(a + 1, 2):
-                    if q.polar_pair(vecs[a], vecs[b]):
+                    if polar_by_definition(q, vecs[a], vecs[b]):
                         ok = False
         if ok:
             found.append(span)

@@ -112,7 +112,6 @@ def test_binary_form_basics(g2):
     sq = poly.bf_mul(g2, [1, 1], [1, 1])
     assert sq == [1, 0, 1]
     assert poly.bf_eval(g2, sq, 1, 1) == 0
-    assert poly.bf_dehomogenize_t0([0, 1, 1, 1]) == [0, 1, 1, 1]
     assert bf_dehomogenize_t1([0, 1, 1, 1]) == [1, 1, 1]
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import is_zero, pfaffian_by_matchings, polar_by_definition
 from qpencil.field import GF
-from qpencil.linalg import nullspace, rank
+from qpencil.linalg import mat_vec, nullspace, rank, vec_dot
 from qpencil.quadform import QuadraticForm, is_totally_isotropic, pfaffian_vector
 from qpencil.verify import proj_points
 
@@ -46,10 +46,31 @@ def test_polar_matches_definition(gf, n, seed):
     for _ in range(6):
         v = [rng.randrange(gf.order) for _ in range(n)]
         w = [rng.randrange(gf.order) for _ in range(n)]
-        assert q.polar_pair(v, w) == polar_by_definition(q, v, w)
-        assert q.polar_pair(v, v) == 0
+        assert vec_dot(gf, v, mat_vec(gf, q.polar(), w)) == polar_by_definition(q, v, w)
+        assert polar_by_definition(q, v, v) == 0
         c = rng.randrange(gf.order)
         assert q([gf.mul(c, x) for x in v]) == gf.mul(gf.mul(c, c), q(v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(FIELDS),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_transform_restricts_to_the_column_span(gf, n, k, seed):
+    # q o g for an n x k matrix g is the form on k variables with q on the
+    # columns of g as diagonal and their polar values off it
+    rng = random.Random(seed)
+    q = random_form(gf, n, rng)
+    g = [[rng.randrange(gf.order) for _ in range(k)] for _ in range(n)]
+    cols = [[row[j] for row in g] for j in range(k)]
+    want = qf(gf, k, {
+        (i, j): q(cols[i]) if i == j else polar_by_definition(q, cols[i], cols[j])
+        for i in range(k) for j in range(i, k)
+    })
+    assert q.transform(g) == want
 
 
 def bordered(gram):
@@ -241,7 +262,7 @@ def test_normal_form_w_span_is_isotropic(g2):
     p = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     w_span = [[1 if t == i else 0 for t in range(5)] for i in range(3)]
     for q in (p.q0, p.q1):  # totally singular: the polar form vanishes
-        assert all(q.polar_pair(x, y) == 0 for x in w_span for y in w_span)
+        assert all(polar_by_definition(q, x, y) == 0 for x in w_span for y in w_span)
     assert not is_totally_isotropic(p.q0, w_span)  # q0(w_1) = a_2 = 1
     v_span = [[1 if t == 3 + i else 0 for t in range(5)] for i in range(2)]
     assert is_totally_isotropic(p.q0, v_span)  # r = 0 normal form
