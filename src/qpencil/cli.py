@@ -69,8 +69,9 @@ from .quadform import QuadraticForm
 # them from here, so that only the verify subcommand imports the harness
 SCALES = ("small", "full")
 
-# the radical map costs O(n^4) field products: halfdisc on a dense pencil
-# with n = 61 takes about 0.5 s over GF(2^8) and 11 s over GF(2^64)
+# the radical map of a regular pencil costs O(n^3) field products (O(n^4)
+# when it is not regular): halfdisc on a dense regular pencil with n = 61
+# takes about 0.25 s over GF(2^8) and 3 s over GF(2^64)
 MAX_DIMENSION = 61
 
 

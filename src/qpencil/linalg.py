@@ -129,6 +129,47 @@ def inverse(gf: Field, a: list) -> list:
     return [row[n:] for row in m]
 
 
+def lu_solver(gf: Field, a: list):
+    """For a nonsingular square a, the function b -> x with a x = b.
+
+    One row-pivoted elimination P a = L U, O(n^3) products, is kept; each
+    solve then applies L and U column by column through the kernel, n^2
+    products.  Pivoting is on the lowest-index row, so the solves are
+    deterministic.
+    """
+    n = len(a)
+    m = [list(row) for row in a]
+    order = list(range(n))
+    for k in range(n):
+        sel = next((i for i in range(k, n) if m[i][k]), None)
+        if sel is None:
+            raise ValueError("matrix is singular")
+        m[k], m[sel] = m[sel], m[k]
+        order[k], order[sel] = order[sel], order[k]
+        inv = gf.inv(m[k][k])
+        m[k][k + 1:] = vec_scale(gf, m[k][k + 1:], inv)  # U has a unit diagonal
+        m[k][k] = inv
+        pivot_row = (m[k][k + 1:],)
+        for i in range(k + 1, n):
+            if m[i][k]:  # kept below the diagonal as L's multiplier
+                m[i][k + 1:] = gf.addmul(m[i][k + 1:], (m[i][k],), pivot_row)
+    # column k: U above the diagonal, the pivot's inverse on it, L below
+    cols = [(col[:k], col[k], col[k + 1:]) for k, col in enumerate(zip(*m))]
+
+    def solve_one(b):
+        x = [b[i] for i in order]
+        for k, (_, inv, low) in enumerate(cols):
+            x[k] = c = gf.mul(x[k], inv)
+            if c and low:
+                x[k + 1:] = gf.addmul(x[k + 1:], (c,), (low,))
+        for k in range(n - 1, 0, -1):
+            if x[k]:
+                x[:k] = gf.addmul(x[:k], (x[k],), (cols[k][0],))
+        return x
+
+    return solve_one
+
+
 def normalize_subspace(gf: Field, vectors: list) -> tuple:
     """Canonical (rref, zero rows dropped) representation of a span."""
     m, pivots = rref(gf, vectors)

@@ -5,15 +5,18 @@ n = 2m+1.  The radical map Omega(l, u) collects the principal Pfaffians of
 l*b0 + u*b1 as binary forms of degree m; evaluating the member at its own
 radical vector gives the half-discriminant, a binary form of degree n whose
 separability is exactly regularity of the pencil (the base locus is then
-smooth of codimension 2).  Omega is interpolated from the Pfaffian vectors
-of m+1 members, each one O(n^3) elimination (`quadform.pfaffian_vector`).
+smooth of codimension 2).  Omega's coefficient vectors form the Kronecker
+chain of the pencil, which one Pfaffian vector and one factored principal
+minor of b0 solve in O(n^3) products over the pencil's own field; only a
+pencil that is not regular can leave the chain underdetermined, and its
+Omega is interpolated from the Pfaffian vectors of m+1 members instead.
 """
 
 from __future__ import annotations
 
 from . import poly
 from .errors import NotRegularError, PreconditionError
-from .linalg import inverse, mat_mul, rank, transpose
+from .linalg import inverse, lu_solver, mat_mul, rank, rref, transpose, vec_dot
 from .quadform import QuadraticForm, pfaffian_vector
 
 
@@ -64,30 +67,17 @@ class Pencil:
         """Coefficient vectors w_0 .. w_m of Omega = sum l^(m-i) u^i w_i.
 
         Entry k of Omega is the Pfaffian of the principal submatrix of
-        l*Gram(b0) + u*Gram(b1) deleting row/column k, a binary form of
-        degree m.  It is interpolated from the Pfaffian vectors of
-        x*Gram(b0) + Gram(b1) at the m+1 field elements x = 0, 1, ..., m,
-        over the smallest extension with more than m elements, and the
-        coefficients are pulled back to the pencil's field.
+        l*G0 + u*G1 (the Gram matrices of b0, b1) deleting row/column k, a
+        binary form of degree m.  Since (l*G0 + u*G1) Omega = 0, the w_i
+        form the Kronecker chain G0 w_0 = 0, G0 w_{i+1} = G1 w_i,
+        G1 w_m = 0, and w_0 is the Pfaffian vector of G0 (`_chain`).  When
+        the chain does not pin Omega down, the pencil is not regular, and
+        Omega is interpolated from m+1 members (`_interpolated`).
         """
         if self._radical_map is None:
-            gf, m = self.gf, self.m
             grams = (self.q0.polar(), self.q1.polar())
-            j = -(-m.bit_length() // gf.degree)  # smallest j with 2^(k*j) > m
-            ext = gf
-            if j > 1:  # then gf has at most m elements
-                ext, emb = gf.extension(j)
-                grams = [[emb.map_vec(row) for row in g] for g in grams]
-            values = [
-                pfaffian_vector(ext, [ext.addmul(r1, (x,), (r0,)) for r0, r1 in zip(*grams)])
-                for x in range(m + 1)
-            ]
-            vander = [[ext.pow(x, m - i) for i in range(m + 1)] for x in range(m + 1)]
-            ws = mat_mul(ext, inverse(ext, vander), values)
-            if j > 1:
-                lift = {emb.map(a): a for a in gf.elements()}
-                ws = [[lift[c] for c in w] for w in ws]
-            self._radical_map = ws
+            self._radical_map = (_chain(self.gf, *grams, self.m)
+                                 or _interpolated(self.gf, grams, self.m))
         return self._radical_map
 
     def omega_at(self, l: int, u: int) -> list:
@@ -146,7 +136,8 @@ class Pencil:
         (m00 t0 + m01 t1, m10 t0 + m11 t1), so Omega and Delta transform by
         that substitution; when they are known here they are carried over
         instead of recomputed (Omega as one product with the degree-m
-        substitution matrix).
+        substitution matrix), and so is the regularity verdict, which a
+        GL(2) move keeps.
         """
         gf = self.gf
         d = gf.mul(m2[0][0], m2[1][1]) ^ gf.mul(m2[0][1], m2[1][0])
@@ -160,6 +151,7 @@ class Pencil:
                 gf, poly.bf_substitution_matrix(gf, m2, self.m), self._radical_map)
         if self._half_disc is not None:
             moved._half_disc = poly.bf_substitute(gf, self._half_disc, m2)
+        moved._regular = self._regular
         return moved
 
     def conjugate(self, g: list) -> "Pencil":
@@ -169,14 +161,19 @@ class Pencil:
     def map_field(self, emb) -> "Pencil":
         """The pencil over emb.dst: self when emb fixes every coefficient,
         otherwise one new pencil per embedding, so that what is cached on
-        it is computed once."""
+        it is computed once.  It takes this pencil's regularity verdict:
+        Delta maps coefficient by coefficient, and separability does not
+        depend on the field."""
         if emb.dst == self.gf and all(
             emb.map(c) == c for _, c in self.q0.coeffs + self.q1.coeffs
         ):
             return self
         if emb not in self._mapped:
             self._mapped[emb] = Pencil(self.q0.map_field(emb), self.q1.map_field(emb))
-        return self._mapped[emb]
+        mapped = self._mapped[emb]
+        if mapped._regular is None:
+            mapped._regular = self._regular
+        return mapped
 
     def ensure_an_nonzero(self) -> tuple["Pencil", list]:
         """A GL2-equivalent pencil whose Delta has a_n != 0 (q1 nondegenerate),
@@ -201,3 +198,66 @@ class Pencil:
             extension_degree=j,
         )
 
+
+def _chain(gf, g0: tuple, g1: tuple, m: int):
+    """Omega's coefficients from its Kronecker chain, or None.
+
+    With w_0 = pfaffian_vector(G0) != 0, G0 has corank 1, its kernel is
+    <w_0> and its image is w_0^perp; the principal minor deleting an index
+    r with w_0[r] != 0 has Pfaffian w_0[r], so it is invertible and is
+    factored once (`lu_solver`).  A particular chain p_0 = w_0, ..., p_m
+    costs one solve and one product with G1 per step (O(n^2)), and every
+    chain starting at w_0 is w_i = sum_{j<=i} c_j p_{i-j} with c_0 = 1.
+    Omega is such a chain, so every step is consistent (checked all the
+    same: G1 p_i must lie in w_0^perp), and G1 w_m = 0 is the n x m system
+    sum_{j>=1} c_j G1 p_{m-j} = G1 p_m, which Omega solves.  When it has
+    rank m, Omega is its one solution, exactly.  Otherwise, or when
+    w_0 = 0, the pencil has a kernel vector of degree below m: Omega is
+    zero or has a common factor, so Delta is zero or has a square factor,
+    and the pencil is not regular.  O(n^3) products in all, over gf.
+    """
+    n = 2 * m + 1
+    w0 = pfaffian_vector(gf, g0)
+    r = next((t for t, x in enumerate(w0) if x), None)
+    if r is None:
+        return None
+    keep = [t for t in range(n) if t != r]
+    solve = lu_solver(gf, [[g0[s][t] for t in keep] for s in keep])
+    ps, images = [w0], []  # images[i] = G1 p_i; G1 is symmetric
+    for _ in range(m):
+        b = gf.addmul([0] * n, ps[-1], g1)
+        if vec_dot(gf, w0, b):  # b is not in the image of G0
+            return None
+        images.append(b)
+        p = solve([b[t] for t in keep])
+        p.insert(r, 0)
+        ps.append(p)
+    images.append(gf.addmul([0] * n, ps[-1], g1))
+    # columns G1 p_{m-1}, ..., G1 p_0 for c_1 .. c_m, then G1 p_m
+    rows, pivots = rref(gf, transpose(images[-2::-1] + images[-1:]))
+    if pivots != list(range(m)):
+        return None
+    cs = [row[m] for row in rows[:m]]  # c_1 .. c_m
+    return [gf.addmul(p, cs[:i], reversed(ps[:i])) for i, p in enumerate(ps)]
+
+
+def _interpolated(gf, grams: tuple, m: int) -> list:
+    """Omega interpolated from the Pfaffian vectors of x*G0 + G1 at the
+    m+1 field elements x = 0, 1, ..., m, over the smallest extension with
+    more than m elements, and pulled back to gf: m+1 eliminations, O(n^4)
+    products.  Only pencils that are not regular reach it."""
+    j = -(-m.bit_length() // gf.degree)  # smallest j with 2^(k*j) > m
+    ext = gf
+    if j > 1:  # then gf has at most m elements
+        ext, emb = gf.extension(j)
+        grams = [[emb.map_vec(row) for row in g] for g in grams]
+    values = [
+        pfaffian_vector(ext, [ext.addmul(r1, (x,), (r0,)) for r0, r1 in zip(*grams)])
+        for x in range(m + 1)
+    ]
+    vander = [[ext.pow(x, m - i) for i in range(m + 1)] for x in range(m + 1)]
+    ws = mat_mul(ext, inverse(ext, vander), values)
+    if j > 1:
+        lift = {emb.map(a): a for a in gf.elements()}
+        ws = [[lift[c] for c in w] for w in ws]
+    return ws

@@ -15,7 +15,7 @@ import itertools
 
 from qpencil import poly
 from qpencil.errors import PreconditionError
-from qpencil.field import Embedding, find_embedding
+from qpencil.field import GF, Embedding, find_embedding
 from qpencil.linalg import mat_mul, mat_vec, rank
 from qpencil.quadform import pfaffian_vector
 from qpencil.verify import points_on_X
@@ -217,6 +217,34 @@ def det(gf, a):
                 f = gf.mul(m[i][c], inv)
                 m[i] = [x ^ gf.mul(f, y) for x, y in zip(m[i], m[c])]
     return d
+
+
+def radical_map_matches_members(p, ws):
+    """ws, read as Omega(l, u) = sum l^(m-i) u^i w_i, equals the Pfaffian
+    vector of the member l*G0 + u*G1 at m+2 distinct projective points
+    (l, u), over an extension with more than m elements.  Both sides are
+    vectors of binary forms of degree m, so agreement at m+1 points is
+    equality.  Omega is only evaluated here, never chained or
+    interpolated."""
+    gf, m = p.gf, p.m
+    j = 1
+    while gf.order ** j <= m:
+        j += 1
+    ext = GF(gf.degree * j)
+    emb = find_embedding(gf, ext)
+    mul = ext.mul
+    g0, g1 = ([emb.map_vec(row) for row in q.polar()] for q in (p.q0, p.q1))
+    wse = [emb.map_vec(w) for w in ws]
+    for l, u in [(1, 0)] + [(x, 1) for x in range(m + 1)]:
+        member = [[mul(l, a) ^ mul(u, b) for a, b in zip(r0, r1)]
+                  for r0, r1 in zip(g0, g1)]
+        omega = [0] * p.n
+        for i, w in enumerate(wse):
+            c = mul(ext.pow(l, m - i), ext.pow(u, i))
+            omega = [x ^ mul(c, y) for x, y in zip(omega, w)]
+        if omega != pfaffian_vector(ext, member):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,43 @@
+"""Growth exponents of the layers, from field-product counts.
+
+Product counts are exact and do not depend on the host, so the exponent
+between two sizes, log(c2 / c1) / log(n2 / n1), states a growth rate that
+wall time on a shared machine cannot.  Each entry of GROWTH gives a layer's
+input builder (a field and a dimension to a function that runs the layer
+once, fresh), its sizes and its stated exponent; the test asserts that
+every log-ratio over consecutive sizes is at most the exponent plus 0.25,
+for each field degree in DEGREES.  A change that fixes a growth rate lowers
+its entry.
+"""
+
+import math
+import random
+
+import pytest
+
+from qpencil.field import GF
+from qpencil.pencil import Pencil
+from qpencil.verify import random_regular_nf_pencil
+
+DEGREES = (1, 8, 32)
+
+
+def _radical_map(gf, n):
+    p = random_regular_nf_pencil(gf, n // 2, random.Random(n))
+    return Pencil(p.q0, p.q1).radical_map
+
+
+# layer: (input builder, sizes n, stated exponent)
+GROWTH = {
+    "radical_map": (_radical_map, (11, 21, 31), 3.0),
+}
+
+
+@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("layer", sorted(GROWTH))
+def test_growth_exponent(products, layer, degree):
+    build, sizes, exponent = GROWTH[layer]
+    counts = [products(build(GF(degree), n))[0] for n in sizes]
+    for (n1, c1), (n2, c2) in zip(zip(sizes, counts), zip(sizes[1:], counts[1:])):
+        measured = math.log(c2 / c1) / math.log(n2 / n1)
+        assert measured <= exponent + 0.25, (layer, degree, n1, n2, counts)

@@ -12,6 +12,7 @@ from qpencil.linalg import (
     identity,
     intersect_dim,
     inverse,
+    lu_solver,
     mat_mul,
     mat_vec,
     normalize_subspace,
@@ -68,6 +69,27 @@ def test_inverse(g8):
         assert mat_mul(g8, a, inv) == identity(4)
     with pytest.raises(ValueError):
         inverse(g8, [[0, 0], [0, 0]])
+
+
+def test_lu_solver_solves_every_right_hand_side():
+    # over log-table and raw fields, sizes 1..9, zero pivots on the
+    # diagonal (alternating matrices) included
+    rng = random.Random(8)
+    for gf in (GF(1), GF(3), GF(8), GF(33)):
+        for size in range(1, 10):
+            while True:
+                a = random_matrix(gf, size, size, rng)
+                if size % 2 == 0 and rng.random() < 0.5:
+                    a = [[0 if i == j else a[min(i, j)][max(i, j)] for j in range(size)]
+                         for i in range(size)]
+                if rank(gf, a) == size:
+                    break
+            lu = lu_solver(gf, a)
+            for _ in range(3):
+                b = [rng.randrange(gf.order) for _ in range(size)]
+                assert mat_vec(gf, a, lu(b)) == b, (gf, size)
+    with pytest.raises(ValueError):
+        lu_solver(GF(3), [[1, 2], [2, 4]])
 
 
 def test_det_multiplicative(g4):

@@ -1,11 +1,24 @@
+import collections
+import contextlib
+import io
 import random
+from pathlib import Path
 
 import pytest
 
+import qpencil.field as field
+import qpencil.pencil as pencil
 import qpencil.poly as poly
-from oracles import corank_profile, det, half_disc_check, half_discriminant_per_key
+from oracles import (
+    corank_profile,
+    det,
+    half_disc_check,
+    half_discriminant_per_key,
+    radical_map_matches_members,
+)
+from qpencil.cli import main
 from qpencil.errors import NotRegularError, PreconditionError
-from qpencil.field import GF, default_modulus, field_from_modulus
+from qpencil.field import GF, Field, default_modulus, field_from_modulus
 from qpencil.normalform import realize
 from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm, pfaffian_vector
@@ -121,6 +134,64 @@ def test_radical_map_multiplications_stay_polynomial(products):
     rng = random.Random(31)
     p = random_pencil(GF(8), 31, rng, regular=False)
     assert 0 < products(p.radical_map)[0] < 10**6
+
+
+def test_radical_map_fast_path_is_cubic(products):
+    # the Kronecker chain: one Pfaffian vector, one LU of a principal minor
+    # of G0, then O(n^2) per step; the interpolation formed 6.17 n^3 here
+    n = 41
+    p = random_pencil(GF(8), n, random.Random(41))
+    assert 0 < products(Pencil(p.q0, p.q1).radical_map)[0] <= 3 * n**3
+
+
+@pytest.mark.parametrize("degree,n", [(1, 5), (1, 9), (2, 9), (2, 11)])
+def test_radical_map_of_regular_pencil_builds_no_field(monkeypatch, degree, n):
+    # GF(2) at n >= 5 and GF(4) at n >= 9 have at most m elements, where
+    # the interpolation needs an extension field
+    p = random_pencil(GF(degree), n, random.Random(n))
+    fresh = Pencil(p.q0, p.q1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field or an embedding was built")
+
+    monkeypatch.setattr(Field, "__init__", refuse)
+    monkeypatch.setattr(field, "find_embedding", refuse)
+    assert fresh.radical_map() == p.radical_map()
+
+
+def test_radical_map_matches_member_oracle(monkeypatch):
+    # every regular pencil takes the chain; the non-regular ones either take
+    # it too (when Omega is still pinned down) or are refused by its guard
+    # and interpolated; both agree with the members' Pfaffian vectors
+    interpolated, interpolate = [], pencil._interpolated
+    monkeypatch.setattr(pencil, "_interpolated",
+                        lambda *args: interpolated.append(1) or interpolate(*args))
+    rng = random.Random(5)
+    counts = collections.Counter()
+    for case in range(160):
+        gf = GF((1, 1, 2, 3)[case % 4])
+        n = (3, 5, 7, 9)[case // 4 % 4]
+        p = random_pencil(gf, n, rng, regular=False)
+        before = len(interpolated)
+        ws = p.radical_map()
+        assert radical_map_matches_members(p, ws), (gf, n, case)
+        counts[p.is_regular(), len(interpolated) > before] += 1
+    assert counts == {(True, False): 82, (False, False): 52, (False, True): 26}
+
+
+def test_derived_pencils_reuse_regularity(monkeypatch):
+    # a GL(2) move and a field extension keep regularity, so one document
+    # is tested for separability once, whatever pencils it derives
+    calls = []
+    separable = poly.bf_is_separable
+    monkeypatch.setattr(poly, "bf_is_separable",
+                        lambda gf, a: calls.append(1) or separable(gf, a))
+    doc = str(Path(__file__).parent / "golden" / "docs" / "g4_n5_an0.json")
+    for command in ("generators", "lattice"):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--in", doc]) == 0
+        assert len(calls) == 1, command
 
 
 def test_half_discriminant_matches_members(g2, g4, g8):
