@@ -18,10 +18,14 @@ Two representations serve the arithmetic, chosen by the field order:
 Linear algebra and polynomial products go through one vector kernel,
 Field.addmul(acc, cs, vs) = acc + sum of c*v over the pairs, instead of
 one mul call per product.  With log tables it takes the log of each c
-once and does one exp lookup per nonzero entry of v.  Without them it
-builds the 4-bit table of multiples of each c once, xors the unreduced
-carry-less products into acc, and reduces each entry of the sum once, at
-the end of the call.
+once and does one exp lookup per nonzero entry of v.  Without them each
+vector becomes one int, entry j in bits [2kj, 2kj + 2k): room for the
+unreduced product of two elements, so the carry-less products of c with
+every entry of v at once are the 4-bit table of multiples of the packed v
+and ceil(k/4) shifted xors into the packed acc, a cost that does not
+depend on the length of v.  The call ends with one Barrett reduction of
+every slot at once, by mu = T^2k // modulus (fixed per field; exact for
+products of degree below 2k), and one unpack.
 
 Use the cached factories GF(k) / field_from_modulus(m) so that repeated
 requests return the same context (and the same lookup tables).  A degree
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lshift
 
 from . import poly
 from .errors import PreconditionError
@@ -63,15 +68,6 @@ def _nibble_table(a: int) -> tuple:
     a7 = a6 ^ a
     return (0, a, a2, a3, a4, a5, a6, a7,
             a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
-
-
-def _clmul_add(acc: list, t: tuple, v) -> list:
-    """acc xor the carry-less products of a with the entries of v, each
-    below 2^32, where t = _nibble_table(a)."""
-    return [x ^ t[y & 15] ^ t[y >> 4 & 15] << 4 ^ t[y >> 8 & 15] << 8
-            ^ t[y >> 12 & 15] << 12 ^ t[y >> 16 & 15] << 16
-            ^ t[y >> 20 & 15] << 20 ^ t[y >> 24 & 15] << 24 ^ t[y >> 28] << 28
-            for x, y in zip(acc, v)]
 
 
 def p2_mul(a: int, b: int) -> int:
@@ -168,7 +164,8 @@ def default_modulus(k: int) -> int:
 class Field:
     """The field GF(2^k) presented as GF(2)[T]/(modulus)."""
 
-    __slots__ = ("degree", "modulus", "order", "_exp", "_log", "_red", "_shifts")
+    __slots__ = ("degree", "modulus", "order", "_exp", "_log", "_red", "_shifts",
+                 "_barrett")
 
     def __init__(self, degree: int | None = None, modulus: int | None = None):
         if degree is None and modulus is None:
@@ -195,6 +192,7 @@ class Field:
         self._log = None
         self._red = None
         self._shifts = ()
+        self._barrett = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
         else:
@@ -216,10 +214,18 @@ class Field:
     def _build_reduction(self):
         """_red[c] is the multiple of the modulus whose bits k..k+7 are c;
         a product has at most k-1 bits above bit k-1, so _shifts holds the
-        byte offsets of those bits from the top down."""
+        byte offsets of those bits from the top down.  For the kernel's
+        Barrett reduction, _barrett holds the exponents of the terms below
+        T^k of mu = T^2k // modulus and of the modulus."""
         k, m = self.degree, self.modulus
         self._red = [(c << k) ^ p2_mod(c << k, m) for c in range(256)]
         self._shifts = tuple(range((k - 2) // 8 * 8, -1, -8))
+        mu, r = 0, 1 << 2 * k  # mu = T^2k // m, by long division
+        while r >> k:
+            s = p2_degree(r) - k
+            mu ^= 1 << s
+            r ^= m << s
+        self._barrett = tuple(tuple(i for i in range(k) if x >> i & 1) for x in (mu, m))
 
     def _mul_raw(self, a: int, b: int) -> int:
         p = p2_mul(a, b)
@@ -267,8 +273,10 @@ class Field:
 
     def addmul(self, acc: list, cs, vs) -> list:
         """acc + sum of c*v over the pairs (c, v) of cs and vs, entrywise:
-        the multiply-accumulate kernel.  Every v has the length of acc.
-        acc is not modified, but it may be returned itself."""
+        the multiply-accumulate kernel.  Every v has the length of acc
+        (above the log tables a shorter v would be read as padded with
+        zeros).  acc is not modified, but it may be returned itself.  See
+        the module docstring for the two representations."""
         exp, log = self._exp, self._log
         if exp is not None:
             # pairs with c != 0, 1 go two to a pass, which halves the
@@ -289,19 +297,39 @@ class Field:
                 lb, u = held
                 acc = [x ^ exp[lb + log[y]] if y else x for x, y in zip(acc, u)]
             return acc
-        # unreduced carry-less products, 32 bits of each entry of v per pass
+        # one int per vector, entry j in bits [2kj, 2kj + 2k): room for an
+        # unreduced product, so a pair costs the nibble table of the packed
+        # v and ceil(k/4) shifted xors, whatever the length of v
+        k = self.degree
+        slots = range(0, 2 * k * len(acc), 2 * k)
+        p = sum(map(lshift, acc, slots))
         for c, v in zip(cs, vs):
             if c == 1:
-                acc = [x ^ y for x, y in zip(acc, v)]
+                p ^= sum(map(lshift, v, slots))
             elif c:
-                if self.degree > 32:
-                    acc = _clmul_add(acc, _nibble_table(c << 32), [y >> 32 for y in v])
-                    v = [y & 0xFFFFFFFF for y in v]
-                acc = _clmul_add(acc, _nibble_table(c), v)
-        red, k = self._red, self.degree
-        for s in self._shifts:
-            acc = [p ^ red[p >> k + s] << s for p in acc]
-        return acc
+                t = _nibble_table(sum(map(lshift, v, slots)))
+                s = 0
+                while c:
+                    p ^= t[c & 15] << s
+                    c >>= 4
+                    s += 4
+        # Barrett reduction of every slot at once: h is the part of a slot
+        # at T^k and above, q = (h mu) >> k its quotient by the modulus and
+        # p + q m the remainder; the T^k terms of mu and m are the q = h
+        # start and the bits that the last mask clears
+        low = (1 << k) - 1
+        mask = low * (((1 << len(slots) * 2 * k) - 1) // ((1 << 2 * k) - 1))
+        h = p >> k & mask
+        if h:
+            mu_bits, m_bits = self._barrett
+            q = h
+            for i in mu_bits:
+                q ^= h << i >> k
+            q &= mask
+            for i in m_bits:
+                p ^= q << i
+            p &= mask
+        return [p >> s & low for s in slots]
 
     def inv(self, a: int) -> int:
         if a == 0:

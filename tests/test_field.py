@@ -231,6 +231,44 @@ def test_kernel_and_mat_mul_match_the_bit_loop_oracle(k):
         assert mat_mul(gf, a, b) == _mat_mul_by_bits(gf.modulus, a, b)
 
 
+def _moduli_for_the_packed_kernel(k):
+    """The default modulus, the irreducible with the most set bits among
+    the first eight others, and that one's reciprocal T^k m(1/T), also
+    irreducible, whose terms sit near T^k, so mu = T^2k // m is dense."""
+    default = default_modulus(k)
+    dense = max(_irreducibles(k, 8, default), key=lambda m: (bin(m).count("1"), m))
+    mirror = int(bin(dense)[:1:-1], 2)
+    return [default, dense, mirror]
+
+
+@pytest.mark.parametrize("k", [17, 20, 24, 32, 33, 48, 64])
+def test_packed_kernel_matches_the_bit_loop_oracle(k):
+    # the packed kernel above the log tables: each modulus has its own mu,
+    # calls of lengths 0..61 with up to 61 pairs, c in {0, 1, 2^k-1,
+    # random}, entries 2^k-1 (the widest unreduced products); acc is kept
+    rng = random.Random(3000 + k)
+    top = (1 << k) - 1
+    for modulus in _moduli_for_the_packed_kernel(k):
+        assert p2_is_irreducible(modulus)
+        gf = field_from_modulus(modulus)
+        assert gf._exp is None
+
+        def scalar():
+            return rng.choice((0, 1, top, rng.randrange(2, top)))
+
+        for length in (0, 1, 2, 9, 31, 61):
+            for pairs in (1, 2, rng.randrange(3, 61), 61):
+                cs = [scalar() for _ in range(pairs)]
+                vs = [[scalar() for _ in range(length)] for _ in range(pairs)]
+                acc = [scalar() for _ in range(length)]
+                before = list(acc)
+                got = gf.addmul(acc, cs, vs)
+                assert got == _addmul_by_bits(modulus, acc, cs, vs), (bin(modulus), length, pairs)
+                assert acc == before
+            assert gf.addmul([top] * length, [top], [[top] * length]) == _addmul_by_bits(
+                modulus, [top] * length, [top], [[top] * length])
+
+
 def test_log_tables_match_the_trial_build():
     # the primitivity test picks the same generator g as walking the powers
     # of 2, 3, ... until one has order q-1, so the tables are identical

@@ -10,6 +10,7 @@ GOLDEN = Path(__file__).parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 
 import record  # noqa: E402
+from qpencil.field import Field  # noqa: E402
 
 
 def test_golden_corpus_replays_byte_identical():
@@ -22,3 +23,26 @@ def test_golden_corpus_replays_byte_identical():
         if code != e["exit"] or digest != e["sha256"]:
             mismatches.append((" ".join(e["argv"]), e["exit"], code))
     assert not mismatches, mismatches
+
+
+def test_kernel_vectors_have_the_length_of_acc(monkeypatch):
+    # Field.addmul's precondition: above the log tables a shorter v would
+    # be padded with zeros rather than cut short as zip does, so replay the
+    # big-field documents and one log-table document with every pair checked
+    corpus = json.loads((GOLDEN / "corpus.json").read_text())
+    docs = ("@gk", "@iso_gk", "@g8_n5_113")
+    entries = [e for e in corpus if any(a.startswith(docs) for a in e["argv"])]
+    addmul = Field.addmul
+    seen = {True: 0, False: 0}  # pairs checked, by whether gf has log tables
+
+    def checked(self, acc, cs, vs):
+        cs, vs = list(cs), list(vs)
+        assert all(len(v) == len(acc) for v in vs[:len(cs)]), (self, len(acc))
+        seen[self._exp is not None] += len(vs)
+        return addmul(self, acc, cs, vs)
+
+    monkeypatch.setattr(Field, "addmul", checked)
+    for e in entries:
+        code, text = record.run(e["argv"])
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (e["exit"], e["sha256"])
+    assert seen[True] and seen[False]

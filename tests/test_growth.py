@@ -16,7 +16,9 @@ import random
 import pytest
 
 from qpencil.field import GF
+from qpencil.linalg import mat_mul
 from qpencil.pencil import Pencil
+from qpencil.quadform import QuadraticForm
 from qpencil.verify import random_regular_nf_pencil
 
 DEGREES = (1, 8, 32)
@@ -27,9 +29,29 @@ def _radical_map(gf, n):
     return Pencil(p.q0, p.q1).radical_map
 
 
+def _square(gf, n, rng):
+    return [[rng.randrange(gf.order) for _ in range(n)] for _ in range(n)]
+
+
+def _mat_mul(gf, n):
+    rng = random.Random(n)
+    a, b = _square(gf, n, rng), _square(gf, n, rng)
+    return lambda: mat_mul(gf, a, b)
+
+
+def _transform(gf, n):
+    rng = random.Random(n)
+    q = QuadraticForm.from_table(gf, n, {
+        (i, j): rng.randrange(gf.order) for i in range(n) for j in range(i, n)})
+    g = _square(gf, n, rng)
+    return lambda: q.transform(g)
+
+
 # layer: (input builder, sizes n, stated exponent)
 GROWTH = {
     "radical_map": (_radical_map, (11, 21, 31), 3.0),
+    "mat_mul": (_mat_mul, (11, 21, 31), 3.0),
+    "transform": (_transform, (11, 21, 31), 3.0),
 }
 
 
