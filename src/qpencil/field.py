@@ -15,17 +15,22 @@ Two representations serve the arithmetic, chosen by the field order:
   256-entry table of multiples of the modulus; inv is the binary extended
   Euclidean algorithm on packed GF(2)[T] ints.
 
-Linear algebra and polynomial products go through one vector kernel,
-Field.addmul(acc, cs, vs) = acc + sum of c*v over the pairs, instead of
-one mul call per product.  With log tables it takes the log of each c
-once and does one exp lookup per nonzero entry of v.  Without them each
-vector becomes one int, entry j in bits [2kj, 2kj + 2k): room for the
-unreduced product of two elements, so the carry-less products of c with
-every entry of v at once are the 4-bit table of multiples of the packed v
-and ceil(k/4) shifted xors into the packed acc, a cost that does not
-depend on the length of v.  The call ends with one Barrett reduction of
-every slot at once, by mu = T^2k // modulus (fixed per field; exact for
-products of degree below 2k), and one unpack.
+Linear algebra and polynomial products go through two kernel entries
+instead of one mul call per product: Field.addmul(acc, cs, vs) = acc + sum
+of c*v over the pairs, and Field.mat_mul(a, b) = a b.  With log tables
+addmul takes the log of each c once and does one exp lookup per nonzero
+entry of v.  Every other product is packed.  A vector becomes one int,
+entry j in the j-th byte-aligned slot of 8, 16, 32, 64 or 128 bits, the
+narrowest that holds 2k bits: room for the unreduced product of two
+elements.  Packing and unpacking go through array and int.from_bytes /
+int.to_bytes, so both cost time linear in the length.  A row of the
+result is a combination of packed rows, each with its 4-bit table of
+multiples: a nibble of a coefficient picks one entry of its row's table,
+shifted into place, whatever the length of the rows.  Each result row
+ends with one Barrett reduction of every slot at once, by mu = T^2k //
+modulus (fixed per field; exact for products of degree below 2k), and
+one unpack.  mat_mul packs each row of b and builds its table once for
+the whole product; addmul above GF(2^16) is one such result row.
 
 Use the cached factories GF(k) / field_from_modulus(m) so that repeated
 requests return the same context (and the same lookup tables).  A degree
@@ -35,9 +40,10 @@ any modulus search or irreducibility test.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import lshift
 
 from . import poly
 from .errors import PreconditionError
@@ -46,6 +52,9 @@ _TABLE_LIMIT = 1 << 16  # build exp/log tables up to this field order
 # the default-modulus search and the irreducibility test grow with the
 # degree without bound, so larger fields are refused before either runs
 MAX_FIELD_DEGREE = 64
+# array formats by item size; the packed slot is the first wide enough
+_FORMATS = sorted("BHILQ", key=lambda f: array(f).itemsize)
+_SWAP = sys.byteorder != "little"  # array holds items in machine order
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +89,26 @@ def p2_mul(a: int, b: int) -> int:
         s -= 4
         r = (r << 4) ^ t[(b >> s) & 15]
     return r
+
+
+def _combine(tables: list, cs) -> int:
+    """The packed sum of c*v over the pairs of cs and the 4-bit tables t of
+    the packed v: t[c & 15] shifted into place for each nibble of c.  The
+    first two nibbles are unrolled, so an entry of a field up to GF(2^8),
+    or a 0 or 1 of any field, takes one or two lookups."""
+    p = 0
+    for c, t in zip(cs, tables):
+        if c < 16:
+            p ^= t[c]
+        elif c < 256:
+            p ^= t[c & 15] ^ t[c >> 4] << 4
+        else:
+            s = 0
+            while c:
+                p ^= t[c & 15] << s
+                c >>= 4
+                s += 4
+    return p
 
 
 def p2_mod(a: int, m: int) -> int:
@@ -165,7 +194,7 @@ class Field:
     """The field GF(2^k) presented as GF(2)[T]/(modulus)."""
 
     __slots__ = ("degree", "modulus", "order", "_exp", "_log", "_red", "_shifts",
-                 "_barrett")
+                 "_barrett", "_slot")
 
     def __init__(self, degree: int | None = None, modulus: int | None = None):
         if degree is None and modulus is None:
@@ -192,7 +221,7 @@ class Field:
         self._log = None
         self._red = None
         self._shifts = ()
-        self._barrett = None
+        self._build_packing()
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
         else:
@@ -211,21 +240,31 @@ class Field:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _build_reduction(self):
-        """_red[c] is the multiple of the modulus whose bits k..k+7 are c;
-        a product has at most k-1 bits above bit k-1, so _shifts holds the
-        byte offsets of those bits from the top down.  For the kernel's
-        Barrett reduction, _barrett holds the exponents of the terms below
-        T^k of mu = T^2k // modulus and of the modulus."""
+    def _build_packing(self):
+        """The packed kernel's constants, for every field.  _slot is (array
+        format, items per slot, bytes per slot): the format with the
+        smallest items of at least 2k bits, or two items of the largest
+        above k = 32.  _barrett holds the exponents of the terms below T^k
+        of mu = T^2k // modulus and of the modulus."""
         k, m = self.degree, self.modulus
-        self._red = [(c << k) ^ p2_mod(c << k, m) for c in range(256)]
-        self._shifts = tuple(range((k - 2) // 8 * 8, -1, -8))
+        fmt = next((f for f in _FORMATS if array(f).itemsize * 8 >= 2 * k), None)
+        step = 1 if fmt else 2
+        fmt = fmt or _FORMATS[-1]
+        self._slot = (fmt, step, array(fmt).itemsize * step)
         mu, r = 0, 1 << 2 * k  # mu = T^2k // m, by long division
         while r >> k:
             s = p2_degree(r) - k
             mu ^= 1 << s
             r ^= m << s
         self._barrett = tuple(tuple(i for i in range(k) if x >> i & 1) for x in (mu, m))
+
+    def _build_reduction(self):
+        """_red[c] is the multiple of the modulus whose bits k..k+7 are c;
+        a product has at most k-1 bits above bit k-1, so _shifts holds the
+        byte offsets of those bits from the top down."""
+        k, m = self.degree, self.modulus
+        self._red = [(c << k) ^ p2_mod(c << k, m) for c in range(256)]
+        self._shifts = tuple(range((k - 2) // 8 * 8, -1, -8))
 
     def _mul_raw(self, a: int, b: int) -> int:
         p = p2_mul(a, b)
@@ -275,8 +314,9 @@ class Field:
         """acc + sum of c*v over the pairs (c, v) of cs and vs, entrywise:
         the multiply-accumulate kernel.  Every v has the length of acc
         (above the log tables a shorter v would be read as padded with
-        zeros).  acc is not modified, but it may be returned itself.  See
-        the module docstring for the two representations."""
+        zeros).  acc is not modified, but it may be returned itself.  With
+        log tables it is a pass of exp lookups per two pairs; above them it
+        is one packed row of mat_mul (see the module docstring)."""
         exp, log = self._exp, self._log
         if exp is not None:
             # pairs with c != 0, 1 go two to a pass, which halves the
@@ -297,28 +337,52 @@ class Field:
                 lb, u = held
                 acc = [x ^ exp[lb + log[y]] if y else x for x, y in zip(acc, u)]
             return acc
-        # one int per vector, entry j in bits [2kj, 2kj + 2k): room for an
-        # unreduced product, so a pair costs the nibble table of the packed
-        # v and ceil(k/4) shifted xors, whatever the length of v
-        k = self.degree
-        slots = range(0, 2 * k * len(acc), 2 * k)
-        p = sum(map(lshift, acc, slots))
+        tables, used = [], []
         for c, v in zip(cs, vs):
-            if c == 1:
-                p ^= sum(map(lshift, v, slots))
-            elif c:
-                t = _nibble_table(sum(map(lshift, v, slots)))
-                s = 0
-                while c:
-                    p ^= t[c & 15] << s
-                    c >>= 4
-                    s += 4
-        # Barrett reduction of every slot at once: h is the part of a slot
-        # at T^k and above, q = (h mu) >> k its quotient by the modulus and
-        # p + q m the remainder; the T^k terms of mu and m are the q = h
-        # start and the bits that the last mask clears
-        low = (1 << k) - 1
-        mask = low * (((1 << len(slots) * 2 * k) - 1) // ((1 << 2 * k) - 1))
+            if c:
+                tables.append(_nibble_table(self._pack(v)))
+                used.append(c)
+        n = len(acc)
+        return self._unpack(self._pack(acc) ^ _combine(tables, used), self._mask(n), n)
+
+    def mat_mul(self, a, b) -> list:
+        """The matrix product a b, packed: every row of b becomes one int and
+        its 4-bit table once, then each row of a is one combination of
+        them, one Barrett reduction and one unpack.  Every row of b has the
+        width of b[0] and every row of a has len(b) entries (a shorter row
+        of b would be read as padded with zeros)."""
+        width = len(b[0]) if b else 0
+        tables = [_nibble_table(self._pack(v)) for v in b]
+        mask = self._mask(width)
+        return [self._unpack(_combine(tables, row), mask, width) for row in a]
+
+    # -- the packed representation (see the module docstring) ---------------
+
+    def _pack(self, v) -> int:
+        fmt, step, _ = self._slot
+        if step == 2:
+            w = [0] * (2 * len(v))
+            w[::2] = v
+            v = w
+        items = array(fmt, v)
+        if _SWAP:
+            items.byteswap()
+        return int.from_bytes(items.tobytes(), "little")
+
+    def _mask(self, n: int) -> int:
+        """The bits below T^k of each of n slots."""
+        return int.from_bytes(((1 << self.degree) - 1).to_bytes(self._slot[2], "little") * n,
+                              "little")
+
+    def _unpack(self, p: int, mask: int, n: int) -> list:
+        """The n entries of p, each slot reduced modulo the modulus first.
+        The Barrett reduction does every slot at once: h is the part of a
+        slot at T^k and above, q = (h mu) >> k its quotient by the modulus
+        and p + q m the remainder; the T^k terms of mu and m are the q = h
+        start and the bits that the last mask clears.  A slot holds at least
+        2k bits, so the bits that h << i >> k moves into the slot below land
+        above its low k bits, and the mask clears them too."""
+        k = self.degree
         h = p >> k & mask
         if h:
             mu_bits, m_bits = self._barrett
@@ -329,7 +393,11 @@ class Field:
             for i in m_bits:
                 p ^= q << i
             p &= mask
-        return [p >> s & low for s in slots]
+        fmt, step, size = self._slot
+        items = array(fmt, p.to_bytes(n * size, "little"))
+        if _SWAP:
+            items.byteswap()
+        return items.tolist() if step == 1 else items[::2].tolist()
 
     def inv(self, a: int) -> int:
         if a == 0:

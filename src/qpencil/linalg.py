@@ -30,11 +30,8 @@ def mat_vec(gf: Field, a: list, v: list) -> list:
 
 
 def mat_mul(gf: Field, a: list, b: list) -> list:
-    """a b, row by row: row i is the combination of the rows of b with the
-    entries of row i of a."""
-    addmul = gf.addmul
-    width = len(b[0]) if b else 0
-    return [addmul([0] * width, row, b) for row in a]
+    """a b, by the field's packed matrix-product kernel, Field.mat_mul."""
+    return gf.mat_mul(a, b)
 
 
 def vec_dot(gf: Field, u: list, v: list) -> int:

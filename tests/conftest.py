@@ -32,13 +32,14 @@ def g16():
 def products(monkeypatch):
     """products(fn) runs fn and returns (the field products it formed, its
     result): one product per Field.mul call, plus len(v) for each pair
-    (c, v) with c != 0 that a Field.addmul call takes.  The
-    multiplication-count guards use it, so a product is counted whether it
-    goes through mul or through the kernel."""
+    (c, v) with c != 0 that a Field.addmul call takes, and the same for
+    each row of a, paired with the rows of b, in a Field.mat_mul(a, b)
+    call.  The multiplication-count guards use it, so a product is counted
+    whether it goes through mul or through a kernel entry."""
 
     def count(fn):
         formed = 0
-        mul, addmul = Field.mul, Field.addmul
+        mul, addmul, mat_mul = Field.mul, Field.addmul, Field.mat_mul
 
         def counted_mul(self, a, b):
             nonlocal formed
@@ -51,9 +52,15 @@ def products(monkeypatch):
             formed += sum(len(v) for c, v in zip(cs, vs) if c)
             return addmul(self, acc, cs, vs)
 
+        def counted_mat_mul(self, a, b):
+            nonlocal formed
+            formed += sum(len(v) for row in a for c, v in zip(row, b) if c)
+            return mat_mul(self, a, b)
+
         with monkeypatch.context() as mp:
             mp.setattr(Field, "mul", counted_mul)
             mp.setattr(Field, "addmul", counted_addmul)
+            mp.setattr(Field, "mat_mul", counted_mat_mul)
             out = fn()
         return formed, out
 

@@ -200,35 +200,43 @@ def _mat_mul_by_bits(modulus, a, b):
 
 @pytest.mark.parametrize("k", ORACLE_DEGREES)
 def test_kernel_and_mat_mul_match_the_bit_loop_oracle(k):
-    # the multiply-accumulate kernel on both sides of the table limit:
-    # vectors with zeros, c in {0, 1, random}, lengths 0..9, one to three
-    # pairs per call; then mat_mul on square, non-square and empty shapes
+    # both kernel entries on both sides of the table limit and of every
+    # packed slot width (8, 16, 32, 64 and 128 bits, from k = 1, 5, 9, 17
+    # and 33), above GF(2^16) with each of the three moduli of
+    # _moduli_for_the_packed_kernel: addmul on vectors with zeros, c in
+    # {0, 1, random}, lengths 0..9, one to three pairs per call; then
+    # mat_mul on square, non-square, empty and 3 x 600 shapes, with entries
+    # drawn from {0, 1, 2^k-1, random} and one product of 2^k-1 only
     rng = random.Random(2000 + k)
-    gf = GF(k)
+    for modulus in _moduli_for_the_packed_kernel(k) if k > 16 else [default_modulus(k)]:
+        gf = field_from_modulus(modulus)
+        top = gf.order - 1
 
-    def vec(length):
-        return [rng.choice((0, 1, rng.randrange(gf.order))) for _ in range(length)]
+        def vec(length):
+            return [rng.choice((0, 1, top, rng.randrange(gf.order))) for _ in range(length)]
 
-    for length in range(10):
-        for _ in range(4):
-            pairs = rng.randrange(1, 4)
-            cs = [rng.choice((0, 1, rng.randrange(1, gf.order))) for _ in range(pairs)]
-            vs = [vec(length) for _ in range(pairs)]
-            acc = vec(length)
-            before = list(acc)
-            got = gf.addmul(acc, cs, vs)
-            assert got == _addmul_by_bits(gf.modulus, acc, cs, vs)
-            assert acc == before  # acc itself is left alone
-        for c in (0, 1, rng.randrange(2, gf.order) if k > 1 else 1):
-            v = vec(length)
-            assert gf.addmul([0] * length, [c], [v]) == _addmul_by_bits(
-                gf.modulus, [0] * length, [c], [v])
-    shapes = [(1, 5, 3), (5, 1, 4), (4, 6, 1), (1, 1, 1), (3, 3, 3), (2, 0, 3),
-              (0, 3, 2), (9, 7, 8)]
-    for rows, inner, cols in shapes:
-        a = [vec(inner) for _ in range(rows)]
-        b = [vec(cols) for _ in range(inner)]
-        assert mat_mul(gf, a, b) == _mat_mul_by_bits(gf.modulus, a, b)
+        for length in range(10):
+            for _ in range(4):
+                pairs = rng.randrange(1, 4)
+                cs = [rng.choice((0, 1, rng.randrange(1, gf.order))) for _ in range(pairs)]
+                vs = [vec(length) for _ in range(pairs)]
+                acc = vec(length)
+                before = list(acc)
+                got = gf.addmul(acc, cs, vs)
+                assert got == _addmul_by_bits(modulus, acc, cs, vs)
+                assert acc == before  # acc itself is left alone
+            for c in (0, 1, rng.randrange(2, gf.order) if k > 1 else 1):
+                v = vec(length)
+                assert gf.addmul([0] * length, [c], [v]) == _addmul_by_bits(
+                    modulus, [0] * length, [c], [v])
+        shapes = [(1, 5, 3), (5, 1, 4), (4, 6, 1), (1, 1, 1), (3, 3, 3), (2, 0, 3),
+                  (0, 3, 2), (9, 7, 8), (3, 2, 600)]
+        for rows, inner, cols in shapes:
+            a = [vec(inner) for _ in range(rows)]
+            b = [vec(cols) for _ in range(inner)]
+            assert mat_mul(gf, a, b) == _mat_mul_by_bits(modulus, a, b), (rows, inner, cols)
+        a, b = [[top] * 3] * 2, [[top] * 5] * 3
+        assert mat_mul(gf, a, b) == _mat_mul_by_bits(modulus, a, b)
 
 
 def _moduli_for_the_packed_kernel(k):
