@@ -26,8 +26,9 @@ def main():
     a = [0, 1, 1, 1, 1, 1]
     p = realize(g2, a, [0] * 4)
     print("pencil on P^4 over GF(2) with half-discriminant", a)
-    print("  q0 =", p.q0.table())
-    print("  q1 =", p.q1.table())
+    for name, q in (("q0", p.q0), ("q1", p.q1)):  # the document's triples
+        print(f"  {name} =", [[i + 1, j + 1, c] for i, row in enumerate(q.rows)
+                              for j, c in enumerate(row) if c])
     print("regular:", p.is_regular())
 
     cp = canonical_plane(p)

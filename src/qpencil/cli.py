@@ -9,12 +9,13 @@ A pencil document looks like
       "q1": [[1, 2, 1]]
     }
 
-Coefficient triples are (i, j, element) with 1 <= i <= j <= n; field
-elements are the integers whose binary digits are the power-basis
-coordinates, so documents round-trip byte-identically.  "modulus" may be
-omitted to get the fixed default modulus for that degree.  Extension
-fields created on demand are reported in the output (with their modulus)
-so results are reproducible without hidden state.
+Coefficient triples are (i, j, element) with 1 <= i <= j <= n, and
+triples that repeat (i, j) are added in the field; field elements are the
+integers whose binary digits are the power-basis coordinates, so documents
+round-trip byte-identically.  "modulus" may be omitted to get the fixed
+default modulus for that degree.  Extension fields created on demand are
+reported in the output (with their modulus) so results are reproducible
+without hidden state.
 
 Exit codes: 0 success, 1 precondition violation (with a machine-readable
 error object), 2 malformed input, 3 a failed internal certificate (a bug:

@@ -81,17 +81,18 @@ def arf_invariant(an: PairAnalysis) -> ArfData:
     A, nf = an.algebra, an.nf
     m = nf.m
     model = nf.realized()
-    tables = ((model.q0.table(), 0), (model.q1.table(), 1))
+    # (i, j, c, shift): the model's nonzero coefficients, shift 1 for q1's t
+    entries = [(i, j, c, shift) for shift, q in enumerate((model.q0, model.q1))
+               for i, row in enumerate(q.rows) for j, c in enumerate(row) if c]
 
     def qa(exps):
         """q_A of the vector with entry t^exps[k] at each index k in exps
-        and zero elsewhere: each table entry adds its coefficient at the
+        and zero elsewhere: each nonzero coefficient adds itself at the
         exponent sum, one more for q1's factor t."""
         acc = [0] * (2 * m + 2)
-        for table, shift in tables:
-            for (i, j), c in table.items():
-                if i in exps and j in exps:
-                    acc[exps[i] + exps[j] + shift] ^= c
+        for i, j, c, shift in entries:
+            if i in exps and j in exps:
+                acc[exps[i] + exps[j] + shift] ^= c
         return A.from_poly(acc)
 
     # w'_i has t^(k-i) at k = i..m; v'_i has 1 at m+1+i

@@ -166,7 +166,7 @@ def extract_normal_form(p: Pencil) -> NormalForm:
     n, m = p.n, p.m
     b = kb.basis_matrix
     pulled = (p.q0.transform(b), p.q1.transform(b))
-    d0, d1 = ([q.table().get((i, i), 0) for i in range(n)] for q in pulled)
+    d0, d1 = ([q.rows[i][i] for i in range(n)] for q in pulled)
     a = [c for pair in zip(d0[:m + 1], d1[:m + 1]) for c in pair]
     r = [c for pair in zip(d1[m + 1:], d0[m + 1:]) for c in pair]
     if a != p.half_discriminant():
@@ -189,18 +189,16 @@ def realize(gf: Field, a: list, r: list) -> Pencil:
     if len(r) != n - 1:
         raise ValueError(f"need {n - 1} r-coefficients, got {len(r)}")
     m = (n - 1) // 2
-    t0 = {}
-    t1 = {}
+    u0 = [[0] * n for _ in range(n)]
+    u1 = [[0] * n for _ in range(n)]
     for i in range(m + 1):
-        t0[(i, i)] = a[2 * i]
-        t1[(i, i)] = a[2 * i + 1]
+        u0[i][i] = a[2 * i]
+        u1[i][i] = a[2 * i + 1]
     for i in range(m):
         y = m + 1 + i
-        t0[(i + 1, y)] = 1  # x_{i+1} y_i
-        t1[(i, y)] = 1  # x_i y_i
-        t0[(y, y)] = r[2 * i + 1]
-        t1[(y, y)] = r[2 * i]
-    return Pencil(
-        QuadraticForm.from_table(gf, n, t0), QuadraticForm.from_table(gf, n, t1)
-    )
+        u0[i + 1][y] = 1  # x_{i+1} y_i
+        u1[i][y] = 1  # x_i y_i
+        u0[y][y] = r[2 * i + 1]
+        u1[y][y] = r[2 * i]
+    return Pencil(*(QuadraticForm(gf, n, tuple(map(tuple, u))) for u in (u0, u1)))
 

@@ -30,7 +30,8 @@ class Pencil:
             raise ValueError("forms live on spaces of different dimension")
         if q0.n % 2 != 1 or q0.n < 3:
             raise ValueError(f"pencil dimension must be odd and >= 3, got {q0.n}")
-        if rank(q0.gf, [q0.coefficient_vector(), q1.coefficient_vector()]) != 2:
+        if rank(q0.gf, [[x for i, row in enumerate(q.rows) for x in row[i:]]
+                        for q in (q0, q1)]) != 2:
             raise ValueError("the two forms are proportional; not a pencil")
         self.gf = q0.gf
         self.q0 = q0
@@ -101,7 +102,7 @@ class Pencil:
             wt = transpose(w)
             acc = [0] * (n + 1)
             for shift, q in enumerate((self.q0, self.q1)):  # l shifts by 0, u by 1
-                g = mat_mul(gf, w, mat_mul(gf, q.upper_matrix(), wt))
+                g = mat_mul(gf, w, mat_mul(gf, q.rows, wt))
                 for e, row in enumerate(g):
                     for f, v in enumerate(row, e + shift):
                         acc[f] ^= v
@@ -165,7 +166,7 @@ class Pencil:
         Delta maps coefficient by coefficient, and separability does not
         depend on the field."""
         if emb.dst == self.gf and all(
-            emb.map(c) == c for _, c in self.q0.coeffs + self.q1.coeffs
+            emb.map(c) == c for q in (self.q0, self.q1) for row in q.rows for c in row
         ):
             return self
         if emb not in self._mapped:

@@ -1,14 +1,15 @@
 """Quadratic forms and their polar forms in characteristic 2.
 
-A quadratic form is an upper-triangular coefficient table q = sum a_ij x_i x_j
-(0-based, i <= j); its polar form b(v, w) = q(v+w) + q(v) + q(w) is alternating
-because the characteristic is 2, and polar() returns its Gram matrix, which is
-symmetric with zero diagonal by construction.  On odd-dimensional spaces the
-vector of principal Pfaffians spans the radical of a corank-1 alternating
-form, and q evaluated there is the half-discriminant, the degree-n substitute
-for the vanishing determinant.  A span is totally isotropic for q when the
-pull-back of q by a matrix whose columns span it (`transform` on an n x k
-matrix) is the zero form.
+A quadratic form is q(x) = x^T U x for its upper-triangular coefficient
+matrix U, q = sum a_ij x_i x_j (0-based, i <= j, a_ij = U_ij), and U is the
+one form it is stored in.  Its polar form b(v, w) = q(v+w) + q(v) + q(w) has
+the Gram matrix U + U^T (polar()), which is alternating because the
+characteristic is 2: symmetric with zero diagonal.  On odd-dimensional
+spaces the vector of principal Pfaffians spans the radical of a corank-1
+alternating form, and q evaluated there is the half-discriminant, the
+degree-n substitute for the vanishing determinant.  A span is totally
+isotropic for q when the pull-back of q by a matrix whose columns span it
+(`transform` on an n x k matrix) is the zero form.
 
 The volume form is fixed once and for all as e_1 ^ ... ^ e_n -> 1 in the
 standard basis, so Pfaffian vectors and half-discriminants are exact values,
@@ -17,7 +18,8 @@ not classes modulo squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import xor
 
 from .field import Field
 from .linalg import mat_mul, rank, transpose, vec_dot, vec_scale
@@ -25,95 +27,78 @@ from .linalg import mat_mul, rank, transpose, vec_dot, vec_scale
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """q = sum over i <= j of coeffs[(i,j)] x_i x_j, stored sparsely."""
+    """q(x) = x^T U x, with U the upper-triangular coefficient matrix held
+    as rows, a tuple of n row tuples: rows[i][j] is the coefficient of
+    x_i x_j for i <= j, and every entry below the diagonal is zero."""
 
     gf: Field
     n: int
-    coeffs: tuple  # sorted ((i, j), c) with i <= j and c != 0
+    rows: tuple
+    _polar: tuple = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
-    def from_table(gf: Field, n: int, table) -> "QuadraticForm":
-        merged: dict = {}
-        items = table.items() if isinstance(table, dict) else table
-        for key, c in items:
-            i, j = key
+    def from_table(gf: Field, n: int, table: dict) -> "QuadraticForm":
+        """The form with coefficient table[(i, j)] at x_i x_j, 0 <= i <= j < n."""
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), c in table.items():
             if not (0 <= i <= j < n):
                 raise ValueError(f"coefficient index {(i, j)} out of range for n={n}")
             if not (0 <= c < gf.order):
                 raise ValueError(f"{c} is not an element of {gf!r}")
-            if c:
-                k = (i, j)
-                merged[k] = merged.get(k, 0) ^ c
-        cleaned = tuple(sorted((k, c) for k, c in merged.items() if c))
-        return QuadraticForm(gf, n, cleaned)
-
-    def table(self) -> dict:
-        return {k: c for k, c in self.coeffs}
+            rows[i][j] = c
+        return QuadraticForm(gf, n, tuple(map(tuple, rows)))
 
     def __call__(self, v: list) -> int:
+        """q(v) = v . (U v), a row of U at a time and skipping zeros: the
+        kernel's fixed cost per call would dominate at the small n of the
+        point scans."""
         mul = self.gf.mul
         acc = 0
-        for (i, j), c in self.coeffs:
-            p = mul(v[i], v[j])
-            if p:
-                acc ^= mul(c, p)
+        for x, row in zip(v, self.rows):
+            if x:
+                s = 0
+                for c, y in zip(row, v):
+                    if c and y:
+                        s ^= mul(c, y)
+                acc ^= mul(x, s)
         return acc
 
     def polar(self) -> tuple:
-        """The Gram matrix of b, b(v, w) = v^T G w, as a tuple of row tuples."""
-        n = self.n
-        gram = [[0] * n for _ in range(n)]
-        for (i, j), c in self.coeffs:
-            if i != j:
-                gram[i][j] ^= c
-                gram[j][i] ^= c
-        return tuple(tuple(r) for r in gram)
+        """The Gram matrix of b, b(v, w) = v^T G w, as a tuple of row tuples:
+        G = U + U^T, built once per form."""
+        if self._polar is None:
+            gram = tuple(tuple(map(xor, row, col))
+                         for row, col in zip(self.rows, zip(*self.rows)))
+            object.__setattr__(self, "_polar", gram)
+        return self._polar
 
     def add(self, other: "QuadraticForm") -> "QuadraticForm":
-        t = self.table()
-        for k, c in other.coeffs:
-            t[k] = t.get(k, 0) ^ c
-        return QuadraticForm.from_table(self.gf, self.n, t)
+        return QuadraticForm(self.gf, self.n, tuple(
+            tuple(map(xor, r, s)) for r, s in zip(self.rows, other.rows)))
 
     def scale(self, c: int) -> "QuadraticForm":
         mul = self.gf.mul
-        return QuadraticForm.from_table(
-            self.gf, self.n, {k: mul(c, v) for k, v in self.coeffs}
-        )
+        return QuadraticForm(self.gf, self.n, tuple(
+            tuple(mul(c, x) if x else 0 for x in row) for row in self.rows))
 
     def transform(self, g: list) -> "QuadraticForm":
         """The pulled-back form q o g, i.e. (q o g)(v) = q(g v), for an n x k
         matrix g: on k variables, the restriction of q to the span of g's
         columns.
 
-        With U the upper-triangular coefficient matrix, q(x) = x^T U x, so
         q o g has the matrix K = g^T U g read back to upper-triangular form:
         (q o g)_ii = K_ii and (q o g)_ij = K_ij + K_ji.  Two matrix products,
         O(n^2 k) multiplications.
         """
         k = len(g[0])
-        c = mat_mul(self.gf, transpose(g), mat_mul(self.gf, self.upper_matrix(), g))
-        return QuadraticForm.from_table(self.gf, k, {
-            (i, j): c[i][j] ^ (c[j][i] if i != j else 0)
-            for i in range(k) for j in range(i, k)
-        })
-
-    def upper_matrix(self) -> list:
-        """The upper-triangular U with q(x) = x^T U x."""
-        u = [[0] * self.n for _ in range(self.n)]
-        for (i, j), c in self.coeffs:
-            u[i][j] = c
-        return u
+        c = mat_mul(self.gf, transpose(g), mat_mul(self.gf, self.rows, g))
+        return QuadraticForm(self.gf, k, tuple(
+            (0,) * i + (row[i],) + tuple(map(xor, row[i + 1:], col[i + 1:]))
+            for i, (row, col) in enumerate(zip(c, zip(*c)))))
 
     def map_field(self, emb) -> "QuadraticForm":
-        return QuadraticForm.from_table(
-            emb.dst, self.n, {k: emb.map(c) for k, c in self.coeffs}
-        )
-
-    def coefficient_vector(self) -> list:
-        """Dense length n(n+1)/2 vector in (i, j) lexicographic order."""
-        t = self.table()
-        return [t.get((i, j), 0) for i in range(self.n) for j in range(i, self.n)]
+        return QuadraticForm(emb.dst, self.n, tuple(
+            tuple(map(emb.map, row)) for row in self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -171,4 +156,4 @@ def is_totally_isotropic(q: QuadraticForm, vectors: list) -> bool:
     pull-back by the matrix with these columns is the zero form."""
     if rank(q.gf, vectors) != len(vectors):
         raise ValueError("spanning set is linearly dependent")
-    return not q.transform(transpose(vectors)).coeffs
+    return not any(map(any, q.transform(transpose(vectors)).rows))

@@ -196,18 +196,18 @@ def pulls_back(q: QuadraticForm, g: list, target: QuadraticForm) -> bool:
     of `QuadraticForm.transform`, which it checks.
     """
     n = q.n
-    want = dict(target.coeffs)
+    want = target.rows
     cols, values = [], []
     for j in range(n):
         col = [row[j] for row in g]
         value = q(col)
-        if value != want.get((j, j), 0):
+        if value != want[j][j]:
             return False
         cols.append(col)
         values.append(value)
     for i, j in itertools.combinations(range(n), 2):
         both = q([x ^ y for x, y in zip(cols[i], cols[j])])
-        if both ^ values[i] ^ values[j] != want.get((i, j), 0):
+        if both ^ values[i] ^ values[j] != want[i][j]:
             return False
     return True
 
@@ -386,7 +386,7 @@ def check_half_disc(scale: str):
                 ^ mul(a12, mul(a23, a13))
             )
             omega = pfaffian_vector(gf, q.polar())
-            _expect(q(omega) == explicit, f"mismatch at {q.coeffs}")
+            _expect(q(omega) == explicit, f"mismatch at {t}")
             yield 1
 
 
@@ -400,7 +400,7 @@ def check_regularity_oracle(scale: str):
         pencils = [random_pencil(GF(1), 3, rng0, regular=False) for _ in range(150)]
     for p in pencils:
         _expect(p.is_regular() == smoothness_oracle(p, 4),
-                f"disagree at {p.q0.coeffs}|{p.q1.coeffs}")
+                f"disagree at {p.q0.rows}|{p.q1.rows}")
         yield 1
     rng = random.Random(1105)
     per_field = 250 if scale == "full" else 20
@@ -511,7 +511,7 @@ def check_classification(scale: str):
         coset_parts: dict = {}
         index = {}
         for p in pencils:
-            key = (p.q0.coeffs, p.q1.coeffs)
+            key = (p.q0.rows, p.q1.rows)
             index[key] = p
             rep, _ = r_invariant(pair_algebra(p))
             coset_parts.setdefault(rep, set()).add(key)
@@ -519,7 +519,7 @@ def check_classification(scale: str):
         orbits = []
         while unvisited:
             seed = index[next(iter(unvisited))]
-            orbit = {(seed.q0.transform(g).coeffs, seed.q1.transform(g).coeffs)
+            orbit = {(seed.q0.transform(g).rows, seed.q1.transform(g).rows)
                      for g in gl32}
             _expect(orbit <= index.keys(), "orbit left its Delta class")
             unvisited -= orbit

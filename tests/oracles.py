@@ -141,10 +141,10 @@ def half_discriminant_per_key(p):
     ws = p.radical_map()
     omega = [[ws[i][k] for i in range(m + 1)] for k in range(n)]
     acc = [0] * (n + 1)
-    t0, t1 = p.q0.table(), p.q1.table()
-    for key in set(t0) | set(t1):
-        i, j = key
-        lin = [t0.get(key, 0), t1.get(key, 0)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        lin = [p.q0.rows[i][j], p.q1.rows[i][j]]
+        if not any(lin):
+            continue
         term = poly.bf_mul(gf, lin, poly.bf_mul(gf, omega[i], omega[j]))
         for k, v in enumerate(term):
             acc[k] ^= v
@@ -296,7 +296,7 @@ def corank_profile(p, ext):
 
 def is_zero(q):
     """q is the zero quadratic form."""
-    return not q.coeffs
+    return not any(map(any, q.rows))
 
 
 def all_idempotents(algebra):
@@ -323,7 +323,8 @@ def singular_points_on_X(p, ext):
 def serialize_pencil(p):
     """The pencil document of p, as the CLI reads it."""
     def triples(q):
-        return [[i + 1, j + 1, c] for (i, j), c in q.coeffs]
+        return [[i + 1, j + 1, c] for i, row in enumerate(q.rows)
+                for j, c in enumerate(row) if c]
 
     return {
         "field": {"degree": p.gf.degree, "modulus": p.gf.modulus},

@@ -69,6 +69,20 @@ def test_parse_errors():
         parse_pencil({"field": {"degree": 1}})
 
 
+def test_repeated_triples_are_added(tmp_path, capsys):
+    # a triple that repeats (i, j) adds its element to that coefficient: two
+    # copies of [1, 1, 1] cancel, so the document reads as the one without
+    # them
+    twice = dict(M1_DOC, q0=M1_DOC["q0"] + [[1, 1, 1], [1, 1, 1]])
+    assert parse_pencil(twice) == parse_pencil(M1_DOC)
+    payloads = []
+    for name, doc in (("twice.json", twice), ("once.json", M1_DOC)):
+        assert main(["halfdisc", "--in", write_doc(tmp_path, name, doc)]) == 0
+        payloads.append(capsys.readouterr().out)
+    assert payloads[0] == payloads[1]
+    assert json.loads(payloads[0])["a"] == [0, 1, 1, 1]
+
+
 def test_cli_halfdisc_and_normalform():
     proc = run_cli(["halfdisc"], stdin_doc=M1_DOC)
     assert proc.returncode == 0

@@ -17,6 +17,7 @@ import pytest
 
 from qpencil.field import GF
 from qpencil.linalg import mat_mul
+from qpencil.normalform import extract_normal_form
 from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm
 from qpencil.verify import random_regular_nf_pencil
@@ -27,6 +28,24 @@ DEGREES = (1, 8, 32)
 def _radical_map(gf, n):
     p = random_regular_nf_pencil(gf, n // 2, random.Random(n))
     return Pencil(p.q0, p.q1).radical_map
+
+
+def _half_discriminant(gf, n):
+    # the radical map is computed here, so only W (U W^T) is counted
+    p = random_regular_nf_pencil(gf, n // 2, random.Random(n))
+    fresh = Pencil(p.q0, p.q1)
+    fresh.radical_map()
+    return fresh.half_discriminant
+
+
+def _normal_form(gf, n):
+    # Omega, Delta and the regularity verdict are computed here, so the
+    # two transforms, the Kronecker completion and the round-trip
+    # certificate are counted
+    p = random_regular_nf_pencil(gf, n // 2, random.Random(n))
+    fresh = Pencil(p.q0, p.q1)
+    fresh.is_regular()
+    return lambda: extract_normal_form(fresh)
 
 
 def _square(gf, n, rng):
@@ -52,6 +71,8 @@ GROWTH = {
     "radical_map": (_radical_map, (11, 21, 31), 3.0),
     "mat_mul": (_mat_mul, (11, 21, 31), 3.0),
     "transform": (_transform, (11, 21, 31), 3.0),
+    "half_discriminant": (_half_discriminant, (11, 21, 31), 3.0),
+    "normal_form": (_normal_form, (11, 21, 31), 3.0),
 }
 
 

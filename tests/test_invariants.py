@@ -191,9 +191,11 @@ def test_arf_pairing_table_is_delta():
             def qa(vec):
                 acc = A.zero()
                 for form, coef in ((model.q0, A.one()), (model.q1, t)):
-                    for (i, j), c in form.coeffs:
-                        term = A.mul(coef, A.mul(vec[i], vec[j]))
-                        acc = A.add(acc, tuple(gf.mul(c, x) for x in term))
+                    for i, j in itertools.combinations_with_replacement(range(n), 2):
+                        c = form.rows[i][j]
+                        if c:
+                            term = A.mul(coef, A.mul(vec[i], vec[j]))
+                            acc = A.add(acc, tuple(gf.mul(c, x) for x in term))
                 return acc
 
             def ba(x, y):

@@ -22,8 +22,8 @@ from qpencil.verify import gl_elements, random_regular_nf_pencil
 
 def test_realize_m1_tables(g2):
     p = realize(g2, [0, 1, 1, 1], [0, 0])
-    assert p.q0.table() == {(1, 1): 1, (1, 2): 1}
-    assert p.q1.table() == {(0, 0): 1, (1, 1): 1, (0, 2): 1}
+    assert p.q0 == QuadraticForm.from_table(g2, 3, {(1, 1): 1, (1, 2): 1})
+    assert p.q1 == QuadraticForm.from_table(g2, 3, {(0, 0): 1, (1, 1): 1, (0, 2): 1})
 
 
 def test_realize_m2_del_pezzo(g2):

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import is_zero, pfaffian_by_matchings, polar_by_definition
-from qpencil.field import GF
+from qpencil.field import GF, find_embedding
 from qpencil.linalg import mat_vec, nullspace, rank, vec_dot
+from qpencil.normalform import realize
 from qpencil.quadform import QuadraticForm, is_totally_isotropic, pfaffian_vector
 from qpencil.verify import proj_points
 
@@ -60,17 +61,93 @@ def test_polar_matches_definition(gf, n, seed):
     st.integers(min_value=0, max_value=2**32),
 )
 def test_transform_restricts_to_the_column_span(gf, n, k, seed):
-    # q o g for an n x k matrix g is the form on k variables with q on the
-    # columns of g as diagonal and their polar values off it
     rng = random.Random(seed)
-    q = random_form(gf, n, rng)
+    table = dense_table(gf, n, rng)
     g = [[rng.randrange(gf.order) for _ in range(k)] for _ in range(n)]
+    check_transform(gf, table, qf(gf, n, table), g)
+
+
+def check_transform(gf, table, q, g):
+    """q o g for an n x k matrix g is the form on k variables with q on the
+    columns of g as diagonal and their polar values off it, each computed
+    from q's table."""
+    k = len(g[0])
     cols = [[row[j] for row in g] for j in range(k)]
+    values = [value_by_table(gf, table, c) for c in cols]
     want = qf(gf, k, {
-        (i, j): q(cols[i]) if i == j else polar_by_definition(q, cols[i], cols[j])
+        (i, j): values[i] if i == j else value_by_table(
+            gf, table, [x ^ y for x, y in zip(cols[i], cols[j])]) ^ values[i] ^ values[j]
         for i in range(k) for j in range(i, k)
     })
     assert q.transform(g) == want
+
+
+def value_by_table(gf, table, v):
+    """q(v) = sum of c v_i v_j over the entries (i, j): c of q's table,
+    summed as sum_i v_i (sum_j c v_j)."""
+    mul = gf.mul
+    inner = [0] * len(v)
+    for (i, j), c in table.items():
+        inner[i] ^= mul(c, v[j])
+    acc = 0
+    for x, y in zip(v, inner):
+        acc ^= mul(x, y)
+    return acc
+
+
+def dense_table(gf, n, rng):
+    return {(i, j): rng.randrange(gf.order) for i in range(n) for j in range(i, n)}
+
+
+def model_tables(gf, a, r):
+    """The tables of realize(gf, a, r), from the normal form's definition:
+    q0 = sum a_2i x_i^2 + sum x_(i+1) y_i + sum r_(2i+1) y_i^2 and
+    q1 = sum a_(2i+1) x_i^2 + sum x_i y_i + sum r_2i y_i^2, y_i = x_(m+1+i)."""
+    m = len(r) // 2
+    t0 = {(i, i): a[2 * i] for i in range(m + 1)}
+    t1 = {(i, i): a[2 * i + 1] for i in range(m + 1)}
+    for i in range(m):
+        y = m + 1 + i
+        t0[(i + 1, y)], t0[(y, y)] = 1, r[2 * i + 1]
+        t1[(i, y)], t1[(y, y)] = 1, r[2 * i]
+    return t0, t1
+
+
+@pytest.mark.parametrize("degree", [1, 2, 8, 17, 32])
+def test_forms_match_their_tables(degree):
+    # for n = 1..61, dense random forms and, for odd n >= 3, the sparse
+    # forms of a realize model, each against values computed from its table
+    gf = GF(degree)
+    emb = find_embedding(gf, GF(2 * degree))
+    rng = random.Random(degree)
+    for n in range(1, 62):
+        draws = [(dense_table(gf, n, rng), dense_table(gf, n, rng))]
+        if n >= 3 and n % 2:
+            a = [rng.randrange(gf.order) for _ in range(n + 1)]
+            r = [rng.randrange(gf.order) for _ in range(n - 1)]
+            model = realize(gf, a, r)
+            draws.append(model_tables(gf, a, r))
+            assert (model.q0, model.q1) == tuple(qf(gf, n, t) for t in draws[-1])
+        for t0, t1 in draws:
+            q0, q1 = qf(gf, n, t0), qf(gf, n, t1)
+            v, w = ([rng.randrange(gf.order) if rng.random() < 0.8 else 0
+                     for _ in range(n)] for _ in range(2))
+            values = [value_by_table(gf, t, v) for t in (t0, t1)]
+            assert [q0(v), q1(v)] == values
+            gram = q0.polar()
+            assert all(gram[i][i] == 0 for i in range(n))
+            assert vec_dot(gf, v, mat_vec(gf, gram, w)) == polar_by_definition(
+                lambda x: value_by_table(gf, t0, x), v, w)
+            l, u = rng.randrange(gf.order), rng.randrange(gf.order)
+            member = q0.scale(l).add(q1.scale(u))
+            assert member(v) == gf.mul(l, values[0]) ^ gf.mul(u, values[1])
+            assert member == qf(gf, n, {
+                key: gf.mul(l, t0.get(key, 0)) ^ gf.mul(u, t1.get(key, 0))
+                for key in t0.keys() | t1.keys()})
+            assert q0.map_field(emb)(emb.map_vec(v)) == emb.map(values[0])
+            k = 1 + n % 2
+            check_transform(gf, t0, q0, [
+                [rng.randrange(gf.order) for _ in range(k)] for _ in range(n)])
 
 
 def bordered(gram):

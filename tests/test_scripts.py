@@ -21,6 +21,8 @@ def run_script(name: str, cwd: Path) -> list:
 def test_del_pezzo_demo(tmp_path):
     # canonical_plane, enumerate_generators, reflections and lattice_for
     lines = run_script("del_pezzo_demo.py", tmp_path)
+    # the forms as the document's 1-based [i, j, c] triples
+    assert "q0 = [[2, 2, 1], [2, 4, 1], [3, 3, 1], [3, 5, 1]]" in lines
     assert "regular: True" in lines
     assert "canonical point of the surface (over the base field!): [0, 1, 1, 0, 0]" in lines
     assert any(line.startswith("lines over GF(16): orbit construction gives 16 ")

@@ -90,9 +90,9 @@ def test_pulls_back_matches_transform():
         elif kind == 1:
             target = form()
         else:
-            t = image.table()
+            t = {(i, j): image.rows[i][j] for i, j in keys}
             k = rng.choice(keys)
-            t[k] = t.get(k, 0) ^ rng.randrange(1, gf.order)
+            t[k] ^= rng.randrange(1, gf.order)
             target = QuadraticForm.from_table(gf, n, t)
         verdict = verify.pulls_back(q, g, target)
         assert verdict == (image == target), (gf, q, g, target)
