@@ -203,10 +203,8 @@ class EtaleAlgebra:
     def solve_artin_schreier(self, r: tuple):
         """s with wp(s) + c = r for some constant c, or None.
 
-        None means r is not in k + wp(A) over this base field; extending the
-        base always repairs it eventually (a quadratic extension suffices once
-        f is split, since the absolute trace of a ground-field element dies in
-        the quadratic extension).
+        None means r is not in k + wp(A) over this base field;
+        geometry.quasi_split_over finds the extension that repairs it.
         """
         red, combo = gf2_reduce(self._pack(r), self._coset_pivots)
         if red:

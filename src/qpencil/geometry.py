@@ -1,17 +1,21 @@
 """The base locus X = V(q0, q1): the canonical plane, quasi-splitness,
 and the 2^(2m) generators.
 
-Each is read off the pair's structure (the half-discriminant, the
-Kronecker frame, the pair group), and the plane and the generators are
-checked to lie on X.  The brute-force scans of X that check these answers
-(its points, its lines, and the singular-point scan behind the regularity
-criterion) live in `verify`.
+Each is read off the pair's structure (the half-discriminant, the Kronecker
+frame, the pair group), and the plane and the generators are checked to lie
+on X.  The quasi-split degree comes from one analysis: over GF(2^(k j)) a
+component F_i of A (degree d_i) is gcd(d_i, j) copies of one field F, where
+wp(F) = ker Tr_{F/F_2}, so the traces of r on the F_i decide every level,
+and an odd base extension keeps them.  The brute-force scans of X that
+check these answers (its points, its lines, and the singular-point scan
+behind the regularity criterion) live in `verify`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 from . import poly
 from .autos import group_generators, pair_algebra
@@ -71,22 +75,40 @@ def splitting_degree(p: Pencil) -> int:
     return math.lcm(*(len(g) - 1 for g in poly.factor(p.gf, f)))
 
 
+def _all_roots(p: Pencil, j: int) -> bool:
+    """Whether all of P^1(GF(2^(k j))), at most n points, are roots of Delta."""
+    if 1 << p.gf.degree * j >= p.n:
+        return False
+    ext = GF(p.gf.degree * j)
+    a = find_embedding(p.gf, ext).map_vec(p.half_discriminant())
+    return not a[p.n] and not any(poly.bf_eval(ext, a, 1, c) for c in ext.elements())
+
+
 def quasi_split_over(p: Pencil) -> tuple[int, Field]:
-    """Smallest scanned extension degree j where the r-coset dies, with that
-    extension.  Finite fields always terminate: after splitting Delta, one
-    quadratic step kills every absolute-trace obstruction."""
+    """Smallest extension degree j where the r-coset dies, with that
+    extension, skipping levels where every point of P^1 is a root of Delta.
+    One analysis, over k or over GF(2^(k b)) for the least odd b with a
+    non-root, gives the d_i and t_i: the coset dies over GF(2^(k j)) exactly
+    when ((j/g_i) t_i mod 2)_i is 0 or ((d_i/g_i) mod 2)_i, g_i = gcd(d_i, j).
+    Summing (r e_i)^(2^s) over s < k d_i gives t_i e_i, t_i's certificate."""
     p.require_regular()
-    bound = 2 * splitting_degree(p)
-    for j in range(1, bound + 1):
-        ext = GF(p.gf.degree * j)
-        try:
-            an = pair_algebra(p.map_field(find_embedding(p.gf, ext)))
-        except PreconditionError:
-            continue  # every point of P^1(ext) is a root of Delta
-        if an.witness is not None:
-            return j, ext
-    raise AssertionError("no quasi-splitting extension within twice the "
-                         "splitting degree")
+    b = next(b for b in count(1, 2) if not _all_roots(p, b))
+    an = pair_algebra(p.map_field(find_embedding(p.gf, GF(p.gf.degree * b))))
+    alg, degrees, traces = an.algebra, [len(f) - 1 for f in an.algebra.factors], []
+    for d, e in zip(degrees, alg.idempotents):
+        x = acc = alg.mul(an.r_value, e)
+        for _ in range(alg.gf.degree * d - 1):  # acc = x + x^2 + ... + x^(2^s)
+            acc = alg.add(alg.square(acc), x)
+        if acc not in (alg.zero(), e):
+            raise AssertionError("component trace is neither 0 nor 1")
+        traces.append(int(acc == e))
+    for j in range(1, 2 * math.lcm(*degrees) + 1):
+        g = [math.gcd(d, j) for d in degrees]
+        odd = [j // gi * t % 2 for gi, t in zip(g, traces)]
+        constant = [d // gi % 2 for d, gi in zip(degrees, g)]
+        if (not any(odd) or odd == constant) and not _all_roots(p, j):
+            return j, GF(p.gf.degree * j)
+    raise AssertionError("the coset survived j = 2^(max v2(d_i) + 1) <= 2 lcm(d_i)")
 
 
 # ---------------------------------------------------------------------------

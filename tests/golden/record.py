@@ -47,6 +47,10 @@ BIG_FIELD_PREFIX = "gk"
 # pair group has its largest order 2^(n-1) and every generator is rational
 SPLIT = {"g32_n7_split_r0": ("autos", "generators", "lattice"),
          "g32_n9_split_r0": ("autos", "generators")}
+# Delta = t0 t1 (t0 + t1)(t0^2 + t0 t1 + t1^2) over GF(2): every point of
+# P^1(GF(4)) is a root, so the quasi-split degree 3 comes from the odd base
+# GF(2^3), and generators and lattice pick GF(2^6); autx would scan PGL2 of it
+ODD_BASE = {"g2_n5_odd_base": ("generators", "lattice")}
 
 ISO_PAIRS = [
     ("iso_g2_n5_a", "iso_g2_n5_b"),
@@ -105,8 +109,8 @@ def cases() -> list:
             cmds = CHEAP + (("autx",) if name in AUTX else ())
         elif name.startswith(BIG_FIELD_PREFIX):
             cmds = CHEAP
-        elif name in SPLIT:
-            cmds = SPLIT[name]
+        elif name in SPLIT | ODD_BASE:
+            cmds = (SPLIT | ODD_BASE)[name]
         else:
             cmds = [c for c in ALL
                     if not (c in ("generators", "lattice") and "_n7_" in name

@@ -439,3 +439,29 @@ def coset_columns_per_element(algebra):
             x = algebra.element([0] * j + [1 << b])
             cols.append(algebra._pack(algebra.add(algebra.mul(x, x), x)))
     return cols + [1 << b for b in range(k)]
+
+
+# ---------------------------------------------------------------------------
+# the quasi-split degree level by level: the code the component traces replaced
+
+
+def quasi_split_by_scan(p):
+    """Smallest scanned extension degree j where the r-coset dies, with that
+    extension: a full pair_algebra over every GF(2^(k j)), j = 1, 2, ...,
+    up to twice the splitting degree, skipping the levels where every point
+    of P^1 is a root of Delta."""
+    from qpencil.autos import pair_algebra
+    from qpencil.geometry import splitting_degree
+
+    p.require_regular()
+    bound = 2 * splitting_degree(p)
+    for j in range(1, bound + 1):
+        ext = GF(p.gf.degree * j)
+        try:
+            an = pair_algebra(p.map_field(find_embedding(p.gf, ext)))
+        except PreconditionError:
+            continue  # every point of P^1(ext) is a root of Delta
+        if an.witness is not None:
+            return j, ext
+    raise AssertionError("no quasi-splitting extension within twice the "
+                         "splitting degree")

@@ -5,7 +5,9 @@
   function that runs the `verify` subcommand.
 - An oracle in `verify` reads only the production names in ALLOWED, so it
   stays independent of the paths it checks: Delta, its roots, the radical
-  map, the Pfaffian vector and the regularity criterion are left out.
+  map, the Pfaffian vector and the regularity criterion are left out.  A
+  reference in `tests/oracles.py` (code the package replaced) reads only
+  the names in its REFERENCES entry, never the function that replaced it.
 - Every public top-level function of the package is used somewhere in
   `src/` or `scripts/` outside its own definition: API that only its own
   unit tests call is deleted.  The same holds for the methods, properties
@@ -54,6 +56,16 @@ ALLOWED = {
 FORBIDDEN = {
     "half_discriminant", "bf_projective_roots", "radical_map",
     "pfaffian_vector", "is_regular",
+}
+
+# code the package replaced, kept in tests/oracles.py to compare against:
+# each reference, the function that replaced it (which it may not use) and
+# the production names it reads
+REFERENCES = {
+    "quasi_split_by_scan": ("quasi_split_over", {
+        "pair_algebra", "splitting_degree", "require_regular", "GF", "degree",
+        "map_field", "find_embedding", "PreconditionError", "witness",
+    }),
 }
 
 
@@ -145,6 +157,16 @@ def test_oracles_use_only_allowed_production_names():
         if used - ALLOWED:
             outside[oracle] = sorted(used - ALLOWED)
     assert outside == {}
+
+
+def test_references_use_only_their_allowed_production_names():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    production = _production_names()
+    for name, (replacement, allowed) in REFERENCES.items():
+        used = _used_names(name, functions, set()) & production
+        assert allowed <= production and replacement not in allowed
+        assert used == allowed, name
 
 
 def _bindings(tree, module: str, own: bool) -> tuple[dict, set]:

@@ -184,22 +184,27 @@ def test_quasi_split_needs_extension(g2):
     assert points_on_X(p, GF(4)) != []  # matches quasi-splitness exactly
 
 
-def test_quasi_split_geometric_agreement(g2):
+def test_quasi_split_geometric_agreement(g2, g4):
     # at m=1 quasi-split over ext <=> X has a point over ext; levels where
     # every rational point of the line is a root of Delta are skipped by the
     # invariant (the r-coset is not comparable there), so only comparable
-    # levels below j are asserted empty
+    # levels below j are asserted empty.  Random pencils over GF(2) and
+    # GF(4), and over GF(2) every r with Delta = t0 t1 (t0 + t1), where the
+    # analysis runs over GF(8)
     rng = random.Random(47)
-    for _ in range(12):
-        p = random_pencil(g2, 3, rng)
+    pencils = [random_pencil(g2, 3, rng) for _ in range(12)]
+    pencils += [random_pencil(g4, 3, rng) for _ in range(6)]
+    pencils += [realize(g2, [0, 1, 1, 0], [r0, r1]) for r0 in (0, 1) for r1 in (0, 1)]
+    for p in pencils:
         j, ext = quasi_split_over(p)
         assert points_on_X(p, ext) != []
         for d in range(1, j):
+            level = GF(p.gf.degree * d)
             try:
-                p.map_field(find_embedding(g2, GF(d))).ensure_an_nonzero()
+                p.map_field(find_embedding(p.gf, level)).ensure_an_nonzero()
             except PreconditionError:
                 continue  # not comparable at this level
-            assert points_on_X(p, GF(d)) == []
+            assert points_on_X(p, level) == []
 
 
 def test_quasi_split_reports_first_comparable_level(g2):
