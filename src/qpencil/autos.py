@@ -4,20 +4,23 @@ Additive elements s of the algebra act on a Kronecker frame through the
 unipotent block matrix [[I, S], [0, I]] whose upper-right block is the
 catalecticant Cat(s_0, ..., s_{2m-1}); the map phi is a homomorphism from
 (A, +) with kernel exactly the constants.  Idempotents of A give the
-automorphisms of the pair itself, an elementary abelian 2-group built
+automorphisms of the pair itself, an elementary abelian 2-group R built
 from its l - 1 certified generators by that law (automorphism_group);
-over a splitting field these are the n
-reflections at the singular points of the degenerate members, and Aut(X)
-is generated by them together with lifts of the projective-line symmetries
-of the root divisor of the half-discriminant.  Each lift is a block matrix
-in the r = 0 frame, built from poly.bf_substitution_matrix; it needs no
-correction, and substitution is its one certificate (see _lift_one).  That
-frame is B U(s) for the witness s, and it and its inverse U(s) B^-1 are
-read off the blocks of U(s) and the Kronecker basis's one inverse.
+over a splitting field these are the n reflections at the singular points
+of the degenerate members.  Aut(X) is R x| G, for G the symmetries of the
+root divisor of the half-discriminant in PGL2, each read off a triple of
+roots (delta_stabilizer) and lifted to GL(E); its table follows from R's
+xor law, the conjugation of R by the lifts and their products (aut_x).
+Each lift is a block matrix in the r = 0 frame, built from
+poly.bf_substitution_matrix; it needs no correction, and substitution is
+its one certificate (see _lift_one).  That frame is B U(s) for the witness
+s, and it and its inverse U(s) B^-1 are read off the blocks of U(s) and
+the Kronecker basis's one inverse.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +28,8 @@ from . import poly
 from .algebra import EtaleAlgebra
 from .errors import PreconditionError
 from .field import Field, find_embedding
-from .linalg import identity, mat_mul, mat_vec, normalize_subspace, transpose, vec_scale
+from .linalg import (identity, inverse, mat_mul, mat_vec, normalize_subspace, transpose,
+                     vec_scale)
 from .normalform import KroneckerBasis, NormalForm, extract_normal_form
 from .pencil import Pencil
 
@@ -268,37 +272,38 @@ class AutXGroup:
 
 
 def pgl2_elements(gf: Field):
-    """Representatives of PGL2(gf): first nonzero entry normalized to 1."""
-    out = []
-    one = 1
-    for a in (0, one):
-        bs = gf.elements() if a else (one,)
-        for b in bs:
-            for c in gf.elements():
-                for d in gf.elements():
-                    if gf.mul(a, d) ^ gf.mul(b, c):
-                        if a == 0 and b == one:
-                            out.append([[0, one], [c, d]])
-                        elif a == one:
-                            out.append([[one, b], [c, d]])
-    return out
+    """Representatives of PGL2(gf), first nonzero entry 1, in lexicographic
+    order: the oracle that verify's AX check filters for G."""
+    return [[[a, b], [c, d]] for a in (0, 1) for b in (gf.elements() if a else (1,))
+            for c in gf.elements() for d in gf.elements() if gf.mul(a, d) ^ gf.mul(b, c)]
 
 
 def delta_stabilizer(p: Pencil, ext: Field) -> list:
-    """Elements of PGL2(ext) permuting the projective roots of Delta."""
-    pts = set(p.map_field(find_embedding(p.gf, ext)).projective_roots())
+    """Elements of PGL2(ext) permuting the projective roots of Delta, sorted,
+    which is the order of pgl2_elements.  PGL2 is sharply 3-transitive on
+    P^1, so the one map taking the first three roots p to an ordered triple
+    q of distinct roots is F_q F_p^-1 (see _three_point_frame): each
+    element is one of the n(n-1)(n-2) candidates, kept when it maps the
+    roots onto themselves."""
+    pts = p.map_field(find_embedding(p.gf, ext)).projective_roots()
     if len(pts) != p.n:
         raise PreconditionError(f"{ext!r} does not split Delta")
+    f_p_inv = inverse(ext, _three_point_frame(ext, pts[:3]))
+    cols, roots = transpose(pts), set(pts)
     out = []
-    for m2 in pgl2_elements(ext):
-        image = set()
-        for (l, u) in pts:
-            il = ext.mul(m2[0][0], l) ^ ext.mul(m2[0][1], u)
-            iu = ext.mul(m2[1][0], l) ^ ext.mul(m2[1][1], u)
-            image.add(_projective_key(ext, [(il, iu)])[0])
-        if image == pts:
+    for q in itertools.permutations(pts, 3):
+        m2 = _projective_key(ext, mat_mul(ext, _three_point_frame(ext, q), f_p_inv))
+        if {_projective_key(ext, [x])[0] for x in zip(*mat_mul(ext, m2, cols))} == roots:
             out.append(m2)
-    return out
+    return sorted(out)
+
+
+def _three_point_frame(gf: Field, x) -> list:
+    """F_x, taking (1:0), (0:1), (1:1) to x_1, x_2, x_3: the columns l_1 x_1
+    and l_2 x_2 with l_1 x_1 + l_2 x_2 = x_3, by Cramer's rule up to det."""
+    (a1, a2), (b1, b2), (c1, c2) = x
+    l1, l2 = gf.mul(c1, b2) ^ gf.mul(c2, b1), gf.mul(a1, c2) ^ gf.mul(a2, c1)
+    return [[gf.mul(l1, a1), gf.mul(l2, b1)], [gf.mul(l1, a2), gf.mul(l2, b2)]]
 
 
 def _scale_to_delta_invariant(gf: Field, a_form: list, m2: list):
@@ -306,11 +311,7 @@ def _scale_to_delta_invariant(gf: Field, a_form: list, m2: list):
     scale defect c (Delta o M = c*Delta) has no n-th root in gf."""
     n = len(a_form) - 1
     sub = poly.bf_substitute(gf, a_form, m2)
-    c = None
-    for x, y in zip(sub, a_form):
-        if y:
-            c = gf.div(x, y)
-            break
+    c = next(gf.div(x, y) for x, y in zip(sub, a_form) if y)
     for x, y in zip(sub, a_form):
         if x != gf.mul(c, y):
             raise AssertionError("stabilizer element does not scale Delta")
@@ -322,7 +323,8 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
     R x| G: R the pair automorphisms, G the stabilizer of the root divisor
     in PGL2(ext), each G element lifted to GL(E) acting on the radical
     subspace by the dual symmetric power and on the complement by the
-    inverse symmetric power scaled by the determinant.
+    inverse symmetric power scaled by the determinant.  Its table is read
+    off the laws of R x| G, with |G| |R| conjugations and |G|^2 products.
 
     Requires ext to split Delta and to kill the r-coset (X quasi-split over
     ext); a_n = 0 is healed internally by a GL(2) move, which changes
@@ -338,7 +340,6 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
     gf = ext
     work = an.pencil
     a_form = list(work.half_discriminant())
-
     r_mats = [rep.matrix for rep in automorphism_group(pe)]
 
     g_elements = delta_stabilizer(work, ext)
@@ -352,36 +353,27 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
             )
         lifts.append(_lift_one(an, [[gf.mul(mu, x) for x in row] for row in m2]))
 
-    # assemble all products r * lift and the multiplication table
-    classes = []
-    index = {}
-    for rm in r_mats:
-        for lm in lifts:
-            g = mat_mul(gf, rm, lm)
-            key = _projective_key(gf, g)
-            if key not in index:
-                index[key] = len(classes)
-                classes.append(key)
-    if len(classes) != len(r_mats) * len(lifts):
+    # R x| G by its laws: element i|G| + j is the class of r_i L_j, and
+    # (r_i L_j)(r_k L_l) = r_i (L_j r_k L_j^-1)(L_j L_l) = r_(i^c^c') L_t when
+    # L_j r_k L_j^-1 = r_c exactly, L_j L_l = r_c' L_t up to a scalar and
+    # r_i r_k = r_(i^k) (automorphism_group).  So row i|G| + j is, block k by
+    # block k, row j of the cocycle moved by i ^ conj[j][k] in R
+    size = len(lifts)
+    classes = [_projective_key(gf, mat_mul(gf, rm, lm)) for rm in r_mats for lm in lifts]
+    index = {key: a for a, key in enumerate(classes)}
+    if len(index) != len(classes):
         raise AssertionError("semidirect product classes collide")
-    # g1 times every class at once: the classes side by side as one wide
-    # matrix, so each product row is one kernel call
-    n = len(classes[0])
-    wide = [[x for k2 in classes for x in k2[i]] for i in range(n)]
-    table = []
-    for k1 in classes:
-        prod = mat_mul(gf, k1, wide)
-        table.append(tuple(
-            index[_projective_key(gf, [r[c:c + n] for r in prod])]
-            for c in range(0, len(wide[0]), n)))
-    return AutXGroup(
-        ext,
-        tuple(tuple(tuple(r) for r in g) for g in r_mats),
-        tuple(tuple(tuple(r) for r in g) for g in g_elements),
-        tuple(tuple(tuple(r) for r in g) for g in lifts),
-        tuple(classes),
-        tuple(table),
-    )
+    r_index = {rm: k for k, rm in enumerate(r_mats)}
+    conj = [[_look_up(r_index, mat_mul(gf, mat_mul(gf, lm, rm), lm_inv)) for rm in r_mats]
+            for lm, lm_inv in zip(lifts, [inverse(gf, lm) for lm in lifts])]
+    cocycle = [[divmod(_look_up(index, _projective_key(gf, mat_mul(gf, lj, ll))), size)
+                for ll in lifts] for lj in lifts]
+    blocks = [[tuple((y ^ c) * size + t for c, t in row) for y in range(len(r_mats))]
+              for row in cocycle]
+    table = [tuple(itertools.chain.from_iterable(blocks[j][i ^ x] for x in conj[j]))
+             for i in range(len(r_mats)) for j in range(size)]
+    return AutXGroup(ext, tuple(r_mats), tuple(g_elements),
+                     tuple(tuple(map(tuple, g)) for g in lifts), tuple(classes), tuple(table))
 
 
 def _lift_one(an: PairAnalysis, sm: list) -> list:
@@ -416,6 +408,14 @@ def _lift_one(an: PairAnalysis, sm: list) -> list:
     if moved.q0.transform(lift) != work.q0 or moved.q1.transform(lift) != work.q1:
         raise AssertionError("lift of a stabilizer element fails substitution")
     return lift
+
+
+def _look_up(index: dict, g) -> int:
+    """index of the matrix g; a miss is a failed certificate of R x| G."""
+    key = tuple(map(tuple, g))
+    if key not in index:
+        raise AssertionError("R x| G is not closed under its product law")
+    return index[key]
 
 
 def _projective_key(gf: Field, g: list) -> tuple:

@@ -32,6 +32,7 @@ from .autos import (
     automorphism_group,
     aut_x,
     pair_algebra,
+    pgl2_elements,
     phi,
     reflections,
     reflections_match_idempotents,
@@ -688,8 +689,8 @@ def check_lattice(scale: str):
 
 
 def check_aut_x(scale: str):
-    """AX: Aut(X) = R x| G at m=1 equals the brute-force PGL3 stabilizer of
-    the four points of X over the splitting field."""
+    """AX: Aut(X) = R x| G at m=1 (G by a PGL2 scan) equals the brute-force
+    PGL3 stabilizer of the four points of X over the splitting field."""
     g2 = GF(1)
     p = realize(g2, [0, 1, 1, 1], [0, 0])
     ext = GF(2)
@@ -698,6 +699,11 @@ def check_aut_x(scale: str):
     _expect(ax.order == len(ax.pair_autos) * len(ax.g_elements), "|Aut| != |R| * |G|")
     # closure sanity: the multiplication table only references group elements
     _expect(all(x < ax.order for row in ax.mult_table for x in row), "table escapes")
+    # G is every element of PGL2 whose substitution scales Delta
+    delta = pair_algebra(p.map_field(find_embedding(g2, ext))).pencil.half_discriminant()
+    scan = [tuple(map(tuple, m2)) for m2 in pgl2_elements(ext)
+            if rank(ext, [delta, poly.bf_substitute(ext, delta, m2)]) == 1]
+    _expect(tuple(scan) == ax.g_elements, "G is not the PGL2 scan")
     yield 1
     if scale == "full":
         stab = _pgl_point_stabilizer_order(ext, points_on_X(p, ext))

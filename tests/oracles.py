@@ -465,3 +465,57 @@ def quasi_split_by_scan(p):
             return j, ext
     raise AssertionError("no quasi-splitting extension within twice the "
                          "splitting degree")
+
+
+# ---------------------------------------------------------------------------
+# Aut(X) by scans: the code that root triples and the law of R x| G replaced
+
+
+def stabilizer_by_scan(p, ext):
+    """Elements of PGL2(ext) permuting the projective roots of Delta: every
+    element of pgl2_elements(ext), each root's image normalized."""
+    from qpencil.autos import _projective_key, pgl2_elements
+
+    pts = set(p.map_field(find_embedding(p.gf, ext)).projective_roots())
+    if len(pts) != p.n:
+        raise PreconditionError(f"{ext!r} does not split Delta")
+    out = []
+    for m2 in pgl2_elements(ext):
+        image = set()
+        for (l, u) in pts:
+            il = ext.mul(m2[0][0], l) ^ ext.mul(m2[0][1], u)
+            iu = ext.mul(m2[1][0], l) ^ ext.mul(m2[1][1], u)
+            image.add(_projective_key(ext, [(il, iu)])[0])
+        if image == pts:
+            out.append(m2)
+    return out
+
+
+def aut_x_table_by_products(gf, r_mats, lifts):
+    """(classes, table) of R x| G: the class of r L for every r in r_mats
+    and L in lifts, in that order, and the product of every two classes,
+    formed and normalized entry by entry."""
+    from qpencil.autos import _projective_key
+
+    classes = []
+    index = {}
+    for rm in r_mats:
+        for lm in lifts:
+            g = mat_mul(gf, rm, lm)
+            key = _projective_key(gf, g)
+            if key not in index:
+                index[key] = len(classes)
+                classes.append(key)
+    if len(classes) != len(r_mats) * len(lifts):
+        raise AssertionError("semidirect product classes collide")
+    # g1 times every class at once: the classes side by side as one wide
+    # matrix, so each product row is one kernel call
+    n = len(classes[0])
+    wide = [[x for k2 in classes for x in k2[i]] for i in range(n)]
+    table = []
+    for k1 in classes:
+        prod = mat_mul(gf, k1, wide)
+        table.append(tuple(
+            index[_projective_key(gf, [r[c:c + n] for r in prod])]
+            for c in range(0, len(wide[0]), n)))
+    return tuple(classes), tuple(table)

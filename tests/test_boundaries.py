@@ -66,6 +66,12 @@ REFERENCES = {
         "pair_algebra", "splitting_degree", "require_regular", "GF", "degree",
         "map_field", "find_embedding", "PreconditionError", "witness",
     }),
+    # image.add is a set's, matched by name
+    "stabilizer_by_scan": ("delta_stabilizer", {
+        "pgl2_elements", "_projective_key", "map_field", "find_embedding",
+        "projective_roots", "n", "mul", "add", "PreconditionError",
+    }),
+    "aut_x_table_by_products": ("aut_x", {"mat_mul", "_projective_key"}),
 }
 
 

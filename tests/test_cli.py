@@ -552,12 +552,11 @@ def test_any_document_gets_one_json_object_and_a_documented_exit_code(data):
 
 
 # argv fuzz: documents whose every subcommand stays cheap at any listed
-# --ext-degree (autx without one on g4_n3_12 scans PGL_2(GF(2^8)) and runs
-# for minutes, so it is left out), and --out targets of which only the
-# first can be written
+# --ext-degree, and --out targets of which only the first can be written
 _ARGV_DOCS = [str(GOLDEN_DOCS / f"{name}.json") for name in (
     "g2_n3_m1", "g2_n3_irreducible", "g2_n3_an0", "g2_n5_not_regular",
-    "g4_n3_split_r0", "g2_n3_delta_zero", "bad_element", "no_such_document")]
+    "g4_n3_split_r0", "g4_n3_12", "g2_n3_delta_zero", "bad_element",
+    "no_such_document")]
 _OUTS = ["{tmp}/out.json", "{tmp}/missing/out.json", "{tmp}"]
 _EXT_COMMANDS = ("reflections", "generators", "lattice", "autx")
 _DOC = st.sampled_from(_ARGV_DOCS)
