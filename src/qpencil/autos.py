@@ -127,7 +127,7 @@ def pair_algebra(p: Pencil) -> PairAnalysis:
         an = PairAnalysis(
             work,
             tuple(tuple(row) for row in g),
-            EtaleAlgebra(work.gf, tuple(work.half_discriminant())),
+            work.delta_algebra(),
             extract_normal_form(work),
         )
         p._analysis = work._analysis = an
@@ -200,7 +200,6 @@ def reflections(p: Pencil, ext: Field) -> list[Reflection]:
     with two different members.  The product of all n reflections is the
     identity, and each equals phi of the idempotent of its linear factor.
     """
-    p.require_regular()
     pe = p.map_field(find_embedding(p.gf, ext))
     pts = pe.projective_roots()
     if len(pts) != p.n:
@@ -306,16 +305,14 @@ def _three_point_frame(gf: Field, x) -> list:
     return [[gf.mul(l1, a1), gf.mul(l2, b1)], [gf.mul(l1, a2), gf.mul(l2, b2)]]
 
 
-def _scale_to_delta_invariant(gf: Field, a_form: list, m2: list):
-    """The smallest mu with Delta(mu*M (t0,t1)) = Delta, or None when the
-    scale defect c (Delta o M = c*Delta) has no n-th root in gf."""
-    n = len(a_form) - 1
+def _scale_defect(gf: Field, a_form: list, m2: list) -> int:
+    """c with Delta o M = c*Delta, for M a stabilizer element."""
     sub = poly.bf_substitute(gf, a_form, m2)
     c = next(gf.div(x, y) for x, y in zip(sub, a_form) if y)
     for x, y in zip(sub, a_form):
         if x != gf.mul(c, y):
             raise AssertionError("stabilizer element does not scale Delta")
-    return min(poly.roots(gf, [gf.inv(c)] + [0] * (n - 1) + [1]), default=None)
+    return c
 
 
 def aut_x(p: Pencil, ext: Field) -> AutXGroup:
@@ -343,14 +340,17 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
     r_mats = [rep.matrix for rep in automorphism_group(pe)]
 
     g_elements = delta_stabilizer(work, ext)
-    lifts = []
+    lifts, nth_roots = [], {}  # scale defect c -> the mu with mu^n = 1/c
     for m2 in g_elements:
-        mu = _scale_to_delta_invariant(gf, a_form, m2)
-        if mu is None:
+        c = _scale_defect(gf, a_form, m2)
+        if c not in nth_roots:
+            nth_roots[c] = poly.roots(gf, [gf.inv(c)] + [0] * (work.n - 1) + [1])
+        if not nth_roots[c]:
             raise PreconditionError(
                 "no scalar over this field makes the stabilizer element "
                 "preserve Delta on the nose; extend the field"
             )
+        mu = nth_roots[c][0]  # the smallest: Delta(mu*M (t0, t1)) = Delta
         lifts.append(_lift_one(an, [[gf.mul(mu, x) for x in row] for row in m2]))
 
     # R x| G by its laws: element i|G| + j is the class of r_i L_j, and

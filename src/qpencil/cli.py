@@ -197,13 +197,11 @@ def cmd_autos(p: Pencil, args) -> dict:
 def _extension(p: Pencil, args, quasi_split: bool = True) -> Field:
     """GF(2^(k*e)) for e = --ext-degree when given; otherwise e is the
     splitting degree of Delta, joined (lcm) when quasi_split with the
-    smallest degree over which the r-coset dies.  Delta is factored only
-    once the pencil is known to be regular."""
+    smallest degree over which the r-coset dies."""
     if args.ext_degree is not None:
         if args.ext_degree < 1:
             raise InputError(f"--ext-degree must be >= 1, got {args.ext_degree}")
         return GF(p.gf.degree * args.ext_degree)
-    p.require_regular()
     j = quasi_split_over(p)[0] if quasi_split else 1
     return GF(p.gf.degree * math.lcm(splitting_degree(p), j))
 

@@ -6,9 +6,11 @@ frame, the pair group), and the plane and the generators are checked to lie
 on X.  The quasi-split degree comes from one analysis: over GF(2^(k j)) a
 component F_i of A (degree d_i) is gcd(d_i, j) copies of one field F, where
 wp(F) = ker Tr_{F/F_2}, so the traces of r on the F_i decide every level,
-and an odd base extension keeps them.  The brute-force scans of X that
-check these answers (its points, its lines, and the singular-point scan
-behind the regularity criterion) live in `verify`.
+and an odd base extension keeps them.  The splitting degree, and whether
+every point of P^1(GF(2^(k j))) is a root of Delta, are read off the factor
+degrees of Pencil.delta_algebra; no field is scanned.  The brute-force scans
+of X that check these answers (its points, its lines, and the singular-point
+scan behind the regularity criterion) live in `verify`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
-from . import poly
 from .autos import group_generators, pair_algebra
 from .errors import PreconditionError
 from .field import GF, Field, find_embedding
@@ -69,19 +70,15 @@ def canonical_plane(p: Pencil) -> CanonicalPlane:
 
 
 def splitting_degree(p: Pencil) -> int:
-    """Degree over the base field of the splitting field of Delta."""
-    a = p.half_discriminant()
-    f = poly.trim(list(a))
-    return math.lcm(*(len(g) - 1 for g in poly.factor(p.gf, f)))
+    """Degree of the splitting field of Delta over k: lcm of the factor degrees."""
+    return math.lcm(*(len(f) - 1 for f in p.delta_algebra().factors))
 
 
 def _all_roots(p: Pencil, j: int) -> bool:
-    """Whether all of P^1(GF(2^(k j))), at most n points, are roots of Delta."""
-    if 1 << p.gf.degree * j >= p.n:
-        return False
-    ext = GF(p.gf.degree * j)
-    a = find_embedding(p.gf, ext).map_vec(p.half_discriminant())
-    return not a[p.n] and not any(poly.bf_eval(ext, a, 1, c) for c in ext.elements())
+    """Whether all q^j + 1 points of P^1(GF(q^j)), q = 2^k, are roots of Delta:
+    a factor of degree d | j has its d roots there, and a_n = 0 adds (0, 1)."""
+    found = sum(len(f) - 1 for f in p.delta_algebra().factors if j % (len(f) - 1) == 0)
+    return (p.half_discriminant()[p.n] == 0) + found == (1 << p.gf.degree * j) + 1
 
 
 def quasi_split_over(p: Pencil) -> tuple[int, Field]:
@@ -91,7 +88,6 @@ def quasi_split_over(p: Pencil) -> tuple[int, Field]:
     non-root, gives the d_i and t_i: the coset dies over GF(2^(k j)) exactly
     when ((j/g_i) t_i mod 2)_i is 0 or ((d_i/g_i) mod 2)_i, g_i = gcd(d_i, j).
     Summing (r e_i)^(2^s) over s < k d_i gives t_i e_i, t_i's certificate."""
-    p.require_regular()
     b = next(b for b in count(1, 2) if not _all_roots(p, b))
     an = pair_algebra(p.map_field(find_embedding(p.gf, GF(p.gf.degree * b))))
     alg, degrees, traces = an.algebra, [len(f) - 1 for f in an.algebra.factors], []
@@ -132,7 +128,6 @@ def enumerate_generators(p: Pencil, ext: Field) -> list[Generator]:
     Needs ext to split Delta (so the orbit has full size) and to kill the
     r-coset (so one generator exists to start from)."""
     pe = p.map_field(find_embedding(p.gf, ext))
-    pe.require_regular()
     if len(pe.projective_roots()) != p.n:
         raise PreconditionError(
             f"{ext!r} does not split Delta; generators would be missing"

@@ -10,11 +10,14 @@ chain of the pencil, which one Pfaffian vector and one factored principal
 minor of b0 solve in O(n^3) products over the pencil's own field; only a
 pencil that is not regular can leave the chain underdetermined, and its
 Omega is interpolated from the Pfaffian vectors of m+1 members instead.
+Delta is factored once, in its étale algebra (delta_algebra), and every
+reader of its roots or factor degrees reads that factorization.
 """
 
 from __future__ import annotations
 
 from . import poly
+from .algebra import EtaleAlgebra
 from .errors import NotRegularError, PreconditionError
 from .linalg import inverse, lu_solver, mat_mul, rank, rref, transpose, vec_dot
 from .quadform import QuadraticForm, pfaffian_vector
@@ -40,7 +43,7 @@ class Pencil:
         self.m = (q0.n - 1) // 2
         self._radical_map = None
         self._half_disc = None
-        self._roots = None
+        self._delta_algebra = None
         self._regular = None
         self._analysis = None  # set by autos.pair_algebra
         self._mapped = {}  # embedding -> the pencil over its target field
@@ -109,11 +112,19 @@ class Pencil:
             self._half_disc = acc
         return self._half_disc
 
+    def delta_algebra(self) -> EtaleAlgebra:
+        """k[T]/(Delta(1, T)) over the pencil's own field, for a regular
+        pencil; of degree n - 1 when a_n = 0, the root at infinity."""
+        if self._delta_algebra is None:
+            self.require_regular()
+            f = poly.trim(list(self.half_discriminant()))
+            self._delta_algebra = EtaleAlgebra(self.gf, tuple(f))
+        return self._delta_algebra
+
     def projective_roots(self) -> list:
-        """Normalized projective roots of Delta over the pencil's own field."""
-        if self._roots is None:
-            self._roots = poly.bf_projective_roots(self.gf, self.half_discriminant())
-        return self._roots
+        """Normalized projective roots of Delta over the pencil's own field,
+        read off the linear factors of delta_algebra."""
+        return poly.bf_projective_roots(self.half_discriminant(), self.delta_algebra().factors)
 
     def is_regular(self) -> bool:
         """Delta nonzero and separable as a binary form: n distinct projective

@@ -319,13 +319,10 @@ def bf_is_separable(gf: Field, c: list) -> bool:
     return is_separable(gf, f)
 
 
-def bf_projective_roots(gf: Field, c: list) -> list[tuple[int, int]]:
-    """Normalized projective roots (t0, t1) of a nonzero form over gf: the
+def bf_projective_roots(c: list, factors) -> list[tuple[int, int]]:
+    """Normalized projective roots (t0, t1) of a nonzero form, given the
+    factors of its dehomogenization form(1, T) as factor returns them: the
     affine roots (1, x) in increasing order, then (0, 1) if t0 divides."""
-    if all(x == 0 for x in c):
+    if not any(c):
         raise ValueError("the zero form vanishes everywhere")
-    f = trim(c[:])
-    out = [(1, x) for x in roots(gf, f)]
-    if degree(c) - degree(f) >= 1:
-        out.append((0, 1))
-    return out
+    return [(1, f[0]) for f in factors if len(f) == 2] + ([] if c[-1] else [(0, 1)])

@@ -281,10 +281,14 @@ def half_disc_check(p, l, u):
 
 def corank_profile(p, ext):
     """Pairs (root of Delta over ext, corank of that member) checking the
-    corank-1 property of regular pencils."""
+    corank-1 property of regular pencils.  The roots come from a scan of
+    ext, so that the oracle shares no root finding with the package."""
     p.require_regular()
     emb = find_embedding(p.gf, ext)
-    pts = poly.bf_projective_roots(ext, emb.map_vec(p.half_discriminant()))
+    a = emb.map_vec(p.half_discriminant())
+    pts = [(1, x) for x in roots_by_scan(ext, poly.trim(a[:]))]
+    if not a[-1]:
+        pts.append((0, 1))  # a_n = 0: the root at infinity
     if len(pts) != p.n:
         raise PreconditionError(
             f"extension {ext!r} does not split Delta "

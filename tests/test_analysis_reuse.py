@@ -1,7 +1,7 @@
 """Within one `cli.main` call every pencil is analysed once: no Pencil
 object extracts its normal form, computes its radical map or tests the
-separability of Delta twice, and Delta's roots are found at most once per
-field."""
+separability of Delta twice, and no polynomial is factored twice over one
+field (Delta's roots are read off its one factorization)."""
 
 import contextlib
 import io
@@ -47,7 +47,7 @@ def _replace_everywhere(monkeypatch, original, wrapped):
 @pytest.mark.parametrize("command,doc", CASES)
 def test_one_analysis_per_pencil(monkeypatch, command, doc):
     keep = []  # holds every pencil seen, so no id is reused during the call
-    normal_forms, radical_maps, root_scans = Counter(), Counter(), Counter()
+    normal_forms, radical_maps, factored = Counter(), Counter(), Counter()
 
     extract = normalform.extract_normal_form
 
@@ -64,23 +64,21 @@ def test_one_analysis_per_pencil(monkeypatch, command, doc):
             radical_maps[id(p)] += 1
         return radical_map(p)
 
-    # Delta is the only polynomial whose roots go through bf_projective_roots;
-    # poly.roots also serves embeddings and n-th roots
-    projective_roots = poly.bf_projective_roots
+    factor = poly.factor
 
-    def counted_roots(gf, c):
-        root_scans[gf] += 1
-        return projective_roots(gf, c)
+    def counted_factor(gf, f):
+        factored[gf, tuple(f)] += 1
+        return factor(gf, f)
 
     _replace_everywhere(monkeypatch, extract, counted_extract)
     monkeypatch.setattr(Pencil, "radical_map", counted_radical_map)
-    monkeypatch.setattr(poly, "bf_projective_roots", counted_roots)
+    monkeypatch.setattr(poly, "factor", counted_factor)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([command, "--in", str(DOCS / f"{doc}.json")])
     assert code == 0
     assert normal_forms and max(normal_forms.values()) == 1
     assert radical_maps and max(radical_maps.values()) == 1
-    assert all(n == 1 for n in root_scans.values()), root_scans
+    assert all(n == 1 for n in factored.values()), factored
 
 
 @pytest.mark.parametrize("command,doc", CASES)

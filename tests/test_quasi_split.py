@@ -149,10 +149,15 @@ def _factor_calls(monkeypatch, argv) -> int:
 
 
 @pytest.mark.parametrize("doc,factors", [
-    # Delta over GF(2) (the analysis and splitting_degree), the embedding
-    # into GF(16), and Delta's roots and analysis over GF(16)
-    ("g2_n3_autx_bug", 5),
-    # every point of P^1(GF(4)) is a root: the analysis runs over GF(2^6)
+    # Delta over GF(2), once for the all-roots test, the analysis and
+    # splitting_degree; the embedding into GF(16); Delta over GF(16), once
+    # for its roots and the analysis there
+    ("g2_n3_autx_bug", 3),
+    # every point of P^1(GF(4)) is a root, so a_n = 0: the trimmed Delta over
+    # GF(4) (the all-roots test and splitting_degree); the embedding into
+    # GF(2^6) and the moved Delta there (the quasi-split analysis); the
+    # embedding into GF(16), and over GF(16) the trimmed Delta (its roots)
+    # and the moved Delta (the analysis), which are different polynomials
     ("g4_n5_all_roots", 6),
 ])
 def test_generators_factor_count(monkeypatch, doc, factors):

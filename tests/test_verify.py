@@ -1,8 +1,11 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
-from qpencil import verify
+from qpencil import autos, cli, verify
 from qpencil.field import GF
 from qpencil.normalform import NormalForm
 from qpencil.quadform import QuadraticForm
@@ -98,3 +101,22 @@ def test_pulls_back_matches_transform():
         assert verdict == (image == target), (gf, q, g, target)
         verdicts[verdict] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_a_failed_certificate_fails_only_its_check(monkeypatch):
+    # one element dropped from G: aut_x's own certificate of R x| G fails
+    # inside AX, which reports it as a failure; run_suite goes on with the
+    # other checks, and the verify subcommand exits 1, not 3
+    stabilizer = autos.delta_stabilizer
+    monkeypatch.setattr(autos, "delta_stabilizer", lambda p, ext: stabilizer(p, ext)[:-1])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--scale", "small"])
+    assert code == 1
+    results = json.loads(out.getvalue())["results"]
+    assert [(r["tag"], r["passed"]) for r in results] == [
+        (tag, tag != "AX") for tag in verify.CHECKS]
+    detail = next(r["detail"] for r in results if r["tag"] == "AX")
+    assert detail == "internal certificate failed: R x| G is not closed under its product law"
+    assert [line.split()[:2] for line in err.getvalue().splitlines()] == [
+        ["[FAIL]" if tag == "AX" else "[PASS]", tag] for tag in verify.CHECKS]
