@@ -47,7 +47,7 @@ def main():
     print(f"\nlines over GF(16): orbit construction gives {len(gens)} "
           f"({t_orbit:.2f}s), point-pair scan gives {len(lines)} "
           f"({t_scan:.2f}s)")
-    print("  same line set:", set(lines) == {g.basis for g in gens})
+    print("  same line set:", set(lines) == set(gens))
 
     lat = lattice_for(p, ext, reflections(p, ext))
     print("\ncycle lattice on (e_0, ..., e_5):")

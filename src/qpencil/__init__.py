@@ -10,7 +10,7 @@ from .algebra import EtaleAlgebra
 from .errors import InputError, NotRegularError, PreconditionError, QPencilError
 from .field import GF, Embedding, Field, field_from_modulus, find_embedding
 from .invariants import ArfData, arf_invariant, is_isomorphic, r_invariant
-from .normalform import KroneckerBasis, NormalForm, extract_normal_form, realize
+from .normalform import NormalForm, extract_normal_form, realize
 from .pencil import Pencil
 from .quadform import QuadraticForm
 
@@ -21,7 +21,6 @@ __all__ = [
     "EtaleAlgebra",
     "Field",
     "InputError",
-    "KroneckerBasis",
     "NormalForm",
     "NotRegularError",
     "Pencil",

@@ -15,7 +15,7 @@ Each lift is a block matrix in the r = 0 frame, built from
 poly.bf_substitution_matrix; it needs no correction, and substitution is
 its one certificate (see _lift_one).  That frame is B U(s) for the witness
 s, and it and its inverse U(s) B^-1 are read off the blocks of U(s) and
-the Kronecker basis's one inverse.
+the normal form's one inverse of its basis B.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import PreconditionError
 from .field import Field, find_embedding
 from .linalg import (identity, inverse, mat_mul, mat_vec, normalize_subspace, transpose,
                      vec_scale)
-from .normalform import KroneckerBasis, NormalForm, extract_normal_form
+from .normalform import NormalForm, extract_normal_form
 from .pencil import Pencil
 
 
@@ -48,13 +48,13 @@ def catalecticant(m: int, s: list) -> list:
     return [[s[k + j] for j in range(m)] for k in range(m + 1)]
 
 
-def frame_times_u(kb: KroneckerBasis, cat: list) -> list:
+def frame_times_u(nf: NormalForm, cat: list) -> list:
     """B U(s) = [B_w | B_v + B_w Cat(s)] for U(s) = [[I, Cat(s)], [0, I]]
-    and B = kb.basis_matrix: the v-columns moved by the w-columns."""
-    m = kb.m
-    corr = mat_mul(kb.gf, [row[: m + 1] for row in kb.basis_matrix], cat)
+    and B = nf.basis: the v-columns moved by the w-columns."""
+    m = nf.m
+    corr = mat_mul(nf.gf, [row[: m + 1] for row in nf.basis], cat)
     return [list(row[: m + 1]) + [x ^ y for x, y in zip(row[m + 1:], c)]
-            for row, c in zip(kb.basis_matrix, corr)]
+            for row, c in zip(nf.basis, corr)]
 
 
 def phi(algebra: EtaleAlgebra, nf: NormalForm, s: tuple) -> AutomorphismRep:
@@ -64,9 +64,8 @@ def phi(algebra: EtaleAlgebra, nf: NormalForm, s: tuple) -> AutomorphismRep:
     m = nf.m
     s_coords = list(algebra.d_coords(s))[: algebra.n - 1]
     cat = catalecticant(m, s_coords)
-    kb = nf.basis
-    b_w = [row[: m + 1] for row in kb.basis_matrix]
-    nil = mat_mul(kb.gf, mat_mul(kb.gf, b_w, cat), kb.inverse[m + 1:])
+    b_w = [row[: m + 1] for row in nf.basis]
+    nil = mat_mul(nf.gf, mat_mul(nf.gf, b_w, cat), nf.inverse[m + 1:])
     return AutomorphismRep(
         tuple(s_coords),
         tuple(tuple(x ^ (r == c) for c, x in enumerate(row)) for r, row in enumerate(nil)),
@@ -81,8 +80,12 @@ class PairAnalysis:
 
     pencil: Pencil  # the moved pencil: a_n != 0
     gl2: tuple  # the GL(2) move onto `pencil` from the pencil first analysed
-    algebra: EtaleAlgebra  # k[T]/(Delta(1, T))
     nf: NormalForm  # of `pencil`
+
+    @property
+    def algebra(self) -> EtaleAlgebra:
+        """k[T]/(Delta(1, T)), the moved pencil's own cached algebra."""
+        return self.pencil.delta_algebra()
 
     @cached_property
     def r_value(self) -> tuple:
@@ -104,16 +107,16 @@ class PairAnalysis:
         if self.witness is None:
             return None
         cat = catalecticant(self.nf.m, self.algebra.d_coords(self.witness))
-        return frame_times_u(self.nf.basis, cat)
+        return frame_times_u(self.nf, cat)
 
     @cached_property
     def r0_frame_inverse(self):
         """r0_frame^-1 = U(s) B^-1 = [(B^-1)_w + Cat(s) (B^-1)_v ; (B^-1)_v]
         when there is a witness, from the basis's own inverse, for all the
         lifts of Aut(X)."""
-        kb, m = self.nf.basis, self.nf.m
-        inv_w, inv_v = kb.inverse[: m + 1], kb.inverse[m + 1:]
-        corr = mat_mul(kb.gf, catalecticant(m, self.algebra.d_coords(self.witness)), inv_v)
+        nf, m = self.nf, self.nf.m
+        inv_w, inv_v = nf.inverse[: m + 1], nf.inverse[m + 1:]
+        corr = mat_mul(nf.gf, catalecticant(m, self.algebra.d_coords(self.witness)), inv_v)
         return [[x ^ y for x, y in zip(r, c)] for r, c in zip(inv_w, corr)] + inv_v
 
 
@@ -124,12 +127,7 @@ def pair_algebra(p: Pencil) -> PairAnalysis:
     automorphisms nor the r-class."""
     if p._analysis is None:
         work, g = p.ensure_an_nonzero()
-        an = PairAnalysis(
-            work,
-            tuple(tuple(row) for row in g),
-            work.delta_algebra(),
-            extract_normal_form(work),
-        )
+        an = PairAnalysis(work, tuple(tuple(row) for row in g), extract_normal_form(work))
         p._analysis = work._analysis = an
     return p._analysis
 
@@ -140,14 +138,14 @@ def group_generators(p: Pencil) -> list[AutomorphismRep]:
     the block (B^-1)_v B_w = 0 that makes their products xors is checked
     (see automorphism_group)."""
     an = pair_algebra(p)
-    algebra, kb, m = an.algebra, an.nf.basis, an.nf.m
-    gens = [phi(algebra, an.nf, e) for e in algebra.idempotents[1:]]
+    algebra, nf, m = an.algebra, an.nf, an.nf.m
+    gens = [phi(algebra, nf, e) for e in algebra.idempotents[1:]]
     for g in gens:
         if p.q0.transform(g.matrix) != p.q0 or p.q1.transform(g.matrix) != p.q1:
             raise AssertionError("phi(idempotent) fails to preserve the pair")
     if len(gens) > 1:
-        b_w = [row[: m + 1] for row in kb.basis_matrix]
-        if any(any(row) for row in mat_mul(kb.gf, kb.inverse[m + 1:], b_w)):
+        b_w = [row[: m + 1] for row in nf.basis]
+        if any(any(row) for row in mat_mul(nf.gf, nf.inverse[m + 1:], b_w)):
             raise AssertionError("(B^-1)_v B_w != 0: phi is not additive")
     return gens
 

@@ -159,7 +159,7 @@ def cmd_regular(p: Pencil, args) -> dict:
 
 def cmd_normalform(p: Pencil, args) -> dict:
     nf = extract_normal_form(p)
-    return {"a": nf.a, "r": nf.r, "basis": nf.basis.basis_matrix}
+    return {"a": nf.a, "r": nf.r, "basis": nf.basis}
 
 
 def _moved(an, payload: dict) -> dict:
@@ -233,7 +233,7 @@ def cmd_generators(p: Pencil, args) -> dict:
     return {
         "ext": field_info(ext),
         "count": len(gens),
-        "generators": [g.basis for g in gens],
+        "generators": gens,
     }
 
 

@@ -111,19 +111,12 @@ def quasi_split_over(p: Pencil) -> tuple[int, Field]:
 # generators
 
 
-@dataclass(frozen=True)
-class Generator:
-    """An (m-1)-dimensional projective subspace on X, stored as the canonical
-    echelon basis of its m-dimensional linear span."""
-
-    gf: Field
-    basis: tuple  # rref rows
-
-
-def enumerate_generators(p: Pencil, ext: Field) -> list[Generator]:
+def enumerate_generators(p: Pencil, ext: Field) -> list[tuple]:
     """All 2^(2m) generators of X over ext, as the simply transitive orbit
     of one Kronecker complement under the pair automorphisms: generator i
-    is its image under element i of automorphism_group (bit mask i).
+    is its image under element i of automorphism_group (bit mask i).  A
+    generator is an (m-1)-dimensional projective subspace on X, stored as
+    the canonical echelon basis (rref rows) of its m-dimensional span.
 
     Needs ext to split Delta (so the orbit has full size) and to kill the
     r-coset (so one generator exists to start from)."""
@@ -161,4 +154,4 @@ def enumerate_generators(p: Pencil, ext: Field) -> list[Generator]:
         raise AssertionError("automorphism orbit of the generator collides")
     if len(images) != 1 << (2 * m):
         raise AssertionError("generator count differs from 2^(2m)")
-    return [Generator(gf, span) for span in images]
+    return images

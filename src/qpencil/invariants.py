@@ -3,8 +3,8 @@
 Two regular pairs with the same half-discriminant are isomorphic exactly
 when their r-invariants agree modulo k + wp(A); the test here not only
 decides but produces a certified matrix witness (B2 U(s)) B1^-1, assembled
-from the two Kronecker bases and the unipotent U(s) = [[I, Cat(s)], [0, I]]
-with wp(s) matching the r-shift.
+from the bases of the two normal forms (with B1's cached inverse) and the
+unipotent U(s) = [[I, Cat(s)], [0, I]] with wp(s) matching the r-shift.
 
 The pair also induces a quadratic form q_A = q0 + t*q1 on the free module
 A^n; it splits off a one-dimensional trivial summand spanned by the image
@@ -49,8 +49,8 @@ def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
         return False, None
     gf = p1.gf
     # (B2 U(s)) B1^-1: the moved frame by its blocks, then one full product
-    frame = frame_times_u(an2.nf.basis, catalecticant(p1.m, algebra.d_coords(s)))
-    witness = mat_mul(gf, frame, an1.nf.basis.inverse)
+    frame = frame_times_u(an2.nf, catalecticant(p1.m, algebra.d_coords(s)))
+    witness = mat_mul(gf, frame, an1.nf.inverse)
     if p2.q0.transform(witness) != p1.q0 or p2.q1.transform(witness) != p1.q1:
         raise AssertionError("isomorphism witness failed verification")
     return True, witness

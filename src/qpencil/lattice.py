@@ -1,7 +1,8 @@
 """The integral lattice of middle-dimensional cycle classes.
 
 Intersection numbers come from the projective dimension r of the measured
-linear intersection of two generators: the pairing is
+linear intersection of two generators, each the echelon basis of its span
+as enumerate_generators returns it: the pairing is
 (-1)^r (floor(r/2) + 1), zero for disjoint generators.  Only the first
 generator is measured against the others, giving d; by the group law of
 the pair group every other pairing, the presentation Gram's included, is an
@@ -33,7 +34,7 @@ from fractions import Fraction
 from .autos import Reflection, apply_to_subspace
 from .errors import PreconditionError
 from .field import Field
-from .geometry import Generator, enumerate_generators
+from .geometry import enumerate_generators
 from .linalg import intersect_dim
 from .pencil import Pencil
 
@@ -41,11 +42,10 @@ DEGREE_OF_X = 4  # two quadrics: eta^(m-1) . eta^(m-1)
 ETA_DOT_GENERATOR = 1  # a generator is a linear subspace
 
 
-def intersection_number(g1: Generator, g2: Generator) -> int:
-    """[L_1].[L_2] from the measured intersection dimension."""
-    if g1.gf != g2.gf or len(g1.basis[0]) != len(g2.basis[0]):
-        raise PreconditionError("generators live in different ambient spaces")
-    r = intersect_dim(g1.gf, g1.basis, g2.basis) - 1  # projective dimension
+def intersection_number(gf: Field, g1: tuple, g2: tuple) -> int:
+    """[L_1].[L_2] from the measured intersection dimension of two
+    generators over gf."""
+    r = intersect_dim(gf, g1, g2) - 1  # projective dimension
     return pairing_value(r)
 
 
@@ -89,7 +89,7 @@ def build_lattice(d: list, lam_singles: list[int], m: int) -> CycleLattice:
     enumerate_generators, L_0 = L_empty).
 
     lam_singles[i-1] is the index of the image of L_empty under the i-th
-    reflection.  Generator i is the image of L_0 under element i of the
+    reflection.  The generator L_i is the image of L_0 under element i of the
     elementary abelian automorphism_group (g_i g_j = g_(i^j), so
     g_i^-1 = g_i), hence L_i meets L_j as L_0 meets L_(i^j): every pairing,
     of the presentation and of line_gram, is d[i ^ j]."""
@@ -187,12 +187,12 @@ def lattice_for(p: Pencil, ext: Field, refl: list[Reflection]) -> CycleLattice:
     the first with each, index the reflection images of the first by their
     generator index, and build the lattice."""
     gens = enumerate_generators(p, ext)
-    index = {g.basis: i for i, g in enumerate(gens)}
+    index = {g: i for i, g in enumerate(gens)}
     lam_singles = []
     for r in refl:
-        span = apply_to_subspace(ext, r.matrix, gens[0].basis)
+        span = apply_to_subspace(ext, r.matrix, gens[0])
         if span not in index:
             raise AssertionError("reflection image is not an enumerated generator")
         lam_singles.append(index[span])
-    d = [intersection_number(gens[0], g) for g in gens]
+    d = [intersection_number(ext, gens[0], g) for g in gens]
     return build_lattice(d, lam_singles, p.m)

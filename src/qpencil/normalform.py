@@ -20,7 +20,8 @@ In such a basis the pair reads
     q0 = sum a_{2i} x_i^2 + sum x_{i+1} y_i + sum r_{2i+1} y_i^2,
     q1 = sum a_{2i+1} x_i^2 + sum x_i y_i + sum r_{2i} y_i^2,
 
-with (a_0..a_n) equal to the half-discriminant coefficients.
+with (a_0..a_n) equal to the half-discriminant coefficients.  A NormalForm
+holds (a; r), the basis matrix itself and, on first use, its inverse.
 """
 
 from __future__ import annotations
@@ -28,38 +29,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NotRegularError
 from .field import Field
-from .linalg import inverse, mat_mul, rank, solve, transpose
+from .linalg import inverse, mat_mul, solve, transpose
 from .pencil import Pencil
 from .quadform import QuadraticForm
 
 
 @dataclass(frozen=True)
-class KroneckerBasis:
-    """Columns of basis_matrix are (w_0, ..., w_m, v_0, ..., v_{m-1})."""
+class NormalForm:
+    """The tuple (a_0..a_n; r_0..r_{n-2}) plus the basis realizing it: the
+    columns of basis are (w_0, ..., w_m, v_0, ..., v_{m-1})."""
 
     gf: Field
-    n: int
-    basis_matrix: tuple
-
-    @property
-    def m(self) -> int:
-        return (self.n - 1) // 2
-
-    @cached_property
-    def inverse(self) -> list:
-        """basis_matrix^-1, inverted once per basis."""
-        return inverse(self.gf, self.basis_matrix)
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """The tuple (a_0..a_n; r_0..r_{n-2}) plus the basis realizing it."""
-
     a: tuple
     r: tuple
-    basis: KroneckerBasis
+    basis: tuple
 
     @property
     def n(self) -> int:
@@ -69,22 +53,21 @@ class NormalForm:
     def m(self) -> int:
         return (self.n - 1) // 2
 
+    @cached_property
+    def inverse(self) -> list:
+        """basis^-1, inverted once per normal form."""
+        return inverse(self.gf, self.basis)
+
     def realized(self) -> Pencil:
         """The model pencil with exactly these coefficient tables."""
-        return realize(self.basis.gf, list(self.a), list(self.r))
+        return realize(self.gf, list(self.a), list(self.r))
 
 
-def canonical_w(p: Pencil) -> list:
-    """The canonical basis of the radical subspace W."""
-    p.require_regular()
-    ws = p.radical_map()
-    if rank(p.gf, ws) != p.m + 1:
-        raise AssertionError("radical-map vectors are dependent on a regular pencil")
-    return [w[:] for w in ws]
-
-
-def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
-    """Extend the canonical w-vectors to a full Kronecker basis.
+def complete_kronecker(p: Pencil, ws: list) -> tuple:
+    """Extend the canonical w-vectors to a full Kronecker basis, returned
+    as the basis matrix with columns (w_0, ..., w_m, v_0, ..., v_{m-1}).
+    ws is only read: extract_normal_form passes the pencil's cached
+    radical map itself.
 
     The m v-solves share one condition matrix (the rows of W G1, then of
     W G0), so one `solve` with all m right-hand sides gives every v_j: one
@@ -95,8 +78,11 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
 
     Nothing here checks the result: the round trip in extract_normal_form
     is its certificate, since q o B equals the realized model exactly when
-    the Kronecker equations hold."""
-    gf, n, m = p.gf, p.n, p.m
+    the Kronecker equations hold.  On a regular pencil the radical map
+    makes the pairing system consistent, so an inconsistent one (from
+    dependent w-vectors, say) is a failed certificate, not an irregular
+    input."""
+    gf, m = p.gf, p.m
     g0, g1 = p.q0.polar(), p.q1.polar()
 
     # b(w_i, x) = (w_i G) . x, so the condition rows are those of W G; v_j
@@ -106,8 +92,8 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
         for j in range(m)
     ])
     if v0 is None:
-        raise NotRegularError("pencil not regular: Kronecker pairing system "
-                              "is inconsistent")
+        raise AssertionError("Kronecker pairing system is inconsistent on "
+                             "a regular pencil")
 
     # Correct v_j by elements of span(w) to kill the v-v pairings b(v_i, v_j),
     # i < j: the upper triangle of V G V^T without row m-1 and column 0
@@ -118,7 +104,7 @@ def complete_kronecker(p: Pencil, ws: list) -> KroneckerBasis:
     corr = mat_mul(gf, [sol[j * (m + 1):(j + 1) * (m + 1)] for j in range(m)], ws)
     v0 = [[x ^ y for x, y in zip(v, c)] for v, c in zip(v0, corr)]
 
-    return KroneckerBasis(gf, n, tuple(map(tuple, transpose(ws + v0))))
+    return tuple(map(tuple, transpose(ws + v0)))
 
 
 def _vv_correction(m: int, c1: list, c0: list) -> list:
@@ -161,10 +147,19 @@ def extract_normal_form(p: Pencil) -> NormalForm:
     off-diagonal entries are the Kronecker pairings and its diagonal is
     q on the same basis vectors, so the round trip holds exactly when the
     Kronecker equations do.
+
+    The round trip also certifies that B is invertible, so the w-vectors
+    need no rank test of their own.  If q o B equals the model, then
+    b1(w_i, w_j) = 0, b1(w_i, v_j) = delta_ij and b0(w_i, v_{m-1}) =
+    delta_{im}.  In a relation sum c_i w_i + sum d_j v_j = 0, pairing
+    with w_j under b1 gives d_j = 0.  Then pairing sum c_i w_i = 0 with
+    v_j under b1 gives c_j = 0 for j < m, and with v_{m-1} under b0 gives
+    c_m = 0.  A dependent radical map therefore fails a certificate: the
+    pairing system in complete_kronecker, or else the round trip.
     """
-    kb = complete_kronecker(p, canonical_w(p))
+    p.require_regular()
+    b = complete_kronecker(p, p.radical_map())
     n, m = p.n, p.m
-    b = kb.basis_matrix
     pulled = (p.q0.transform(b), p.q1.transform(b))
     d0, d1 = ([q.rows[i][i] for i in range(n)] for q in pulled)
     a = [c for pair in zip(d0[:m + 1], d1[:m + 1]) for c in pair]
@@ -174,10 +169,10 @@ def extract_normal_form(p: Pencil) -> NormalForm:
                              "half-discriminant")
     # realized directly, so this certificate stays independent of
     # NormalForm.realized, which the T1.1 check tests on its own
-    model = realize(kb.gf, a, r)
+    model = realize(p.gf, a, r)
     if pulled != (model.q0, model.q1):
         raise AssertionError("normal form does not reproduce the pencil")
-    return NormalForm(tuple(a), tuple(r), kb)
+    return NormalForm(p.gf, tuple(a), tuple(r), b)
 
 
 def realize(gf: Field, a: list, r: list) -> Pencil:

@@ -49,17 +49,20 @@ class QuadraticForm:
         return QuadraticForm(gf, n, tuple(map(tuple, rows)))
 
     def __call__(self, v: list) -> int:
-        """q(v) = v . (U v), a row of U at a time and skipping zeros: the
-        kernel's fixed cost per call would dominate at the small n of the
-        point scans."""
-        mul = self.gf.mul
+        """q(v) = v . (U v), a row of U at a time from its diagonal (U is
+        zero below it) and skipping zeros: the kernel's fixed cost per call
+        would dominate at the small n of the point scans."""
+        mul, rows, n = self.gf.mul, self.rows, self.n
         acc = 0
-        for x, row in zip(v, self.rows):
+        for i in range(n):
+            x = v[i]
             if x:
+                row = rows[i]
                 s = 0
-                for c, y in zip(row, v):
-                    if c and y:
-                        s ^= mul(c, y)
+                for j in range(i, n):
+                    c = row[j]
+                    if c and v[j]:
+                        s ^= mul(c, v[j])
                 acc ^= mul(x, s)
         return acc
 

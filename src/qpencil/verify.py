@@ -596,7 +596,7 @@ def check_generators(scale: str):
     p1 = realize(g2, [0, 1, 1, 1], [0, 0])
     ext1 = GF(2)
     gens = enumerate_generators(p1, ext1)
-    pts = set(g.basis[0] for g in gens)
+    pts = set(g[0] for g in gens)
     _expect(len(gens) == 4 and pts == set(points_on_X(p1, ext1)),
             "m=1 generators differ from the points of X")
     yield 1
@@ -606,7 +606,7 @@ def check_generators(scale: str):
     _expect(len(gens2) == 16, "m=2 count != 16")
     if scale == "full":
         lines = brute_force_lines(dp, ext2)
-        _expect(len(lines) == 16 and set(lines) == set(g.basis for g in gens2),
+        _expect(len(lines) == 16 and set(lines) == set(gens2),
                 "line scan disagrees with the orbit")
     yield 1
 
@@ -677,10 +677,10 @@ def check_lattice(scale: str):
                 "m=3 alpha Gram is not +Cartan(D7)")
         # Aut-permutation invariance of the full line Gram
         gens = enumerate_generators(dp, ext)
-        span_index = {g.basis: i for i, g in enumerate(gens)}
-        gram = [[intersection_number(x, y) for y in gens] for x in gens]
+        span_index = {g: i for i, g in enumerate(gens)}
+        gram = [[intersection_number(ext, x, y) for y in gens] for x in gens]
         for rep in automorphism_group(dp.map_field(find_embedding(g2, ext))):
-            perm = [span_index[apply_to_subspace(ext, rep.matrix, x.basis)]
+            perm = [span_index[apply_to_subspace(ext, rep.matrix, x)]
                     for x in gens]
             _expect(all(gram[perm[i]][perm[j]] == gram[i][j]
                         for i in range(len(gens)) for j in range(len(gens))),

@@ -391,14 +391,13 @@ def automorphism_group_per_element(p):
 
     an = pair_algebra(p)
     algebra, nf = an.algebra, an.nf
-    kb = nf.basis
     reps = [algebra.zero()]
     for e in algebra.idempotents[1:]:
         reps += [algebra.add(x, e) for x in reps]
     out = []
     for e in reps:
         s = list(algebra.d_coords(e))[: algebra.n - 1]
-        g = model_to_pencil(kb.gf, kb.basis_matrix, kb.inverse, phi_model_matrix(nf.m, s))
+        g = model_to_pencil(nf.gf, nf.basis, nf.inverse, phi_model_matrix(nf.m, s))
         if p.q0.transform(g) != p.q0 or p.q1.transform(g) != p.q1:
             raise AssertionError("phi(idempotent) fails to preserve the pair")
         out.append(AutomorphismRep(tuple(s), tuple(tuple(r) for r in g)))
@@ -420,16 +419,16 @@ def generators_per_element(p, ext):
             for rep in automorphism_group_per_element(pe)]
 
 
-def line_gram_pairwise(gens):
-    """The intersection numbers of every pair of generators, one measured
-    intersection per unordered pair."""
+def line_gram_pairwise(gf, gens):
+    """The intersection numbers of every pair of generators over gf, one
+    measured intersection per unordered pair."""
     from qpencil.lattice import intersection_number
 
     k = len(gens)
     out = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            out[i][j] = out[j][i] = intersection_number(gens[i], gens[j])
+            out[i][j] = out[j][i] = intersection_number(gf, gens[i], gens[j])
     return tuple(tuple(r) for r in out)
 
 

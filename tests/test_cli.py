@@ -302,6 +302,29 @@ def test_wrong_diagonal_fails_the_half_discriminant_check(tmp_path, capsys, monk
     assert error["message"] == "extracted coefficients disagree with the half-discriminant"
 
 
+def test_dependent_radical_map_is_an_internal_failure(tmp_path, capsys, monkeypatch):
+    # regularity is decided on the true Omega; a cached Omega with w_1 = w_0
+    # then makes the Kronecker pairing system inconsistent: a failed
+    # certificate (exit 3), not an irregular input (exit 1)
+    from qpencil import cli
+    from qpencil.normalform import extract_normal_form
+
+    def dependent(doc):
+        p = parse_pencil(doc)
+        assert p.is_regular()
+        w = p.radical_map()
+        p._radical_map = [w[0], list(w[0])] + w[2:]
+        return p
+
+    message = "Kronecker pairing system is inconsistent on a regular pencil"
+    with pytest.raises(AssertionError, match=message):
+        extract_normal_form(dependent(DP_DOC))
+    monkeypatch.setattr(cli, "parse_pencil", dependent)
+    assert main(["normalform", "--in", write_doc(tmp_path, "doc.json", DP_DOC)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["type"], error["message"]) == ("internal", message)
+
+
 @pytest.mark.parametrize(
     "field,argv,degree",
     [

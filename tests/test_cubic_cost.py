@@ -11,7 +11,7 @@ import pytest
 
 from qpencil.field import GF
 from qpencil.linalg import mat_vec
-from qpencil.normalform import canonical_w, complete_kronecker
+from qpencil.normalform import complete_kronecker
 from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm
 from qpencil.verify import random_pencil
@@ -42,7 +42,7 @@ def test_half_discriminant_is_cubic(products, dense):
 
 def test_complete_kronecker_is_cubic(products, dense):
     p, _ = dense
-    ws = canonical_w(p)
+    ws = p.radical_map()
     assert 0 < products(lambda: complete_kronecker(p, ws))[0] < 3 * N**3
 
 

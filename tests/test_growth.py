@@ -16,10 +16,10 @@ import random
 import pytest
 
 from qpencil.field import GF
-from qpencil.linalg import mat_mul
+from qpencil.linalg import inverse, mat_mul, rank, rref
 from qpencil.normalform import extract_normal_form
 from qpencil.pencil import Pencil
-from qpencil.quadform import QuadraticForm
+from qpencil.quadform import QuadraticForm, pfaffian_vector
 from qpencil.verify import random_regular_nf_pencil
 
 DEGREES = (1, 8, 32)
@@ -58,6 +58,32 @@ def _mat_mul(gf, n):
     return lambda: mat_mul(gf, a, b)
 
 
+def _invertible(gf, n, rng):
+    while True:
+        a = _square(gf, n, rng)
+        if rank(gf, a) == n:
+            return a
+
+
+def _rref(gf, n):
+    # an invertible draw, as inverse gets: a uniform one over GF(2) is
+    # singular often, and its count grows faster than n^3 at these sizes
+    a = _invertible(gf, n, random.Random(n))
+    return lambda: rref(gf, a)
+
+
+def _inverse(gf, n):
+    a = _invertible(gf, n, random.Random(n))
+    return lambda: inverse(gf, a)
+
+
+def _pfaffian_vector(gf, n):
+    # an odd-size alternating matrix: zero diagonal, symmetric
+    u = _square(gf, n, random.Random(n))
+    gram = [[u[min(i, j)][max(i, j)] if i != j else 0 for j in range(n)] for i in range(n)]
+    return lambda: pfaffian_vector(gf, gram)
+
+
 def _transform(gf, n):
     rng = random.Random(n)
     q = QuadraticForm.from_table(gf, n, {
@@ -73,6 +99,9 @@ GROWTH = {
     "transform": (_transform, (11, 21, 31), 3.0),
     "half_discriminant": (_half_discriminant, (11, 21, 31), 3.0),
     "normal_form": (_normal_form, (11, 21, 31), 3.0),
+    "rref": (_rref, (11, 21, 31), 3.0),
+    "inverse": (_inverse, (11, 21, 31), 3.0),
+    "pfaffian_vector": (_pfaffian_vector, (11, 21, 31), 3.0),
 }
 
 

@@ -143,7 +143,7 @@ def test_transformation_law_shifts_coset(g2):
     s = A.t_power(1)
     scoords = list(algebra.d_coords(s))[:2]
     ms = phi_model_matrix(1, scoords)
-    b = nf.basis.basis_matrix
+    b = nf.basis
     g = mat_mul(g2, mat_mul(g2, b, ms), inverse(g2, b))
     conj = Pencil(p.q0.transform(g), p.q1.transform(g))
     nf2 = extract_normal_form(conj)

@@ -6,8 +6,7 @@ import qpencil.poly as poly
 from qpencil import lattice
 from qpencil.autos import reflections
 from qpencil.errors import PreconditionError
-from qpencil.field import GF
-from qpencil.geometry import Generator, enumerate_generators
+from qpencil.geometry import enumerate_generators
 from qpencil.lattice import (
     build_lattice,
     cartan_d,
@@ -63,14 +62,11 @@ def test_cartan_d_shape():
 def test_intersection_numbers_m2(g2, g16):
     dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     gens = enumerate_generators(dp, g16)
-    assert intersection_number(gens[0], gens[0]) == -1
+    assert intersection_number(g16, gens[0], gens[0]) == -1
     values = sorted(
-        intersection_number(gens[0], g) for g in gens[1:]
+        intersection_number(g16, gens[0], g) for g in gens[1:]
     )
     assert values == [0] * 10 + [1] * 5  # disjoint or one point
-    other = Generator(GF(1), ((1, 0, 0),))
-    with pytest.raises(PreconditionError):
-        intersection_number(gens[0], other)
 
 
 def test_lattice_m2(g2, g16):
@@ -164,6 +160,6 @@ def test_lattice_for_measures_one_pairing_per_generator(monkeypatch, g2, g4, g8,
 def test_build_lattice_input_validation(g2, g16):
     dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     gens = enumerate_generators(dp, g16)
-    d = [intersection_number(gens[0], g) for g in gens]
+    d = [intersection_number(g16, gens[0], g) for g in gens]
     with pytest.raises(PreconditionError):
         build_lattice(d, [1, 2], 2)

@@ -57,24 +57,10 @@ def test_solve_inconsistent(g2):
     assert solve(g2, [[1, 0], [1, 0]], [[1, 0]]) is None
 
 
-def test_inverse(g8):
-    rng = random.Random(7)
-    found = 0
-    while found < 10:
-        a = random_matrix(g8, 4, 4, rng)
-        if rank(g8, a) < 4:
-            continue
-        found += 1
-        inv = inverse(g8, a)
-        assert mat_mul(g8, a, inv) == identity(4)
-    with pytest.raises(ValueError):
-        inverse(g8, [[0, 0], [0, 0]])
-
-
-def test_lu_solver_solves_every_right_hand_side():
-    # over log-table and raw fields, sizes 1..9, zero pivots on the
-    # diagonal (alternating matrices) included
-    rng = random.Random(8)
+def _nonsingular_draws(rng):
+    """(field, size, matrix): nonsingular draws over log-table and raw
+    fields, sizes 1..9, zero pivots on the diagonal (alternating matrices)
+    included."""
     for gf in (GF(1), GF(3), GF(8), GF(33)):
         for size in range(1, 10):
             while True:
@@ -84,10 +70,25 @@ def test_lu_solver_solves_every_right_hand_side():
                          for i in range(size)]
                 if rank(gf, a) == size:
                     break
-            lu = lu_solver(gf, a)
-            for _ in range(3):
-                b = [rng.randrange(gf.order) for _ in range(size)]
-                assert mat_vec(gf, a, lu(b)) == b, (gf, size)
+            yield gf, size, a
+
+
+def test_inverse(g8):
+    for gf, size, a in _nonsingular_draws(random.Random(7)):
+        inv = inverse(gf, a)
+        assert mat_mul(gf, a, inv) == identity(size), (gf, size)
+        assert mat_mul(gf, inv, a) == identity(size), (gf, size)
+    with pytest.raises(ValueError):
+        inverse(g8, [[0, 0], [0, 0]])
+
+
+def test_lu_solver_solves_every_right_hand_side():
+    rng = random.Random(8)
+    for gf, size, a in _nonsingular_draws(rng):
+        lu = lu_solver(gf, a)
+        for _ in range(3):
+            b = [rng.randrange(gf.order) for _ in range(size)]
+            assert mat_vec(gf, a, lu(b)) == b, (gf, size)
     with pytest.raises(ValueError):
         lu_solver(GF(3), [[1, 2], [2, 4]])
 

@@ -8,13 +8,7 @@ from qpencil import normalform
 from qpencil.errors import NotRegularError
 from qpencil.field import GF
 from qpencil.linalg import normalize_subspace, rank, solve, transpose
-from qpencil.normalform import (
-    KroneckerBasis,
-    canonical_w,
-    complete_kronecker,
-    extract_normal_form,
-    realize,
-)
+from qpencil.normalform import complete_kronecker, extract_normal_form, realize
 from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm, is_totally_isotropic
 from qpencil.verify import gl_elements, random_regular_nf_pencil
@@ -46,16 +40,16 @@ def test_extract_round_trip_exact(g2):
     nf = extract_normal_form(p)
     assert nf.a == (0, 1, 1, 1)
     assert nf.r == (0, 0)
-    assert nf.basis.basis_matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert nf.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def test_canonical_w_brute_force_m1(g2):
+def test_radical_map_brute_force_m1(g2):
     # q0 = x1^2 + x2 x3, q1 = x2^2 + x1 x3 (1-based names)
     q0 = QuadraticForm.from_table(g2, 3, {(0, 0): 1, (1, 2): 1})
     q1 = QuadraticForm.from_table(g2, 3, {(1, 1): 1, (0, 2): 1})
     p = Pencil(q0, q1)
     assert p.is_regular()
-    ws = canonical_w(p)
+    ws = p.radical_map()
     w_span = normalize_subspace(g2, ws)
     # oracle: the unique common totally singular plane, by exhaustive search
     found = []
@@ -83,18 +77,18 @@ def test_extract_on_conjugates(g2, g4):
         assert nf.a == (0, 1, 1, 1)
 
 
-def test_canonical_w_equivariance(g2):
+def test_radical_map_equivariance(g2):
     # w-span of a conjugate is the inverse image of the w-span
     rng = random.Random(23)
     gl3 = gl_elements(g2, 3)
     p = realize(g2, [0, 1, 1, 1], [1, 1])
-    ws = canonical_w(p)
+    ws = p.radical_map()
     span = normalize_subspace(g2, ws)
     from qpencil.linalg import inverse, mat_vec
 
     for g in rng.sample(gl3, 25):
         pc = p.conjugate(g)
-        wc = canonical_w(pc)
+        wc = pc.radical_map()
         ginv = inverse(g2, g)
         expected = normalize_subspace(
             g2, [mat_vec(g2, ginv, list(w)) for w in ws]
@@ -102,7 +96,7 @@ def test_canonical_w_equivariance(g2):
         assert normalize_subspace(g2, wc) == expected
 
 
-def test_canonical_w_transformation_law(g4):
+def test_radical_map_transformation_law(g4):
     # for the conjugate pair (q0 o g, q1 o g) the Pfaffian vectors transform
     # exactly by det(g) g^{-1}, coefficientwise in (lambda, mu)
     from oracles import det
@@ -111,7 +105,7 @@ def test_canonical_w_transformation_law(g4):
     rng = random.Random(37)
     p = realize(g4, [0, 1, 1, 1, 2, 3], [1, 0, 2, 0])
     assert p.is_regular()
-    ws = canonical_w(p)
+    ws = p.radical_map()
     for _ in range(25):
         g = None
         while g is None:
@@ -119,7 +113,7 @@ def test_canonical_w_transformation_law(g4):
             if rank(g4, cand) == 5:
                 g = cand
         pc = p.conjugate(g)
-        wc = canonical_w(pc)
+        wc = pc.radical_map()
         d = det(g4, g)
         ginv = inverse(g4, g)
         for wi, wci in zip(ws, wc):
@@ -145,9 +139,8 @@ def test_complete_kronecker_satisfies_equations(g4):
             if rank(g4, cand) == n:
                 g = cand
         pc = p.conjugate(g)
-        ws = canonical_w(pc)
-        kb = complete_kronecker(pc, ws)
-        cols = transpose(kb.basis_matrix)
+        ws = pc.radical_map()
+        cols = transpose(complete_kronecker(pc, ws))
         assert len(cols) == n and cols[: m + 1] == ws
         assert kronecker_equations_hold(pc, cols[: m + 1], cols[m + 1:])
 
@@ -179,13 +172,12 @@ def test_round_trip_rejects_exactly_the_broken_kronecker_bases(monkeypatch):
     corrupted = []
 
     def corrupt(p, ws):
-        kb = build(p, ws)
-        vecs = transpose(kb.basis_matrix)
-        k, t = rng.randrange(len(vecs)), rng.randrange(kb.n)
+        vecs = transpose(build(p, ws))
+        k, t = rng.randrange(len(vecs)), rng.randrange(p.n)
         vecs[k][t] ^= rng.randrange(1, p.gf.order)
-        w, v = vecs[: kb.m + 1], vecs[kb.m + 1 :]
+        w, v = vecs[: p.m + 1], vecs[p.m + 1 :]
         corrupted.append((w, v))
-        return KroneckerBasis(kb.gf, kb.n, tuple(map(tuple, transpose(vecs))))
+        return tuple(map(tuple, transpose(vecs)))
 
     monkeypatch.setattr(normalform, "complete_kronecker", corrupt)
     verdicts = set()
@@ -247,7 +239,7 @@ def test_extract_refuses_nonregular(g2):
 def test_v_span_isotropic_iff_r_zero(g2):
     p = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     nf = extract_normal_form(p)
-    vs = transpose(nf.basis.basis_matrix)[nf.m + 1:]
+    vs = transpose(nf.basis)[nf.m + 1:]
     assert is_totally_isotropic(p.q0, vs)
     assert is_totally_isotropic(p.q1, vs)
 

@@ -20,7 +20,7 @@ def test_normal_form_check_catches_a_wrong_model(monkeypatch):
     def flipped(nf):
         r = list(nf.r)
         r[0] ^= 1
-        return realized(NormalForm(nf.a, tuple(r), nf.basis))
+        return realized(NormalForm(nf.gf, nf.a, tuple(r), nf.basis))
 
     monkeypatch.setattr(NormalForm, "realized", flipped)
     result = verify.run_check("T1.1", "small")
