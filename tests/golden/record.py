@@ -43,8 +43,10 @@ AUTX = {"g2_n3_all_roots", "g2_n3_an0", "g2_n3_autx_bug", "g2_n3_irreducible",
 # autx where a PGL2 scan and a table of |Aut(X)|^2 formed products were out
 # of reach: order 960 over GF(2^4), and GF(2^8), GF(2^12) and GF(2^24)
 AUTX_LARGE = {"g4_n5_all_roots", "g4_n3_12", "g4_n5_an0", "g8_n3_irreducible_r0"}
-# documents over GF(2^17)..GF(2^32) (gk<k>..., beyond the log tables) run the
-# cheap commands only: they are there for the raw multiplication path
+# documents over GF(2^17)..GF(2^64) (gk<k>..., beyond the log tables) run the
+# cheap commands only: they are there for the raw multiplication path, on
+# the default moduli and on one dense modulus (gk32m<modulus>), where
+# mu = T^2k // modulus has about k/2 terms
 BIG_FIELD_PREFIX = "gk"
 # split pencils over GF(2^5) with r = 0: Delta has n rational roots, so the
 # pair group has its largest order 2^(n-1) and every generator is rational
@@ -70,6 +72,7 @@ ISO_PAIRS = [
     ("g2_n5_not_regular", "g2_n5_113"),
     ("bad_index", "g2_n3_m1"),
     ("iso_gk24_n5_a", "iso_gk24_n5_b"),
+    ("gk32m6928990209_n5_122", "iso_gk32m6928990209_n5_122_b"),
 ]
 
 EXT_DEGREE = [
