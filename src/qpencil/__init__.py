@@ -2,9 +2,9 @@
 odd-dimensional spaces in characteristic 2: normal forms, invariants,
 isomorphisms, automorphism groups, generators, and intersection lattices.
 
-Every structural claim is re-checked against a brute-force oracle in
-`qpencil.verify`, which holds every oracle of the package.  No production
-module imports it; `cli` loads it for the `verify` subcommand only."""
+Every structural claim is re-checked against a brute-force oracle: in
+`qpencil.verify`, which no production module imports (`cli` loads it for
+the `verify` subcommand only), or, test-only, in `tests/oracles.py`."""
 
 from .algebra import EtaleAlgebra
 from .errors import InputError, NotRegularError, PreconditionError, QPencilError

@@ -11,9 +11,9 @@ Two representations serve the arithmetic, chosen by the field order:
 - order <= 2^16 (k <= 16): exp/log tables of a primitive element; mul and
   inv are table lookups, and every product is reduced by construction.
 - order > 2^16: no tables of elements.  mul is the 4-bit windowed
-  carry-less product p2_mul, reduced a byte at a time from the top with a
-  256-entry table of multiples of the modulus; inv is the binary extended
-  Euclidean algorithm on packed GF(2)[T] ints.
+  carry-less product p2_mul, reduced as one slot of the packed kernel
+  below; inv is the binary extended Euclidean algorithm on packed
+  GF(2)[T] ints.
 
 Linear algebra and polynomial products go through two kernel entries
 instead of one mul call per product: Field.addmul(acc, cs, vs) = acc + sum
@@ -27,10 +27,11 @@ int.to_bytes, so both cost time linear in the length.  A row of the
 result is a combination of packed rows, each with its 4-bit table of
 multiples: a nibble of a coefficient picks one entry of its row's table,
 shifted into place, whatever the length of the rows.  Each result row
-ends with one Barrett reduction of every slot at once, by mu = T^2k //
-modulus (fixed per field; exact for products of degree below 2k), and
-one unpack.  mat_mul packs each row of b and builds its table once for
-the whole product; addmul above GF(2^16) is one such result row.
+ends with one Barrett reduction of every slot at once (Field._reduce),
+by mu = T^2k // modulus (fixed per field; exact for products of degree
+below 2k), and one unpack.  mat_mul packs each row of b and builds its
+table once for the whole product; addmul above GF(2^16) is one such
+result row.
 
 Use the cached factories GF(k) / field_from_modulus(m) so that repeated
 requests return the same context (and the same lookup tables).  A degree
@@ -193,8 +194,7 @@ def default_modulus(k: int) -> int:
 class Field:
     """The field GF(2^k) presented as GF(2)[T]/(modulus)."""
 
-    __slots__ = ("degree", "modulus", "order", "_exp", "_log", "_red", "_shifts",
-                 "_barrett", "_slot")
+    __slots__ = ("degree", "modulus", "order", "_exp", "_log", "_barrett", "_slot")
 
     def __init__(self, degree: int | None = None, modulus: int | None = None):
         if degree is None and modulus is None:
@@ -219,13 +219,9 @@ class Field:
         self.order = 1 << degree
         self._exp = None
         self._log = None
-        self._red = None
-        self._shifts = ()
         self._build_packing()
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
-        else:
-            self._build_reduction()
 
     # -- identity ----------------------------------------------------------
 
@@ -257,22 +253,6 @@ class Field:
             mu ^= 1 << s
             r ^= m << s
         self._barrett = tuple(tuple(i for i in range(k) if x >> i & 1) for x in (mu, m))
-
-    def _build_reduction(self):
-        """_red[c] is the multiple of the modulus whose bits k..k+7 are c;
-        a product has at most k-1 bits above bit k-1, so _shifts holds the
-        byte offsets of those bits from the top down."""
-        k, m = self.degree, self.modulus
-        self._red = [(c << k) ^ p2_mod(c << k, m) for c in range(256)]
-        self._shifts = tuple(range((k - 2) // 8 * 8, -1, -8))
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        p = p2_mul(a, b)
-        red = self._red
-        k = self.degree
-        for s in self._shifts:
-            p ^= red[p >> (k + s)] << s
-        return p
 
     def _build_tables(self):
         """exp/log tables of the smallest primitive g (1 in GF(2), else the
@@ -308,7 +288,7 @@ class Field:
             return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        return self._reduce(p2_mul(a, b), self.order - 1)
 
     def addmul(self, acc: list, cs, vs) -> list:
         """acc + sum of c*v over the pairs (c, v) of cs and vs, entrywise:
@@ -374,14 +354,16 @@ class Field:
         return int.from_bytes(((1 << self.degree) - 1).to_bytes(self._slot[2], "little") * n,
                               "little")
 
-    def _unpack(self, p: int, mask: int, n: int) -> list:
-        """The n entries of p, each slot reduced modulo the modulus first.
-        The Barrett reduction does every slot at once: h is the part of a
-        slot at T^k and above, q = (h mu) >> k its quotient by the modulus
-        and p + q m the remainder; the T^k terms of mu and m are the q = h
-        start and the bits that the last mask clears.  A slot holds at least
-        2k bits, so the bits that h << i >> k moves into the slot below land
-        above its low k bits, and the mask clears them too."""
+    def _reduce(self, p: int, mask: int) -> int:
+        """p with every slot that mask selects reduced modulo the modulus,
+        each slot holding a product of degree below 2k; a scalar is one
+        slot, mask 2^k - 1.  The Barrett reduction does every slot at once:
+        h is the part of a slot at T^k and above, q = (h mu) >> k its
+        quotient by the modulus and p + q m the remainder; the T^k terms of
+        mu and m are the q = h start and the bits that the last mask
+        clears.  A packed slot holds at least 2k bits, so the bits that
+        h << i >> k moves into the slot below land above its low k bits,
+        and the mask clears them too."""
         k = self.degree
         h = p >> k & mask
         if h:
@@ -393,6 +375,11 @@ class Field:
             for i in m_bits:
                 p ^= q << i
             p &= mask
+        return p
+
+    def _unpack(self, p: int, mask: int, n: int) -> list:
+        """The n entries of p, each slot reduced modulo the modulus first."""
+        p = self._reduce(p, mask)
         fmt, step, size = self._slot
         items = array(fmt, p.to_bytes(n * size, "little"))
         if _SWAP:

@@ -59,10 +59,9 @@ def mul_by_bits(modulus, a, b):
     return r
 
 
-def inv_by_pow(modulus, a):
-    """a^(q-2) = a^-1 in GF(q), q = 2^deg(modulus), by square and multiply
-    with mul_by_bits."""
-    e = (1 << (modulus.bit_length() - 1)) - 2
+def pow_by_bits(modulus, a, e):
+    """a^e in GF(2)[T]/(modulus), e >= 0, by square and multiply with
+    mul_by_bits."""
     r = 1
     while e:
         if e & 1:
@@ -70,6 +69,11 @@ def inv_by_pow(modulus, a):
         a = mul_by_bits(modulus, a, a)
         e >>= 1
     return r
+
+
+def inv_by_pow(modulus, a):
+    """a^(q-2) = a^-1 in GF(q), q = 2^deg(modulus)."""
+    return pow_by_bits(modulus, a, (1 << (modulus.bit_length() - 1)) - 2)
 
 
 def log_tables_by_trial(modulus):

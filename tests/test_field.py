@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compose_embeddings, inv_by_pow, log_tables_by_trial, mul_by_bits
+from oracles import compose_embeddings, inv_by_pow, log_tables_by_trial, mul_by_bits, pow_by_bits
 from qpencil.field import (
     _TABLE_LIMIT,
     GF,
@@ -141,15 +141,6 @@ def test_field_factories_are_cached():
     assert field_from_modulus(7) is field_from_modulus(7)
 
 
-def test_large_field_without_tables():
-    gf = GF(17)  # beyond the table limit; raw multiplication path
-    a, b = 12345, 98765
-    assert gf.mul(a, b) == gf.mul(b, a)
-    assert gf.mul(a, gf.inv(a)) == 1
-    s = gf.sqrt(a)
-    assert gf.mul(s, s) == a
-
-
 def _irreducibles(k, count, skip):
     """The first `count` irreducible degree-k moduli other than `skip`."""
     out = []
@@ -167,10 +158,16 @@ ORACLE_DEGREES = list(range(1, 34)) + [48, 64]
 @pytest.mark.parametrize("k", ORACLE_DEGREES)
 def test_mul_and_inv_match_the_bit_loop_oracle(k):
     # both sides of the table limit (k <= 16 tables, k >= 17 windowed
-    # product and Euclidean inverse), default and non-default moduli
+    # product with the Barrett step and Euclidean inverse): mul and inv on
+    # the default and a non-default modulus, above the tables on the three
+    # moduli of _moduli_for_the_packed_kernel (a dense mu among them);
+    # then sqrt and pow, exponents negative and at least q - 1 included,
+    # on the edge elements and a few random ones
     rng = random.Random(1000 + k)
     default = default_modulus(k)
-    for modulus in [default] + _irreducibles(k, 1, default):
+    moduli = (_moduli_for_the_packed_kernel(k) if k > 16
+              else [default] + _irreducibles(k, 1, default))
+    for modulus in moduli:
         gf = field_from_modulus(modulus)
         assert (gf._exp is None) == (gf.order > _TABLE_LIMIT)
         edge = [1, 1 << (k - 1), (1 << k) - 1]
@@ -179,6 +176,13 @@ def test_mul_and_inv_match_the_bit_loop_oracle(k):
             for b in edge + [rng.choice(xs), rng.randrange(gf.order)]:
                 assert gf.mul(a, b) == mul_by_bits(modulus, a, b)
             assert gf.inv(a) == inv_by_pow(modulus, a)
+        for a in [0] + xs[:6]:
+            s = gf.sqrt(a)
+            assert mul_by_bits(modulus, s, s) == a
+            for e in (0, 1, 2, gf.order - 1, gf.order, rng.randrange(3, 1 << (k + 2))):
+                assert gf.pow(a, e) == pow_by_bits(modulus, a, e)
+                if a:
+                    assert gf.pow(a, -e) == pow_by_bits(modulus, inv_by_pow(modulus, a), e)
 
 
 def _addmul_by_bits(modulus, acc, cs, vs):
