@@ -27,7 +27,7 @@ from functools import cached_property
 from . import poly
 from .algebra import EtaleAlgebra
 from .errors import PreconditionError
-from .field import Field, find_embedding
+from .field import Field
 from .linalg import (identity, inverse, mat_mul, mat_vec, normalize_subspace, transpose,
                      vec_scale)
 from .normalform import NormalForm, extract_normal_form
@@ -198,14 +198,9 @@ def reflections(p: Pencil, ext: Field) -> list[Reflection]:
     with two different members.  The product of all n reflections is the
     identity, and each equals phi of the idempotent of its linear factor.
     """
-    pe = p.map_field(find_embedding(p.gf, ext))
-    pts = pe.projective_roots()
-    if len(pts) != p.n:
-        raise PreconditionError(
-            f"{ext!r} does not split Delta ({len(pts)} of {p.n} roots)"
-        )
+    pe = p.over(ext)
     out = []
-    for (l, u) in pts:
+    for (l, u) in pe.split_roots():
         z = pe.omega_at(l, u)
         candidates = [(1, 0), (0, 1), (1, 1)]
         mats = []
@@ -240,7 +235,7 @@ def reflections_match_idempotents(p: Pencil, ext: Field, refl: list) -> bool:
         if r.root[0] == 0:
             return False  # a_n = 0: no idempotent matches the infinite root
         by_root[ext.div(r.root[1], r.root[0])] = r
-    an = pair_algebra(p.map_field(find_embedding(p.gf, ext)))
+    an = pair_algebra(p.over(ext))
     for fi, e in zip(an.algebra.factors, an.algebra.idempotents):
         if len(fi) != 2:
             return False  # ext does not split Delta after all
@@ -282,9 +277,7 @@ def delta_stabilizer(p: Pencil, ext: Field) -> list:
     q of distinct roots is F_q F_p^-1 (see _three_point_frame): each
     element is one of the n(n-1)(n-2) candidates, kept when it maps the
     roots onto themselves."""
-    pts = p.map_field(find_embedding(p.gf, ext)).projective_roots()
-    if len(pts) != p.n:
-        raise PreconditionError(f"{ext!r} does not split Delta")
+    pts = p.over(ext).split_roots()
     f_p_inv = inverse(ext, _three_point_frame(ext, pts[:3]))
     cols, roots = transpose(pts), set(pts)
     out = []
@@ -325,7 +318,7 @@ def aut_x(p: Pencil, ext: Field) -> AutXGroup:
     ext); a_n = 0 is healed internally by a GL(2) move, which changes
     neither X nor Aut(X).
     """
-    pe = p.map_field(find_embedding(p.gf, ext))
+    pe = p.over(ext)
     an = pair_algebra(pe)
     if an.r0_frame is None:
         raise PreconditionError(

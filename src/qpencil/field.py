@@ -430,13 +430,6 @@ class Field:
     def elements(self) -> range:
         return range(self.order)
 
-    # -- extensions ----------------------------------------------------------
-
-    def extension(self, j: int) -> tuple["Field", "Embedding"]:
-        """GF(2^(k*j)) in absolute representation plus the embedding map."""
-        dst = GF(self.degree * j)
-        return dst, find_embedding(self, dst)
-
 
 @lru_cache(maxsize=None)
 def GF(degree: int) -> Field:

@@ -8,8 +8,10 @@ component F_i of A (degree d_i) is gcd(d_i, j) copies of one field F, where
 wp(F) = ker Tr_{F/F_2}, so the traces of r on the F_i decide every level,
 and an odd base extension keeps them.  The splitting degree, and whether
 every point of P^1(GF(2^(k j))) is a root of Delta, are read off the factor
-degrees of Pencil.delta_algebra; no field is scanned.  The brute-force scans
-of X that check these answers (its points, its lines, and the singular-point
+degrees of Pencil.delta_algebra; no field is scanned.  The generators are
+found on the pencil over ext (Pencil.over), which must split Delta
+(Pencil.split_roots) and kill the r-coset.  The brute-force scans of X
+that check these answers (its points, its lines, and the singular-point
 scan behind the regularity criterion) live in `verify`.
 """
 
@@ -21,7 +23,7 @@ from itertools import count
 
 from .autos import group_generators, pair_algebra
 from .errors import PreconditionError
-from .field import GF, Field, find_embedding
+from .field import GF, Field
 from .linalg import mat_mul, mat_vec, normalize_subspace, nullspace, rank
 from .pencil import Pencil
 from .quadform import is_totally_isotropic
@@ -89,7 +91,7 @@ def quasi_split_over(p: Pencil) -> tuple[int, Field]:
     when ((j/g_i) t_i mod 2)_i is 0 or ((d_i/g_i) mod 2)_i, g_i = gcd(d_i, j).
     Summing (r e_i)^(2^s) over s < k d_i gives t_i e_i, t_i's certificate."""
     b = next(b for b in count(1, 2) if not _all_roots(p, b))
-    an = pair_algebra(p.map_field(find_embedding(p.gf, GF(p.gf.degree * b))))
+    an = pair_algebra(p.over(GF(p.gf.degree * b)))
     alg, degrees, traces = an.algebra, [len(f) - 1 for f in an.algebra.factors], []
     for d, e in zip(degrees, alg.idempotents):
         x = acc = alg.mul(an.r_value, e)
@@ -120,11 +122,8 @@ def enumerate_generators(p: Pencil, ext: Field) -> list[tuple]:
 
     Needs ext to split Delta (so the orbit has full size) and to kill the
     r-coset (so one generator exists to start from)."""
-    pe = p.map_field(find_embedding(p.gf, ext))
-    if len(pe.projective_roots()) != p.n:
-        raise PreconditionError(
-            f"{ext!r} does not split Delta; generators would be missing"
-        )
+    pe = p.over(ext)
+    pe.split_roots()
     b0 = pair_algebra(pe).r0_frame
     if b0 is None:
         j, needed = quasi_split_over(p)

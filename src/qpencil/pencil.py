@@ -11,7 +11,9 @@ minor of b0 solve in O(n^3) products over the pencil's own field; only a
 pencil that is not regular can leave the chain underdetermined, and its
 Omega is interpolated from the Pfaffian vectors of m+1 members instead.
 Delta is factored once, in its étale algebra (delta_algebra), and every
-reader of its roots or factor degrees reads that factorization.
+reader of its roots or factor degrees reads that factorization.  over(ext)
+is the one way onto an extension field (one pencil per field, embedded by
+find_embedding), and split_roots the one check that a field splits Delta.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from . import poly
 from .algebra import EtaleAlgebra
 from .errors import NotRegularError, PreconditionError
+from .field import GF, Field, find_embedding
 from .linalg import inverse, lu_solver, mat_mul, rank, rref, transpose, vec_dot
 from .quadform import QuadraticForm, pfaffian_vector
 
@@ -46,7 +49,7 @@ class Pencil:
         self._delta_algebra = None
         self._regular = None
         self._analysis = None  # set by autos.pair_algebra
-        self._mapped = {}  # embedding -> the pencil over its target field
+        self._mapped = {}  # extension field -> the pencil over it
 
     def __eq__(self, other):
         return (
@@ -126,6 +129,15 @@ class Pencil:
         read off the linear factors of delta_algebra."""
         return poly.bf_projective_roots(self.half_discriminant(), self.delta_algebra().factors)
 
+    def split_roots(self) -> list:
+        """All n projective roots of Delta, or PreconditionError when the
+        pencil's field does not split Delta."""
+        pts = self.projective_roots()
+        if len(pts) != self.n:
+            raise PreconditionError(
+                f"{self.gf!r} does not split Delta ({len(pts)} of {self.n} roots)")
+        return pts
+
     def is_regular(self) -> bool:
         """Delta nonzero and separable as a binary form: n distinct projective
         roots over the closure, the point at infinity included.  Decided
@@ -170,19 +182,18 @@ class Pencil:
         """The pencil (q0 o g, q1 o g)."""
         return Pencil(self.q0.transform(g), self.q1.transform(g))
 
-    def map_field(self, emb) -> "Pencil":
-        """The pencil over emb.dst: self when emb fixes every coefficient,
-        otherwise one new pencil per embedding, so that what is cached on
-        it is computed once.  It takes this pencil's regularity verdict:
-        Delta maps coefficient by coefficient, and separability does not
-        depend on the field."""
-        if emb.dst == self.gf and all(
-            emb.map(c) == c for q in (self.q0, self.q1) for row in q.rows for c in row
-        ):
+    def over(self, ext: Field) -> "Pencil":
+        """The pencil over ext, an extension of its field, embedded by
+        find_embedding: self over its own field, otherwise one pencil per
+        field, so that what is cached on it is computed once.  It takes
+        this pencil's regularity verdict: Delta maps coefficient by
+        coefficient, and separability does not depend on the field."""
+        if ext == self.gf:
             return self
-        if emb not in self._mapped:
-            self._mapped[emb] = Pencil(self.q0.map_field(emb), self.q1.map_field(emb))
-        mapped = self._mapped[emb]
+        if ext not in self._mapped:
+            emb = find_embedding(self.gf, ext)
+            self._mapped[ext] = Pencil(self.q0.map_field(emb), self.q1.map_field(emb))
+        mapped = self._mapped[ext]
         if mapped._regular is None:
             mapped._regular = self._regular
         return mapped
@@ -261,7 +272,8 @@ def _interpolated(gf, grams: tuple, m: int) -> list:
     j = -(-m.bit_length() // gf.degree)  # smallest j with 2^(k*j) > m
     ext = gf
     if j > 1:  # then gf has at most m elements
-        ext, emb = gf.extension(j)
+        ext = GF(gf.degree * j)
+        emb = find_embedding(gf, ext)
         grams = [[emb.map_vec(row) for row in g] for g in grams]
     values = [
         pfaffian_vector(ext, [ext.addmul(r1, (x,), (r0,)) for r0, r1 in zip(*grams)])

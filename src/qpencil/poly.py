@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from .linalg import mat_vec
+from .linalg import mat_vec, vec_scale
 
 if TYPE_CHECKING:
     from .field import Field
@@ -53,12 +53,6 @@ def add(a: list, b: list) -> list:
     return trim(out)
 
 
-def scale(gf: Field, a: list, c: int) -> list:
-    if c == 0:
-        return []
-    return gf.addmul([0] * len(a), (c,), (a,))
-
-
 def mul(gf: Field, a: list, b: list) -> list:
     if not a or not b:
         return []
@@ -71,7 +65,7 @@ def monic(gf: Field, a: list) -> list:
     lead = a[-1]
     if lead == 1:
         return a[:]
-    return scale(gf, a, gf.inv(lead))
+    return vec_scale(gf, a, gf.inv(lead))
 
 
 def divmod_(gf: Field, a: list, b: list) -> tuple[list, list]:
@@ -86,6 +80,8 @@ def divmod_(gf: Field, a: list, b: list) -> tuple[list, list]:
         coef = gf.mul(r[-1], inv_lead)
         q[d] = coef
         r[d:] = gf.addmul(r[d:], (coef,), (b,))
+        if r[-1]:  # the only exit needs each step to cancel the top
+            raise AssertionError("a division step left the leading coefficient")
         trim(r)
     return trim(q), r
 
@@ -123,7 +119,7 @@ def extended_gcd(gf: Field, a: list, b: list) -> tuple[list, list, list]:
     if not r0:
         raise ValueError("gcd(0, 0) is undefined")
     c = gf.inv(r0[-1])
-    return scale(gf, r0, c), scale(gf, s0, c), scale(gf, t0, c)
+    return vec_scale(gf, r0, c), vec_scale(gf, s0, c), vec_scale(gf, t0, c)
 
 
 def derivative(gf: Field, a: list) -> list:

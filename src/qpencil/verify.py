@@ -39,7 +39,7 @@ from .autos import (
 )
 from .cli import SCALES
 from .errors import PreconditionError
-from .field import GF, Field, find_embedding
+from .field import GF, Field
 from .geometry import canonical_plane, enumerate_generators
 from .invariants import arf_invariant, is_isomorphic, r_invariant
 from .lattice import cartan_d, intersection_number, lattice_for
@@ -238,8 +238,7 @@ def points_on_X(p: Pencil, ext: Field) -> list:
         raise PreconditionError(
             f"scan of {total} projective points exceeds the {_SCAN_LIMIT} limit"
         )
-    emb = find_embedding(p.gf, ext)
-    pe = p.map_field(emb)
+    pe = p.over(ext)
     q0, q1 = pe.q0, pe.q1
     return [tuple(x) for x in proj_points(ext, p.n) if q0(x) == 0 and q1(x) == 0]
 
@@ -262,7 +261,7 @@ def smoothness_oracle(p: Pencil, max_ext_degree: int) -> bool:
 def _singular_among(p: Pencil, ext: Field) -> bool:
     """Whether the radical of some member l q0 + u q1 over ext, (1, c) for
     every c and then (0, 1), holds a point of X."""
-    pe = p.map_field(find_embedding(p.gf, ext))
+    pe = p.over(ext)
     q0, q1 = pe.q0, pe.q1
     n = p.n
     # the two Gram matrices laid end to end: one kernel call per member
@@ -283,8 +282,7 @@ def brute_force_lines(p: Pencil, ext: Field) -> list[tuple]:
     b(x, y) = q(x + y) there since q(x) = q(y) = 0."""
     if p.m != 2:
         raise PreconditionError("line enumeration is the m = 2 oracle")
-    emb = find_embedding(p.gf, ext)
-    pe = p.map_field(emb)
+    pe = p.over(ext)
     pts = points_on_X(p, ext)
     lines = set()
     for i in range(len(pts)):
@@ -433,8 +431,8 @@ def check_normal_form(scale: str):
             # every rational point is a root of Delta; compare over the
             # reported extension instead
             j = err.info["extension_degree"]
-            _, emb = p.gf.extension(j)
-            iso, _ = is_isomorphic(p.map_field(emb), model.map_field(emb))
+            ext = GF(p.gf.degree * j)
+            iso, _ = is_isomorphic(p.over(ext), model.over(ext))
         _expect(iso, "the realized normal form is not isomorphic to the pencil")
         yield 1
 
@@ -679,7 +677,7 @@ def check_lattice(scale: str):
         gens = enumerate_generators(dp, ext)
         span_index = {g: i for i, g in enumerate(gens)}
         gram = [[intersection_number(ext, x, y) for y in gens] for x in gens]
-        for rep in automorphism_group(dp.map_field(find_embedding(g2, ext))):
+        for rep in automorphism_group(dp.over(ext)):
             perm = [span_index[apply_to_subspace(ext, rep.matrix, x)]
                     for x in gens]
             _expect(all(gram[perm[i]][perm[j]] == gram[i][j]
@@ -700,7 +698,7 @@ def check_aut_x(scale: str):
     # closure sanity: the multiplication table only references group elements
     _expect(all(x < ax.order for row in ax.mult_table for x in row), "table escapes")
     # G is every element of PGL2 whose substitution scales Delta
-    delta = pair_algebra(p.map_field(find_embedding(g2, ext))).pencil.half_discriminant()
+    delta = pair_algebra(p.over(ext)).pencil.half_discriminant()
     scan = [tuple(map(tuple, m2)) for m2 in pgl2_elements(ext)
             if rank(ext, [delta, poly.bf_substitute(ext, delta, m2)]) == 1]
     _expect(tuple(scan) == ax.g_elements, "G is not the PGL2 scan")

@@ -298,7 +298,7 @@ def corank_profile(p, ext):
             f"extension {ext!r} does not split Delta "
             f"({len(pts)} of {p.n} roots)"
         )
-    pe = p.map_field(emb)
+    pe = p.over(ext)
     return [((l, u), p.n - rank(ext, pe.member(l, u).polar())) for (l, u) in pts]
 
 
@@ -318,7 +318,7 @@ def all_idempotents(algebra):
 def singular_points_on_X(p, ext):
     """Points of X(ext) where the Jacobian rows b0(x,.), b1(x,.) have rank
     below 2 (the literal smoothness criterion, scan form)."""
-    pe = p.map_field(find_embedding(p.gf, ext))
+    pe = p.over(ext)
     g0, g1 = pe.q0.polar(), pe.q1.polar()
     out = []
     for x in points_on_X(p, ext):
@@ -415,7 +415,7 @@ def generators_per_element(p, ext):
     from qpencil.autos import pair_algebra
     from qpencil.linalg import normalize_subspace
 
-    pe = p.map_field(find_embedding(p.gf, ext))
+    pe = p.over(ext)
     b0 = pair_algebra(pe).r0_frame
     m, n = pe.m, pe.n
     first = normalize_subspace(ext, [[b0[r][m + 1 + j] for r in range(n)] for j in range(m)])
@@ -465,7 +465,7 @@ def quasi_split_by_scan(p):
     for j in range(1, bound + 1):
         ext = GF(p.gf.degree * j)
         try:
-            an = pair_algebra(p.map_field(find_embedding(p.gf, ext)))
+            an = pair_algebra(p.over(ext))
         except PreconditionError:
             continue  # every point of P^1(ext) is a root of Delta
         if an.witness is not None:
@@ -483,7 +483,7 @@ def stabilizer_by_scan(p, ext):
     element of pgl2_elements(ext), each root's image normalized."""
     from qpencil.autos import _projective_key, pgl2_elements
 
-    pts = set(p.map_field(find_embedding(p.gf, ext)).projective_roots())
+    pts = set(p.over(ext).projective_roots())
     if len(pts) != p.n:
         raise PreconditionError(f"{ext!r} does not split Delta")
     out = []

@@ -46,7 +46,7 @@ TABLE_LIMIT = 128
 def _compare_with_the_scans(p, ext, ax) -> bool:
     """Assert that ax has the G of the PGL2 scan and, up to TABLE_LIMIT, the
     table of the formed products; whether the table was compared."""
-    work = pair_algebra(p.map_field(find_embedding(p.gf, ext))).pencil
+    work = pair_algebra(p.over(ext)).pencil
     scan = [tuple(map(tuple, m2)) for m2 in stabilizer_by_scan(work, ext)]
     assert tuple(scan) == ax.g_elements
     if ax.order > TABLE_LIMIT:
@@ -173,7 +173,7 @@ def test_stabilizer_over_gf_2_24_costs_its_root_triples(products):
     # roots give 6 candidates, and 269 field products in all (roots found)
     doc = json.loads((GOLDEN / "docs" / "g8_n3_irreducible_r0.json").read_text())
     p, ext = cli.parse_pencil(doc), GF(24)
-    pe = p.map_field(find_embedding(p.gf, ext))
+    pe = p.over(ext)
     pe.projective_roots()
     formed, g = products(lambda: delta_stabilizer(pe, ext))
     assert len(g) == 6
@@ -227,8 +227,8 @@ def test_autx_entries_beyond_the_scans_check_independently(doc):
     # modulus: the package finds it (bench.embedding_root scans all of
     # GF(2^24)), and the benchmark's arithmetic checks that it is a root
     p = cli.parse_pencil(document)
-    embedding = find_embedding(p.gf, field_from_modulus(ext.modulus))
-    root = embedding.root
+    target = field_from_modulus(ext.modulus)
+    root = find_embedding(p.gf, target).root
     value = 0
     for bit in reversed(range(base_field.k + 1)):
         value = ext.mul(value, root) ^ (base_field.modulus >> bit & 1)
@@ -249,7 +249,7 @@ def test_autx_entries_beyond_the_scans_check_independently(doc):
     # permutations of the roots that keep every cross-ratio [ac][bd]/[ad][bc].
     # The roots come from the package, of the pencil aut_x works on (moved
     # by GL(2) when a_n = 0); the rest is the benchmark's arithmetic
-    roots = pair_algebra(p.map_field(embedding)).pencil.projective_roots()
+    roots = pair_algebra(p.over(target)).pencil.projective_roots()
     assert len(roots) == n
     g_elements = out["g_elements"]
     assert len({str(g) for g in g_elements}) == len(g_elements)

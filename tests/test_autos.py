@@ -16,7 +16,7 @@ from qpencil.autos import (
 )
 from qpencil import linalg, poly
 from qpencil.errors import PreconditionError
-from qpencil.field import GF, find_embedding
+from qpencil.field import GF
 from qpencil.linalg import identity, mat_mul
 from qpencil.normalform import realize
 from qpencil.verify import gl_elements, pulls_back
@@ -137,7 +137,7 @@ def test_automorphism_group_orders(g2, g4):
     assert len(automorphism_group(p)) == 2
     p_irr = realize(g2, [1, 1, 0, 1], [0, 0])
     assert len(automorphism_group(p_irr)) == 1
-    pe = p.map_field(find_embedding(g2, g4))
+    pe = p.over(g4)
     assert len(automorphism_group(pe)) == 4  # split: order 2^(2m)
 
 
@@ -174,7 +174,7 @@ def test_reflections_m1(g2, g4):
         assert mat_mul(g4, m, m) == identity(3)
         prod = mat_mul(g4, prod, m)
         # reflections are automorphisms of the pair over the extension
-        pe = p.map_field(find_embedding(g2, g4))
+        pe = p.over(g4)
         assert pe.q0.transform(m) == pe.q0 and pe.q1.transform(m) == pe.q1
     assert prod == identity(3)
     assert reflections_match_idempotents(p, g4, refl)
@@ -217,7 +217,7 @@ def test_aut_x_m1(g2, g4):
     from qpencil.verify import points_on_X
 
     pts = set(points_on_X(p, g4))
-    pe = p.map_field(find_embedding(g2, g4))
+    pe = p.over(g4)
     from qpencil.linalg import mat_vec
 
     def norm(v):

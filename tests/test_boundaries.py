@@ -46,7 +46,7 @@ ORACLES = (
 # the algebra's multiplication and the gcd behind 1/f'
 ALLOWED = {
     "poly", "GF", "Field", "find_embedding", "degree", "order", "elements",
-    "mul", "addmul", "Pencil", "map_field", "n", "m", "QuadraticForm",
+    "mul", "addmul", "Pencil", "over", "n", "m", "QuadraticForm",
     "from_table", "polar", "add", "PreconditionError",
     "nullspace", "normalize_subspace", "EtaleAlgebra", "t_power",
     "from_poly", "monic_f", "extended_gcd", "derivative",
@@ -64,12 +64,12 @@ FORBIDDEN = {
 REFERENCES = {
     "quasi_split_by_scan": ("quasi_split_over", {
         "pair_algebra", "splitting_degree", "require_regular", "GF", "degree",
-        "map_field", "find_embedding", "PreconditionError", "witness",
+        "over", "PreconditionError", "witness",
     }),
     # image.add is a set's, matched by name
     "stabilizer_by_scan": ("delta_stabilizer", {
-        "pgl2_elements", "_projective_key", "map_field", "find_embedding",
-        "projective_roots", "n", "mul", "add", "PreconditionError",
+        "pgl2_elements", "_projective_key", "over", "projective_roots", "n",
+        "mul", "add", "PreconditionError",
     }),
     "aut_x_table_by_products": ("aut_x", {"mat_mul", "_projective_key"}),
 }

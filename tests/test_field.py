@@ -116,7 +116,8 @@ def test_embedding_requires_divisible_degree(g4, g8):
 
 
 def test_extension_constructor(g4):
-    ext, emb = g4.extension(2)
+    ext = GF(2 * g4.degree)
+    emb = find_embedding(g4, ext)
     assert ext.degree == 4
     assert emb.src == g4 and emb.dst == ext
     # root really is a root of the source modulus

@@ -6,7 +6,7 @@ import qpencil.poly as poly
 from oracles import singular_points_on_X
 from qpencil.autos import pair_algebra
 from qpencil.errors import PreconditionError
-from qpencil.field import GF, find_embedding
+from qpencil.field import GF
 from qpencil.geometry import (
     canonical_plane,
     enumerate_generators,
@@ -40,7 +40,7 @@ def test_points_on_X_m1(g2, g4):
     assert points_on_X(p, g2) == [(1, 0, 1), (0, 0, 1)]
     pts = points_on_X(p, g4)
     assert len(pts) == 4
-    pe = p.map_field(find_embedding(g2, g4))
+    pe = p.over(g4)
     for x in pts:
         assert pe.q0(list(x)) == 0 and pe.q1(list(x)) == 0
 
@@ -201,7 +201,7 @@ def test_quasi_split_geometric_agreement(g2, g4):
         for d in range(1, j):
             level = GF(p.gf.degree * d)
             try:
-                p.map_field(find_embedding(p.gf, level)).ensure_an_nonzero()
+                p.over(level).ensure_an_nonzero()
             except PreconditionError:
                 continue  # not comparable at this level
             assert points_on_X(p, level) == []
@@ -249,7 +249,7 @@ def test_generator_orbit_transitive(g2, g16):
 
     dp = realize(g2, [0, 1, 1, 1, 1, 1], [0] * 4)
     gens = enumerate_generators(dp, g16)
-    pe = dp.map_field(find_embedding(g2, g16))
+    pe = dp.over(g16)
     auts = automorphism_group(pe)
     first = gens[0]
     orbit = {

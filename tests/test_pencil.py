@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import qpencil.field as field
 import qpencil.pencil as pencil
 import qpencil.poly as poly
 from oracles import (
@@ -16,9 +15,12 @@ from oracles import (
     half_discriminant_per_key,
     radical_map_matches_members,
 )
+from qpencil.autos import delta_stabilizer, reflections
 from qpencil.cli import main
 from qpencil.errors import NotRegularError, PreconditionError
-from qpencil.field import GF, Field, default_modulus, field_from_modulus
+from qpencil.field import (GF, Embedding, Field, default_modulus, field_from_modulus,
+                           find_embedding)
+from qpencil.geometry import enumerate_generators
 from qpencil.normalform import realize
 from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm, pfaffian_vector
@@ -100,8 +102,8 @@ def test_radical_map_squares_to_principal_minors(modulus, n, density, support):
     j = 1
     while gf.order ** j <= m:
         j += 1
-    ext, emb = gf.extension(j) if j > 1 else (gf, None)
-    lift = emb.map if emb else (lambda c: c)
+    ext = GF(gf.degree * j) if j > 1 else gf
+    lift = find_embedding(gf, ext).map
     ws = [[lift(c) for c in w] for w in p.radical_map()]
     g0 = [[lift(c) for c in r] for r in p.q0.polar()]
     g1 = [[lift(c) for c in r] for r in p.q1.polar()]
@@ -155,7 +157,7 @@ def test_radical_map_of_regular_pencil_builds_no_field(monkeypatch, degree, n):
         raise AssertionError("a field or an embedding was built")
 
     monkeypatch.setattr(Field, "__init__", refuse)
-    monkeypatch.setattr(field, "find_embedding", refuse)
+    monkeypatch.setattr(pencil, "find_embedding", refuse)
     assert fresh.radical_map() == p.radical_map()
 
 
@@ -192,6 +194,51 @@ def test_derived_pencils_reuse_regularity(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([command, "--in", doc]) == 0
         assert len(calls) == 1, command
+
+
+def test_over_the_own_field_is_the_pencil_itself(monkeypatch, g2, g4):
+    # no coefficient is mapped on the way to the own field, and each
+    # extension field has one pencil, whose caches are shared
+    maps = []
+    image = Embedding.map
+    monkeypatch.setattr(Embedding, "map", lambda self, a: maps.append(a) or image(self, a))
+    p = realize(g2, [0, 1, 1, 1], [0, 0])
+    assert p.over(g2) is p and p.over(field_from_modulus(g2.modulus)) is p
+    assert maps == []
+    pe = p.over(g4)
+    assert maps and pe.gf == g4 and pe != p
+    assert p.over(g4) is pe and pe.over(g4) is pe
+    emb = find_embedding(g2, g4)
+    assert (pe.q0, pe.q1) == (p.q0.map_field(emb), p.q1.map_field(emb))
+
+
+@pytest.mark.parametrize("regular", [True, False])
+def test_over_carries_the_regularity_verdict(monkeypatch, regular, g4):
+    drawn = random_pencil(GF(1), 5, random.Random(5), regular=regular)
+    p = Pencil(drawn.q0, drawn.q1)  # the draw has decided regularity already
+    early = p.over(g4)  # mapped before the verdict: it takes it later
+    assert early._regular is None
+    assert p.is_regular() is regular
+    checks = []
+    monkeypatch.setattr(poly, "bf_is_separable", lambda gf, a: checks.append(gf))
+    assert p.over(g4) is early and early.is_regular() is regular
+    assert p.over(GF(4)).is_regular() is regular
+    assert checks == []
+    monkeypatch.undo()
+    assert Pencil(early.q0, early.q1).is_regular() is regular
+
+
+def test_one_refusal_when_the_field_does_not_split_delta(g2, g4):
+    # Delta(1, T) = T^3 + T + 1 is irreducible over GF(2) and GF(4)
+    p = realize(g2, [1, 1, 0, 1], [0, 0])
+    for ext in (g2, g4):
+        messages = set()
+        for split in (reflections, delta_stabilizer, enumerate_generators):
+            with pytest.raises(PreconditionError) as exc:
+                split(p, ext)
+            messages.add(str(exc.value))
+        assert messages == {f"{ext!r} does not split Delta (0 of 3 roots)"}
+    assert len(p.over(GF(3)).split_roots()) == 3
 
 
 def test_half_discriminant_matches_members(g2, g4, g8):
@@ -330,8 +377,7 @@ def test_ensure_an_nonzero_impossible_over_gf2(g2):
     with pytest.raises(PreconditionError) as exc:
         p.ensure_an_nonzero()
     assert exc.value.info["extension_degree"] == 2
-    _, emb = g2.extension(2)
-    moved, _ = p.map_field(emb).ensure_an_nonzero()
+    moved, _ = p.over(GF(2)).ensure_an_nonzero()
     assert moved.half_discriminant()[3] != 0
 
 
@@ -343,9 +389,7 @@ def test_corank_profile(g2, g4):
     with pytest.raises(PreconditionError):
         corank_profile(p, g2)  # GF(2) does not split Delta
     # every root's member is degenerate, and non-roots are not
-    from qpencil.field import find_embedding
-
-    pe = p.map_field(find_embedding(g2, g4))
+    pe = p.over(g4)
     roots = {pt for pt, _ in prof}
     for l in g4.elements():
         for u in g4.elements():

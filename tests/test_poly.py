@@ -1,4 +1,8 @@
+import contextlib
+import io
 import random
+import signal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,8 @@ from hypothesis import strategies as st
 
 import qpencil.poly as poly
 from oracles import bf_dehomogenize_t1, evaluate, roots_by_scan, roots_in
-from qpencil.field import GF, field_from_modulus, find_embedding
+from qpencil import cli
+from qpencil.field import GF, Field, field_from_modulus, find_embedding
 
 FIELDS = [GF(1), GF(2), GF(3)]
 
@@ -17,6 +22,44 @@ def test_gcd_examples(g2):
     assert poly.gcd(g2, [0, 1], [1, 1]) == [1]
     with pytest.raises(ValueError):
         poly.gcd(g2, [], [])
+
+
+@contextlib.contextmanager
+def _alarm(seconds: int):
+    """Turn a hang into a TimeoutError after `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_division_refuses_a_wrong_product(monkeypatch, g4):
+    # each division step must cancel the top coefficient, the loop's only
+    # exit; a field whose products are off by one in the last entry leaves
+    # it, which is a failed certificate (exit 3), not a loop without end
+    right = Field.addmul
+
+    def wrong(self, acc, cs, vs):
+        out = list(right(self, acc, cs, vs))
+        if out:
+            out[-1] ^= 1
+        return out
+
+    monkeypatch.setattr(Field, "addmul", wrong)
+    doc = Path(__file__).parent / "golden" / "docs" / "g2_n3_m1.json"
+    buf = io.StringIO()
+    with _alarm(10):
+        with pytest.raises(AssertionError, match="leading coefficient"):
+            poly.divmod_(g4, [1, 2, 3, 1], [1, 1])
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["regular", "--in", str(doc)])
+    assert code == 3 and '"internal"' in buf.getvalue()
 
 
 def test_separability_examples(g2):

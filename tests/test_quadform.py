@@ -306,9 +306,8 @@ def test_half_disc_detects_smoothness(g2, g4):
             singular = False
             for d in range(1, maxdeg + 1):
                 ext = GF(gf.degree * d)
-                from qpencil.field import find_embedding
-
-                qe = q.map_field(find_embedding(gf, ext))
+                emb = find_embedding(gf, ext)
+                qe = q.map_field(emb)
                 gram = qe.polar()
                 from qpencil.linalg import mat_vec
 
