@@ -27,7 +27,6 @@ representatives decides isomorphism) and the Artin-Schreier witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import poly
@@ -35,18 +34,18 @@ from .field import Field
 from .linalg import gf2_pivots, gf2_reduce
 
 
-@dataclass(frozen=True)
 class EtaleAlgebra:
     gf: Field
     f: tuple  # coefficients a_0..a_n, a_n != 0, separable
 
-    def __post_init__(self):
-        fl = list(self.f)
+    def __init__(self, gf: Field, f: tuple):
+        fl = list(f)
         if len(fl) < 2 or fl[-1] == 0:
             raise ValueError("f must have degree >= 1 with nonzero leading "
                              "coefficient")
-        if not poly.is_separable(self.gf, fl):
+        if not poly.is_separable(gf, fl):
             raise ValueError("f is not separable; the quotient is not etale")
+        self.gf, self.f = gf, f
 
     @property
     def n(self) -> int:

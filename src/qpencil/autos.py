@@ -21,7 +21,6 @@ the normal form's one inverse of its basis B.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import poly
@@ -34,13 +33,24 @@ from .normalform import NormalForm, extract_normal_form
 from .pencil import Pencil
 
 
-@dataclass(frozen=True)
 class AutomorphismRep:
     """phi(s) for an algebra element s: a matrix in the pencil's coordinates
-    whose Kronecker-frame shape is [[I, S], [0, I]] with S catalecticant."""
+    whose Kronecker-frame shape is [[I, S], [0, I]] with S catalecticant.
+    Equal when s and the matrix are."""
 
     s_coeffs: tuple  # d-coordinates s_0..s_{n-2}
     matrix: tuple
+
+    def __init__(self, s_coeffs: tuple, matrix: tuple):
+        self.s_coeffs, self.matrix = s_coeffs, matrix
+
+    def __eq__(self, other):
+        if not isinstance(other, AutomorphismRep):
+            return NotImplemented
+        return (self.s_coeffs, self.matrix) == (other.s_coeffs, other.matrix)
+
+    def __hash__(self):
+        return hash((self.s_coeffs, self.matrix))
 
 
 def catalecticant(m: int, s: list) -> list:
@@ -72,7 +82,6 @@ def phi(algebra: EtaleAlgebra, nf: NormalForm, s: tuple) -> AutomorphismRep:
     )
 
 
-@dataclass(frozen=True)
 class PairAnalysis:
     """The normal form (a; r) of a regular pencil in a frame with a_n != 0,
     with the algebra it lives in.  The r-invariant, the Artin-Schreier
@@ -81,6 +90,9 @@ class PairAnalysis:
     pencil: Pencil  # the moved pencil: a_n != 0
     gl2: tuple  # the GL(2) move onto `pencil` from the pencil first analysed
     nf: NormalForm  # of `pencil`
+
+    def __init__(self, pencil: Pencil, gl2: tuple, nf: NormalForm):
+        self.pencil, self.gl2, self.nf = pencil, gl2, nf
 
     @property
     def algebra(self) -> EtaleAlgebra:
@@ -182,11 +194,13 @@ def _xor(u: tuple, v: tuple) -> tuple:
 # reflections over a splitting field
 
 
-@dataclass(frozen=True)
 class Reflection:
     root: tuple  # (t0, t1), normalized projective root of Delta
     singular_vector: tuple
     matrix: tuple
+
+    def __init__(self, root: tuple, singular_vector: tuple, matrix: tuple):
+        self.root, self.singular_vector, self.matrix = root, singular_vector, matrix
 
 
 def reflections(p: Pencil, ext: Field) -> list[Reflection]:
@@ -249,7 +263,6 @@ def reflections_match_idempotents(p: Pencil, ext: Field, refl: list) -> bool:
 # Aut(X) = R x| G over a quasi-split splitting field
 
 
-@dataclass(frozen=True)
 class AutXGroup:
     ext: Field
     pair_autos: tuple  # R: matrices over ext (includes the identity)
@@ -257,6 +270,11 @@ class AutXGroup:
     g_lifts: tuple  # one lift in GL(E) per G element, pair-exact
     elements: tuple  # all |R| * |G| projective classes, deduplicated
     mult_table: tuple  # indices into elements
+
+    def __init__(self, ext: Field, pair_autos: tuple, g_elements: tuple, g_lifts: tuple,
+                 elements: tuple, mult_table: tuple):
+        self.ext, self.pair_autos, self.g_elements = ext, pair_autos, g_elements
+        self.g_lifts, self.elements, self.mult_table = g_lifts, elements, mult_table
 
     @property
     def order(self) -> int:

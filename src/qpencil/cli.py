@@ -30,8 +30,8 @@ code, with "output_error" added.
 
 Every field is limited to GF(2^64), the extension fields the CLI picks by
 itself included: Field refuses a degree above field.MAX_FIELD_DEGREE
-(exit 1, with info {"limit": 64, "degree": d}) before any modulus search
-or irreducibility test.  The dimension is limited to MAX_DIMENSION = 61:
+(exit 1, with info {"limit": 64, "degree": d}) before any irreducibility
+test.  The dimension is limited to MAX_DIMENSION = 61:
 a larger n is refused (exit 1, with info {"limit": 61, "n": n}) before
 any coefficient triple is parsed.
 """
@@ -43,7 +43,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from .autos import (
     aut_x,
@@ -420,6 +419,8 @@ def main(argv=None) -> int:
 def _run(args) -> tuple[dict, int]:
     """The payload and exit code of one parsed command line."""
     if args.command == "verify":
+        from dataclasses import asdict
+
         from .verify import run_suite
 
         results = run_suite(args.scale)

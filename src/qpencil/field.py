@@ -8,12 +8,15 @@ be shared freely between threads.
 
 Two representations serve the arithmetic, chosen by the field order:
 
-- order <= 2^16 (k <= 16): exp/log tables of a primitive element; mul and
+- order <= 2^12 (k <= 12): exp/log tables of a primitive element; mul and
   inv are table lookups, and every product is reduced by construction.
-- order > 2^16: no tables of elements.  mul is the 4-bit windowed
+- order > 2^12: no tables of elements.  mul is the 4-bit windowed
   carry-less product p2_mul, reduced as one slot of the packed kernel
   below; inv is the binary extended Euclidean algorithm on packed
-  GF(2)[T] ints.
+  GF(2)[T] ints.  The tables stop at 2^12 because their build time grows
+  with the order (about 1 ms at k = 12 and 13, 16 ms at k = 16) and a
+  field is mostly built for one CLI call, which makes too few products
+  to pay that back.
 
 Linear algebra and polynomial products go through two kernel entries
 instead of one mul call per product: Field.addmul(acc, cs, vs) = acc + sum
@@ -30,28 +33,28 @@ shifted into place, whatever the length of the rows.  Each result row
 ends with one Barrett reduction of every slot at once (Field._reduce),
 by mu = T^2k // modulus (fixed per field; exact for products of degree
 below 2k), and one unpack.  mat_mul packs each row of b and builds its
-table once for the whole product; addmul above GF(2^16) is one such
+table once for the whole product; addmul above GF(2^12) is one such
 result row.
 
 Use the cached factories GF(k) / field_from_modulus(m) so that repeated
-requests return the same context (and the same lookup tables).  A degree
-above MAX_FIELD_DEGREE = 64 is refused with a PreconditionError before
-any modulus search or irreducibility test.
+requests return the same context (and the same lookup tables).  GF(k)
+takes its modulus from a committed table, the smallest irreducible of
+each degree, and a degree above MAX_FIELD_DEGREE = 64 is refused with a
+PreconditionError before any irreducibility test.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import poly
 from .errors import PreconditionError
 
-_TABLE_LIMIT = 1 << 16  # build exp/log tables up to this field order
-# the default-modulus search and the irreducibility test grow with the
-# degree without bound, so larger fields are refused before either runs
+_TABLE_LIMIT = 1 << 12  # build exp/log tables up to this field order
+# the irreducibility test grows with the degree without bound, so larger
+# fields are refused before it runs
 MAX_FIELD_DEGREE = 64
 # array formats by item size; the packed slot is the first wide enough
 _FORMATS = sorted("BHILQ", key=lambda f: array(f).itemsize)
@@ -176,15 +179,26 @@ def p2_is_irreducible(m: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+# the terms below T^k of the smallest irreducible of each degree
+# k = 1..MAX_FIELD_DEGREE, at index k - 1 (eight degrees a row): the first
+# m >= 2^k that passes the Rabin test
+_DEFAULT_LOW_TERMS = (
+      0,   3,   3,   3,   5,   3,   3,  27,
+      3,   9,   5,   9,  27,  33,   3,  43,
+      9,   9,  39,   9,   5,   3,  33,  27,
+      9,  27,  39,   3,   5,   3,   9, 141,
+     75,  27,   5,  53,  63,  99,  17,  57,
+      9,  39,  89,  33,  27,   3,  33,  45,
+    113,  29,  75,   9,  71, 125,  71, 149,
+     17,  99, 123,   3,  39, 105,   3,  27,
+)
+
+
 def default_modulus(k: int) -> int:
     """Smallest irreducible degree-k modulus, giving a fixed canonical GF(2^k)."""
-    if k < 1:
-        raise ValueError(f"field degree must be >= 1, got {k}")
-    for m in range(1 << k, 1 << (k + 1)):
-        if p2_is_irreducible(m):
-            return m
-    raise AssertionError("unreachable: irreducibles of every degree exist")
+    if not 1 <= k <= MAX_FIELD_DEGREE:
+        raise ValueError(f"field degree must be between 1 and {MAX_FIELD_DEGREE}, got {k}")
+    return 1 << k | _DEFAULT_LOW_TERMS[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +460,6 @@ def field_from_modulus(modulus: int) -> Field:
 # embeddings between contexts
 
 
-@dataclass(frozen=True)
 class Embedding:
     """Ring embedding GF(2^k) -> GF(2^(k*j)), determined by a root of the
     source modulus in the target field."""
@@ -454,15 +467,16 @@ class Embedding:
     src: Field
     dst: Field
     root: int
-    _pows: tuple = None
+    _pows: tuple
 
-    def __post_init__(self):
+    def __init__(self, src: Field, dst: Field, root: int):
+        self.src, self.dst, self.root = src, dst, root
         pows = []
         v = 1
         for _ in range(self.src.degree):
             pows.append(v)
             v = self.dst.mul(v, self.root)
-        object.__setattr__(self, "_pows", tuple(pows))
+        self._pows = tuple(pows)
 
     def map(self, a: int) -> int:
         r = 0

@@ -18,7 +18,6 @@ scan behind the regularity criterion) live in `verify`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count
 
 from .autos import group_generators, pair_algebra
@@ -33,11 +32,13 @@ from .quadform import is_totally_isotropic
 # the canonical (m-2)-plane
 
 
-@dataclass(frozen=True)
 class CanonicalPlane:
     l0: tuple  # sqrt(a_{2i}) coefficients on W
     l1: tuple  # sqrt(a_{2i+1}) coefficients on W
     point_basis: tuple  # m-1 vectors in E spanning the plane
+
+    def __init__(self, l0: tuple, l1: tuple, point_basis: tuple):
+        self.l0, self.l1, self.point_basis = l0, l1, point_basis
 
 
 def canonical_plane(p: Pencil) -> CanonicalPlane:

@@ -14,8 +14,6 @@ reproduces the r-invariant modulo wp(A) + k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .autos import PairAnalysis, catalecticant, frame_times_u, pair_algebra
 from .linalg import mat_mul
 from .pencil import Pencil
@@ -56,13 +54,17 @@ def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
     return True, witness
 
 
-@dataclass(frozen=True)
 class ArfData:
     qa_w: tuple  # q_A(w'_{i+1}) for i = 0..m-1 (each equals d_{2i+1})
     qa_v: tuple  # q_A(v'_i) = r_{2i} t + r_{2i+1}
     arf: tuple  # sum q_A(w'_{i+1}) q_A(v'_i) in A
     arf_class: tuple  # canonical representative modulo wp(A) + k
     matches_r: bool
+
+    def __init__(self, qa_w: tuple, qa_v: tuple, arf: tuple, arf_class: tuple,
+                 matches_r: bool):
+        self.qa_w, self.qa_v, self.arf = qa_w, qa_v, arf
+        self.arf_class, self.matches_r = arf_class, matches_r
 
 
 def arf_invariant(an: PairAnalysis) -> ArfData:

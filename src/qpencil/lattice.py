@@ -28,9 +28,6 @@ for every m, so nothing here relies on that expansion.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .autos import Reflection, apply_to_subspace
 from .errors import PreconditionError
 from .field import Field
@@ -56,13 +53,17 @@ def pairing_value(r: int) -> int:
     return (-1) ** r * (r // 2 + 1)
 
 
-@dataclass(frozen=True)
 class CycleLattice:
     m: int
     gram: tuple  # (2m+2) x (2m+2) on the basis (e_0, ..., e_{2m+1})
     lam_empty_in_e: tuple | None  # [L_empty] in e-coordinates, when integral
     gram_alpha: tuple  # on the root basis alpha_0 .. alpha_2m
     line_gram: tuple  # full pairwise matrix of all 2^(2m) generator classes
+
+    def __init__(self, m: int, gram: tuple, lam_empty_in_e: tuple | None,
+                 gram_alpha: tuple, line_gram: tuple):
+        self.m, self.gram, self.lam_empty_in_e = m, gram, lam_empty_in_e
+        self.gram_alpha, self.line_gram = gram_alpha, line_gram
 
     @property
     def rank(self) -> int:
@@ -157,6 +158,8 @@ def _unit(size: int, i: int) -> list:
 
 def _try_integer_solve(gram: list, rhs: list):
     """x with gram x = rhs over the integers, or None."""
+    from fractions import Fraction  # on first use: other CLI calls never load it
+
     n = len(gram)
     a = [
         [Fraction(x) for x in row] + [Fraction(rhs[i])]

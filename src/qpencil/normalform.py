@@ -26,7 +26,6 @@ holds (a; r), the basis matrix itself and, on first use, its inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .field import Field
@@ -35,7 +34,6 @@ from .pencil import Pencil
 from .quadform import QuadraticForm
 
 
-@dataclass(frozen=True)
 class NormalForm:
     """The tuple (a_0..a_n; r_0..r_{n-2}) plus the basis realizing it: the
     columns of basis are (w_0, ..., w_m, v_0, ..., v_{m-1})."""
@@ -44,6 +42,9 @@ class NormalForm:
     a: tuple
     r: tuple
     basis: tuple
+
+    def __init__(self, gf: Field, a: tuple, r: tuple, basis: tuple):
+        self.gf, self.a, self.r, self.basis = gf, a, r, basis
 
     @property
     def n(self) -> int:

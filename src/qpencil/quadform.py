@@ -18,23 +18,34 @@ not classes modulo squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import xor
 
 from .field import Field
 from .linalg import mat_mul, rank, transpose, vec_dot, vec_scale
 
 
-@dataclass(frozen=True)
 class QuadraticForm:
     """q(x) = x^T U x, with U the upper-triangular coefficient matrix held
     as rows, a tuple of n row tuples: rows[i][j] is the coefficient of
-    x_i x_j for i <= j, and every entry below the diagonal is zero."""
+    x_i x_j for i <= j, and every entry below the diagonal is zero.  Forms
+    are equal when their fields and coefficients are."""
 
     gf: Field
     n: int
     rows: tuple
-    _polar: tuple = field(default=None, init=False, compare=False, repr=False)
+    _polar: tuple
+
+    def __init__(self, gf: Field, n: int, rows: tuple):
+        self.gf, self.n, self.rows = gf, n, rows
+        self._polar = None
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadraticForm):
+            return NotImplemented
+        return (self.gf, self.n, self.rows) == (other.gf, other.n, other.rows)
+
+    def __hash__(self):
+        return hash((self.gf, self.n, self.rows))
 
     @staticmethod
     def from_table(gf: Field, n: int, table: dict) -> "QuadraticForm":
@@ -72,7 +83,7 @@ class QuadraticForm:
         if self._polar is None:
             gram = tuple(tuple(map(xor, row, col))
                          for row, col in zip(self.rows, zip(*self.rows)))
-            object.__setattr__(self, "_polar", gram)
+            self._polar = gram
         return self._polar
 
     def add(self, other: "QuadraticForm") -> "QuadraticForm":

@@ -15,7 +15,7 @@ import itertools
 
 from qpencil import poly
 from qpencil.errors import PreconditionError
-from qpencil.field import GF, Embedding, find_embedding
+from qpencil.field import GF, Embedding, find_embedding, p2_is_irreducible
 from qpencil.linalg import mat_mul, mat_vec, rank
 from qpencil.quadform import pfaffian_vector
 from qpencil.verify import points_on_X
@@ -526,3 +526,13 @@ def aut_x_table_by_products(gf, r_mats, lifts):
             index[_projective_key(gf, [r[c:c + n] for r in prod])]
             for c in range(0, len(wide[0]), n)))
     return tuple(classes), tuple(table)
+
+
+# ---------------------------------------------------------------------------
+# the default moduli by search: the code the committed table replaced
+
+
+def default_modulus_by_search(k):
+    """The smallest irreducible degree-k modulus: the first m >= 2^k that
+    passes the Rabin test."""
+    return next(m for m in range(1 << k, 1 << (k + 1)) if p2_is_irreducible(m))

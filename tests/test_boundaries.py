@@ -2,7 +2,9 @@
 
 - `verify` holds the harness and the package's brute-force oracles.  No
   production module imports it, and `cli` imports it only inside the
-  function that runs the `verify` subcommand.
+  function that runs the `verify` subcommand.  A cold CLI call loads
+  neither `dataclasses` (with `inspect`) nor `fractions`, and builds no
+  log tables for GF(2^16).
 - An oracle in `verify` reads only the production names in ALLOWED, so it
   stays independent of the paths it checks: Delta, its roots, the radical
   map, the Pfaffian vector and the regularity criterion are left out.  A
@@ -11,12 +13,13 @@
 - Every public top-level function of the package is used somewhere in
   `src/` or `scripts/` outside its own definition: API that only its own
   unit tests call is deleted.  The same holds for the methods, properties
-  and dataclass fields of its public classes, matched by attribute name: a
-  method's own body and a field's reads inside the function that builds
-  the record do not count.
+  and record fields (the annotated names of the class body) of its public
+  classes, matched by attribute name: a method's own body and a field's
+  reads inside the function that builds the record do not count.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -72,6 +75,7 @@ REFERENCES = {
         "mul", "add", "PreconditionError",
     }),
     "aut_x_table_by_products": ("aut_x", {"mat_mul", "_projective_key"}),
+    "default_modulus_by_search": ("default_modulus", {"p2_is_irreducible"}),
 }
 
 
@@ -148,6 +152,29 @@ def test_importing_cli_does_not_load_verify():
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_a_cold_call_loads_only_what_it_uses():
+    # `python -m qpencil halfdisc` after importing the CLI: dataclasses
+    # (which loads inspect) and fractions are never imported, and
+    # GF(2^16) is built without log tables
+    doc = ROOT / "tests" / "golden" / "docs" / "g8_n5_113.json"
+    code = (
+        "import json, runpy, sys\n"
+        "import qpencil.cli\n"
+        f"sys.argv = ['qpencil', 'halfdisc', '--in', {str(doc)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('qpencil', run_name='__main__')\n"
+        "except SystemExit as stop:\n"
+        "    exit_code = stop.code\n"
+        "from qpencil.field import GF\n"
+        "loaded = sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules))\n"
+        "print(json.dumps([exit_code, loaded, GF(16)._exp is None]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [], True]
 
 
 def test_oracles_use_only_allowed_production_names():
@@ -236,7 +263,7 @@ def test_every_public_function_is_used_in_src_or_scripts():
 
 def _public_members() -> dict:
     """(module, class, name) -> the method's definition, or None for a
-    dataclass field, over the public classes of the package."""
+    record field (an annotated name), over the public classes of the package."""
     out = {}
     for module, tree in TREES.items():
         for cls in tree.body:

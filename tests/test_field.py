@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compose_embeddings, inv_by_pow, log_tables_by_trial, mul_by_bits, pow_by_bits
+from oracles import (compose_embeddings, default_modulus_by_search, inv_by_pow,
+                     log_tables_by_trial, mul_by_bits, pow_by_bits)
 from qpencil.field import (
     _TABLE_LIMIT,
     GF,
+    MAX_FIELD_DEGREE,
     Field,
     default_modulus,
     field_from_modulus,
@@ -129,12 +131,15 @@ def test_extension_constructor(g4):
 
 
 def test_default_modulus_table():
-    for k in range(1, 13):
-        m = default_modulus(k)
-        assert m.bit_length() - 1 == k
-        assert p2_is_irreducible(m)
+    # the committed table against the search it replaced, for every degree
+    # a field may have
+    for k in range(1, MAX_FIELD_DEGREE + 1):
+        assert default_modulus(k) == default_modulus_by_search(k), k
     assert default_modulus(2) == 7
     assert default_modulus(3) == 11
+    for k in (0, MAX_FIELD_DEGREE + 1):
+        with pytest.raises(ValueError):
+            default_modulus(k)
 
 
 def test_field_factories_are_cached():
@@ -158,15 +163,15 @@ ORACLE_DEGREES = list(range(1, 34)) + [48, 64]
 
 @pytest.mark.parametrize("k", ORACLE_DEGREES)
 def test_mul_and_inv_match_the_bit_loop_oracle(k):
-    # both sides of the table limit (k <= 16 tables, k >= 17 windowed
-    # product with the Barrett step and Euclidean inverse): mul and inv on
-    # the default and a non-default modulus, above the tables on the three
-    # moduli of _moduli_for_the_packed_kernel (a dense mu among them);
-    # then sqrt and pow, exponents negative and at least q - 1 included,
-    # on the edge elements and a few random ones
+    # both sides of the table limit (tables up to order _TABLE_LIMIT, then
+    # the windowed product with the Barrett step and Euclidean inverse): mul
+    # and inv on the default and a non-default modulus, above the tables
+    # on the three moduli of _moduli_for_the_packed_kernel (a dense mu
+    # among them); then sqrt and pow, exponents negative and at least
+    # q - 1 included, on the edge elements and a few random ones
     rng = random.Random(1000 + k)
     default = default_modulus(k)
-    moduli = (_moduli_for_the_packed_kernel(k) if k > 16
+    moduli = (_moduli_for_the_packed_kernel(k) if 1 << k > _TABLE_LIMIT
               else [default] + _irreducibles(k, 1, default))
     for modulus in moduli:
         gf = field_from_modulus(modulus)
@@ -207,13 +212,14 @@ def _mat_mul_by_bits(modulus, a, b):
 def test_kernel_and_mat_mul_match_the_bit_loop_oracle(k):
     # both kernel entries on both sides of the table limit and of every
     # packed slot width (8, 16, 32, 64 and 128 bits, from k = 1, 5, 9, 17
-    # and 33), above GF(2^16) with each of the three moduli of
+    # and 33), above the table limit with each of the three moduli of
     # _moduli_for_the_packed_kernel: addmul on vectors with zeros, c in
     # {0, 1, random}, lengths 0..9, one to three pairs per call; then
     # mat_mul on square, non-square, empty and 3 x 600 shapes, with entries
     # drawn from {0, 1, 2^k-1, random} and one product of 2^k-1 only
     rng = random.Random(2000 + k)
-    for modulus in _moduli_for_the_packed_kernel(k) if k > 16 else [default_modulus(k)]:
+    for modulus in (_moduli_for_the_packed_kernel(k) if 1 << k > _TABLE_LIMIT
+                    else [default_modulus(k)]):
         gf = field_from_modulus(modulus)
         top = gf.order - 1
 
@@ -254,7 +260,7 @@ def _moduli_for_the_packed_kernel(k):
     return [default, dense, mirror]
 
 
-@pytest.mark.parametrize("k", [17, 20, 24, 32, 33, 48, 64])
+@pytest.mark.parametrize("k", [13, 16, 17, 20, 24, 32, 33, 48, 64])
 def test_packed_kernel_matches_the_bit_loop_oracle(k):
     # the packed kernel above the log tables: each modulus has its own mu,
     # calls of lengths 0..61 with up to 61 pairs, c in {0, 1, 2^k-1,
@@ -285,8 +291,10 @@ def test_packed_kernel_matches_the_bit_loop_oracle(k):
 def test_log_tables_match_the_trial_build():
     # the primitivity test picks the same generator g as walking the powers
     # of 2, 3, ... until one has order q-1, so the tables are identical
-    moduli = [default_modulus(k) for k in range(1, 17)]
-    moduli += [m for k in range(2, 13) for m in _irreducibles(k, 3, default_modulus(k))]
+    # of every degree that builds tables
+    degrees = range(1, _TABLE_LIMIT.bit_length())
+    moduli = [default_modulus(k) for k in degrees]
+    moduli += [m for k in degrees[1:] for m in _irreducibles(k, 3, default_modulus(k))]
     for modulus in moduli:
         gf = Field(modulus=modulus)
         assert (gf._exp, gf._log) == log_tables_by_trial(modulus), bin(modulus)

@@ -147,7 +147,7 @@ def test_gf2_pivots_match_the_scan():
 
 
 def test_tuple_rows_give_the_list_rows_answer(g4):
-    # polar() and the frozen dataclasses hold tuple rows; the rref row update
+    # polar() and the result records hold tuple rows; the rref row update
     # and inverse's augmented rows raised TypeError on them
     lists = [[0, 1, 2], [1, 2, 3], [3, 1, 1]]  # a row swap, then eliminations
     tuples = tuple(map(tuple, lists))
