@@ -94,7 +94,7 @@ class EtaleAlgebra:
         return self.element(poly.mod(self.gf, prod, list(self.monic_f)))
 
     @cached_property
-    def _square_table(self) -> list:
+    def _square_table(self) -> tuple:
         return poly.square_table(self.gf, list(self.monic_f))
 
     def square(self, x: tuple) -> tuple:
@@ -182,14 +182,15 @@ class EtaleAlgebra:
         (bit b + j*k of a combination) followed by the constants x^b.
         Column (j, b) is x^(2b) T_j + x^b t^j, with T_j = t^(2j) row j of
         the squaring table, so one kernel call per b over the table's rows
-        laid end to end gives that column for every j."""
+        laid end to end, prepared once, gives that column for every j."""
         gf, n, k = self.gf, self.n, self.gf.degree
-        flat = [c for row in self._square_table for c in row]
+        size = n * n
+        flat = gf.prepare((gf.pack([c for row in self._square_table[0] for c in row]),), size)
         mask = (1 << n * k) - 1
         cols = [0] * (n * k)
         for b in range(k):
             x = 1 << b
-            squares = self._pack(gf.addmul([0] * len(flat), (gf.mul(x, x),), (flat,)))
+            squares = self._pack(gf.unpack(gf.combine(flat, (gf.mul(x, x),)), size))
             for j in range(n):
                 cols[j * k + b] = (squares >> j * n * k & mask) ^ x << j * k
         return tuple(gf2_pivots(cols + [1 << b for b in range(k)]))

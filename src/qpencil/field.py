@@ -4,7 +4,8 @@ Field elements are plain Python ints: bit i is the coefficient of t^i in
 the power basis of GF(2)[T]/(modulus).  Addition is xor, and the zero and
 one elements are the ints 0 and 1.  A Field object carries the modulus and
 multiplication tables; it is immutable after construction, so contexts can
-be shared freely between threads.
+be shared freely between threads (its one cache, of the packed kernel's
+slot masks, is bounded and holds values that depend on the field alone).
 
 Two representations serve the arithmetic, chosen by the field order:
 
@@ -36,6 +37,19 @@ below 2k), and one unpack.  mat_mul packs each row of b and builds its
 table once for the whole product; addmul above GF(2^12) is one such
 result row.
 
+Above the tables (Field.packed) the eliminations of linalg and the
+division and squaring of poly keep their rows packed from entry to exit.
+A prepared operand, Field.prepare, is reduced packed rows with their
+4-bit tables, built once and used by any number of Field.combine calls:
+a pivot row for every other row, a divisor for every quotient term, the
+rows of a squaring table for every squaring.  A working row is a packed
+int that sums such combinations unreduced, shifted to a slot offset;
+Field.entry reads one slot reduced, and Field.reduce or Field.unpack
+reduces every slot once at the end.  Field.squares, the Frobenius on a
+vector, packs it at half the slot width and spreads every byte to two,
+since squaring in GF(2)[T] doubles the exponents, then reduces and
+unpacks once.
+
 Use the cached factories GF(k) / field_from_modulus(m) so that repeated
 requests return the same context (and the same lookup tables).  GF(k)
 takes its modulus from a committed table, the smallest irreducible of
@@ -59,6 +73,12 @@ MAX_FIELD_DEGREE = 64
 # array formats by item size; the packed slot is the first wide enough
 _FORMATS = sorted("BHILQ", key=lambda f: array(f).itemsize)
 _SWAP = sys.byteorder != "little"  # array holds items in machine order
+_MASKS_KEPT = 256  # slot masks kept per field, up to rows of this many entries
+# each byte's bits moved to the even places of two bytes, the low and the
+# high byte: the square of a byte in GF(2)[T]
+_SPREAD = [int(f"{b:b}", 4) for b in range(256)]
+_SPREAD_LOW = bytes(s & 255 for s in _SPREAD)
+_SPREAD_HIGH = bytes(s >> 8 for s in _SPREAD)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +228,8 @@ def default_modulus(k: int) -> int:
 class Field:
     """The field GF(2^k) presented as GF(2)[T]/(modulus)."""
 
-    __slots__ = ("degree", "modulus", "order", "_exp", "_log", "_barrett", "_slot")
+    __slots__ = ("degree", "modulus", "order", "packed", "slot_bits", "_exp", "_log",
+                 "_barrett", "_slot", "_half", "_masks")
 
     def __init__(self, degree: int | None = None, modulus: int | None = None):
         if degree is None and modulus is None:
@@ -234,7 +255,10 @@ class Field:
         self._exp = None
         self._log = None
         self._build_packing()
-        if self.order <= _TABLE_LIMIT:
+        # the log tables serve the arithmetic up to _TABLE_LIMIT; above it
+        # linalg and poly keep their rows packed (see the module docstring)
+        self.packed = self.order > _TABLE_LIMIT
+        if not self.packed:
             self._build_tables()
 
     # -- identity ----------------------------------------------------------
@@ -254,13 +278,19 @@ class Field:
         """The packed kernel's constants, for every field.  _slot is (array
         format, items per slot, bytes per slot): the format with the
         smallest items of at least 2k bits, or two items of the largest
-        above k = 32.  _barrett holds the exponents of the terms below T^k
-        of mu = T^2k // modulus and of the modulus."""
+        above k = 32; slot_bits is its width in bits, and _half the format
+        of half that width (None for one-byte slots), which squares packs
+        at.  _barrett holds the exponents of the terms below T^k of
+        mu = T^2k // modulus and of the modulus."""
         k, m = self.degree, self.modulus
         fmt = next((f for f in _FORMATS if array(f).itemsize * 8 >= 2 * k), None)
         step = 1 if fmt else 2
         fmt = fmt or _FORMATS[-1]
-        self._slot = (fmt, step, array(fmt).itemsize * step)
+        size = array(fmt).itemsize * step
+        self._slot = (fmt, step, size)
+        self._masks = {}
+        self.slot_bits = 8 * size
+        self._half = next((f for f in _FORMATS if 2 * array(f).itemsize == size), None)
         mu, r = 0, 1 << 2 * k  # mu = T^2k // m, by long division
         while r >> k:
             s = p2_degree(r) - k
@@ -334,10 +364,10 @@ class Field:
         tables, used = [], []
         for c, v in zip(cs, vs):
             if c:
-                tables.append(_nibble_table(self._pack(v)))
+                tables.append(_nibble_table(self.pack(v)))
                 used.append(c)
         n = len(acc)
-        return self._unpack(self._pack(acc) ^ _combine(tables, used), self._mask(n), n)
+        return self.unpack(self.pack(acc) ^ _combine(tables, used), n)
 
     def mat_mul(self, a, b) -> list:
         """The matrix product a b, packed: every row of b becomes one int and
@@ -346,13 +376,13 @@ class Field:
         width of b[0] and every row of a has len(b) entries (a shorter row
         of b would be read as padded with zeros)."""
         width = len(b[0]) if b else 0
-        tables = [_nibble_table(self._pack(v)) for v in b]
-        mask = self._mask(width)
-        return [self._unpack(_combine(tables, row), mask, width) for row in a]
+        tables = [_nibble_table(self.pack(v)) for v in b]
+        return [self.unpack(_combine(tables, row), width) for row in a]
 
     # -- the packed representation (see the module docstring) ---------------
 
-    def _pack(self, v) -> int:
+    def pack(self, v) -> int:
+        """v as one int, entry j in the j-th slot of slot_bits bits."""
         fmt, step, _ = self._slot
         if step == 2:
             w = [0] * (2 * len(v))
@@ -364,9 +394,15 @@ class Field:
         return int.from_bytes(items.tobytes(), "little")
 
     def _mask(self, n: int) -> int:
-        """The bits below T^k of each of n slots."""
-        return int.from_bytes(((1 << self.degree) - 1).to_bytes(self._slot[2], "little") * n,
-                              "little")
+        """The bits below T^k of each of n slots; kept for n up to
+        _MASKS_KEPT, so the masks a field keeps are bounded."""
+        mask = self._masks.get(n)
+        if mask is None:
+            mask = int.from_bytes(((1 << self.degree) - 1).to_bytes(self._slot[2], "little") * n,
+                                  "little")
+            if n <= _MASKS_KEPT:
+                self._masks[n] = mask
+        return mask
 
     def _reduce(self, p: int, mask: int) -> int:
         """p with every slot that mask selects reduced modulo the modulus,
@@ -391,14 +427,60 @@ class Field:
             p &= mask
         return p
 
-    def _unpack(self, p: int, mask: int, n: int) -> list:
-        """The n entries of p, each slot reduced modulo the modulus first."""
-        p = self._reduce(p, mask)
+    def unpack(self, p: int, n: int) -> list:
+        """The n entries of the packed row p, each slot reduced modulo the
+        modulus first."""
+        p = self._reduce(p, self._mask(n))
         fmt, step, size = self._slot
         items = array(fmt, p.to_bytes(n * size, "little"))
         if _SWAP:
             items.byteswap()
         return items.tolist() if step == 1 else items[::2].tolist()
+
+    # -- packed rows and prepared operands ------------------------------------
+    # A packed row from pack may be added to freely: every slot stays a
+    # polynomial of degree below 2k, so the Barrett reduction waits until
+    # an entry is read (entry) or the row is reduced or unpacked once.
+
+    def reduce(self, p: int, n: int) -> int:
+        """The packed row p of n entries with every slot reduced."""
+        return self._reduce(p, self._mask(n))
+
+    def entry(self, p: int, j: int) -> int:
+        """Entry j of the packed row p, reduced."""
+        x = (p >> j * self.slot_bits) & ((1 << 2 * self.degree) - 1)
+        return self._reduce(x, self.order - 1) if x >> self.degree else x
+
+    def prepare(self, ps, n: int) -> tuple:
+        """The prepared operand of reduced packed rows ps of n entries each:
+        their 4-bit tables, built once for any number of combine calls,
+        and n."""
+        return [_nibble_table(p) for p in ps], n
+
+    def combine(self, prepared, cs) -> int:
+        """The packed sum of c times row i of a prepared operand over the
+        pairs (c, row i), unreduced; shifted left by j * slot_bits it
+        lands at entry j of a longer row."""
+        return _combine(prepared[0], cs)
+
+    def squares(self, v) -> list:
+        """The square of every entry of v, the Frobenius on vectors: with
+        log tables one lookup each.  Above them the square of a GF(2)[T]
+        polynomial has its bits at twice their places, so v is packed at
+        half the slot width, every byte is spread to two bytes and the
+        slots are reduced and unpacked once (the slots there are 4 bytes
+        or more, so the half width holds an entry)."""
+        if self._exp is not None:
+            exp, log = self._exp, self._log
+            return [exp[2 * log[c]] if c else 0 for c in v]
+        items = array(self._half, v)
+        if _SWAP:
+            items.byteswap()
+        data = items.tobytes()
+        spread = bytearray(2 * len(data))
+        spread[::2] = data.translate(_SPREAD_LOW)
+        spread[1::2] = data.translate(_SPREAD_HIGH)
+        return self.unpack(int.from_bytes(spread, "little"), len(v))
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -1,9 +1,11 @@
 """The r-invariant, the isomorphism test, and the Arf cross-check.
 
 Two regular pairs with the same half-discriminant are isomorphic exactly
-when their r-invariants agree modulo k + wp(A); the test here not only
-decides but produces a certified matrix witness (B2 U(s)) B1^-1, assembled
-from the bases of the two normal forms (with B1's cached inverse) and the
+when their r-invariants agree modulo k + wp(A); pairs whose
+half-discriminants differ by a nonzero scalar lam are brought to the same
+one first, by diag(sqrt(lam), 1, ..., 1).  The test here not only decides
+but produces a certified matrix witness (B2 U(s)) B1^-1, assembled from
+the bases of the two normal forms (with B1's cached inverse) and the
 unipotent U(s) = [[I, Cat(s)], [0, I]] with wp(s) matching the r-shift.
 
 The pair also induces a quadratic form q_A = q0 + t*q1 on the free module
@@ -15,7 +17,7 @@ reproduces the r-invariant modulo wp(A) + k.
 from __future__ import annotations
 
 from .autos import PairAnalysis, catalecticant, frame_times_u, pair_algebra
-from .linalg import mat_mul
+from .linalg import identity, mat_mul, vec_scale
 from .pencil import Pencil
 
 
@@ -28,27 +30,45 @@ def r_invariant(an: PairAnalysis) -> tuple[tuple, bool]:
 def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
     """Decide isomorphism of two regular pairs and produce a witness.
 
-    Returns (False, None) immediately when the half-discriminants differ
-    (isomorphic pairs share Delta).  Otherwise the answer is positive iff
-    the r-invariants agree modulo k + wp(A); the witness g then satisfies
-    q2_i(g v) = q1_i(v) for both i, verified by substitution.
+    Isomorphic pairs share Delta up to a nonzero scalar, since
+    Delta(q o g) = det(g)^2 Delta(q); returns (False, None) at once when
+    the half-discriminants are not proportional.  When Delta_2 =
+    lam Delta_1, p1 is first moved by D = diag(sqrt(lam), 1, ..., 1), whose
+    Delta is Delta_2 (every element of GF(2^k) is a square).  Then the
+    answer is positive iff the r-invariants agree modulo k + wp(A); the
+    witness g satisfies q2_i(g v) = q1_i(v) for both i, verified by
+    substitution: (B2 U(s)) B1^-1 D^-1 for the normal-form bases B1 of p1
+    o D and B2 of p2.
     """
     p1.require_regular()
     p2.require_regular()
     if p1.gf != p2.gf or p1.n != p2.n:
         return False, None
-    if p1.half_discriminant() != p2.half_discriminant():
+    gf = p1.gf
+    d1, d2 = p1.half_discriminant(), p2.half_discriminant()
+    i = next(i for i, c in enumerate(d1) if c)  # a regular Delta is not zero
+    lam = gf.div(d2[i], d1[i])
+    if vec_scale(gf, d1, lam) != d2:  # lam = 0 too: d2 is not zero
         return False, None
+    root = gf.sqrt(lam) if lam != 1 else 1
+    moved = p1
+    if root != 1:
+        d = identity(p1.n)
+        d[0][0] = root
+        moved = p1.conjugate(d)
     # equal Delta: both normal forms are taken after the same GL(2) move
-    an1, an2 = pair_algebra(p1), pair_algebra(p2)
+    an1, an2 = pair_algebra(moved), pair_algebra(p2)
     algebra = an1.algebra
     s = algebra.solve_artin_schreier(algebra.add(an1.r_value, an2.r_value))
     if s is None:
         return False, None
-    gf = p1.gf
     # (B2 U(s)) B1^-1: the moved frame by its blocks, then one full product
     frame = frame_times_u(an2.nf, catalecticant(p1.m, algebra.d_coords(s)))
     witness = mat_mul(gf, frame, an1.nf.inverse)
+    if root != 1:  # times D^-1: column 0 divided by sqrt(lam)
+        inv_root = gf.inv(root)
+        for row in witness:
+            row[0] = gf.mul(row[0], inv_root)
     if p2.q0.transform(witness) != p1.q0 or p2.q1.transform(witness) != p1.q1:
         raise AssertionError("isomorphism witness failed verification")
     return True, witness

@@ -49,6 +49,8 @@ def vec_scale(gf: Field, v: list, c: int) -> list:
 
 def rref(gf: Field, a: list) -> tuple[list, list]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
+    if gf.packed:
+        return _rref_packed(gf, a)
     m = [list(row) for row in a]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -76,6 +78,42 @@ def rref(gf: Field, a: list) -> tuple[list, list]:
         if r == nrows:
             break
     return m, pivots
+
+
+def _rref_packed(gf: Field, a: list) -> tuple[list, list]:
+    """rref above the log tables, each row one packed int from entry to
+    exit (Field.pack): a pivot row is reduced, scaled and prepared once,
+    from its pivot column on, and every other row adds its multiple at
+    that column unreduced; one unpack per row at the end."""
+    m = [gf.pack(row) for row in a]
+    nrows = len(m)
+    ncols = len(a[0]) if nrows else 0
+    bits = gf.slot_bits
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        col = [gf.entry(p, c) for p in m]
+        sel = next((i for i in range(r, nrows) if col[i]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        col[r], col[sel] = col[sel], col[r]
+        p = gf.reduce(m[r], ncols)
+        inv = gf.inv(col[r])
+        if inv != 1:
+            p = gf.reduce(gf.combine(gf.prepare((p,), ncols), (inv,)), ncols)
+        m[r] = p
+        # columns before c are zero in row r
+        shift = c * bits
+        pivot = gf.prepare((p >> shift,), ncols - c)
+        for i, e in enumerate(col):
+            if e and i != r:
+                m[i] ^= gf.combine(pivot, (e,)) << shift
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [gf.unpack(p, ncols) for p in m], pivots
 
 
 def rank(gf: Field, a: list) -> int:
@@ -134,6 +172,8 @@ def lu_solver(gf: Field, a: list):
     products.  Pivoting is on the lowest-index row, so the solves are
     deterministic.
     """
+    if gf.packed:
+        return _lu_solver_packed(gf, a)
     n = len(a)
     m = [list(row) for row in a]
     order = list(range(n))
@@ -163,6 +203,55 @@ def lu_solver(gf: Field, a: list):
             if x[k]:
                 x[:k] = gf.addmul(x[:k], (x[k],), (cols[k][0],))
         return x
+
+    return solve_one
+
+
+def _lu_solver_packed(gf: Field, a: list):
+    """lu_solver above the log tables: the elimination keeps its rows
+    packed as _rref_packed does, and the columns of L and U are prepared
+    once, so a solve keeps x packed and reads one entry of it per column."""
+    n = len(a)
+    bits = gf.slot_bits
+    m = [gf.pack(row) for row in a]
+    order = list(range(n))
+    for k in range(n):
+        col = [gf.entry(m[i], k) for i in range(k, n)]
+        sel = next((i for i, e in enumerate(col) if e), None)
+        if sel is None:
+            raise ValueError("matrix is singular")
+        m[k], m[k + sel] = m[k + sel], m[k]
+        order[k], order[k + sel] = order[k + sel], order[k]
+        col[0], col[sel] = col[sel], col[0]
+        inv = gf.inv(col[0])
+        p = gf.reduce(m[k], n)
+        shift, width = (k + 1) * bits, n - k - 1
+        # U has a unit diagonal; L's multipliers stay before it
+        tail = gf.reduce(gf.combine(gf.prepare((p >> shift,), width), (inv,)), width)
+        m[k] = (p & ((1 << k * bits) - 1)) ^ (inv << k * bits) ^ (tail << shift)
+        pivot = gf.prepare((tail,), width)
+        for i, e in enumerate(col[1:], k + 1):
+            if e:  # kept below the diagonal as L's multiplier
+                m[i] ^= gf.combine(pivot, (e,)) << shift
+    # column k: U above the diagonal, the pivot's inverse on it, L below
+    cols = [(gf.prepare((gf.pack(col[:k]),), k), col[k],
+             gf.prepare((gf.pack(col[k + 1:]),), n - k - 1))
+            for k, col in enumerate(zip(*(gf.unpack(p, n) for p in m)))]
+
+    def solve_one(b):
+        x = gf.pack([b[i] for i in order])
+        cs = []  # x after L, before U
+        for k, (_, inv, low) in enumerate(cols):
+            c = gf.mul(gf.entry(x, k), inv)
+            cs.append(c)
+            if c and low[1]:
+                x ^= gf.combine(low, (c,)) << (k + 1) * bits
+        y = 0  # U's share of x
+        for k in range(n - 1, 0, -1):
+            c = cs[k] ^ gf.entry(y, k)
+            if c:
+                y ^= gf.combine(cols[k][0], (c,))
+        return [c ^ e for c, e in zip(cs, gf.unpack(y, n))]
 
     return solve_one
 

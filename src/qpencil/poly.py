@@ -14,9 +14,13 @@ Roots are the constant terms of the linear factors; no field is scanned.
 
 Both splitting stages spend their time squaring modulo a polynomial, and
 in characteristic 2 that map is additive: h^2 = sum h_i^2 T^(2i) mod m,
-the fact behind Berlekamp's Q-matrix (1970).  So each modulus gets one squaring table, the
-rows T^(2i) mod m (square_table), and a squaring is one kernel call with
-the coefficients h_i^2 (square_mod).
+the fact behind Berlekamp's Q-matrix (1970).  So each modulus gets one
+squaring table, the rows T^(2i) mod m (square_table), and a squaring is
+one kernel call with the coefficients h_i^2 (square_mod).  Above the log
+tables the table carries its rows as one prepared operand of the field
+(Field.prepare), built with it and dropped with it, and the h_i^2 come
+from one packed Frobenius (Field.squares); a division prepares its
+divisor once and keeps the remainder packed (divmod_).
 """
 
 from __future__ import annotations
@@ -71,6 +75,8 @@ def monic(gf: Field, a: list) -> list:
 def divmod_(gf: Field, a: list, b: list) -> tuple[list, list]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if gf.packed and len(a) >= len(b):
+        return _divmod_packed(gf, a, b)
     r = a[:]
     q = [0] * max(0, len(a) - len(b) + 1)
     inv_lead = gf.inv(b[-1])
@@ -84,6 +90,31 @@ def divmod_(gf: Field, a: list, b: list) -> tuple[list, list]:
             raise AssertionError("a division step left the leading coefficient")
         trim(r)
     return trim(q), r
+
+
+def _divmod_packed(gf: Field, a: list, b: list) -> tuple[list, list]:
+    """divmod_ above the log tables: the divisor is prepared once and the
+    remainder stays one packed row, read one top entry per step, until a
+    single unpack."""
+    bits, db = gf.slot_bits, degree(b)
+    divisor = gf.prepare((gf.pack(b),), len(b))
+    inv_lead = gf.inv(b[-1])
+    r = gf.pack(a)
+    q = [0] * (len(a) - db)
+    top = len(a) - 1
+    while top >= db:
+        lead = gf.entry(r, top)
+        if lead:
+            d = top - db
+            q[d] = coef = gf.mul(lead, inv_lead)
+            r ^= gf.combine(divisor, (coef,)) << d * bits
+        top -= 1
+    # a step leaves the entries above its top alone, so one check covers
+    # them all; cancelled, they may still hold multiples of the modulus
+    low = (top + 1) * bits
+    if gf.reduce(r >> low, len(a) - 1 - top):
+        raise AssertionError("a division step left the leading coefficient")
+    return trim(q), trim(gf.unpack(r & ((1 << low) - 1), top + 1))
 
 
 def mod(gf: Field, a: list, b: list) -> list:
@@ -127,30 +158,53 @@ def derivative(gf: Field, a: list) -> list:
     return trim([a[i] if i % 2 == 1 else 0 for i in range(1, len(a))])
 
 
-def square_table(gf: Field, m: list) -> list:
-    """The rows T^(2i) mod m for i < deg m, each of length deg m.  Row i+1
-    is row i times T twice, reduced after each step: O(deg m) kernel work
-    per row."""
+def square_table(gf: Field, m: list) -> tuple:
+    """The rows T^(2i) mod m for i < deg m, each of length deg m, and
+    (above the log tables) the same rows as one prepared operand
+    (Field.prepare), or None.  Row i+1 is row i times T twice, reduced
+    after each step: O(deg m) kernel work per row."""
     d = degree(m)
     low, inv_lead = m[:d], gf.inv(m[-1])
-    rows = [[1] + [0] * (d - 1)]
-    while len(rows) < d:
-        row = rows[-1]
+    if not gf.packed:
+        rows = [[1] + [0] * (d - 1)]
+        while len(rows) < d:
+            row = rows[-1]
+            for _ in range(2):
+                top = row[-1]
+                row = [0] + row[:-1]
+                if top:
+                    row = gf.addmul(row, (gf.mul(top, inv_lead),), (low,))
+            rows.append(row)
+        return rows, None
+    # a row is packed; times T moves every entry up one slot, and the one
+    # that leaves the row, reduced, brings its multiple of low back
+    bits, below = gf.slot_bits, (1 << d * gf.slot_bits) - 1
+    low = gf.prepare((gf.pack(low),), d)
+    packed = [1]
+    while len(packed) < d:
+        row = packed[-1]
         for _ in range(2):
-            top = row[-1]
-            row = [0] + row[:-1]
+            row <<= bits
+            top = gf.entry(row, d)
+            row &= below
             if top:
-                row = gf.addmul(row, (gf.mul(top, inv_lead),), (low,))
-        rows.append(row)
-    return rows
+                row ^= gf.combine(low, (gf.mul(top, inv_lead),))
+        packed.append(gf.reduce(row, d))
+    return [gf.unpack(p, d) for p in packed], gf.prepare(packed, d)
 
 
-def square_mod(gf: Field, h: list, table: list) -> list:
+def square_mod(gf: Field, h: list, table: tuple) -> list:
     """h^2 mod m = sum h_i^2 T^(2i) mod m, with table = square_table(gf, m);
-    h must already be reduced below deg m."""
-    if len(h) > len(table):
+    h must already be reduced below deg m.  One kernel call: the squares of
+    the h_i in one Field.squares, then a combination of the table's rows,
+    prepared with the table above the log tables."""
+    rows, prepared = table
+    if len(h) > len(rows):
         raise ValueError("square_mod needs h reduced below the modulus degree")
-    return trim(gf.addmul([0] * len(table), [gf.mul(c, c) for c in h], table))
+    squares = gf.squares(h)
+    if prepared is None:
+        return trim(gf.addmul([0] * len(rows), squares, rows))
+    return trim(gf.unpack(gf.combine(prepared, squares), len(rows)))
 
 
 def is_separable(gf: Field, p: list) -> bool:

@@ -34,12 +34,16 @@ def products(monkeypatch):
     result): one product per Field.mul call, plus len(v) for each pair
     (c, v) with c != 0 that a Field.addmul call takes, and the same for
     each row of a, paired with the rows of b, in a Field.mat_mul(a, b)
-    call.  The multiplication-count guards use it, so a product is counted
-    whether it goes through mul or through a kernel entry."""
+    call.  On the packed path a Field.combine call counts the length of
+    its prepared rows for each c != 0, and a Field.squares call one
+    product per entry.  The multiplication-count guards use it, so a
+    product is counted whether it goes through mul or through a kernel
+    entry."""
 
     def count(fn):
         formed = 0
         mul, addmul, mat_mul = Field.mul, Field.addmul, Field.mat_mul
+        combine, squares = Field.combine, Field.squares
 
         def counted_mul(self, a, b):
             nonlocal formed
@@ -57,10 +61,23 @@ def products(monkeypatch):
             formed += sum(len(v) for row in a for c, v in zip(row, b) if c)
             return mat_mul(self, a, b)
 
+        def counted_combine(self, prepared, cs):
+            nonlocal formed
+            cs = list(cs)
+            formed += prepared[1] * sum(1 for c in cs if c)
+            return combine(self, prepared, cs)
+
+        def counted_squares(self, v):
+            nonlocal formed
+            formed += len(v)
+            return squares(self, v)
+
         with monkeypatch.context() as mp:
             mp.setattr(Field, "mul", counted_mul)
             mp.setattr(Field, "addmul", counted_addmul)
             mp.setattr(Field, "mat_mul", counted_mat_mul)
+            mp.setattr(Field, "combine", counted_combine)
+            mp.setattr(Field, "squares", counted_squares)
             out = fn()
         return formed, out
 

@@ -536,3 +536,85 @@ def default_modulus_by_search(k):
     """The smallest irreducible degree-k modulus: the first m >= 2^k that
     passes the Rabin test."""
     return next(m for m in range(1 << k, 1 << (k + 1)) if p2_is_irreducible(m))
+
+
+# ---------------------------------------------------------------------------
+# scalar loops, one Field.mul per product: the references of the packed
+# paths of linalg and poly (tests/test_packed_paths.py)
+
+
+def rref_by_loop(gf, a):
+    """rref's answer, pivoting as rref does (the lowest column, the first
+    row below the pivots with a nonzero entry there)."""
+    rows = [list(row) for row in a]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = gf.inv(rows[r][c])
+        rows[r] = [gf.mul(inv, x) for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x ^ gf.mul(f, y) for x, y in zip(row, rows[r])]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
+
+
+def nullspace_by_loop(gf, a):
+    """One basis vector of {x : a x = 0} per free column of rref_by_loop."""
+    rows, pivots = rref_by_loop(gf, a)
+    basis = []
+    for free in range(len(a[0])):
+        if free not in pivots:
+            v = [0] * len(a[0])
+            v[free] = 1
+            for row, c in zip(rows, pivots):
+                v[c] = row[free]
+            basis.append(v)
+    return basis
+
+
+def inverse_by_loop(gf, a):
+    """a^-1 from rref_by_loop of [a | I], or None when a is singular."""
+    size = len(a)
+    rows, pivots = rref_by_loop(gf, [list(row) + [int(i == j) for j in range(size)]
+                                     for i, row in enumerate(a)])
+    return [row[size:] for row in rows] if pivots == list(range(size)) else None
+
+
+def solve_by_loop(gf, a, b):
+    """The one x with a x = b, for a nonsingular a, from rref_by_loop."""
+    rows, _ = rref_by_loop(gf, [list(row) + [x] for row, x in zip(a, b)])
+    return [row[-1] for row in rows]
+
+
+def divmod_by_loop(gf, a, b):
+    """Schoolbook division of coefficient lists (index = degree), b[-1] != 0:
+    the trimmed quotient and remainder."""
+    rem = list(a)
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    inv = gf.inv(b[-1])
+    for d in range(len(quo) - 1, -1, -1):
+        coef = gf.mul(rem[d + len(b) - 1], inv)
+        quo[d] = coef
+        for j, y in enumerate(b):
+            rem[d + j] ^= gf.mul(coef, y)
+    for c in (quo, rem):
+        while c and not c[-1]:
+            c.pop()
+    return quo, rem
+
+
+def square_mod_by_loop(gf, h, m):
+    """h^2 mod m: the schoolbook square, then divmod_by_loop."""
+    sq = [0] * max(0, 2 * len(h) - 1)
+    for i, x in enumerate(h):
+        for j, y in enumerate(h):
+            sq[i + j] ^= gf.mul(x, y)
+    return divmod_by_loop(gf, sq, m)[1]

@@ -61,8 +61,9 @@ FORBIDDEN = {
     "pfaffian_vector", "is_regular",
 }
 
-# code the package replaced, kept in tests/oracles.py to compare against:
-# each reference, the function that replaced it (which it may not use) and
+# code the package replaced, kept in tests/oracles.py to compare against,
+# and the scalar loops that check the packed paths: each reference, the
+# function that replaced it or that it checks (which it may not use) and
 # the production names it reads
 REFERENCES = {
     "quasi_split_by_scan": ("quasi_split_over", {
@@ -76,6 +77,12 @@ REFERENCES = {
     }),
     "aut_x_table_by_products": ("aut_x", {"mat_mul", "_projective_key"}),
     "default_modulus_by_search": ("default_modulus", {"p2_is_irreducible"}),
+    "rref_by_loop": ("rref", {"mul", "inv"}),
+    "nullspace_by_loop": ("nullspace", {"mul", "inv"}),
+    "inverse_by_loop": ("inverse", {"mul", "inv"}),
+    "solve_by_loop": ("lu_solver", {"mul", "inv"}),
+    "divmod_by_loop": ("divmod_", {"mul", "inv"}),
+    "square_mod_by_loop": ("square_mod", {"mul", "inv"}),
 }
 
 

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from qpencil import poly
 from qpencil.field import GF
 from qpencil.linalg import inverse, mat_mul, rank, rref
 from qpencil.normalform import extract_normal_form
@@ -92,6 +93,23 @@ def _transform(gf, n):
     return lambda: q.transform(g)
 
 
+def _divmod(gf, d):
+    # degree 2d by degree d: d + 1 quotient steps of d + 1 products
+    rng = random.Random(d)
+    a = [rng.randrange(gf.order) for _ in range(2 * d)] + [1]
+    b = [rng.randrange(gf.order) for _ in range(d)] + [rng.randrange(1, gf.order)]
+    return lambda: poly.divmod_(gf, a, b)
+
+
+def _square_mod(gf, d):
+    # every coefficient of h nonzero, so every row of the table is used
+    rng = random.Random(d)
+    m = [rng.randrange(gf.order) for _ in range(d)] + [rng.randrange(1, gf.order)]
+    table = poly.square_table(gf, m)
+    h = [rng.randrange(1, gf.order) for _ in range(d)]
+    return lambda: poly.square_mod(gf, h, table)
+
+
 # layer: (input builder, sizes n, stated exponent)
 GROWTH = {
     "radical_map": (_radical_map, (11, 21, 31), 3.0),
@@ -102,6 +120,8 @@ GROWTH = {
     "rref": (_rref, (11, 21, 31), 3.0),
     "inverse": (_inverse, (11, 21, 31), 3.0),
     "pfaffian_vector": (_pfaffian_vector, (11, 21, 31), 3.0),
+    "divmod": (_divmod, (11, 21, 31), 2.0),
+    "square_mod": (_square_mod, (11, 21, 31), 2.0),
 }
 
 

@@ -1,17 +1,25 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from qpencil import poly
 from qpencil.algebra import EtaleAlgebra
 from qpencil.autos import pair_algebra
+from qpencil.cli import parse_pencil
 from qpencil.errors import PreconditionError
 from qpencil.field import GF
 from qpencil.invariants import arf_invariant, is_isomorphic, r_invariant
+from qpencil.linalg import rank
 from qpencil.normalform import extract_normal_form, realize
 from qpencil.pencil import Pencil
-from qpencil.verify import gl_elements, pulls_back, transformation_law_check
+from qpencil.verify import (gl_elements, pulls_back, random_regular_nf_pencil,
+                            transformation_law_check)
+from oracles import det
+
+GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
 
 
 def test_r_invariant_examples(g2):
@@ -113,13 +121,54 @@ def test_isomorphism_m2_witnesses(g4):
     # conjugated pencils stay isomorphic, witness verified
     g = [[1, 0, 2, 0, 1], [0, 1, 0, 0, 3], [0, 0, 1, 0, 0],
          [0, 3, 0, 1, 0], [0, 0, 0, 0, 1]]
-    from qpencil.linalg import rank
-
     assert rank(g4, g) == 5
     conj = base.conjugate(g)
     ok, wit = is_isomorphic(conj, shifted)
     assert ok
     assert shifted.q0.transform(wit) == conj.q0
+
+
+def _assert_witness(p1, p2, wit):
+    assert p2.q0.transform(wit) == p1.q0 and p2.q1.transform(wit) == p1.q1
+
+
+@pytest.mark.parametrize("k", (2, 8, 17))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_isomorphism_when_delta_differs_by_a_scalar(k, m):
+    # Delta(q o g) = det(g)^2 Delta(q): a conjugate by g with det g != 1
+    # has a proportional, unequal Delta and is isomorphic all the same
+    gf = GF(k)
+    rng = random.Random(100 * k + m)
+    p = random_regular_nf_pencil(gf, m, rng)
+    while True:
+        g = [[rng.randrange(gf.order) for _ in range(p.n)] for _ in range(p.n)]
+        d = det(gf, g)
+        if d not in (0, 1):
+            break
+    q = p.conjugate(g)
+    lam = gf.mul(d, d)
+    assert q.half_discriminant() == [gf.mul(lam, c) for c in p.half_discriminant()]
+    for a, b in ((p, q), (q, p)):
+        ok, wit = is_isomorphic(a, b)
+        assert ok
+        _assert_witness(a, b, wit)
+    # a partner whose Delta is not proportional stays non-isomorphic
+    while True:
+        other = random_regular_nf_pencil(gf, m, rng)
+        if rank(gf, [p.half_discriminant(), other.half_discriminant()]) == 2:
+            break
+    assert is_isomorphic(p, other) == (False, None)
+    assert is_isomorphic(q, other) == (False, None)
+
+
+def test_isomorphism_of_g4_n3_12_under_a_diagonal(g4):
+    # the first reproduction: Delta [2, 1, 0, 1] against [1, 3, 0, 3]
+    p = parse_pencil(json.loads((GOLDEN_DOCS / "g4_n3_12.json").read_text()))
+    q = p.conjugate([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert (p.half_discriminant(), q.half_discriminant()) == ([2, 1, 0, 1], [1, 3, 0, 3])
+    ok, wit = is_isomorphic(p, q)
+    assert ok
+    _assert_witness(p, q, wit)
 
 
 def test_transformation_law_basics(g2):

@@ -1,0 +1,116 @@
+"""The packed paths of linalg and poly against scalar loops.
+
+Above the log tables (GF(2^13) and up) rref, lu_solver, divmod_,
+square_table and square_mod keep their rows packed, with prepared
+operands (Field.prepare, Field.combine) and the packed Frobenius
+(Field.squares); each answer here must equal a loop of Field.mul and
+Field.inv calls from tests/oracles.py.  k = 13 and 16 have 4-byte slots,
+17 and 32 have 8-byte slots, and 33 and 64 have two 8-byte items a slot.
+"""
+
+import random
+
+import pytest
+
+from qpencil import poly
+from qpencil.field import GF, Field
+from qpencil.linalg import inverse, lu_solver, nullspace, rref
+from oracles import (
+    divmod_by_loop,
+    inverse_by_loop,
+    nullspace_by_loop,
+    rref_by_loop,
+    solve_by_loop,
+    square_mod_by_loop,
+)
+
+DEGREES = (13, 16, 17, 32, 33, 64)
+
+
+def _matrix(gf, rows, cols, rng, rank=None):
+    """A random rows x cols matrix; with rank given, each row past the
+    first `rank` is a combination of those, and one row is zero."""
+    a = [[rng.randrange(gf.order) for _ in range(cols)] for _ in range(rows)]
+    if rank is not None:
+        for i in range(rank, rows):
+            cs = [rng.randrange(gf.order) for _ in range(rank)]
+            a[i] = [0] * cols
+            for c, row in zip(cs, a[:rank]):
+                a[i] = [x ^ gf.mul(c, y) for x, y in zip(a[i], row)]
+        a.insert(rng.randrange(rows + 1), [0] * cols)
+    return a
+
+
+@pytest.mark.parametrize("k", DEGREES)
+def test_eliminations_match_the_scalar_loops(k):
+    gf = GF(k)
+    assert gf.packed
+    rng = random.Random(k)
+    shapes = [(1, 1), (1, 7), (7, 1), (5, 5), (4, 9), (9, 4), (11, 11)]
+    cases = [_matrix(gf, r, c, rng) for r, c in shapes]
+    cases += [_matrix(gf, 6, 8, rng, rank=3), _matrix(gf, 9, 9, rng, rank=8),
+              _matrix(gf, 5, 5, rng, rank=0), [[0, 1, 0], [0, 0, 1], [0, 1, 1]]]
+    for a in cases:
+        assert rref(gf, a) == rref_by_loop(gf, a), a
+        assert nullspace(gf, a) == nullspace_by_loop(gf, a), a
+        if len(a) == len(a[0]):
+            want = inverse_by_loop(gf, a)
+            if want is None:
+                with pytest.raises(ValueError):
+                    inverse(gf, a)
+            else:
+                assert inverse(gf, a) == want
+
+
+@pytest.mark.parametrize("k", DEGREES)
+def test_lu_solves_match_the_scalar_loop(k):
+    gf = GF(k)
+    rng = random.Random(100 + k)
+    for n in (1, 2, 5, 12):
+        a = _matrix(gf, n, n, rng)
+        if n > 1:
+            a[0][0] = 0  # the first pivot needs a row swap
+        if inverse_by_loop(gf, a) is None:
+            continue
+        solve = lu_solver(gf, a)
+        for b in ([0] * n, [1] + [0] * (n - 1),
+                  [rng.randrange(gf.order) for _ in range(n)]):
+            assert solve(b) == solve_by_loop(gf, a, b), (a, b)
+    singular = _matrix(gf, 4, 4, rng)
+    singular[3] = singular[1]
+    with pytest.raises(ValueError):
+        lu_solver(gf, singular)
+
+
+@pytest.mark.parametrize("k", DEGREES)
+def test_division_and_squaring_match_the_scalar_loops(k):
+    gf = GF(k)
+    rng = random.Random(200 + k)
+    for da, db in ((0, 0), (3, 1), (9, 4), (8, 8), (2, 5), (31, 15)):
+        a = [rng.randrange(gf.order) for _ in range(da)] + [rng.randrange(1, gf.order)]
+        b = [rng.randrange(gf.order) for _ in range(db)] + [rng.randrange(2, gf.order)]
+        assert poly.divmod_(gf, a, b) == divmod_by_loop(gf, a, b), (a, b)
+    for d in (1, 2, 7, 16):
+        m = [rng.randrange(gf.order) for _ in range(d)] + [rng.randrange(2, gf.order)]
+        table = poly.square_table(gf, m)
+        for h in ([], [1], [0] * (d - 1) + [1],
+                  [rng.randrange(gf.order) for _ in range(d)]):
+            h = poly.trim(list(h))
+            assert poly.square_mod(gf, h, table) == square_mod_by_loop(gf, h, m), (m, h)
+    v = [rng.randrange(gf.order) for _ in range(9)] + [0, 1]
+    assert gf.squares(v) == [gf.mul(c, c) for c in v]
+
+
+def test_packed_division_refuses_a_wrong_product(monkeypatch):
+    # as on the table path (test_poly), a step that leaves the top
+    # coefficient is a failed certificate, not a loop without end
+    gf = GF(32)
+    right = Field.combine
+
+    def wrong(self, prepared, cs):
+        _, n = prepared
+        return right(self, prepared, cs) ^ 1 << (n - 1) * self.slot_bits
+
+    monkeypatch.setattr(Field, "combine", wrong)
+    with pytest.raises(AssertionError, match="leading coefficient"):
+        poly.divmod_(gf, [1, 2, 3, 1], [1, 1])
