@@ -3,57 +3,53 @@
 Field elements are plain Python ints: bit i is the coefficient of t^i in
 the power basis of GF(2)[T]/(modulus).  Addition is xor, and the zero and
 one elements are the ints 0 and 1.  A Field object carries the modulus and
-multiplication tables; it is immutable after construction, so contexts can
-be shared freely between threads (its one cache, of the packed kernel's
+its kernel's tables; it is immutable after construction, so contexts can
+be shared freely between threads (its one cache, of the wide kernel's
 slot masks, is bounded and holds values that depend on the field alone).
 
-Two representations serve the arithmetic, chosen by the field order:
+Products of vectors are packed: a vector becomes one int, entry j in the
+j-th slot of slot_bits bits (Field.pack, Field.unpack), and the kernel
+entries work on whole packed rows.  Field.addmul(acc, cs, vs) = acc + sum
+of c*v over the pairs, Field.mat_mul(a, b) = a b.  One of two kernels
+serves a field, chosen by its degree when it is built:
 
-- order <= 2^12 (k <= 12): exp/log tables of a primitive element; mul and
-  inv are table lookups, and every product is reduced by construction.
-- order > 2^12: no tables of elements.  mul is the 4-bit windowed
-  carry-less product p2_mul, reduced as one slot of the packed kernel
-  below; inv is the binary extended Euclidean algorithm on packed
-  GF(2)[T] ints.  The tables stop at 2^12 because their build time grows
-  with the order (about 1 ms at k = 12 and 13, 16 ms at k = 16) and a
-  field is mostly built for one CLI call, which makes too few products
-  to pay that back.
+- the byte-slot kernel, k <= 8: an entry takes one byte, and _rows[c] is
+  the 256-byte table of x -> c x, so c times a packed row is one
+  bytes.translate of the row's bytes and needs no reduction (the
+  split-table method of Plank, Greenan and Miller, FAST 2013, with
+  CPython's byte shuffle).  mul is _rows[a][b], inv a 256-entry table and
+  squares one translate.  The tables are built by linearity, 256 rows of
+  256 bytes at k = 8.
+- the wide kernel, k >= 9: a slot of 32, 64 or 128 bits holds 2k bits,
+  room for an unreduced product.  A packed row has its 4-bit table of
+  multiples (a nibble of a coefficient picks one entry, shifted into
+  place, whatever the length of the row), and a combination of rows is
+  reduced by one Barrett step for every slot at once (Field._reduce), by
+  mu = T^2k // modulus (exact for products of degree below 2k).  mul is
+  the windowed carry-less product p2_mul reduced as one slot, and inv the
+  binary extended Euclidean algorithm.  Squares packs a vector at half
+  the slot width and spreads every byte to two, since squaring in GF(2)[T]
+  doubles the exponents.
 
-Linear algebra and polynomial products go through two kernel entries
-instead of one mul call per product: Field.addmul(acc, cs, vs) = acc + sum
-of c*v over the pairs, and Field.mat_mul(a, b) = a b.  With log tables
-addmul takes the log of each c once and does one exp lookup per nonzero
-entry of v.  Every other product is packed.  A vector becomes one int,
-entry j in the j-th byte-aligned slot of 8, 16, 32, 64 or 128 bits, the
-narrowest that holds 2k bits: room for the unreduced product of two
-elements.  Packing and unpacking go through array and int.from_bytes /
-int.to_bytes, so both cost time linear in the length.  A row of the
-result is a combination of packed rows, each with its 4-bit table of
-multiples: a nibble of a coefficient picks one entry of its row's table,
-shifted into place, whatever the length of the rows.  Each result row
-ends with one Barrett reduction of every slot at once (Field._reduce),
-by mu = T^2k // modulus (fixed per field; exact for products of degree
-below 2k), and one unpack.  mat_mul packs each row of b and builds its
-table once for the whole product; addmul above GF(2^12) is one such
-result row.
-
-Above the tables (Field.packed) the eliminations of linalg and the
-division and squaring of poly keep their rows packed from entry to exit.
-A prepared operand, Field.prepare, is reduced packed rows with their
-4-bit tables, built once and used by any number of Field.combine calls:
-a pivot row for every other row, a divisor for every quotient term, the
-rows of a squaring table for every squaring.  A working row is a packed
-int that sums such combinations unreduced, shifted to a slot offset;
-Field.entry reads one slot reduced, and Field.reduce or Field.unpack
-reduces every slot once at the end.  Field.squares, the Frobenius on a
-vector, packs it at half the slot width and spreads every byte to two,
-since squaring in GF(2)[T] doubles the exponents, then reduces and
-unpacks once.
+Packing and unpacking cost time linear in the length (int.from_bytes and
+int.to_bytes, through array on the wide kernel).  The eliminations of
+linalg and the division and squaring of poly keep their rows packed from
+entry to exit.  A prepared operand, Field.prepare, is reduced packed rows
+ready for any number of Field.combine calls (their bytes, or their 4-bit
+tables): a pivot row for every other row, a divisor for every quotient
+term, the rows of a squaring table for every squaring.  A working row is
+a packed int that sums such combinations, unreduced on the wide kernel,
+shifted to a slot offset; Field.entry reads one slot reduced, and
+Field.reduce or Field.unpack reduces every slot once at the end.  One
+elimination step is two calls: Field.column reads the pivot column of
+every row, and Field.eliminate adds each row's multiple of the pivot row;
+a multiplier of 1 is one xor, and the pivot row is prepared only for
+another multiplier.
 
 Use the cached factories GF(k) / field_from_modulus(m) so that repeated
-requests return the same context (and the same lookup tables).  GF(k)
-takes its modulus from a committed table, the smallest irreducible of
-each degree, and a degree above MAX_FIELD_DEGREE = 64 is refused with a
+requests return the same context (and the same tables).  GF(k) takes its
+modulus from a committed table, the smallest irreducible of each degree,
+and a degree above MAX_FIELD_DEGREE = 64 is refused with a
 PreconditionError before any irreducibility test.
 """
 
@@ -66,13 +62,14 @@ from functools import lru_cache
 from . import poly
 from .errors import PreconditionError
 
-_TABLE_LIMIT = 1 << 12  # build exp/log tables up to this field order
+_BYTE_DEGREE = 8  # the byte-slot kernel serves the degrees up to this one
 # the irreducibility test grows with the degree without bound, so larger
 # fields are refused before it runs
 MAX_FIELD_DEGREE = 64
 # array formats by item size; the packed slot is the first wide enough
 _FORMATS = sorted("BHILQ", key=lambda f: array(f).itemsize)
 _SWAP = sys.byteorder != "little"  # array holds items in machine order
+_from_bytes = int.from_bytes  # bound once: the kernels call it per row
 _MASKS_KEPT = 256  # slot masks kept per field, up to rows of this many entries
 # each byte's bits moved to the even places of two bytes, the low and the
 # high byte: the square of a byte in GF(2)[T]
@@ -115,11 +112,11 @@ def p2_mul(a: int, b: int) -> int:
     return r
 
 
-def _combine(tables: list, cs) -> int:
+def _nibble_combine(tables: list, cs) -> int:
     """The packed sum of c*v over the pairs of cs and the 4-bit tables t of
     the packed v: t[c & 15] shifted into place for each nibble of c.  The
-    first two nibbles are unrolled, so an entry of a field up to GF(2^8),
-    or a 0 or 1 of any field, takes one or two lookups."""
+    first two nibbles are unrolled, so a 0 or 1 of any field, or an entry
+    below 256, takes one or two lookups."""
     p = 0
     for c, t in zip(cs, tables):
         if c < 16:
@@ -133,6 +130,28 @@ def _combine(tables: list, cs) -> int:
                 c >>= 4
                 s += 4
     return p
+
+
+def _byte_combine(rows: list, prepared: list, cs) -> int:
+    """The packed sum of c*v over the pairs of cs and the byte kernel's
+    prepared rows (v as an int, v's bytes): a c = 1 adds v itself, any
+    other c the bytes of v translated by rows[c], the table of x -> c x."""
+    p = 0
+    for c, (v, data) in zip(cs, prepared):
+        if c == 1:
+            p ^= v
+        elif c:
+            p ^= _from_bytes(data.translate(rows[c]), "little")
+    return p
+
+
+def _linear_byte_map(images) -> bytes:
+    """The 256-byte table of the GF(2)-linear map on bytes that takes bit
+    i to images[i]."""
+    out = [0]
+    for v in images:
+        out += [x ^ v for x in out]
+    return bytes(out)
 
 
 def p2_mod(a: int, m: int) -> int:
@@ -153,17 +172,6 @@ def p2_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, p2_mod(a, b)
     return a
-
-
-def p2_powmod(a: int, e: int, m: int) -> int:
-    """a^e modulo m in GF(2)[T], by square and multiply."""
-    r = 1
-    while e:
-        if e & 1:
-            r = p2_mulmod(r, a, m)
-        a = p2_mulmod(a, a, m)
-        e >>= 1
-    return r
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -228,8 +236,8 @@ def default_modulus(k: int) -> int:
 class Field:
     """The field GF(2^k) presented as GF(2)[T]/(modulus)."""
 
-    __slots__ = ("degree", "modulus", "order", "packed", "slot_bits", "_exp", "_log",
-                 "_barrett", "_slot", "_half", "_masks")
+    __slots__ = ("degree", "modulus", "order", "slot_bits", "_rows", "_inverses", "_squares",
+                 "_barrett", "_slot", "_slot_mask", "_half", "_masks")
 
     def __init__(self, degree: int | None = None, modulus: int | None = None):
         if degree is None and modulus is None:
@@ -252,14 +260,12 @@ class Field:
         self.degree = degree
         self.modulus = modulus
         self.order = 1 << degree
-        self._exp = None
-        self._log = None
-        self._build_packing()
-        # the log tables serve the arithmetic up to _TABLE_LIMIT; above it
-        # linalg and poly keep their rows packed (see the module docstring)
-        self.packed = self.order > _TABLE_LIMIT
-        if not self.packed:
-            self._build_tables()
+        # the kernel is chosen here, once (see the module docstring)
+        self._rows = self._inverses = self._squares = None
+        if degree <= _BYTE_DEGREE:
+            self._build_byte_kernel()
+        else:
+            self._build_wide_kernel()
 
     # -- identity ----------------------------------------------------------
 
@@ -272,15 +278,43 @@ class Field:
     def __repr__(self):
         return f"GF(2^{self.degree}; mod={bin(self.modulus)})"
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- the two kernels ------------------------------------------------------
 
-    def _build_packing(self):
-        """The packed kernel's constants, for every field.  _slot is (array
-        format, items per slot, bytes per slot): the format with the
-        smallest items of at least 2k bits, or two items of the largest
-        above k = 32; slot_bits is its width in bits, and _half the format
-        of half that width (None for one-byte slots), which squares packs
-        at.  _barrett holds the exponents of the terms below T^k of
+    def _build_byte_kernel(self):
+        """One byte per entry.  _rows[c] is the 256-byte table of x -> c x,
+        _inverses[a] = 1/a and _squares[x] = x^2 (256 bytes, for translate).
+        The tables are built by linearity: the row of T^(i+1) is the row of
+        T^i translated by the row of T, and the row of any other c is the
+        xor of the rows of its bits.  A byte x at or above the order (k < 8)
+        is read as the polynomial it spells, reduced."""
+        k, m = self.degree, self.modulus
+        self.slot_bits = 8
+        self._slot_mask = 255
+        powers = [1]  # T^i mod m for i <= 8
+        for _ in range(8):
+            v = powers[-1] << 1
+            powers.append(v ^ m if v >> k else v)
+        one, times_t = _linear_byte_map(powers[:8]), _linear_byte_map(powers[1:])
+        basis = [one]  # the rows of T^i, i < k
+        for _ in range(k - 1):
+            basis.append(basis[-1].translate(times_t))
+        rows = [0]
+        for b in basis:
+            v = int.from_bytes(b, "little")
+            rows += [x ^ v for x in rows]
+        rows = self._rows = [x.to_bytes(256, "little") for x in rows]
+        # the first 1 in a row is at the inverse: a byte above the order
+        # reads as its remainder, which is smaller
+        self._inverses = bytes(r.index(1) if c else 0 for c, r in enumerate(rows))
+        self._squares = bytes(r[x] for x, r in enumerate(rows)).ljust(256, b"\0")
+
+    def _build_wide_kernel(self):
+        """The wide kernel's constants.  _slot is (array format, items per
+        slot, bytes per slot): the format with the smallest items of at
+        least 2k bits, or two items of the largest above k = 32; slot_bits
+        is its width in bits, _slot_mask the 2k bits of an unreduced
+        product, and _half the format of half the slot width, which squares
+        packs at.  _barrett holds the exponents of the terms below T^k of
         mu = T^2k // modulus and of the modulus."""
         k, m = self.degree, self.modulus
         fmt = next((f for f in _FORMATS if array(f).itemsize * 8 >= 2 * k), None)
@@ -290,7 +324,8 @@ class Field:
         self._slot = (fmt, step, size)
         self._masks = {}
         self.slot_bits = 8 * size
-        self._half = next((f for f in _FORMATS if 2 * array(f).itemsize == size), None)
+        self._slot_mask = (1 << 2 * k) - 1
+        self._half = next(f for f in _FORMATS if 2 * array(f).itemsize == size)
         mu, r = 0, 1 << 2 * k  # mu = T^2k // m, by long division
         while r >> k:
             s = p2_degree(r) - k
@@ -298,91 +333,60 @@ class Field:
             r ^= m << s
         self._barrett = tuple(tuple(i for i in range(k) if x >> i & 1) for x in (mu, m))
 
-    def _build_tables(self):
-        """exp/log tables of the smallest primitive g (1 in GF(2), else the
-        first g >= 2 with g^((q-1)/p) != 1 for every prime p | q-1).  The
-        powers of g are stepped through the linear map x -> g x, applied as
-        two byte tables."""
-        order, m, k = self.order, self.modulus, self.degree
-        g = 1 if k == 1 else 2
-        while any(p2_powmod(g, (order - 1) // p, m) == 1
-                  for p in _prime_divisors(order - 1)):
-            g += 1
-        images = [g]  # g * T^i
-        for _ in range(k - 1):
-            v = images[-1] << 1
-            images.append(v ^ m if v >> k else v)
-        lo, hi = [0], [0]
-        for i, v in enumerate(images):
-            half = lo if i < 8 else hi
-            half += [x ^ v for x in half]
-        exp = [0] * (2 * order)  # exp[i] = g^(i mod q-1)
-        log = [0] * order
-        v = 1
-        for i in range(order - 1):
-            exp[i] = exp[i + order - 1] = v
-            log[v] = i
-            v = lo[v & 255] ^ hi[v >> 8]
-        exp[2 * order - 2 :] = exp[:2]
-        self._exp = exp
-        self._log = log
+    # -- arithmetic ---------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
+        rows = self._rows
+        if rows is not None:
+            return rows[a][b]
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
         return self._reduce(p2_mul(a, b), self.order - 1)
 
     def addmul(self, acc: list, cs, vs) -> list:
         """acc + sum of c*v over the pairs (c, v) of cs and vs, entrywise:
-        the multiply-accumulate kernel.  Every v has the length of acc
-        (above the log tables a shorter v would be read as padded with
-        zeros).  acc is not modified, but it may be returned itself.  With
-        log tables it is a pass of exp lookups per two pairs; above them it
-        is one packed row of mat_mul (see the module docstring)."""
-        exp, log = self._exp, self._log
-        if exp is not None:
-            # pairs with c != 0, 1 go two to a pass, which halves the
-            # per-pass overhead that dominates at n around 13
-            held = None
+        the multiply-accumulate kernel.  Every v has the length of acc (a
+        shorter v would be read as padded with zeros).  acc is not
+        modified, but it may be returned itself.  It is one packed row of
+        mat_mul (see the module docstring)."""
+        rows = self._rows
+        if rows is not None:
+            p = _from_bytes(bytes(acc), "little")
             for c, v in zip(cs, vs):
                 if c == 1:
-                    acc = [x ^ y for x, y in zip(acc, v)]
-                elif c and held is None:
-                    held = log[c], v
+                    p ^= _from_bytes(bytes(v), "little")
                 elif c:
-                    lb, u = held
-                    held = None
-                    lc = log[c]
-                    acc = [x ^ (exp[lb + log[y]] if y else 0) ^ (exp[lc + log[z]] if z else 0)
-                           for x, y, z in zip(acc, u, v)]
-            if held is not None:
-                lb, u = held
-                acc = [x ^ exp[lb + log[y]] if y else x for x, y in zip(acc, u)]
-            return acc
+                    p ^= _from_bytes(bytes(v).translate(rows[c]), "little")
+            return list(p.to_bytes(len(acc), "little"))
         tables, used = [], []
         for c, v in zip(cs, vs):
             if c:
                 tables.append(_nibble_table(self.pack(v)))
                 used.append(c)
         n = len(acc)
-        return self.unpack(self.pack(acc) ^ _combine(tables, used), n)
+        return self.unpack(self.pack(acc) ^ _nibble_combine(tables, used), n)
 
     def mat_mul(self, a, b) -> list:
-        """The matrix product a b, packed: every row of b becomes one int and
-        its 4-bit table once, then each row of a is one combination of
-        them, one Barrett reduction and one unpack.  Every row of b has the
+        """The matrix product a b, packed: every row of b becomes one int
+        (and, on the wide kernel, its 4-bit table) once, then each row of a
+        is one combination of them and one unpack.  Every row of b has the
         width of b[0] and every row of a has len(b) entries (a shorter row
         of b would be read as padded with zeros)."""
         width = len(b[0]) if b else 0
+        rows = self._rows
+        if rows is not None:
+            prepared = [(_from_bytes(v, "little"), v) for v in map(bytes, b)]
+            return [list(_byte_combine(rows, prepared, row).to_bytes(width, "little"))
+                    for row in a]
         tables = [_nibble_table(self.pack(v)) for v in b]
-        return [self.unpack(_combine(tables, row), width) for row in a]
+        return [self.unpack(_nibble_combine(tables, row), width) for row in a]
 
     # -- the packed representation (see the module docstring) ---------------
 
     def pack(self, v) -> int:
         """v as one int, entry j in the j-th slot of slot_bits bits."""
+        if self._rows is not None:
+            return _from_bytes(bytes(v), "little")
         fmt, step, _ = self._slot
         if step == 2:
             w = [0] * (2 * len(v))
@@ -391,7 +395,7 @@ class Field:
         items = array(fmt, v)
         if _SWAP:
             items.byteswap()
-        return int.from_bytes(items.tobytes(), "little")
+        return _from_bytes(items.tobytes(), "little")
 
     def _mask(self, n: int) -> int:
         """The bits below T^k of each of n slots; kept for n up to
@@ -430,6 +434,8 @@ class Field:
     def unpack(self, p: int, n: int) -> list:
         """The n entries of the packed row p, each slot reduced modulo the
         modulus first."""
+        if self._rows is not None:
+            return list(p.to_bytes(n, "little"))
         p = self._reduce(p, self._mask(n))
         fmt, step, size = self._slot
         items = array(fmt, p.to_bytes(n * size, "little"))
@@ -437,42 +443,92 @@ class Field:
             items.byteswap()
         return items.tolist() if step == 1 else items[::2].tolist()
 
-    # -- packed rows and prepared operands ------------------------------------
-    # A packed row from pack may be added to freely: every slot stays a
-    # polynomial of degree below 2k, so the Barrett reduction waits until
-    # an entry is read (entry) or the row is reduced or unpacked once.
+    # -- packed rows, prepared operands and the elimination step -------------
+    # A packed row from pack may be added to freely.  On the byte kernel
+    # every slot is reduced at all times; on the wide kernel every slot
+    # stays a polynomial of degree below 2k, and the Barrett reduction waits
+    # until an entry is read (entry, column) or the row is reduced or
+    # unpacked once.
 
     def reduce(self, p: int, n: int) -> int:
         """The packed row p of n entries with every slot reduced."""
+        if self._rows is not None:
+            return p
         return self._reduce(p, self._mask(n))
 
     def entry(self, p: int, j: int) -> int:
         """Entry j of the packed row p, reduced."""
-        x = (p >> j * self.slot_bits) & ((1 << 2 * self.degree) - 1)
+        x = p >> j * self.slot_bits & self._slot_mask
         return self._reduce(x, self.order - 1) if x >> self.degree else x
 
+    def column(self, ps, j: int) -> list:
+        """Entry j of each packed row of ps, reduced: the column that an
+        elimination step reads its pivot and multipliers from."""
+        s, mask = j * self.slot_bits, self._slot_mask
+        col = []
+        for p in ps:  # a loop: a comprehension costs more on short columns
+            col.append(p >> s & mask)
+        if self._rows is None:
+            k, top = self.degree, self.order - 1
+            for i, x in enumerate(col):
+                if x >> k:
+                    col[i] = self._reduce(x, top)
+        return col
+
     def prepare(self, ps, n: int) -> tuple:
-        """The prepared operand of reduced packed rows ps of n entries each:
-        their 4-bit tables, built once for any number of combine calls,
-        and n."""
-        return [_nibble_table(p) for p in ps], n
+        """The prepared operand of reduced packed rows ps of n entries each,
+        built once for any number of combine calls, and n: each row's
+        4-bit table on the wide kernel, each row with its bytes on the
+        byte kernel."""
+        rows = []
+        if self._rows is not None:
+            for p in ps:
+                rows.append((p, p.to_bytes(n, "little")))
+        else:
+            for p in ps:
+                rows.append(_nibble_table(p))
+        return rows, n
 
     def combine(self, prepared, cs) -> int:
         """The packed sum of c times row i of a prepared operand over the
         pairs (c, row i), unreduced; shifted left by j * slot_bits it
         lands at entry j of a longer row."""
-        return _combine(prepared[0], cs)
+        rows = self._rows
+        if rows is not None:
+            return _byte_combine(rows, prepared[0], cs)
+        return _nibble_combine(prepared[0], cs)
+
+    def eliminate(self, ps, pivot: int, n: int, cs, shift: int) -> None:
+        """One elimination step, in place: row i of the list ps of packed
+        rows plus cs[i] times the reduced packed row pivot of n entries,
+        shifted left by shift, unreduced.  A row with c = 0 is kept and
+        c = 1 is one xor; the pivot row is prepared at the first other c."""
+        rows = self._rows
+        one = pivot << shift
+        prepared = None
+        for i, c in enumerate(cs):
+            if c == 1:
+                ps[i] ^= one
+            elif c:
+                if rows is not None:
+                    if prepared is None:
+                        prepared = pivot.to_bytes(n, "little")
+                    ps[i] ^= _from_bytes(prepared.translate(rows[c]), "little") << shift
+                else:
+                    if prepared is None:
+                        prepared = (_nibble_table(pivot),)
+                    ps[i] ^= _nibble_combine(prepared, (c,)) << shift
 
     def squares(self, v) -> list:
-        """The square of every entry of v, the Frobenius on vectors: with
-        log tables one lookup each.  Above them the square of a GF(2)[T]
-        polynomial has its bits at twice their places, so v is packed at
-        half the slot width, every byte is spread to two bytes and the
-        slots are reduced and unpacked once (the slots there are 4 bytes
-        or more, so the half width holds an entry)."""
-        if self._exp is not None:
-            exp, log = self._exp, self._log
-            return [exp[2 * log[c]] if c else 0 for c in v]
+        """The square of every entry of v, the Frobenius on vectors: one
+        translate on the byte kernel.  On the wide kernel the square of a
+        GF(2)[T] polynomial has its bits at twice their places, so v is
+        packed at half the slot width, every byte is spread to two bytes
+        and the slots are reduced and unpacked once (the slots there are 4
+        bytes or more, so the half width holds an entry)."""
+        table = self._squares
+        if table is not None:
+            return list(bytes(v).translate(table))
         items = array(self._half, v)
         if _SWAP:
             items.byteswap()
@@ -480,13 +536,14 @@ class Field:
         spread = bytearray(2 * len(data))
         spread[::2] = data.translate(_SPREAD_LOW)
         spread[1::2] = data.translate(_SPREAD_HIGH)
-        return self.unpack(int.from_bytes(spread, "little"), len(v))
+        return self.unpack(_from_bytes(spread, "little"), len(v))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("division by zero in " + repr(self))
-        if self._exp is not None:
-            return self._exp[self.order - 1 - self._log[a]]
+        inverses = self._inverses
+        if inverses is not None:
+            return inverses[a]
         # binary extended Euclid: g1 a = u and g2 a = v modulo the modulus
         u, v = a, self.modulus
         g1, g2 = 1, 0
@@ -546,18 +603,17 @@ class Embedding:
     """Ring embedding GF(2^k) -> GF(2^(k*j)), determined by a root of the
     source modulus in the target field."""
 
-    src: Field
     dst: Field
     root: int
     _pows: tuple
 
     def __init__(self, src: Field, dst: Field, root: int):
-        self.src, self.dst, self.root = src, dst, root
-        pows = []
+        self.dst, self.root = dst, root
+        pows = []  # the images of the power basis of src
         v = 1
-        for _ in range(self.src.degree):
+        for _ in range(src.degree):
             pows.append(v)
-            v = self.dst.mul(v, self.root)
+            v = dst.mul(v, root)
         self._pows = tuple(pows)
 
     def map(self, a: int) -> int:

@@ -10,6 +10,7 @@ work inside etale algebras lives at the bottom.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -48,72 +49,42 @@ def vec_scale(gf: Field, v: list, c: int) -> list:
 
 
 def rref(gf: Field, a: list) -> tuple[list, list]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    if gf.packed:
-        return _rref_packed(gf, a)
-    m = [list(row) for row in a]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = gf.inv(m[r][c])
-        if inv != 1:
-            m[r] = vec_scale(gf, m[r], inv)
-        # columns before c are zero in row r
-        pivot_row = (m[r][c:],)
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                m[i][c:] = gf.addmul(m[i][c:], (m[i][c],), pivot_row)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    """Reduced row echelon form; returns (rows, pivot column indices).
 
-
-def _rref_packed(gf: Field, a: list) -> tuple[list, list]:
-    """rref above the log tables, each row one packed int from entry to
-    exit (Field.pack): a pivot row is reduced, scaled and prepared once,
-    from its pivot column on, and every other row adds its multiple at
-    that column unreduced; one unpack per row at the end."""
-    m = [gf.pack(row) for row in a]
+    Each row is one packed int (Field.pack) from entry to exit.  Per pivot
+    one Field.column call reads the pivot column of every row, the pivot
+    row is reduced and scaled, and one Field.eliminate call adds its
+    multiple, from the pivot column on, to every other row, unreduced.
+    One unpack per row at the end."""
+    m = list(map(gf.pack, a))
     nrows = len(m)
     ncols = len(a[0]) if nrows else 0
     bits = gf.slot_bits
     pivots = []
     r = 0
     for c in range(ncols):
-        col = [gf.entry(p, c) for p in m]
-        sel = next((i for i in range(r, nrows) if col[i]), None)
-        if sel is None:
+        col = gf.column(m, c)
+        for sel in range(r, nrows):
+            if col[sel]:
+                break
+        else:
             continue
         m[r], m[sel] = m[sel], m[r]
-        col[r], col[sel] = col[sel], col[r]
+        e = col[sel]
+        col[sel] = col[r]
+        col[r] = 0
         p = gf.reduce(m[r], ncols)
-        inv = gf.inv(col[r])
-        if inv != 1:
-            p = gf.reduce(gf.combine(gf.prepare((p,), ncols), (inv,)), ncols)
+        if e != 1:
+            p = gf.reduce(gf.combine(gf.prepare((p,), ncols), (gf.inv(e),)), ncols)
         m[r] = p
         # columns before c are zero in row r
         shift = c * bits
-        pivot = gf.prepare((p >> shift,), ncols - c)
-        for i, e in enumerate(col):
-            if e and i != r:
-                m[i] ^= gf.combine(pivot, (e,)) << shift
+        gf.eliminate(m, p >> shift, ncols - c, col, shift)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return [gf.unpack(p, ncols) for p in m], pivots
+    return list(map(gf.unpack, m, repeat(ncols, nrows))), pivots
 
 
 def rank(gf: Field, a: list) -> int:
@@ -167,56 +138,18 @@ def inverse(gf: Field, a: list) -> list:
 def lu_solver(gf: Field, a: list):
     """For a nonsingular square a, the function b -> x with a x = b.
 
-    One row-pivoted elimination P a = L U, O(n^3) products, is kept; each
-    solve then applies L and U column by column through the kernel, n^2
-    products.  Pivoting is on the lowest-index row, so the solves are
+    One row-pivoted elimination P a = L U, O(n^3) products, is kept; its
+    rows stay packed as in rref, and the columns of L and U are prepared
+    once, so a solve keeps x packed and reads one entry of it per column,
+    n^2 products.  Pivoting is on the lowest-index row, so the solves are
     deterministic.
     """
-    if gf.packed:
-        return _lu_solver_packed(gf, a)
-    n = len(a)
-    m = [list(row) for row in a]
-    order = list(range(n))
-    for k in range(n):
-        sel = next((i for i in range(k, n) if m[i][k]), None)
-        if sel is None:
-            raise ValueError("matrix is singular")
-        m[k], m[sel] = m[sel], m[k]
-        order[k], order[sel] = order[sel], order[k]
-        inv = gf.inv(m[k][k])
-        m[k][k + 1:] = vec_scale(gf, m[k][k + 1:], inv)  # U has a unit diagonal
-        m[k][k] = inv
-        pivot_row = (m[k][k + 1:],)
-        for i in range(k + 1, n):
-            if m[i][k]:  # kept below the diagonal as L's multiplier
-                m[i][k + 1:] = gf.addmul(m[i][k + 1:], (m[i][k],), pivot_row)
-    # column k: U above the diagonal, the pivot's inverse on it, L below
-    cols = [(col[:k], col[k], col[k + 1:]) for k, col in enumerate(zip(*m))]
-
-    def solve_one(b):
-        x = [b[i] for i in order]
-        for k, (_, inv, low) in enumerate(cols):
-            x[k] = c = gf.mul(x[k], inv)
-            if c and low:
-                x[k + 1:] = gf.addmul(x[k + 1:], (c,), (low,))
-        for k in range(n - 1, 0, -1):
-            if x[k]:
-                x[:k] = gf.addmul(x[:k], (x[k],), (cols[k][0],))
-        return x
-
-    return solve_one
-
-
-def _lu_solver_packed(gf: Field, a: list):
-    """lu_solver above the log tables: the elimination keeps its rows
-    packed as _rref_packed does, and the columns of L and U are prepared
-    once, so a solve keeps x packed and reads one entry of it per column."""
     n = len(a)
     bits = gf.slot_bits
-    m = [gf.pack(row) for row in a]
+    m = list(map(gf.pack, a))
     order = list(range(n))
     for k in range(n):
-        col = [gf.entry(m[i], k) for i in range(k, n)]
+        col = gf.column(m[k:], k)
         sel = next((i for i, e in enumerate(col) if e), None)
         if sel is None:
             raise ValueError("matrix is singular")
@@ -226,13 +159,11 @@ def _lu_solver_packed(gf: Field, a: list):
         inv = gf.inv(col[0])
         p = gf.reduce(m[k], n)
         shift, width = (k + 1) * bits, n - k - 1
-        # U has a unit diagonal; L's multipliers stay before it
+        # U has a unit diagonal; the multipliers stay below it as L's
         tail = gf.reduce(gf.combine(gf.prepare((p >> shift,), width), (inv,)), width)
         m[k] = (p & ((1 << k * bits) - 1)) ^ (inv << k * bits) ^ (tail << shift)
-        pivot = gf.prepare((tail,), width)
-        for i, e in enumerate(col[1:], k + 1):
-            if e:  # kept below the diagonal as L's multiplier
-                m[i] ^= gf.combine(pivot, (e,)) << shift
+        col[0] = 0
+        gf.eliminate(m, tail, width, [0] * k + col, shift)
     # column k: U above the diagonal, the pivot's inverse on it, L below
     cols = [(gf.prepare((gf.pack(col[:k]),), k), col[k],
              gf.prepare((gf.pack(col[k + 1:]),), n - k - 1))

@@ -22,7 +22,7 @@ from . import poly
 from .algebra import EtaleAlgebra
 from .errors import NotRegularError, PreconditionError
 from .field import GF, Field, find_embedding
-from .linalg import inverse, lu_solver, mat_mul, rank, rref, transpose, vec_dot
+from .linalg import inverse, lu_solver, mat_mul, rref, transpose, vec_dot, vec_scale
 from .quadform import QuadraticForm, pfaffian_vector
 
 
@@ -36,8 +36,11 @@ class Pencil:
             raise ValueError("forms live on spaces of different dimension")
         if q0.n % 2 != 1 or q0.n < 3:
             raise ValueError(f"pencil dimension must be odd and >= 3, got {q0.n}")
-        if rank(q0.gf, [[x for i, row in enumerate(q.rows) for x in row[i:]]
-                        for q in (q0, q1)]) != 2:
+        # proportional (or one of them zero): q1 = lam q0, with lam read at
+        # the first nonzero coefficient of q0
+        c0, c1 = ([x for i, row in enumerate(q.rows) for x in row[i:]] for q in (q0, q1))
+        lead = next((i for i, x in enumerate(c0) if x), None)
+        if lead is None or vec_scale(q0.gf, c0, q0.gf.div(c1[lead], c0[lead])) == c1:
             raise ValueError("the two forms are proportional; not a pencil")
         self.gf = q0.gf
         self.q0 = q0

@@ -16,11 +16,11 @@ Both splitting stages spend their time squaring modulo a polynomial, and
 in characteristic 2 that map is additive: h^2 = sum h_i^2 T^(2i) mod m,
 the fact behind Berlekamp's Q-matrix (1970).  So each modulus gets one
 squaring table, the rows T^(2i) mod m (square_table), and a squaring is
-one kernel call with the coefficients h_i^2 (square_mod).  Above the log
-tables the table carries its rows as one prepared operand of the field
-(Field.prepare), built with it and dropped with it, and the h_i^2 come
-from one packed Frobenius (Field.squares); a division prepares its
-divisor once and keeps the remainder packed (divmod_).
+one kernel call with the coefficients h_i^2 (square_mod).  The table
+carries its rows as one prepared operand of the field (Field.prepare),
+built with it and dropped with it, and the h_i^2 come from one packed
+Frobenius (Field.squares); a division prepares its divisor once and keeps
+the remainder packed (divmod_).
 """
 
 from __future__ import annotations
@@ -73,29 +73,13 @@ def monic(gf: Field, a: list) -> list:
 
 
 def divmod_(gf: Field, a: list, b: list) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if gf.packed and len(a) >= len(b):
-        return _divmod_packed(gf, a, b)
-    r = a[:]
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = gf.inv(b[-1])
-    db = degree(b)
-    while len(r) - 1 >= db and r:
-        d = len(r) - 1 - db
-        coef = gf.mul(r[-1], inv_lead)
-        q[d] = coef
-        r[d:] = gf.addmul(r[d:], (coef,), (b,))
-        if r[-1]:  # the only exit needs each step to cancel the top
-            raise AssertionError("a division step left the leading coefficient")
-        trim(r)
-    return trim(q), r
-
-
-def _divmod_packed(gf: Field, a: list, b: list) -> tuple[list, list]:
-    """divmod_ above the log tables: the divisor is prepared once and the
+    """(quotient, remainder).  The divisor is prepared once and the
     remainder stays one packed row, read one top entry per step, until a
     single unpack."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(a) < len(b):
+        return [], a[:]
     bits, db = gf.slot_bits, degree(b)
     divisor = gf.prepare((gf.pack(b),), len(b))
     inv_lead = gf.inv(b[-1])
@@ -109,8 +93,9 @@ def _divmod_packed(gf: Field, a: list, b: list) -> tuple[list, list]:
             q[d] = coef = gf.mul(lead, inv_lead)
             r ^= gf.combine(divisor, (coef,)) << d * bits
         top -= 1
-    # a step leaves the entries above its top alone, so one check covers
-    # them all; cancelled, they may still hold multiples of the modulus
+    # each step must cancel its top coefficient; a step leaves the entries
+    # above its top alone, so one check covers them all (cancelled, on the
+    # wide kernel they may still hold multiples of the modulus)
     low = (top + 1) * bits
     if gf.reduce(r >> low, len(a) - 1 - top):
         raise AssertionError("a division step left the leading coefficient")
@@ -159,27 +144,15 @@ def derivative(gf: Field, a: list) -> list:
 
 
 def square_table(gf: Field, m: list) -> tuple:
-    """The rows T^(2i) mod m for i < deg m, each of length deg m, and
-    (above the log tables) the same rows as one prepared operand
-    (Field.prepare), or None.  Row i+1 is row i times T twice, reduced
-    after each step: O(deg m) kernel work per row."""
+    """The rows T^(2i) mod m for i < deg m, each of length deg m, and the
+    same rows as one prepared operand (Field.prepare).  Row i+1 is row i
+    times T twice, reduced after each step: O(deg m) kernel work per row."""
     d = degree(m)
-    low, inv_lead = m[:d], gf.inv(m[-1])
-    if not gf.packed:
-        rows = [[1] + [0] * (d - 1)]
-        while len(rows) < d:
-            row = rows[-1]
-            for _ in range(2):
-                top = row[-1]
-                row = [0] + row[:-1]
-                if top:
-                    row = gf.addmul(row, (gf.mul(top, inv_lead),), (low,))
-            rows.append(row)
-        return rows, None
+    inv_lead = gf.inv(m[-1])
     # a row is packed; times T moves every entry up one slot, and the one
     # that leaves the row, reduced, brings its multiple of low back
     bits, below = gf.slot_bits, (1 << d * gf.slot_bits) - 1
-    low = gf.prepare((gf.pack(low),), d)
+    low = gf.prepare((gf.pack(m[:d]),), d)
     packed = [1]
     while len(packed) < d:
         row = packed[-1]
@@ -196,15 +169,12 @@ def square_table(gf: Field, m: list) -> tuple:
 def square_mod(gf: Field, h: list, table: tuple) -> list:
     """h^2 mod m = sum h_i^2 T^(2i) mod m, with table = square_table(gf, m);
     h must already be reduced below deg m.  One kernel call: the squares of
-    the h_i in one Field.squares, then a combination of the table's rows,
-    prepared with the table above the log tables."""
+    the h_i in one Field.squares, then a combination of the table's
+    prepared rows."""
     rows, prepared = table
     if len(h) > len(rows):
         raise ValueError("square_mod needs h reduced below the modulus degree")
-    squares = gf.squares(h)
-    if prepared is None:
-        return trim(gf.addmul([0] * len(rows), squares, rows))
-    return trim(gf.unpack(gf.combine(prepared, squares), len(rows)))
+    return trim(gf.unpack(gf.combine(prepared, gf.squares(h)), len(rows)))
 
 
 def is_separable(gf: Field, p: list) -> bool:

@@ -34,16 +34,17 @@ def products(monkeypatch):
     result): one product per Field.mul call, plus len(v) for each pair
     (c, v) with c != 0 that a Field.addmul call takes, and the same for
     each row of a, paired with the rows of b, in a Field.mat_mul(a, b)
-    call.  On the packed path a Field.combine call counts the length of
-    its prepared rows for each c != 0, and a Field.squares call one
-    product per entry.  The multiplication-count guards use it, so a
-    product is counted whether it goes through mul or through a kernel
-    entry."""
+    call.  A Field.combine call counts the length of its prepared rows for
+    each c != 0, a Field.eliminate call the length of its pivot row (from
+    the pivot column on) for each nonzero multiplier, and a Field.squares
+    call one product per entry.  The multiplication-count guards use it,
+    so a product is counted whether it goes through mul or through a
+    kernel entry."""
 
     def count(fn):
         formed = 0
         mul, addmul, mat_mul = Field.mul, Field.addmul, Field.mat_mul
-        combine, squares = Field.combine, Field.squares
+        combine, eliminate, squares = Field.combine, Field.eliminate, Field.squares
 
         def counted_mul(self, a, b):
             nonlocal formed
@@ -67,6 +68,12 @@ def products(monkeypatch):
             formed += prepared[1] * sum(1 for c in cs if c)
             return combine(self, prepared, cs)
 
+        def counted_eliminate(self, ps, pivot, n, cs, shift):
+            nonlocal formed
+            cs = list(cs)
+            formed += n * sum(1 for c in cs if c)
+            eliminate(self, ps, pivot, n, cs, shift)
+
         def counted_squares(self, v):
             nonlocal formed
             formed += len(v)
@@ -77,6 +84,7 @@ def products(monkeypatch):
             mp.setattr(Field, "addmul", counted_addmul)
             mp.setattr(Field, "mat_mul", counted_mat_mul)
             mp.setattr(Field, "combine", counted_combine)
+            mp.setattr(Field, "eliminate", counted_eliminate)
             mp.setattr(Field, "squares", counted_squares)
             out = fn()
         return formed, out

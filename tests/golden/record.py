@@ -43,7 +43,7 @@ AUTX = {"g2_n3_all_roots", "g2_n3_an0", "g2_n3_autx_bug", "g2_n3_irreducible",
 # autx where a PGL2 scan and a table of |Aut(X)|^2 formed products were out
 # of reach: order 960 over GF(2^4), and GF(2^8), GF(2^12) and GF(2^24)
 AUTX_LARGE = {"g4_n5_all_roots", "g4_n3_12", "g4_n5_an0", "g8_n3_irreducible_r0"}
-# documents over GF(2^17)..GF(2^64) (gk<k>..., beyond the log tables) run the
+# documents over GF(2^17)..GF(2^64) (gk<k>..., on the wide kernel) run the
 # cheap commands only: they are there for the raw multiplication path, on
 # the default moduli and on one dense modulus (gk32m<modulus>), where
 # mu = T^2k // modulus has about k/2 terms

@@ -76,32 +76,6 @@ def inv_by_pow(modulus, a):
     return pow_by_bits(modulus, a, (1 << (modulus.bit_length() - 1)) - 2)
 
 
-def log_tables_by_trial(modulus):
-    """(exp, log) of the first primitive g = 1, 2, 3, ...: walk the powers
-    of each candidate with mul_by_bits and restart with the next one when
-    the walk returns to 1 early.  exp has 2q entries, exp[i] = g^(i mod q-1)."""
-    k = modulus.bit_length() - 1
-    order = 1 << k
-    g = 1 if k == 1 else 2
-    while True:
-        exp = [0] * (2 * order)
-        log = [0] * order
-        v = 1
-        for i in range(order - 1):
-            if v == 1 and i > 0:
-                break  # g has order i < q-1
-            exp[i] = v
-            log[v] = i
-            v = mul_by_bits(modulus, v, g)
-        else:
-            if v == 1:
-                break
-        g += 1
-    for i in range(order - 1, 2 * order):
-        exp[i] = exp[i - (order - 1)]
-    return exp, log
-
-
 def evaluate(gf, coeffs, x):
     """coeffs[0] + coeffs[1] x + ... by Horner's rule."""
     r = 0
@@ -255,11 +229,10 @@ def radical_map_matches_members(p, ws):
 # helpers only the tests use
 
 
-def compose_embeddings(first, second):
-    """The embedding first.src -> second.dst through first.dst."""
-    if second.src != first.dst:
-        raise ValueError("embeddings do not compose")
-    return Embedding(first.src, second.dst, second.map(first.root))
+def compose_embeddings(src, first, second):
+    """The embedding src -> second.dst through first: src -> first.dst,
+    then second: first.dst -> second.dst."""
+    return Embedding(src, second.dst, second.map(first.root))
 
 
 def roots_in(p, src, ext):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (compose_embeddings, default_modulus_by_search, inv_by_pow,
-                     log_tables_by_trial, mul_by_bits, pow_by_bits)
+from oracles import (compose_embeddings, default_modulus_by_search, inv_by_pow, mul_by_bits,
+                     pow_by_bits)
 from qpencil.field import (
-    _TABLE_LIMIT,
+    _BYTE_DEGREE,
     GF,
     MAX_FIELD_DEGREE,
     Field,
@@ -107,7 +107,7 @@ def test_embedding_is_ring_homomorphism(g2, g4, g16):
 
 def test_embedding_composition(g2, g4, g16):
     direct = find_embedding(g2, g16)
-    chained = compose_embeddings(find_embedding(g2, g4), find_embedding(g4, g16))
+    chained = compose_embeddings(g2, find_embedding(g2, g4), find_embedding(g4, g16))
     for a in g2.elements():
         assert direct.map(a) == chained.map(a)
 
@@ -121,7 +121,7 @@ def test_extension_constructor(g4):
     ext = GF(2 * g4.degree)
     emb = find_embedding(g4, ext)
     assert ext.degree == 4
-    assert emb.src == g4 and emb.dst == ext
+    assert emb.dst == ext
     # root really is a root of the source modulus
     x = emb.root
     acc = 0
@@ -163,19 +163,20 @@ ORACLE_DEGREES = list(range(1, 34)) + [48, 64]
 
 @pytest.mark.parametrize("k", ORACLE_DEGREES)
 def test_mul_and_inv_match_the_bit_loop_oracle(k):
-    # both sides of the table limit (tables up to order _TABLE_LIMIT, then
-    # the windowed product with the Barrett step and Euclidean inverse): mul
-    # and inv on the default and a non-default modulus, above the tables
-    # on the three moduli of _moduli_for_the_packed_kernel (a dense mu
-    # among them); then sqrt and pow, exponents negative and at least
-    # q - 1 included, on the edge elements and a few random ones
+    # both kernels (the byte kernel's tables up to degree _BYTE_DEGREE,
+    # then the wide kernel's windowed product with the Barrett step and
+    # Euclidean inverse): mul and inv on the default and a non-default
+    # modulus, on the wide kernel on the three moduli of
+    # _moduli_for_the_packed_kernel (a dense mu among them); then sqrt and
+    # pow, exponents negative and at least q - 1 included, on the edge
+    # elements and a few random ones
     rng = random.Random(1000 + k)
     default = default_modulus(k)
-    moduli = (_moduli_for_the_packed_kernel(k) if 1 << k > _TABLE_LIMIT
+    moduli = (_moduli_for_the_packed_kernel(k) if k > _BYTE_DEGREE
               else [default] + _irreducibles(k, 1, default))
     for modulus in moduli:
         gf = field_from_modulus(modulus)
-        assert (gf._exp is None) == (gf.order > _TABLE_LIMIT)
+        assert (gf._rows is None) == (k > _BYTE_DEGREE)
         edge = [1, 1 << (k - 1), (1 << k) - 1]
         xs = edge + [rng.randrange(1, gf.order) for _ in range(40)]
         for a in xs:
@@ -210,15 +211,16 @@ def _mat_mul_by_bits(modulus, a, b):
 
 @pytest.mark.parametrize("k", ORACLE_DEGREES)
 def test_kernel_and_mat_mul_match_the_bit_loop_oracle(k):
-    # both kernel entries on both sides of the table limit and of every
-    # packed slot width (8, 16, 32, 64 and 128 bits, from k = 1, 5, 9, 17
-    # and 33), above the table limit with each of the three moduli of
-    # _moduli_for_the_packed_kernel: addmul on vectors with zeros, c in
+    # both kernel entries on both kernels and every packed slot width (8
+    # bits on the byte kernel, k <= 8; 32, 64 and 128 bits on the wide
+    # kernel, from k = 9, 17 and 33), on the wide kernel with each of the
+    # three moduli of _moduli_for_the_packed_kernel: addmul on vectors with
+    # zeros, c in
     # {0, 1, random}, lengths 0..9, one to three pairs per call; then
     # mat_mul on square, non-square, empty and 3 x 600 shapes, with entries
     # drawn from {0, 1, 2^k-1, random} and one product of 2^k-1 only
     rng = random.Random(2000 + k)
-    for modulus in (_moduli_for_the_packed_kernel(k) if 1 << k > _TABLE_LIMIT
+    for modulus in (_moduli_for_the_packed_kernel(k) if k > _BYTE_DEGREE
                     else [default_modulus(k)]):
         gf = field_from_modulus(modulus)
         top = gf.order - 1
@@ -260,9 +262,9 @@ def _moduli_for_the_packed_kernel(k):
     return [default, dense, mirror]
 
 
-@pytest.mark.parametrize("k", [13, 16, 17, 20, 24, 32, 33, 48, 64])
+@pytest.mark.parametrize("k", [9, 12, 13, 16, 17, 20, 24, 32, 33, 48, 64])
 def test_packed_kernel_matches_the_bit_loop_oracle(k):
-    # the packed kernel above the log tables: each modulus has its own mu,
+    # the wide kernel: each modulus has its own mu,
     # calls of lengths 0..61 with up to 61 pairs, c in {0, 1, 2^k-1,
     # random}, entries 2^k-1 (the widest unreduced products); acc is kept
     rng = random.Random(3000 + k)
@@ -270,7 +272,7 @@ def test_packed_kernel_matches_the_bit_loop_oracle(k):
     for modulus in _moduli_for_the_packed_kernel(k):
         assert p2_is_irreducible(modulus)
         gf = field_from_modulus(modulus)
-        assert gf._exp is None
+        assert gf._rows is None
 
         def scalar():
             return rng.choice((0, 1, top, rng.randrange(2, top)))
@@ -288,16 +290,29 @@ def test_packed_kernel_matches_the_bit_loop_oracle(k):
                 modulus, [top] * length, [top], [[top] * length])
 
 
-def test_log_tables_match_the_trial_build():
-    # the primitivity test picks the same generator g as walking the powers
-    # of 2, 3, ... until one has order q-1, so the tables are identical
-    # of every degree that builds tables
-    degrees = range(1, _TABLE_LIMIT.bit_length())
-    moduli = [default_modulus(k) for k in degrees]
-    moduli += [m for k in degrees[1:] for m in _irreducibles(k, 3, default_modulus(k))]
+def test_byte_tables_match_the_bit_loop_oracle():
+    # the byte kernel's tables on every irreducible modulus of degree 1-8
+    # (2, 1, 2, 3, 6, 9, 18 and 30 of them): rows[c][x] = c x, the inverses
+    # and the squares, whole for the default moduli and on the rows of 0,
+    # 1, the top element and three random ones for the rest
+    rng = random.Random(4000)
+    moduli = [m for k in range(1, _BYTE_DEGREE + 1) for m in _irreducibles(k, 1 << k, None)]
+    assert len(moduli) == 71
     for modulus in moduli:
         gf = Field(modulus=modulus)
-        assert (gf._exp, gf._log) == log_tables_by_trial(modulus), bin(modulus)
+        order = gf.order
+        assert len(gf._rows) == order and {len(r) for r in gf._rows} == {256}
+        if modulus == default_modulus(gf.degree):
+            cs = range(order)
+        else:
+            cs = {0, 1, order - 1} | {rng.randrange(order) for _ in range(3)}
+        for c in cs:
+            assert list(gf._rows[c][:order]) == [mul_by_bits(modulus, c, x)
+                                                 for x in range(order)], (bin(modulus), c)
+        assert [gf._inverses[a] for a in range(1, order)] == [
+            inv_by_pow(modulus, a) for a in range(1, order)], bin(modulus)
+        assert list(gf._squares[:order]) == [mul_by_bits(modulus, x, x)
+                                             for x in range(order)], bin(modulus)
 
 
 def test_big_field_inverse_uses_no_multiplication(monkeypatch):

@@ -58,9 +58,9 @@ def test_solve_inconsistent(g2):
 
 
 def _nonsingular_draws(rng):
-    """(field, size, matrix): nonsingular draws over log-table and raw
-    fields, sizes 1..9, zero pivots on the diagonal (alternating matrices)
-    included."""
+    """(field, size, matrix): nonsingular draws over byte-kernel and
+    wide-kernel fields, sizes 1..9, zero pivots on the diagonal
+    (alternating matrices) included."""
     for gf in (GF(1), GF(3), GF(8), GF(33)):
         for size in range(1, 10):
             while True:

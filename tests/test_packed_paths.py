@@ -1,11 +1,13 @@
 """The packed paths of linalg and poly against scalar loops.
 
-Above the log tables (GF(2^13) and up) rref, lu_solver, divmod_,
-square_table and square_mod keep their rows packed, with prepared
-operands (Field.prepare, Field.combine) and the packed Frobenius
-(Field.squares); each answer here must equal a loop of Field.mul and
-Field.inv calls from tests/oracles.py.  k = 13 and 16 have 4-byte slots,
-17 and 32 have 8-byte slots, and 33 and 64 have two 8-byte items a slot.
+Over every field rref, lu_solver, divmod_, square_table and square_mod
+keep their rows packed, with prepared operands (Field.prepare,
+Field.combine), the elimination step (Field.column, Field.eliminate) and
+the packed Frobenius (Field.squares); each answer here must equal a loop
+of Field.mul and Field.inv calls from tests/oracles.py.  k = 1, 2 and 8
+have the byte kernel's one-byte slots; on the wide kernel 9, 12, 13 and
+16 have 4-byte slots, 17 and 32 have 8-byte slots, and 33 and 64 have two
+8-byte items a slot.
 """
 
 import random
@@ -24,7 +26,7 @@ from oracles import (
     square_mod_by_loop,
 )
 
-DEGREES = (13, 16, 17, 32, 33, 64)
+DEGREES = (1, 2, 8, 9, 12, 13, 16, 17, 32, 33, 64)
 
 
 def _matrix(gf, rows, cols, rng, rank=None):
@@ -44,7 +46,6 @@ def _matrix(gf, rows, cols, rng, rank=None):
 @pytest.mark.parametrize("k", DEGREES)
 def test_eliminations_match_the_scalar_loops(k):
     gf = GF(k)
-    assert gf.packed
     rng = random.Random(k)
     shapes = [(1, 1), (1, 7), (7, 1), (5, 5), (4, 9), (9, 4), (11, 11)]
     cases = [_matrix(gf, r, c, rng) for r, c in shapes]
@@ -86,12 +87,13 @@ def test_lu_solves_match_the_scalar_loop(k):
 def test_division_and_squaring_match_the_scalar_loops(k):
     gf = GF(k)
     rng = random.Random(200 + k)
+    lead = min(2, gf.order - 1)  # a leading coefficient other than 1, but for GF(2)
     for da, db in ((0, 0), (3, 1), (9, 4), (8, 8), (2, 5), (31, 15)):
         a = [rng.randrange(gf.order) for _ in range(da)] + [rng.randrange(1, gf.order)]
-        b = [rng.randrange(gf.order) for _ in range(db)] + [rng.randrange(2, gf.order)]
+        b = [rng.randrange(gf.order) for _ in range(db)] + [rng.randrange(lead, gf.order)]
         assert poly.divmod_(gf, a, b) == divmod_by_loop(gf, a, b), (a, b)
     for d in (1, 2, 7, 16):
-        m = [rng.randrange(gf.order) for _ in range(d)] + [rng.randrange(2, gf.order)]
+        m = [rng.randrange(gf.order) for _ in range(d)] + [rng.randrange(lead, gf.order)]
         table = poly.square_table(gf, m)
         for h in ([], [1], [0] * (d - 1) + [1],
                   [rng.randrange(gf.order) for _ in range(d)]):
@@ -102,7 +104,7 @@ def test_division_and_squaring_match_the_scalar_loops(k):
 
 
 def test_packed_division_refuses_a_wrong_product(monkeypatch):
-    # as on the table path (test_poly), a step that leaves the top
+    # as over GF(4) (test_poly), a step that leaves the top
     # coefficient is a failed certificate, not a loop without end
     gf = GF(32)
     right = Field.combine

@@ -85,7 +85,7 @@ def _sparse_pencil(gf, n, rng, density, support):
     (0b11, 7, 1.0, 7),  # GF(4)
     (0b11, 9, 1.0, 9),  # GF(8)
     (0b11, 15, 1.0, 15),  # GF(16)
-    (default_modulus(17), 5, 1.0, 5),  # no log tables
+    (default_modulus(17), 5, 1.0, 5),  # the wide kernel
     (default_modulus(17), 7, 1.0, 7),
     (0b1101, 17, 1.0, 17),  # GF(8) mod 13, pulled back from GF(64)
     (0b11, 7, 0.5, 4),  # members of corank >= 3

@@ -40,18 +40,17 @@ def _alarm(seconds: int):
 
 
 def test_division_refuses_a_wrong_product(monkeypatch, g4):
-    # each division step must cancel the top coefficient, the loop's only
-    # exit; a field whose products are off by one in the last entry leaves
-    # it, which is a failed certificate (exit 3), not a loop without end
-    right = Field.addmul
+    # each division step must cancel the top coefficient; a field whose
+    # products are off by one in the last entry leaves it, which is a failed
+    # certificate (exit 3), not a wrong quotient.  The division combines its
+    # prepared divisor (Field.combine), so that entry is the one made wrong
+    right = Field.combine
 
-    def wrong(self, acc, cs, vs):
-        out = list(right(self, acc, cs, vs))
-        if out:
-            out[-1] ^= 1
-        return out
+    def wrong(self, prepared, cs):
+        _, n = prepared
+        return right(self, prepared, cs) ^ (1 << (n - 1) * self.slot_bits if n else 0)
 
-    monkeypatch.setattr(Field, "addmul", wrong)
+    monkeypatch.setattr(Field, "combine", wrong)
     doc = Path(__file__).parent / "golden" / "docs" / "g2_n3_m1.json"
     buf = io.StringIO()
     with _alarm(10):
@@ -205,7 +204,7 @@ def test_roots_match_scan():
                     poly.roots(gf, f)
                 refused += 1
     assert (scanned, refused) == (112, 57)
-    # no log tables: the scan costs about a second per polynomial
+    # GF(2^17): the scan costs about a second per polynomial
     big = GF(17)
     for f in ([0, 0, 5, 1], poly.mul(big, [rng.randrange(big.order), 1],
                                     [0, 7, 0, 1])):
