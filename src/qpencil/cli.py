@@ -23,10 +23,11 @@ a result did not survive its own substitution check).  Malformed argv (an
 unknown subcommand or flag, a bad option value) is malformed input too:
 the parser raises InputError, so stdout holds {"error": {"type": "input",
 "message": ...}} and the exit code is 2.  -h/--help prints {"help": the
-usage text} and exits 0.  The parser is built once, at import.  An --out
-that cannot be written is malformed input (exit 2) when the command
-succeeded; when the command failed, stdout holds its own payload and exit
-code, with "output_error" added.
+usage text} and exits 0.  A well-formed command line is read without
+argparse (_simple_args); the parser is built on first use, for the rest
+(help, errors and verify).  An --out that cannot be written is malformed
+input (exit 2) when the command succeeded; when the command failed,
+stdout holds its own payload and exit code, with "output_error" added.
 
 Every field is limited to GF(2^64), the extension fields the CLI picks by
 itself included: Field refuses a degree above field.MAX_FIELD_DEGREE
@@ -38,11 +39,13 @@ any coefficient triple is parsed.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import le
+from types import SimpleNamespace
 
 from .autos import (
     aut_x,
@@ -104,6 +107,26 @@ def parse_field(doc: dict) -> Field:
 
 
 def parse_form(gf: Field, n: int, triples, name: str) -> QuadraticForm:
+    """The form of a list of coefficient triples.  A well-formed list is
+    checked in whole-list passes and its triples added straight into the
+    rows; any other is handed to _parse_form_by_item, whose per-item
+    checks name the first bad triple."""
+    if type(triples) is list and set(map(type, triples)) <= {list} \
+            and set(map(len, triples)) <= {3}:
+        rows = [[0] * (n + 1) for _ in range(n + 1)]  # 1-based
+        if triples:
+            i_s, j_s, c_s = zip(*triples)
+            if not (set(map(type, i_s + j_s + c_s)) == {int}
+                    and min(i_s) >= 1 and max(j_s) <= n and all(map(le, i_s, j_s))
+                    and min(c_s) >= 0 and max(c_s) < gf.order):
+                return _parse_form_by_item(gf, n, triples, name)
+            for i, j, c in triples:
+                rows[i][j] ^= c
+        return QuadraticForm(gf, n, tuple(tuple(row[1:]) for row in rows[1:]))
+    return _parse_form_by_item(gf, n, triples, name)
+
+
+def _parse_form_by_item(gf: Field, n: int, triples, name: str) -> QuadraticForm:
     if not isinstance(triples, list):
         raise InputError(f"{name}: expected a list of coefficient triples")
     table = {}
@@ -339,7 +362,68 @@ def _emit(payload: dict, code: int, args) -> int:
 
 
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", the same
+    bytes, written by _encode: each all-int list is one str.join.  A
+    payload holding anything else that JSON encodes (floats, keys that
+    are not strings) is handed to json.dumps whole."""
+    out = []
+    try:
+        _encode(payload, "\n", out)
+    except _NotEncoded:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+class _NotEncoded(Exception):
+    """A value that _encode leaves to json.dumps."""
+
+
+def _encode(value, newline: str, out: list) -> None:
+    """Append the indented JSON of value to out, as json.dumps writes it
+    with indent=2 and sorted keys; newline is a line break with the
+    indent of value's own line."""
+    kind = type(value)
+    if kind is int:
+        out.append(int.__repr__(value))
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+            return
+        out.append("[")
+        sep = inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        if set(map(type, value)) != {str}:
+            raise _NotEncoded
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _encode(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        raise _NotEncoded
 
 
 def _error(kind: str, message, **info) -> dict:
@@ -350,26 +434,35 @@ class _HelpRequested(Exception):
     """-h/--help: the usage text, to be printed as JSON."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse whose failures raise InputError: malformed argv gets the
-    JSON error object and exit 2, as a malformed document does.  Help is
-    laid out 80 columns wide whatever the terminal, and raised as
-    _HelpRequested instead of printed."""
-
-    def __init__(self, **kwargs):
-        kwargs.setdefault("formatter_class",
-                          functools.partial(argparse.HelpFormatter, width=80))
-        super().__init__(**kwargs)
-
-    def error(self, message):
-        raise InputError(message)
-
-    def print_help(self, file=None):
-        raise _HelpRequested(self.format_help())
+# the subcommands that take --ext-degree, and the option names of the
+# single-document subcommands and isiso with the attributes they set
+_EXT_COMMANDS = ("reflections", "generators", "lattice", "autx")
+_DESTS = {"--in": "infile", "--out": "out", "--ext-degree": "ext_degree"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
+@functools.cache
+def build_parser():
+    """The argparse parser of every command line, built on first use
+    (argparse loads gettext and locale, which a well-formed call does not
+    need; see _simple_args).  Its failures raise InputError: malformed
+    argv gets the JSON error object and exit 2, as a malformed document
+    does.  Help is laid out 80 columns wide whatever the terminal, and
+    raised as _HelpRequested instead of printed."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            kwargs.setdefault("formatter_class",
+                              functools.partial(argparse.HelpFormatter, width=80))
+            super().__init__(**kwargs)
+
+        def error(self, message):
+            raise InputError(message)
+
+        def print_help(self, file=None):
+            raise _HelpRequested(self.format_help())
+
+    ap = Parser(
         prog="qpencil",
         description="Exact classification of pencils of quadratic forms on "
         "odd-dimensional spaces in characteristic 2.",
@@ -380,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--in", dest="infile", default=None,
                         help="pencil document (default: stdin)")
         sp.add_argument("--out", dest="out", default=None)
-        if name in ("reflections", "generators", "lattice", "autx"):
+        if name in _EXT_COMMANDS:
             sp.add_argument("--ext-degree", dest="ext_degree", type=int,
                             default=None,
                             help="relative extension degree (default: "
@@ -395,13 +488,52 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-PARSER = build_parser()
+def _simple_args(argv: list):
+    """The namespace that build_parser() gives for a well-formed argv,
+    read without it: COMMAND [--in P] [--out P] [--ext-degree N] for a
+    single-document command (--ext-degree where it takes one), or
+    isiso A B [--out P], options in any order and the last of a repeat
+    winning.  None for anything else, for the parser to explain or
+    refuse: verify, help, --opt=value, abbreviations, a value or
+    positional starting with "-", a bad --ext-degree."""
+    command, *rest = argv or ("",)
+    if command == "isiso":
+        ns = {"command": command, "out": None}
+    elif command in SINGLE_DOC_COMMANDS:
+        ns = {"command": command, "infile": None, "out": None}
+        if command in _EXT_COMMANDS:
+            ns["ext_degree"] = None
+    else:
+        return None
+    positional = []
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            positional.append(token)
+            continue
+        # an option without a value reads "-", which the parser refuses
+        dest, value = _DESTS.get(token), next(tokens, "-")
+        if dest not in ns or value.startswith("-"):
+            return None
+        if dest == "ext_degree":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        ns[dest] = value
+    if command == "isiso" and len(positional) == 2:
+        ns["first"], ns["second"] = positional
+    elif positional or command == "isiso":
+        return None
+    return SimpleNamespace(**ns)
 
 
 def main(argv=None) -> int:
     args = None
     try:
-        args = PARSER.parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _simple_args(argv) or build_parser().parse_args(argv)
         payload, code = _run(args)
     except _HelpRequested as e:
         payload, code = {"help": str(e)}, 0

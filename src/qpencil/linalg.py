@@ -4,8 +4,11 @@ Vectors are sequences of ints and a matrix is any sequence of row
 sequences (lists or tuples); results are lists.  Inputs are never
 modified: the eliminations copy the rows they update.  Pivoting is always
 on the lowest-index column and free variables are set to zero, so every
-routine is deterministic.  A bit-packed GF(2) toolkit for subspace
-work inside etale algebras lives at the bottom.
+routine is deterministic.  There is no factorization to keep: a caller
+that solves with one matrix many times (the Kronecker chain,
+pencil._chain) takes its inverse once and applies it as a prepared
+operand, one Field.combine per right-hand side.  A bit-packed GF(2)
+toolkit for subspace work inside etale algebras lives at the bottom.
 """
 
 from __future__ import annotations
@@ -133,58 +136,6 @@ def inverse(gf: Field, a: list) -> list:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in m]
-
-
-def lu_solver(gf: Field, a: list):
-    """For a nonsingular square a, the function b -> x with a x = b.
-
-    One row-pivoted elimination P a = L U, O(n^3) products, is kept; its
-    rows stay packed as in rref, and the columns of L and U are prepared
-    once, so a solve keeps x packed and reads one entry of it per column,
-    n^2 products.  Pivoting is on the lowest-index row, so the solves are
-    deterministic.
-    """
-    n = len(a)
-    bits = gf.slot_bits
-    m = list(map(gf.pack, a))
-    order = list(range(n))
-    for k in range(n):
-        col = gf.column(m[k:], k)
-        sel = next((i for i, e in enumerate(col) if e), None)
-        if sel is None:
-            raise ValueError("matrix is singular")
-        m[k], m[k + sel] = m[k + sel], m[k]
-        order[k], order[k + sel] = order[k + sel], order[k]
-        col[0], col[sel] = col[sel], col[0]
-        inv = gf.inv(col[0])
-        p = gf.reduce(m[k], n)
-        shift, width = (k + 1) * bits, n - k - 1
-        # U has a unit diagonal; the multipliers stay below it as L's
-        tail = gf.reduce(gf.combine(gf.prepare((p >> shift,), width), (inv,)), width)
-        m[k] = (p & ((1 << k * bits) - 1)) ^ (inv << k * bits) ^ (tail << shift)
-        col[0] = 0
-        gf.eliminate(m, tail, width, [0] * k + col, shift)
-    # column k: U above the diagonal, the pivot's inverse on it, L below
-    cols = [(gf.prepare((gf.pack(col[:k]),), k), col[k],
-             gf.prepare((gf.pack(col[k + 1:]),), n - k - 1))
-            for k, col in enumerate(zip(*(gf.unpack(p, n) for p in m)))]
-
-    def solve_one(b):
-        x = gf.pack([b[i] for i in order])
-        cs = []  # x after L, before U
-        for k, (_, inv, low) in enumerate(cols):
-            c = gf.mul(gf.entry(x, k), inv)
-            cs.append(c)
-            if c and low[1]:
-                x ^= gf.combine(low, (c,)) << (k + 1) * bits
-        y = 0  # U's share of x
-        for k in range(n - 1, 0, -1):
-            c = cs[k] ^ gf.entry(y, k)
-            if c:
-                y ^= gf.combine(cols[k][0], (c,))
-        return [c ^ e for c, e in zip(cs, gf.unpack(y, n))]
-
-    return solve_one
 
 
 def normalize_subspace(gf: Field, vectors: list) -> tuple:

@@ -6,7 +6,7 @@ l*b0 + u*b1 as binary forms of degree m; evaluating the member at its own
 radical vector gives the half-discriminant, a binary form of degree n whose
 separability is exactly regularity of the pencil (the base locus is then
 smooth of codimension 2).  Omega's coefficient vectors form the Kronecker
-chain of the pencil, which one Pfaffian vector and one factored principal
+chain of the pencil, which one Pfaffian vector and one inverted principal
 minor of b0 solve in O(n^3) products over the pencil's own field; only a
 pencil that is not regular can leave the chain underdetermined, and its
 Omega is interpolated from the Pfaffian vectors of m+1 members instead.
@@ -22,7 +22,7 @@ from . import poly
 from .algebra import EtaleAlgebra
 from .errors import NotRegularError, PreconditionError
 from .field import GF, Field, find_embedding
-from .linalg import inverse, lu_solver, mat_mul, rref, transpose, vec_dot, vec_scale
+from .linalg import inverse, mat_mul, rref, transpose, vec_scale
 from .quadform import QuadraticForm, pfaffian_vector
 
 
@@ -229,18 +229,22 @@ def _chain(gf, g0: tuple, g1: tuple, m: int):
     """Omega's coefficients from its Kronecker chain, or None.
 
     With w_0 = pfaffian_vector(G0) != 0, G0 has corank 1, its kernel is
-    <w_0> and its image is w_0^perp; the principal minor deleting an index
-    r with w_0[r] != 0 has Pfaffian w_0[r], so it is invertible and is
-    factored once (`lu_solver`).  A particular chain p_0 = w_0, ..., p_m
-    costs one solve and one product with G1 per step (O(n^2)), and every
-    chain starting at w_0 is w_i = sum_{j<=i} c_j p_{i-j} with c_0 = 1.
-    Omega is such a chain, so every step is consistent (checked all the
-    same: G1 p_i must lie in w_0^perp), and G1 w_m = 0 is the n x m system
-    sum_{j>=1} c_j G1 p_{m-j} = G1 p_m, which Omega solves.  When it has
-    rank m, Omega is its one solution, exactly.  Otherwise, or when
-    w_0 = 0, the pencil has a kernel vector of degree below m: Omega is
-    zero or has a common factor, so Delta is zero or has a square factor,
-    and the pencil is not regular.  O(n^3) products in all, over gf.
+    <w_0> and its image is w_0^perp; the principal minor M_r deleting an
+    index r with w_0[r] != 0 has Pfaffian w_0[r], so it is invertible and
+    is inverted once.  M_r^-1 (symmetric, as M_r is) with a zero row and
+    column put back at r, and w_0 beside it, is one prepared operand, and
+    so are the rows of G1.  A particular chain p_0 = w_0, ..., p_m then
+    costs two Field.combine calls per step: b = G1 p_i, then M_r^-1 b with
+    w_0.b in one more slot.  Every chain starting at w_0 is
+    w_i = sum_{j<=i} c_j p_{i-j} with c_0 = 1.  Omega is such a chain, so
+    every step is consistent (checked all the same: w_0.b must be 0), and
+    G1 w_m = 0 is the n x m system sum_{j>=1} c_j G1 p_{m-j} = G1 p_m,
+    which Omega solves.  When it has rank m, Omega is its one solution,
+    exactly: one product of the lower-triangular Toeplitz matrix of
+    (1, c_1, ..., c_m) with the p_i.  Otherwise, or when w_0 = 0, the
+    pencil has a kernel vector of degree below m: Omega is zero or has a
+    common factor, so Delta is zero or has a square factor, and the pencil
+    is not regular.  O(n^3) products in all, over gf.
     """
     n = 2 * m + 1
     w0 = pfaffian_vector(gf, g0)
@@ -248,23 +252,26 @@ def _chain(gf, g0: tuple, g1: tuple, m: int):
     if r is None:
         return None
     keep = [t for t in range(n) if t != r]
-    solve = lu_solver(gf, [[g0[s][t] for t in keep] for s in keep])
-    ps, images = [w0], []  # images[i] = G1 p_i; G1 is symmetric
+    inv = inverse(gf, [[g0[s][t] for t in keep] for s in keep])
+    inv.insert(r, [0] * (n - 1))
+    solve = gf.prepare([gf.pack([*row[:r], 0, *row[r:], x]) for row, x in zip(inv, w0)],
+                       n + 1)
+    times_g1 = gf.prepare(list(map(gf.pack, g1)), n)  # G1 is symmetric
+    p, ps, images = w0, [w0], []  # images[i] = G1 p_i
     for _ in range(m):
-        b = gf.addmul([0] * n, ps[-1], g1)
-        if vec_dot(gf, w0, b):  # b is not in the image of G0
-            return None
+        b = gf.unpack(gf.combine(times_g1, p), n)
         images.append(b)
-        p = solve([b[t] for t in keep])
-        p.insert(r, 0)
+        *p, dot = gf.unpack(gf.combine(solve, b), n + 1)
+        if dot:  # b is not in the image of G0
+            return None
         ps.append(p)
-    images.append(gf.addmul([0] * n, ps[-1], g1))
+    images.append(gf.unpack(gf.combine(times_g1, p), n))
     # columns G1 p_{m-1}, ..., G1 p_0 for c_1 .. c_m, then G1 p_m
     rows, pivots = rref(gf, transpose(images[-2::-1] + images[-1:]))
     if pivots != list(range(m)):
         return None
-    cs = [row[m] for row in rows[:m]]  # c_1 .. c_m
-    return [gf.addmul(p, cs[:i], reversed(ps[:i])) for i, p in enumerate(ps)]
+    cs = [1] + [row[m] for row in rows[:m]]  # c_0 .. c_m
+    return mat_mul(gf, [cs[i::-1] + [0] * (m - i) for i in range(m + 1)], ps)
 
 
 def _interpolated(gf, grams: tuple, m: int) -> list:

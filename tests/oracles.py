@@ -561,12 +561,6 @@ def inverse_by_loop(gf, a):
     return [row[size:] for row in rows] if pivots == list(range(size)) else None
 
 
-def solve_by_loop(gf, a, b):
-    """The one x with a x = b, for a nonsingular a, from rref_by_loop."""
-    rows, _ = rref_by_loop(gf, [list(row) + [x] for row, x in zip(a, b)])
-    return [row[-1] for row in rows]
-
-
 def divmod_by_loop(gf, a, b):
     """Schoolbook division of coefficient lists (index = degree), b[-1] != 0:
     the trimmed quotient and remainder."""

@@ -3,8 +3,9 @@
 - `verify` holds the harness and the package's brute-force oracles.  No
   production module imports it, and `cli` imports it only inside the
   function that runs the `verify` subcommand.  A cold CLI call loads
-  neither `dataclasses` (with `inspect`) nor `fractions`, and builds
-  GF(2^16) on the wide kernel, which has no tables of elements.
+  neither `dataclasses` (with `inspect`), `fractions` nor `argparse`
+  (with `gettext` and `locale`), and builds GF(2^16) on the wide kernel,
+  which has no tables of elements.
 - An oracle in `verify` reads only the production names in ALLOWED, so it
   stays independent of the paths it checks: Delta, its roots, the radical
   map, the Pfaffian vector and the regularity criterion are left out.  A
@@ -80,7 +81,6 @@ REFERENCES = {
     "rref_by_loop": ("rref", {"mul", "inv"}),
     "nullspace_by_loop": ("nullspace", {"mul", "inv"}),
     "inverse_by_loop": ("inverse", {"mul", "inv"}),
-    "solve_by_loop": ("lu_solver", {"mul", "inv"}),
     "divmod_by_loop": ("divmod_", {"mul", "inv"}),
     "square_mod_by_loop": ("square_mod", {"mul", "inv"}),
 }
@@ -163,8 +163,9 @@ def test_importing_cli_does_not_load_verify():
 
 def test_a_cold_call_loads_only_what_it_uses():
     # `python -m qpencil halfdisc` after importing the CLI: dataclasses
-    # (which loads inspect) and fractions are never imported, and
-    # GF(2^16) is built on the wide kernel, without the byte kernel's tables
+    # (which loads inspect), fractions and argparse (which loads gettext
+    # and locale) are never imported, and GF(2^16) is built on the wide
+    # kernel, without the byte kernel's tables
     doc = ROOT / "tests" / "golden" / "docs" / "g8_n5_113.json"
     code = (
         "import json, runpy, sys\n"
@@ -175,7 +176,8 @@ def test_a_cold_call_loads_only_what_it_uses():
         "except SystemExit as stop:\n"
         "    exit_code = stop.code\n"
         "from qpencil.field import GF\n"
-        "loaded = sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules))\n"
+        "loaded = sorted({'dataclasses', 'inspect', 'fractions', 'argparse', 'gettext',\n"
+        "                 'locale'} & set(sys.modules))\n"
         "print(json.dumps([exit_code, loaded, GF(16)._rows is None]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -12,8 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import serialize_pencil
-from qpencil import verify
+from qpencil import cli, verify
 from qpencil.cli import MAX_DIMENSION, SINGLE_DOC_COMMANDS, main, parse_pencil
+from qpencil.field import GF
 
 M1_DOC = {
     "field": {"degree": 1},
@@ -633,3 +634,122 @@ def test_any_argv_gets_one_json_object_and_a_documented_exit_code(tmp_path, monk
                if text]
     assert len(outputs) == 1
     assert isinstance(json.loads(outputs[0]), dict)
+
+
+# ---------------------------------------------------------------------------
+# the whole-list paths of the CLI against the code they stand in for:
+# argv read without argparse, the one-pass parse_form and the emitter
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_argv_read_without_the_parser_is_what_the_parser_reads(argv):
+    args = cli._simple_args(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (["halfdisc", "--in", "a.json"], True),
+    (["normalform"], True),
+    (["autx", "--ext-degree", " 2", "--out", "", "--ext-degree", "3"], True),
+    (["halfdisc", "--in", "a", "--in", "b"], True),
+    (["isiso", "a", "--out", "o", "b"], True),
+    (["isiso", "--out", "o", "a", "b"], True),
+    (["verify"], False),
+    (["halfdisc", "--in=a"], False),
+    (["halfdisc", "--i", "a"], False),
+    (["halfdisc", "--in", "-"], False),
+    (["halfdisc", "--ext-degree", "2"], False),
+    (["autx", "--ext-degree", "-1"], False),
+    (["autx", "--ext-degree", "x"], False),
+    (["isiso", "a"], False),
+    (["isiso", "a", "b", "c"], False),
+    (["halfdisc", "extra"], False),
+    (["-h"], False),
+    ([], False),
+])
+def test_argv_read_without_the_parser(argv, accepted):
+    args = cli._simple_args(argv)
+    assert (args is not None) == accepted
+    if accepted:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2),
+                  st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+                  st.lists(st.integers(0, 3), max_size=4),
+                  st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3)).map(list))
+
+
+@st.composite
+def _triple_lists(draw):
+    """(degree, n, triples): mostly well-formed lists of triples, with
+    repeats; some with an index or element just out of range, a junk item,
+    or no list at all."""
+    degree, n = draw(st.sampled_from([1, 3, 8])), draw(st.integers(1, 8))
+    index = st.integers(1, n) | st.sampled_from([-1, 0, n + 1])
+    element = st.integers(0, (1 << degree) - 1) | st.sampled_from([-1, 1 << degree])
+    triples = draw(st.lists(st.tuples(index, index, element).map(list), max_size=12)
+                   .map(lambda ts: [[min(i, j), max(i, j), c] for i, j, c in ts])
+                   | st.lists(st.tuples(index, index, element).map(list), max_size=3))
+    if draw(st.integers(0, 4)) == 0:
+        triples.insert(draw(st.integers(0, len(triples))), draw(_JUNK))
+    if draw(st.integers(0, 9)) == 0:
+        triples = draw(_JUNK | st.dictionaries(st.text(max_size=1), st.integers(), max_size=2))
+    return degree, n, triples
+
+
+@settings(max_examples=400, deadline=None)
+@given(_triple_lists())
+def test_parse_form_is_the_per_item_loop(case):
+    # the same form from a well-formed list, the same InputError message
+    # from any other
+    from qpencil.errors import InputError
+
+    degree, n, triples = case
+
+    def outcome(parse):
+        try:
+            return parse(GF(degree), n, triples, "q0")
+        except InputError as e:
+            return str(e)
+
+    assert outcome(cli.parse_form) == outcome(cli._parse_form_by_item)
+
+
+def _json_dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_emitter_writes_every_golden_payload():
+    corpus = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text())
+    texts = [e["stdout"] for e in corpus if "stdout" in e]
+    assert len(texts) > 400
+    for text in texts:
+        payload = json.loads(text)
+        assert cli._dumps(payload) == _json_dumps(payload) == text
+
+
+_LEAVES = st.one_of(st.integers(), st.booleans(), st.none(), st.text(max_size=4))
+_PAYLOADS = st.dictionaries(st.text(max_size=4), st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=6),
+        st.lists(st.integers(), max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS, st.one_of(st.none(), st.floats(), st.dictionaries(st.integers(), st.integers(),
+                                                                   min_size=1, max_size=2)))
+def test_the_emitter_writes_what_json_dumps_writes(payload, extra):
+    # text keys and strings reach beyond ASCII; a float, or a dict with
+    # int keys, is left to json.dumps
+    assert cli._dumps(payload) == _json_dumps(payload)
+    if extra is not None:
+        payload = {**payload, "extra": [1, {"é": extra}]}
+        assert cli._dumps(payload) == _json_dumps(payload)

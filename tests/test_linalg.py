@@ -12,7 +12,6 @@ from qpencil.linalg import (
     identity,
     intersect_dim,
     inverse,
-    lu_solver,
     mat_mul,
     mat_vec,
     normalize_subspace,
@@ -80,17 +79,6 @@ def test_inverse(g8):
         assert mat_mul(gf, inv, a) == identity(size), (gf, size)
     with pytest.raises(ValueError):
         inverse(g8, [[0, 0], [0, 0]])
-
-
-def test_lu_solver_solves_every_right_hand_side():
-    rng = random.Random(8)
-    for gf, size, a in _nonsingular_draws(rng):
-        lu = lu_solver(gf, a)
-        for _ in range(3):
-            b = [rng.randrange(gf.order) for _ in range(size)]
-            assert mat_vec(gf, a, lu(b)) == b, (gf, size)
-    with pytest.raises(ValueError):
-        lu_solver(GF(3), [[1, 2], [2, 4]])
 
 
 def test_det_multiplicative(g4):

@@ -1,10 +1,11 @@
 """The packed paths of linalg and poly against scalar loops.
 
-Over every field rref, lu_solver, divmod_, square_table and square_mod
-keep their rows packed, with prepared operands (Field.prepare,
-Field.combine), the elimination step (Field.column, Field.eliminate) and
-the packed Frobenius (Field.squares); each answer here must equal a loop
-of Field.mul and Field.inv calls from tests/oracles.py.  k = 1, 2 and 8
+Over every field rref, nullspace, inverse, divmod_, square_table and
+square_mod keep their rows packed, with prepared operands
+(Field.prepare, Field.combine), the elimination step (Field.column,
+Field.eliminate) and the packed Frobenius (Field.squares); each answer
+here must equal a loop of Field.mul and Field.inv calls from
+tests/oracles.py.  k = 1, 2 and 8
 have the byte kernel's one-byte slots; on the wide kernel 9, 12, 13 and
 16 have 4-byte slots, 17 and 32 have 8-byte slots, and 33 and 64 have two
 8-byte items a slot.
@@ -16,13 +17,12 @@ import pytest
 
 from qpencil import poly
 from qpencil.field import GF, Field
-from qpencil.linalg import inverse, lu_solver, nullspace, rref
+from qpencil.linalg import inverse, nullspace, rref
 from oracles import (
     divmod_by_loop,
     inverse_by_loop,
     nullspace_by_loop,
     rref_by_loop,
-    solve_by_loop,
     square_mod_by_loop,
 )
 
@@ -61,26 +61,6 @@ def test_eliminations_match_the_scalar_loops(k):
                     inverse(gf, a)
             else:
                 assert inverse(gf, a) == want
-
-
-@pytest.mark.parametrize("k", DEGREES)
-def test_lu_solves_match_the_scalar_loop(k):
-    gf = GF(k)
-    rng = random.Random(100 + k)
-    for n in (1, 2, 5, 12):
-        a = _matrix(gf, n, n, rng)
-        if n > 1:
-            a[0][0] = 0  # the first pivot needs a row swap
-        if inverse_by_loop(gf, a) is None:
-            continue
-        solve = lu_solver(gf, a)
-        for b in ([0] * n, [1] + [0] * (n - 1),
-                  [rng.randrange(gf.order) for _ in range(n)]):
-            assert solve(b) == solve_by_loop(gf, a, b), (a, b)
-    singular = _matrix(gf, 4, 4, rng)
-    singular[3] = singular[1]
-    with pytest.raises(ValueError):
-        lu_solver(gf, singular)
 
 
 @pytest.mark.parametrize("k", DEGREES)
