@@ -4,8 +4,9 @@ Field elements are plain Python ints: bit i is the coefficient of t^i in
 the power basis of GF(2)[T]/(modulus).  Addition is xor, and the zero and
 one elements are the ints 0 and 1.  A Field object carries the modulus and
 its kernel's tables; it is immutable after construction, so contexts can
-be shared freely between threads (its one cache, of the wide kernel's
-slot masks, is bounded and holds values that depend on the field alone).
+be shared freely between threads (its two caches, of the wide kernel's
+slot masks and of the k square roots that sqrt reads, are bounded and
+hold values that depend on the field alone).
 
 Products of vectors are packed: a vector becomes one int, entry j in the
 j-th slot of slot_bits bits (Field.pack, Field.unpack), and the kernel
@@ -237,7 +238,7 @@ class Field:
     """The field GF(2^k) presented as GF(2)[T]/(modulus)."""
 
     __slots__ = ("degree", "modulus", "order", "slot_bits", "_rows", "_inverses", "_squares",
-                 "_barrett", "_slot", "_slot_mask", "_half", "_masks")
+                 "_roots", "_barrett", "_slot", "_slot_mask", "_half", "_masks")
 
     def __init__(self, degree: int | None = None, modulus: int | None = None):
         if degree is None and modulus is None:
@@ -261,7 +262,7 @@ class Field:
         self.modulus = modulus
         self.order = 1 << degree
         # the kernel is chosen here, once (see the module docstring)
-        self._rows = self._inverses = self._squares = None
+        self._rows = self._inverses = self._squares = self._roots = None
         if degree <= _BYTE_DEGREE:
             self._build_byte_kernel()
         else:
@@ -573,10 +574,22 @@ class Field:
         return r
 
     def sqrt(self, a: int) -> int:
-        """The unique square root, a^(2^(k-1)); GF(2^k) is perfect."""
-        for _ in range(self.degree - 1):
-            a = self.mul(a, a)
-        return a
+        """The unique square root (GF(2^k) is perfect), GF(2)-linear: the
+        xor of the roots of the T^i at the set bits of a, sqrt(T^2j) = T^j
+        and sqrt(T^(2j+1)) = sqrt(T) T^j, built on the first call from
+        sqrt(T) = T^(2^(k-1))."""
+        roots = self._roots
+        if roots is None:
+            s = 2  # T, then its root (unused at k = 1)
+            for _ in range(self.degree - 1):
+                s = self.mul(s, s)
+            roots = self._roots = [self.mul(s, 1 << i // 2) if i & 1 else 1 << i // 2
+                                   for i in range(self.degree)]
+        r = 0
+        for i in range(a.bit_length()):
+            if a >> i & 1:
+                r ^= roots[i]
+        return r
 
     # -- element iteration ---------------------------------------------------
 

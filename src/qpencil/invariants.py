@@ -50,7 +50,7 @@ def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
     lam = gf.div(d2[i], d1[i])
     if vec_scale(gf, d1, lam) != d2:  # lam = 0 too: d2 is not zero
         return False, None
-    root = gf.sqrt(lam) if lam != 1 else 1
+    root = gf.sqrt(lam)
     moved = p1
     if root != 1:
         d = identity(p1.n)

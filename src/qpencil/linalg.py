@@ -6,9 +6,10 @@ modified: the eliminations copy the rows they update.  Pivoting is always
 on the lowest-index column and free variables are set to zero, so every
 routine is deterministic.  There is no factorization to keep: a caller
 that solves with one matrix many times (the Kronecker chain,
-pencil._chain) takes its inverse once and applies it as a prepared
-operand, one Field.combine per right-hand side.  A bit-packed GF(2)
-toolkit for subspace work inside etale algebras lives at the bottom.
+pencil._chain) reads a solve operator off one rref of the matrix beside
+the identity and applies it as a prepared operand, one Field.combine per
+right-hand side.  A bit-packed GF(2) toolkit for subspace work inside
+etale algebras lives at the bottom.
 """
 
 from __future__ import annotations
@@ -38,21 +39,13 @@ def mat_mul(gf: Field, a: list, b: list) -> list:
     return gf.mat_mul(a, b)
 
 
-def vec_dot(gf: Field, u: list, v: list) -> int:
-    acc = 0
-    mul = gf.mul
-    for x, y in zip(u, v):
-        if x and y:
-            acc ^= mul(x, y)
-    return acc
-
-
 def vec_scale(gf: Field, v: list, c: int) -> list:
     return gf.addmul([0] * len(v), (c,), (v,))
 
 
-def rref(gf: Field, a: list) -> tuple[list, list]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def rref(gf: Field, a: list) -> tuple[list, list, int]:
+    """Reduced row echelon form; returns (rows, pivot column indices, the
+    product of the raw pivots, which is det(a) for a square a of full rank).
 
     Each row is one packed int (Field.pack) from entry to exit.  Per pivot
     one Field.column call reads the pivot column of every row, the pivot
@@ -64,6 +57,7 @@ def rref(gf: Field, a: list) -> tuple[list, list]:
     ncols = len(a[0]) if nrows else 0
     bits = gf.slot_bits
     pivots = []
+    det = 1
     r = 0
     for c in range(ncols):
         col = gf.column(m, c)
@@ -79,6 +73,7 @@ def rref(gf: Field, a: list) -> tuple[list, list]:
         p = gf.reduce(m[r], ncols)
         if e != 1:
             p = gf.reduce(gf.combine(gf.prepare((p,), ncols), (gf.inv(e),)), ncols)
+            det = gf.mul(det, e)
         m[r] = p
         # columns before c are zero in row r
         shift = c * bits
@@ -87,7 +82,7 @@ def rref(gf: Field, a: list) -> tuple[list, list]:
         r += 1
         if r == nrows:
             break
-    return list(map(gf.unpack, m, repeat(ncols, nrows))), pivots
+    return list(map(gf.unpack, m, repeat(ncols, nrows))), pivots, det
 
 
 def rank(gf: Field, a: list) -> int:
@@ -102,7 +97,7 @@ def solve(gf: Field, a: list, bs: list):
         return None
     ncols = len(a[0])
     aug = [[*row, *rhs] for row, rhs in zip(a, zip(*bs))]
-    m, pivots = rref(gf, aug)
+    m, pivots, _ = rref(gf, aug)
     if pivots and pivots[-1] >= ncols:
         return None  # a pivot in an augmented column: inconsistent
     xs = [[0] * ncols for _ in bs]
@@ -116,7 +111,7 @@ def nullspace(gf: Field, a: list) -> list:
     """Deterministic basis of {x : a x = 0} (one vector per free column)."""
     if not a:
         return []
-    m, pivots = rref(gf, a)
+    m, pivots, _ = rref(gf, a)
     ncols = len(a[0])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -132,7 +127,7 @@ def nullspace(gf: Field, a: list) -> list:
 def inverse(gf: Field, a: list) -> list:
     n = len(a)
     aug = [[*row, *e] for row, e in zip(a, identity(n))]
-    m, pivots = rref(gf, aug)
+    m, pivots, _ = rref(gf, aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in m]
@@ -140,7 +135,7 @@ def inverse(gf: Field, a: list) -> list:
 
 def normalize_subspace(gf: Field, vectors: list) -> tuple:
     """Canonical (rref, zero rows dropped) representation of a span."""
-    m, pivots = rref(gf, vectors)
+    m, pivots, _ = rref(gf, vectors)
     return tuple(tuple(row) for row in m[: len(pivots)])
 
 

@@ -6,10 +6,11 @@ l*b0 + u*b1 as binary forms of degree m; evaluating the member at its own
 radical vector gives the half-discriminant, a binary form of degree n whose
 separability is exactly regularity of the pencil (the base locus is then
 smooth of codimension 2).  Omega's coefficient vectors form the Kronecker
-chain of the pencil, which one Pfaffian vector and one inverted principal
-minor of b0 solve in O(n^3) products over the pencil's own field; only a
-pencil that is not regular can leave the chain underdetermined, and its
-Omega is interpolated from the Pfaffian vectors of m+1 members instead.
+chain of the pencil, which one elimination of b0 (its Pfaffian vector
+and its solve operator) solves in O(n^3) products over the pencil's own
+field; only a pencil that is not regular can leave the chain
+underdetermined, and its Omega is interpolated from the Pfaffian vectors
+of m+1 members instead.
 Delta is factored once, in its étale algebra (delta_algebra), and every
 reader of its roots or factor degrees reads that factorization.  over(ext)
 is the one way onto an extension field (one pencil per field, embedded by
@@ -23,7 +24,7 @@ from .algebra import EtaleAlgebra
 from .errors import NotRegularError, PreconditionError
 from .field import GF, Field, find_embedding
 from .linalg import inverse, mat_mul, rref, transpose, vec_scale
-from .quadform import QuadraticForm, pfaffian_vector
+from .quadform import QuadraticForm, pfaffian_vector, radical_elimination
 
 
 class Pencil:
@@ -228,16 +229,15 @@ class Pencil:
 def _chain(gf, g0: tuple, g1: tuple, m: int):
     """Omega's coefficients from its Kronecker chain, or None.
 
-    With w_0 = pfaffian_vector(G0) != 0, G0 has corank 1, its kernel is
-    <w_0> and its image is w_0^perp; the principal minor M_r deleting an
-    index r with w_0[r] != 0 has Pfaffian w_0[r], so it is invertible and
-    is inverted once.  M_r^-1 (symmetric, as M_r is) with a zero row and
-    column put back at r, and w_0 beside it, is one prepared operand, and
-    so are the rows of G1.  A particular chain p_0 = w_0, ..., p_m then
-    costs two Field.combine calls per step: b = G1 p_i, then M_r^-1 b with
-    w_0.b in one more slot.  Every chain starting at w_0 is
+    One elimination of G0 (radical_elimination) gives w_0, its Pfaffian
+    vector, and, when w_0 != 0 (G0 has corank 1, kernel <w_0> and image
+    w_0^perp), its solve operator S: S b = (p, y.b) with G0 p = b for b in
+    the image, y a multiple of w_0.  The transpose of S is one prepared
+    operand, and so are the rows of G1.  A particular chain p_0 = w_0, ...,
+    p_m then costs two Field.combine calls per step: b = G1 p_i, then S b
+    with y.b in one more slot.  Every chain starting at w_0 is
     w_i = sum_{j<=i} c_j p_{i-j} with c_0 = 1.  Omega is such a chain, so
-    every step is consistent (checked all the same: w_0.b must be 0), and
+    every step is consistent (checked all the same: y.b must be 0), and
     G1 w_m = 0 is the n x m system sum_{j>=1} c_j G1 p_{m-j} = G1 p_m,
     which Omega solves.  When it has rank m, Omega is its one solution,
     exactly: one product of the lower-triangular Toeplitz matrix of
@@ -247,15 +247,10 @@ def _chain(gf, g0: tuple, g1: tuple, m: int):
     is not regular.  O(n^3) products in all, over gf.
     """
     n = 2 * m + 1
-    w0 = pfaffian_vector(gf, g0)
-    r = next((t for t, x in enumerate(w0) if x), None)
-    if r is None:
+    w0, solver = radical_elimination(gf, g0)
+    if solver is None:
         return None
-    keep = [t for t in range(n) if t != r]
-    inv = inverse(gf, [[g0[s][t] for t in keep] for s in keep])
-    inv.insert(r, [0] * (n - 1))
-    solve = gf.prepare([gf.pack([*row[:r], 0, *row[r:], x]) for row, x in zip(inv, w0)],
-                       n + 1)
+    solve = gf.prepare(list(map(gf.pack, zip(*solver))), n + 1)
     times_g1 = gf.prepare(list(map(gf.pack, g1)), n)  # G1 is symmetric
     p, ps, images = w0, [w0], []  # images[i] = G1 p_i
     for _ in range(m):
@@ -267,7 +262,7 @@ def _chain(gf, g0: tuple, g1: tuple, m: int):
         ps.append(p)
     images.append(gf.unpack(gf.combine(times_g1, p), n))
     # columns G1 p_{m-1}, ..., G1 p_0 for c_1 .. c_m, then G1 p_m
-    rows, pivots = rref(gf, transpose(images[-2::-1] + images[-1:]))
+    rows, pivots, _ = rref(gf, transpose(images[-2::-1] + images[-1:]))
     if pivots != list(range(m)):
         return None
     cs = [1] + [row[m] for row in rows[:m]]  # c_0 .. c_m

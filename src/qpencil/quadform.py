@@ -21,7 +21,7 @@ from __future__ import annotations
 from operator import xor
 
 from .field import Field
-from .linalg import mat_mul, rank, transpose, vec_dot, vec_scale
+from .linalg import identity, mat_mul, rank, rref, transpose, vec_scale
 
 
 class QuadraticForm:
@@ -122,43 +122,38 @@ class QuadraticForm:
 def pfaffian_vector(gf: Field, gram) -> list:
     """Principal Pfaffians (delete row/column i) of an odd-size alternating
     matrix; spans the radical when the corank is 1, zero when corank >= 3.
+    Read off one elimination, radical_elimination."""
+    return radical_elimination(gf, gram)[0]
 
-    Fraction-free elimination, O(n^3) multiplications and one inversion: a
-    pivot p = a_ij turns the other rows R into S = p*A_RR + x y^T + y x^T
-    (x, y: rows i, j on R), p times the Schur complement.  Back-substitution
-    sets omega_R = p*omega(S) and, from A omega = 0 (no signs in
-    characteristic 2), omega_i = y.omega(S), omega_j = x.omega(S); at the end
-    everything is divided by the product of the p^((|R|-1)/2).
+
+def radical_elimination(gf: Field, gram) -> tuple:
+    """(w, S) from one rref [R | E] of [G | I_n], E G = R, for G alternating
+    of odd size n: w the Pfaffian vector of G, and S its (n+1) x n solve
+    operator, or None when the corank is >= 3 (then w = 0).
+
+    At corank 1 the pivots miss one column r of G, and the last row is
+    [0 | y] with y G = 0, so y spans the kernel and y_r != 0.  det E = 1/P
+    for P the product of the raw pivots (a row swap has determinant 1 in
+    characteristic 2), so Cramer's rule on E times G with column r replaced
+    by e_s gives the cofactor w_r w_s of adj(G) = w w^T as P y_s: w =
+    sqrt(P / y_r) y.  S has E_t, the identity half of pivot row t, as row
+    pivot_t, zeros at r and y as row n: for b in the image of G, y^perp,
+    S b = (p, 0) with G p = b and p_r = 0, and (S b)_n = y.b checks that b
+    is in the image.  A pivot in the identity half adds multiples of y to
+    the E_t, which keeps E_t.b.
     """
-    s = len(gram)
-    if s % 2 != 1:
+    n = len(gram)
+    if n % 2 != 1:
         raise ValueError("Pfaffian vector needs odd size")
-    mul = gf.mul
-    a = [list(row) for row in gram]
-    alive = list(range(s))
-    pivots = []
-    scale = 1
-    while len(alive) > 1:
-        pivot = next(((i, j) for i in alive for j in alive if i < j and a[i][j]), None)
-        if pivot is None:
-            return [0] * s  # a zero block of size >= 3: corank >= 3
-        i, j = pivot
-        p = a[i][j]
-        alive = [t for t in alive if t != i and t != j]
-        for k, u in enumerate(alive):
-            row, xu, yu = a[u], a[i][u], a[j][u]
-            for v in alive[k + 1 :]:
-                row[v] = a[v][u] = mul(p, row[v]) ^ mul(xu, a[j][v]) ^ mul(yu, a[i][v])
-        pivots.append((i, j, p))
-        scale = mul(scale, gf.pow(p, (len(alive) - 1) // 2))
-    omega = [0] * s
-    omega[alive[0]] = 1
-    for i, j, p in reversed(pivots):
-        # entries outside omega(S) are still zero, so whole rows can be dotted
-        wi, wj = vec_dot(gf, a[j], omega), vec_dot(gf, a[i], omega)
-        omega = vec_scale(gf, omega, p)
-        omega[i], omega[j] = wi, wj
-    return vec_scale(gf, omega, gf.inv(scale))
+    rows, pivots, det = rref(gf, [[*row, *e] for row, e in zip(gram, identity(n))])
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        return [0] * n, None
+    y = rows[n - 1][n:]
+    solver = [[0] * n] * n + [y]
+    for c, row in zip(pivots, rows[:n - 1]):
+        solver[c] = row[n:]
+    return vec_scale(gf, y, gf.sqrt(gf.div(det, y[free[0]]))), solver
 
 
 # ---------------------------------------------------------------------------

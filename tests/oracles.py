@@ -17,7 +17,6 @@ from qpencil import poly
 from qpencil.errors import PreconditionError
 from qpencil.field import GF, Embedding, find_embedding, p2_is_irreducible
 from qpencil.linalg import mat_mul, mat_vec, rank
-from qpencil.quadform import pfaffian_vector
 from qpencil.verify import points_on_X
 
 
@@ -220,7 +219,7 @@ def radical_map_matches_members(p, ws):
         for i, w in enumerate(wse):
             c = mul(ext.pow(l, m - i), ext.pow(u, i))
             omega = [x ^ mul(c, y) for x, y in zip(omega, w)]
-        if omega != pfaffian_vector(ext, member):
+        if omega != pfaffian_vector_fraction_free(ext, member):
             return False
     return True
 
@@ -253,7 +252,7 @@ def half_disc_check(p, l, u):
     member = p.member(l, u)
     if is_zero(member):
         return lhs == 0
-    return lhs == member(pfaffian_vector(p.gf, member.polar()))
+    return lhs == member(pfaffian_vector_fraction_free(p.gf, member.polar()))
 
 
 def corank_profile(p, ext):
@@ -518,15 +517,18 @@ def default_modulus_by_search(k):
 
 def rref_by_loop(gf, a):
     """rref's answer, pivoting as rref does (the lowest column, the first
-    row below the pivots with a nonzero entry there)."""
+    row below the pivots with a nonzero entry there), with the product of
+    the raw pivots."""
     rows = [list(row) for row in a]
     pivots = []
+    det = 1
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
+        det = gf.mul(det, rows[r][c])
         inv = gf.inv(rows[r][c])
         rows[r] = [gf.mul(inv, x) for x in rows[r]]
         for i, row in enumerate(rows):
@@ -536,12 +538,12 @@ def rref_by_loop(gf, a):
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    return rows, pivots
+    return rows, pivots, det
 
 
 def nullspace_by_loop(gf, a):
     """One basis vector of {x : a x = 0} per free column of rref_by_loop."""
-    rows, pivots = rref_by_loop(gf, a)
+    rows, pivots, _ = rref_by_loop(gf, a)
     basis = []
     for free in range(len(a[0])):
         if free not in pivots:
@@ -556,7 +558,7 @@ def nullspace_by_loop(gf, a):
 def inverse_by_loop(gf, a):
     """a^-1 from rref_by_loop of [a | I], or None when a is singular."""
     size = len(a)
-    rows, pivots = rref_by_loop(gf, [list(row) + [int(i == j) for j in range(size)]
+    rows, pivots, _ = rref_by_loop(gf, [list(row) + [int(i == j) for j in range(size)]
                                      for i, row in enumerate(a)])
     return [row[size:] for row in rows] if pivots == list(range(size)) else None
 
@@ -585,3 +587,54 @@ def square_mod_by_loop(gf, h, m):
         for j, y in enumerate(h):
             sq[i + j] ^= gf.mul(x, y)
     return divmod_by_loop(gf, sq, m)[1]
+
+
+# ---------------------------------------------------------------------------
+# the Pfaffian vector by fraction-free elimination: the code that one rref
+# of [G | I] replaced (quadform.radical_elimination)
+
+
+def pfaffian_vector_fraction_free(gf, gram):
+    """Principal Pfaffians (delete row/column i) of an odd-size alternating
+    matrix; zero when the corank is >= 3.
+
+    Fraction-free elimination, O(n^3) multiplications and one inversion: a
+    pivot p = a_ij turns the other rows R into S = p*A_RR + x y^T + y x^T
+    (x, y: rows i, j on R), p times the Schur complement.  Back-substitution
+    sets omega_R = p*omega(S) and, from A omega = 0 (no signs in
+    characteristic 2), omega_i = y.omega(S), omega_j = x.omega(S); at the end
+    everything is divided by the product of the p^((|R|-1)/2).
+    """
+    s = len(gram)
+    if s % 2 != 1:
+        raise ValueError("Pfaffian vector needs odd size")
+    mul = gf.mul
+    a = [list(row) for row in gram]
+    alive = list(range(s))
+    pivots = []
+    scale = 1
+    while len(alive) > 1:
+        pivot = next(((i, j) for i in alive for j in alive if i < j and a[i][j]), None)
+        if pivot is None:
+            return [0] * s  # a zero block of size >= 3: corank >= 3
+        i, j = pivot
+        p = a[i][j]
+        alive = [t for t in alive if t != i and t != j]
+        for k, u in enumerate(alive):
+            row, xu, yu = a[u], a[i][u], a[j][u]
+            for v in alive[k + 1 :]:
+                row[v] = a[v][u] = mul(p, row[v]) ^ mul(xu, a[j][v]) ^ mul(yu, a[i][v])
+        pivots.append((i, j, p))
+        scale = mul(scale, gf.pow(p, (len(alive) - 1) // 2))
+    omega = [0] * s
+    omega[alive[0]] = 1
+    for i, j, p in reversed(pivots):
+        # entries outside omega(S) are still zero, so whole rows can be dotted
+        wi = wj = 0
+        for x, y, w in zip(a[i], a[j], omega):
+            wi ^= mul(y, w)
+            wj ^= mul(x, w)
+        omega = [mul(p, w) for w in omega]
+        omega[i], omega[j] = wi, wj
+    inv = gf.inv(scale)
+    return [mul(inv, w) for w in omega]

@@ -59,7 +59,7 @@ ALLOWED = {
 # what the oracles check, and so may not use
 FORBIDDEN = {
     "half_discriminant", "bf_projective_roots", "radical_map",
-    "pfaffian_vector", "is_regular",
+    "pfaffian_vector", "radical_elimination", "is_regular",
 }
 
 # code the package replaced, kept in tests/oracles.py to compare against,
@@ -83,6 +83,7 @@ REFERENCES = {
     "inverse_by_loop": ("inverse", {"mul", "inv"}),
     "divmod_by_loop": ("divmod_", {"mul", "inv"}),
     "square_mod_by_loop": ("square_mod", {"mul", "inv"}),
+    "pfaffian_vector_fraction_free": ("pfaffian_vector", {"mul", "pow", "inv"}),
 }
 
 

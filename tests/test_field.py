@@ -167,7 +167,7 @@ def test_mul_and_inv_match_the_bit_loop_oracle(k):
     # then the wide kernel's windowed product with the Barrett step and
     # Euclidean inverse): mul and inv on the default and a non-default
     # modulus, on the wide kernel on the three moduli of
-    # _moduli_for_the_packed_kernel (a dense mu among them); then sqrt and
+    # _moduli_for_the_packed_kernel (a dense mu among them); then sqrt, and
     # pow, exponents negative and at least q - 1 included, on the edge
     # elements and a few random ones
     rng = random.Random(1000 + k)
@@ -183,9 +183,14 @@ def test_mul_and_inv_match_the_bit_loop_oracle(k):
             for b in edge + [rng.choice(xs), rng.randrange(gf.order)]:
                 assert gf.mul(a, b) == mul_by_bits(modulus, a, b)
             assert gf.inv(a) == inv_by_pow(modulus, a)
-        for a in [0] + xs[:6]:
+        # sqrt is the xor of its roots of the T^i, which depend on the
+        # modulus: every T^i and the random elements, and up to k = 16
+        # every element on the default modulus
+        sample = [0, *(1 << i for i in range(k)), *xs]
+        for a in range(gf.order) if k <= 16 and modulus == default else sample:
             s = gf.sqrt(a)
             assert mul_by_bits(modulus, s, s) == a
+        for a in [0] + xs[:6]:
             for e in (0, 1, 2, gf.order - 1, gf.order, rng.randrange(3, 1 << (k + 2))):
                 assert gf.pow(a, e) == pow_by_bits(modulus, a, e)
                 if a:

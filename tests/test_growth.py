@@ -79,9 +79,12 @@ def _inverse(gf, n):
 
 
 def _pfaffian_vector(gf, n):
-    # an odd-size alternating matrix: zero diagonal, symmetric
-    u = _square(gf, n, random.Random(n))
-    gram = [[u[min(i, j)][max(i, j)] if i != j else 0 for j in range(n)] for i in range(n)]
+    # the Gram matrix of b0 of the radical map's draw, the matrix its chain
+    # eliminates: odd-size alternating of corank 1.  The count of that
+    # elimination over GF(2) is about 0.75 n^3 - 2 n^2, so on uniform draws
+    # its log-ratio from 11 to 21 reads 3.2 on average and 3.4 on Random(11)
+    p = random_regular_nf_pencil(gf, n // 2, random.Random(n))
+    gram = p.q0.polar()
     return lambda: pfaffian_vector(gf, gram)
 
 

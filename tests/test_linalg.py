@@ -28,10 +28,13 @@ def random_matrix(gf, rows, cols, rng):
 
 def test_rref_and_rank(g4):
     m = [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
-    r, pivots = rref(g4, m)
+    r, pivots, _ = rref(g4, m)
     assert rank(g4, m) == len(pivots)
     for i, c in enumerate(pivots):
         assert r[i][c] == 1
+    # full rank, a row swap and raw pivots other than 1: they multiply to det
+    a = [[0, 1, 2], [3, 1, 1], [2, 0, 1]]
+    assert rref(g4, a)[2] == det(g4, a) == 2
 
 
 def test_solve_and_nullspace_random():

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_zero, pfaffian_by_matchings, polar_by_definition
-from qpencil.field import GF, find_embedding
-from qpencil.linalg import mat_vec, nullspace, rank, vec_dot
+from oracles import (is_zero, pfaffian_by_matchings, pfaffian_vector_fraction_free,
+                     polar_by_definition)
+from qpencil.field import GF, field_from_modulus, find_embedding
+from qpencil.linalg import mat_mul, mat_vec, nullspace, rank, transpose
 from qpencil.normalform import realize
 from qpencil.quadform import QuadraticForm, is_totally_isotropic, pfaffian_vector
 from qpencil.verify import proj_points
@@ -47,7 +48,7 @@ def test_polar_matches_definition(gf, n, seed):
     for _ in range(6):
         v = [rng.randrange(gf.order) for _ in range(n)]
         w = [rng.randrange(gf.order) for _ in range(n)]
-        assert vec_dot(gf, v, mat_vec(gf, q.polar(), w)) == polar_by_definition(q, v, w)
+        assert mat_vec(gf, [v], mat_vec(gf, q.polar(), w)) == [polar_by_definition(q, v, w)]
         assert polar_by_definition(q, v, v) == 0
         c = rng.randrange(gf.order)
         assert q([gf.mul(c, x) for x in v]) == gf.mul(gf.mul(c, c), q(v))
@@ -136,8 +137,8 @@ def test_forms_match_their_tables(degree):
             assert [q0(v), q1(v)] == values
             gram = q0.polar()
             assert all(gram[i][i] == 0 for i in range(n))
-            assert vec_dot(gf, v, mat_vec(gf, gram, w)) == polar_by_definition(
-                lambda x: value_by_table(gf, t0, x), v, w)
+            assert mat_vec(gf, [v], mat_vec(gf, gram, w)) == [polar_by_definition(
+                lambda x: value_by_table(gf, t0, x), v, w)]
             l, u = rng.randrange(gf.order), rng.randrange(gf.order)
             member = q0.scale(l).add(q1.scale(u))
             assert member(v) == gf.mul(l, values[0]) ^ gf.mul(u, values[1])
@@ -212,6 +213,15 @@ def test_pfaffian_vector_n3(g4):
         pfaffian_vector(g4, [[0, 0], [0, 0]])
 
 
+def _alternating(gf, n, rng, density=1.0):
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                gram[i][j] = gram[j][i] = rng.randrange(gf.order)
+    return gram
+
+
 def test_pfaffian_vector_kills_gram():
     # dense and sparse matrices, the sparse ones often of corank >= 3, where
     # every principal Pfaffian vanishes; each entry against the matchings
@@ -223,12 +233,7 @@ def test_pfaffian_vector_kills_gram():
         for n in (3, 5, 7, 9):
             for density in (1.0, 0.3, 0.1):
                 for _ in range(8):
-                    gram = [[0] * n for _ in range(n)]
-                    for i in range(n):
-                        for j in range(i + 1, n):
-                            if rng.random() < density:
-                                c = rng.randrange(gf.order)
-                                gram[i][j] = gram[j][i] = c
+                    gram = _alternating(gf, n, rng, density)
                     omega = pfaffian_vector(gf, gram)
                     assert mat_vec(gf, gram, omega) == [0] * n
                     for k in range(n):
@@ -240,6 +245,30 @@ def test_pfaffian_vector_kills_gram():
                         assert omega[k] == pfaffian_by_matchings(gf, minor)
                     coranks.add(n - rank(gf, gram))
     assert {1, 3, 5} <= coranks
+
+
+# both kernels, each with its default and a non-default modulus
+PIN_FIELDS = [GF(1), GF(8), field_from_modulus(0b100011101), GF(17), GF(32),
+              field_from_modulus(1 << 32 | 0b10101111)]
+
+
+@pytest.mark.parametrize("gf", PIN_FIELDS, ids=repr)
+def test_pfaffian_vector_is_the_fraction_free_reference(gf):
+    # every odd n up to 31: a dense draw, a sparse one and one of corank
+    # >= 3 (an alternating matrix on n - 2 coordinates, moved by a random
+    # congruence g^T A g, which keeps it alternating)
+    rng = random.Random(gf.modulus)
+    coranks = set()
+    for n in range(1, 32, 2):
+        grams = [_alternating(gf, n, rng), _alternating(gf, n, rng, 0.2)]
+        if n >= 3:
+            small = [row + [0, 0] for row in _alternating(gf, n - 2, rng)] + [[0] * n] * 2
+            g = [[rng.randrange(gf.order) for _ in range(n)] for _ in range(n)]
+            grams.append(mat_mul(gf, transpose(g), mat_mul(gf, small, g)))
+        for gram in grams:
+            assert pfaffian_vector(gf, gram) == pfaffian_vector_fraction_free(gf, gram)
+            coranks.add(min(n - rank(gf, gram), 3))
+    assert coranks == {1, 3}
 
 
 def test_basic_singular_pair_radicals(g2):
