@@ -580,9 +580,7 @@ class Field:
         sqrt(T) = T^(2^(k-1))."""
         roots = self._roots
         if roots is None:
-            s = 2  # T, then its root (unused at k = 1)
-            for _ in range(self.degree - 1):
-                s = self.mul(s, s)
+            s = self.pow(2, self.order >> 1)  # sqrt(T), unused at k = 1
             roots = self._roots = [self.mul(s, 1 << i // 2) if i & 1 else 1 << i // 2
                                    for i in range(self.degree)]
         r = 0

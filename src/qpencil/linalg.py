@@ -43,9 +43,10 @@ def vec_scale(gf: Field, v: list, c: int) -> list:
     return gf.addmul([0] * len(v), (c,), (v,))
 
 
-def rref(gf: Field, a: list) -> tuple[list, list, int]:
+def rref(gf: Field, a: list) -> tuple[list, list, list]:
     """Reduced row echelon form; returns (rows, pivot column indices, the
-    product of the raw pivots, which is det(a) for a square a of full rank).
+    raw pivot each pivot row was divided by).  The raw pivots multiply to
+    det(a) for a square a of full rank; only radical_elimination reads them.
 
     Each row is one packed int (Field.pack) from entry to exit.  Per pivot
     one Field.column call reads the pivot column of every row, the pivot
@@ -57,7 +58,7 @@ def rref(gf: Field, a: list) -> tuple[list, list, int]:
     ncols = len(a[0]) if nrows else 0
     bits = gf.slot_bits
     pivots = []
-    det = 1
+    scales = []
     r = 0
     for c in range(ncols):
         col = gf.column(m, c)
@@ -73,16 +74,16 @@ def rref(gf: Field, a: list) -> tuple[list, list, int]:
         p = gf.reduce(m[r], ncols)
         if e != 1:
             p = gf.reduce(gf.combine(gf.prepare((p,), ncols), (gf.inv(e),)), ncols)
-            det = gf.mul(det, e)
         m[r] = p
         # columns before c are zero in row r
         shift = c * bits
         gf.eliminate(m, p >> shift, ncols - c, col, shift)
         pivots.append(c)
+        scales.append(e)
         r += 1
         if r == nrows:
             break
-    return list(map(gf.unpack, m, repeat(ncols, nrows))), pivots, det
+    return list(map(gf.unpack, m, repeat(ncols, nrows))), pivots, scales
 
 
 def rank(gf: Field, a: list) -> int:

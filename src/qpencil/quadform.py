@@ -18,6 +18,7 @@ not classes modulo squares.
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import xor
 
 from .field import Field
@@ -145,10 +146,11 @@ def radical_elimination(gf: Field, gram) -> tuple:
     n = len(gram)
     if n % 2 != 1:
         raise ValueError("Pfaffian vector needs odd size")
-    rows, pivots, det = rref(gf, [[*row, *e] for row, e in zip(gram, identity(n))])
+    rows, pivots, scales = rref(gf, [[*row, *e] for row, e in zip(gram, identity(n))])
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         return [0] * n, None
+    det = reduce(gf.mul, [e for e in scales if e != 1], 1)
     y = rows[n - 1][n:]
     solver = [[0] * n] * n + [y]
     for c, row in zip(pivots, rows[:n - 1]):

@@ -517,18 +517,18 @@ def default_modulus_by_search(k):
 
 def rref_by_loop(gf, a):
     """rref's answer, pivoting as rref does (the lowest column, the first
-    row below the pivots with a nonzero entry there), with the product of
-    the raw pivots."""
+    row below the pivots with a nonzero entry there), with the raw pivot
+    each pivot row was divided by."""
     rows = [list(row) for row in a]
     pivots = []
-    det = 1
+    scales = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        det = gf.mul(det, rows[r][c])
+        scales.append(rows[r][c])
         inv = gf.inv(rows[r][c])
         rows[r] = [gf.mul(inv, x) for x in rows[r]]
         for i, row in enumerate(rows):
@@ -538,7 +538,7 @@ def rref_by_loop(gf, a):
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    return rows, pivots, det
+    return rows, pivots, scales
 
 
 def nullspace_by_loop(gf, a):

@@ -34,7 +34,7 @@ def test_rref_and_rank(g4):
         assert r[i][c] == 1
     # full rank, a row swap and raw pivots other than 1: they multiply to det
     a = [[0, 1, 2], [3, 1, 1], [2, 0, 1]]
-    assert rref(g4, a)[2] == det(g4, a) == 2
+    assert reduce(g4.mul, rref(g4, a)[2]) == det(g4, a) == 2
 
 
 def test_solve_and_nullspace_random():
