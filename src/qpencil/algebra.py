@@ -23,6 +23,9 @@ the pivots below all square that way.  The subgroup k + im(wp),
 wp(s) = s^2 + s, is a GF(2)-subspace; reduction against one cached set of
 its pivots gives canonical representatives (so equality of
 representatives decides isomorphism) and the Artin-Schreier witnesses.
+Its GF(2) vectors are elements packed as the field packs vectors
+(Field.pack), entry j in the j-th slot, so a squaring result joins the
+pivots as it comes out of the kernel.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ class EtaleAlgebra:
         return tuple(s)
 
     def from_d_coords(self, s: list) -> tuple:
-        return tuple(self.gf.addmul([0] * self.n, s, self.d_basis))
+        return tuple(self.gf.mat_mul([s], self.d_basis)[0])
 
     # -- idempotents -------------------------------------------------------------
 
@@ -164,41 +167,31 @@ class EtaleAlgebra:
 
     # -- the subspace k + wp(A) and coset reduction -------------------------------
 
-    def _pack(self, x: tuple) -> int:
-        k = self.gf.degree
-        acc = 0
-        for j, c in enumerate(x):
-            acc |= c << (j * k)
-        return acc
-
-    def _unpack(self, bits: int) -> tuple:
-        k = self.gf.degree
-        mask = (1 << k) - 1
-        return tuple((bits >> (j * k)) & mask for j in range(self.n))
-
     @cached_property
     def _coset_pivots(self) -> tuple:
         """GF(2) pivots of k + wp(A), spanned by the columns wp(t^j x^b)
-        (bit b + j*k of a combination) followed by the constants x^b.
-        Column (j, b) is x^(2b) T_j + x^b t^j, with T_j = t^(2j) row j of
-        the squaring table, so one kernel call per b over the table's rows
-        laid end to end, prepared once, gives that column for every j."""
-        gf, n, k = self.gf, self.n, self.gf.degree
+        followed by the constants x^b.  A column is a packed row
+        (Field.pack), so bit b of entry j sits at j * slot_bits + b; bit
+        b + j*k of a combination is column (j, b).  Column (j, b) is
+        x^(2b) T_j + x^b t^j, with T_j = t^(2j) row j of the squaring
+        table, so one kernel call per b over the table's rows laid end to
+        end, prepared once, gives that column for every j."""
+        gf, n, k, bits = self.gf, self.n, self.gf.degree, self.gf.slot_bits
         size = n * n
         flat = gf.prepare((gf.pack([c for row in self._square_table[0] for c in row]),), size)
-        mask = (1 << n * k) - 1
+        mask = (1 << n * bits) - 1
         cols = [0] * (n * k)
         for b in range(k):
             x = 1 << b
-            squares = self._pack(gf.unpack(gf.combine(flat, (gf.mul(x, x),)), size))
+            squares = gf.reduce(gf.combine(flat, (gf.mul(x, x),)), size)
             for j in range(n):
-                cols[j * k + b] = (squares >> j * n * k & mask) ^ x << j * k
+                cols[j * k + b] = (squares >> j * n * bits & mask) ^ x << j * bits
         return tuple(gf2_pivots(cols + [1 << b for b in range(k)]))
 
     def coset_reduce(self, x: tuple) -> tuple[tuple, bool]:
         """Canonical representative of x modulo k + wp(A), and triviality."""
-        red, _ = gf2_reduce(self._pack(x), self._coset_pivots)
-        return self._unpack(red), red == 0
+        red, _ = gf2_reduce(self.gf.pack(x), self._coset_pivots)
+        return tuple(self.gf.unpack(red, self.n)), red == 0
 
     def solve_artin_schreier(self, r: tuple):
         """s with wp(s) + c = r for some constant c, or None.
@@ -206,11 +199,11 @@ class EtaleAlgebra:
         None means r is not in k + wp(A) over this base field;
         geometry.quasi_split_over finds the extension that repairs it.
         """
-        red, combo = gf2_reduce(self._pack(r), self._coset_pivots)
+        red, combo = gf2_reduce(self.gf.pack(r), self._coset_pivots)
         if red:
             return None
         k = self.gf.degree
-        s = self._unpack(combo & ((1 << (self.n * k)) - 1))
+        s = tuple(combo >> j * k & (1 << k) - 1 for j in range(self.n))
         check = self.add(self.artin_schreier(s), r)
         if any(check[1:]):
             raise AssertionError("Artin-Schreier witness fails verification")

@@ -10,9 +10,10 @@ hold values that depend on the field alone).
 
 Products of vectors are packed: a vector becomes one int, entry j in the
 j-th slot of slot_bits bits (Field.pack, Field.unpack), and the kernel
-entries work on whole packed rows.  Field.addmul(acc, cs, vs) = acc + sum
-of c*v over the pairs, Field.mat_mul(a, b) = a b.  One of two kernels
-serves a field, chosen by its degree when it is built:
+entries work on whole packed rows.  Field.mat_mul(a, b) = a b forms every
+product of vectors; a sum of c*v over pairs (c, v) is its one-row product
+mat_mul([cs], vs)[0].  One of two kernels serves a field, chosen by its
+degree when it is built:
 
 - the byte-slot kernel, k <= 8: an entry takes one byte, and _rows[c] is
   the 256-byte table of x -> c x, so c times a packed row is one
@@ -144,6 +145,17 @@ def _byte_combine(rows: list, prepared: list, cs) -> int:
         elif c:
             p ^= _from_bytes(data.translate(rows[c]), "little")
     return p
+
+
+def _linear_map(images, a: int) -> int:
+    """The image of a under the GF(2)-linear map that takes bit i to
+    images[i]: the xor of the images of the set bits of a."""
+    r = 0
+    while a:
+        low = a & -a
+        r ^= images[low.bit_length() - 1]
+        a ^= low
+    return r
 
 
 def _linear_byte_map(images) -> bytes:
@@ -343,29 +355,6 @@ class Field:
         if a == 0 or b == 0:
             return 0
         return self._reduce(p2_mul(a, b), self.order - 1)
-
-    def addmul(self, acc: list, cs, vs) -> list:
-        """acc + sum of c*v over the pairs (c, v) of cs and vs, entrywise:
-        the multiply-accumulate kernel.  Every v has the length of acc (a
-        shorter v would be read as padded with zeros).  acc is not
-        modified, but it may be returned itself.  It is one packed row of
-        mat_mul (see the module docstring)."""
-        rows = self._rows
-        if rows is not None:
-            p = _from_bytes(bytes(acc), "little")
-            for c, v in zip(cs, vs):
-                if c == 1:
-                    p ^= _from_bytes(bytes(v), "little")
-                elif c:
-                    p ^= _from_bytes(bytes(v).translate(rows[c]), "little")
-            return list(p.to_bytes(len(acc), "little"))
-        tables, used = [], []
-        for c, v in zip(cs, vs):
-            if c:
-                tables.append(_nibble_table(self.pack(v)))
-                used.append(c)
-        n = len(acc)
-        return self.unpack(self.pack(acc) ^ _nibble_combine(tables, used), n)
 
     def mat_mul(self, a, b) -> list:
         """The matrix product a b, packed: every row of b becomes one int
@@ -583,11 +572,7 @@ class Field:
             s = self.pow(2, self.order >> 1)  # sqrt(T), unused at k = 1
             roots = self._roots = [self.mul(s, 1 << i // 2) if i & 1 else 1 << i // 2
                                    for i in range(self.degree)]
-        r = 0
-        for i in range(a.bit_length()):
-            if a >> i & 1:
-                r ^= roots[i]
-        return r
+        return _linear_map(roots, a)
 
     # -- element iteration ---------------------------------------------------
 
@@ -628,15 +613,7 @@ class Embedding:
         self._pows = tuple(pows)
 
     def map(self, a: int) -> int:
-        r = 0
-        pows = self._pows
-        i = 0
-        while a:
-            if a & 1:
-                r ^= pows[i]
-            a >>= 1
-            i += 1
-        return r
+        return _linear_map(self._pows, a)
 
     def map_vec(self, v) -> list:
         return [self.map(a) for a in v]

@@ -56,10 +56,12 @@ def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
         d = identity(p1.n)
         d[0][0] = root
         moved = p1.conjugate(d)
-    # equal Delta: both normal forms are taken after the same GL(2) move
+    # equal Delta: both normal forms are taken after the same GL(2) move,
+    # so they share one algebra and r-values add in d-coordinates
     an1, an2 = pair_algebra(moved), pair_algebra(p2)
     algebra = an1.algebra
-    s = algebra.solve_artin_schreier(algebra.add(an1.r_value, an2.r_value))
+    s = algebra.solve_artin_schreier(
+        algebra.from_d_coords([x ^ y for x, y in zip(an1.nf.r, an2.nf.r)] + [0]))
     if s is None:
         return False, None
     # (B2 U(s)) B1^-1: the moved frame by its blocks, then one full product

@@ -4,12 +4,16 @@ Vectors are sequences of ints and a matrix is any sequence of row
 sequences (lists or tuples); results are lists.  Inputs are never
 modified: the eliminations copy the rows they update.  Pivoting is always
 on the lowest-index column and free variables are set to zero, so every
-routine is deterministic.  There is no factorization to keep: a caller
-that solves with one matrix many times (the Kronecker chain,
-pencil._chain) reads a solve operator off one rref of the matrix beside
-the identity and applies it as a prepared operand, one Field.combine per
-right-hand side.  A bit-packed GF(2) toolkit for subspace work inside
-etale algebras lives at the bottom.
+routine is deterministic.  Every product of vectors is one call of the
+field's packed product, Field.mat_mul: mat_vec and vec_scale are one-row
+products.  There is no factorization to keep: a caller that solves with
+one matrix many times (the Kronecker chain, pencil._chain) reads a solve
+operator off one rref of the matrix beside the identity and applies it as
+a prepared operand, one Field.combine per right-hand side.  A bit-packed
+GF(2) toolkit for subspace work inside etale algebras lives at the
+bottom; it uses only xor and leading bits, so placing the bits elsewhere
+in the same order (such as in Field.pack's slots) moves its pivots and
+remainders along with them.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ def transpose(a: list) -> list:
 
 
 def mat_vec(gf: Field, a: list, v: list) -> list:
-    """a v, as the combination of the columns of a with the entries of v."""
-    return gf.addmul([0] * len(a), v, zip(*a))
+    """a v, as the one-row product v^T a^T: the combination of the columns
+    of a with the entries of v."""
+    return gf.mat_mul([v], list(zip(*a)))[0]
 
 
 def mat_mul(gf: Field, a: list, b: list) -> list:
@@ -40,7 +45,7 @@ def mat_mul(gf: Field, a: list, b: list) -> list:
 
 
 def vec_scale(gf: Field, v: list, c: int) -> list:
-    return gf.addmul([0] * len(v), (c,), (v,))
+    return gf.mat_mul([[c]], [v])[0]
 
 
 def rref(gf: Field, a: list) -> tuple[list, list, list]:

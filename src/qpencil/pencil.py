@@ -281,7 +281,7 @@ def _interpolated(gf, grams: tuple, m: int) -> list:
         emb = find_embedding(gf, ext)
         grams = [[emb.map_vec(row) for row in g] for g in grams]
     values = [
-        pfaffian_vector(ext, [ext.addmul(r1, (x,), (r0,)) for r0, r1 in zip(*grams)])
+        pfaffian_vector(ext, [ext.mat_mul([[x, 1]], [r0, r1])[0] for r0, r1 in zip(*grams)])
         for x in range(m + 1)
     ]
     vander = [[ext.pow(x, m - i) for i in range(m + 1)] for x in range(m + 1)]

@@ -279,17 +279,17 @@ def roots(gf: Field, p: list) -> list[int]:
 
 def bf_mul(gf: Field, a: list, b: list) -> list:
     """The product of two nonempty coefficient lists, untrimmed: a binary
-    form of degree deg a + deg b.  One kernel call: the sum, over the
+    form of degree deg a + deg b.  One one-row product: the sum, over the
     nonzero a_i of the list with fewer of them, of a_i times the other
-    list shifted by i."""
+    list shifted by i (a_0 alone when a is zero, so the row has its width)."""
     if len(b) - b.count(0) < len(a) - a.count(0):
         a, b = b, a
     la = len(a)
     width = la + len(b) - 1
     padded = [0] * (la - 1) + b + [0] * (la - 1)
-    shifts = [i for i, c in enumerate(a) if c]
-    return gf.addmul([0] * width, [a[i] for i in shifts],
-                     [padded[la - 1 - i:la - 1 - i + width] for i in shifts])
+    shifts = [i for i, c in enumerate(a) if c] or [0]
+    return gf.mat_mul([[a[i] for i in shifts]],
+                      [padded[la - 1 - i:la - 1 - i + width] for i in shifts])[0]
 
 
 def bf_eval(gf: Field, c: list, t0: int, t1: int) -> int:

@@ -267,10 +267,10 @@ def _singular_among(p: Pencil, ext: Field) -> bool:
     # the two Gram matrices laid end to end: one kernel call per member
     grams = [[x for row in q.polar() for x in row] for q in (q0, q1)]
     for lu in [(1, c) for c in ext.elements()] + [(0, 1)]:
-        gram = ext.addmul([0] * (n * n), lu, grams)
+        gram = ext.mat_mul([lu], grams)[0]
         rad = nullspace(ext, [gram[i:i + n] for i in range(0, n * n, n)])
         for coords in proj_points(ext, len(rad)):
-            x = ext.addmul([0] * n, coords, rad)
+            x = ext.mat_mul([coords], rad)[0]
             if q0(x) == 0 and q1(x) == 0:
                 return True
     return False

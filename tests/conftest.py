@@ -32,9 +32,9 @@ def g16():
 def products(monkeypatch):
     """products(fn) runs fn and returns (the field products it formed, its
     result): one product per Field.mul call, plus len(v) for each pair
-    (c, v) with c != 0 that a Field.addmul call takes, and the same for
-    each row of a, paired with the rows of b, in a Field.mat_mul(a, b)
-    call.  A Field.combine call counts the length of its prepared rows for
+    (c, v) with c != 0 of a row of a and the rows of b in a
+    Field.mat_mul(a, b) call, the one entry that forms products of
+    vectors.  A Field.combine call counts the length of its prepared rows for
     each c != 0, a Field.eliminate call the length of its pivot row (from
     the pivot column on) for each nonzero multiplier, and a Field.squares
     call one product per entry.  The multiplication-count guards use it,
@@ -43,19 +43,13 @@ def products(monkeypatch):
 
     def count(fn):
         formed = 0
-        mul, addmul, mat_mul = Field.mul, Field.addmul, Field.mat_mul
+        mul, mat_mul = Field.mul, Field.mat_mul
         combine, eliminate, squares = Field.combine, Field.eliminate, Field.squares
 
         def counted_mul(self, a, b):
             nonlocal formed
             formed += 1
             return mul(self, a, b)
-
-        def counted_addmul(self, acc, cs, vs):
-            nonlocal formed
-            cs, vs = list(cs), list(vs)
-            formed += sum(len(v) for c, v in zip(cs, vs) if c)
-            return addmul(self, acc, cs, vs)
 
         def counted_mat_mul(self, a, b):
             nonlocal formed
@@ -81,7 +75,6 @@ def products(monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(Field, "mul", counted_mul)
-            mp.setattr(Field, "addmul", counted_addmul)
             mp.setattr(Field, "mat_mul", counted_mat_mul)
             mp.setattr(Field, "combine", counted_combine)
             mp.setattr(Field, "eliminate", counted_eliminate)

@@ -409,14 +409,15 @@ def line_gram_pairwise(gf, gens):
 
 
 def coset_columns_per_element(algebra):
-    """The spanning columns of k + wp(A) in the order of _coset_pivots: wp of
-    each x^b t^j, squared by multiplication, then the constants x^b."""
-    k = algebra.gf.degree
+    """The spanning columns of k + wp(A) in the order of _coset_pivots, each
+    packed by the field (Field.pack): wp of each x^b t^j, squared by
+    multiplication, then the constants x^b."""
+    gf, k = algebra.gf, algebra.gf.degree
     cols = []
     for j in range(algebra.n):
         for b in range(k):
             x = algebra.element([0] * j + [1 << b])
-            cols.append(algebra._pack(algebra.add(algebra.mul(x, x), x)))
+            cols.append(gf.pack(algebra.add(algebra.mul(x, x), x)))
     return cols + [1 << b for b in range(k)]
 
 
@@ -638,3 +639,38 @@ def pfaffian_vector_fraction_free(gf, gram):
         omega[i], omega[j] = wi, wj
     inv = gf.inv(scale)
     return [mul(inv, w) for w in omega]
+
+
+# ---------------------------------------------------------------------------
+# coset reduction with k bits per entry: the layout that Field.pack's slots
+# replaced (EtaleAlgebra._coset_pivots, coset_reduce, solve_artin_schreier)
+
+
+def coset_by_dense_bits(algebra, x):
+    """(the canonical representative of x modulo k + wp(A), whether it is
+    trivial, the Artin-Schreier witness or None) with every element packed
+    densely, entry j in bits [j k, j k + k): the columns wp(x^b t^j),
+    squared by multiplication, then the constants x^b, reduced by the GF(2)
+    toolkit; the witness is the combination read k bits per entry."""
+    from qpencil.linalg import gf2_pivots, gf2_reduce
+
+    k, n = algebra.gf.degree, algebra.n
+    cols = []
+    for j in range(n):
+        for b in range(k):
+            e = algebra.element([0] * j + [1 << b])
+            cols.append(_dense_bits(algebra.add(algebra.mul(e, e), e), k))
+    red, combo = gf2_reduce(_dense_bits(x, k), gf2_pivots(cols + [1 << b for b in range(k)]))
+    witness = None if red else _dense_entries(combo, k, n)
+    return _dense_entries(red, k, n), red == 0, witness
+
+
+def _dense_bits(v, k):
+    acc = 0
+    for j, c in enumerate(v):
+        acc |= c << j * k
+    return acc
+
+
+def _dense_entries(bits, k, n):
+    return tuple(bits >> j * k & (1 << k) - 1 for j in range(n))

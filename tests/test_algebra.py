@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 import qpencil.poly as poly
 from oracles import (
     all_idempotents,
+    coset_by_dense_bits,
     coset_columns_per_element,
     evaluate,
     wp_plus_constants,
 )
 from qpencil.algebra import EtaleAlgebra
-from qpencil.field import GF
+from qpencil.field import GF, default_modulus, field_from_modulus, p2_is_irreducible
 from qpencil.linalg import gf2_pivots
 from qpencil.verify import (
     algebra_trace,
@@ -320,3 +321,34 @@ def test_coset_pivots_match_per_column():
             assert A._coset_pivots == tuple(gf2_pivots(coset_columns_per_element(A))), (k, f)
             cases += A.f[-1] != 1
     assert cases == 39
+
+
+def test_coset_representatives_do_not_depend_on_the_bit_layout():
+    # coset_reduce and solve_artin_schreier, on Field.pack's slots, against
+    # the dense layout of k bits per entry: every degree of the grid on its
+    # default modulus and, for the byte and the wide kernel, one more
+    # modulus; f non-monic, x random (mostly surviving) or wp(s) + c (dying)
+    rng = random.Random(53)
+    fields = [GF(k) for k in (1, 2, 3, 8, 9, 17, 32, 64)]
+    for k in (8, 64):
+        fields.append(field_from_modulus(next(
+            m for m in range(default_modulus(k) + 2, 1 << k + 1, 2) if p2_is_irreducible(m))))
+    dying = surviving = non_monic = 0
+    for gf in fields:
+        for deg in range(1, 6):
+            f = random_separable_poly(gf, deg, rng)
+            c = rng.randrange(2, gf.order) if gf.order > 2 else 1
+            A = EtaleAlgebra(gf, tuple(gf.mul(c, x) for x in f))
+            non_monic += A.f[-1] != 1
+            xs = [A.element([rng.randrange(gf.order) for _ in range(deg)]) for _ in range(4)]
+            for i in (2, 3):  # wp(s) + c
+                y = list(A.artin_schreier(xs[i]))
+                y[0] ^= rng.randrange(gf.order)
+                xs[i] = tuple(y)
+            for x in xs:
+                rep, trivial, witness = coset_by_dense_bits(A, x)
+                assert A.coset_reduce(x) == (rep, trivial), (gf, A.f, x)
+                assert A.solve_artin_schreier(x) == witness, (gf, A.f, x)
+                dying += trivial
+                surviving += not trivial
+    assert (dying, surviving, non_monic) == (161, 39, 42)

@@ -50,7 +50,7 @@ ORACLES = (
 # the algebra's multiplication and the gcd behind 1/f'
 ALLOWED = {
     "poly", "GF", "Field", "find_embedding", "degree", "order", "elements",
-    "mul", "addmul", "Pencil", "over", "n", "m", "QuadraticForm",
+    "mul", "mat_mul", "Pencil", "over", "n", "m", "QuadraticForm",
     "from_table", "polar", "add", "PreconditionError",
     "nullspace", "normalize_subspace", "EtaleAlgebra", "t_power",
     "from_poly", "monic_f", "extended_gcd", "derivative",
@@ -84,6 +84,9 @@ REFERENCES = {
     "divmod_by_loop": ("divmod_", {"mul", "inv"}),
     "square_mod_by_loop": ("square_mod", {"mul", "inv"}),
     "pfaffian_vector_fraction_free": ("pfaffian_vector", {"mul", "pow", "inv"}),
+    "coset_by_dense_bits": ("coset_reduce", {
+        "gf2_pivots", "gf2_reduce", "degree", "n", "element", "add", "mul",
+    }),
 }
 
 

@@ -3,7 +3,8 @@ half-discriminant and the Kronecker completion cost O(n^3) field
 multiplications on a dense pencil (n = 41 over GF(2^8)).  Each bound is
 far below what a Theta(n^4) or worse method needs at this size.  The
 `products` fixture (conftest.py) counts Field.mul calls and the products
-each Field.addmul call forms, so work moved into the kernel still counts."""
+each kernel entry (Field.mat_mul, combine, eliminate, squares) forms, so
+work moved into the kernel still counts."""
 
 import random
 

@@ -216,11 +216,11 @@ def _mat_mul_by_bits(modulus, a, b):
 
 @pytest.mark.parametrize("k", ORACLE_DEGREES)
 def test_kernel_and_mat_mul_match_the_bit_loop_oracle(k):
-    # both kernel entries on both kernels and every packed slot width (8
+    # the product entry on both kernels and every packed slot width (8
     # bits on the byte kernel, k <= 8; 32, 64 and 128 bits on the wide
     # kernel, from k = 9, 17 and 33), on the wide kernel with each of the
-    # three moduli of _moduli_for_the_packed_kernel: addmul on vectors with
-    # zeros, c in
+    # three moduli of _moduli_for_the_packed_kernel: one-row products
+    # acc + sum of c*v (acc a row with c = 1) on vectors with zeros, c in
     # {0, 1, random}, lengths 0..9, one to three pairs per call; then
     # mat_mul on square, non-square, empty and 3 x 600 shapes, with entries
     # drawn from {0, 1, 2^k-1, random} and one product of 2^k-1 only
@@ -240,12 +240,12 @@ def test_kernel_and_mat_mul_match_the_bit_loop_oracle(k):
                 vs = [vec(length) for _ in range(pairs)]
                 acc = vec(length)
                 before = list(acc)
-                got = gf.addmul(acc, cs, vs)
+                got = gf.mat_mul([[1, *cs]], [acc, *vs])[0]
                 assert got == _addmul_by_bits(modulus, acc, cs, vs)
-                assert acc == before  # acc itself is left alone
+                assert acc == before  # the rows of b are left alone
             for c in (0, 1, rng.randrange(2, gf.order) if k > 1 else 1):
                 v = vec(length)
-                assert gf.addmul([0] * length, [c], [v]) == _addmul_by_bits(
+                assert gf.mat_mul([[c]], [v])[0] == _addmul_by_bits(
                     modulus, [0] * length, [c], [v])
         shapes = [(1, 5, 3), (5, 1, 4), (4, 6, 1), (1, 1, 1), (3, 3, 3), (2, 0, 3),
                   (0, 3, 2), (9, 7, 8), (3, 2, 600)]
@@ -269,9 +269,10 @@ def _moduli_for_the_packed_kernel(k):
 
 @pytest.mark.parametrize("k", [9, 12, 13, 16, 17, 20, 24, 32, 33, 48, 64])
 def test_packed_kernel_matches_the_bit_loop_oracle(k):
-    # the wide kernel: each modulus has its own mu,
-    # calls of lengths 0..61 with up to 61 pairs, c in {0, 1, 2^k-1,
-    # random}, entries 2^k-1 (the widest unreduced products); acc is kept
+    # the wide kernel: each modulus has its own mu, one-row products
+    # acc + sum of c*v (acc a row with c = 1) of lengths 0..61 with up to
+    # 61 pairs, c in {0, 1, 2^k-1, random}, entries 2^k-1 (the widest
+    # unreduced products); acc is kept
     rng = random.Random(3000 + k)
     top = (1 << k) - 1
     for modulus in _moduli_for_the_packed_kernel(k):
@@ -288,10 +289,10 @@ def test_packed_kernel_matches_the_bit_loop_oracle(k):
                 vs = [[scalar() for _ in range(length)] for _ in range(pairs)]
                 acc = [scalar() for _ in range(length)]
                 before = list(acc)
-                got = gf.addmul(acc, cs, vs)
+                got = gf.mat_mul([[1, *cs]], [acc, *vs])[0]
                 assert got == _addmul_by_bits(modulus, acc, cs, vs), (bin(modulus), length, pairs)
                 assert acc == before
-            assert gf.addmul([top] * length, [top], [[top] * length]) == _addmul_by_bits(
+            assert gf.mat_mul([[1, top]], [[top] * length] * 2)[0] == _addmul_by_bits(
                 modulus, [top] * length, [top], [[top] * length])
 
 

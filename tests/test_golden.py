@@ -27,32 +27,24 @@ def test_golden_corpus_replays_byte_identical():
 
 
 def test_kernel_vectors_have_the_length_of_acc(monkeypatch):
-    # the kernel entries' preconditions: a packed product would pad a short
+    # the product entry's preconditions: a packed product would pad a short
     # row with zeros rather than cut it short as zip does, so replay the
     # big-field documents (the wide kernel) and one document over GF(2^8)
-    # (the byte kernel) with every Field.addmul pair and every
-    # Field.mat_mul shape checked
+    # (the byte kernel) with every Field.mat_mul shape checked
     corpus = json.loads((GOLDEN / "corpus.json").read_text())
     docs = ("@gk", "@iso_gk", "@g8_n5_113")
     entries = [e for e in corpus if any(a.startswith(docs) for a in e["argv"])]
-    addmul, mat_mul = Field.addmul, Field.mat_mul
-    seen = Counter()  # pairs checked, by entry and whether gf has the byte kernel
-
-    def checked(self, acc, cs, vs):
-        cs, vs = list(cs), list(vs)
-        assert all(len(v) == len(acc) for v in vs[:len(cs)]), (self, len(acc))
-        seen["addmul", self._rows is not None] += len(vs)
-        return addmul(self, acc, cs, vs)
+    mat_mul = Field.mat_mul
+    seen = Counter()  # pairs checked, by whether gf has the byte kernel
 
     def checked_mat_mul(self, a, b):
         assert all(len(v) == len(b[0]) for v in b), (self, [len(v) for v in b])
         assert all(len(row) == len(b) for row in a), (self, [len(row) for row in a], len(b))
-        seen["mat_mul", self._rows is not None] += len(a) * len(b)
+        seen[self._rows is not None] += len(a) * len(b)
         return mat_mul(self, a, b)
 
-    monkeypatch.setattr(Field, "addmul", checked)
     monkeypatch.setattr(Field, "mat_mul", checked_mat_mul)
     for e in entries:
         code, text = record.run(e["argv"])
         assert (code, hashlib.sha256(text.encode()).hexdigest()) == (e["exit"], e["sha256"])
-    assert all(seen[entry, byte] for entry in ("addmul", "mat_mul") for byte in (True, False))
+    assert seen[True] and seen[False]
