@@ -46,7 +46,9 @@ Field.reduce or Field.unpack reduces every slot once at the end.  One
 elimination step is two calls: Field.column reads the pivot column of
 every row, and Field.eliminate adds each row's multiple of the pivot row;
 a multiplier of 1 is one xor, and the pivot row is prepared only for
-another multiplier.
+another multiplier.  On the wide kernel the column's entries are packed
+into one row and reduced by one Barrett pass, and a multiple of the pivot
+row is read off its 4-bit table inline, nibble by nibble.
 
 Use the cached factories GF(k) / field_from_modulus(m) so that repeated
 requests return the same context (and the same tables).  GF(k) takes its
@@ -453,17 +455,21 @@ class Field:
 
     def column(self, ps, j: int) -> list:
         """Entry j of each packed row of ps, reduced: the column that an
-        elimination step reads its pivot and multipliers from."""
-        s, mask = j * self.slot_bits, self._slot_mask
-        col = []
-        for p in ps:  # a loop: a comprehension costs more on short columns
-            col.append(p >> s & mask)
-        if self._rows is None:
-            k, top = self.degree, self.order - 1
-            for i, x in enumerate(col):
-                if x >> k:
-                    col[i] = self._reduce(x, top)
-        return col
+        elimination step reads its pivot and multipliers from.  On the wide
+        kernel the entries are packed into one row, slot i for row i, and
+        reduced in one Barrett pass by unpack."""
+        bits = self.slot_bits
+        s, mask = j * bits, self._slot_mask
+        if self._rows is not None:
+            col = []
+            for p in ps:  # a loop: a comprehension costs more on short columns
+                col.append(p >> s & mask)
+            return col
+        packed = t = 0
+        for p in ps:
+            packed |= (p >> s & mask) << t
+            t += bits
+        return self.unpack(packed, len(ps))
 
     def prepare(self, ps, n: int) -> tuple:
         """The prepared operand of reduced packed rows ps of n entries each,
@@ -504,10 +510,20 @@ class Field:
                     if prepared is None:
                         prepared = pivot.to_bytes(n, "little")
                     ps[i] ^= _from_bytes(prepared.translate(rows[c]), "little") << shift
-                else:
+                else:  # c times the pivot row, as _nibble_combine forms it
                     if prepared is None:
-                        prepared = (_nibble_table(pivot),)
-                    ps[i] ^= _nibble_combine(prepared, (c,)) << shift
+                        prepared = _nibble_table(one)
+                    if c < 16:
+                        ps[i] ^= prepared[c]
+                    elif c < 256:
+                        ps[i] ^= prepared[c & 15] ^ prepared[c >> 4] << 4
+                    else:
+                        x = s = 0
+                        while c:
+                            x ^= prepared[c & 15] << s
+                            c >>= 4
+                            s += 4
+                        ps[i] ^= x
 
     def squares(self, v) -> list:
         """The square of every entry of v, the Frobenius on vectors: one

@@ -70,11 +70,17 @@ def complete_kronecker(p: Pencil, ws: list) -> tuple:
     ws is only read: extract_normal_form passes the pencil's cached
     radical map itself.
 
-    The m v-solves share one condition matrix (the rows of W G1, then of
-    W G0), so one `solve` with all m right-hand sides gives every v_j: one
-    rref, and RREF is unique, so each v_j is what a separate solve returns.
-    The v-v pairings are the upper triangles of V G1 V^T and V G0 V^T, and
-    the correction inside span(w) is a 0/1 system solved by
+    The m v-solves share one condition matrix, the rows of W G1: one
+    `solve` with all m right-hand sides gives every v_j, from one rref,
+    and RREF is unique, so each v_j is what a separate solve returns.
+    The conditions b0(w_i, v_j) = delta_{i(j+1)} add no row: the chain
+    G0 w_0 = 0, G0 w_{i+1} = G1 w_i makes row 0 of W G0 zero with
+    right-hand side 0, and row i+1 of W G0 row i of W G1 with the same
+    right-hand side delta_ij, so the rows of W G1, then of W G0, have the
+    row space and the RREF of the rows of W G1 alone.  The v-v pairings
+    are the upper triangles of V G1 V^T and V G0 V^T, both from two
+    products, V' [G1 | G0] and then its two halves stacked times V''^T,
+    and the correction inside span(w) is a 0/1 system solved by
     back-substitution (`_vv_correction`).  O(n^3) multiplications.
 
     Nothing here checks the result: the round trip in extract_normal_form
@@ -83,24 +89,24 @@ def complete_kronecker(p: Pencil, ws: list) -> tuple:
     makes the pairing system consistent, so an inconsistent one (from
     dependent w-vectors, say) is a failed certificate, not an irregular
     input."""
-    gf, m = p.gf, p.m
+    gf, n, m = p.gf, p.n, p.m
     g0, g1 = p.q0.polar(), p.q1.polar()
 
     # b(w_i, x) = (w_i G) . x, so the condition rows are those of W G; v_j
-    # has b1(w_i, v_j) = delta_ij and b0(w_i, v_j) = delta_{i(j+1)}
-    v0 = solve(gf, mat_mul(gf, ws, g1) + mat_mul(gf, ws, g0), [
-        [int(i == j) for i in range(m + 1)] + [int(i == j + 1) for i in range(m + 1)]
-        for j in range(m)
-    ])
+    # has b1(w_i, v_j) = delta_ij (and b0(w_i, v_j) = delta_{i(j+1)}, which
+    # the chain implies, see above)
+    v0 = solve(gf, mat_mul(gf, ws, g1), [[int(i == j) for i in range(m + 1)]
+                                          for j in range(m)])
     if v0 is None:
         raise AssertionError("Kronecker pairing system is inconsistent on "
                              "a regular pencil")
 
     # Correct v_j by elements of span(w) to kill the v-v pairings b(v_i, v_j),
     # i < j: the upper triangle of V G V^T without row m-1 and column 0
-    right = transpose(v0[1:])
-    c1, c0 = ([x for i, row in enumerate(mat_mul(gf, mat_mul(gf, v0[:-1], g), right))
-               for x in row[i:]] for g in (g1, g0))
+    vg = mat_mul(gf, v0[:-1], [r1 + r0 for r1, r0 in zip(g1, g0)])
+    vgv = mat_mul(gf, [row[:n] for row in vg] + [row[n:] for row in vg], transpose(v0[1:]))
+    c1, c0 = ([x for i, row in enumerate(half) for x in row[i:]]
+              for half in (vgv[:m - 1], vgv[m - 1:]))
     sol = _vv_correction(m, c1, c0)
     corr = mat_mul(gf, [sol[j * (m + 1):(j + 1) * (m + 1)] for j in range(m)], ws)
     v0 = [[x ^ y for x, y in zip(v, c)] for v, c in zip(v0, corr)]

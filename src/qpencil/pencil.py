@@ -23,7 +23,7 @@ from . import poly
 from .algebra import EtaleAlgebra
 from .errors import NotRegularError, PreconditionError
 from .field import GF, Field, find_embedding
-from .linalg import inverse, mat_mul, rref, transpose, vec_scale
+from .linalg import inverse, mat_mul, rref, transpose
 from .quadform import QuadraticForm, pfaffian_vector, radical_elimination
 
 
@@ -37,11 +37,7 @@ class Pencil:
             raise ValueError("forms live on spaces of different dimension")
         if q0.n % 2 != 1 or q0.n < 3:
             raise ValueError(f"pencil dimension must be odd and >= 3, got {q0.n}")
-        # proportional (or one of them zero): q1 = lam q0, with lam read at
-        # the first nonzero coefficient of q0
-        c0, c1 = ([x for i, row in enumerate(q.rows) for x in row[i:]] for q in (q0, q1))
-        lead = next((i for i, x in enumerate(c0) if x), None)
-        if lead is None or vec_scale(q0.gf, c0, q0.gf.div(c1[lead], c0[lead])) == c1:
+        if _proportional(q0, q1):
             raise ValueError("the two forms are proportional; not a pencil")
         self.gf = q0.gf
         self.q0 = q0
@@ -103,19 +99,21 @@ class Pencil:
         With W the (m+1) x n matrix of the w_i and U the upper-triangular
         coefficient matrix of q, q(Omega) = Omega^T U Omega, whose t^d
         coefficient is the sum of the entries (e, f) of W U W^T with
-        e + f = d.  Two matrix products per form (U W^T, one pass over the
-        coefficients, then W times it), O(n^3) multiplications.
+        e + f = d.  Two matrix products serve both forms: [U0; U1] W^T,
+        the stacked rows sharing one W^T, then W [U0 W^T | U1 W^T], whose
+        two blocks are W U0 W^T and W U1 W^T; O(n^3) multiplications.
         """
         if self._half_disc is None:
-            gf, n = self.gf, self.n
+            gf, n, m = self.gf, self.n, self.m
             w = self.radical_map()
-            wt = transpose(w)
+            uw = mat_mul(gf, self.q0.rows + self.q1.rows, transpose(w))
+            blocks = mat_mul(gf, w, [r0 + r1 for r0, r1 in zip(uw[:n], uw[n:])])
             acc = [0] * (n + 1)
-            for shift, q in enumerate((self.q0, self.q1)):  # l shifts by 0, u by 1
-                g = mat_mul(gf, w, mat_mul(gf, q.rows, wt))
-                for e, row in enumerate(g):
-                    for f, v in enumerate(row, e + shift):
-                        acc[f] ^= v
+            for e, row in enumerate(blocks):  # l shifts the q0 block by 0, u the q1 block by 1
+                for f, v in enumerate(row[:m + 1], e):
+                    acc[f] ^= v
+                for f, v in enumerate(row[m + 1:], e + 1):
+                    acc[f] ^= v
             self._half_disc = acc
         return self._half_disc
 
@@ -224,6 +222,31 @@ class Pencil:
             f"a degree-{j} extension has a non-root",
             extension_degree=j,
         )
+
+
+def _proportional(q0: QuadraticForm, q1: QuadraticForm) -> bool:
+    """Whether q0 is zero or q1 = lam q0 for some lam, 0 included.  With
+    q0 nonzero, (a, b) its first nonzero coefficient and q1's beside it,
+    q1 = (b/a) q0 exactly when a x1 = b x0 at every coefficient: x1 = 0
+    where x0 = 0, x1 = 0 where b = 0, and two products where neither is.
+    The scan stops at the first coefficient that rules it out."""
+    if not any(map(any, q0.rows)):
+        return True
+    mul = q0.gf.mul
+    a = b = 0
+    for i, (r0, r1) in enumerate(zip(q0.rows, q1.rows)):
+        for x0, x1 in zip(r0[i:], r1[i:]):
+            if not x0:
+                if x1:
+                    return False
+            elif not a:
+                a, b = x0, x1
+            elif not (x1 and b):
+                if x1 or b:
+                    return False
+            elif mul(a, x1) != mul(b, x0):
+                return False
+    return True
 
 
 def _chain(gf, g0: tuple, g1: tuple, m: int):

@@ -16,7 +16,7 @@ import itertools
 from qpencil import poly
 from qpencil.errors import PreconditionError
 from qpencil.field import GF, Embedding, find_embedding, p2_is_irreducible
-from qpencil.linalg import mat_mul, mat_vec, rank
+from qpencil.linalg import mat_mul, mat_vec, rank, solve, transpose, vec_scale
 from qpencil.verify import points_on_X
 
 
@@ -639,6 +639,47 @@ def pfaffian_vector_fraction_free(gf, gram):
         omega[i], omega[j] = wi, wj
     inv = gf.inv(scale)
     return [mul(inv, w) for w in omega]
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker completion on the full pairing system and the flattened
+# proportionality check: the code that the pairing system from W G1 alone
+# (normalform.complete_kronecker) and the lazy scan (pencil._proportional)
+# replaced
+
+
+def kronecker_completion_full_system(p, ws):
+    """The Kronecker basis matrix (columns w_0..w_m, v_0..v_{m-1}) from
+    the 2m+2 conditions b1(w_i, v_j) = delta_ij and b0(w_i, v_j) =
+    delta_{i(j+1)}: one solve with the rows of W G1, then of W G0, and the
+    v-v correction from V G1 V^T and V G0 V^T, two products each."""
+    from qpencil.normalform import _vv_correction
+
+    gf, m = p.gf, p.m
+    g0, g1 = p.q0.polar(), p.q1.polar()
+    v0 = solve(gf, mat_mul(gf, ws, g1) + mat_mul(gf, ws, g0), [
+        [int(i == j) for i in range(m + 1)] + [int(i == j + 1) for i in range(m + 1)]
+        for j in range(m)
+    ])
+    if v0 is None:
+        return None
+    right = transpose(v0[1:])
+    c1, c0 = ([x for i, row in enumerate(mat_mul(gf, mat_mul(gf, v0[:-1], g), right))
+               for x in row[i:]] for g in (g1, g0))
+    sol = _vv_correction(m, c1, c0)
+    corr = mat_mul(gf, [sol[j * (m + 1):(j + 1) * (m + 1)] for j in range(m)], ws)
+    v0 = [[x ^ y for x, y in zip(v, c)] for v, c in zip(v0, corr)]
+    return tuple(tuple(col) for col in zip(*(ws + v0)))
+
+
+def proportional_by_scaling(q0, q1):
+    """Whether Pencil refuses (q0, q1) as proportional, both forms
+    flattened: q0 zero, or q1 equal to the one multiple of q0 that agrees
+    at q0's first nonzero coefficient."""
+    gf = q0.gf
+    c0, c1 = ([x for i, row in enumerate(q.rows) for x in row[i:]] for q in (q0, q1))
+    lead = next((i for i, x in enumerate(c0) if x), None)
+    return lead is None or vec_scale(gf, c0, gf.div(c1[lead], c0[lead])) == c1
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,10 @@ REFERENCES = {
     "divmod_by_loop": ("divmod_", {"mul", "inv"}),
     "square_mod_by_loop": ("square_mod", {"mul", "inv"}),
     "pfaffian_vector_fraction_free": ("pfaffian_vector", {"mul", "pow", "inv"}),
+    "kronecker_completion_full_system": ("complete_kronecker", {
+        "m", "polar", "mat_mul", "solve", "transpose", "_vv_correction",
+    }),
+    "proportional_by_scaling": ("_proportional", {"vec_scale", "div"}),
     "coset_by_dense_bits": ("coset_reduce", {
         "gf2_pivots", "gf2_reduce", "degree", "n", "element", "add", "mul",
     }),

@@ -3,11 +3,17 @@ import random
 
 import pytest
 
-from oracles import all_subspaces, kronecker_equations_hold, polar_by_definition, vv_system
+from oracles import (
+    all_subspaces,
+    kronecker_completion_full_system,
+    kronecker_equations_hold,
+    polar_by_definition,
+    vv_system,
+)
 from qpencil import normalform
 from qpencil.errors import NotRegularError
-from qpencil.field import GF
-from qpencil.linalg import normalize_subspace, rank, solve, transpose
+from qpencil.field import GF, field_from_modulus
+from qpencil.linalg import mat_mul, normalize_subspace, rank, solve, transpose
 from qpencil.normalform import complete_kronecker, extract_normal_form, realize
 from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm, is_totally_isotropic
@@ -143,6 +149,38 @@ def test_complete_kronecker_satisfies_equations(g4):
         cols = transpose(complete_kronecker(pc, ws))
         assert len(cols) == n and cols[: m + 1] == ws
         assert kronecker_equations_hold(pc, cols[: m + 1], cols[m + 1:])
+
+
+# GF(2), and GF(2^8) and GF(2^32) on their default and a non-default modulus
+CHAIN_FIELDS = [GF(1), GF(8), field_from_modulus(0b100011101), GF(32),
+                field_from_modulus(1 << 32 | 0b10101111)]
+
+
+def _regular_draws(gf, sizes, rng):
+    for n in sizes:
+        p = random_regular_nf_pencil(gf, n // 2, rng)
+        assert p.is_regular()
+        yield p, p.radical_map()
+
+
+@pytest.mark.parametrize("gf", CHAIN_FIELDS, ids=repr)
+def test_chain_repeats_the_rows_of_w_g1_in_w_g0(gf):
+    # G0 w_0 = 0, G0 w_{i+1} = G1 w_i and G1 w_m = 0, read as rows: row 0
+    # of W G0 is zero, row i+1 of W G0 is row i of W G1, and the last row
+    # of W G1 is zero, so the pairing system needs the rows of W G1 only
+    rng = random.Random(gf.modulus)
+    for p, ws in _regular_draws(gf, (3, 5, 7, 9, 13, 21, 31), rng):
+        wg0, wg1 = (mat_mul(gf, ws, q.polar()) for q in (p.q0, p.q1))
+        assert wg0[0] == [0] * p.n and wg1[-1] == [0] * p.n, (gf, p.n)
+        assert wg0[1:] == wg1[:-1], (gf, p.n)
+
+
+@pytest.mark.parametrize("gf", CHAIN_FIELDS, ids=repr)
+def test_kronecker_basis_is_the_full_system_reference(gf):
+    # the m + 1 rows of W G1 against the 2m + 2 rows of W G1 and W G0
+    rng = random.Random(gf.modulus + 1)
+    for p, ws in _regular_draws(gf, (3, 3, 5, 5, 7, 9, 11, 15, 21), rng):
+        assert complete_kronecker(p, ws) == kronecker_completion_full_system(p, ws), (gf, p.n)
 
 
 def test_vv_correction_matches_solve():

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from qpencil import poly
-from qpencil.field import GF, Field
+from qpencil.field import GF, Field, default_modulus, field_from_modulus, p2_is_irreducible
 from qpencil.linalg import inverse, nullspace, rref
 from oracles import (
     divmod_by_loop,
@@ -45,22 +45,31 @@ def _matrix(gf, rows, cols, rng, rank=None):
 
 @pytest.mark.parametrize("k", DEGREES)
 def test_eliminations_match_the_scalar_loops(k):
-    gf = GF(k)
+    # on the wide kernel also one non-default modulus at each slot width;
+    # the n x 2n shapes have their later columns read unreduced after
+    # several elimination steps, all in one Field.column pass
+    fields = [GF(k)]
+    if k in (9, 17, 32, 64):
+        fields.append(field_from_modulus(next(
+            m for m in range(default_modulus(k) + 2, 1 << k + 1, 2) if p2_is_irreducible(m))))
     rng = random.Random(k)
-    shapes = [(1, 1), (1, 7), (7, 1), (5, 5), (4, 9), (9, 4), (11, 11)]
-    cases = [_matrix(gf, r, c, rng) for r, c in shapes]
-    cases += [_matrix(gf, 6, 8, rng, rank=3), _matrix(gf, 9, 9, rng, rank=8),
-              _matrix(gf, 5, 5, rng, rank=0), [[0, 1, 0], [0, 0, 1], [0, 1, 1]]]
-    for a in cases:
-        assert rref(gf, a) == rref_by_loop(gf, a), a
-        assert nullspace(gf, a) == nullspace_by_loop(gf, a), a
-        if len(a) == len(a[0]):
-            want = inverse_by_loop(gf, a)
-            if want is None:
-                with pytest.raises(ValueError):
-                    inverse(gf, a)
-            else:
-                assert inverse(gf, a) == want
+    for gf in fields:
+        shapes = [(1, 1), (1, 7), (7, 1), (5, 5), (4, 9), (9, 4), (11, 11),
+                  (3, 6), (5, 10), (9, 18), (13, 26)]
+        cases = [_matrix(gf, r, c, rng) for r, c in shapes]
+        cases += [_matrix(gf, 6, 8, rng, rank=3), _matrix(gf, 9, 9, rng, rank=8),
+                  _matrix(gf, 5, 5, rng, rank=0), [[0, 1, 0], [0, 0, 1], [0, 1, 1]],
+                  _matrix(gf, 9, 18, rng, rank=6), _matrix(gf, 7, 14, rng, rank=1)]
+        for a in cases:
+            assert rref(gf, a) == rref_by_loop(gf, a), (gf, a)
+            assert nullspace(gf, a) == nullspace_by_loop(gf, a), (gf, a)
+            if len(a) == len(a[0]):
+                want = inverse_by_loop(gf, a)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        inverse(gf, a)
+                else:
+                    assert inverse(gf, a) == want
 
 
 @pytest.mark.parametrize("k", DEGREES)

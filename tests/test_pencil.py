@@ -13,6 +13,7 @@ from oracles import (
     det,
     half_disc_check,
     half_discriminant_per_key,
+    proportional_by_scaling,
     radical_map_matches_members,
 )
 from qpencil.autos import delta_stabilizer, reflections
@@ -43,6 +44,49 @@ def test_constructor_rejects_proportional(g2, g4):
         Pencil(q4, q4.scale(2))
     with pytest.raises(ValueError):  # even dimension
         Pencil(qf(g2, 4, {(0, 1): 1}), qf(g2, 4, {(2, 3): 1}))
+
+
+def test_proportionality_scan_is_the_flattened_check():
+    # the lazy scan against the flattened check it replaced, on 2400 pairs:
+    # q0 zero (q1 zero or not), q1 = lam q0 with lam = 0 included, and
+    # q1 = lam q0 changed at the last or the first coefficient only, or
+    # nonzero where q0 is zero before q0's first nonzero coefficient
+    rng = random.Random(73)
+    fields = [GF(1), GF(2), GF(8), field_from_modulus(0b100011101), GF(17), GF(32)]
+    verdicts = collections.Counter()
+    for case in range(2400):
+        gf = fields[case % len(fields)]
+        n = (3, 5, 7, 9)[case // len(fields) % 4]
+        kind = case // 24 % 5
+        keep = (1.0, 0.5, 0.2)[case % 3]
+        q0 = qf(gf, n, {(i, j): rng.randrange(gf.order) for i in range(n)
+                        for j in range(i, n) if rng.random() < keep})
+        lam = rng.randrange(gf.order)
+        rows = [list(row) for row in q0.scale(lam).rows]
+        c = rng.randrange(1, gf.order)
+        if kind == 0:
+            q0 = qf(gf, n, {})
+            rows[n - 1][n - 1] = c if case % 2 else 0
+        elif kind == 2:
+            rows[n - 1][n - 1] ^= c
+        elif kind == 3:
+            rows[0][0] ^= c
+        elif kind == 4:
+            lead = next(((i, j) for i in range(n) for j in range(i, n) if q0.rows[i][j]), (0, 0))
+            i = rng.randrange(lead[0] + 1)
+            rows[i][rng.randrange(i, lead[1] + 1 if i == lead[0] else n)] ^= c
+        q1 = QuadraticForm(gf, n, tuple(map(tuple, rows)))
+        want = proportional_by_scaling(q0, q1)
+        assert pencil._proportional(q0, q1) == want, (gf, n, kind, q0.rows, q1.rows)
+        verdicts[kind, want] += 1
+        if want:
+            with pytest.raises(ValueError, match="proportional"):
+                Pencil(q0, q1)
+        else:
+            Pencil(q0, q1)
+    # the changed pairs are refused only where q0 drew zero
+    assert verdicts == {(0, True): 480, (1, True): 480, (2, False): 461, (2, True): 19,
+                        (3, False): 457, (3, True): 23, (4, False): 447, (4, True): 33}
 
 
 def test_radical_map_normal_form(g2):
