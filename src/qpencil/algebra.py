@@ -19,22 +19,25 @@ Elements are coordinate tuples in the power basis 1, t, ..., t^{n-1}.
 Squaring is additive in characteristic 2 (as in Berlekamp's Q-matrix), so
 a square is one combination of the rows t^(2i) of a squaring table of f
 built once per algebra (poly.square_table); wp, the idempotent test and
-the pivots below all square that way.  The subgroup k + im(wp),
-wp(s) = s^2 + s, is a GF(2)-subspace; reduction against one cached set of
-its pivots gives canonical representatives (so equality of
-representatives decides isomorphism) and the Artin-Schreier witnesses.
-Its GF(2) vectors are elements packed as the field packs vectors
-(Field.pack), entry j in the j-th slot, so a squaring result joins the
-pivots as it comes out of the kernel.
+the columns below all square that way.  The subgroup W = k + im(wp),
+wp(s) = s^2 + s, is a GF(2)-subspace.  Its canonical representatives (so
+equality of representatives decides isomorphism) and Artin-Schreier
+witnesses are those of one elimination of all its spanning columns, but
+most of W is read off its structure instead: the even coordinates fall
+to lower ones by square roots (Field.sqrt), the constant one to its
+trace, and one GF(2) elimination is left, over about half of the
+columns and so a quarter of the work (the coset section below says why
+the answers do not change).  Its GF(2) vectors are elements packed as
+the field packs vectors (Field.pack), entry j in the j-th slot, so a
+squaring result joins the elimination as it comes out of the kernel.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import poly
 from .field import Field
-from .linalg import gf2_pivots, gf2_reduce
 
 
 class EtaleAlgebra:
@@ -166,32 +169,53 @@ class EtaleAlgebra:
         return tuple(eps)
 
     # -- the subspace k + wp(A) and coset reduction -------------------------------
+    # Bit b of slot j of a packed element is the coefficient of x^b t^j, and
+    # W is spanned by the columns wp(x^b t^j), j-major, then the constants
+    # x^b.  A class's canonical representative has none of W's leading
+    # bits; the witness of r in W is its one combination of the columns
+    # that an elimination in this order keeps.  For j <= M = (n-1)//2,
+    # wp(c t^j) = c^2 t^(2j) + c t^j needs no reduction by f, so these easy
+    # columns make every bit of slots 0, 2, ..., 2M a leading bit of W, and
+    # the quotient by them moves slot 2i down to sqrt(y) at slot i, i = M..1,
+    # and keeps slot 0 as its trace (the wp(x^b) span ker Tr).  E eliminates
+    # the hard columns (j > M) and the constants in that quotient.  Its
+    # leads and the easy ones are W's, and every column it keeps (and every
+    # easy one but wp(1) = 0) is one the full elimination keeps, so the
+    # representatives and witnesses are the full elimination's.
 
     @cached_property
     def _coset_pivots(self) -> tuple:
-        """GF(2) pivots of k + wp(A), spanned by the columns wp(t^j x^b)
-        followed by the constants x^b.  A column is a packed row
-        (Field.pack), so bit b of entry j sits at j * slot_bits + b; bit
-        b + j*k of a combination is column (j, b).  Column (j, b) is
-        x^(2b) T_j + x^b t^j, with T_j = t^(2j) row j of the squaring
-        table, so one kernel call per b over the table's rows laid end to
-        end, prepared once, gives that column for every j."""
-        gf, n, k, bits = self.gf, self.n, self.gf.degree, self.gf.slot_bits
-        size = n * n
-        flat = gf.prepare((gf.pack([c for row in self._square_table[0] for c in row]),), size)
-        mask = (1 << n * bits) - 1
-        cols = [0] * (n * k)
-        for b in range(k):
-            x = 1 << b
-            squares = gf.reduce(gf.combine(flat, (gf.mul(x, x),)), size)
-            for j in range(n):
-                cols[j * k + b] = (squares >> j * n * bits & mask) ^ x << j * bits
-        return tuple(gf2_pivots(cols + [1 << b for b in range(k)]))
+        """(leads, pivots) of E over the quotient of each hard column and
+        each constant (_quotient).  Column (j, b) is x^(2b) T_j + x^b t^j,
+        with T_j = t^(2j) row j of the squaring table, so one kernel call
+        per b over the hard rows laid end to end, prepared once, gives that
+        column for every hard j."""
+        gf, n, k = self.gf, self.n, self.gf.degree
+        hard = self._square_table[0][(n - 1) // 2 + 1 :]
+        first, size = n - len(hard), len(hard) * n
+        trace = _slot_zero(gf)[0]
+        xs = [1 << b for b in range(k)]
+        cols = [0] * (len(hard) * k)
+        if hard:
+            flat = gf.prepare((gf.pack([c for row in hard for c in row]),), size)
+            for b, (x, square) in enumerate(zip(xs, gf.squares(xs))):
+                squares = gf.unpack(gf.combine(flat, (square,)), size)
+                for h in range(len(hard)):
+                    e, w = squares[h * n : h * n + n], [0] * n
+                    e[first + h] ^= x
+                    w[first + h] = x
+                    cols[h * k + b] = _quotient(gf, trace, e, w)
+        cols += [_quotient(gf, trace, [x] + [0] * (n - 1), [0] * n) for x in xs]
+        return _pivots(cols, (1 << (1 + n // 2) * gf.slot_bits) - 1)
 
     def coset_reduce(self, x: tuple) -> tuple[tuple, bool]:
-        """Canonical representative of x modulo k + wp(A), and triviality."""
-        red, _ = gf2_reduce(self.gf.pack(x), self._coset_pivots)
-        return tuple(self.gf.unpack(red, self.n)), red == 0
+        """Canonical representative of x modulo k + wp(A), and triviality.
+        It has no even slot: its odd slots are those of the reduction."""
+        gf, n = self.gf, self.n
+        red = _reduce(_quotient(gf, _slot_zero(gf)[0], list(x), [0] * n), *self._coset_pivots)
+        rep = [0] * n
+        rep[1::2] = gf.unpack(red & (1 << (1 + n // 2) * gf.slot_bits) - 1, 1 + n // 2)[1:]
+        return tuple(rep), not any(rep)
 
     def solve_artin_schreier(self, r: tuple):
         """s with wp(s) + c = r for some constant c, or None.
@@ -199,12 +223,76 @@ class EtaleAlgebra:
         None means r is not in k + wp(A) over this base field;
         geometry.quasi_split_over finds the extension that repairs it.
         """
-        red, combo = gf2_reduce(self.gf.pack(r), self._coset_pivots)
-        if red:
+        gf, n, k = self.gf, self.n, self.gf.degree
+        width = (1 + n // 2) * gf.slot_bits
+        red = _reduce(_quotient(gf, _slot_zero(gf)[0], list(r), [0] * n), *self._coset_pivots)
+        if red & (1 << width) - 1:
             return None
-        k = self.gf.degree
-        s = tuple(combo >> j * k & (1 << k) - 1 for j in range(self.n))
+        s = gf.unpack(red >> width, n)
+        s[0] = _reduce(s[0], *_slot_zero(gf)[1]) >> k  # slot 0 has trace 0 here
+        s = tuple(s)
         check = self.add(self.artin_schreier(s), r)
         if any(check[1:]):
             raise AssertionError("Artin-Schreier witness fails verification")
         return s
+
+
+# ---------------------------------------------------------------------------
+# the quotient by the easy columns, and the one GF(2) elimination (on packed
+# ints, a vector's leading bit its highest set bit)
+
+
+def _quotient(gf: Field, trace: int, e: list, w: list) -> int:
+    """E's packed vector for the element e with witness w, lists of n
+    entries that it moves in place.  The even slots 2M, ..., 2 move down
+    by square roots, y t^(2i) = sqrt(y) t^i + wp(sqrt(y) t^i), into e and
+    w; the vector holds Tr(e_0) (the parity of e_0 & trace), the odd slots
+    of e and then w with e_0 in its slot 0, whose wp preimage
+    solve_artin_schreier takes once, for the sum."""
+    sqrt = gf.sqrt
+    for i in range((len(e) - 1) // 2, 0, -1):
+        y = e[2 * i]
+        if y:
+            root = sqrt(y)
+            e[i] ^= root
+            w[i] ^= root
+    w[0] = e[0]
+    return gf.pack([(e[0] & trace).bit_count() & 1, *e[1::2], *w])
+
+
+def _reduce(c: int, leads: int, pivots: list) -> int:
+    """c with none of the leads set: while c has one, the pivot of the
+    highest is added (pivots[i] is the pivot whose lead has bit_length i)."""
+    while hit := c & leads:
+        c ^= pivots[hit.bit_length()]
+    return c
+
+
+def _pivots(columns, mask: int) -> tuple:
+    """(leads, pivots) spanning the columns, each column reduced by the
+    pivots before it and kept, led by its highest bit in mask, when its
+    bits in mask do not all vanish; the bits above mask of a column ride
+    along in every sum.  This and _reduce are the package's one GF(2)
+    elimination."""
+    leads, pivots = 0, [0] * (mask.bit_length() + 1)
+    for c in columns:
+        c = _reduce(c, leads, pivots)
+        if c & mask:
+            lead = (c & mask).bit_length()
+            pivots[lead] = c
+            leads |= 1 << lead - 1
+    return leads, pivots
+
+
+@lru_cache(maxsize=None)
+def _slot_zero(gf: Field) -> tuple:
+    """What slot 0 needs, once per field: the absolute trace of GF(2^k) as a
+    mask (Tr(a) is the parity of a & mask), and the pivots of wp(k) =
+    ker Tr, each wp(a) | a << k for a a sum of the x^b, b >= 1 (wp(1) = 0),
+    so that reducing y of trace 0 leaves a << k, wp(a) = y with bit 0
+    clear."""
+    k, low = gf.degree, (1 << gf.degree) - 1
+    xs = [1 << b for b in range(1, k)]
+    wp = _pivots([square ^ x | x << k for x, square in zip(xs, gf.squares(xs))], low)
+    # x^b reduces to zero exactly when it lies in ker Tr
+    return sum(x for x in [1, *xs] if _reduce(x, *wp) & low), wp

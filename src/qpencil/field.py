@@ -5,8 +5,9 @@ the power basis of GF(2)[T]/(modulus).  Addition is xor, and the zero and
 one elements are the ints 0 and 1.  A Field object carries the modulus and
 its kernel's tables; it is immutable after construction, so contexts can
 be shared freely between threads (its two caches, of the wide kernel's
-slot masks and of the k square roots that sqrt reads, are bounded and
-hold values that depend on the field alone).
+slot masks and of the ceil(k/8) byte tables of square roots that sqrt
+reads, at most 2048 ints, are bounded, built on first use and hold values
+that depend on the field alone).
 
 Products of vectors are packed: a vector becomes one int, entry j in the
 j-th slot of slot_bits bits (Field.pack, Field.unpack), and the kernel
@@ -160,13 +161,13 @@ def _linear_map(images, a: int) -> int:
     return r
 
 
-def _linear_byte_map(images) -> bytes:
-    """The 256-byte table of the GF(2)-linear map on bytes that takes bit
-    i to images[i]."""
+def _linear_byte_map(images) -> list:
+    """The values of the GF(2)-linear map that takes bit i to images[i] at
+    every int below 2^len(images): with eight images, one entry per byte."""
     out = [0]
     for v in images:
         out += [x ^ v for x in out]
-    return bytes(out)
+    return out
 
 
 def p2_mod(a: int, m: int) -> int:
@@ -309,7 +310,7 @@ class Field:
         for _ in range(8):
             v = powers[-1] << 1
             powers.append(v ^ m if v >> k else v)
-        one, times_t = _linear_byte_map(powers[:8]), _linear_byte_map(powers[1:])
+        one, times_t = bytes(_linear_byte_map(powers[:8])), bytes(_linear_byte_map(powers[1:]))
         basis = [one]  # the rows of T^i, i < k
         for _ in range(k - 1):
             basis.append(basis[-1].translate(times_t))
@@ -579,16 +580,25 @@ class Field:
         return r
 
     def sqrt(self, a: int) -> int:
-        """The unique square root (GF(2^k) is perfect), GF(2)-linear: the
-        xor of the roots of the T^i at the set bits of a, sqrt(T^2j) = T^j
-        and sqrt(T^(2j+1)) = sqrt(T) T^j, built on the first call from
-        sqrt(T) = T^(2^(k-1))."""
-        roots = self._roots
-        if roots is None:
+        """The unique square root (GF(2^k) is perfect).  It is GF(2)-linear,
+        sqrt(T^2j) = T^j and sqrt(T^(2j+1)) = sqrt(T) T^j with sqrt(T) =
+        T^(2^(k-1)), so the root of a is the xor of the roots of its bytes:
+        one lookup per byte, in a table of the roots of that byte's 256
+        values.  The ceil(k/8) tables are built on the first call, and kept
+        as the low byte's table and those of the bytes above it."""
+        tables = self._roots
+        if tables is None:
             s = self.pow(2, self.order >> 1)  # sqrt(T), unused at k = 1
-            roots = self._roots = [self.mul(s, 1 << i // 2) if i & 1 else 1 << i // 2
-                                   for i in range(self.degree)]
-        return _linear_map(roots, a)
+            roots = [self.mul(s, 1 << i // 2) if i & 1 else 1 << i // 2
+                     for i in range(self.degree)]
+            low, *above = (_linear_byte_map(roots[i:i + 8]) for i in range(0, self.degree, 8))
+            tables = self._roots = low, tuple(above)
+        low, above = tables
+        r = low[a & 255]
+        for table in above:
+            a >>= 8
+            r ^= table[a & 255]
+        return r
 
     # -- element iteration ---------------------------------------------------
 

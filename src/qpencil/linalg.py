@@ -9,11 +9,8 @@ field's packed product, Field.mat_mul: mat_vec and vec_scale are one-row
 products.  There is no factorization to keep: a caller that solves with
 one matrix many times (the Kronecker chain, pencil._chain) reads a solve
 operator off one rref of the matrix beside the identity and applies it as
-a prepared operand, one Field.combine per right-hand side.  A bit-packed
-GF(2) toolkit for subspace work inside etale algebras lives at the
-bottom; it uses only xor and leading bits, so placing the bits elsewhere
-in the same order (such as in Field.pack's slots) moves its pivots and
-remainders along with them.
+a prepared operand, one Field.combine per right-hand side.  The GF(2)
+elimination of the etale algebra's subspace k + wp(A) lives in algebra.
 """
 
 from __future__ import annotations
@@ -148,37 +145,3 @@ def normalize_subspace(gf: Field, vectors: list) -> tuple:
 def intersect_dim(gf: Field, span_a, span_b) -> int:
     """Linear dimension of the intersection of two row spans."""
     return rank(gf, span_a) + rank(gf, span_b) - rank(gf, [*span_a, *span_b])
-
-
-# ---------------------------------------------------------------------------
-# GF(2) linear algebra on bit-packed vectors (ints)
-
-
-def gf2_pivots(columns: list[int]) -> list[tuple[int, int]]:
-    """(value, combination) pairs spanning the columns, with distinct
-    leading bits in descending order; bit j of a combination is column j."""
-    by_lead: dict[int, tuple[int, int]] = {}
-    leads = 0  # the pivots' leading bits
-    for j, col in enumerate(columns):
-        combo = 1 << j
-        # the pivot to use next is the one whose leading bit is the
-        # highest bit of col among the leads; the reduction is unique
-        while hit := col & leads:
-            val, cmb = by_lead[hit.bit_length()]
-            col ^= val
-            combo ^= cmb
-        if col:
-            by_lead[col.bit_length()] = col, combo
-            leads |= 1 << (col.bit_length() - 1)
-    return [by_lead[b] for b in sorted(by_lead, reverse=True)]
-
-
-def gf2_reduce(v: int, pivots) -> tuple[int, int]:
-    """The remainder of v with none of the pivots' leading bits set, and
-    the combination of columns whose xor is v + remainder."""
-    combo = 0
-    for val, cmb in pivots:
-        if v ^ val < v:
-            v ^= val
-            combo ^= cmb
-    return v, combo

@@ -315,7 +315,7 @@ def serialize_pencil(p):
 
 
 def gf2_pivots_by_scan(columns):
-    """linalg.gf2_pivots by a scan over every pivot, re-sorted after each
+    """gf2_pivots (the reference below) by a scan over every pivot, re-sorted after each
     insertion: (value, combination) pairs with distinct leading bits in
     descending order."""
     pivots = []
@@ -683,27 +683,63 @@ def proportional_by_scaling(q0, q1):
 
 
 # ---------------------------------------------------------------------------
-# coset reduction with k bits per entry: the layout that Field.pack's slots
-# replaced (EtaleAlgebra._coset_pivots, coset_reduce, solve_artin_schreier)
+# coset reduction by one GF(2) elimination of every column, k bits per
+# entry: the code that the even-slot moves and the elimination of the hard
+# columns replaced (EtaleAlgebra._coset_pivots, coset_reduce,
+# solve_artin_schreier), with the bit-packed GF(2) toolkit it ran on (once
+# linalg.gf2_pivots and gf2_reduce)
 
 
-def coset_by_dense_bits(algebra, x):
+def gf2_pivots(columns):
+    """(value, combination) pairs spanning the columns, with distinct
+    leading bits in descending order; bit j of a combination is column j."""
+    by_lead = {}
+    leads = 0  # the pivots' leading bits
+    for j, col in enumerate(columns):
+        combo = 1 << j
+        # the pivot to use next is the one whose leading bit is the
+        # highest bit of col among the leads; the reduction is unique
+        while hit := col & leads:
+            val, cmb = by_lead[hit.bit_length()]
+            col ^= val
+            combo ^= cmb
+        if col:
+            by_lead[col.bit_length()] = col, combo
+            leads |= 1 << (col.bit_length() - 1)
+    return [by_lead[b] for b in sorted(by_lead, reverse=True)]
+
+
+def gf2_reduce(v, pivots):
+    """The remainder of v with none of the pivots' leading bits set, and
+    the combination of columns whose xor is v + remainder."""
+    combo = 0
+    for val, cmb in pivots:
+        if v ^ val < v:
+            v ^= val
+            combo ^= cmb
+    return v, combo
+
+
+def coset_by_dense_bits(algebra, xs):
     """(the canonical representative of x modulo k + wp(A), whether it is
-    trivial, the Artin-Schreier witness or None) with every element packed
-    densely, entry j in bits [j k, j k + k): the columns wp(x^b t^j),
-    squared by multiplication, then the constants x^b, reduced by the GF(2)
-    toolkit; the witness is the combination read k bits per entry."""
-    from qpencil.linalg import gf2_pivots, gf2_reduce
-
+    trivial, the Artin-Schreier witness or None) for each x in xs, with
+    every element packed densely, entry j in bits [j k, j k + k): the
+    columns wp(x^b t^j), squared by multiplication, then the constants
+    x^b, eliminated once by the GF(2) toolkit; the witness is the
+    combination read k bits per entry."""
     k, n = algebra.gf.degree, algebra.n
     cols = []
     for j in range(n):
         for b in range(k):
             e = algebra.element([0] * j + [1 << b])
             cols.append(_dense_bits(algebra.add(algebra.mul(e, e), e), k))
-    red, combo = gf2_reduce(_dense_bits(x, k), gf2_pivots(cols + [1 << b for b in range(k)]))
-    witness = None if red else _dense_entries(combo, k, n)
-    return _dense_entries(red, k, n), red == 0, witness
+    pivots = gf2_pivots(cols + [1 << b for b in range(k)])
+    out = []
+    for x in xs:
+        red, combo = gf2_reduce(_dense_bits(x, k), pivots)
+        witness = None if red else _dense_entries(combo, k, n)
+        out.append((_dense_entries(red, k, n), red == 0, witness))
+    return out
 
 
 def _dense_bits(v, k):
@@ -715,3 +751,25 @@ def _dense_bits(v, k):
 
 def _dense_entries(bits, k, n):
     return tuple(bits >> j * k & (1 << k) - 1 for j in range(n))
+
+
+# ---------------------------------------------------------------------------
+# the square root one bit at a time: the loop that Field.sqrt's byte tables
+# replaced
+
+
+def sqrt_by_bits(gf, xs):
+    """The square root of each a in xs as the xor of the roots of the T^i at
+    the set bits of a: sqrt(T^2j) = T^j and sqrt(T^(2j+1)) = sqrt(T) T^j,
+    with sqrt(T) = T^(2^(k-1)), the k roots built once."""
+    s = gf.pow(2, gf.order >> 1)  # unused at k = 1
+    roots = [gf.mul(s, 1 << i // 2) if i & 1 else 1 << i // 2 for i in range(gf.degree)]
+    out = []
+    for a in xs:
+        r = 0
+        while a:
+            low = a & -a
+            r ^= roots[low.bit_length() - 1]
+            a ^= low
+        out.append(r)
+    return out

@@ -11,11 +11,11 @@ from oracles import (
     coset_by_dense_bits,
     coset_columns_per_element,
     evaluate,
+    gf2_pivots,
     wp_plus_constants,
 )
 from qpencil.algebra import EtaleAlgebra
 from qpencil.field import GF, default_modulus, field_from_modulus, p2_is_irreducible
-from qpencil.linalg import gf2_pivots
 from qpencil.verify import (
     algebra_trace,
     random_separable_poly,
@@ -307,18 +307,29 @@ def test_square_matches_mul():
 
 
 def test_coset_pivots_match_per_column():
-    # columns from the squaring table, one kernel call per bit b, against
-    # wp(x^b t^j) squared by multiplication one column at a time: the same
-    # columns in the same order give the same pivots, f non-monic included
+    # W = k + wp(A) eliminated in full, wp(x^b t^j) squared by
+    # multiplication one column at a time, has as its leading bits every bit
+    # of slots 0, 2, ..., 2M (the easy leads, M = (n-1)//2) and the leads of
+    # E, the pivots of the hard columns in the quotient, in the odd slots:
+    # E's slot 0 is the trace bit of slot 0 and its slot t an odd slot 2t-1
     rng = random.Random(52)
     cases = 0
     for k in (1, 2, 3, 8, 17, 32):
         gf = GF(k)
+        bits = gf.slot_bits
         for deg in range(1, 10):
             f = random_separable_poly(gf, deg, rng)
             c = rng.randrange(2, gf.order) if gf.order > 2 else 1
             A = EtaleAlgebra(gf, tuple(gf.mul(c, x) for x in f))
-            assert A._coset_pivots == tuple(gf2_pivots(coset_columns_per_element(A))), (k, f)
+            full = {val.bit_length() - 1 for val, _ in gf2_pivots(coset_columns_per_element(A))}
+            leads, pivots = A._coset_pivots
+            ranks = [p for p in range(leads.bit_length()) if leads >> p & 1]
+            width = (1 + deg // 2) * bits  # the bits below the witness
+            assert all((pivots[p + 1] & (1 << width) - 1).bit_length() == p + 1 for p in ranks)
+            easy = {j * bits + b for j in range(0, deg, 2) for b in range(k)}
+            odd = {(2 * (p // bits) - 1) * bits + p % bits for p in ranks if p >= bits}
+            assert full == easy | odd, (k, f)
+            assert ranks[0] == 0 and len(ranks) == len(odd) + 1  # one led by the trace bit
             cases += A.f[-1] != 1
     assert cases == 39
 
@@ -345,10 +356,41 @@ def test_coset_representatives_do_not_depend_on_the_bit_layout():
                 y = list(A.artin_schreier(xs[i]))
                 y[0] ^= rng.randrange(gf.order)
                 xs[i] = tuple(y)
-            for x in xs:
-                rep, trivial, witness = coset_by_dense_bits(A, x)
+            for x, (rep, trivial, witness) in zip(xs, coset_by_dense_bits(A, xs)):
                 assert A.coset_reduce(x) == (rep, trivial), (gf, A.f, x)
                 assert A.solve_artin_schreier(x) == witness, (gf, A.f, x)
                 dying += trivial
                 surviving += not trivial
     assert (dying, surviving, non_monic) == (161, 39, 42)
+
+
+def test_coset_structure_matches_the_full_elimination():
+    # the even-slot moves and E against one elimination of every column in
+    # the dense layout: representatives, triviality and witnesses on random
+    # x, on wp(s) + c (trivial) and on wp(s) + c with one bit flipped; f
+    # non-monic, deg f from 1 (no slot but 0) and 2 (no easy slot above 0)
+    # up to 31 over GF(2)..GF(2^9), 17 up to GF(2^32) and 11 over GF(2^64),
+    # on the default modulus of each degree and three others (the byte
+    # kernel, k = 17 and k = 32)
+    rng = random.Random(54)
+    fields = [GF(k) for k in (1, 2, 3, 8, 9, 16, 17, 24, 32, 64)]
+    fields += [field_from_modulus(m) for m in (0x11D, 0x2000F, 0x1000000AF)]
+    pairs = dying = 0
+    for gf in fields:
+        for deg in range(1, 32 if gf.degree <= 9 else 18 if gf.degree <= 32 else 12):
+            f = random_separable_poly(gf, deg, rng)
+            c = rng.randrange(2, gf.order) if gf.order > 2 else 1
+            A = EtaleAlgebra(gf, tuple(gf.mul(c, x) for x in f))
+            xs = [A.element([rng.randrange(gf.order) for _ in range(deg)]) for _ in range(9)]
+            for i in range(3, 9):  # wp(s) + c, and from i = 6 on one bit flipped
+                y = list(A.artin_schreier(xs[i]))
+                y[0] ^= rng.randrange(gf.order)
+                if i >= 6:
+                    y[rng.randrange(deg)] ^= 1 << rng.randrange(gf.degree)
+                xs[i] = tuple(y)
+            for x, (rep, trivial, witness) in zip(xs, coset_by_dense_bits(A, xs)):
+                assert A.coset_reduce(x) == (rep, trivial), (gf, A.f, x)
+                assert A.solve_artin_schreier(x) == witness, (gf, A.f, x)
+                dying += trivial
+            pairs += len(xs)
+    assert (pairs, dying) == (2691, 1579)

@@ -88,9 +88,8 @@ REFERENCES = {
         "m", "polar", "mat_mul", "solve", "transpose", "_vv_correction",
     }),
     "proportional_by_scaling": ("_proportional", {"vec_scale", "div"}),
-    "coset_by_dense_bits": ("coset_reduce", {
-        "gf2_pivots", "gf2_reduce", "degree", "n", "element", "add", "mul",
-    }),
+    "coset_by_dense_bits": ("coset_reduce", {"degree", "n", "element", "add", "mul"}),
+    "sqrt_by_bits": ("sqrt", {"pow", "order", "mul", "degree"}),
 }
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (compose_embeddings, default_modulus_by_search, inv_by_pow, mul_by_bits,
-                     pow_by_bits)
+                     pow_by_bits, sqrt_by_bits)
 from qpencil.field import (
     _BYTE_DEGREE,
     GF,
@@ -195,6 +195,22 @@ def test_mul_and_inv_match_the_bit_loop_oracle(k):
                 assert gf.pow(a, e) == pow_by_bits(modulus, a, e)
                 if a:
                     assert gf.pow(a, -e) == pow_by_bits(modulus, inv_by_pow(modulus, a), e)
+
+
+@pytest.mark.parametrize("k", range(1, MAX_FIELD_DEGREE + 1))
+def test_sqrt_tables_match_the_bit_loop(k):
+    # the byte tables against the xor of one root per set bit, on the
+    # default modulus and the next irreducible one (GF(4) has no other):
+    # every element up to GF(2^16), 10^4 random ones above
+    rng = random.Random(2000 + k)
+    default = default_modulus(k)
+    checked = 0
+    for modulus in [default] + _irreducibles(k, 1, default):
+        gf = field_from_modulus(modulus)
+        xs = range(gf.order) if k <= 16 else [rng.randrange(gf.order) for _ in range(10**4)]
+        assert list(map(gf.sqrt, xs)) == sqrt_by_bits(gf, xs), modulus
+        checked += len(xs)
+    assert checked == (2 * 10**4 if k > 16 else (1 << k) * (1 if k == 2 else 2))
 
 
 def _addmul_by_bits(modulus, acc, cs, vs):

@@ -25,12 +25,13 @@ import random
 import pytest
 
 from qpencil import poly
+from qpencil.algebra import EtaleAlgebra
 from qpencil.field import GF
 from qpencil.linalg import inverse, mat_mul, rank, rref
 from qpencil.normalform import extract_normal_form
 from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm, pfaffian_vector
-from qpencil.verify import random_regular_nf_pencil
+from qpencil.verify import random_regular_nf_pencil, random_separable_poly
 
 DEGREES = (1, 8, 32)
 DRAWS = {1: 12, 8: 1, 32: 1}
@@ -117,6 +118,14 @@ def _square_mod(gf, d, rng):
     return lambda: poly.square_mod(gf, h, table)
 
 
+def _coset_build(gf, d, rng):
+    # the squaring table of f is built here, so the hard columns' kernel
+    # calls are counted: k calls over about d/2 rows of d entries
+    algebra = EtaleAlgebra(gf, tuple(random_separable_poly(gf, d, rng)))
+    algebra._square_table
+    return lambda: algebra._coset_pivots
+
+
 # layer: (input builder, sizes n, stated exponent)
 GROWTH = {
     "radical_map": (_radical_map, SIZES, 3.0),
@@ -129,6 +138,7 @@ GROWTH = {
     "pfaffian_vector": (_pfaffian_vector, SIZES, 3.0),
     "divmod": (_divmod, SIZES, 2.0),
     "square_mod": (_square_mod, SIZES, 2.0),
+    "coset_build": (_coset_build, SIZES, 2.0),
 }
 
 

@@ -4,11 +4,9 @@ from operator import xor
 
 import pytest
 
-from oracles import det, gf2_pivots_by_scan
+from oracles import det, gf2_pivots, gf2_pivots_by_scan, gf2_reduce
 from qpencil.field import GF
 from qpencil.linalg import (
-    gf2_pivots,
-    gf2_reduce,
     identity,
     intersect_dim,
     inverse,
