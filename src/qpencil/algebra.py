@@ -143,17 +143,22 @@ class EtaleAlgebra:
 
     @cached_property
     def idempotents(self) -> tuple:
-        """Primitive orthogonal idempotents, one per irreducible factor,
-        built by extended gcd of f_i and f/f_i; their sum is 1."""
+        """Primitive orthogonal idempotents, one per irreducible factor f_i
+        of the monic f: e_i = g_i h_i, with g_i = f / f_i and h_i the
+        inverse of g_i modulo f_i (one Euclid, poly.inverse_mod, that keeps
+        one cofactor), so e_i is 1 modulo f_i and 0 modulo the other
+        factors.  It has degree below deg f and needs no reduction.  Each
+        is certified coprime and idempotent, and together they sum to 1
+        and are pairwise orthogonal."""
         gf = self.gf
         mf = list(self.monic_f)
         eps = []
         for fi in self.factors:
             gi = poly.divexact(gf, mf, list(fi))
-            g, u, v = poly.extended_gcd(gf, list(fi), gi)
-            if g != [1]:
+            hi = poly.inverse_mod(gf, gi, list(fi))
+            if hi is None:
                 raise AssertionError("separable factors are not coprime")
-            e = self.from_poly(poly.mul(gf, v, gi))
+            e = self.element(poly.mul(gf, gi, hi))
             if not self.is_idempotent(e):
                 raise AssertionError("CRT element is not idempotent")
             eps.append(e)
@@ -187,19 +192,19 @@ class EtaleAlgebra:
     def _coset_pivots(self) -> tuple:
         """(leads, pivots) of E over the quotient of each hard column and
         each constant (_quotient).  Column (j, b) is x^(2b) T_j + x^b t^j,
-        with T_j = t^(2j) row j of the squaring table, so one kernel call
-        per b over the hard rows laid end to end, prepared once, gives that
-        column for every hard j."""
+        with T_j = t^(2j) row j of the squaring table, so one product, of
+        the column of the x^(2b) with the hard rows laid end to end, gives
+        that column for every hard j and every b."""
         gf, n, k = self.gf, self.n, self.gf.degree
         hard = self._square_table[0][(n - 1) // 2 + 1 :]
-        first, size = n - len(hard), len(hard) * n
+        first = n - len(hard)
         trace = _slot_zero(gf)[0]
         xs = [1 << b for b in range(k)]
         cols = [0] * (len(hard) * k)
         if hard:
-            flat = gf.prepare((gf.pack([c for row in hard for c in row]),), size)
-            for b, (x, square) in enumerate(zip(xs, gf.squares(xs))):
-                squares = gf.unpack(gf.combine(flat, (square,)), size)
+            flat = [c for row in hard for c in row]
+            products = gf.mat_mul([[c] for c in gf.squares(xs)], [flat])
+            for b, (x, squares) in enumerate(zip(xs, products)):
                 for h in range(len(hard)):
                     e, w = squares[h * n : h * n + n], [0] * n
                     e[first + h] ^= x

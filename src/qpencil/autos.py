@@ -153,7 +153,7 @@ def group_generators(p: Pencil) -> list[AutomorphismRep]:
     algebra, nf, m = an.algebra, an.nf, an.nf.m
     gens = [phi(algebra, nf, e) for e in algebra.idempotents[1:]]
     for g in gens:
-        if p.q0.transform(g.matrix) != p.q0 or p.q1.transform(g.matrix) != p.q1:
+        if p.q0.transform(g.matrix, p.q1) != (p.q0, p.q1):
             raise AssertionError("phi(idempotent) fails to preserve the pair")
     if len(gens) > 1:
         b_w = [row[: m + 1] for row in nf.basis]
@@ -414,7 +414,7 @@ def _lift_one(an: PairAnalysis, sm: list) -> list:
     lift = mat_mul(gf, moved_frame, an.r0_frame_inverse)
 
     moved = work.change_basis_gl2(sm)
-    if moved.q0.transform(lift) != work.q0 or moved.q1.transform(lift) != work.q1:
+    if moved.q0.transform(lift, moved.q1) != (work.q0, work.q1):
         raise AssertionError("lift of a stabilizer element fails substitution")
     return lift
 

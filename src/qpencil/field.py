@@ -13,7 +13,8 @@ Products of vectors are packed: a vector becomes one int, entry j in the
 j-th slot of slot_bits bits (Field.pack, Field.unpack), and the kernel
 entries work on whole packed rows.  Field.mat_mul(a, b) = a b forms every
 product of vectors; a sum of c*v over pairs (c, v) is its one-row product
-mat_mul([cs], vs)[0].  One of two kernels serves a field, chosen by its
+mat_mul([cs], vs)[0], which on the byte kernel xors the translated rows
+straight into the result.  One of two kernels serves a field, chosen by its
 degree when it is built:
 
 - the byte-slot kernel, k <= 8: an entry takes one byte, and _rows[c] is
@@ -35,21 +36,29 @@ degree when it is built:
   doubles the exponents.
 
 Packing and unpacking cost time linear in the length (int.from_bytes and
-int.to_bytes, through array on the wide kernel).  The eliminations of
-linalg and the division and squaring of poly keep their rows packed from
-entry to exit.  A prepared operand, Field.prepare, is reduced packed rows
-ready for any number of Field.combine calls (their bytes, or their 4-bit
-tables): a pivot row for every other row, a divisor for every quotient
-term, the rows of a squaring table for every squaring.  A working row is
-a packed int that sums such combinations, unreduced on the wide kernel,
-shifted to a slot offset; Field.entry reads one slot reduced, and
-Field.reduce or Field.unpack reduces every slot once at the end.  One
-elimination step is two calls: Field.column reads the pivot column of
-every row, and Field.eliminate adds each row's multiple of the pivot row;
-a multiplier of 1 is one xor, and the pivot row is prepared only for
-another multiplier.  On the wide kernel the column's entries are packed
-into one row and reduced by one Barrett pass, and a multiple of the pivot
-row is read off its 4-bit table inline, nibble by nibble.
+int.to_bytes, through array on the wide kernel), but on the wide kernel
+each unpack also pays a fixed cost of a Barrett pass, a to_bytes, an array
+and a tolist.  So Field.unpack_rows unpacks many rows together: it joins
+them end to end into one int (up to _MASKS_KEPT slots a join) and pays
+those costs once a join, then slices; a product of several rows
+(Field.mat_mul) and an elimination's result (linalg.rref) come out of it.
+The byte kernel's rows need no reduction, and joining them took 1.4-1.8x
+the time of one to_bytes a row (5 x 5 to 31 x 31, k = 1 and 8), so there
+each row is converted on its own.  The eliminations of linalg and the
+division and squaring of poly keep their rows packed from entry to exit.
+A prepared operand, Field.prepare, is reduced packed rows ready for any
+number of Field.combine calls (their bytes, or their 4-bit tables): a
+pivot row for every other row, a divisor for every quotient term, the rows
+of a squaring table for every squaring.  A working row is a packed int
+that sums such combinations, unreduced on the wide kernel, shifted to a
+slot offset; Field.entry reads one slot reduced, and Field.reduce or
+Field.unpack reduces every slot once at the end.  One elimination step is
+two calls: Field.column reads the pivot column of every row, and
+Field.eliminate adds each row's multiple of the pivot row; a multiplier of
+1 is one xor, and the pivot row is prepared only for another multiplier.
+On the wide kernel the column's entries are packed into one row and
+reduced by one Barrett pass, and a multiple of the pivot row is read off
+its 4-bit table inline, nibble by nibble.
 
 Use the cached factories GF(k) / field_from_modulus(m) so that repeated
 requests return the same context (and the same tables).  GF(k) takes its
@@ -362,17 +371,30 @@ class Field:
     def mat_mul(self, a, b) -> list:
         """The matrix product a b, packed: every row of b becomes one int
         (and, on the wide kernel, its 4-bit table) once, then each row of a
-        is one combination of them and one unpack.  Every row of b has the
+        is one combination of them, and the rows are unpacked together
+        (unpack_rows).  A one-row product on the byte kernel sets nothing
+        up: it xors the translated rows of b straight into the result, one
+        int.from_bytes per nonzero coefficient.  Every row of b has the
         width of b[0] and every row of a has len(b) entries (a shorter row
         of b would be read as padded with zeros)."""
         width = len(b[0]) if b else 0
         rows = self._rows
         if rows is not None:
+            if len(a) == 1:
+                p = 0
+                for c, v in zip(a[0], b):
+                    if c == 1:
+                        p ^= _from_bytes(bytes(v), "little")
+                    elif c:
+                        p ^= _from_bytes(bytes(v).translate(rows[c]), "little")
+                return [list(p.to_bytes(width, "little"))]
             prepared = [(_from_bytes(v, "little"), v) for v in map(bytes, b)]
             return [list(_byte_combine(rows, prepared, row).to_bytes(width, "little"))
                     for row in a]
         tables = [_nibble_table(self.pack(v)) for v in b]
-        return [self.unpack(_nibble_combine(tables, row), width) for row in a]
+        if len(a) == 1:
+            return [self.unpack(_nibble_combine(tables, a[0]), width)]
+        return self.unpack_rows([_nibble_combine(tables, row) for row in a], width)
 
     # -- the packed representation (see the module docstring) ---------------
 
@@ -435,6 +457,29 @@ class Field:
         if _SWAP:
             items.byteswap()
         return items.tolist() if step == 1 else items[::2].tolist()
+
+    def unpack_rows(self, ps, n: int) -> list:
+        """The entries of each packed row of the list ps, n a row, each slot
+        reduced modulo the modulus first.  On the wide kernel the rows are
+        joined end to end into one int, up to _MASKS_KEPT slots at a time
+        (so the slot mask is a kept one), which one unpack reduces and
+        reads, and the entries are sliced into rows; on the byte kernel
+        each row is its own to_bytes, which is faster than joining."""
+        if self._rows is not None or not n:
+            return [list(p.to_bytes(n, "little")) for p in ps]
+        width = n * self.slot_bits
+        per = max(1, _MASKS_KEPT // n)  # rows joined at a time
+        out = []
+        for start in range(0, len(ps), per):
+            chunk = ps[start:start + per]
+            joined = t = 0
+            for p in chunk:
+                joined |= p << t
+                t += width
+            count = len(chunk) * n
+            flat = self.unpack(joined, count)
+            out += [flat[i:i + n] for i in range(0, count, n)]
+        return out
 
     # -- packed rows, prepared operands and the elimination step -------------
     # A packed row from pack may be added to freely.  On the byte kernel

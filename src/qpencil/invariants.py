@@ -71,7 +71,7 @@ def is_isomorphic(p1: Pencil, p2: Pencil) -> tuple[bool, list | None]:
         inv_root = gf.inv(root)
         for row in witness:
             row[0] = gf.mul(row[0], inv_root)
-    if p2.q0.transform(witness) != p1.q0 or p2.q1.transform(witness) != p1.q1:
+    if p2.q0.transform(witness, p2.q1) != (p1.q0, p1.q1):
         raise AssertionError("isomorphism witness failed verification")
     return True, witness
 

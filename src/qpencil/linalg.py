@@ -15,7 +15,6 @@ elimination of the etale algebra's subspace k + wp(A) lives in algebra.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -54,7 +53,7 @@ def rref(gf: Field, a: list) -> tuple[list, list, list]:
     one Field.column call reads the pivot column of every row, the pivot
     row is reduced and scaled, and one Field.eliminate call adds its
     multiple, from the pivot column on, to every other row, unreduced.
-    One unpack per row at the end."""
+    One Field.unpack_rows of all the rows at the end."""
     m = list(map(gf.pack, a))
     nrows = len(m)
     ncols = len(a[0]) if nrows else 0
@@ -85,7 +84,7 @@ def rref(gf: Field, a: list) -> tuple[list, list, list]:
         r += 1
         if r == nrows:
             break
-    return list(map(gf.unpack, m, repeat(ncols, nrows))), pivots, scales
+    return gf.unpack_rows(m, ncols), pivots, scales
 
 
 def rank(gf: Field, a: list) -> int:

@@ -167,7 +167,7 @@ def extract_normal_form(p: Pencil) -> NormalForm:
     p.require_regular()
     b = complete_kronecker(p, p.radical_map())
     n, m = p.n, p.m
-    pulled = (p.q0.transform(b), p.q1.transform(b))
+    pulled = p.q0.transform(b, p.q1)
     d0, d1 = ([q.rows[i][i] for i in range(n)] for q in pulled)
     a = [c for pair in zip(d0[:m + 1], d1[:m + 1]) for c in pair]
     r = [c for pair in zip(d1[m + 1:], d0[m + 1:]) for c in pair]

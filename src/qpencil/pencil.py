@@ -181,8 +181,9 @@ class Pencil:
         return moved
 
     def conjugate(self, g: list) -> "Pencil":
-        """The pencil (q0 o g, q1 o g)."""
-        return Pencil(self.q0.transform(g), self.q1.transform(g))
+        """The pencil (q0 o g, q1 o g), both pulled back by one stacked pair
+        of products (QuadraticForm.transform)."""
+        return Pencil(*self.q0.transform(g, self.q1))
 
     def over(self, ext: Field) -> "Pencil":
         """The pencil over ext, an extension of its field, embedded by

@@ -122,20 +122,20 @@ def gcd(gf: Field, a: list, b: list) -> list:
     return monic(gf, a)
 
 
-def extended_gcd(gf: Field, a: list, b: list) -> tuple[list, list, list]:
-    """(g, u, v) with u*a + v*b = g monic."""
-    r0, r1 = a[:], b[:]
-    s0, s1 = [1], []
+def inverse_mod(gf: Field, a: list, m: list) -> list | None:
+    """The inverse of a modulo m, of degree below deg m, or None when a and
+    m are not coprime.  Euclid on (m, a mod m) keeps only a's cofactor:
+    t a = r modulo m for each remainder r, so at the last nonzero r, a
+    constant when they are coprime, t / r is the inverse."""
+    r0, r1 = m[:], mod(gf, a, m)
     t0, t1 = [], [1]
     while r1:
         q, r = divmod_(gf, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, add(s0, mul(gf, q, s1))
         t0, t1 = t1, add(t0, mul(gf, q, t1))
-    if not r0:
-        raise ValueError("gcd(0, 0) is undefined")
-    c = gf.inv(r0[-1])
-    return vec_scale(gf, r0, c), vec_scale(gf, s0, c), vec_scale(gf, t0, c)
+    if degree(r0) > 0:
+        return None
+    return vec_scale(gf, t0, gf.inv(r0[0]))
 
 
 def derivative(gf: Field, a: list) -> list:
@@ -163,7 +163,7 @@ def square_table(gf: Field, m: list) -> tuple:
             if top:
                 row ^= gf.combine(low, (gf.mul(top, inv_lead),))
         packed.append(gf.reduce(row, d))
-    return [gf.unpack(p, d) for p in packed], gf.prepare(packed, d)
+    return gf.unpack_rows(packed, d), gf.prepare(packed, d)
 
 
 def square_mod(gf: Field, h: list, table: tuple) -> list:

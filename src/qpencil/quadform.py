@@ -96,20 +96,33 @@ class QuadraticForm:
         return QuadraticForm(self.gf, self.n, tuple(
             tuple(mul(c, x) if x else 0 for x in row) for row in self.rows))
 
-    def transform(self, g: list) -> "QuadraticForm":
+    def transform(self, g: list, *others: "QuadraticForm"):
         """The pulled-back form q o g, i.e. (q o g)(v) = q(g v), for an n x k
         matrix g: on k variables, the restriction of q to the span of g's
-        columns.
+        columns.  With other forms on the same space, the tuple of the
+        pull-backs of q and of each of them by the same g.
 
         q o g has the matrix K = g^T U g read back to upper-triangular form:
-        (q o g)_ii = K_ii and (q o g)_ij = K_ij + K_ji.  Two matrix products,
-        O(n^2 k) multiplications.
+        (q o g)_ii = K_ii and (q o g)_ij = K_ij + K_ji.  O(n^2 k)
+        multiplications a form, in two matrix products whatever the number
+        of forms (two kernel calls for a pair, not four): the forms'
+        matrices stacked, [U; U'; ...] g, then g^T [U g | U' g | ...], whose
+        blocks of k columns are the K of each form in turn.
         """
-        k = len(g[0])
-        c = mat_mul(self.gf, transpose(g), mat_mul(self.gf, self.rows, g))
-        return QuadraticForm(self.gf, k, tuple(
-            (0,) * i + (row[i],) + tuple(map(xor, row[i + 1:], col[i + 1:]))
-            for i, (row, col) in enumerate(zip(c, zip(*c)))))
+        gf, n, k = self.gf, self.n, len(g[0])
+        rows = tuple(self.rows)  # a new tuple only when more forms join it
+        for q in others:
+            rows += tuple(q.rows)
+        ug = mat_mul(gf, rows, g)
+        side = ug[:n]
+        for s in range(n, len(ug), n):
+            side = list(map(list.__add__, side, ug[s:s + n]))
+        c = mat_mul(gf, transpose(g), side)
+        cols = list(zip(*c))
+        images = tuple(QuadraticForm(gf, k, tuple(
+            (0,) * i + (row[s + i],) + tuple(map(xor, row[s + i + 1:s + k], cols[s + i][i + 1:]))
+            for i, row in enumerate(c))) for s in range(0, len(rows) // n * k, k))
+        return images if others else images[0]
 
     def map_field(self, emb) -> "QuadraticForm":
         return QuadraticForm(emb.dst, self.n, tuple(

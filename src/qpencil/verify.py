@@ -309,12 +309,12 @@ def algebra_trace(A: EtaleAlgebra, x: tuple) -> int:
 
 
 def trace_projection(A: EtaleAlgebra, x: tuple) -> tuple:
-    """(Tr(x t^j / f'(t)))_j, with 1/f'(t) from the extended gcd: the
+    """(Tr(x t^j / f'(t)))_j, with 1/f'(t) from poly.inverse_mod: the
     d-coordinates of x, since the t^j / f'(t) are trace-dual to the
     d-basis."""
     gf, f = A.gf, list(A.f)
-    g, inv, _ = poly.extended_gcd(gf, poly.derivative(gf, f), list(A.monic_f))
-    _expect(g == [1], f"f'(t) is not invertible for f={f}")
+    inv = poly.inverse_mod(gf, poly.derivative(gf, f), list(A.monic_f))
+    _expect(inv is not None, f"f'(t) is not invertible for f={f}")
     y = A.mul(x, A.from_poly(inv))
     return tuple(algebra_trace(A, A.mul(y, A.t_power(j))) for j in range(A.n))
 
@@ -518,8 +518,7 @@ def check_classification(scale: str):
         orbits = []
         while unvisited:
             seed = index[next(iter(unvisited))]
-            orbit = {(seed.q0.transform(g).rows, seed.q1.transform(g).rows)
-                     for g in gl32}
+            orbit = {tuple(q.rows for q in seed.q0.transform(g, seed.q1)) for g in gl32}
             _expect(orbit <= index.keys(), "orbit left its Delta class")
             unvisited -= orbit
             orbits.append(frozenset(orbit))

@@ -17,6 +17,7 @@ from qpencil import poly
 from qpencil.errors import PreconditionError
 from qpencil.field import GF, Embedding, find_embedding, p2_is_irreducible
 from qpencil.linalg import mat_mul, mat_vec, rank, solve, transpose, vec_scale
+from qpencil.quadform import QuadraticForm
 from qpencil.verify import points_on_X
 
 
@@ -773,3 +774,50 @@ def sqrt_by_bits(gf, xs):
             a ^= low
         out.append(r)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the pull-back by definition, and the idempotents from the two-cofactor
+# extended gcd: the references of QuadraticForm.transform's stacked
+# products and of EtaleAlgebra.idempotents' one-cofactor inverse
+
+
+def transform_by_definition(q, g):
+    """q o g for an n x k matrix g, coefficient by coefficient in scalar
+    arithmetic: x_i^2 has q(g e_i) and x_i x_j, i < j, has the polar value
+    b(g e_i, g e_j)."""
+    cols = [list(c) for c in zip(*g)]
+    table = {}
+    for i, v in enumerate(cols):
+        table[(i, i)] = q(v)
+        for j in range(i + 1, len(cols)):
+            table[(i, j)] = polar_by_definition(q, v, cols[j])
+    return QuadraticForm.from_table(q.gf, len(cols), table)
+
+
+def _extended_gcd(gf, a, b):
+    """(g, u, v) with u a + v b = g monic: Euclid keeping both cofactors."""
+    r0, r1 = a[:], b[:]
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = poly.divmod_(gf, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly.add(s0, poly.mul(gf, q, s1))
+        t0, t1 = t1, poly.add(t0, poly.mul(gf, q, t1))
+    c = gf.inv(r0[-1])
+    return vec_scale(gf, r0, c), vec_scale(gf, s0, c), vec_scale(gf, t0, c)
+
+
+def idempotents_by_extended_gcd(algebra):
+    """The primitive idempotents as the extended gcd of f_i and g_i = f / f_i
+    gives them, for the monic f and its factors f_i: u f_i + v g_i = 1, and
+    e_i = v g_i reduced modulo f."""
+    gf, f = algebra.gf, list(algebra.monic_f)
+    out = []
+    for fi in algebra.factors:
+        gi = poly.divexact(gf, f, list(fi))
+        one, _, v = _extended_gcd(gf, list(fi), gi)
+        assert one == [1], "separable factors are not coprime"
+        out.append(algebra.from_poly(poly.mul(gf, v, gi)))
+    return tuple(out)

@@ -12,6 +12,7 @@ from oracles import (
     coset_columns_per_element,
     evaluate,
     gf2_pivots,
+    idempotents_by_extended_gcd,
     wp_plus_constants,
 )
 from qpencil.algebra import EtaleAlgebra
@@ -171,6 +172,56 @@ def test_idempotents_example(g2):
     B = EtaleAlgebra(g2, (1, 1, 0, 1))  # irreducible
     assert B.idempotents == ((1, 0, 0),)
     assert all_idempotents(B) == [B.zero(), B.one()]
+
+
+def _product_of_parts(gf, d, rng):
+    """A separable polynomial of degree d, not monic above GF(2): a third of
+    the time with d distinct roots where the field has them, otherwise a
+    product of a random number of random monic parts.  The certificates
+    of the idempotents cost about l^2 algebra products for l factors, so
+    on the wide kernel the roots are distinct only for d <= 9; there and
+    over GF(2) and GF(4), where most products of many small parts repeat a
+    factor and are drawn again, there are at most 6 parts."""
+    wide = gf.degree > 8
+    most = d if 3 <= gf.degree <= 8 else min(d, 6)
+    while True:
+        if d <= min(gf.order, 9 if wide else 31) and rng.random() < 1 / 3:
+            roots = set()
+            while len(roots) < d:
+                roots.add(rng.randrange(gf.order))
+            parts = [[x, 1] for x in sorted(roots)]
+        else:
+            cuts = sorted(rng.sample(range(1, d), rng.randrange(most)))
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
+            parts = [[rng.randrange(gf.order) for _ in range(e)] + [1] for e in sizes]
+        f = [rng.randrange(1, gf.order)]
+        for part in parts:
+            f = poly.mul(gf, f, part)
+        if poly.is_separable(gf, f):
+            return f
+
+
+def test_idempotents_match_the_extended_gcd():
+    # the one-cofactor inverse against the two-cofactor extended gcd it
+    # replaced, on 2030 algebras: deg f = 1..31 with 1 to deg f factors,
+    # over fields of both kernels.  Factoring costs time linear in k, so
+    # the larger fields get fewer draws; small degrees are drawn more
+    # often, and on the wide kernel one draw in 10 has deg f above 9
+    rng = random.Random(17)
+    seen = set()
+    for k, draws in ((1, 650), (2, 550), (3, 400), (8, 250), (17, 100), (32, 50), (64, 30)):
+        gf = GF(k)
+        for i in range(draws):
+            if k <= 8:
+                d = 1 + int(31 * rng.random() ** 5)
+            else:
+                d = rng.randrange(10, 32) if i % 10 == 0 else rng.randrange(1, 10)
+            A = EtaleAlgebra(gf, tuple(_product_of_parts(gf, d, rng)))
+            assert A.idempotents == idempotents_by_extended_gcd(A), (k, A.f)
+            seen.add((d, A.num_components))
+    assert {d for d, _ in seen} == set(range(1, 32))
+    assert sum(1 for d, l in seen if l == d and d >= 5) >= 5
+    assert sum(1 for d, l in seen if l == 1 and d >= 5) >= 5
 
 
 def test_idempotent_action_split(g4):

@@ -47,13 +47,13 @@ ORACLES = (
 # the production names (modules, classes, functions, methods and
 # properties, matched by name) that the oracles may use: fields and
 # embeddings, the forms and their coefficients, plain linear algebra, and
-# the algebra's multiplication and the gcd behind 1/f'
+# the algebra's multiplication and the inverse behind 1/f'
 ALLOWED = {
     "poly", "GF", "Field", "find_embedding", "degree", "order", "elements",
     "mul", "mat_mul", "Pencil", "over", "n", "m", "QuadraticForm",
     "from_table", "polar", "add", "PreconditionError",
     "nullspace", "normalize_subspace", "EtaleAlgebra", "t_power",
-    "from_poly", "monic_f", "extended_gcd", "derivative",
+    "from_poly", "monic_f", "inverse_mod", "derivative",
 }
 
 # what the oracles check, and so may not use
@@ -90,6 +90,11 @@ REFERENCES = {
     "proportional_by_scaling": ("_proportional", {"vec_scale", "div"}),
     "coset_by_dense_bits": ("coset_reduce", {"degree", "n", "element", "add", "mul"}),
     "sqrt_by_bits": ("sqrt", {"pow", "order", "mul", "degree"}),
+    "transform_by_definition": ("transform", {"QuadraticForm", "from_table"}),
+    "idempotents_by_extended_gcd": ("idempotents", {
+        "poly", "divexact", "divmod_", "add", "mul", "inv", "vec_scale", "factors",
+        "from_poly", "monic_f",
+    }),
 }
 
 

@@ -268,14 +268,17 @@ def test_only_json_integers_are_accepted(tmp_path, capsys, path, value):
 
 
 def _wrong_substitution(monkeypatch, key):
-    """QuadraticForm.transform with coefficient `key` of its image flipped."""
+    """QuadraticForm.transform with coefficient `key` of every image flipped:
+    of q o g, and of each other form's pull-back when it is given others."""
     from qpencil.quadform import QuadraticForm
 
     transform = QuadraticForm.transform
 
-    def wrong(q, g):
-        image = transform(q, g)
-        return image.add(QuadraticForm.from_table(image.gf, image.n, {key: 1}))
+    def wrong(q, g, *others):
+        images = transform(q, g, *others)
+        flipped = tuple(image.add(QuadraticForm.from_table(image.gf, image.n, {key: 1}))
+                        for image in (images if others else (images,)))
+        return flipped if others else flipped[0]
 
     monkeypatch.setattr(QuadraticForm, "transform", wrong)
 

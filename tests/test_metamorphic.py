@@ -16,6 +16,11 @@ The r-coset path, on seeded regular pencils at n up to 31 and k in
 - kernel swap: GF(2^8) built on the wide kernel (Field.__init__ bypassed)
   gives the byte kernel's representatives, isomorphism witnesses and
   Artin-Schreier witnesses.
+
+Conjugation, at n = 3..9 and k in {1, 2, 8, 17, 32}, on the certificates
+that pull both forms back by one stacked pair of products: Aut(p o g) is
+{g^-1 a g : a in Aut(p)} as a set of matrices, and for the witness w of
+isiso(p, p o g), g w is an automorphism of p.
 """
 
 import hashlib
@@ -28,9 +33,10 @@ from pathlib import Path
 
 from oracles import det
 from qpencil.algebra import EtaleAlgebra
-from qpencil.autos import pair_algebra
+from qpencil.autos import automorphism_group, pair_algebra
 from qpencil.field import GF, Field, default_modulus
 from qpencil.invariants import is_isomorphic, r_invariant
+from qpencil.linalg import inverse, mat_mul
 from qpencil.pencil import Pencil
 from qpencil.quadform import QuadraticForm
 from qpencil.verify import pulls_back, random_regular_nf_pencil
@@ -153,3 +159,33 @@ def test_the_wide_kernel_gives_the_byte_kernels_r_cosets():
                 assert aw.solve_artin_schreier(x) == a.solve_artin_schreier(x), n
                 elements += 1
     assert (pencils, elements) == (14, 84)
+
+
+def _group(p):
+    return {a.matrix for a in automorphism_group(p)}
+
+
+def test_conjugation_moves_the_automorphisms_and_the_witness():
+    # q = p o g: q o (g^-1 a g) = p o a o g = q for a in Aut(p), and
+    # q o w = p for the witness w of isiso(p, q) makes g w preserve p
+    draws = moved_det = larger = 0
+    for k in (1, 2, 8, 17, 32):
+        gf = GF(k)
+        rng = random.Random(2000 + k)
+        for n in (3, 5, 7, 9):
+            for _ in range(3):
+                p = random_regular_nf_pencil(gf, n // 2, rng)
+                g = _gl_with_det(gf, n, rng)
+                q = p.conjugate(g)
+                aut = _group(p)
+                g_inv = inverse(gf, g)
+                moved = {tuple(map(tuple, mat_mul(gf, mat_mul(gf, g_inv, a), g))) for a in aut}
+                assert _group(q) == moved, (k, n)
+                ok, witness = is_isomorphic(p, q)
+                assert ok, (k, n)
+                assert tuple(map(tuple, mat_mul(gf, g, witness))) in aut, (k, n)
+                draws += 1
+                moved_det += det(gf, g) != 1
+                larger += len(aut) > 1
+    # every draw above GF(2) moves Delta by a scalar; 43 groups are not trivial
+    assert (draws, moved_det, larger) == (60, 48, 43)

@@ -12,7 +12,7 @@ from oracles import (
 )
 from qpencil import normalform
 from qpencil.errors import NotRegularError
-from qpencil.field import GF, field_from_modulus
+from qpencil.field import GF, Field, field_from_modulus
 from qpencil.linalg import mat_mul, normalize_subspace, rank, solve, transpose
 from qpencil.normalform import complete_kronecker, extract_normal_form, realize
 from qpencil.pencil import Pencil
@@ -296,3 +296,30 @@ def test_vv_correction_matches_solve_up_to_m30():
         for b, expected in zip(rhs, solve(gf, rows, rhs)):
             c1, c0 = b[0::2], b[1::2]
             assert normalform._vv_correction(m, c1, c0) == expected, (gf, m)
+
+
+def test_the_round_trip_pulls_both_forms_back_in_two_products(monkeypatch):
+    # extract_normal_form pulls q0 and q1 back by B in one call of
+    # QuadraticForm.transform, with two Field.mat_mul calls in all: the
+    # stacked [U0; U1] B, then B^T [U0 B | U1 B] (one pull-back per form
+    # would make four)
+    p = random_regular_nf_pencil(GF(17), 2, random.Random(5))
+    transform, mat_mul_ = QuadraticForm.transform, Field.mat_mul
+    inside, counts = [False], {"transform": 0, "mat_mul": 0}
+
+    def counted_transform(q, g, *others):
+        counts["transform"] += 1
+        inside[0] = True
+        try:
+            return transform(q, g, *others)
+        finally:
+            inside[0] = False
+
+    def counted_mat_mul(self, a, b):
+        counts["mat_mul"] += inside[0]
+        return mat_mul_(self, a, b)
+
+    monkeypatch.setattr(QuadraticForm, "transform", counted_transform)
+    monkeypatch.setattr(Field, "mat_mul", counted_mat_mul)
+    extract_normal_form(p)
+    assert counts == {"transform": 1, "mat_mul": 2}

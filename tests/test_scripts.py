@@ -1,6 +1,8 @@
 """Smoke test of the example scripts: each runs as its own process, exits
-0 and prints its key results."""
+0 and prints its key results.  The cost ledger prints the same bytes under
+two hash seeds."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,14 +10,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, cwd: Path) -> list:
+def run_script(name: str, cwd: Path, *args: str, env=None) -> list:
     """The stdout lines of scripts/name, run from cwd (not the repository
     root: a script finds the package from its own path), with runs of
     whitespace collapsed."""
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)], cwd=cwd,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd,
+                          capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     return [" ".join(line.split()) for line in proc.stdout.splitlines()]
+
+
+def test_ledger_is_deterministic(tmp_path):
+    # the 27 corpus commands on two documents (GF(2^2) and GF(2^17)) and
+    # on the isiso and --ext-degree entries that name the first
+    runs = [run_script("ledger.py", tmp_path, "g2_n5_113_r0", "gk17",
+                       env={**os.environ, "PYTHONHASHSEED": seed}) for seed in ("0", "1")]
+    assert runs[0] == runs[1]
+    head, *rows, total = runs[0]
+    assert head.split()[:4] == ["subcommand", "commands", "mul", "inv"]
+    assert len(rows) == 12 and total.split()[:2] == ["total", "27"]
+    assert all(int(x) > 0 for x in total.split()[1:])
 
 
 def test_del_pezzo_demo(tmp_path):
