@@ -119,11 +119,13 @@ class Pencil:
 
     def delta_algebra(self) -> EtaleAlgebra:
         """k[T]/(Delta(1, T)) over the pencil's own field, for a regular
-        pencil; of degree n - 1 when a_n = 0, the root at infinity."""
+        pencil; of degree n - 1 when a_n = 0, the root at infinity.  The
+        regularity verdict is the separability of this trimmed Delta (as
+        poly.bf_is_separable tests it), so the algebra takes no second gcd."""
         if self._delta_algebra is None:
             self.require_regular()
             f = poly.trim(list(self.half_discriminant()))
-            self._delta_algebra = EtaleAlgebra(self.gf, tuple(f))
+            self._delta_algebra = EtaleAlgebra.of_separable(self.gf, tuple(f))
         return self._delta_algebra
 
     def projective_roots(self) -> list:

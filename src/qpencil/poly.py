@@ -12,15 +12,21 @@ at p = 2.  Equal-degree splitting draws candidates from a generator seeded
 by the input, so runs are reproducible.
 Roots are the constant terms of the linear factors; no field is scanned.
 
-Both splitting stages spend their time squaring modulo a polynomial, and
-in characteristic 2 that map is additive: h^2 = sum h_i^2 T^(2i) mod m,
-the fact behind Berlekamp's Q-matrix (1970).  So each modulus gets one
-squaring table, the rows T^(2i) mod m (square_table), and a squaring is
-one kernel call with the coefficients h_i^2 (square_mod).  The table
-carries its rows as one prepared operand of the field (Field.prepare),
-built with it and dropped with it, and the h_i^2 come from one packed
-Frobenius (Field.squares); a division prepares its divisor once and keeps
-the remainder packed (divmod_).
+Both splitting stages take powers modulo a polynomial m, and on
+k[T]/(m), k = GF(q), the map h -> h^q is k-linear: h^q = sum h_i T^(qi)
+mod m, Berlekamp's Q-matrix (1970).  Squaring is additive too, so each
+modulus gets one squaring table, the rows T^(2i) mod m (square_table), and
+a squaring is one kernel call with the coefficients h_i^2 (square_mod).
+The first distinct-degree step takes T^q by k squarings; when a second
+step runs, Q's rows T^(qi) mod m become one prepared operand, and every
+later step is one combination of them instead of k squarings.  Equal-
+degree splitting takes the absolute trace as Tr_{q/2} of Tr_{q^d/q}: d - 1
+q-th powers, then k - 1 squarings.  Below the field degree _Q_DEGREE the
+k squarings cost less than Q's rows, and a q-th power stays squarings.
+The tables carry their rows as prepared operands of the field
+(Field.prepare), built with them and dropped with them, and the h_i^2 come
+from one packed Frobenius (Field.squares); a division prepares its divisor
+once and keeps the remainder packed (divmod_).
 """
 
 from __future__ import annotations
@@ -143,26 +149,34 @@ def derivative(gf: Field, a: list) -> list:
     return trim([a[i] if i % 2 == 1 else 0 for i in range(1, len(a))])
 
 
-def square_table(gf: Field, m: list) -> tuple:
-    """The rows T^(2i) mod m for i < deg m, each of length deg m, and the
-    same rows as one prepared operand (Field.prepare).  Row i+1 is row i
-    times T twice, reduced after each step: O(deg m) kernel work per row."""
+def _times_t(gf: Field, m: list, row: int, count: int, step: int) -> list:
+    """The packed rows row T^(step i) mod m, i < count, each reduced, for a
+    packed row of deg m entries, one multiply-by-T-and-reduce step at a
+    time: O(deg m) kernel work per step."""
     d = degree(m)
     inv_lead = gf.inv(m[-1])
-    # a row is packed; times T moves every entry up one slot, and the one
+    # times T moves every entry of a packed row up one slot, and the one
     # that leaves the row, reduced, brings its multiple of low back
     bits, below = gf.slot_bits, (1 << d * gf.slot_bits) - 1
     low = gf.prepare((gf.pack(m[:d]),), d)
-    packed = [1]
-    while len(packed) < d:
-        row = packed[-1]
-        for _ in range(2):
+    out = [gf.reduce(row, d)]
+    while len(out) < count:
+        for _ in range(step):
             row <<= bits
             top = gf.entry(row, d)
             row &= below
             if top:
                 row ^= gf.combine(low, (gf.mul(top, inv_lead),))
-        packed.append(gf.reduce(row, d))
+        out.append(gf.reduce(row, d))
+    return out
+
+
+def square_table(gf: Field, m: list) -> tuple:
+    """The rows T^(2i) mod m for i < deg m, each of length deg m, and the
+    same rows as one prepared operand (Field.prepare).  Row i+1 is row i
+    times T twice, reduced after each step."""
+    d = degree(m)
+    packed = _times_t(gf, m, 1, d, 2)
     return gf.unpack_rows(packed, d), gf.prepare(packed, d)
 
 
@@ -198,50 +212,102 @@ def _seed_from(gf: Field, p: list, salt: int) -> int:
     return s ^ gf.modulus
 
 
-def _distinct_degree(gf: Field, p: list) -> list[tuple[list, int]]:
-    """Split a squarefree monic p into (product of irreducibles of degree d, d)."""
+# Berlekamp's Q pays for its rows from this field degree on: below it a
+# q-th power stays k squarings (the cut-over is measured in CHANGES.md)
+_Q_DEGREE = 6
+
+
+def _squarings(gf: Field, h: list, table: tuple, count: int) -> list:
+    """h^(2^count) mod m, with table = square_table(gf, m)."""
+    for _ in range(count):
+        h = square_mod(gf, h, table)
+    return h
+
+
+def _frobenius_matrix(gf: Field, m: list, xq: list) -> tuple:
+    """Berlekamp's Q for a monic m, given xq = T^q mod m: the rows T^(qi)
+    mod m, i < deg m, as one prepared operand, so that h^q = sum h_i
+    T^(qi) mod m (h_i^q = h_i) is one combination of them (_qth_power).
+    The rows T^i xq mod m come one from the last by the step of
+    square_table, and then row i of Q is row i-1 times xq, one combination
+    of them."""
+    d = degree(m)
+    shifted = gf.prepare(_times_t(gf, m, gf.pack(xq), d, 1), d)
+    rows, h = [1], [1]
+    while len(rows) < d:
+        rows.append(gf.reduce(gf.combine(shifted, h), d))
+        h = gf.unpack(rows[-1], d)
+    return gf.prepare(rows, d)
+
+
+def _qth_power(gf: Field, h: list, frob: tuple) -> list:
+    """h^q mod m for h reduced below deg m, with frob = _frobenius_matrix(gf, m, .)."""
+    return trim(gf.unpack(gf.combine(frob, h), frob[1]))
+
+
+def _distinct_degree(gf: Field, p: list, table: tuple) -> tuple:
+    """Split a squarefree monic p into (product of irreducibles of degree d,
+    d), with table = square_table(gf, p); also returns p's Q, or None when
+    it was not built.  The first step takes T^q by k squarings, and from
+    _Q_DEGREE on each later one is one product with Q, built at the
+    second step."""
     out = []
-    table = square_table(gf, p)
     h = [0, 1]  # T, then T^(q^d) mod p; gcd(h + T, v) only needs h mod v
     v = p[:]
     d = 0
+    frob = None
     while degree(v) > 0:
         d += 1
         if 2 * d > degree(v):
             out.append((v, degree(v)))
             break
-        for _ in range(gf.degree):
-            h = square_mod(gf, h, table)
+        if d > 1 and gf.degree >= _Q_DEGREE:
+            if frob is None:
+                frob = _frobenius_matrix(gf, p, xq)
+            h = _qth_power(gf, h, frob)
+        else:
+            h = _squarings(gf, h, table, gf.degree)
+            if d == 1:
+                xq = h
         g = gcd(gf, add(h, [0, 1]), v)
         if degree(g) > 0:
             out.append((g, d))
             v = divexact(gf, v, g)
-    return out
+    return out, frob
 
 
-def _equal_degree_split(gf: Field, p: list, d: int, rng: random.Random) -> list:
-    """All monic irreducible factors of p, each of degree d (Artin-Schreier
-    trace splitting in characteristic 2)."""
-    if degree(p) == d:
-        return [p]
-    bits = gf.degree * d  # factors have 2^bits elements
-    table = square_table(gf, p)
+def _equal_degree_split(gf: Field, part: list, d: int, p: list, table: tuple, frob,
+                        rng: random.Random) -> list:
+    """All monic irreducible factors of part, each of degree d, for a
+    divisor of p that _distinct_degree split off, with p's squaring table
+    and its Q or None (Artin-Schreier trace splitting in characteristic
+    2).  The absolute trace of a random h modulo part is Tr_{q/2} of
+    Tr_{q^d/q}(h) = h + h^q + ... + h^(q^(d-1)): d - 1 q-th powers, by Q
+    modulo p or else by k squarings modulo part, then k - 1 squarings
+    modulo part, by a table built for each part but p; it is 0 or 1 modulo
+    each factor, so its gcd with part splits part with probability at
+    least 1/2."""
+    if degree(part) == d:
+        return [part]
+    sub = table if part == p else square_table(gf, part)
     while True:
-        h = [rng.randrange(gf.order) for _ in range(degree(p))]
-        trim(h)
+        h = trim([rng.randrange(gf.order) for _ in range(degree(part))])
         if degree(h) < 1:
             continue
-        # absolute trace map of h modulo p: h + h^2 + h^4 + ... (bits terms)
-        tr = h[:]
-        sq = h[:]
-        for _ in range(bits - 1):
-            sq = square_mod(gf, sq, table)
+        t = tr = h
+        for _ in range(d - 1):
+            t = _squarings(gf, t, sub, gf.degree) if frob is None else _qth_power(gf, t, frob)
+            tr = add(tr, t)
+        if frob is not None:  # Q's powers are reduced modulo p only
+            tr = mod(gf, tr, part)
+        sq = tr
+        for _ in range(gf.degree - 1):
+            sq = square_mod(gf, sq, sub)
             tr = add(tr, sq)
-        g = gcd(gf, tr, p) if tr else []
-        if g and 0 < degree(g) < degree(p):
-            return _equal_degree_split(gf, g, d, rng) + _equal_degree_split(
-                gf, divexact(gf, p, g), d, rng
-            )
+        g = gcd(gf, tr, part)
+        if 0 < degree(g) < degree(part):
+            return (_equal_degree_split(gf, g, d, p, table, frob, rng)
+                    + _equal_degree_split(gf, divexact(gf, part, g), d, p, table, frob, rng))
 
 
 def factor(gf: Field, p: list) -> list[list]:
@@ -256,9 +322,12 @@ def factor(gf: Field, p: list) -> list[list]:
     if not is_separable(gf, p):
         raise ValueError("cannot factor a polynomial with a repeated factor")
     rng = random.Random(_seed_from(gf, p, 0x5EED))
+    m = monic(gf, p)
+    table = square_table(gf, m)
+    parts, frob = _distinct_degree(gf, m, table)
     out = []
-    for part, d in _distinct_degree(gf, monic(gf, p)):
-        out.extend(_equal_degree_split(gf, part, d, rng))
+    for part, d in parts:
+        out.extend(_equal_degree_split(gf, part, d, m, table, frob, rng))
     return sorted(out, key=lambda f: (len(f), f))
 
 

@@ -12,6 +12,7 @@ section keeps code the package replaced, to compare against.
 """
 
 import itertools
+import random
 
 from qpencil import poly
 from qpencil.errors import PreconditionError
@@ -821,3 +822,59 @@ def idempotents_by_extended_gcd(algebra):
         assert one == [1], "separable factors are not coprime"
         out.append(algebra.from_poly(poly.mul(gf, v, gi)))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# factorization with every q-th power taken as k squarings: the code that
+# Berlekamp's Q replaced (poly.factor's distinct-degree and equal-degree
+# stages)
+
+
+def factor_by_squarings(gf, p):
+    """The monic irreducible factors of a squarefree, non-constant p, sorted
+    by degree and then by coefficients: distinct-degree splitting with each
+    T^(q^d) mod p from k squarings, then equal-degree splitting of each part
+    by the absolute trace, k d - 1 squarings modulo each piece."""
+    rng = random.Random(poly._seed_from(gf, p, 0x5EED))
+    out = []
+    for part, d in _distinct_degree_by_squarings(gf, poly.monic(gf, p)):
+        out.extend(_equal_degree_split_by_squarings(gf, part, d, rng))
+    return sorted(out, key=lambda f: (len(f), f))
+
+
+def _distinct_degree_by_squarings(gf, p):
+    out = []
+    table = poly.square_table(gf, p)
+    h = [0, 1]  # T, then T^(q^d) mod p
+    v = p[:]
+    d = 0
+    while poly.degree(v) > 0:
+        d += 1
+        if 2 * d > poly.degree(v):
+            out.append((v, poly.degree(v)))
+            break
+        for _ in range(gf.degree):
+            h = poly.square_mod(gf, h, table)
+        g = poly.gcd(gf, poly.add(h, [0, 1]), v)
+        if poly.degree(g) > 0:
+            out.append((g, d))
+            v = poly.divexact(gf, v, g)
+    return out
+
+
+def _equal_degree_split_by_squarings(gf, p, d, rng):
+    if poly.degree(p) == d:
+        return [p]
+    table = poly.square_table(gf, p)
+    while True:
+        h = poly.trim([rng.randrange(gf.order) for _ in range(poly.degree(p))])
+        if poly.degree(h) < 1:
+            continue
+        tr, sq = h[:], h[:]  # h + h^2 + h^4 + ..., k d terms
+        for _ in range(gf.degree * d - 1):
+            sq = poly.square_mod(gf, sq, table)
+            tr = poly.add(tr, sq)
+        g = poly.gcd(gf, tr, p) if tr else []
+        if g and 0 < poly.degree(g) < poly.degree(p):
+            return (_equal_degree_split_by_squarings(gf, g, d, rng)
+                    + _equal_degree_split_by_squarings(gf, poly.divexact(gf, p, g), d, rng))

@@ -177,9 +177,9 @@ def test_idempotents_example(g2):
 def _product_of_parts(gf, d, rng):
     """A separable polynomial of degree d, not monic above GF(2): a third of
     the time with d distinct roots where the field has them, otherwise a
-    product of a random number of random monic parts.  The certificates
-    of the idempotents cost about l^2 algebra products for l factors, so
-    on the wide kernel the roots are distinct only for d <= 9; there and
+    product of a random number of random monic parts.  Splitting l linear
+    factors takes about 2 l traces of k - 1 squarings each, so on the
+    wide kernel the roots are distinct only for d <= 9; there and
     over GF(2) and GF(4), where most products of many small parts repeat a
     factor and are drawn again, there are at most 6 parts."""
     wide = gf.degree > 8

@@ -1,7 +1,8 @@
 """Within one `cli.main` call every pencil is analysed once: no Pencil
 object extracts its normal form, computes its radical map or tests the
-separability of Delta twice, and no polynomial is factored twice over one
-field (Delta's roots are read off its one factorization)."""
+separability of Delta twice, no polynomial is tested for separability
+twice over one field outside poly.factor, and no polynomial is factored
+twice over one field (Delta's roots are read off its one factorization)."""
 
 import contextlib
 import io
@@ -94,6 +95,36 @@ def test_one_regularity_verdict_per_pencil(monkeypatch, command, doc):
         return separable(gf, c)
 
     monkeypatch.setattr(poly, "bf_is_separable", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--in", str(DOCS / f"{doc}.json")])
+    assert code == 0
+    assert tests and max(tests.values()) == 1, tests
+
+
+@pytest.mark.parametrize("command,doc", CASES)
+def test_one_separability_test_per_polynomial(monkeypatch, command, doc):
+    # Pencil.is_regular's verdict is the separability of the trimmed Delta
+    # that its algebra is built on, so outside poly.factor (which keeps
+    # its own refusal of a repeated factor) no polynomial is tested twice
+    # over one field
+    tests, inside = Counter(), 0
+    separable, factor = poly.is_separable, poly.factor
+
+    def counted(gf, p):
+        if not inside:
+            tests[gf, tuple(p)] += 1
+        return separable(gf, p)
+
+    def factor_inside(gf, p):
+        nonlocal inside
+        inside += 1
+        try:
+            return factor(gf, p)
+        finally:
+            inside -= 1
+
+    monkeypatch.setattr(poly, "is_separable", counted)
+    monkeypatch.setattr(poly, "factor", factor_inside)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([command, "--in", str(DOCS / f"{doc}.json")])
     assert code == 0

@@ -95,6 +95,10 @@ REFERENCES = {
         "poly", "divexact", "divmod_", "add", "mul", "inv", "vec_scale", "factors",
         "from_poly", "monic_f",
     }),
+    "factor_by_squarings": ("factor", {
+        "poly", "_seed_from", "monic", "square_table", "square_mod", "gcd", "add",
+        "divexact", "degree", "trim", "order",
+    }),
 }
 
 

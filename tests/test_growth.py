@@ -6,8 +6,9 @@ wall time on a shared machine cannot.  Each entry of GROWTH gives a layer's
 input builder (a field, a dimension and a random stream to a function that
 runs the layer once, fresh), its sizes and its stated exponent; the test
 asserts that every log-ratio over consecutive sizes is at most the
-exponent plus 0.25, for each field degree in DEGREES.  A change that fixes
-a growth rate lowers its entry.
+exponent plus 0.25, for each field degree in DEGREES.  An entry of
+GROWTH_IN_K does the same over the field degree k at one dimension.  A
+change that fixes a growth rate lowers its entry.
 
 The count at a size is the sum over DRAWS[degree] inputs, drawn in turn
 from random.Random(n).  A count depends on which entries are nonzero, and
@@ -26,7 +27,7 @@ import pytest
 
 from qpencil import poly
 from qpencil.algebra import EtaleAlgebra
-from qpencil.field import GF
+from qpencil.field import GF, p2_is_irreducible
 from qpencil.linalg import inverse, mat_mul, rank, rref
 from qpencil.normalform import extract_normal_form
 from qpencil.pencil import Pencil
@@ -126,6 +127,27 @@ def _coset_build(gf, d, rng):
     return lambda: algebra._coset_pivots
 
 
+def _irreducible_over_gf2(e, rng):
+    """A random irreducible of odd degree e over GF(2); it stays irreducible
+    over GF(2^k) for k a power of two, as gcd(e, k) = 1."""
+    while True:
+        m = 1 << e | rng.getrandbits(e) | 1
+        if p2_is_irreducible(m):
+            return [m >> i & 1 for i in range(e + 1)]
+
+
+def _factor(gf, n, rng):
+    # the fixed factor-degree pattern (1, 1, 3, 3, n - 8), so that sizes
+    # compare: T, T + 1, the two irreducible cubics of GF(2) and a random
+    # irreducible of degree n - 8, moved by a random T -> a T + c so that
+    # the coefficients are dense; both splitting stages run
+    f = [1]
+    for part in ([0, 1], [1, 1], [1, 1, 0, 1], [1, 0, 1, 1], _irreducible_over_gf2(n - 8, rng)):
+        f = poly.mul(gf, f, part)
+    f = poly.bf_substitute(gf, f, [[1, 0], [rng.randrange(gf.order), rng.randrange(1, gf.order)]])
+    return lambda: poly.factor(gf, f)
+
+
 # layer: (input builder, sizes n, stated exponent)
 GROWTH = {
     "radical_map": (_radical_map, SIZES, 3.0),
@@ -139,6 +161,13 @@ GROWTH = {
     "divmod": (_divmod, SIZES, 2.0),
     "square_mod": (_square_mod, SIZES, 2.0),
     "coset_build": (_coset_build, SIZES, 2.0),
+    "factor": (_factor, SIZES, 3.9),
+}
+
+# layer: (input builder, n, field degrees k, draws per k, stated exponent
+# in k); only the first degree step of factor still takes k squarings
+GROWTH_IN_K = {
+    "factor": (_factor, 31, (16, 32, 64), 2, 0.5),
 }
 
 
@@ -154,3 +183,15 @@ def test_growth_exponent(products, layer, degree):
     for (n1, c1), (n2, c2) in zip(zip(sizes, counts), zip(sizes[1:], counts[1:])):
         measured = math.log(c2 / c1) / math.log(n2 / n1)
         assert measured <= exponent + 0.25, (layer, degree, n1, n2, counts)
+
+
+@pytest.mark.parametrize("layer", sorted(GROWTH_IN_K))
+def test_growth_exponent_in_k(products, layer):
+    build, n, degrees, draws, exponent = GROWTH_IN_K[layer]
+    counts = []
+    for k in degrees:
+        rng = random.Random(k)
+        counts.append(sum(products(build(GF(k), n, rng))[0] for _ in range(draws)))
+    for (k1, c1), (k2, c2) in zip(zip(degrees, counts), zip(degrees[1:], counts[1:])):
+        measured = math.log(c2 / c1) / math.log(k2 / k1)
+        assert measured <= exponent + 0.25, (layer, k1, k2, counts)

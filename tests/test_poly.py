@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpencil.poly as poly
-from oracles import bf_dehomogenize_t1, evaluate, roots_by_scan, roots_in
+from oracles import bf_dehomogenize_t1, evaluate, factor_by_squarings, roots_by_scan, roots_in
 from qpencil import cli
-from qpencil.field import GF, Field, field_from_modulus, find_embedding
+from qpencil.field import GF, Field, field_from_modulus, find_embedding, p2_is_irreducible
 
 FIELDS = [GF(1), GF(2), GF(3)]
 
@@ -123,6 +123,76 @@ def test_factor_remultiplies(gf, deg, seed):
     for g in fs:
         assert g[-1] == 1  # monic factors
         assert poly.factor(gf, g) == [g]  # irreducible
+
+
+def _other_modulus(k):
+    """The smallest irreducible degree-k modulus above the default one."""
+    m = GF(k).modulus + 1
+    while not p2_is_irreducible(m):
+        m += 1
+    return m
+
+
+# the factor patterns of the net: parts of one degree, so that
+# equal-degree splitting has several factors to separate, and a mixed one
+PATTERNS = ((1,) * 4, (1,) * 9, (2,) * 3, (2,) * 6, (3,) * 3, (4, 4), (1, 1, 2, 2, 3, 3))
+
+
+def _squarefree_draw(gf, rng, d):
+    """A squarefree polynomial of degree d, not monic above GF(2): a uniform
+    draw, distinct linear factors, a product of random monic parts with
+    the degrees of a pattern of PATTERNS that fits d (topped up by a
+    random part), or of random degrees."""
+    while True:
+        kind = rng.randrange(4)
+        lead = [rng.randrange(1, gf.order)]
+        if kind == 0:
+            parts = [[rng.randrange(gf.order) for _ in range(d)] + lead]
+        elif kind == 1 and d <= gf.order:
+            roots = set()
+            while len(roots) < d:
+                roots.add(rng.randrange(gf.order))
+            parts = [lead] + [[x, 1] for x in sorted(roots)]
+        else:
+            fitting = [pat for pat in PATTERNS if sum(pat) <= d]
+            if kind == 2 and fitting:
+                sizes = list(rng.choice(fitting))
+                sizes += [d - sum(sizes)] if sum(sizes) < d else []
+            else:
+                cuts = sorted(rng.sample(range(1, d), rng.randrange(min(d, 8))))
+                sizes = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
+            parts = [lead] + [[rng.randrange(gf.order) for _ in range(e)] + [1] for e in sizes]
+        f = [1]
+        for part in parts:
+            f = poly.mul(gf, f, part)
+        if poly.is_separable(gf, f):
+            return f
+
+
+def test_factor_matches_the_squaring_reference():
+    # Berlekamp's Q against the squarings it replaced, on 2020 squarefree
+    # polynomials of degree 2..61, over default and other moduli of both
+    # kernels.  Factoring costs time linear in k, so the larger fields get
+    # fewer draws; small degrees are drawn more often
+    rng = random.Random(42)
+    degrees, patterns = set(), [0, 0]
+    for k, draws in ((1, 770), (2, 560), (8, 420), (16, 100), (17, 80), (32, 60), (64, 30)):
+        fields = (GF(k), field_from_modulus(_other_modulus(k)))
+        for i in range(draws):
+            gf = fields[i % 2]
+            top = 61 if k == 1 else 41 if k <= 8 else 25 if k <= 17 else 15
+            d = 2 + i if k == 1 and i < 60 else 2 + int((top - 1) * rng.random() ** 6)
+            f = _squarefree_draw(gf, rng, d)
+            found = poly.factor(gf, f)
+            assert found == factor_by_squarings(gf, f), (gf, f)
+            degrees.add(d)
+            sizes = [len(g) - 1 for g in found]
+            repeated = {e for e in sizes if sizes.count(e) > 1}
+            patterns[0] += bool(repeated)
+            patterns[1] += k >= poly._Q_DEGREE and any(e > 1 for e in repeated)
+    assert degrees == set(range(2, 62))
+    # several factors of one degree, and of one degree above 1 where Q runs
+    assert patterns[0] > 1000 and patterns[1] > 50, patterns
 
 
 def test_factor_deterministic(g4):
